@@ -102,26 +102,31 @@ def pr_auc(scores: np.ndarray, gold: np.ndarray) -> float:
     Thresholds sweep every distinct score plus 0 and 1; a cell is predicted
     positive when its score is strictly greater than the threshold. Precision
     is integrated over recall with a right-continuous step rule.
+
+    One ascending sort gives, for every threshold, the count of cells above
+    it and of gold positives among them; the area is summed threshold by
+    threshold, from the highest down.
     """
     s = np.asarray(scores, dtype=np.float64).ravel()
     g = np.asarray(gold).ravel().astype(bool)
     n_pos = int(g.sum())
     if n_pos == 0:
         raise ValueError("PR AUC is undefined without gold positives")
+    order = np.argsort(s, kind="stable")
+    s_sorted = s[order]
+    pos_below = np.concatenate([[0], np.cumsum(g[order])])
     thresholds = np.unique(np.concatenate([s, [0.0, 1.0]]))[::-1]
-    area = 0.0
-    prev_recall = 0.0
-    for t in thresholds:
-        pred = s > t
-        tp = int(np.sum(pred & g))
-        n_pred = int(pred.sum())
-        recall = tp / n_pos
-        if n_pred == 0:
-            continue
-        precision = tp / n_pred
-        area += (recall - prev_recall) * precision
-        prev_recall = recall
-    return float(area)
+    below = np.searchsorted(s_sorted, thresholds, side="right")
+    n_pred = s.size - below
+    tp = n_pos - pos_below[below]
+    keep = n_pred > 0
+    recall = tp[keep] / n_pos
+    precision = tp[keep] / n_pred[keep]
+    if recall.size == 0:
+        return 0.0
+    steps = (recall - np.concatenate([[0.0], recall[:-1]])) * precision
+    # accumulate, unlike np.sum, adds strictly left to right
+    return float(np.add.accumulate(steps)[-1])
 
 
 def pearson(x, y) -> float:

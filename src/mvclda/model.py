@@ -7,6 +7,7 @@ The architecture, per document of length l:
   C  = tanh(elementwise max over channels of Z_i)  (l x d_c)
   a_j = C V_j          per-label attention scores  (l,)
   P_j = C^T a_j        attention-pooled features   (d_c,)
+      = (C^T C) V_j    Gram form, used for linear attention
   T_j = sigmoid(K_j * l/10000 + d_j)               length feature
   y_j = sigmoid(U_j . P_j + b_j + T_j)
 
@@ -14,6 +15,12 @@ MVC-LDA minimizes summed per-label binary cross entropy; MVC-RLDA adds
 g_j * lambda * ||V_j - f(D_j)||^2 for gold-positive labels, where f encodes
 the label description with a tied-embedding convolution, spatial max pool,
 and sigmoid dense layer.
+
+With linear (unnormalized) attention the l x J score matrix A = C V^T is
+never formed: pooling is P = V G with the d_c x d_c Gram matrix G = C^T C,
+and the frame gradient is dC = C (V^T dP + dP^T V). Softmax attention
+normalizes the columns of A, so it forms A. A zero-length document has an
+empty C, hence G = 0 and P = 0, and scores sigmoid(b + T).
 
 Gradients are analytic and exact for this fixed architecture (the max
 operations route their full subgradient to the lowest-index winner).
@@ -296,6 +303,8 @@ def length_embed(length: int, K_j: float, d_j: float, scale: float = LENGTH_SCAL
 
 
 def _softmax_columns(A: np.ndarray) -> np.ndarray:
+    if A.shape[0] == 0:
+        return A  # no frames: nothing to normalize, and P = S^T C = 0
     shifted = A - A.max(axis=0, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=0, keepdims=True)
@@ -304,9 +313,7 @@ def _softmax_columns(A: np.ndarray) -> np.ndarray:
 def _forward_cached(token_ids, length: int, params: ModelParams, masks: DropoutMasks | None):
     cfg = params.config
     ids = np.asarray(token_ids, dtype=np.int64)
-    if len(ids) == 0:
-        raise ValueError("cannot run the model on a zero-length document")
-    if ids.min() < 0 or ids.max() >= params.vocab_size:
+    if len(ids) and (ids.min() < 0 or ids.max() >= params.vocab_size):
         raise ValueError("token id out of range for the embedding table")
 
     X = params.W_e[ids]
@@ -322,13 +329,14 @@ def _forward_cached(token_ids, length: int, params: ModelParams, masks: DropoutM
     M = np.take_along_axis(stack, winner[None], axis=0)[0]
     C = np.tanh(M)
 
-    A = C @ params.V.T                        # (l, J) attention scores
     if cfg.attention_softmax:
-        S = _softmax_columns(A)
+        S = _softmax_columns(C @ params.V.T)  # (l, J) attention weights
         P_pre = S.T @ C
+        G = None
     else:
         S = None
-        P_pre = A.T @ C
+        G = C.T @ C                           # (d_c, d_c) Gram matrix
+        P_pre = params.V @ G
 
     if masks is not None:
         p_scale = masks.p_keep / (1.0 - masks.rate)
@@ -350,7 +358,7 @@ def _forward_cached(token_ids, length: int, params: ModelParams, masks: DropoutM
         raise NumericalError("non-finite model output")
     cache = {
         "ids": ids, "X": X, "Xd": Xd, "x_scale": x_scale, "winner": winner,
-        "C": C, "A": A, "S": S, "P_pre": P_pre, "P": P, "p_scale": p_scale,
+        "C": C, "G": G, "S": S, "P_pre": P_pre, "P": P, "p_scale": p_scale,
         "T": T, "lt": lt, "y": y,
     }
     return y, cache
@@ -360,7 +368,8 @@ def forward(token_ids, length: int, params: ModelParams, masks: DropoutMasks | N
     """Per-label presence probabilities for one document.
 
     `length` is the untruncated token count (feeds the length feature);
-    `masks` enables training-mode dropout, eval mode passes None.
+    `masks` enables training-mode dropout, eval mode passes None. A
+    document without tokens pools to P = 0 and scores sigmoid(b + T).
     """
     y, _ = _forward_cached(token_ids, length, params, masks)
     return y
@@ -451,32 +460,36 @@ def backward(
     params: ModelParams,
     masks: DropoutMasks | None = None,
     desc_ids_list=None,
+    out: GradientSet | None = None,
 ) -> tuple[float, GradientSet]:
     """Per-sample loss and analytic gradients for every trainable tensor.
 
     The dropout masks are fixed for the forward/backward pair. For
     mvc-rlda, `desc_ids_list` holds the encoded description of every label.
+
+    Without `out`, the gradients go to a fresh buffer that is checked to be
+    finite. With `out`, they are added into it unchecked, so one buffer can
+    collect a whole batch; the caller checks the sum (a non-finite summand
+    always gives a non-finite sum).
     """
     cfg = params.config
+    rlda = cfg.kind == "mvc-rlda"
+    if rlda and desc_ids_list is None:
+        raise ValueError("mvc-rlda backward requires encoded label descriptions")
     y, cache = _forward_cached(token_ids, length, params, masks)
     g = np.asarray(gold, dtype=np.float64)
-    loss = sample_loss(y, g, params, desc_ids_list)
-    if not np.isfinite(loss):
-        raise NumericalError("non-finite loss")
-
-    grads = GradientSet.zeros_like(params)
-    C, A, S = cache["C"], cache["A"], cache["S"]
-    P, P_pre = cache["P"], cache["P_pre"]
+    grads = GradientSet.zeros_like(params) if out is None else out
+    C, S, G = cache["C"], cache["S"], cache["G"]
 
     dlogits = y - g                                  # (J,)
-    grads["U"][:] = dlogits[:, None] * P
-    grads["b"][:] = dlogits
+    grads["U"] += dlogits[:, None] * cache["P"]
+    grads["b"] += dlogits
     dP = dlogits[:, None] * params.U
     if cfg.use_length:
         T = cache["T"]
         dz = dlogits * T * (1.0 - T)
-        grads["K"][:] = dz * cache["lt"]
-        grads["d"][:] = dz
+        grads["K"] += dz * cache["lt"]
+        grads["d"] += dz
 
     dP_pre = dP if cache["p_scale"] is None else dP * cache["p_scale"]
 
@@ -484,18 +497,20 @@ def backward(
         dS = C @ dP_pre.T                            # (l, J)
         dA = S * (dS - np.sum(S * dS, axis=0, keepdims=True))
         dC = S @ dP_pre + dA @ params.V
-        grads["V"][:] = dA.T @ C
+        grads["V"] += dA.T @ C
     else:
-        dC = A @ dP_pre + (C @ dP_pre.T) @ params.V
-        grads["V"][:] = dP_pre @ (C.T @ C)
+        VtdP = params.V.T @ dP_pre                   # (d_c, d_c)
+        dC = C @ (VtdP + VtdP.T)
+        grads["V"] += dP_pre @ G
 
-    # attention regularizer and description encoder
-    if cfg.kind == "mvc-rlda" and cfg.lambda_ > 0.0:
-        if desc_ids_list is None:
-            raise ValueError("mvc-rlda backward requires encoded label descriptions")
+    # attention regularizer and description encoder; each gold label's
+    # description is encoded once, for both its loss term and its gradient
+    reg = 0.0
+    if rlda and cfg.lambda_ > 0.0:
         for j in np.flatnonzero(g > 0):
             f, dcache = _encode_description_cached(desc_ids_list[j], params)
             diff = params.V[j] - f
+            reg += cfg.lambda_ * float(diff @ diff)
             grads["V"][j] += 2.0 * cfg.lambda_ * diff
             if cfg.freeze_desc_encoder:
                 continue
@@ -510,21 +525,28 @@ def backward(
             grads["desc_conv"] += dWc
             if not cfg.freeze_embeddings:
                 np.add.at(grads["W_e"], dcache["ids"], dXdesc)
+    loss = loss_mvc_lda(y, g) + reg
+    if not np.isfinite(loss):
+        raise NumericalError("non-finite loss")
 
-    dM = dC * (1.0 - C * C)
-    dXd = np.zeros_like(cache["Xd"])
-    winner = cache["winner"]
-    for i, W in enumerate(params.conv):
-        dZ = np.where(winner == i, dM, 0.0)
-        dW, dX_part = _conv_backward(cache["Xd"], W, dZ)
-        grads[f"conv{i}"] += dW
-        dXd += dX_part
+    # a zero-length document has no frames: its convolution and embedding
+    # gradients are zero
+    if C.shape[0] > 0:
+        dM = dC * (1.0 - C * C)
+        dXd = np.zeros_like(cache["Xd"])
+        winner = cache["winner"]
+        for i, W in enumerate(params.conv):
+            dZ = np.where(winner == i, dM, 0.0)
+            dW, dX_part = _conv_backward(cache["Xd"], W, dZ)
+            grads[f"conv{i}"] += dW
+            dXd += dX_part
 
-    dX = dXd if cache["x_scale"] is None else dXd * cache["x_scale"][:, None]
-    if not cfg.freeze_embeddings:
-        np.add.at(grads["W_e"], cache["ids"], dX)
+        dX = dXd if cache["x_scale"] is None else dXd * cache["x_scale"][:, None]
+        if not cfg.freeze_embeddings:
+            np.add.at(grads["W_e"], cache["ids"], dX)
 
-    grads.check_finite()
+    if out is None:
+        grads.check_finite()
     return loss, grads
 
 
@@ -568,37 +590,50 @@ def save_checkpoint(path, params: ModelParams, vocab_checksum: str) -> None:
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
+    """Read a checkpoint written by `save_checkpoint`. A file from another
+    program, a header that does not describe a valid model, or tensor data
+    of the wrong size raises ValueError."""
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("format") != "mvclda.checkpoint":
+        if not isinstance(header, dict) or header.get("format") != "mvclda.checkpoint":
             raise ValueError(f"{path}: not a checkpoint file")
         if header.get("version") != CHECKPOINT_FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version")
-        cfg = ModelConfig(
-            kind=header["kind"],
-            kernel_sizes=tuple(header["kernel_sizes"]),
-            n_filters=header["n_filters"],
-            embed_dim=header["embed_dim"],
-            lambda_=header["lambda"],
-            attention_softmax=header["attention_softmax"],
-            use_length=header["use_length"],
-            length_scale=header["length_scale"],
-        )
+        try:
+            cfg = ModelConfig(
+                kind=header["kind"],
+                kernel_sizes=tuple(header["kernel_sizes"]),
+                n_filters=header["n_filters"],
+                embed_dim=header["embed_dim"],
+                lambda_=header["lambda"],
+                attention_softmax=header["attention_softmax"],
+                use_length=header["use_length"],
+                length_scale=header["length_scale"],
+            )
+            cfg.validate()
+            tensor_list = [(name, tuple(shape)) for name, shape in header["tensors"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: invalid checkpoint header: {exc}") from exc
         arrays = {}
-        for name, shape in header["tensors"]:
+        for name, shape in tensor_list:
             n = int(np.prod(shape)) if shape else 1
             buf = fh.read(8 * n)
             if len(buf) != 8 * n:
                 raise ValueError(f"{path}: truncated tensor {name!r}")
             arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-    conv = [arrays[f"conv{i}"] for i in range(len(cfg.kernel_sizes))]
-    params = ModelParams(
-        config=cfg,
-        W_e=arrays["W_e"], conv=conv,
-        V=arrays["V"], U=arrays["U"], b=arrays["b"],
-        K=arrays["K"], d=arrays["d"],
-        desc_conv=arrays.get("desc_conv"),
-        desc_W=arrays.get("desc_W"),
-        desc_b=arrays.get("desc_b"),
-    )
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the last tensor")
+    try:
+        conv = [arrays[f"conv{i}"] for i in range(len(cfg.kernel_sizes))]
+        params = ModelParams(
+            config=cfg,
+            W_e=arrays["W_e"], conv=conv,
+            V=arrays["V"], U=arrays["U"], b=arrays["b"],
+            K=arrays["K"], d=arrays["d"],
+            desc_conv=arrays.get("desc_conv"),
+            desc_W=arrays.get("desc_W"),
+            desc_b=arrays.get("desc_b"),
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: checkpoint lacks tensor {exc}") from exc
     return params, header

@@ -200,11 +200,10 @@ def train(
                     srng = np.random.default_rng([cfg.seed, epoch, int(di)])
                     ids = truncate_segment(doc.token_ids, cfg.max_segment, srng)
                     masks = make_dropout_masks(srng, len(ids), n_labels, d_c, cfg.dropout)
-                    loss, grads = backward(
+                    loss, _ = backward(
                         ids, doc.length, doc.gold, params,
-                        masks=masks, desc_ids_list=desc_ids_list,
+                        masks=masks, desc_ids_list=desc_ids_list, out=accum,
                     )
-                    accum.add_(grads)
                     batch_loss += loss
                 accum.scale_(1.0 / len(batch))
                 adam_step(params, accum, state, cfg)
@@ -234,7 +233,7 @@ def train(
 
 def reduce_document(doc):
     """Reduced-text variant of a document: its first ceil(l/2) tokens."""
-    keep = max(1, (doc.length + 1) // 2)
+    keep = (doc.length + 1) // 2
     from .corpus import EncodedDocument
 
     return EncodedDocument(doc.token_ids[:keep], keep, doc.gold, doc_id=doc.doc_id)

@@ -86,6 +86,29 @@ def grid_pr_auc(scores, gold, n_points=10_001):
     return area
 
 
+def threshold_sweep_pr_auc(scores, gold):
+    """PR AUC by rescanning every cell at every threshold (every distinct
+    score plus 0 and 1, strict >, right-continuous step rule), summed from
+    the highest threshold down."""
+    s = np.asarray(scores, dtype=np.float64).ravel()
+    g = np.asarray(gold).ravel().astype(bool)
+    n_pos = int(g.sum())
+    thresholds = np.unique(np.concatenate([s, [0.0, 1.0]]))[::-1]
+    area = 0.0
+    prev_recall = 0.0
+    for t in thresholds:
+        pred = s > t
+        tp = int(np.sum(pred & g))
+        n_pred = int(pred.sum())
+        recall = tp / n_pos
+        if n_pred == 0:
+            continue
+        precision = tp / n_pred
+        area += (recall - prev_recall) * precision
+        prev_recall = recall
+    return float(area)
+
+
 def fd_gradcheck(params, loss_fn, grads, step=1e-5, rtol=1e-4, max_per_tensor=None):
     """Compare analytic gradients against central finite differences.
 

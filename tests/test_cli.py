@@ -182,10 +182,10 @@ class TestTrain:
 
 
 class TestEvaluate:
-    def _evaluate(self, trained_dir, corpus_dir, split, out, p_at="8"):
+    def _evaluate(self, trained_dir, corpus_dir, split, out, p_at="8", checkpoint=None):
         return run([
             "evaluate",
-            "--checkpoint", str(trained_dir / "checkpoint.bin"),
+            "--checkpoint", str(checkpoint or trained_dir / "checkpoint.bin"),
             "--test", str(corpus_dir / f"{split}.jsonl"),
             "--labels", str(corpus_dir / "descriptions.tsv"),
             "--vocab", str(trained_dir / "vocab.tsv"),
@@ -224,6 +224,34 @@ class TestEvaluate:
         assert self._evaluate(trained_dir, corpus_dir, "test", a) == 0
         assert self._evaluate(trained_dir, corpus_dir, "test", b) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_all_digit_note_gets_a_score(self, trained_dir, corpus_dir, tmp_path):
+        # digits are dropped by preprocessing, so this note has no tokens
+        lines = (corpus_dir / "test.jsonl").read_text().splitlines()
+        first = json.loads(lines[0])
+        first["text"] = "123 456"
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "test.jsonl").write_text("\n".join([json.dumps(first)] + lines[1:]) + "\n")
+        (data / "descriptions.tsv").write_text((corpus_dir / "descriptions.tsv").read_text())
+        assert self._evaluate(trained_dir, data, "test", tmp_path / "m.json") == 0
+
+    @pytest.mark.parametrize("damage", ["trailing_bytes", "invalid_config"])
+    def test_damaged_checkpoint_is_data_error(self, damage, trained_dir, corpus_dir,
+                                              tmp_path, capsys):
+        head, _, body = (trained_dir / "checkpoint.bin").read_bytes().partition(b"\n")
+        if damage == "trailing_bytes":
+            body += b"garbage"
+        else:
+            header = json.loads(head)
+            header["n_filters"] = 0
+            head = json.dumps(header).encode()
+        ckpt = tmp_path / "checkpoint.bin"
+        ckpt.write_bytes(head + b"\n" + body)
+        code = self._evaluate(trained_dir, corpus_dir, "test", tmp_path / "m.json",
+                              checkpoint=ckpt)
+        assert code == cli.EXIT_DATA
+        assert str(ckpt) in capsys.readouterr().err
 
     def test_malformed_test_file_reports_line(self, trained_dir, corpus_dir,
                                               tmp_path, capsys):

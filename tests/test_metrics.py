@@ -11,6 +11,7 @@ from oracles import (
     brute_precision_at_n,
     grid_pr_auc,
     hand_pearson,
+    threshold_sweep_pr_auc,
 )
 
 
@@ -151,6 +152,23 @@ class TestPrAuc:
             exact = metrics.pr_auc(scores, gold)
             grid = grid_pr_auc(scores, gold)
             assert exact == pytest.approx(grid, abs=1e-3)
+
+    def test_bit_identical_to_threshold_sweep(self):
+        rng = np.random.default_rng(6)
+        for trial in range(40):
+            scores, gold = random_case(rng, max_docs=15, max_labels=20)
+            if trial % 2:
+                scores = np.round(scores * 8) / 8.0  # many tied scores
+            if trial % 5 == 0:
+                scores.flat[:3] = (0.0, 1.0, 1.0)  # ties with the added thresholds
+            if gold.sum() == 0:
+                gold[0, 0] = 1
+            assert metrics.pr_auc(scores, gold) == threshold_sweep_pr_auc(scores, gold)
+
+    def test_all_scores_zero_gives_zero_area(self):
+        gold = np.array([[1, 0, 1]])
+        assert metrics.pr_auc(np.zeros((1, 3)), gold) == 0.0
+        assert threshold_sweep_pr_auc(np.zeros((1, 3)), gold) == 0.0
 
     def test_random_scores_auc_near_positive_rate(self):
         rng = np.random.default_rng(4)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -156,9 +157,29 @@ class TestForward:
             model.forward(ids, 5, rlda), model.forward(ids, 5, lda)
         )
 
-    def test_zero_length_document_rejected(self):
-        with pytest.raises(ValueError):
-            model.forward([], 0, small_params())
+    def test_zero_length_document_scores_bias_plus_length(self):
+        for softmax in (False, True):
+            params = small_params(seed=29, attention_softmax=softmax)
+            params.b[:] = [0.5, -1.0, 2.0]
+            params.K[:] = 3.0
+            params.d[:] = [0.1, 0.2, -0.3]
+            T = model.sigmoid(params.K * (7 / model.LENGTH_SCALE) + params.d)
+            assert np.array_equal(model.forward([], 7, params), model.sigmoid(params.b + T))
+            no_length = small_params(seed=29, attention_softmax=softmax, use_length=False)
+            assert np.array_equal(model.forward([], 0, no_length), model.sigmoid(no_length.b))
+
+    def test_gram_form_matches_per_label_attention_pool(self):
+        rng = np.random.default_rng(30)
+        params = small_params(seed=30, labels=6, kernels=(2, 4, 6))
+        params.K[:] = rng.normal(size=6)
+        ids = rng.integers(0, 20, 9)
+        C = model.multi_view_conv(params.W_e[ids], params.conv)
+        P = np.stack([model.attention_pool(C, v) for v in params.V])
+        T = np.array([model.length_embed(9, k, d) for k, d in zip(params.K, params.d)])
+        y = model.sigmoid(np.sum(params.U * P, axis=1) + params.b + T)
+        _, cache = model._forward_cached(ids, 9, params, None)
+        assert np.allclose(cache["P"], P, rtol=1e-12, atol=0.0)
+        assert np.allclose(model.forward(ids, 9, params), y, rtol=1e-12, atol=0.0)
 
     def test_out_of_range_token_rejected(self):
         with pytest.raises(ValueError):
@@ -263,23 +284,34 @@ class TestBackward:
     def _desc(self, rng, n_labels, vocab):
         return [rng.integers(0, vocab, int(rng.integers(2, 5))) for _ in range(n_labels)]
 
-    @pytest.mark.parametrize("kind", ["mvc-lda", "mvc-rlda"])
-    @pytest.mark.parametrize("softmax", [False, True])
-    def test_gradients_match_finite_differences(self, kind, softmax):
+    # (softmax, kind, labels, tokens); the ids of the 3-label cases predate
+    # the others. 5 labels over 3 tokens has more labels than frames, and 0
+    # tokens has no frames at all.
+    FD_CASES = [
+        pytest.param(softmax, kind, labels, tokens,
+                     id=f"{softmax}-{kind}" + ("" if tokens == 12 else f"-{labels}labels-{tokens}tokens"))
+        for labels, tokens in ((3, 12), (5, 3), (3, 0))
+        for softmax in (False, True)
+        for kind in ("mvc-lda", "mvc-rlda")
+    ]
+
+    @pytest.mark.parametrize("softmax,kind,labels,tokens", FD_CASES)
+    def test_gradients_match_finite_differences(self, softmax, kind, labels, tokens):
         rng = np.random.default_rng(19)
         params = small_params(
-            kind=kind, seed=19, kernels=(1, 3), attention_softmax=softmax,
+            kind=kind, seed=19, labels=labels, kernels=(1, 3), attention_softmax=softmax,
             lambda_=0.02 if kind == "mvc-rlda" else 0.0,
         )
-        ids = rng.integers(0, 20, 12)
-        gold = np.array([1.0, 0.0, 1.0])
-        desc = self._desc(rng, 3, 20) if kind == "mvc-rlda" else None
+        ids = rng.integers(0, 20, tokens)
+        gold = np.array([1.0, 0.0] * labels)[:labels]
+        desc = self._desc(rng, labels, 20) if kind == "mvc-rlda" else None
 
         def loss_fn():
             y = model.forward(ids, 12, params)
             return model.sample_loss(y, gold, params, desc)
 
-        _, grads = model.backward(ids, 12, gold, params, desc_ids_list=desc)
+        loss, grads = model.backward(ids, 12, gold, params, desc_ids_list=desc)
+        assert loss == loss_fn()
         fd_gradcheck(params, loss_fn, grads, max_per_tensor=25)
 
     def test_gradients_with_fixed_dropout_masks(self):
@@ -341,6 +373,28 @@ class TestBackward:
         assert not np.allclose(grads["V"], base_grads["V"])
 
 
+    def test_batch_buffer_equals_sum_of_sample_gradients(self):
+        rng = np.random.default_rng(31)
+        params = small_params(kind="mvc-rlda", seed=31, lambda_=0.05)
+        desc = self._desc(rng, 3, 20)
+        samples = [
+            (rng.integers(0, 20, n), (rng.random(3) < 0.5).astype(float)) for n in (7, 3, 11)
+        ]
+        buf = model.GradientSet.zeros_like(params)
+        total = model.GradientSet.zeros_like(params)
+        for ids, gold in samples:
+            masks = model.make_dropout_masks(np.random.default_rng(len(ids)), len(ids), 3, 4, 0.2)
+            alone, grads = model.backward(ids, len(ids), gold, params, masks=masks,
+                                          desc_ids_list=desc)
+            total.add_(grads)
+            into, returned = model.backward(ids, len(ids), gold, params, masks=masks,
+                                            desc_ids_list=desc, out=buf)
+            assert into == alone
+            assert returned is buf
+        for name, arr in total.data.items():
+            assert np.allclose(buf[name], arr, rtol=1e-12, atol=1e-15), name
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         for kind in ("mvc-lda", "mvc-rlda"):
@@ -370,6 +424,24 @@ class TestCheckpoint:
         data = path.read_bytes()
         path.write_bytes(data[:-16])
         with pytest.raises(ValueError, match="truncated"):
+            model.load_checkpoint(path)
+
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "ckpt"
+        model.save_checkpoint(path, small_params(seed=27), vocab_checksum="x")
+        path.write_bytes(path.read_bytes() + b"garbage")
+        with pytest.raises(ValueError, match="trailing bytes"):
+            model.load_checkpoint(path)
+
+    def test_invalid_config_header_rejected(self, tmp_path):
+        path = tmp_path / "ckpt"
+        model.save_checkpoint(path, small_params(seed=27), vocab_checksum="x")
+        head, _, body = path.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        header["kernel_sizes"] = [3, 1]
+        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        with pytest.raises(ValueError, match="ascending"):
             model.load_checkpoint(path)
 
 

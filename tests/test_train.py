@@ -165,6 +165,17 @@ class TestTrainLoop:
         assert history.best_dev_micro_f1 == best_f1
         assert train.dev_micro_f1(best, docs) == best_f1
 
+    @pytest.mark.parametrize("kind", ["mvc-lda", "mvc-rlda"])
+    def test_zero_length_documents_train_and_score(self, kind):
+        rng = np.random.default_rng(9)
+        docs = tiny_dataset(rng)
+        docs[3] = EncodedDocument(np.zeros(0, dtype=np.int64), 0, docs[3].gold, doc_id="empty")
+        desc = tiny_descriptions(rng) if kind == "mvc-rlda" else None
+        best, history = train.train(tiny_params(kind=kind, seed=9), docs, docs, desc, self.CFG)
+        assert all(math.isfinite(e.train_loss) for e in history.epochs)
+        scores = model.predict_matrix(best, docs[3:4])
+        assert np.array_equal(scores[0], model.sigmoid(best.b + model.sigmoid(best.d)))
+
     def test_run_to_run_determinism(self):
         rng = np.random.default_rng(8)
         docs = tiny_dataset(rng)
@@ -303,3 +314,5 @@ class TestAblate:
         assert np.array_equal(reduced.token_ids, np.arange(5))
         single = train.reduce_document(EncodedDocument(np.arange(1), 1, np.zeros(2)))
         assert single.length == 1
+        empty = train.reduce_document(EncodedDocument(np.arange(0), 0, np.zeros(2)))
+        assert empty.length == 0
