@@ -22,6 +22,19 @@ and the frame gradient is dC = C (V^T dP + dP^T V). Softmax attention
 normalizes the columns of A, so it forms A. A zero-length document has an
 empty C, hence G = 0 and P = 0, and scores sigmoid(b + T).
 
+All channels run as one convolution. Padding puts s//2 zeros on the left,
+so channel i's window at a position nests inside the s_max window at row
+offset s_max//2 - s_i//2. The input is padded once, at s_max; its windows
+form a zero-copy (l x s_max*d_e) view; and the kernels are stacked into one
+(s_max*d_e) x (n*d_c) matrix, each at its offset in its own column block,
+zeros elsewhere. The rows are taken CONV_CHUNK at a time: per chunk one
+GEMM gives every channel's outputs, a running maximum over the column
+blocks gives the cross-channel max (a later channel wins only when strictly
+greater), and in backward one GEMM gives the chunk's kernel gradients and
+one its window gradients, which s_max shifted adds fold back onto the input
+rows. So the convolution's transient memory depends on CONV_CHUNK, not on
+the document length. The description encoder is the one-channel case.
+
 Gradients are analytic and exact for this fixed architecture (the max
 operations route their full subgradient to the lowest-index winner).
 Everything is float64; no autodiff framework is involved.
@@ -43,6 +56,11 @@ LENGTH_SCALE = 10000.0
 LOSS_CLAMP = 1e-12
 
 MODEL_KINDS = ("mvc-lda", "mvc-rlda")
+
+# Rows of the window matrix per convolution GEMM. The transients of one
+# chunk (CONV_CHUNK x n*d_c products, CONV_CHUNK x s_max*d_e window
+# gradients) do not grow with the document.
+CONV_CHUNK = 512
 
 
 class NumericalError(RuntimeError):
@@ -244,32 +262,99 @@ def make_dropout_masks(rng, l: int, n_labels: int, d_c: int, rate: float) -> Dro
 # Layer operations
 # ---------------------------------------------------------------------------
 
-def _pad_amounts(s: int) -> tuple[int, int]:
-    # length-preserving zero padding; even kernels get one extra on the left
-    return s // 2, (s - 1) // 2
-
-
 def _pad(X: np.ndarray, s: int) -> np.ndarray:
-    left, right = _pad_amounts(s)
-    if left == 0 and right == 0:
-        return X
-    return np.concatenate(
-        [np.zeros((left, X.shape[1])), X, np.zeros((right, X.shape[1]))], axis=0
-    )
+    # length-preserving zero padding; even kernels get one extra on the left
+    Xp = np.zeros((X.shape[0] + s - 1, X.shape[1]))
+    Xp[s // 2 : s // 2 + X.shape[0]] = X
+    return Xp
 
 
-def _conv_windows(Xp: np.ndarray, s: int) -> np.ndarray:
-    # (l, s*d_e) row-major over (offset, embedding-dim)
+def _channel_blocks(W_stack: np.ndarray, kernel_sizes, d_e: int) -> list[np.ndarray]:
+    """Channel i's s_i x d_e x d_c block of a stacked (s_max*d_e) x (n*d_c)
+    matrix, as a view: column block i, from row offset s_max//2 - s_i//2
+    (in units of d_e), where its window sits inside the s_max window."""
+    s_max = max(kernel_sizes)
+    blocks = W_stack.reshape(s_max, d_e, len(kernel_sizes), -1)
+    return [blocks[s_max // 2 - s // 2 : s_max // 2 - s // 2 + s, :, i]
+            for i, s in enumerate(kernel_sizes)]
+
+
+def _stack_kernels(weights) -> np.ndarray:
+    """All channels' kernels as one (s_max*d_e) x (n*d_c) matrix, zero
+    outside each channel's block. A single channel is its kernel's
+    reshape, not a copy."""
+    _, d_e, d_c = weights[0].shape
+    if len(weights) == 1:
+        return weights[0].reshape(-1, d_c)
+    sizes = [w.shape[0] for w in weights]
+    stack = np.zeros((max(sizes) * d_e, len(weights) * d_c))
+    for block, w in zip(_channel_blocks(stack, sizes, d_e), weights):
+        block[...] = w
+    return stack
+
+
+def _windows(Xp: np.ndarray, s: int) -> np.ndarray:
+    # zero-copy (l, s*d_e) view, row-major over (offset, embedding-dim)
+    if Xp.shape[0] < s:
+        return np.empty((0, s * Xp.shape[1]))
     win = np.lib.stride_tricks.sliding_window_view(Xp, s, axis=0)
     win = win.transpose(0, 2, 1)
     return win.reshape(win.shape[0], -1)
 
 
-def _conv_channel(X: np.ndarray, W: np.ndarray) -> np.ndarray:
-    s, d_e, d_c = W.shape
-    if X.shape[0] == 0:
-        return np.zeros((0, d_c))
-    return _conv_windows(_pad(X, s), s) @ W.reshape(s * d_e, d_c)
+def _conv_max(Xp: np.ndarray, W_stack: np.ndarray, d_c: int, winner: bool):
+    """Cross-channel max M (l x d_c) of the convolutions of the padded
+    input `Xp` with the stacked kernels, one GEMM per CONV_CHUNK rows, and,
+    if `winner` (and there are several channels), the index of the lowest
+    channel attaining it."""
+    n = W_stack.shape[1] // d_c
+    win = _windows(Xp, W_stack.shape[0] // Xp.shape[1])
+    l = win.shape[0]
+    M = np.empty((l, d_c))
+    arg = np.zeros((l, d_c), dtype=np.min_scalar_type(n - 1)) if winner and n > 1 else None
+    for r0 in range(0, l, CONV_CHUNK):
+        Z = win[r0 : r0 + CONV_CHUNK] @ W_stack
+        Mc = M[r0 : r0 + CONV_CHUNK]
+        Mc[...] = Z[:, :d_c]
+        for i in range(1, n):
+            Zi = Z[:, i * d_c : (i + 1) * d_c]
+            if arg is not None:
+                # strictly greater, so the lowest index keeps a tie
+                np.copyto(arg[r0 : r0 + CONV_CHUNK], i, where=Zi > Mc)
+            np.maximum(Mc, Zi, out=Mc)
+    return M, arg
+
+
+def _conv_max_backward(Xp: np.ndarray, W_stack: np.ndarray, winner, dM: np.ndarray):
+    """Gradients of `_conv_max` for the upstream gradient dM (l >= 1 rows):
+    dW_stack, shaped like W_stack, and dX, a view of the l unpadded rows.
+    Each position's gradient goes to its winning channel only; `winner` is
+    None for a single channel. Per chunk, one GEMM gives the chunk's share
+    of dW_stack and one gives the window gradients, which an s_max-step
+    shifted add folds back onto the input rows."""
+    l, d_c = dM.shape
+    d_e = Xp.shape[1]
+    s = W_stack.shape[0] // d_e
+    n = W_stack.shape[1] // d_c
+    win = _windows(Xp, s)
+    dXp = np.zeros_like(Xp)
+    for r0 in range(0, l, CONV_CHUNK):
+        r1 = min(r0 + CONV_CHUNK, l)
+        if n == 1:
+            dZ = dM[r0:r1]
+        else:
+            dZ = np.zeros((r1 - r0, n * d_c))
+            for i in range(n):
+                np.copyto(dZ[:, i * d_c : (i + 1) * d_c], dM[r0:r1], where=winner[r0:r1] == i)
+        dwin = dZ @ W_stack.T
+        for a in range(s):
+            dXp[r0 + a : r1 + a] += dwin[:, a * d_e : (a + 1) * d_e]
+        del dwin  # freed before the dW product allocates its own transient
+        if r0 == 0:
+            dW = win[r0:r1].T @ dZ
+        else:
+            dW += win[r0:r1].T @ dZ
+    return dW, dXp[s // 2 : s // 2 + l]
 
 
 def multi_view_conv(X: np.ndarray, channel_weights) -> np.ndarray:
@@ -283,15 +368,15 @@ def multi_view_conv(X: np.ndarray, channel_weights) -> np.ndarray:
         raise ValueError(f"input width {X.shape} does not match kernels (d_e={d_e})")
     if any(w.shape[1] != d_e or w.shape[2] != weights[0].shape[2] for w in weights):
         raise ValueError("channel weight shapes are inconsistent")
-    stack = np.stack([_conv_channel(X, w) for w in weights])
-    return np.tanh(stack.max(axis=0))
+    s_max = max(w.shape[0] for w in weights)
+    M, _ = _conv_max(_pad(X, s_max), _stack_kernels(weights), weights[0].shape[2], False)
+    return np.tanh(M, out=M)
 
 
 def attention_pool(C: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Pool convolution frames with their own linear attention scores:
-    P = C^T (C v). Scores are used unnormalized."""
-    if C.shape[0] == 0:
-        raise ValueError("cannot pool an empty frame sequence")
+    P = C^T (C v). Scores are used unnormalized. An empty frame sequence
+    pools to zeros, as a zero-length document does in `forward`."""
     return C.T @ (C @ v)
 
 
@@ -310,24 +395,28 @@ def _softmax_columns(A: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=0, keepdims=True)
 
 
-def _forward_cached(token_ids, length: int, params: ModelParams, masks: DropoutMasks | None):
+def _forward_cached(token_ids, length: int, params: ModelParams, masks: DropoutMasks | None,
+                    for_backward: bool = True):
     cfg = params.config
     ids = np.asarray(token_ids, dtype=np.int64)
     if len(ids) and (ids.min() < 0 or ids.max() >= params.vocab_size):
         raise ValueError("token id out of range for the embedding table")
 
-    X = params.W_e[ids]
+    # the embedded (and dropped-out) rows are written straight into the
+    # padded input, so no separate l x d_e copy is made
+    s_max = max(cfg.kernel_sizes)
+    Xp = np.zeros((len(ids) + s_max - 1, params.W_e.shape[1]))
+    X = Xp[s_max // 2 : s_max // 2 + len(ids)]
+    np.take(params.W_e, ids, axis=0, out=X)
     if masks is not None:
         x_scale = masks.x_keep / (1.0 - masks.rate)
-        Xd = X * x_scale[:, None]
+        X *= x_scale[:, None]
     else:
         x_scale = None
-        Xd = X
 
-    stack = np.stack([_conv_channel(Xd, w) for w in params.conv])
-    winner = stack.argmax(axis=0)
-    M = np.take_along_axis(stack, winner[None], axis=0)[0]
-    C = np.tanh(M)
+    W_stack = _stack_kernels(params.conv)
+    M, winner = _conv_max(Xp, W_stack, cfg.n_filters, for_backward)
+    C = np.tanh(M, out=M)
 
     if cfg.attention_softmax:
         S = _softmax_columns(C @ params.V.T)  # (l, J) attention weights
@@ -357,7 +446,7 @@ def _forward_cached(token_ids, length: int, params: ModelParams, masks: DropoutM
     if not np.all(np.isfinite(y)):
         raise NumericalError("non-finite model output")
     cache = {
-        "ids": ids, "X": X, "Xd": Xd, "x_scale": x_scale, "winner": winner,
+        "ids": ids, "Xp": Xp, "W_stack": W_stack, "x_scale": x_scale, "winner": winner,
         "C": C, "G": G, "S": S, "P_pre": P_pre, "P": P, "p_scale": p_scale,
         "T": T, "lt": lt, "y": y,
     }
@@ -371,7 +460,7 @@ def forward(token_ids, length: int, params: ModelParams, masks: DropoutMasks | N
     `masks` enables training-mode dropout, eval mode passes None. A
     document without tokens pools to P = 0 and scores sigmoid(b + T).
     """
-    y, _ = _forward_cached(token_ids, length, params, masks)
+    y, _ = _forward_cached(token_ids, length, params, masks, for_backward=False)
     return y
 
 
@@ -379,13 +468,14 @@ def _encode_description_cached(desc_ids, params: ModelParams):
     ids = np.asarray(desc_ids, dtype=np.int64)
     if len(ids) == 0:
         raise ValueError("cannot encode an empty description")
-    Xd = params.W_e[ids]
-    Zd = _conv_channel(Xd, params.desc_conv)
+    Xp = _pad(params.W_e[ids], params.desc_conv.shape[0])
+    W = _stack_kernels([params.desc_conv])
+    Zd, _ = _conv_max(Xp, W, W.shape[1], False)
     amax = Zd.argmax(axis=0)
     m = Zd[amax, np.arange(Zd.shape[1])]
     pre = params.desc_W @ m + params.desc_b
     f = sigmoid(pre)
-    return f, {"ids": ids, "Xd": Xd, "amax": amax, "m": m, "f": f}
+    return f, {"ids": ids, "Xp": Xp, "W": W, "amax": amax, "m": m, "f": f}
 
 
 def encode_description(desc_ids, params: ModelParams) -> np.ndarray:
@@ -439,19 +529,6 @@ def sample_loss(y, gold, params: ModelParams, desc_ids_list=None) -> float:
 # ---------------------------------------------------------------------------
 # Backward
 # ---------------------------------------------------------------------------
-
-def _conv_backward(Xd: np.ndarray, W: np.ndarray, dZ: np.ndarray):
-    s, d_e, d_c = W.shape
-    l = Xd.shape[0]
-    Xp = _pad(Xd, s)
-    win = _conv_windows(Xp, s)
-    dW = (win.T @ dZ).reshape(s, d_e, d_c)
-    dXp = np.zeros_like(Xp)
-    for a in range(s):
-        dXp[a : a + l] += dZ @ W[a].T
-    left, _ = _pad_amounts(s)
-    return dW, dXp[left : left + l]
-
 
 def backward(
     token_ids,
@@ -519,10 +596,10 @@ def backward(
             grads["desc_W"] += np.outer(dpre, dcache["m"])
             grads["desc_b"] += dpre
             dm = params.desc_W.T @ dpre
-            dZd = np.zeros((dcache["Xd"].shape[0], params.desc_conv.shape[2]))
+            dZd = np.zeros((len(dcache["ids"]), params.desc_conv.shape[2]))
             dZd[dcache["amax"], np.arange(dZd.shape[1])] = dm
-            dWc, dXdesc = _conv_backward(dcache["Xd"], params.desc_conv, dZd)
-            grads["desc_conv"] += dWc
+            dWc, dXdesc = _conv_max_backward(dcache["Xp"], dcache["W"], None, dZd)
+            grads["desc_conv"] += dWc.reshape(params.desc_conv.shape)
             if not cfg.freeze_embeddings:
                 np.add.at(grads["W_e"], dcache["ids"], dXdesc)
     loss = loss_mvc_lda(y, g) + reg
@@ -533,13 +610,9 @@ def backward(
     # gradients are zero
     if C.shape[0] > 0:
         dM = dC * (1.0 - C * C)
-        dXd = np.zeros_like(cache["Xd"])
-        winner = cache["winner"]
-        for i, W in enumerate(params.conv):
-            dZ = np.where(winner == i, dM, 0.0)
-            dW, dX_part = _conv_backward(cache["Xd"], W, dZ)
-            grads[f"conv{i}"] += dW
-            dXd += dX_part
+        dW, dXd = _conv_max_backward(cache["Xp"], cache["W_stack"], cache["winner"], dM)
+        for i, block in enumerate(_channel_blocks(dW, cfg.kernel_sizes, cfg.embed_dim)):
+            grads[f"conv{i}"] += block
 
         dX = dXd if cache["x_scale"] is None else dXd * cache["x_scale"][:, None]
         if not cfg.freeze_embeddings:

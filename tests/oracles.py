@@ -31,6 +31,54 @@ def brute_conv(X, W):
     return out
 
 
+def _channel_windows(X, s):
+    # X zero-padded with s//2 rows on the left, then one row per output
+    # position over (offset, embedding-dim)
+    left, right = s // 2, (s - 1) // 2
+    Xp = np.concatenate([np.zeros((left, X.shape[1])), X, np.zeros((right, X.shape[1]))])
+    win = np.lib.stride_tricks.sliding_window_view(Xp, s, axis=0).transpose(0, 2, 1)
+    return Xp, win.reshape(win.shape[0], -1)
+
+
+def channel_conv(X, W):
+    """One channel's length-preserving convolution as one GEMM over its own
+    windows: the per-channel path the stacked convolution replaced."""
+    s, d_e, d_c = W.shape
+    return _channel_windows(X, s)[1] @ W.reshape(s * d_e, d_c)
+
+
+def channel_conv_backward(X, W, dZ):
+    """dW and dX of `channel_conv` for the upstream gradient dZ, with one
+    GEMM per kernel offset for dX."""
+    s, d_e, d_c = W.shape
+    l = X.shape[0]
+    Xp, win = _channel_windows(X, s)
+    dW = (win.T @ dZ).reshape(s, d_e, d_c)
+    dXp = np.zeros_like(Xp)
+    for a in range(s):
+        dXp[a : a + l] += dZ @ W[a].T
+    return dW, dXp[s // 2 : s // 2 + l]
+
+
+def multi_view_max(X, weights):
+    """Cross-channel max of the per-channel convolutions and the lowest
+    winning channel index (argmax), from one stacked array of all channels."""
+    stack = np.stack([channel_conv(X, w) for w in weights])
+    winner = stack.argmax(axis=0)
+    return np.take_along_axis(stack, winner[None], axis=0)[0], winner
+
+
+def multi_view_max_backward(X, weights, winner, dM):
+    """Per-channel dW and the summed dX of `multi_view_max`: each channel
+    gets dM where it won and zero elsewhere."""
+    dWs, dX = [], np.zeros_like(X)
+    for i, w in enumerate(weights):
+        dW, dX_part = channel_conv_backward(X, w, np.where(winner == i, dM, 0.0))
+        dWs.append(dW)
+        dX += dX_part
+    return dWs, dX
+
+
 def brute_micro_f1(pred, gold):
     tp = fp = fn = 0
     for i in range(pred.shape[0]):

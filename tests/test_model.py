@@ -1,12 +1,22 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mvclda import model
 
-from oracles import brute_conv, fd_gradcheck
+from oracles import brute_conv, fd_gradcheck, multi_view_max, multi_view_max_backward
+
+CHUNK = model.CONV_CHUNK
+
+
+def assert_rel_close(actual, expected, rel=1e-12):
+    # relative to the largest reference entry: a reordered sum that cancels
+    # to near zero differs from the reference in its last bits, not by rel
+    scale = np.max(np.abs(expected), initial=0.0)
+    assert np.max(np.abs(actual - expected), initial=0.0) <= rel * scale
 
 
 def small_params(kind="mvc-lda", seed=0, vocab=20, labels=3, d_e=5, d_c=4,
@@ -77,6 +87,49 @@ class TestMultiViewConv:
             model.multi_view_conv(np.ones((3, 2)), [np.ones((1, 5, 2))])
 
 
+class TestChunkedConv:
+    """The stacked, row-chunked convolution against the per-channel one."""
+
+    @pytest.mark.parametrize("kernels", [(1, 3), (2, 4, 6, 8), (6, 8, 10, 12), (5,)])
+    @pytest.mark.parametrize("l", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5])
+    def test_matches_per_channel_reference(self, kernels, l):
+        rng = np.random.default_rng(l)
+        d_e, d_c = 3, 4
+        X = rng.normal(size=(l, d_e))
+        weights = [rng.normal(size=(s, d_e, d_c)) for s in kernels]
+        M_ref, winner_ref = multi_view_max(X, weights)
+        Xp, W_stack = model._pad(X, max(kernels)), model._stack_kernels(weights)
+        M, winner = model._conv_max(Xp, W_stack, d_c, True)
+        assert_rel_close(M, M_ref)
+        assert_rel_close(model.multi_view_conv(X, weights), np.tanh(M_ref))
+        if len(kernels) > 1:
+            assert np.array_equal(winner, winner_ref)
+        else:
+            assert winner is None
+
+        dM = rng.normal(size=(l, d_c))
+        dW_ref, dX_ref = multi_view_max_backward(X, weights, winner_ref, dM)
+        dW, dX = model._conv_max_backward(Xp, W_stack, winner, dM)
+        assert_rel_close(dX, dX_ref)
+        for block, ref in zip(model._channel_blocks(dW, kernels, d_e), dW_ref, strict=True):
+            assert_rel_close(block, ref)
+
+    def test_tied_channels_send_the_gradient_to_the_lower_index(self):
+        rng = np.random.default_rng(40)
+        l, d_e, d_c = 2 * CHUNK + 5, 3, 4
+        X = rng.normal(size=(l, d_e))
+        w1, w3 = rng.normal(size=(1, d_e, d_c)), rng.normal(size=(3, d_e, d_c))
+        weights = [w1, w3, w3.copy()]  # channels 1 and 2 tie at every position
+        Xp, W_stack = model._pad(X, 3), model._stack_kernels(weights)
+        _, winner = model._conv_max(Xp, W_stack, d_c, True)
+        assert np.array_equal(winner, multi_view_max(X, weights)[1])
+        assert np.any(winner == 1) and not np.any(winner == 2)
+        dW, _ = model._conv_max_backward(Xp, W_stack, winner, rng.normal(size=(l, d_c)))
+        blocks = model._channel_blocks(dW, (1, 3, 3), d_e)
+        assert np.array_equal(blocks[2], np.zeros_like(w3))
+        assert not np.allclose(blocks[1], 0.0)
+
+
 class TestAttentionPool:
     def test_hand_case(self):
         C = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -102,9 +155,9 @@ class TestAttentionPool:
         rhs = 2.0 * model.attention_pool(C, v1) - 0.5 * model.attention_pool(C, v2)
         assert np.allclose(lhs, rhs, atol=1e-10)
 
-    def test_empty_frames_rejected(self):
-        with pytest.raises(ValueError):
-            model.attention_pool(np.zeros((0, 3)), np.zeros(3))
+    def test_empty_frames_pool_to_zero(self):
+        P = model.attention_pool(np.zeros((0, 3)), np.array([1.0, -2.0, 0.5]))
+        assert np.array_equal(P, np.zeros(3))
 
 
 class TestLengthEmbed:
@@ -180,6 +233,21 @@ class TestForward:
         _, cache = model._forward_cached(ids, 9, params, None)
         assert np.allclose(cache["P"], P, rtol=1e-12, atol=0.0)
         assert np.allclose(model.forward(ids, 9, params), y, rtol=1e-12, atol=0.0)
+
+    def test_eval_peak_allocation_bounded_on_a_long_note(self):
+        # paper dimensions, 20,000 tokens: the transients are per row chunk,
+        # so the peak is a few l x d_e and l x d_c arrays (~35 MB), where the
+        # unchunked per-channel convolution reached 139 MB
+        rng = np.random.default_rng(32)
+        params = model.init_params(model.ModelConfig(), 500, 48, rng)
+        ids = rng.integers(0, 500, 20_000)
+        tracemalloc.start()
+        try:
+            model.forward(ids, len(ids), params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_out_of_range_token_rejected(self):
         with pytest.raises(ValueError):
@@ -285,12 +353,13 @@ class TestBackward:
         return [rng.integers(0, vocab, int(rng.integers(2, 5))) for _ in range(n_labels)]
 
     # (softmax, kind, labels, tokens); the ids of the 3-label cases predate
-    # the others. 5 labels over 3 tokens has more labels than frames, and 0
-    # tokens has no frames at all.
+    # the others. 5 labels over 3 tokens has more labels than frames, 0
+    # tokens has no frames at all, and CHUNK + 40 tokens span two row chunks
+    # of the convolution.
     FD_CASES = [
         pytest.param(softmax, kind, labels, tokens,
                      id=f"{softmax}-{kind}" + ("" if tokens == 12 else f"-{labels}labels-{tokens}tokens"))
-        for labels, tokens in ((3, 12), (5, 3), (3, 0))
+        for labels, tokens in ((3, 12), (5, 3), (3, 0), (3, CHUNK + 40))
         for softmax in (False, True)
         for kind in ("mvc-lda", "mvc-rlda")
     ]
