@@ -2,6 +2,17 @@
 
 Single-threaded and deterministic: the same corpus and seed reproduce the
 table to the last bit. Returns the input-side vectors.
+
+A document's centers are taken CBOW_BLOCK at a time. What does not depend
+on the tables is prepared once per block: the context index rows, the
+noise words (one `rng.random` call, the same stream as one call per
+center, and one `searchsorted`) and the learning rates. The SGD updates
+then run one center at a time, in order, with the arithmetic of a plain
+per-center loop, so the tables are bit-identical to it: h is the sum of
+the context rows divided by their count (what `mean` computes), a noise
+word equal to the center is dropped, and each table update is a buffered
+fancy assignment, so an id repeated in a window or among the noise words
+keeps its last copy's update.
 """
 
 from __future__ import annotations
@@ -11,7 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import sigmoid
+
 EMBED_FORMAT_VERSION = 1
+
+# Centers per prepared block. The block's transients (a CBOW_BLOCK x
+# 2*window index matrix in training, a CBOW_BLOCK x 2*window x dim gather in
+# `cbow_pass_loss`) do not grow with the document.
+CBOW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -35,15 +53,6 @@ class CbowConfig:
             raise ValueError("embedding dimensionality must be >= 1")
 
 
-def _sigmoid(x):
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def _noise_cumulative(docs, vocab_size: int) -> np.ndarray:
     counts = np.zeros(vocab_size, dtype=np.float64)
     for ids in docs:
@@ -64,13 +73,28 @@ def _init_tables(vocab_size: int, cfg: CbowConfig, rng) -> tuple[np.ndarray, np.
     return w_in, w_out
 
 
-def _iter_centers(ids: np.ndarray, window: int):
+def _center_blocks(ids: np.ndarray, window: int, negative: int, rng, cum: np.ndarray):
+    """One document's centers, CBOW_BLOCK at a time, as (centers, ctx, lo,
+    counts, negs). Row i of the m x 2*window `ctx` holds the ids at offsets
+    -window..-1 and 1..window from its center, -1 outside the document, so
+    the context is the run ctx[i, lo[i] : lo[i] + counts[i]]. `negs` is the
+    m x negative noise words, drawn in center order. A document of fewer
+    than two tokens has no context windows."""
     l = len(ids)
-    for n in range(l):
-        lo = max(0, n - window)
-        ctx = np.concatenate([ids[lo:n], ids[n + 1 : n + 1 + window]])
-        if len(ctx):
-            yield n, ctx
+    if l < 2:
+        return
+    for r0 in range(0, l, CBOW_BLOCK):
+        r1 = min(r0 + CBOW_BLOCK, l)
+        a, b = max(r0 - window, 0), min(r1 + window, l)
+        seg = np.concatenate((np.full(a - r0 + window, -1), ids[a:b], np.full(r1 + window - b, -1)))
+        win = np.lib.stride_tricks.sliding_window_view(seg, 2 * window + 1)
+        ctx = np.concatenate((win[:, :window], win[:, window + 1 :]), axis=1)
+        n = np.arange(r0, r1)
+        lo = np.maximum(window - n, 0)
+        counts = np.minimum(n, window) + np.minimum(l - 1 - n, window)
+        draws = rng.random((r1 - r0) * negative)
+        negs = np.searchsorted(cum, draws).reshape(r1 - r0, negative)
+        yield ids[r0:r1], ctx, lo, counts, negs
 
 
 def train_cbow_tables(docs, vocab_size: int, cfg: CbowConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -91,21 +115,33 @@ def train_cbow_tables(docs, vocab_size: int, cfg: CbowConfig) -> tuple[np.ndarra
     processed = 0
     for _epoch in range(cfg.epochs):
         for ids in docs:
-            for n, ctx in _iter_centers(ids, cfg.window):
-                lr = cfg.lr_start + (cfg.lr_end - cfg.lr_start) * (processed / total)
-                processed += 1
-                center = ids[n]
-                h = w_in[ctx].mean(axis=0)
-                negatives = np.searchsorted(cum, rng.random(cfg.negative))
-                negatives = negatives[negatives != center]
-                targets = np.concatenate(([center], negatives))
-                labels = np.zeros(len(targets))
-                labels[0] = 1.0
-                scores = w_out[targets] @ h
-                grad = (_sigmoid(scores) - labels) * lr
-                dh = grad @ w_out[targets]
-                w_out[targets] -= np.outer(grad, h)
-                w_in[ctx] -= dh / len(ctx)
+            for centers, ctx, lo, counts, negs in _center_blocks(
+                ids, cfg.window, cfg.negative, rng, cum
+            ):
+                m = len(centers)
+                steps = np.arange(processed, processed + m)
+                lrs = cfg.lr_start + (cfg.lr_end - cfg.lr_start) * (steps / total)
+                processed += m
+                # row i: the center, then its noise words (label 1, then 0s)
+                targets = np.concatenate((centers[:, None], negs), axis=1)
+                drop = (negs == centers[:, None]).any(axis=1)
+                for t, row, a, c, lr, d in zip(
+                    targets, ctx, lo.tolist(), counts.tolist(), lrs.tolist(), drop.tolist()
+                ):
+                    if d:
+                        t = np.concatenate((t[:1], t[1:][t[1:] != t[0]]))
+                    cx = row[a : a + c]
+                    hin = w_in[cx]
+                    h = np.add.reduce(hin, axis=0) / c
+                    wo = w_out[t]
+                    grad = sigmoid(wo @ h)
+                    grad[0] -= 1.0
+                    grad *= lr
+                    dh = grad @ wo
+                    wo -= grad[:, None] * h
+                    w_out[t] = wo
+                    hin -= dh / c
+                    w_in[cx] = hin
     return w_in, w_out
 
 
@@ -124,26 +160,30 @@ def cbow_pass_loss(docs, w_in: np.ndarray, w_out: np.ndarray, cfg: CbowConfig, s
     """Mean negative-sampling loss over one full pass with seeded noise.
 
     Evaluates fixed tables; used to confirm that training reduced the
-    objective relative to initialization.
+    objective relative to initialization. Each block of centers is scored
+    at once and the per-center losses are summed block by block.
     """
     docs = [np.asarray(d, dtype=np.int64) for d in docs]
     rng = np.random.default_rng(seed)
     cum = _noise_cumulative(docs, w_in.shape[0])
+    eps = 1e-12
     total_loss = 0.0
     n_centers = 0
     for ids in docs:
-        for n, ctx in _iter_centers(ids, cfg.window):
-            center = ids[n]
-            h = w_in[ctx].mean(axis=0)
-            negatives = np.searchsorted(cum, rng.random(cfg.negative))
-            negatives = negatives[negatives != center]
-            pos = float(w_out[center] @ h)
-            neg = w_out[negatives] @ h
-            eps = 1e-12
-            loss = -np.log(max(_sigmoid(np.array([pos]))[0], eps))
-            loss -= float(np.sum(np.log(np.maximum(_sigmoid(-neg), eps))))
-            total_loss += loss
-            n_centers += 1
+        for centers, ctx, _lo, counts, negs in _center_blocks(
+            ids, cfg.window, cfg.negative, rng, cum
+        ):
+            # -1 marks a position outside the document; its gathered row is
+            # zeroed before the sum
+            hin = np.where((ctx >= 0)[:, :, None], w_in[ctx], 0.0)
+            h = hin.sum(axis=1) / counts[:, None]
+            pos = np.einsum("md,md->m", w_out[centers], h)
+            neg = np.einsum("mkd,md->mk", w_out[negs], h)
+            neg_loss = np.log(np.maximum(sigmoid(-neg), eps))
+            loss = -np.log(np.maximum(sigmoid(pos), eps))
+            loss -= np.where(negs != centers[:, None], neg_loss, 0.0).sum(axis=1)
+            total_loss += float(loss.sum())
+            n_centers += len(centers)
     if n_centers == 0:
         raise ValueError("corpus has no usable context windows")
     return total_loss / n_centers

@@ -68,13 +68,15 @@ def macro_f1(pred: np.ndarray, gold: np.ndarray, labels=None) -> float:
             "macro F1 is undefined for labels without gold positives; "
             "restrict the label subset"
         )
-    scores = []
-    for k in range(p.shape[1]):
-        tp = int(np.sum(p[:, k] & g[:, k]))
-        fp = int(np.sum(p[:, k] & ~g[:, k]))
-        fn = int(np.sum(~p[:, k] & g[:, k]))
-        scores.append(_f1_from_counts(tp, fp, fn))
-    return float(np.mean(scores))
+    # per-label counts as column sums; every label has tp + fn > 0
+    tp = np.sum(p & g, axis=0)
+    fp = np.sum(p & ~g, axis=0)
+    fn = np.sum(~p & g, axis=0)
+    precision = np.divide(tp, tp + fp, out=np.zeros(tp.shape), where=tp + fp > 0)
+    recall = tp / (tp + fn)
+    pr = precision + recall
+    f1 = np.divide(2.0 * precision * recall, pr, out=np.zeros(tp.shape), where=pr > 0)
+    return float(np.mean(f1))
 
 
 def precision_at_n(scores: np.ndarray, gold: np.ndarray, n: int) -> float:
@@ -88,12 +90,12 @@ def precision_at_n(scores: np.ndarray, gold: np.ndarray, n: int) -> float:
         raise ValueError("n must be at least 1")
     if n > scores.shape[1]:
         raise ValueError(f"n={n} exceeds the number of labels {scores.shape[1]}")
-    hits = []
-    label_idx = np.arange(scores.shape[1])
-    for row, grow in zip(scores, gold):
-        top = np.lexsort((label_idx, -row))[:n]
-        hits.append(float(np.sum(grow[top] > 0)) / n)
-    return float(np.mean(hits)) if hits else 0.0
+    if scores.shape[0] == 0:
+        return 0.0
+    # a stable sort keeps tied labels in index order
+    top = np.argsort(-scores, axis=1, kind="stable")[:, :n]
+    hits = np.sum(np.take_along_axis(gold, top, axis=1) > 0, axis=1)
+    return float(np.mean(hits / n))
 
 
 def pr_auc(scores: np.ndarray, gold: np.ndarray) -> float:

@@ -68,12 +68,12 @@ class NumericalError(RuntimeError):
 
 
 def sigmoid(x):
+    """Logistic function with one overflow-free exp: with e = exp(-|x|),
+    1/(1+e) for x >= 0 and e/(1+e) below. -|x| is taken as min(x, -x),
+    which keeps a NaN's sign bit through to the output."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(np.minimum(x, -x))
+    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
     return out if out.ndim else float(out)
 
 
@@ -396,7 +396,7 @@ def _softmax_columns(A: np.ndarray) -> np.ndarray:
 
 
 def _forward_cached(token_ids, length: int, params: ModelParams, masks: DropoutMasks | None,
-                    for_backward: bool = True):
+                    for_backward: bool = True, W_stack: np.ndarray | None = None):
     cfg = params.config
     ids = np.asarray(token_ids, dtype=np.int64)
     if len(ids) and (ids.min() < 0 or ids.max() >= params.vocab_size):
@@ -414,7 +414,8 @@ def _forward_cached(token_ids, length: int, params: ModelParams, masks: DropoutM
     else:
         x_scale = None
 
-    W_stack = _stack_kernels(params.conv)
+    if W_stack is None:
+        W_stack = _stack_kernels(params.conv)
     M, winner = _conv_max(Xp, W_stack, cfg.n_filters, for_backward)
     C = np.tanh(M, out=M)
 
@@ -453,14 +454,17 @@ def _forward_cached(token_ids, length: int, params: ModelParams, masks: DropoutM
     return y, cache
 
 
-def forward(token_ids, length: int, params: ModelParams, masks: DropoutMasks | None = None) -> np.ndarray:
+def forward(token_ids, length: int, params: ModelParams, masks: DropoutMasks | None = None,
+            *, W_stack: np.ndarray | None = None) -> np.ndarray:
     """Per-label presence probabilities for one document.
 
     `length` is the untruncated token count (feeds the length feature);
     `masks` enables training-mode dropout, eval mode passes None. A
     document without tokens pools to P = 0 and scores sigmoid(b + T).
+    `W_stack` is `_stack_kernels(params.conv)` when the caller already
+    built it for these parameters.
     """
-    y, _ = _forward_cached(token_ids, length, params, masks, for_backward=False)
+    y, _ = _forward_cached(token_ids, length, params, masks, for_backward=False, W_stack=W_stack)
     return y
 
 
@@ -626,8 +630,10 @@ def backward(
 def predict_matrix(params: ModelParams, docs) -> np.ndarray:
     """Eval-mode score matrix (n_docs x n_labels) for encoded documents."""
     out = np.zeros((len(docs), params.n_labels))
+    # the parameters are fixed here, so the kernels are stacked once
+    W_stack = _stack_kernels(params.conv)
     for i, doc in enumerate(docs):
-        out[i] = forward(doc.token_ids, doc.length, params)
+        out[i] = forward(doc.token_ids, doc.length, params, W_stack=W_stack)
     return out
 
 

@@ -79,6 +79,92 @@ def multi_view_max_backward(X, weights, winner, dM):
     return dWs, dX
 
 
+def two_branch_sigmoid(x):
+    """Logistic function with one exp per branch: 1/(1+exp(-x)) for x >= 0,
+    exp(x)/(1+exp(x)) below; the form `model.sigmoid` replaced."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _cbow_noise_cumulative(docs, vocab_size):
+    counts = np.zeros(vocab_size, dtype=np.float64)
+    for ids in docs:
+        if len(ids):
+            counts += np.bincount(np.asarray(ids, dtype=np.int64), minlength=vocab_size)
+    weights = counts ** 0.75
+    return np.cumsum(weights / weights.sum())
+
+
+def _cbow_centers(ids, window):
+    for n in range(len(ids)):
+        lo = max(0, n - window)
+        ctx = np.concatenate([ids[lo:n], ids[n + 1 : n + 1 + window]])
+        if len(ctx):
+            yield n, ctx
+
+
+def per_center_cbow(docs, vocab_size, cfg):
+    """CBOW with negative sampling, one center at a time: per center one
+    draw of `cfg.negative` noise words, the center's own id filtered out of
+    them, and two fancy-index updates. Returns (input, output) tables; the
+    loop `embed.train_cbow_tables` replaced."""
+    docs = [np.asarray(d, dtype=np.int64) for d in docs]
+    rng = np.random.default_rng(cfg.seed)
+    cum = _cbow_noise_cumulative(docs, vocab_size)
+    w_in = (rng.random((vocab_size, cfg.dim)) - 0.5) / cfg.dim
+    w_in[-1] = w_in.mean(axis=0)
+    w_out = np.zeros((vocab_size, cfg.dim))
+    total = cfg.epochs * sum(len(d) for d in docs if len(d) > 1)
+    processed = 0
+    for _epoch in range(cfg.epochs):
+        for ids in docs:
+            for n, ctx in _cbow_centers(ids, cfg.window):
+                lr = cfg.lr_start + (cfg.lr_end - cfg.lr_start) * (processed / total)
+                processed += 1
+                center = ids[n]
+                h = w_in[ctx].mean(axis=0)
+                negatives = np.searchsorted(cum, rng.random(cfg.negative))
+                negatives = negatives[negatives != center]
+                targets = np.concatenate(([center], negatives))
+                labels = np.zeros(len(targets))
+                labels[0] = 1.0
+                scores = w_out[targets] @ h
+                grad = (two_branch_sigmoid(scores) - labels) * lr
+                dh = grad @ w_out[targets]
+                w_out[targets] -= np.outer(grad, h)
+                w_in[ctx] -= dh / len(ctx)
+    return w_in, w_out
+
+
+def per_center_cbow_loss(docs, w_in, w_out, cfg, seed):
+    """Mean negative-sampling loss of fixed tables over one pass, one center
+    at a time, summed in center order."""
+    docs = [np.asarray(d, dtype=np.int64) for d in docs]
+    rng = np.random.default_rng(seed)
+    cum = _cbow_noise_cumulative(docs, w_in.shape[0])
+    total_loss = 0.0
+    n_centers = 0
+    for ids in docs:
+        for n, ctx in _cbow_centers(ids, cfg.window):
+            center = ids[n]
+            h = w_in[ctx].mean(axis=0)
+            negatives = np.searchsorted(cum, rng.random(cfg.negative))
+            negatives = negatives[negatives != center]
+            pos = float(w_out[center] @ h)
+            neg = w_out[negatives] @ h
+            eps = 1e-12
+            loss = -np.log(max(two_branch_sigmoid(np.array([pos]))[0], eps))
+            loss -= float(np.sum(np.log(np.maximum(two_branch_sigmoid(-neg), eps))))
+            total_loss += loss
+            n_centers += 1
+    return total_loss / n_centers
+
+
 def brute_micro_f1(pred, gold):
     tp = fp = fn = 0
     for i in range(pred.shape[0]):

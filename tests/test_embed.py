@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mvclda import embed
+from oracles import per_center_cbow, per_center_cbow_loss
 
 
 def _toy_corpus(seed=0, vocab_size=30, n_docs=25, doc_len=18):
@@ -65,6 +68,76 @@ class TestTrainCbow:
         w_in, w_out = embed.train_cbow_tables(docs, 30, cfg)
         after = embed.cbow_pass_loss(docs, w_in, w_out, cfg, seed=99)
         assert after < before
+
+
+def _cbow_cases():
+    rng = np.random.default_rng(11)
+    block = embed.CBOW_BLOCK
+    return {
+        "window_past_document": (
+            [rng.integers(0, 40, 7), rng.integers(0, 40, 3)], 40,
+            embed.CbowConfig(dim=8, window=9, epochs=1, seed=1)),
+        "empty_and_one_token_documents": (
+            [np.array([], dtype=np.int64), rng.integers(0, 40, 30), np.array([5]),
+             rng.integers(0, 40, 2), np.array([], dtype=np.int64), np.array([7])], 40,
+            embed.CbowConfig(dim=8, window=3, epochs=2, seed=2)),
+        "no_negatives": (
+            [rng.integers(0, 40, 50) for _ in range(4)], 40,
+            embed.CbowConfig(dim=8, window=3, epochs=1, negative=0, seed=3)),
+        # nearly every center draws itself among 5 noise words out of 3
+        "negatives_hit_the_center": (
+            [rng.integers(0, 3, 60) for _ in range(3)], 3,
+            embed.CbowConfig(dim=6, window=2, epochs=1, seed=4)),
+        "repeated_ids_in_a_window": (
+            [np.array([4, 4, 4, 2, 4, 4, 9, 9, 9, 9, 4]), rng.integers(0, 12, 40)], 12,
+            embed.CbowConfig(dim=8, window=4, epochs=1, seed=5)),
+        "three_epochs": (
+            [rng.integers(0, 40, 35) for _ in range(5)], 40,
+            embed.CbowConfig(dim=8, window=3, epochs=3, seed=6)),
+        "one_center_past_a_block": (
+            [rng.integers(0, 60, block + 1), rng.integers(0, 60, 20)], 60,
+            embed.CbowConfig(dim=8, window=5, epochs=1, seed=7)),
+    }
+
+
+CBOW_CASES = _cbow_cases()
+
+
+class TestCbowMatchesPerCenterLoop:
+    @pytest.mark.parametrize("case", sorted(CBOW_CASES))
+    def test_tables_bit_identical(self, case):
+        docs, vocab_size, cfg = CBOW_CASES[case]
+        w_in, w_out = embed.train_cbow_tables(docs, vocab_size, cfg)
+        ref_in, ref_out = per_center_cbow(docs, vocab_size, cfg)
+        assert np.array_equal(w_in, ref_in)
+        assert np.array_equal(w_out, ref_out)
+
+    @pytest.mark.parametrize("case", sorted(CBOW_CASES))
+    def test_pass_loss_matches_per_center_sum(self, case):
+        docs, vocab_size, cfg = CBOW_CASES[case]
+        w_in, w_out = embed.train_cbow_tables(docs, vocab_size, cfg)
+        loss = embed.cbow_pass_loss(docs, w_in, w_out, cfg, seed=13)
+        ref = per_center_cbow_loss(docs, w_in, w_out, cfg, seed=13)
+        assert abs(loss - ref) <= 1e-12 * abs(ref)
+
+    def test_pass_loss_without_context_windows_rejected(self):
+        cfg = embed.CbowConfig(dim=4, seed=0)
+        table = np.zeros((10, 4))
+        with pytest.raises(ValueError, match="context windows"):
+            embed.cbow_pass_loss([np.array([3]), np.array([], dtype=np.int64)], table, table, cfg, 0)
+
+    def test_long_document_memory_bounded(self):
+        # the prepared blocks, not the document, set the transient memory
+        vocab_size, cfg = 1000, embed.CbowConfig(dim=100, window=5, epochs=1, seed=8)
+        doc = np.random.default_rng(9).integers(0, vocab_size, 100_000)
+        tracemalloc.start()
+        try:
+            embed.train_cbow_tables([doc], vocab_size, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tables = 2 * vocab_size * cfg.dim * 8
+        assert peak - tables < 8 * 2**20
 
 
 class TestEmbedLookup:

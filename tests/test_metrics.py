@@ -286,6 +286,26 @@ class TestOracleEquivalence:
                     brute_macro_f1(pred, gold, supported), abs=1e-12
                 )
 
+    def test_tied_scores_match_brute_force(self):
+        # three score levels: most top-n cuts fall inside a tie
+        rng = np.random.default_rng(9)
+        for _ in range(60):
+            n_docs, j = int(rng.integers(1, 15)), int(rng.integers(2, 25))
+            scores = rng.integers(0, 3, (n_docs, j)) / 2.0
+            gold = (rng.random((n_docs, j)) < 0.4).astype(float)
+            for n in sorted({1, min(3, j), j}):
+                assert metrics.precision_at_n(scores, gold, n) == pytest.approx(
+                    brute_precision_at_n(scores, gold, n), abs=1e-12
+                )
+            # `>= 0.5` predicts two levels of three, so labels with no
+            # predictions, no hits and perfect columns all occur
+            pred = scores >= 0.5
+            supported = np.flatnonzero(gold.sum(axis=0) > 0)
+            if supported.size:
+                assert metrics.macro_f1(pred, gold, supported) == pytest.approx(
+                    brute_macro_f1(pred, gold, supported), abs=1e-12
+                )
+
 
 class TestReports:
     def _report(self, seed=9, **kwargs):

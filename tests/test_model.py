@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 
 from mvclda import model
+from mvclda.corpus import EncodedDocument
 
-from oracles import brute_conv, fd_gradcheck, multi_view_max, multi_view_max_backward
+from oracles import (
+    brute_conv,
+    fd_gradcheck,
+    multi_view_max,
+    multi_view_max_backward,
+    two_branch_sigmoid,
+)
 
 CHUNK = model.CONV_CHUNK
 
@@ -25,6 +32,19 @@ def small_params(kind="mvc-lda", seed=0, vocab=20, labels=3, d_e=5, d_c=4,
         kind=kind, kernel_sizes=kernels, n_filters=d_c, embed_dim=d_e, **cfg_kwargs
     )
     return model.init_params(cfg, vocab, labels, np.random.default_rng(seed))
+
+
+class TestSigmoid:
+    def test_bit_identical_to_two_branch_form(self):
+        edge = np.array([0.0, -0.0, 37.0, -37.0, 745.0, -745.0, np.inf, -np.inf, np.nan, -np.nan])
+        rng = np.random.default_rng(12)
+        for x in [edge, rng.standard_normal(10_000) * 40, rng.uniform(-800, 800, 10_000)]:
+            assert np.array_equal(model.sigmoid(x).view(np.uint64),
+                                  two_branch_sigmoid(x).view(np.uint64))
+
+    def test_scalar_in_float_out(self):
+        assert model.sigmoid(0.0) == 0.5
+        assert isinstance(model.sigmoid(-2.0), float)
 
 
 class TestMultiViewConv:
@@ -248,6 +268,14 @@ class TestForward:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+    def test_predict_matrix_equals_per_document_forward(self):
+        params = small_params(seed=13, kernels=(2, 4, 6))
+        docs = [EncodedDocument(np.array(ids, dtype=np.int64), len(ids), np.zeros(3))
+                for ids in ([1, 2, 3, 4], [], [7] * 30)]
+        scores = model.predict_matrix(params, docs)
+        for row, doc in zip(scores, docs):
+            assert np.array_equal(row, model.forward(doc.token_ids, doc.length, params))
 
     def test_out_of_range_token_rejected(self):
         with pytest.raises(ValueError):
