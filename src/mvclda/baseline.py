@@ -9,14 +9,15 @@ construction.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-BASELINE_FORMAT_VERSION = 1
+from .corpus import write_tensor_file
+
+BASELINE_FORMAT = "mvclda.baseline"
+BASELINE_FORMAT_VERSION = 2
 
 MAX_FEATURES = 10_000
 
@@ -28,13 +29,6 @@ class TfidfFeaturizer:
 
     def __post_init__(self):
         self.term_index = {t: i for i, t in enumerate(self.terms)}
-
-    @property
-    def checksum(self) -> str:
-        h = hashlib.sha256()
-        for term, idf in zip(self.terms, self.idf):
-            h.update(f"{term}\t{idf!r}\n".encode("utf-8"))
-        return h.hexdigest()
 
     def transform(self, token_docs) -> np.ndarray:
         """L2-normalized tf-idf vectors (rows of norm 1, or 0 if empty)."""
@@ -217,44 +211,15 @@ def predict_hierarchical(
 
 
 def save_baseline(path, featurizer: TfidfFeaturizer, model: LinearOvrModel) -> None:
+    """The featurizer's terms and the model's nodes in a tensor-file header,
+    then the idf, weights and bias tensors."""
     header = {
-        "format": "mvclda.baseline",
+        "format": BASELINE_FORMAT,
         "version": BASELINE_FORMAT_VERSION,
         "hierarchical": model.hierarchical,
-        "n_terms": len(featurizer.terms),
-        "n_nodes": len(model.nodes),
-        "featurizer_sha256": featurizer.checksum,
+        "terms": featurizer.terms,
+        "nodes": model.nodes,
     }
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
-        fh.write(("\t".join(featurizer.terms) + "\n").encode("utf-8"))
-        fh.write(("\t".join(model.nodes) + "\n").encode("utf-8"))
-        fh.write(np.ascontiguousarray(featurizer.idf, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(model.weights, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(model.bias, dtype="<f8").tobytes())
-
-
-def load_baseline(path) -> tuple[TfidfFeaturizer, LinearOvrModel]:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("format") != "mvclda.baseline":
-            raise ValueError(f"{path}: not a baseline model file")
-        if header.get("version") != BASELINE_FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported baseline format version")
-        terms = fh.readline().decode("utf-8").rstrip("\n").split("\t")
-        nodes = fh.readline().decode("utf-8").rstrip("\n").split("\t")
-        n_terms, n_nodes = header["n_terms"], header["n_nodes"]
-        idf = np.frombuffer(fh.read(8 * n_terms), dtype="<f8").copy()
-        weights = (
-            np.frombuffer(fh.read(8 * n_nodes * n_terms), dtype="<f8")
-            .reshape(n_nodes, n_terms)
-            .copy()
-        )
-        bias = np.frombuffer(fh.read(8 * n_nodes), dtype="<f8").copy()
-    featurizer = TfidfFeaturizer(terms=terms, idf=idf)
-    if featurizer.checksum != header["featurizer_sha256"]:
-        raise ValueError(f"{path}: featurizer checksum mismatch")
-    model = LinearOvrModel(
-        nodes=nodes, weights=weights, bias=bias, hierarchical=header["hierarchical"]
-    )
-    return featurizer, model
+    write_tensor_file(path, header, [
+        ("idf", featurizer.idf), ("weights", model.weights), ("bias", model.bias),
+    ])

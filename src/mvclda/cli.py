@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -156,7 +156,7 @@ def _write_json(path, obj) -> None:
         fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _write_manifest(out_dir: Path, command: str, seed, config: dict, inputs: dict, artifacts: dict) -> Path:
+def _write_manifest(out_dir: Path, command: str, seed, config: dict, inputs: dict, artifacts: dict) -> None:
     manifest = {
         "command": command,
         "version": __version__,
@@ -168,9 +168,7 @@ def _write_manifest(out_dir: Path, command: str, seed, config: dict, inputs: dic
         },
         "artifacts": {name: str(p) for name, p in artifacts.items()},
     }
-    path = out_dir / "manifest.json"
-    _write_json(path, manifest)
-    return path
+    _write_json(out_dir / "manifest.json", manifest)
 
 
 def _train_config_from(values: dict, seed: int) -> train_mod.TrainConfig:
@@ -182,12 +180,13 @@ def _train_config_from(values: dict, seed: int) -> train_mod.TrainConfig:
     return train_mod.TrainConfig(seed=seed, **kw)
 
 
-def _model_config_from(values: dict, kind: str) -> model.ModelConfig:
-    kw = {"kind": kind}
+def _model_config_from(values: dict, kind: str, embed_dim: int) -> model.ModelConfig:
+    """The model config from config-file values; `embed_dim` is the width of
+    the embedding table in use, whatever the `embed_dim` key says."""
+    kw = {"kind": kind, "embed_dim": embed_dim}
     mapping = {
         "kernel_sizes": "kernel_sizes",
         "n_filters": "n_filters",
-        "embed_dim": "embed_dim",
         "lambda": "lambda_",
         "attention_softmax": "attention_softmax",
         "use_length": "use_length",
@@ -219,9 +218,33 @@ def _load_label_space(desc_path, hierarchy_path=None) -> corpus.LabelSpace:
     return corpus.make_label_space(descriptions, parents)
 
 
-def _prepare_training_data(args, values):
-    """Shared front half of train/hyperband/ablate: read corpora, build the
-    vocabulary from the training split only, encode everything."""
+@dataclass
+class _TrainingSetup:
+    """What train, hyperband and ablate share before their own work."""
+
+    values: dict
+    out_dir: Path
+    labels: corpus.LabelSpace
+    vocab: corpus.Vocabulary
+    train_docs: list
+    dev_docs: list
+    desc_ids: list
+    table: np.ndarray
+    vocab_checksum: str
+    model_cfg: model.ModelConfig
+    inputs: dict
+    artifacts: dict
+
+
+def _training_setup(args, schema: dict) -> _TrainingSetup:
+    """Shared front half of train/hyperband/ablate. Load the config and
+    create the output directory; read the corpora, build the vocabulary
+    from the training split only and encode everything; load --embeddings
+    (with vocabulary checksum verification) or pretrain CBOW vectors on the
+    encoded training text; derive the model config."""
+    values = load_config(args.config, schema)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     raw_train = corpus.read_corpus_jsonl(args.train)
     raw_dev = corpus.read_corpus_jsonl(args.dev)
     labels = _load_label_space(args.labels)
@@ -229,16 +252,12 @@ def _prepare_training_data(args, values):
     vocab = corpus.build_vocabulary(token_docs, values.get("min_doc_freq", corpus.MIN_DOC_FREQ))
     train_docs, _ = corpus.encode_corpus(raw_train, vocab, labels)
     dev_docs, _ = corpus.encode_corpus(raw_dev, vocab, labels)
-    desc_ids = [vocab.encode(toks) for toks in labels.descriptions]
-    return raw_train, labels, vocab, train_docs, dev_docs, desc_ids
+    inputs = {"train": Path(args.train), "dev": Path(args.dev), "labels": Path(args.labels),
+              "config": Path(args.config)}
 
-
-def _pretrained_embeddings(args, values, vocab, train_docs, out_dir, seed, artifacts, inputs):
-    """Load --embeddings (with vocabulary checksum verification) or pretrain
-    CBOW vectors on the encoded training text."""
     vocab_path = out_dir / "vocab.tsv"
     corpus.save_vocabulary(vocab_path, vocab)
-    artifacts["vocab"] = vocab_path
+    artifacts = {"vocab": vocab_path}
     vocab_checksum = embed.sha256_file(vocab_path)
     if getattr(args, "embeddings", None):
         table = embed.load_embeddings(args.embeddings, expected_vocab_checksum=vocab_checksum)
@@ -248,19 +267,17 @@ def _pretrained_embeddings(args, values, vocab, train_docs, out_dir, seed, artif
             )
         inputs["embeddings"] = Path(args.embeddings)
     else:
-        cbow_cfg = _cbow_config_from(values, values.get("embed_dim", 100), seed)
+        cbow_cfg = _cbow_config_from(values, values.get("embed_dim", 100), args.seed)
         table = embed.train_cbow([d.token_ids for d in train_docs], vocab.size, cbow_cfg)
         emb_path = out_dir / "embeddings.bin"
         embed.save_embeddings(emb_path, table, vocab_checksum)
         artifacts["embeddings"] = emb_path
-    return table, vocab_checksum
 
-
-def _train_counts(train_docs, labels) -> dict[str, int]:
-    counts = np.zeros(labels.n_labels, dtype=np.int64)
-    for doc in train_docs:
-        counts += (doc.gold > 0).astype(np.int64)
-    return {code: int(counts[j]) for j, code in enumerate(labels.codes)}
+    return _TrainingSetup(
+        values, out_dir, labels, vocab, train_docs, dev_docs,
+        [vocab.encode(toks) for toks in labels.descriptions], table, vocab_checksum,
+        _model_config_from(values, args.model, table.shape[1]), inputs, artifacts,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -279,14 +296,16 @@ def cmd_synth(args) -> int:
         path = out_dir / f"{split}.jsonl"
         corpus.write_corpus_jsonl(path, docs)
         artifacts[split] = path
+    # descriptions keep the label-space order; the maps are written sorted
     desc_path = out_dir / "descriptions.tsv"
-    corpus.write_descriptions_tsv(desc_path, synth.labels)
+    labels = synth.labels
+    corpus.write_pairs_tsv(desc_path, zip(labels.codes, map(" ".join, labels.descriptions)))
     artifacts["descriptions"] = desc_path
     hier_path = out_dir / "hierarchy.tsv"
-    corpus.write_hierarchy_tsv(hier_path, synth.labels.parents or {})
+    corpus.write_pairs_tsv(hier_path, sorted((labels.parents or {}).items()))
     artifacts["hierarchy"] = hier_path
     groups_path = out_dir / "groups.tsv"
-    corpus.write_groups_tsv(groups_path, synth.groups)
+    corpus.write_pairs_tsv(groups_path, sorted(synth.groups.items()))
     artifacts["groups"] = groups_path
     _write_manifest(out_dir, "synth", args.seed, values, {"config": Path(args.config)}, artifacts)
     print(f"wrote {len(synth.train)}/{len(synth.dev)}/{len(synth.test)} documents to {out_dir}")
@@ -294,39 +313,28 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    values = load_config(args.config, TRAIN_SCHEMA)
-    if args.model == "mvc-lda" and "lambda" in values:
+    run = _training_setup(args, TRAIN_SCHEMA)
+    if args.model == "mvc-lda" and "lambda" in run.values:
         print("warning: --model mvc-lda ignores the lambda config key", file=sys.stderr)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    raw_train, labels, vocab, train_docs, dev_docs, desc_ids = _prepare_training_data(args, values)
-    inputs = {"train": Path(args.train), "dev": Path(args.dev), "labels": Path(args.labels),
-              "config": Path(args.config)}
-    artifacts: dict = {}
-    table, vocab_checksum = _pretrained_embeddings(
-        args, values, vocab, train_docs, out_dir, args.seed, artifacts, inputs
-    )
-    model_cfg = _model_config_from(values, args.model)
-    if model_cfg.embed_dim != table.shape[1]:
-        model_cfg = replace(model_cfg, embed_dim=table.shape[1])
-    train_cfg = _train_config_from(values, args.seed)
     params0 = model.init_params(
-        model_cfg, vocab.size, labels.n_labels,
-        np.random.default_rng(args.seed), embeddings=table,
+        run.model_cfg, run.vocab.size, run.labels.n_labels,
+        np.random.default_rng(args.seed), embeddings=run.table,
     )
-    best, history = train_mod.train(params0, train_docs, dev_docs, desc_ids, train_cfg)
+    best, history = train_mod.train(params0, run.train_docs, run.dev_docs, run.desc_ids,
+                                     _train_config_from(run.values, args.seed))
 
-    ckpt_path = out_dir / "checkpoint.bin"
-    model.save_checkpoint(ckpt_path, best, vocab_checksum)
-    artifacts["checkpoint"] = ckpt_path
-    hist_path = out_dir / "history.jsonl"
+    ckpt_path = run.out_dir / "checkpoint.bin"
+    model.save_checkpoint(ckpt_path, best, run.vocab_checksum)
+    run.artifacts["checkpoint"] = ckpt_path
+    hist_path = run.out_dir / "history.jsonl"
     with open(hist_path, "w", encoding="utf-8") as fh:
         fh.write(history.to_jsonl())
-    artifacts["history"] = hist_path
-    counts_path = out_dir / "train_counts.tsv"
-    corpus.write_counts_tsv(counts_path, _train_counts(train_docs, labels))
-    artifacts["train_counts"] = counts_path
-    _write_manifest(out_dir, "train", args.seed, values, inputs, artifacts)
+    run.artifacts["history"] = hist_path
+    counts_path = run.out_dir / "train_counts.tsv"
+    counts = (train_mod.gold_matrix(run.train_docs) > 0).sum(axis=0)
+    corpus.write_pairs_tsv(counts_path, sorted(zip(run.labels.codes, counts.tolist())))
+    run.artifacts["train_counts"] = counts_path
+    _write_manifest(run.out_dir, "train", args.seed, run.values, run.inputs, run.artifacts)
     print(
         f"best epoch {history.best_epoch} dev micro F1 {history.best_dev_micro_f1:.5f}; "
         f"checkpoint at {ckpt_path}"
@@ -337,14 +345,14 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     params, header = model.load_checkpoint(args.checkpoint)
     vocab = corpus.load_vocabulary(args.vocab)
-    if embed.sha256_file(args.vocab) != header["vocab_sha256"]:
+    if embed.sha256_file(args.vocab) != header.get("vocab_sha256"):
         raise ValueError(
             "vocabulary file does not match the checkpoint's vocabulary checksum"
         )
     labels = _load_label_space(args.labels)
-    if labels.n_labels != header["n_labels"]:
+    if labels.n_labels != params.n_labels:
         raise ValueError(
-            f"checkpoint was trained for {header['n_labels']} labels, "
+            f"checkpoint was trained for {params.n_labels} labels, "
             f"label file defines {labels.n_labels}"
         )
     raw_docs = corpus.read_corpus_jsonl(args.test)
@@ -386,16 +394,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_hyperband(args) -> int:
-    values = load_config(args.config, HYPERBAND_SCHEMA)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _, labels, vocab, train_docs, dev_docs, desc_ids = _prepare_training_data(args, values)
-    inputs = {"train": Path(args.train), "dev": Path(args.dev), "labels": Path(args.labels),
-              "config": Path(args.config)}
-    artifacts: dict = {}
-    table, _ = _pretrained_embeddings(
-        args, values, vocab, train_docs, out_dir, args.seed, artifacts, inputs
-    )
+    run = _training_setup(args, HYPERBAND_SCHEMA)
+    values = run.values
     lambdas = values.get("lambda_candidates", hb.LAMBDA_CANDIDATES)
     space = hb.SearchSpace(
         s0_min=values.get("s0_min", 2),
@@ -404,26 +404,23 @@ def cmd_hyperband(args) -> int:
         dc_max=values.get("dc_max", 100),
         lambdas=tuple(lambdas) if args.model == "mvc-rlda" else None,
     )
-    base_model_cfg = _model_config_from(values, args.model)
-    if base_model_cfg.embed_dim != table.shape[1]:
-        base_model_cfg = replace(base_model_cfg, embed_dim=table.shape[1])
 
     def evaluate(trial_cfg: hb.TrialConfig, epochs: int) -> float:
         cfg = replace(
-            base_model_cfg,
+            run.model_cfg,
             kernel_sizes=trial_cfg.kernel_sizes,
             n_filters=trial_cfg.n_filters,
-            lambda_=trial_cfg.lambda_ if trial_cfg.lambda_ is not None else base_model_cfg.lambda_,
+            lambda_=trial_cfg.lambda_ if trial_cfg.lambda_ is not None else run.model_cfg.lambda_,
         )
         tcfg = replace(
             _train_config_from(values, args.seed),
             max_epochs=epochs, patience=max(epochs, 1),
         )
         params0 = model.init_params(
-            cfg, vocab.size, labels.n_labels,
-            np.random.default_rng(args.seed), embeddings=table,
+            cfg, run.vocab.size, run.labels.n_labels,
+            np.random.default_rng(args.seed), embeddings=run.table,
         )
-        _, history = train_mod.train(params0, train_docs, dev_docs, desc_ids, tcfg)
+        _, history = train_mod.train(params0, run.train_docs, run.dev_docs, run.desc_ids, tcfg)
         return max(e.dev_micro_f1 for e in history.epochs)
 
     best_cfg, best_score, log = hb.hyperband_search(
@@ -432,38 +429,30 @@ def cmd_hyperband(args) -> int:
     schedule = [
         {"s": s, "n": n, "r": r} for s, n, r in hb.bracket_schedule(args.R, args.eta)
     ]
-    trials_path = out_dir / "trials.jsonl"
+    trials_path = run.out_dir / "trials.jsonl"
     with open(trials_path, "w", encoding="utf-8") as fh:
         fh.write(hb.trials_to_jsonl(log))
-    artifacts["trials"] = trials_path
-    best_path = out_dir / "best_config.json"
+    run.artifacts["trials"] = trials_path
+    best_path = run.out_dir / "best_config.json"
     _write_json(best_path, {
         "R": args.R, "eta": args.eta, "schedule": schedule,
         "best_config": best_cfg.to_json_obj(), "best_dev_micro_f1": best_score,
     })
-    artifacts["best_config"] = best_path
-    _write_manifest(out_dir, "hyperband", args.seed,
-                    dict(values, R=args.R, eta=args.eta), inputs, artifacts)
+    run.artifacts["best_config"] = best_path
+    _write_manifest(run.out_dir, "hyperband", args.seed,
+                    dict(values, R=args.R, eta=args.eta), run.inputs, run.artifacts)
     print(f"best dev micro F1 {best_score:.5f} with {best_cfg.to_json_obj()}")
     return EXIT_OK
 
 
 def cmd_ablate(args) -> int:
-    values = load_config(args.config, TRAIN_SCHEMA)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    raw_train, labels, vocab, train_docs, dev_docs, desc_ids = _prepare_training_data(args, values)
-    inputs = {"train": Path(args.train), "dev": Path(args.dev), "labels": Path(args.labels),
-              "config": Path(args.config)}
-    eval_docs = dev_docs
+    # read before the setup pretrains, so a malformed test split fails fast
+    raw_eval = corpus.read_corpus_jsonl(args.test) if args.test else None
+    run = _training_setup(args, TRAIN_SCHEMA)
+    eval_docs = run.dev_docs
     if args.test:
-        raw_eval = corpus.read_corpus_jsonl(args.test)
-        eval_docs, _ = corpus.encode_corpus(raw_eval, vocab, labels)
-        inputs["test"] = Path(args.test)
-    artifacts: dict = {}
-    table, _ = _pretrained_embeddings(
-        args, values, vocab, train_docs, out_dir, args.seed, artifacts, inputs
-    )
+        eval_docs, _ = corpus.encode_corpus(raw_eval, run.vocab, run.labels)
+        run.inputs["test"] = Path(args.test)
     components = (
         list(train_mod.ABLATION_COMPONENTS)
         if args.components == "all"
@@ -471,22 +460,19 @@ def cmd_ablate(args) -> int:
     )
     table_reduced = None
     if "extra_notes" in components:
-        reduced = [train_mod.reduce_document(d) for d in train_docs]
-        cbow_cfg = _cbow_config_from(values, table.shape[1], args.seed)
-        table_reduced = embed.train_cbow([d.token_ids for d in reduced], vocab.size, cbow_cfg)
-    model_cfg = _model_config_from(values, args.model)
-    if model_cfg.embed_dim != table.shape[1]:
-        model_cfg = replace(model_cfg, embed_dim=table.shape[1])
+        reduced = [train_mod.reduce_document(d) for d in run.train_docs]
+        cbow_cfg = _cbow_config_from(run.values, run.table.shape[1], args.seed)
+        table_reduced = embed.train_cbow([d.token_ids for d in reduced], run.vocab.size, cbow_cfg)
     report = train_mod.ablate(
-        model_cfg, _train_config_from(values, args.seed),
-        train_docs, dev_docs, eval_docs, desc_ids, components,
-        vocab_size=vocab.size, p_at=args.p_at,
-        embeddings=table, embeddings_reduced=table_reduced,
+        run.model_cfg, _train_config_from(run.values, args.seed),
+        run.train_docs, run.dev_docs, eval_docs, run.desc_ids, components,
+        vocab_size=run.vocab.size, p_at=args.p_at,
+        embeddings=run.table, embeddings_reduced=table_reduced,
     )
-    out_path = out_dir / "ablation.json"
+    out_path = run.out_dir / "ablation.json"
     _write_json(out_path, report)
-    artifacts["ablation"] = out_path
-    _write_manifest(out_dir, "ablate", args.seed, values, inputs, artifacts)
+    run.artifacts["ablation"] = out_path
+    _write_manifest(run.out_dir, "ablate", args.seed, run.values, run.inputs, run.artifacts)
     for name, entry in report["ablations"].items():
         d = entry["delta"]
         print(
@@ -643,13 +629,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except corpus.DataFormatError as exc:
-        print(f"mvclda: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except model.NumericalError as exc:
         print(f"mvclda: numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # corpus.DataFormatError is a ValueError
         print(f"mvclda: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

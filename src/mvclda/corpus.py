@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -403,14 +404,21 @@ def read_corpus_jsonl(path) -> list[RawDocument]:
     return docs
 
 
-def write_descriptions_tsv(path, labels: LabelSpace) -> None:
+def write_pairs_tsv(path, pairs) -> None:
+    """One `key<TAB>value` line per pair, in the order given: the writer of
+    every two-column file (descriptions, hierarchy, groups, counts)."""
     with open(path, "w", encoding="utf-8") as fh:
-        for code, desc in zip(labels.codes, labels.descriptions):
-            fh.write(f"{code}\t{' '.join(desc)}\n")
+        for key, value in pairs:
+            fh.write(f"{key}\t{value}\n")
 
 
-def read_descriptions_tsv(path) -> dict[str, str]:
-    out: dict[str, str] = {}
+def _read_pairs(path, columns: str, parse=str) -> dict:
+    """Two-column TSV as {key: parse(value)}, blank lines skipped. A line
+    without exactly two fields, a key seen before, or a value `parse`
+    rejects raises DataFormatError naming `path:line`; `columns`
+    ("code<TAB>group") names the two fields."""
+    key_name, value_name = columns.split("<TAB>")
+    out: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -418,79 +426,97 @@ def read_descriptions_tsv(path) -> dict[str, str]:
                 continue
             parts = line.split("\t")
             if len(parts) != 2:
-                raise DataFormatError(f"{path}:{lineno}: expected code<TAB>description")
-            code, desc = parts
-            if code in out:
-                raise DataFormatError(f"{path}:{lineno}: duplicate code {code!r}")
-            out[code] = desc
+                raise DataFormatError(f"{path}:{lineno}: expected {columns}")
+            key, raw = parts
+            if key in out:
+                raise DataFormatError(f"{path}:{lineno}: duplicate {key_name} {key!r}")
+            try:
+                out[key] = parse(raw)
+            except ValueError as exc:
+                raise DataFormatError(f"{path}:{lineno}: bad {value_name} {raw!r}: {exc}") from exc
     return out
 
 
-def write_hierarchy_tsv(path, parents: dict[str, str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for child in sorted(parents):
-            fh.write(f"{child}\t{parents[child]}\n")
+def read_descriptions_tsv(path) -> dict[str, str]:
+    return _read_pairs(path, "code<TAB>description")
 
 
 def read_hierarchy_tsv(path) -> dict[str, str]:
-    parents: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataFormatError(f"{path}:{lineno}: expected child<TAB>parent")
-            child, parent = parts
-            if child in parents:
-                raise DataFormatError(f"{path}:{lineno}: duplicate child {child!r}")
-            parents[child] = parent
+    parents = _read_pairs(path, "child<TAB>parent")
     _check_acyclic(parents)
     return parents
 
 
-def write_groups_tsv(path, groups: dict[str, str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for code in sorted(groups):
-            fh.write(f"{code}\t{groups[code]}\n")
-
-
 def read_groups_tsv(path) -> dict[str, str]:
-    out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataFormatError(f"{path}:{lineno}: expected code<TAB>group")
-            out[parts[0]] = parts[1]
-    return out
-
-
-def write_counts_tsv(path, counts: dict[str, int]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for code in sorted(counts):
-            fh.write(f"{code}\t{counts[code]}\n")
+    return _read_pairs(path, "code<TAB>group")
 
 
 def read_counts_tsv(path) -> dict[str, int]:
-    out: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataFormatError(f"{path}:{lineno}: expected code<TAB>count")
-            try:
-                out[parts[0]] = int(parts[1])
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: count is not an integer") from exc
-    return out
+    return _read_pairs(path, "code<TAB>count", int)
+
+
+def write_tensor_file(path, header: dict, tensors) -> None:
+    """One JSON header line (sorted keys): `header` plus a `tensors` list of
+    [name, shape] pairs. Then each tensor as little-endian float64, in the
+    order given. Round-trips bit-exactly through `read_tensor_file`."""
+    arrays = [(name, np.asarray(arr, dtype="<f8")) for name, arr in tensors]
+    header = dict(header, tensors=[[name, list(arr.shape)] for name, arr in arrays])
+    with open(path, "wb") as fh:
+        fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
+        for _name, arr in arrays:
+            fh.write(arr.tobytes())
+
+
+def _is_tensor_entry(entry) -> bool:
+    # [name, shape]; bool is an int subclass, but `true` is not a size
+    return (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+            and isinstance(entry[1], list)
+            and all(type(n) is int and n >= 0 for n in entry[1]))
+
+
+def read_tensor_file(path, fmt: str, version: int) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a `write_tensor_file` file of format `fmt` at `version`; return
+    (header, {name: array}) in file order.
+
+    Another format or version, a header that is not a JSON object with a
+    valid `tensors` list, a duplicate tensor name, or a payload other than
+    exactly the declared tensors raises DataFormatError. The declared sizes
+    are checked against the file's length before the payload is read, so no
+    header can make the reader allocate more than the file holds."""
+    with open(path, "rb") as fh:
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            header = None
+        if not isinstance(header, dict):
+            raise DataFormatError(f"{path}: header is not a JSON object; not a {fmt} file")
+        if (header.get("format"), header.get("version")) != (fmt, version):
+            raise DataFormatError(
+                f"{path}: format {header.get('format')!r} version {header.get('version')!r}, "
+                f"expected {fmt!r} version {version}"
+            )
+        entries = header.get("tensors")
+        if not isinstance(entries, list) or not all(map(_is_tensor_entry, entries)):
+            raise DataFormatError(f"{path}: header has no valid tensors list of [name, shape]")
+        if len({name for name, _ in entries}) != len(entries):
+            raise DataFormatError(f"{path}: duplicate tensor name in header")
+        sizes = [8 * math.prod(shape) for _, shape in entries]
+        total, left = sum(sizes), os.fstat(fh.fileno()).st_size - fh.tell()
+        if total != left:
+            problem = "truncated" if total > left else "trailing bytes after the last tensor"
+            raise DataFormatError(
+                f"{path}: {problem}: the header declares {total} bytes of tensors, "
+                f"the file holds {left}"
+            )
+        # one buffer for the whole payload; the arrays are writable views of it
+        payload = bytearray(total)
+        if fh.readinto(payload) != total:
+            raise DataFormatError(f"{path}: truncated while reading")
+    arrays, offset = {}, 0
+    for (name, shape), size in zip(entries, sizes):
+        arrays[name] = np.frombuffer(payload, "<f8", size // 8, offset).reshape(shape)
+        offset += size
+    return header, arrays
 
 
 VOCAB_FORMAT_VERSION = 1
@@ -512,7 +538,7 @@ def load_vocabulary(path) -> Vocabulary:
         fields = dict(p.split("=", 1) for p in header[1:].split("\t"))
         if int(fields.get("version", -1)) != VOCAB_FORMAT_VERSION:
             raise DataFormatError(f"{path}:1: unsupported vocabulary format version")
-        oov_id = int(fields["oov_id"])
+        oov_id = int(fields.get("oov_id", -1))  # a missing oov_id fails the check below
         id_to_token: list[str] = []
         doc_freq: dict[str, int] = {}
         for lineno, line in enumerate(fh, start=2):

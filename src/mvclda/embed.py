@@ -22,9 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import DataFormatError, read_tensor_file, write_tensor_file
 from .model import sigmoid
 
-EMBED_FORMAT_VERSION = 1
+EMBED_FORMAT = "mvclda.embeddings"
+EMBED_FORMAT_VERSION = 2
 
 # Centers per prepared block. The block's transients (a CBOW_BLOCK x
 # 2*window index matrix in training, a CBOW_BLOCK x 2*window x dim gather in
@@ -195,16 +197,6 @@ def initial_tables(docs, vocab_size: int, cfg: CbowConfig) -> tuple[np.ndarray, 
     return _init_tables(vocab_size, cfg, rng)
 
 
-def embed_lookup(token_ids, table: np.ndarray) -> np.ndarray:
-    """Row-lookup of a document's token ids; output has one row per token."""
-    ids = np.asarray(token_ids, dtype=np.int64)
-    if len(ids) == 0:
-        return np.zeros((0, table.shape[1]))
-    if ids.min() < 0 or ids.max() >= table.shape[0]:
-        raise ValueError("token id out of range for the embedding table")
-    return table[ids]
-
-
 def sha256_file(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -214,38 +206,32 @@ def sha256_file(path) -> str:
 
 
 def save_embeddings(path, table: np.ndarray, vocab_checksum: str) -> None:
-    """Binary table: one header line, then little-endian float64 rows.
-
-    A sidecar `<path>.vocab.sha256` pins the vocabulary file the table was
-    trained against.
-    """
-    table = np.ascontiguousarray(table, dtype="<f8")
-    with open(path, "wb") as fh:
-        header = f"#emb\tversion={EMBED_FORMAT_VERSION}\td_v={table.shape[0]}\td_e={table.shape[1]}\n"
-        fh.write(header.encode("utf-8"))
-        fh.write(table.tobytes())
-    with open(str(path) + ".vocab.sha256", "w", encoding="utf-8") as fh:
-        fh.write(vocab_checksum + "\n")
+    """The table as one tensor file; its header's `vocab_sha256` pins the
+    vocabulary file the table was trained against."""
+    header = {"format": EMBED_FORMAT, "version": EMBED_FORMAT_VERSION,
+              "vocab_sha256": vocab_checksum}
+    write_tensor_file(path, header, [("embeddings", table)])
 
 
 def load_embeddings(path, expected_vocab_checksum: str | None = None) -> np.ndarray:
+    """Read a table written by `save_embeddings`, checking its vocabulary
+    checksum when one is expected. A damaged or foreign file, or a header
+    without a 2-d `embeddings` tensor and a `vocab_sha256`, raises
+    DataFormatError."""
     with open(path, "rb") as fh:
-        header = fh.readline().decode("utf-8").rstrip("\n")
-        if not header.startswith("#emb\t"):
-            raise ValueError(f"{path}: not an embedding file")
-        fields = dict(p.split("=", 1) for p in header.split("\t")[1:])
-        if int(fields["version"]) != EMBED_FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported embedding format version")
-        d_v, d_e = int(fields["d_v"]), int(fields["d_e"])
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != d_v * d_e:
-        raise ValueError(f"{path}: truncated embedding payload")
-    if expected_vocab_checksum is not None:
-        with open(str(path) + ".vocab.sha256", "r", encoding="utf-8") as fh:
-            stored = fh.read().strip()
-        if stored != expected_vocab_checksum:
-            raise ValueError(
-                "embedding table was trained against a different vocabulary "
-                f"(checksum {stored[:12]}… != {expected_vocab_checksum[:12]}…)"
+        if fh.read(5) == b"#emb\t":
+            raise DataFormatError(
+                f"{path}: embedding file of the old text-header format (version 1), "
+                "which this program no longer reads; pretrain it again"
             )
-    return data.reshape(d_v, d_e).copy()
+    header, arrays = read_tensor_file(path, EMBED_FORMAT, EMBED_FORMAT_VERSION)
+    table = arrays.get("embeddings")
+    stored = header.get("vocab_sha256")
+    if table is None or table.ndim != 2 or not isinstance(stored, str):
+        raise DataFormatError(f"{path}: header lacks a 2-d embeddings tensor or vocab_sha256")
+    if expected_vocab_checksum is not None and stored != expected_vocab_checksum:
+        raise DataFormatError(
+            f"{path}: embedding table was trained against a different vocabulary "
+            f"(checksum {stored[:12]}… != {expected_vocab_checksum[:12]}…)"
+        )
+    return table

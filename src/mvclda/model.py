@@ -42,11 +42,13 @@ Everything is float64; no autodiff framework is involved.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import DataFormatError, read_tensor_file, write_tensor_file
+
+CHECKPOINT_FORMAT = "mvclda.checkpoint"
 CHECKPOINT_FORMAT_VERSION = 1
 
 # Document lengths are divided by this before entering the length feature;
@@ -262,13 +264,6 @@ def make_dropout_masks(rng, l: int, n_labels: int, d_c: int, rate: float) -> Dro
 # Layer operations
 # ---------------------------------------------------------------------------
 
-def _pad(X: np.ndarray, s: int) -> np.ndarray:
-    # length-preserving zero padding; even kernels get one extra on the left
-    Xp = np.zeros((X.shape[0] + s - 1, X.shape[1]))
-    Xp[s // 2 : s // 2 + X.shape[0]] = X
-    return Xp
-
-
 def _channel_blocks(W_stack: np.ndarray, kernel_sizes, d_e: int) -> list[np.ndarray]:
     """Channel i's s_i x d_e x d_c block of a stacked (s_max*d_e) x (n*d_c)
     matrix, as a view: column block i, from row offset s_max//2 - s_i//2
@@ -357,34 +352,15 @@ def _conv_max_backward(Xp: np.ndarray, W_stack: np.ndarray, winner, dM: np.ndarr
     return dW, dXp[s // 2 : s // 2 + l]
 
 
-def multi_view_conv(X: np.ndarray, channel_weights) -> np.ndarray:
-    """tanh of the elementwise cross-channel max of length-preserving
-    zero-padded convolutions; output has one row per input row."""
-    weights = list(channel_weights)
-    if not weights:
-        raise ValueError("at least one convolution channel is required")
-    d_e = weights[0].shape[1]
-    if X.ndim != 2 or X.shape[1] != d_e:
-        raise ValueError(f"input width {X.shape} does not match kernels (d_e={d_e})")
-    if any(w.shape[1] != d_e or w.shape[2] != weights[0].shape[2] for w in weights):
-        raise ValueError("channel weight shapes are inconsistent")
-    s_max = max(w.shape[0] for w in weights)
-    M, _ = _conv_max(_pad(X, s_max), _stack_kernels(weights), weights[0].shape[2], False)
-    return np.tanh(M, out=M)
-
-
-def attention_pool(C: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Pool convolution frames with their own linear attention scores:
-    P = C^T (C v). Scores are used unnormalized. An empty frame sequence
-    pools to zeros, as a zero-length document does in `forward`."""
-    return C.T @ (C @ v)
-
-
-def length_embed(length: int, K_j: float, d_j: float, scale: float = LENGTH_SCALE) -> float:
-    """Per-label scalar length feature: sigmoid(K * length/scale + d)."""
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    return float(sigmoid(K_j * (length / scale) + d_j))
+def _embed_padded(ids: np.ndarray, W_e: np.ndarray, s: int):
+    """The embedding rows of `ids`, written straight into a zero-padded
+    (len(ids) + s - 1) x d_e input for kernel width `s` (s//2 zeros on the
+    left, so even kernels get the extra one there), and the view of those
+    rows. No separate l x d_e copy is made."""
+    Xp = np.zeros((len(ids) + s - 1, W_e.shape[1]))
+    X = Xp[s // 2 : s // 2 + len(ids)]
+    np.take(W_e, ids, axis=0, out=X)
+    return Xp, X
 
 
 def _softmax_columns(A: np.ndarray) -> np.ndarray:
@@ -401,13 +377,7 @@ def _forward_cached(token_ids, length: int, params: ModelParams, masks: DropoutM
     ids = np.asarray(token_ids, dtype=np.int64)
     if len(ids) and (ids.min() < 0 or ids.max() >= params.vocab_size):
         raise ValueError("token id out of range for the embedding table")
-
-    # the embedded (and dropped-out) rows are written straight into the
-    # padded input, so no separate l x d_e copy is made
-    s_max = max(cfg.kernel_sizes)
-    Xp = np.zeros((len(ids) + s_max - 1, params.W_e.shape[1]))
-    X = Xp[s_max // 2 : s_max // 2 + len(ids)]
-    np.take(params.W_e, ids, axis=0, out=X)
+    Xp, X = _embed_padded(ids, params.W_e, max(cfg.kernel_sizes))
     if masks is not None:
         x_scale = masks.x_keep / (1.0 - masks.rate)
         X *= x_scale[:, None]
@@ -469,10 +439,13 @@ def forward(token_ids, length: int, params: ModelParams, masks: DropoutMasks | N
 
 
 def _encode_description_cached(desc_ids, params: ModelParams):
+    """f(D) in (0,1)^{d_c} for a description's token ids (tied embedding,
+    largest-kernel convolution, spatial max pool, sigmoid dense layer), and
+    the cache its gradient needs."""
     ids = np.asarray(desc_ids, dtype=np.int64)
     if len(ids) == 0:
         raise ValueError("cannot encode an empty description")
-    Xp = _pad(params.W_e[ids], params.desc_conv.shape[0])
+    Xp, _ = _embed_padded(ids, params.W_e, params.desc_conv.shape[0])
     W = _stack_kernels([params.desc_conv])
     Zd, _ = _conv_max(Xp, W, W.shape[1], False)
     amax = Zd.argmax(axis=0)
@@ -480,15 +453,6 @@ def _encode_description_cached(desc_ids, params: ModelParams):
     pre = params.desc_W @ m + params.desc_b
     f = sigmoid(pre)
     return f, {"ids": ids, "Xp": Xp, "W": W, "amax": amax, "m": m, "f": f}
-
-
-def encode_description(desc_ids, params: ModelParams) -> np.ndarray:
-    """Map a description token sequence into (0,1)^{d_c}: tied embedding,
-    largest-kernel convolution, spatial max pool, sigmoid dense layer."""
-    if params.config.kind != "mvc-rlda":
-        raise ValueError("description encoder exists only for mvc-rlda parameters")
-    f, _ = _encode_description_cached(desc_ids, params)
-    return f
 
 
 # ---------------------------------------------------------------------------
@@ -503,31 +467,6 @@ def loss_mvc_lda(y: np.ndarray, gold: np.ndarray) -> float:
     yc = np.clip(y, LOSS_CLAMP, 1.0 - LOSS_CLAMP)
     g = np.asarray(gold, dtype=np.float64)
     return float(-np.sum(g * np.log(yc) + (1.0 - g) * np.log(1.0 - yc)))
-
-
-def regularization_term(params: ModelParams, gold: np.ndarray, desc_ids_list) -> float:
-    total = 0.0
-    for j in np.flatnonzero(np.asarray(gold) > 0):
-        f, _ = _encode_description_cached(desc_ids_list[j], params)
-        diff = params.V[j] - f
-        total += params.config.lambda_ * float(diff @ diff)
-    return total
-
-
-def loss_mvc_rlda(y: np.ndarray, gold: np.ndarray, params: ModelParams, desc_ids_list) -> float:
-    """MVC-LDA loss plus the attention regularizer, active only for labels
-    present in the gold standard."""
-    if params.config.kind != "mvc-rlda":
-        raise ValueError("regularized loss needs mvc-rlda parameters")
-    return loss_mvc_lda(y, gold) + regularization_term(params, gold, desc_ids_list)
-
-
-def sample_loss(y, gold, params: ModelParams, desc_ids_list=None) -> float:
-    if params.config.kind == "mvc-rlda":
-        if desc_ids_list is None:
-            raise ValueError("mvc-rlda loss requires encoded label descriptions")
-        return loss_mvc_rlda(y, gold, params, desc_ids_list)
-    return loss_mvc_lda(y, gold)
 
 
 # ---------------------------------------------------------------------------
@@ -642,12 +581,11 @@ def predict_matrix(params: ModelParams, docs) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(path, params: ModelParams, vocab_checksum: str) -> None:
-    """One JSON header line, then every tensor as little-endian float64 in
-    the fixed `tensors()` order. Round-trips bit-exactly."""
+    """The model config and vocabulary checksum in a tensor-file header, then
+    every tensor in the fixed `tensors()` order. Round-trips bit-exactly."""
     cfg = params.config
-    names_shapes = [[name, list(arr.shape)] for name, arr in params.tensors()]
     header = {
-        "format": "mvclda.checkpoint",
+        "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_FORMAT_VERSION,
         "kind": cfg.kind,
         "vocab_size": params.vocab_size,
@@ -660,49 +598,27 @@ def save_checkpoint(path, params: ModelParams, vocab_checksum: str) -> None:
         "use_length": cfg.use_length,
         "length_scale": cfg.length_scale,
         "vocab_sha256": vocab_checksum,
-        "tensors": names_shapes,
     }
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
-        for _name, arr in params.tensors():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    write_tensor_file(path, header, params.tensors())
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
-    """Read a checkpoint written by `save_checkpoint`. A file from another
-    program, a header that does not describe a valid model, or tensor data
-    of the wrong size raises ValueError."""
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        if not isinstance(header, dict) or header.get("format") != "mvclda.checkpoint":
-            raise ValueError(f"{path}: not a checkpoint file")
-        if header.get("version") != CHECKPOINT_FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version")
-        try:
-            cfg = ModelConfig(
-                kind=header["kind"],
-                kernel_sizes=tuple(header["kernel_sizes"]),
-                n_filters=header["n_filters"],
-                embed_dim=header["embed_dim"],
-                lambda_=header["lambda"],
-                attention_softmax=header["attention_softmax"],
-                use_length=header["use_length"],
-                length_scale=header["length_scale"],
-            )
-            cfg.validate()
-            tensor_list = [(name, tuple(shape)) for name, shape in header["tensors"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: invalid checkpoint header: {exc}") from exc
-        arrays = {}
-        for name, shape in tensor_list:
-            n = int(np.prod(shape)) if shape else 1
-            buf = fh.read(8 * n)
-            if len(buf) != 8 * n:
-                raise ValueError(f"{path}: truncated tensor {name!r}")
-            arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-        if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes after the last tensor")
+    """Read a checkpoint written by `save_checkpoint`. A damaged or foreign
+    file (see `read_tensor_file`), a header that does not describe a valid
+    model, or a missing tensor raises DataFormatError."""
+    header, arrays = read_tensor_file(path, CHECKPOINT_FORMAT, CHECKPOINT_FORMAT_VERSION)
     try:
+        cfg = ModelConfig(
+            kind=header["kind"],
+            kernel_sizes=tuple(header["kernel_sizes"]),
+            n_filters=header["n_filters"],
+            embed_dim=header["embed_dim"],
+            lambda_=header["lambda"],
+            attention_softmax=header["attention_softmax"],
+            use_length=header["use_length"],
+            length_scale=header["length_scale"],
+        )
+        cfg.validate()
         conv = [arrays[f"conv{i}"] for i in range(len(cfg.kernel_sizes))]
         params = ModelParams(
             config=cfg,
@@ -714,5 +630,7 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
             desc_b=arrays.get("desc_b"),
         )
     except KeyError as exc:
-        raise ValueError(f"{path}: checkpoint lacks tensor {exc}") from exc
+        raise DataFormatError(f"{path}: checkpoint lacks {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: invalid checkpoint header: {exc}") from exc
     return params, header

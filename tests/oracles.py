@@ -91,6 +91,26 @@ def two_branch_sigmoid(x):
     return out
 
 
+def reference_loss(y, gold, params, desc_ids_list=None):
+    """Per-sample loss from the model outputs `y`: summed binary cross
+    entropy (outputs clamped into [1e-12, 1-1e-12]), plus, for mvc-rlda
+    parameters, lambda * ||V_j - f(D_j)||^2 over the gold-positive labels.
+    f(D) is the description encoder spelled out: embedding rows, the
+    `channel_conv` of the description kernel, a spatial max, the dense
+    layer and a sigmoid."""
+    yc = np.clip(y, 1e-12, 1.0 - 1e-12)
+    g = np.asarray(gold, dtype=np.float64)
+    loss = float(-np.sum(g * np.log(yc) + (1.0 - g) * np.log(1.0 - yc)))
+    if params.config.kind != "mvc-rlda":
+        return loss
+    for j in np.flatnonzero(g > 0):
+        m = channel_conv(params.W_e[desc_ids_list[j]], params.desc_conv).max(axis=0)
+        f = 1.0 / (1.0 + np.exp(-(params.desc_W @ m + params.desc_b)))
+        diff = params.V[j] - f
+        loss += params.config.lambda_ * float(diff @ diff)
+    return loss
+
+
 def _cbow_noise_cumulative(docs, vocab_size):
     counts = np.zeros(vocab_size, dtype=np.float64)
     for ids in docs:

@@ -20,6 +20,7 @@ from oracles import (
     brute_precision_at_n,
     fd_gradcheck,
     grid_pr_auc,
+    reference_loss,
 )
 
 
@@ -51,8 +52,7 @@ def test_criterion_01_gradient_correctness():
         desc_arg = desc if kind == "mvc-rlda" else None
 
         def loss_fn():
-            y = model.forward(ids, 30, params)
-            return model.sample_loss(y, gold, params, desc_arg)
+            return reference_loss(model.forward(ids, 30, params), gold, params, desc_arg)
 
         _, grads = model.backward(ids, 30, gold, params, desc_ids_list=desc_arg)
         worst = max(worst, fd_gradcheck(params, loss_fn, grads, step=1e-5, rtol=1e-4))
@@ -69,30 +69,38 @@ def test_criterion_01_gradient_correctness():
 
 def test_criterion_02_equation_fidelity():
     ok = True
-    # convolution cross-channel max: pre-tanh [1.5, 3.0, 3.0]
-    X = np.array([[1.0], [2.0], [3.0]])
-    C = model.multi_view_conv(X, [np.array([[[1.0]]]), np.full((3, 1, 1), 0.5)])
-    ok &= bool(np.all(np.abs(C[:, 0] - np.tanh([1.5, 3.0, 3.0])) < 1e-12))
-    # attention pooling: C=[[1,0],[0,1]], V=[1,2] -> P=[1,2]
-    P = model.attention_pool(np.eye(2), np.array([1.0, 2.0]))
-    ok &= bool(np.all(np.abs(P - [1.0, 2.0]) < 1e-12))
+    # one document on the live path: embedded rows [1, 2, 3], a kernel-1
+    # channel [1] and a kernel-3 channel [0.5, 0.5, 0.5], one label with
+    # V = [2], K = 1, d = 0, and length 5000
+    params = model.init_params(
+        model.ModelConfig(kernel_sizes=(1, 3), n_filters=1, embed_dim=1),
+        3, 1, np.random.default_rng(2),
+    )
+    params.W_e[:, 0] = [1.0, 2.0, 3.0]
+    params.conv[0][:] = 1.0
+    params.conv[1][:] = 0.5
+    params.V[:], params.K[:], params.d[:] = 2.0, 1.0, 0.0
+    _, cache = model._forward_cached(np.array([0, 1, 2]), 5000, params, None)
+    # convolution cross-channel max: pre-tanh max([1,2,3], [1.5,3,2.5])
+    m = np.tanh([1.5, 3.0, 3.0])
+    ok &= bool(np.all(np.abs(cache["C"][:, 0] - m) < 1e-12))
+    # attention pooling: P = C^T (C V) = 2 (tanh^2 1.5 + 2 tanh^2 3)
+    ok &= abs(cache["P"][0, 0] - 2.0 * float(m @ m)) < 1e-12
     # length feature: sigmoid(0.5) at scaled length 0.5
-    t = model.length_embed(5000, 1.0, 0.0)
-    ok &= abs(t - 1.0 / (1.0 + math.exp(-0.5))) < 1e-12
+    ok &= abs(cache["T"][0] - 1.0 / (1.0 + math.exp(-0.5))) < 1e-12
     # binary cross entropy: y=0.5, g=1 -> ln 2
     ok &= abs(model.loss_mvc_lda(np.array([0.5]), np.array([1.0])) - math.log(2)) < 1e-12
-    # regularized loss reduces exactly to the base loss when gold is empty
+    # the regularized loss backward returns reduces exactly to the base
+    # loss when gold is empty
     params = model.init_params(
         model.ModelConfig(kind="mvc-rlda", kernel_sizes=(1, 3), n_filters=4,
                           embed_dim=5, lambda_=0.7),
         20, 3, np.random.default_rng(2),
     )
     desc = [np.array([1, 2]), np.array([3, 4]), np.array([5])]
-    y = np.array([0.2, 0.5, 0.9])
-    g = np.zeros(3)
-    ok &= abs(
-        model.loss_mvc_rlda(y, g, params, desc) - model.loss_mvc_lda(y, g)
-    ) < 1e-12
+    ids, g = np.array([6, 7, 8, 9]), np.zeros(3)
+    loss, _ = model.backward(ids, 4, g, params, desc_ids_list=desc)
+    ok &= abs(loss - model.loss_mvc_lda(model.forward(ids, 4, params), g)) < 1e-12
     report_line(2, "hand-derived equation cases exact to 1e-12", ok)
 
 

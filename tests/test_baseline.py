@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mvclda import baseline
+from mvclda.corpus import read_tensor_file
 
 
 class TestTfidf:
@@ -197,15 +198,12 @@ class TestSerialization:
         ovr = baseline.train_flat(X, gold, ["L0", "L1"], baseline.SvmConfig(seed=9))
         path = tmp_path / "model.bin"
         baseline.save_baseline(path, feat, ovr)
-        feat2, ovr2 = baseline.load_baseline(path)
-        assert feat2.terms == feat.terms
-        assert np.array_equal(feat2.idf, feat.idf)
-        assert ovr2.nodes == ovr.nodes
-        assert np.array_equal(ovr2.weights, ovr.weights)
-        assert np.array_equal(ovr2.bias, ovr.bias)
-
-    def test_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "junk"
-        path.write_bytes(b'{"format": "nope"}\n')
-        with pytest.raises(ValueError):
-            baseline.load_baseline(path)
+        header, arrays = read_tensor_file(
+            path, baseline.BASELINE_FORMAT, baseline.BASELINE_FORMAT_VERSION
+        )
+        assert header["terms"] == feat.terms
+        assert header["nodes"] == ovr.nodes
+        assert header["hierarchical"] is False
+        assert np.array_equal(arrays["idf"], feat.idf)
+        assert np.array_equal(arrays["weights"], ovr.weights)
+        assert np.array_equal(arrays["bias"], ovr.bias)

@@ -7,6 +7,8 @@ import pytest
 from mvclda import cli, corpus
 from mvclda.metrics import MetricsReport
 
+from test_corpus import TENSOR_FILE_DAMAGES, damage_tensor_file
+
 SYNTH_CFG = """\
 n_codes = 10
 zipf_exponent = 1.0
@@ -150,6 +152,47 @@ class TestTrain:
         assert (out / "vocab.tsv").read_bytes() == (trained_dir / "vocab.tsv").read_bytes()
         assert (out / "embeddings.bin").read_bytes() == (trained_dir / "embeddings.bin").read_bytes()
 
+    def _train_with_embeddings(self, corpus_dir, train_cfg_path, embeddings, out):
+        return run([
+            "train", "--model", "mvc-lda",
+            "--train", str(corpus_dir / "train.jsonl"),
+            "--dev", str(corpus_dir / "dev.jsonl"),
+            "--labels", str(corpus_dir / "descriptions.tsv"),
+            "--config", str(train_cfg_path),
+            "--seed", "3", "--embeddings", str(embeddings), "--out", str(out),
+        ])
+
+    # a header without d_v once escaped as a KeyError traceback; "tensors"
+    # now carries the table's shape
+    @pytest.mark.parametrize("field", ["vocab_sha256", "tensors"])
+    def test_embeddings_header_lacking_a_field_is_data_error(
+            self, field, corpus_dir, train_cfg_path, trained_dir, tmp_path, capsys):
+        head, _, body = (trained_dir / "embeddings.bin").read_bytes().partition(b"\n")
+        header = json.loads(head)
+        del header[field]
+        emb = tmp_path / "embeddings.bin"
+        emb.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        code = self._train_with_embeddings(corpus_dir, train_cfg_path, emb, tmp_path / "out")
+        assert code == cli.EXIT_DATA
+        assert str(emb) in capsys.readouterr().err
+
+    def test_old_format_embeddings_are_data_error(self, corpus_dir, train_cfg_path,
+                                                  trained_dir, tmp_path, capsys):
+        emb = tmp_path / "embeddings.bin"
+        emb.write_bytes(b"#emb\tversion=1\td_v=2\td_e=2\n" + bytes(32))
+        code = self._train_with_embeddings(corpus_dir, train_cfg_path, emb, tmp_path / "out")
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(emb) in err and "old text-header format" in err
+
+    def test_pretrained_embeddings_reproduce_the_checkpoint(
+            self, corpus_dir, train_cfg_path, trained_dir, tmp_path):
+        out = tmp_path / "reuse"
+        code = self._train_with_embeddings(
+            corpus_dir, train_cfg_path, trained_dir / "embeddings.bin", out)
+        assert code == 0
+        assert (out / "checkpoint.bin").read_bytes() == (trained_dir / "checkpoint.bin").read_bytes()
+
     def test_env_override_shortens_training(self, corpus_dir, train_cfg_path,
                                              tmp_path, monkeypatch):
         monkeypatch.setenv("MVC_MAX_EPOCHS", "1")
@@ -236,18 +279,20 @@ class TestEvaluate:
         (data / "descriptions.tsv").write_text((corpus_dir / "descriptions.tsv").read_text())
         assert self._evaluate(trained_dir, data, "test", tmp_path / "m.json") == 0
 
-    @pytest.mark.parametrize("damage", ["trailing_bytes", "invalid_config"])
+    @pytest.mark.parametrize("damage", ["invalid_config"] + list(TENSOR_FILE_DAMAGES))
     def test_damaged_checkpoint_is_data_error(self, damage, trained_dir, corpus_dir,
                                               tmp_path, capsys):
-        head, _, body = (trained_dir / "checkpoint.bin").read_bytes().partition(b"\n")
-        if damage == "trailing_bytes":
-            body += b"garbage"
-        else:
+        # "oversized_tensor" declares a 10^6 x 10^6 W_e, which the reader
+        # must refuse before allocating it
+        ckpt = tmp_path / "checkpoint.bin"
+        ckpt.write_bytes((trained_dir / "checkpoint.bin").read_bytes())
+        if damage == "invalid_config":
+            head, _, body = ckpt.read_bytes().partition(b"\n")
             header = json.loads(head)
             header["n_filters"] = 0
-            head = json.dumps(header).encode()
-        ckpt = tmp_path / "checkpoint.bin"
-        ckpt.write_bytes(head + b"\n" + body)
+            ckpt.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        else:
+            damage_tensor_file(ckpt, damage)
         code = self._evaluate(trained_dir, corpus_dir, "test", tmp_path / "m.json",
                               checkpoint=ckpt)
         assert code == cli.EXIT_DATA

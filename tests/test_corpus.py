@@ -1,7 +1,11 @@
+import json
+import math
+import re
+
 import numpy as np
 import pytest
 
-from mvclda import corpus
+from mvclda import baseline, corpus, embed, model
 from mvclda.metrics import pearson
 
 from oracles import contains_phrase
@@ -102,9 +106,10 @@ class TestVocabulary:
 
     def test_load_rejects_bad_header(self, tmp_path):
         path = tmp_path / "vocab.tsv"
-        path.write_text("not a header\n")
-        with pytest.raises(corpus.DataFormatError):
-            corpus.load_vocabulary(path)
+        for text in ("not a header\n", "#version=1\ntok\t0\t3\n"):
+            path.write_text(text)
+            with pytest.raises(corpus.DataFormatError):
+                corpus.load_vocabulary(path)
 
 
 def _toy_space():
@@ -288,13 +293,15 @@ class TestFileFormats:
     def test_descriptions_round_trip(self, tmp_path):
         space = _toy_space()
         path = tmp_path / "desc.tsv"
-        corpus.write_descriptions_tsv(path, space)
+        corpus.write_pairs_tsv(path, zip(space.codes, map(" ".join, space.descriptions)))
         loaded = corpus.read_descriptions_tsv(path)
         assert loaded == {"A": "alpha disease", "B": "beta disease", "C": "gamma"}
+        assert list(loaded) == ["A", "B", "C"]
 
     def test_hierarchy_round_trip_and_cycle_check(self, tmp_path):
         path = tmp_path / "h.tsv"
-        corpus.write_hierarchy_tsv(path, {"B": "A", "C": "B"})
+        corpus.write_pairs_tsv(path, [("B", "A"), ("C", "B")])
+        assert path.read_text() == "B\tA\nC\tB\n"
         assert corpus.read_hierarchy_tsv(path) == {"B": "A", "C": "B"}
         path.write_text("A\tB\nB\tA\n")
         with pytest.raises(ValueError, match="cycle"):
@@ -302,11 +309,101 @@ class TestFileFormats:
 
     def test_groups_and_counts_round_trip(self, tmp_path):
         gp = tmp_path / "g.tsv"
-        corpus.write_groups_tsv(gp, {"A": "diagnosis", "B": "procedure"})
+        corpus.write_pairs_tsv(gp, [("A", "diagnosis"), ("B", "procedure")])
         assert corpus.read_groups_tsv(gp) == {"A": "diagnosis", "B": "procedure"}
         cp = tmp_path / "c.tsv"
-        corpus.write_counts_tsv(cp, {"A": 4, "B": 0})
+        corpus.write_pairs_tsv(cp, [("A", 4), ("B", 0)])
         assert corpus.read_counts_tsv(cp) == {"A": 4, "B": 0}
         cp.write_text("A\tnot-a-number\n")
         with pytest.raises(corpus.DataFormatError, match=":1:"):
             corpus.read_counts_tsv(cp)
+
+    @pytest.mark.parametrize("reader", [
+        corpus.read_descriptions_tsv, corpus.read_hierarchy_tsv,
+        corpus.read_groups_tsv, corpus.read_counts_tsv,
+    ], ids=["descriptions", "hierarchy", "groups", "counts"])
+    def test_two_column_files_reject_bad_lines(self, reader, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        path.write_text("A\t1\n\nB\t2\nA\t3\n")
+        with pytest.raises(corpus.DataFormatError, match=re.escape(f"{path}:4: duplicate")):
+            reader(path)
+        path.write_text("A\t1\nB\t2\textra\n")
+        with pytest.raises(corpus.DataFormatError, match=re.escape(f"{path}:2: expected")):
+            reader(path)
+
+
+def _checkpoint_file(path):
+    cfg = model.ModelConfig(kind="mvc-rlda", kernel_sizes=(1, 3), n_filters=2, embed_dim=3)
+    model.save_checkpoint(path, model.init_params(cfg, 5, 2, np.random.default_rng(0)), "ab" * 32)
+    return model.load_checkpoint
+
+
+def _embeddings_file(path):
+    embed.save_embeddings(path, np.arange(12.0).reshape(4, 3), "cd" * 32)
+    return embed.load_embeddings
+
+
+def _baseline_file(path):
+    featurizer = baseline.TfidfFeaturizer(terms=["x", "y", "z"], idf=np.ones(3))
+    ovr = baseline.LinearOvrModel(nodes=["A", "B"], weights=np.ones((2, 3)), bias=np.zeros(2))
+    baseline.save_baseline(path, featurizer, ovr)
+    return lambda p: corpus.read_tensor_file(
+        p, baseline.BASELINE_FORMAT, baseline.BASELINE_FORMAT_VERSION
+    )
+
+
+def _rewrite(header, body):
+    return json.dumps(header).encode() + b"\n" + body
+
+
+# Each way a tensor file can be malformed, as (header, payload) -> file bytes.
+TENSOR_FILE_DAMAGES = {
+    "other_format": lambda h, b: _rewrite({**h, "format": "other"}, b),
+    "other_version": lambda h, b: _rewrite({**h, "version": 99}, b),
+    "header_not_object": lambda h, b: b"[1, 2]\n" + b,
+    "header_not_json": lambda h, b: b"\xff\xfe junk\n" + b,
+    "no_tensors_list": lambda h, b: _rewrite({k: v for k, v in h.items() if k != "tensors"}, b),
+    # the next two keep the declared payload size, so only their own check fires
+    "negative_dimension": lambda h, b: _rewrite(
+        {**h, "tensors": [[h["tensors"][0][0], [-1, -math.prod(h["tensors"][0][1])]]]
+         + h["tensors"][1:]}, b),
+    "duplicate_name": lambda h, b: _rewrite(
+        {**h, "tensors": h["tensors"] + [[h["tensors"][0][0], [0]]]}, b),
+    "oversized_tensor": lambda h, b: _rewrite(
+        {**h, "tensors": [[h["tensors"][0][0], [10**6, 10**6]]] + h["tensors"][1:]}, b),
+    "short_payload": lambda h, b: _rewrite(h, b[:-8]),
+    "trailing_bytes": lambda h, b: _rewrite(h, b + b"garbage"),
+}
+
+
+def damage_tensor_file(path, damage: str) -> None:
+    head, _, body = path.read_bytes().partition(b"\n")
+    path.write_bytes(TENSOR_FILE_DAMAGES[damage](json.loads(head), body))
+
+
+class TestTensorFile:
+    """The one header-plus-float64-tensors container behind the checkpoint,
+    embeddings and baseline files."""
+
+    @pytest.mark.parametrize("damage", list(TENSOR_FILE_DAMAGES))
+    @pytest.mark.parametrize("write", [_checkpoint_file, _embeddings_file, _baseline_file],
+                             ids=["checkpoint", "embeddings", "baseline"])
+    def test_rejects(self, write, damage, tmp_path):
+        path = tmp_path / "file.bin"
+        load = write(path)
+        load(path)
+        damage_tensor_file(path, damage)
+        with pytest.raises(corpus.DataFormatError, match=re.escape(str(path))):
+            load(path)
+
+    def test_round_trip_in_order(self, tmp_path):
+        path = tmp_path / "t.bin"
+        tensors = [("b", np.arange(6.0).reshape(3, 2).T), ("a", np.float64(2.5)),
+                   ("empty", np.zeros((0, 4)))]
+        corpus.write_tensor_file(path, {"format": "f", "version": 3, "note": "x"}, tensors)
+        header, arrays = corpus.read_tensor_file(path, "f", 3)
+        assert header["note"] == "x"
+        assert list(arrays) == ["b", "a", "empty"]
+        for name, arr in tensors:
+            assert arrays[name].shape == np.shape(arr)
+            assert np.array_equal(arrays[name], arr)

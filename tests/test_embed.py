@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mvclda import embed
+from mvclda import embed, model
 from oracles import per_center_cbow, per_center_cbow_loss
 
 
@@ -141,28 +141,38 @@ class TestCbowMatchesPerCenterLoop:
 
 
 class TestEmbedLookup:
+    """The embedding step forward and the description encoder share: rows
+    of the table written into the zero-padded convolution input."""
+
+    @staticmethod
+    def lookup(ids, table, s=1):
+        return model._embed_padded(np.asarray(ids, dtype=np.int64), table, s)
+
     def test_empty_document(self):
-        table = np.ones((4, 3))
-        X = embed.embed_lookup([], table)
+        Xp, X = self.lookup([], np.ones((4, 3)), s=3)
         assert X.shape == (0, 3)
+        assert np.array_equal(Xp, np.zeros((2, 3)))
 
     def test_one_hot_identity(self):
-        table = np.eye(4)
-        X = embed.embed_lookup([2, 0], table)
-        assert np.array_equal(X, np.array([[0, 0, 1, 0], [1, 0, 0, 0]], dtype=float))
+        # an even width 4 pads two rows on the left and one on the right
+        Xp, X = self.lookup([2, 0], np.eye(4), s=4)
+        rows = np.array([[0, 0, 1, 0], [1, 0, 0, 0]], dtype=float)
+        assert np.array_equal(X, rows)
+        assert np.array_equal(Xp, np.vstack([np.zeros((2, 4)), rows, np.zeros((1, 4))]))
 
     def test_repeated_ids_identical_rows(self):
         rng = np.random.default_rng(4)
-        table = rng.random((10, 5))
-        X = embed.embed_lookup([3, 3], table)
+        _, X = self.lookup([3, 3], rng.random((10, 5)))
         assert np.array_equal(X[0], X[1])
 
     def test_out_of_range_rejected(self):
-        table = np.ones((4, 3))
+        # document ids come from outside the model, so forward checks them
+        cfg = model.ModelConfig(kernel_sizes=(1,), n_filters=2, embed_dim=3)
+        params = model.init_params(cfg, 4, 1, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            embed.embed_lookup([4], table)
+            model.forward([4], 1, params)
         with pytest.raises(ValueError):
-            embed.embed_lookup([-1], table)
+            model.forward([-1], 1, params)
 
 
 class TestEmbeddingFile:
@@ -173,23 +183,10 @@ class TestEmbeddingFile:
         embed.save_embeddings(path, table, "cafe" * 16)
         loaded = embed.load_embeddings(path, expected_vocab_checksum="cafe" * 16)
         assert np.array_equal(loaded, table)
+        assert list(tmp_path.iterdir()) == [path]  # no sidecar file
 
     def test_checksum_mismatch_rejected(self, tmp_path):
         path = tmp_path / "emb.bin"
         embed.save_embeddings(path, np.zeros((2, 2)), "aaaa")
         with pytest.raises(ValueError, match="vocabulary"):
             embed.load_embeddings(path, expected_vocab_checksum="bbbb")
-
-    def test_truncated_payload_rejected(self, tmp_path):
-        path = tmp_path / "emb.bin"
-        embed.save_embeddings(path, np.zeros((3, 3)), "aaaa")
-        data = path.read_bytes()
-        path.write_bytes(data[:-8])
-        with pytest.raises(ValueError, match="truncated"):
-            embed.load_embeddings(path)
-
-    def test_not_an_embedding_file(self, tmp_path):
-        path = tmp_path / "emb.bin"
-        path.write_bytes(b"junk\n")
-        with pytest.raises(ValueError):
-            embed.load_embeddings(path)

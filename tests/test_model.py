@@ -13,6 +13,7 @@ from oracles import (
     fd_gradcheck,
     multi_view_max,
     multi_view_max_backward,
+    reference_loss,
     two_branch_sigmoid,
 )
 
@@ -34,6 +35,48 @@ def small_params(kind="mvc-lda", seed=0, vocab=20, labels=3, d_e=5, d_c=4,
     return model.init_params(cfg, vocab, labels, np.random.default_rng(seed))
 
 
+def params_over(X, weights, labels=1):
+    """Parameters whose embedding table is X and whose convolution kernels
+    are `weights` (any order, unvalidated), so the document of ids
+    0..len(X)-1 embeds to X on the live path."""
+    d_e, d_c = X.shape[1], weights[0].shape[2]
+    cfg = model.ModelConfig(kernel_sizes=tuple(w.shape[0] for w in weights),
+                            n_filters=d_c, embed_dim=d_e)
+    rng = np.random.default_rng(0)
+    return model.ModelParams(cfg, np.array(X, dtype=np.float64), list(weights),
+                             V=rng.normal(size=(labels, d_c)), U=rng.normal(size=(labels, d_c)),
+                             b=np.zeros(labels), K=np.zeros(labels), d=np.zeros(labels))
+
+
+def cached(params, ids, length=None):
+    ids = np.asarray(ids, dtype=np.int64)
+    _, cache = model._forward_cached(ids, len(ids) if length is None else length, params, None)
+    return cache
+
+
+def frames(X, weights):
+    """C = tanh(cross-channel max) from `_forward_cached`'s cache for a
+    document whose embedded rows are X."""
+    return cached(params_over(X, weights), np.arange(len(X)))["C"]
+
+
+def pooled(C, V):
+    """Pooled features P from `_forward_cached`'s cache for a document whose
+    frames are C: embedded rows arctanh(C) under one width-1 identity kernel."""
+    d_c = C.shape[1]
+    X = np.arctanh(C) if len(C) else np.zeros((1, d_c))
+    params = params_over(X, [np.eye(d_c)[None]], labels=len(V))
+    params.V[:] = V
+    return cached(params, np.arange(len(C)))["P"]
+
+
+def length_feature(length, K_j, d_j):
+    """The length feature T of a one-label model from `_forward_cached`'s cache."""
+    params = small_params(labels=1)
+    params.K[:], params.d[:] = K_j, d_j
+    return float(cached(params, [1, 2], length)["T"][0])
+
+
 class TestSigmoid:
     def test_bit_identical_to_two_branch_form(self):
         edge = np.array([0.0, -0.0, 37.0, -37.0, 745.0, -745.0, np.inf, -np.inf, np.nan, -np.nan])
@@ -48,27 +91,28 @@ class TestSigmoid:
 
 
 class TestMultiViewConv:
+    """The frames C that `_forward_cached` computes from embedded rows."""
+
     def test_hand_case_two_channels(self):
         # kernel-1 channel [1] and kernel-3 channel [0.5,0.5,0.5] on [1,2,3]:
         # pre-tanh per position is max([1,2,3],[1.5,3.0,2.5]) = [1.5,3.0,3.0]
         X = np.array([[1.0], [2.0], [3.0]])
         w1 = np.array([[[1.0]]])
         w3 = np.full((3, 1, 1), 0.5)
-        C = model.multi_view_conv(X, [w1, w3])
+        C = frames(X, [w1, w3])
         expected = np.tanh([1.5, 3.0, 3.0])
         assert np.allclose(C[:, 0], expected, atol=1e-12)
 
     def test_all_zero_weights(self):
         X = np.ones((4, 3))
         weights = [np.zeros((s, 3, 2)) for s in (1, 3)]
-        assert np.array_equal(model.multi_view_conv(X, weights), np.zeros((4, 2)))
+        assert np.array_equal(frames(X, weights), np.zeros((4, 2)))
 
     def test_single_channel_equals_plain_convolution(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(9, 4))
         W = rng.normal(size=(5, 4, 3))
-        C = model.multi_view_conv(X, [W])
-        assert np.allclose(C, np.tanh(brute_conv(X, W)), atol=1e-12)
+        assert np.allclose(frames(X, [W]), np.tanh(brute_conv(X, W)), atol=1e-12)
 
     @pytest.mark.parametrize("kernels", [(1,), (2,), (3,), (1, 3), (2, 4, 6), (6, 8, 10, 12)])
     def test_output_length_preserved(self, kernels):
@@ -76,7 +120,7 @@ class TestMultiViewConv:
         for l in (1, 2, 5, 13):
             X = rng.normal(size=(l, 3))
             weights = [rng.normal(size=(s, 3, 2)) for s in kernels]
-            assert model.multi_view_conv(X, weights).shape == (l, 2)
+            assert frames(X, weights).shape == (l, 2)
 
     def test_matches_brute_force_oracle_with_even_kernels(self):
         rng = np.random.default_rng(2)
@@ -84,27 +128,27 @@ class TestMultiViewConv:
         weights = [rng.normal(size=(s, 3, 2)) for s in (2, 4)]
         stacked = np.stack([brute_conv(X, w) for w in weights])
         expected = np.tanh(stacked.max(axis=0))
-        assert np.allclose(model.multi_view_conv(X, weights), expected, atol=1e-12)
+        assert np.allclose(frames(X, weights), expected, atol=1e-12)
 
     def test_channel_permutation_invariance(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(6, 3))
         weights = [rng.normal(size=(s, 3, 2)) for s in (1, 3, 5, 7)]
-        a = model.multi_view_conv(X, weights)
-        b = model.multi_view_conv(X, weights[::-1])
-        assert np.allclose(a, b, atol=1e-12)
+        assert np.allclose(frames(X, weights), frames(X, weights[::-1]), atol=1e-12)
 
     def test_outputs_strictly_inside_unit_interval(self):
         # float64 tanh saturates to exactly 1.0 above ~19; stay below that
         rng = np.random.default_rng(4)
         X = rng.normal(size=(8, 3))
         weights = [rng.normal(size=(s, 3, 4)) * 0.5 for s in (1, 3)]
-        C = model.multi_view_conv(X, weights)
+        C = frames(X, weights)
         assert np.all(C > -1) and np.all(C < 1)
 
     def test_dimension_mismatch_rejected(self):
+        # kernels over 5 embedding dims cannot convolve 2-dim rows
+        params = params_over(np.ones((3, 2)), [np.ones((1, 5, 2))])
         with pytest.raises(ValueError):
-            model.multi_view_conv(np.ones((3, 2)), [np.ones((1, 5, 2))])
+            model.forward([0, 1, 2], 3, params)
 
 
 class TestChunkedConv:
@@ -118,10 +162,11 @@ class TestChunkedConv:
         X = rng.normal(size=(l, d_e))
         weights = [rng.normal(size=(s, d_e, d_c)) for s in kernels]
         M_ref, winner_ref = multi_view_max(X, weights)
-        Xp, W_stack = model._pad(X, max(kernels)), model._stack_kernels(weights)
+        Xp, _ = model._embed_padded(np.arange(l), X, max(kernels))
+        W_stack = model._stack_kernels(weights)
         M, winner = model._conv_max(Xp, W_stack, d_c, True)
         assert_rel_close(M, M_ref)
-        assert_rel_close(model.multi_view_conv(X, weights), np.tanh(M_ref))
+        assert_rel_close(frames(X, weights), np.tanh(M_ref))
         if len(kernels) > 1:
             assert np.array_equal(winner, winner_ref)
         else:
@@ -140,7 +185,7 @@ class TestChunkedConv:
         X = rng.normal(size=(l, d_e))
         w1, w3 = rng.normal(size=(1, d_e, d_c)), rng.normal(size=(3, d_e, d_c))
         weights = [w1, w3, w3.copy()]  # channels 1 and 2 tie at every position
-        Xp, W_stack = model._pad(X, 3), model._stack_kernels(weights)
+        Xp, W_stack = model._embed_padded(np.arange(l), X, 3)[0], model._stack_kernels(weights)
         _, winner = model._conv_max(Xp, W_stack, d_c, True)
         assert np.array_equal(winner, multi_view_max(X, weights)[1])
         assert np.any(winner == 1) and not np.any(winner == 2)
@@ -151,54 +196,54 @@ class TestChunkedConv:
 
 
 class TestAttentionPool:
+    """The pooled features P = C^T (C V_j) in `_forward_cached`'s cache."""
+
     def test_hand_case(self):
-        C = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert np.allclose(model.attention_pool(C, np.array([1.0, 2.0])), [1.0, 2.0], atol=1e-12)
+        # C = 0.5 I, V_j = [1, 2]: C V_j = [0.5, 1], C^T of that = [0.25, 0.5]
+        C = np.array([[0.5, 0.0], [0.0, 0.5]])
+        assert np.allclose(pooled(C, [[1.0, 2.0]]), [[0.25, 0.5]], atol=1e-12)
 
     def test_zero_attention_weight(self):
-        C = np.random.default_rng(5).normal(size=(4, 3))
-        assert np.array_equal(model.attention_pool(C, np.zeros(3)), np.zeros(3))
+        C = np.tanh(np.random.default_rng(5).normal(size=(4, 3)))
+        assert np.array_equal(pooled(C, np.zeros((1, 3))), np.zeros((1, 3)))
 
     def test_single_nonzero_row(self):
         C = np.zeros((5, 3))
-        row = np.array([0.5, -1.0, 2.0])
+        row = np.array([0.5, -0.9, 0.2])
         C[2] = row
         v = np.array([1.0, 2.0, 0.5])
         expected = row * float(row @ v)
-        assert np.allclose(model.attention_pool(C, v), expected, atol=1e-12)
+        assert np.allclose(pooled(C, [v]), [expected], atol=1e-12)
 
     def test_linear_in_attention_weights(self):
         rng = np.random.default_rng(6)
-        C = rng.normal(size=(5, 4))
+        C = np.tanh(rng.normal(size=(5, 4)))
         v1, v2 = rng.normal(size=4), rng.normal(size=4)
-        lhs = model.attention_pool(C, 2.0 * v1 - 0.5 * v2)
-        rhs = 2.0 * model.attention_pool(C, v1) - 0.5 * model.attention_pool(C, v2)
-        assert np.allclose(lhs, rhs, atol=1e-10)
+        P = pooled(C, [v1, v2, 2.0 * v1 - 0.5 * v2])
+        assert np.allclose(P[2], 2.0 * P[0] - 0.5 * P[1], atol=1e-10)
 
     def test_empty_frames_pool_to_zero(self):
-        P = model.attention_pool(np.zeros((0, 3)), np.array([1.0, -2.0, 0.5]))
-        assert np.array_equal(P, np.zeros(3))
+        P = pooled(np.zeros((0, 3)), [[1.0, -2.0, 0.5]])
+        assert np.array_equal(P, np.zeros((1, 3)))
 
 
 class TestLengthEmbed:
+    """The length feature T = sigmoid(K l / 10000 + d) in the cache."""
+
     def test_zero_weights_give_half(self):
         for l in (0, 10, 10_000, 123_456):
-            assert model.length_embed(l, 0.0, 0.0) == 0.5
+            assert length_feature(l, 0.0, 0.0) == 0.5
 
     def test_hand_sigmoid_value(self):
         # scaled length 0.5 -> sigmoid(0.5)
-        assert model.length_embed(5000, 1.0, 0.0) == pytest.approx(
+        assert length_feature(5000, 1.0, 0.0) == pytest.approx(
             1.0 / (1.0 + math.exp(-0.5)), abs=1e-12
         )
-        assert model.length_embed(5000, 1.0, 0.0) == pytest.approx(0.62246, abs=5e-6)
+        assert length_feature(5000, 1.0, 0.0) == pytest.approx(0.62246, abs=5e-6)
 
     def test_strictly_increasing_for_positive_weight(self):
-        values = [model.length_embed(l, 2.0, -0.3) for l in range(0, 30_000, 1000)]
+        values = [length_feature(l, 2.0, -0.3) for l in range(0, 30_000, 1000)]
         assert all(b > a for a, b in zip(values, values[1:]))
-
-    def test_negative_length_rejected(self):
-        with pytest.raises(ValueError):
-            model.length_embed(-1, 1.0, 0.0)
 
 
 class TestForward:
@@ -246,12 +291,11 @@ class TestForward:
         params = small_params(seed=30, labels=6, kernels=(2, 4, 6))
         params.K[:] = rng.normal(size=6)
         ids = rng.integers(0, 20, 9)
-        C = model.multi_view_conv(params.W_e[ids], params.conv)
-        P = np.stack([model.attention_pool(C, v) for v in params.V])
-        T = np.array([model.length_embed(9, k, d) for k, d in zip(params.K, params.d)])
-        y = model.sigmoid(np.sum(params.U * P, axis=1) + params.b + T)
-        _, cache = model._forward_cached(ids, 9, params, None)
-        assert np.allclose(cache["P"], P, rtol=1e-12, atol=0.0)
+        C = np.tanh(multi_view_max(params.W_e[ids], params.conv)[0])
+        P = np.stack([C.T @ (C @ v) for v in params.V])
+        T = two_branch_sigmoid(params.K * (9 / model.LENGTH_SCALE) + params.d)
+        y = two_branch_sigmoid(np.sum(params.U * P, axis=1) + params.b + T)
+        assert np.allclose(cached(params, ids)["P"], P, rtol=1e-12, atol=0.0)
         assert np.allclose(model.forward(ids, 9, params), y, rtol=1e-12, atol=0.0)
 
     def test_eval_peak_allocation_bounded_on_a_long_note(self):
@@ -298,32 +342,33 @@ class TestForward:
 
 
 class TestEncodeDescription:
+    """f(D), the description encoding `backward` regularizes V toward."""
+
+    @staticmethod
+    def encode(ids, params):
+        return model._encode_description_cached(ids, params)[0]
+
     def test_zero_dense_layer_gives_half(self):
         params = small_params(kind="mvc-rlda", seed=12)
         params.desc_W[:] = 0.0
         params.desc_b[:] = 0.0
-        f = model.encode_description([1, 2, 3], params)
-        assert np.allclose(f, 0.5, atol=1e-12)
+        assert np.allclose(self.encode([1, 2, 3], params), 0.5, atol=1e-12)
 
     def test_description_shorter_than_kernel(self):
         params = small_params(kind="mvc-rlda", seed=13, kernels=(1, 3))
-        f = model.encode_description([4], params)
+        f = self.encode([4], params)
         assert f.shape == (4,)
         assert np.all((f > 0) & (f < 1))
 
     def test_output_range(self):
         params = small_params(kind="mvc-rlda", seed=14)
-        f = model.encode_description([0, 1, 2, 3, 4, 5], params)
+        f = self.encode([0, 1, 2, 3, 4, 5], params)
         assert np.all((f > 0) & (f < 1))
 
     def test_empty_description_rejected(self):
         params = small_params(kind="mvc-rlda", seed=15)
         with pytest.raises(ValueError):
-            model.encode_description([], params)
-
-    def test_lda_params_rejected(self):
-        with pytest.raises(ValueError):
-            model.encode_description([1], small_params(kind="mvc-lda"))
+            self.encode([], params)
 
 
 class TestLosses:
@@ -346,34 +391,36 @@ class TestLosses:
         loss = model.loss_mvc_lda(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
         assert math.isfinite(loss)
 
+    # the mvc-rlda loss is the one `backward` returns; its BCE part is
+    # loss_mvc_lda of `forward`
+    IDS = [3, 1, 4, 1, 5]
+
+    def rlda_and_lda_loss(self, params, g, desc):
+        loss, _ = model.backward(self.IDS, 5, g, params, desc_ids_list=desc)
+        return loss, model.loss_mvc_lda(model.forward(self.IDS, 5, params), g)
+
     def test_rlda_reduces_to_lda_when_gold_empty(self):
         params = small_params(kind="mvc-rlda", seed=16, lambda_=0.01)
         desc = [np.array([1, 2]), np.array([3]), np.array([4, 5])]
-        y = np.array([0.3, 0.6, 0.9])
-        g = np.zeros(3)
-        assert model.loss_mvc_rlda(y, g, params, desc) == pytest.approx(
-            model.loss_mvc_lda(y, g), abs=1e-12
-        )
+        rlda, lda = self.rlda_and_lda_loss(params, np.zeros(3), desc)
+        assert rlda == lda
 
     def test_rlda_regularizer_zero_when_attention_matches_encoding(self):
         params = small_params(kind="mvc-rlda", seed=17, lambda_=0.5)
         desc = [np.array([1, 2]), np.array([3]), np.array([4, 5])]
         for j in range(3):
-            params.V[j] = model.encode_description(desc[j], params)
-        y = np.array([0.3, 0.6, 0.9])
-        g = np.ones(3)
-        assert model.loss_mvc_rlda(y, g, params, desc) == pytest.approx(
-            model.loss_mvc_lda(y, g), abs=1e-12
-        )
+            params.V[j] = model._encode_description_cached(desc[j], params)[0]
+        rlda, lda = self.rlda_and_lda_loss(params, np.ones(3), desc)
+        assert rlda == pytest.approx(lda, abs=1e-12)
 
     def test_rlda_loss_never_below_lda(self):
         rng = np.random.default_rng(18)
         params = small_params(kind="mvc-rlda", seed=18, lambda_=0.02)
         desc = [rng.integers(0, 20, 3) for _ in range(3)]
         for _ in range(10):
-            y = rng.random(3)
             g = (rng.random(3) < 0.5).astype(float)
-            assert model.loss_mvc_rlda(y, g, params, desc) >= model.loss_mvc_lda(y, g) - 1e-15
+            rlda, lda = self.rlda_and_lda_loss(params, g, desc)
+            assert rlda >= lda - 1e-15
 
 
 class TestBackward:
@@ -404,11 +451,13 @@ class TestBackward:
         desc = self._desc(rng, labels, 20) if kind == "mvc-rlda" else None
 
         def loss_fn():
-            y = model.forward(ids, 12, params)
-            return model.sample_loss(y, gold, params, desc)
+            return reference_loss(model.forward(ids, 12, params), gold, params, desc)
 
         loss, grads = model.backward(ids, 12, gold, params, desc_ids_list=desc)
-        assert loss == loss_fn()
+        if kind == "mvc-lda":
+            assert loss == model.loss_mvc_lda(model.forward(ids, 12, params), gold)
+        else:
+            assert loss == pytest.approx(loss_fn(), rel=1e-12, abs=0.0)
         fd_gradcheck(params, loss_fn, grads, max_per_tensor=25)
 
     def test_gradients_with_fixed_dropout_masks(self):
@@ -420,8 +469,7 @@ class TestBackward:
         masks = model.make_dropout_masks(np.random.default_rng(1), 10, 3, 4, 0.2)
 
         def loss_fn():
-            y = model.forward(ids, 10, params, masks=masks)
-            return model.sample_loss(y, gold, params, desc)
+            return reference_loss(model.forward(ids, 10, params, masks=masks), gold, params, desc)
 
         _, grads = model.backward(ids, 10, gold, params, masks=masks, desc_ids_list=desc)
         fd_gradcheck(params, loss_fn, grads, max_per_tensor=20)
@@ -508,28 +556,23 @@ class TestCheckpoint:
             model.save_checkpoint(second, loaded, vocab_checksum="ab" * 32)
             assert path.read_bytes() == second.read_bytes()
 
-    def test_rejects_non_checkpoint(self, tmp_path):
-        path = tmp_path / "junk"
-        path.write_bytes(b'{"format": "other"}\n')
-        with pytest.raises(ValueError):
-            model.load_checkpoint(path)
-
-    def test_truncated_tensor_rejected(self, tmp_path):
-        params = small_params(seed=27)
+    def test_layout_is_the_version_1_checkpoint(self, tmp_path):
+        # files written before the shared tensor container must still load:
+        # a sorted-key JSON header line, then every tensor in tensors() order
+        params = small_params(kind="mvc-rlda", seed=27)
         path = tmp_path / "ckpt"
         model.save_checkpoint(path, params, vocab_checksum="x")
-        data = path.read_bytes()
-        path.write_bytes(data[:-16])
-        with pytest.raises(ValueError, match="truncated"):
-            model.load_checkpoint(path)
-
-
-    def test_trailing_bytes_rejected(self, tmp_path):
-        path = tmp_path / "ckpt"
-        model.save_checkpoint(path, small_params(seed=27), vocab_checksum="x")
-        path.write_bytes(path.read_bytes() + b"garbage")
-        with pytest.raises(ValueError, match="trailing bytes"):
-            model.load_checkpoint(path)
+        head, _, body = path.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        assert head.decode() == json.dumps(header, sort_keys=True)
+        assert set(header) == {
+            "format", "version", "kind", "vocab_size", "embed_dim", "n_filters", "n_labels",
+            "kernel_sizes", "lambda", "attention_softmax", "use_length", "length_scale",
+            "vocab_sha256", "tensors",
+        }
+        assert (header["format"], header["version"]) == ("mvclda.checkpoint", 1)
+        assert header["tensors"] == [[n, list(a.shape)] for n, a in params.tensors()]
+        assert body == b"".join(a.astype("<f8").tobytes() for _, a in params.tensors())
 
     def test_invalid_config_header_rejected(self, tmp_path):
         path = tmp_path / "ckpt"
