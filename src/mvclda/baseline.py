@@ -21,6 +21,8 @@ BASELINE_FORMAT_VERSION = 2
 
 MAX_FEATURES = 10_000
 
+_MIN_SCALE = 1e-100
+
 
 @dataclass
 class TfidfFeaturizer:
@@ -33,11 +35,10 @@ class TfidfFeaturizer:
     def transform(self, token_docs) -> np.ndarray:
         """L2-normalized tf-idf vectors (rows of norm 1, or 0 if empty)."""
         X = np.zeros((len(token_docs), len(self.terms)))
+        get = self.term_index.get
         for i, doc in enumerate(token_docs):
-            for tok in doc:
-                k = self.term_index.get(tok)
-                if k is not None:
-                    X[i, k] += 1.0
+            cols = [k for k in map(get, doc) if k is not None]
+            X[i] = np.bincount(np.array(cols, dtype=np.int64), minlength=len(self.terms))
         X *= self.idf
         norms = np.linalg.norm(X, axis=1, keepdims=True)
         np.divide(X, norms, out=X, where=norms > 0)
@@ -66,30 +67,53 @@ class SvmConfig:
     seed: int = 0
 
 
-def _train_hinge(X: np.ndarray, y: np.ndarray, cfg: SvmConfig, label_seed: int):
-    """Pegasos-style subgradient descent on hinge loss with L2 penalty.
+def _csr_rows(X: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Each row's nonzero columns and values, as views of X's CSR arrays."""
+    rows, indices = np.nonzero(X)
+    data = X[rows, indices]
+    indptr = np.searchsorted(rows, np.arange(X.shape[0] + 1))
+    return np.split(indices, indptr[1:-1]), np.split(data, indptr[1:-1])
 
-    y is +/-1. Returns (w, b); b is unregularized.
+
+def _train_hinge(csr, rows: np.ndarray, dim: int, y: np.ndarray, cfg: SvmConfig,
+                 label_seed: int):
+    """Pegasos-style subgradient descent on hinge loss with L2 penalty, over
+    the `_csr_rows` rows `rows` of the feature matrix.
+
+    y is +/-1 per row. Returns (w, b); b is unregularized. w is kept as
+    a * v (Shalev-Shwartz et al., 2011), so the shrink is O(1) and the
+    margin and the update touch only the sample's nonzeros.
     """
-    n, dim = X.shape
     if not np.any(y > 0):
         return np.zeros(dim), -1.0
     if not np.any(y < 0):
         return np.zeros(dim), 1.0
+    row_cols = [csr[0][r] for r in rows]
+    row_vals = [csr[1][r] for r in rows]
+    y = y.tolist()
+    reg, inv_reg = cfg.reg, 1.0 / cfg.reg
     rng = np.random.default_rng(label_seed)
-    w = np.zeros(dim)
+    v = np.zeros(dim)
+    a = 1.0
     b = 0.0
     t = 0
     for _epoch in range(cfg.epochs):
-        for i in rng.permutation(n):
+        for i in rng.permutation(len(rows)).tolist():
             t += 1
-            lr = 1.0 / (cfg.reg * (t + 1.0 / cfg.reg))
-            margin = y[i] * (X[i] @ w + b)
-            w *= 1.0 - lr * cfg.reg
+            lr = 1.0 / (reg * (t + inv_reg))
+            cols, vals, y_i = row_cols[i], row_vals[i], y[i]
+            v_row = v[cols]
+            margin = y_i * (a * np.dot(vals, v_row) + b)
+            a *= 1.0 - lr * reg
+            if a < _MIN_SCALE:  # fold the scale into v before it underflows
+                v *= a
+                v_row *= a
+                a = 1.0
             if margin < 1.0:
-                w += lr * y[i] * X[i]
-                b += lr * y[i]
-    return w, b
+                v_row += (lr * y_i / a) * vals
+                v[cols] = v_row
+                b += lr * y_i
+    return a * v, b
 
 
 @dataclass
@@ -116,11 +140,15 @@ def train_flat(X: np.ndarray, gold: np.ndarray, codes, cfg: SvmConfig) -> Linear
     """Independent classifier per label; zero-positive labels get an
     always-negative classifier."""
     codes = list(codes)
+    gold = np.asarray(gold)
+    csr, rows = _csr_rows(X), np.arange(X.shape[0])
     weights = np.zeros((len(codes), X.shape[1]))
     bias = np.zeros(len(codes))
     for j in range(len(codes)):
-        y = np.where(np.asarray(gold)[:, j] > 0, 1.0, -1.0)
-        weights[j], bias[j] = _train_hinge(X, y, cfg, label_seed=cfg.seed * 100_003 + j)
+        y = np.where(gold[:, j] > 0, 1.0, -1.0)
+        weights[j], bias[j] = _train_hinge(
+            csr, rows, X.shape[1], y, cfg, label_seed=cfg.seed * 100_003 + j
+        )
     return LinearOvrModel(nodes=codes, weights=weights, bias=bias)
 
 
@@ -141,20 +169,26 @@ def _hierarchy_nodes(codes, parents: dict[str, str]) -> list[str]:
     return nodes
 
 
-def _subtree_label_columns(node: str, codes, parents: dict[str, str]) -> np.ndarray:
-    """Label-space columns whose code lies in the subtree rooted at `node`
-    (the node itself included when it is a label)."""
-    cols = []
-    for j, code in enumerate(codes):
-        walk = code
-        while True:
-            if walk == node:
-                cols.append(j)
-                break
-            if walk not in parents:
-                break
-            walk = parents[walk]
-    return np.array(cols, dtype=np.int64)
+def _ancestor_chains(codes, parents: dict[str, str]) -> list[list[str]]:
+    """Per code, the hierarchy nodes from the code itself up to its root."""
+    chains = []
+    for code in codes:
+        chain = [code]
+        while chain[-1] in parents:
+            chain.append(parents[chain[-1]])
+        chains.append(chain)
+    return chains
+
+
+def _subtree_columns(chains) -> dict[str, list[int]]:
+    """Node -> label columns whose code lies in the node's subtree (the
+    node itself included when it is a label), from one pass over the
+    chains."""
+    cols: dict[str, list[int]] = {}
+    for j, chain in enumerate(chains):
+        for node in chain:
+            cols.setdefault(node, []).append(j)
+    return cols
 
 
 def train_hierarchical(
@@ -167,24 +201,22 @@ def train_hierarchical(
     codes = list(codes)
     gold = np.asarray(gold)
     nodes = _hierarchy_nodes(codes, parents)
+    subtree_cols = _subtree_columns(_ancestor_chains(codes, parents))
     subtree_pos = {
-        node: gold[:, _subtree_label_columns(node, codes, parents)].any(axis=1)
-        if _subtree_label_columns(node, codes, parents).size
+        node: gold[:, subtree_cols[node]].any(axis=1)
+        if node in subtree_cols
         else np.zeros(len(gold), dtype=bool)
         for node in nodes
     }
+    csr, all_rows = _csr_rows(X), np.arange(len(gold))
     weights = np.zeros((len(nodes), X.shape[1]))
     bias = np.zeros(len(nodes))
     for k, node in enumerate(nodes):
         parent = parents.get(node)
-        pool = subtree_pos[parent] if parent is not None else np.ones(len(gold), dtype=bool)
-        pool_idx = np.flatnonzero(pool)
-        if pool_idx.size == 0:
-            weights[k], bias[k] = np.zeros(X.shape[1]), -1.0
-            continue
-        y = np.where(subtree_pos[node][pool_idx], 1.0, -1.0)
+        pool = all_rows if parent is None else np.flatnonzero(subtree_pos[parent])
+        y = np.where(subtree_pos[node][pool], 1.0, -1.0)
         weights[k], bias[k] = _train_hinge(
-            X[pool_idx], y, cfg, label_seed=cfg.seed * 100_003 + k
+            csr, pool, X.shape[1], y, cfg, label_seed=cfg.seed * 100_003 + k
         )
     return LinearOvrModel(nodes=nodes, weights=weights, bias=bias, hierarchical=True)
 
@@ -196,12 +228,7 @@ def predict_hierarchical(
     predict positive; the positive set is therefore ancestor-closed."""
     fired = model.decision(X) > 0
     out = np.zeros((X.shape[0], len(codes)), dtype=bool)
-    for j, code in enumerate(codes):
-        chain = [code]
-        node = code
-        while node in parents:
-            node = parents[node]
-            chain.append(node)
+    for j, chain in enumerate(_ancestor_chains(codes, parents)):
         try:
             cols = [model.node_index[n] for n in chain]
         except KeyError as exc:

@@ -250,7 +250,7 @@ def _training_setup(args, schema: dict) -> _TrainingSetup:
     labels = _load_label_space(args.labels)
     token_docs = [corpus.preprocess_text(d.text) for d in raw_train]
     vocab = corpus.build_vocabulary(token_docs, values.get("min_doc_freq", corpus.MIN_DOC_FREQ))
-    train_docs, _ = corpus.encode_corpus(raw_train, vocab, labels)
+    train_docs, _ = corpus.encode_corpus(raw_train, vocab, labels, token_docs)
     dev_docs, _ = corpus.encode_corpus(raw_dev, vocab, labels)
     inputs = {"train": Path(args.train), "dev": Path(args.dev), "labels": Path(args.labels),
               "config": Path(args.config)}

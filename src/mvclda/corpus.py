@@ -28,22 +28,15 @@ class DataFormatError(ValueError):
     """Malformed input file (carries a line number where available)."""
 
 
-def _is_digits_only(token: str) -> bool:
-    # ASCII digits only; unicode digit lookalikes are kept.
-    return all("0" <= c <= "9" for c in token)
-
-
 def preprocess_text(raw: str) -> list[str]:
     """Lowercase, split on whitespace, strip edge punctuation, and drop
-    tokens made solely of ASCII digits. Empty input gives an empty list."""
+    tokens made solely of ASCII digits (unicode digit lookalikes are kept).
+    Empty input gives an empty list."""
     tokens = []
     for piece in raw.lower().split():
         tok = piece.strip(PUNCT_EDGE)
-        if not tok:
-            continue
-        if _is_digits_only(tok):
-            continue
-        tokens.append(tok)
+        if tok and not (tok.isascii() and tok.isdigit()):
+            tokens.append(tok)
     return tokens
 
 
@@ -189,11 +182,12 @@ class EncodedDocument:
 
 
 def encode_document(
-    raw: RawDocument, vocab: Vocabulary, labels: LabelSpace
+    raw: RawDocument, vocab: Vocabulary, labels: LabelSpace, tokens: list[str] | None = None
 ) -> tuple[EncodedDocument, int]:
     """Encode one document; returns (doc, count of gold codes that were
-    dropped because the label space does not contain them)."""
-    ids = vocab.encode(preprocess_text(raw.text))
+    dropped because the label space does not contain them). `tokens`, when
+    given, is `preprocess_text(raw.text)` computed by the caller."""
+    ids = vocab.encode(preprocess_text(raw.text) if tokens is None else tokens)
     gold = np.zeros(labels.n_labels, dtype=np.float64)
     dropped = 0
     for code in raw.codes:
@@ -206,12 +200,15 @@ def encode_document(
 
 
 def encode_corpus(
-    raws: list[RawDocument], vocab: Vocabulary, labels: LabelSpace
+    raws: list[RawDocument], vocab: Vocabulary, labels: LabelSpace,
+    token_docs: list[list[str]] | None = None,
 ) -> tuple[list[EncodedDocument], int]:
+    """`encode_document` over a corpus; `token_docs`, when given, holds
+    each document's preprocessed tokens."""
     docs = []
     dropped = 0
-    for raw in raws:
-        doc, d = encode_document(raw, vocab, labels)
+    for i, raw in enumerate(raws):
+        doc, d = encode_document(raw, vocab, labels, None if token_docs is None else token_docs[i])
         docs.append(doc)
         dropped += d
     if dropped:
@@ -464,7 +461,7 @@ def write_tensor_file(path, header: dict, tensors) -> None:
     with open(path, "wb") as fh:
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
         for _name, arr in arrays:
-            fh.write(arr.tobytes())
+            fh.write(np.ascontiguousarray(arr).data)  # no copy of a C-ordered array
 
 
 def _is_tensor_entry(entry) -> bool:
@@ -530,15 +527,23 @@ def save_vocabulary(path, vocab: Vocabulary) -> None:
             fh.write(f"{tok}\t{i}\t{vocab.doc_freq[tok]}\n")
 
 
+def _parse_int(path, lineno: int, name: str, raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise DataFormatError(f"{path}:{lineno}: bad {name} {raw!r}") from None
+
+
 def load_vocabulary(path) -> Vocabulary:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if not header.startswith("#version="):
             raise DataFormatError(f"{path}:1: missing vocabulary header")
-        fields = dict(p.split("=", 1) for p in header[1:].split("\t"))
-        if int(fields.get("version", -1)) != VOCAB_FORMAT_VERSION:
+        fields = dict(p.partition("=")[::2] for p in header[1:].split("\t"))
+        if _parse_int(path, 1, "version", fields["version"]) != VOCAB_FORMAT_VERSION:
             raise DataFormatError(f"{path}:1: unsupported vocabulary format version")
-        oov_id = int(fields.get("oov_id", -1))  # a missing oov_id fails the check below
+        # a missing oov_id fails the check below
+        oov_id = _parse_int(path, 1, "oov_id", fields.get("oov_id", "-1"))
         id_to_token: list[str] = []
         doc_freq: dict[str, int] = {}
         for lineno, line in enumerate(fh, start=2):
@@ -549,10 +554,10 @@ def load_vocabulary(path) -> Vocabulary:
             if len(parts) != 3:
                 raise DataFormatError(f"{path}:{lineno}: expected token<TAB>id<TAB>doc_freq")
             tok, ident, freq = parts
-            if int(ident) != len(id_to_token):
+            if _parse_int(path, lineno, "id", ident) != len(id_to_token):
                 raise DataFormatError(f"{path}:{lineno}: ids must be dense and in order")
             id_to_token.append(tok)
-            doc_freq[tok] = int(freq)
+            doc_freq[tok] = _parse_int(path, lineno, "doc_freq", freq)
     if oov_id != len(id_to_token):
         raise DataFormatError(f"{path}: oov_id does not follow the retained tokens")
     return Vocabulary(

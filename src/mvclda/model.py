@@ -602,10 +602,24 @@ def save_checkpoint(path, params: ModelParams, vocab_checksum: str) -> None:
     write_tensor_file(path, header, params.tensors())
 
 
+def _tensor_shapes(cfg: ModelConfig, vocab_size: int, n_labels: int) -> dict[str, tuple]:
+    """Each tensor's shape under `cfg`, by `ModelParams.tensors()` name."""
+    d_e, d_c = cfg.embed_dim, cfg.n_filters
+    shapes = {"W_e": (vocab_size, d_e)}
+    shapes.update({f"conv{i}": (s, d_e, d_c) for i, s in enumerate(cfg.kernel_sizes)})
+    shapes.update(V=(n_labels, d_c), U=(n_labels, d_c), b=(n_labels,), K=(n_labels,),
+                  d=(n_labels,))
+    if cfg.kind == "mvc-rlda":
+        shapes.update(desc_conv=(max(cfg.kernel_sizes), d_e, d_c), desc_W=(d_c, d_c),
+                      desc_b=(d_c,))
+    return shapes
+
+
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
     """Read a checkpoint written by `save_checkpoint`. A damaged or foreign
     file (see `read_tensor_file`), a header that does not describe a valid
-    model, or a missing tensor raises DataFormatError."""
+    model, a missing tensor, or a tensor whose shape the header's config
+    does not give raises DataFormatError."""
     header, arrays = read_tensor_file(path, CHECKPOINT_FORMAT, CHECKPOINT_FORMAT_VERSION)
     try:
         cfg = ModelConfig(
@@ -619,18 +633,26 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
             length_scale=header["length_scale"],
         )
         cfg.validate()
-        conv = [arrays[f"conv{i}"] for i in range(len(cfg.kernel_sizes))]
-        params = ModelParams(
-            config=cfg,
-            W_e=arrays["W_e"], conv=conv,
-            V=arrays["V"], U=arrays["U"], b=arrays["b"],
-            K=arrays["K"], d=arrays["d"],
-            desc_conv=arrays.get("desc_conv"),
-            desc_W=arrays.get("desc_W"),
-            desc_b=arrays.get("desc_b"),
-        )
+        shapes = _tensor_shapes(cfg, header["vocab_size"], header["n_labels"])
     except KeyError as exc:
         raise DataFormatError(f"{path}: checkpoint lacks {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: invalid checkpoint header: {exc}") from exc
+    for name, shape in shapes.items():
+        if name not in arrays:
+            raise DataFormatError(f"{path}: checkpoint lacks {name!r}")
+        if arrays[name].shape != shape:
+            raise DataFormatError(
+                f"{path}: tensor {name} has shape {list(arrays[name].shape)}, "
+                f"the header's config needs {list(shape)}"
+            )
+    params = ModelParams(
+        config=cfg,
+        W_e=arrays["W_e"], conv=[arrays[f"conv{i}"] for i in range(len(cfg.kernel_sizes))],
+        V=arrays["V"], U=arrays["U"], b=arrays["b"],
+        K=arrays["K"], d=arrays["d"],
+        desc_conv=arrays.get("desc_conv"),
+        desc_W=arrays.get("desc_W"),
+        desc_b=arrays.get("desc_b"),
+    )
     return params, header

@@ -307,3 +307,69 @@ def hand_pearson(x, y):
     vx = sum((a - mx) ** 2 for a in x)
     vy = sum((b - my) ** 2 for b in y)
     return cov / math.sqrt(vx * vy)
+
+
+def dense_pegasos(X, y, cfg, label_seed):
+    """Pegasos subgradient descent on hinge loss with L2 penalty over dense
+    rows: per step one dense margin, one dense shrink of w and one dense
+    update. y is +/-1; returns (w, b). The loop `baseline._train_hinge`
+    replaced."""
+    n, dim = X.shape
+    if not np.any(y > 0):
+        return np.zeros(dim), -1.0
+    if not np.any(y < 0):
+        return np.zeros(dim), 1.0
+    rng = np.random.default_rng(label_seed)
+    w = np.zeros(dim)
+    b = 0.0
+    t = 0
+    for _epoch in range(cfg.epochs):
+        for i in rng.permutation(n):
+            t += 1
+            lr = 1.0 / (cfg.reg * (t + 1.0 / cfg.reg))
+            margin = y[i] * (X[i] @ w + b)
+            w *= 1.0 - lr * cfg.reg
+            if margin < 1.0:
+                w += lr * y[i] * X[i]
+                b += lr * y[i]
+    return w, b
+
+
+def subtree_label_columns(node, codes, parents):
+    """Label columns whose code lies in the subtree rooted at `node` (the
+    node itself included when it is a label), by walking every code's
+    ancestor chain."""
+    cols = []
+    for j, code in enumerate(codes):
+        walk = code
+        while True:
+            if walk == node:
+                cols.append(j)
+                break
+            if walk not in parents:
+                break
+            walk = parents[walk]
+    return np.array(cols, dtype=np.int64)
+
+
+def walk_hierarchical_fit(X, gold, codes, parents, nodes, cfg):
+    """Per hierarchy node, `dense_pegasos` on the copied rows of its pool:
+    the documents whose gold set meets the parent's subtree (all documents
+    for a root), positive when they meet the node's own subtree, with the
+    subtrees from `subtree_label_columns`. Returns (weights, bias, pools)."""
+    gold = np.asarray(gold)
+
+    def meets(node):
+        cols = subtree_label_columns(node, codes, parents)
+        return gold[:, cols].any(axis=1) if cols.size else np.zeros(len(gold), dtype=bool)
+
+    weights = np.zeros((len(nodes), X.shape[1]))
+    bias = np.zeros(len(nodes))
+    pools = {}
+    for k, node in enumerate(nodes):
+        parent = parents.get(node)
+        pool = np.flatnonzero(meets(parent)) if parent is not None else np.arange(len(gold))
+        pools[node] = pool
+        y = np.where(meets(node)[pool], 1.0, -1.0)
+        weights[k], bias[k] = dense_pegasos(X[pool], y, cfg, cfg.seed * 100_003 + k)
+    return weights, bias, pools

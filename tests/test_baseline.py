@@ -6,6 +6,8 @@ import pytest
 from mvclda import baseline
 from mvclda.corpus import read_tensor_file
 
+from oracles import dense_pegasos, subtree_label_columns, walk_hierarchical_fit
+
 
 class TestTfidf:
     def test_hand_case(self):
@@ -188,6 +190,91 @@ class TestHierarchical:
             X, gold, ["leaf"], {"leaf": "internal"}, baseline.SvmConfig(seed=8)
         )
         assert set(m.nodes) == {"leaf", "internal"}
+
+
+def _sparse_tfidf(rng, n_docs, n_terms=40):
+    """Tf-idf rows of random short documents; document 0 has no tokens (an
+    all-digit note), so its row is all zeros."""
+    terms = [f"t{k}" for k in range(n_terms)]
+    docs = [[]] + [
+        [terms[int(k)] for k in rng.integers(0, n_terms, rng.integers(1, 9))]
+        for _ in range(n_docs - 1)
+    ]
+    X = baseline.fit_tfidf(docs).transform(docs)
+    assert not X[0].any() and X.any(axis=1)[1:].all()
+    return X
+
+
+def _assert_matches_oracle(weights, bias, ref_weights, ref_bias):
+    scale = max(np.abs(ref_weights).max(), 1e-300)
+    assert np.abs(weights - ref_weights).max() <= 1e-10 * scale
+    assert np.abs(bias - ref_bias).max() <= 1e-10
+
+
+class TestSparsePegasosMatchesDenseLoop:
+    """The scaled sparse steps against the dense per-step loop they replaced:
+    the same visiting order and arithmetic, only the float sums reordered."""
+
+    def test_flat(self):
+        rng = np.random.default_rng(11)
+        X = _sparse_tfidf(rng, 30)
+        gold = (rng.random((30, 5)) < 0.3).astype(float)
+        gold[:, 3] = 1.0   # all positive
+        gold[:, 4] = 0.0   # no positive
+        gold[0, 0] = 1.0   # the empty row is a positive somewhere
+        cfg = baseline.SvmConfig(epochs=4, reg=1e-2, seed=3)
+        ovr = baseline.train_flat(X, gold, [f"c{j}" for j in range(5)], cfg)
+        ref = [dense_pegasos(X, np.where(gold[:, j] > 0, 1.0, -1.0), cfg, 3 * 100_003 + j)
+               for j in range(5)]
+        _assert_matches_oracle(ovr.weights, ovr.bias,
+                               np.array([w for w, _ in ref]), np.array([b for _, b in ref]))
+        assert ovr.bias[3] == 1.0 and ovr.bias[4] == -1.0
+        assert ovr.weights[1].any()
+
+    # three levels: R > G2 > c3 and G1 > c0 > c1 > c2 (R, G1, G2 are not
+    # codes); c4 > c5 > c7; c6 is a lone root; N gets a classifier but has
+    # no code below it (its child x is not a code either)
+    CODES = ["c0", "c1", "c2", "c3", "c4", "c5", "c6", "c7"]
+    PARENTS = {"c0": "G1", "c1": "c0", "c2": "c1", "c3": "G2", "G2": "R", "c5": "c4",
+               "c7": "c5", "x": "N"}
+
+    def test_node_pools_equal_subtree_walk(self):
+        nodes = baseline._hierarchy_nodes(self.CODES, self.PARENTS)
+        assert set(nodes) == set(self.CODES) | {"G1", "G2", "R", "N"}
+        cols = baseline._subtree_columns(baseline._ancestor_chains(self.CODES, self.PARENTS))
+        for node in nodes:
+            assert cols.get(node, []) == subtree_label_columns(
+                node, self.CODES, self.PARENTS).tolist()
+
+    def test_hierarchical(self):
+        rng = np.random.default_rng(12)
+        X = _sparse_tfidf(rng, 36)
+        gold = (rng.random((36, 8)) < 0.25).astype(float)
+        gold[:, 6] = 1.0   # all positive
+        gold[:, 5] = 0.0   # no positive
+        gold[:, 7] = 0.0   # no positive, and an empty pool (c5's subtree)
+        cfg = baseline.SvmConfig(epochs=3, reg=1e-2, seed=5)
+        ovr = baseline.train_hierarchical(X, gold, self.CODES, self.PARENTS, cfg)
+        ref_w, ref_b, pools = walk_hierarchical_fit(
+            X, gold, self.CODES, self.PARENTS, ovr.nodes, cfg)
+        _assert_matches_oracle(ovr.weights, ovr.bias, ref_w, ref_b)
+        # a child pool is a strict subset here, so the row picks are exercised
+        assert 0 < pools["c1"].size < len(X)
+        assert pools["c7"].size == 0
+
+    def test_vanishing_scale_folds_into_v(self):
+        # a regularizer so strong that the first shrink factor rounds to
+        # zero: the scale must be folded away, not divided by
+        rng = np.random.default_rng(13)
+        X = _sparse_tfidf(rng, 12)
+        y = np.where(rng.random(12) < 0.5, 1.0, -1.0)
+        y[:2] = 1.0, -1.0
+        cfg = baseline.SvmConfig(epochs=2, reg=1e20, seed=0)
+        w, b = baseline._train_hinge(baseline._csr_rows(X), np.arange(12), X.shape[1], y,
+                                     cfg, label_seed=7)
+        ref_w, ref_b = dense_pegasos(X, y, cfg, 7)
+        assert np.all(np.isfinite(w))
+        _assert_matches_oracle(w, np.array([b]), ref_w, np.array([ref_b]))
 
 
 class TestSerialization:

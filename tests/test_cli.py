@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mvclda import cli, corpus
+from mvclda import cli, corpus, model
 from mvclda.metrics import MetricsReport
 
 from test_corpus import TENSOR_FILE_DAMAGES, damage_tensor_file
@@ -75,8 +75,6 @@ def trained_dir(tmp_path_factory, corpus_dir, train_cfg_path):
 
 class TestExitCodes:
     def test_numerical_errors_map_to_exit_3(self, monkeypatch, capsys):
-        from mvclda import model
-
         def blow_up(args):
             raise model.NumericalError("training diverged at epoch 2, batch 7")
 
@@ -279,11 +277,15 @@ class TestEvaluate:
         (data / "descriptions.tsv").write_text((corpus_dir / "descriptions.tsv").read_text())
         assert self._evaluate(trained_dir, data, "test", tmp_path / "m.json") == 0
 
-    @pytest.mark.parametrize("damage", ["invalid_config"] + list(TENSOR_FILE_DAMAGES))
+    @pytest.mark.parametrize(
+        "damage", ["invalid_config", "short_V", "no_U"] + list(TENSOR_FILE_DAMAGES)
+    )
     def test_damaged_checkpoint_is_data_error(self, damage, trained_dir, corpus_dir,
                                               tmp_path, capsys):
         # "oversized_tensor" declares a 10^6 x 10^6 W_e, which the reader
-        # must refuse before allocating it
+        # must refuse before allocating it; "short_V" and "no_U" are
+        # self-consistent files whose V lacks one of the header's n_filters
+        # columns, or which lack U
         ckpt = tmp_path / "checkpoint.bin"
         ckpt.write_bytes((trained_dir / "checkpoint.bin").read_bytes())
         if damage == "invalid_config":
@@ -291,12 +293,27 @@ class TestEvaluate:
             header = json.loads(head)
             header["n_filters"] = 0
             ckpt.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        elif damage in ("short_V", "no_U"):
+            header, arrays = corpus.read_tensor_file(
+                ckpt, model.CHECKPOINT_FORMAT, model.CHECKPOINT_FORMAT_VERSION
+            )
+            if damage == "short_V":
+                arrays["V"] = arrays["V"][:, :-1]
+            else:
+                del arrays["U"]
+            del header["tensors"]
+            corpus.write_tensor_file(ckpt, header, arrays.items())
         else:
             damage_tensor_file(ckpt, damage)
         code = self._evaluate(trained_dir, corpus_dir, "test", tmp_path / "m.json",
                               checkpoint=ckpt)
         assert code == cli.EXIT_DATA
-        assert str(ckpt) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(ckpt) in err
+        if damage == "short_V":
+            assert "tensor V has shape" in err
+        if damage == "no_U":
+            assert "lacks 'U'" in err
 
     def test_malformed_test_file_reports_line(self, trained_dir, corpus_dir,
                                               tmp_path, capsys):

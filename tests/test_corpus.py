@@ -24,6 +24,11 @@ class TestPreprocess:
         # "2019." strips to "2019" which is digits-only and therefore dropped
         assert corpus.preprocess_text("x-ray, 2019.") == ["x-ray"]
 
+    def test_unicode_digit_lookalikes_kept(self):
+        # only strings of ASCII 0-9 are dropped: a superscript, Arabic-Indic
+        # and fullwidth digits all survive
+        assert corpus.preprocess_text("² ٣٤ １２ 12") == ["²", "٣٤", "１２"]
+
     def test_mixed_alphanumeric_kept(self):
         assert corpus.preprocess_text("b12 100mg 100") == ["b12", "100mg"]
 
@@ -110,6 +115,18 @@ class TestVocabulary:
             path.write_text(text)
             with pytest.raises(corpus.DataFormatError):
                 corpus.load_vocabulary(path)
+
+    @pytest.mark.parametrize("text, line", [
+        ("#version=1\toov_id=1\ntok\tzero\t3\n", 2),
+        ("#version=1\toov_id=2\ntok\t0\t3\nkot\t1\tthree\n", 3),
+        ("#version=one\toov_id=1\ntok\t0\t3\n", 1),
+        ("#version=1\toov_id=x\ntok\t0\t3\n", 1),
+    ])
+    def test_load_rejects_non_integer_field_with_line(self, tmp_path, text, line):
+        path = tmp_path / "vocab.tsv"
+        path.write_text(text)
+        with pytest.raises(corpus.DataFormatError, match=re.escape(f"{path}:{line}: bad")):
+            corpus.load_vocabulary(path)
 
 
 def _toy_space():
