@@ -66,6 +66,13 @@ class SvmConfig:
     reg: float = 1e-4
     seed: int = 0
 
+    def validate(self) -> None:
+        # the Pegasos step size is 1 / (reg * t)
+        if not (math.isfinite(self.reg) and self.reg > 0.0):
+            raise ValueError("svm_reg must be finite and > 0")
+        if self.epochs < 1:
+            raise ValueError("svm_epochs must be >= 1")
+
 
 def _csr_rows(X: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Each row's nonzero columns and values, as views of X's CSR arrays."""

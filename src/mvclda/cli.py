@@ -484,6 +484,12 @@ def cmd_ablate(args) -> int:
 
 def cmd_baseline(args) -> int:
     values = load_config(args.config, BASELINE_SCHEMA) if args.config else {}
+    svm_cfg = baseline.SvmConfig(
+        epochs=values.get("svm_epochs", 30),
+        reg=values.get("svm_reg", 1e-4),
+        seed=args.seed,
+    )
+    svm_cfg.validate()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     raw_train = corpus.read_corpus_jsonl(args.train)
@@ -505,11 +511,6 @@ def cmd_baseline(args) -> int:
     featurizer = baseline.fit_tfidf(train_tokens, values.get("max_features", baseline.MAX_FEATURES))
     X_train = featurizer.transform(train_tokens)
     X_test = featurizer.transform(test_tokens)
-    svm_cfg = baseline.SvmConfig(
-        epochs=values.get("svm_epochs", 30),
-        reg=values.get("svm_reg", 1e-4),
-        seed=args.seed,
-    )
     inputs = {"train": Path(args.train), "test": Path(args.test), "labels": Path(args.labels)}
     if args.config:
         inputs["config"] = Path(args.config)

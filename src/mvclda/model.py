@@ -33,7 +33,13 @@ blocks gives the cross-channel max (a later channel wins only when strictly
 greater), and in backward one GEMM gives the chunk's kernel gradients and
 one its window gradients, which s_max shifted adds fold back onto the input
 rows. So the convolution's transient memory depends on CONV_CHUNK, not on
-the document length. The description encoder is the one-channel case.
+the document length.
+
+The description encoder is the one-channel case, run once per training
+batch (DescriptionBatch): the parameters are fixed within a batch, so the
+descriptions of the batch's gold labels are packed into one padded
+sequence, encoded by one convolution, and their gradient is summed over the
+batch's samples before one backward pass.
 
 Gradients are analytic and exact for this fixed architecture (the max
 operations route their full subgradient to the lowest-index winner).
@@ -289,12 +295,13 @@ def _stack_kernels(weights) -> np.ndarray:
 
 
 def _windows(Xp: np.ndarray, s: int) -> np.ndarray:
-    # zero-copy (l, s*d_e) view, row-major over (offset, embedding-dim)
+    # zero-copy (l, s*d_e) view, row-major over (offset, embedding-dim): in
+    # the C-contiguous Xp a window is s*d_e consecutive floats, and the next
+    # window starts one row later
     if Xp.shape[0] < s:
         return np.empty((0, s * Xp.shape[1]))
-    win = np.lib.stride_tricks.sliding_window_view(Xp, s, axis=0)
-    win = win.transpose(0, 2, 1)
-    return win.reshape(win.shape[0], -1)
+    return np.ndarray(shape=(Xp.shape[0] - s + 1, s * Xp.shape[1]), buffer=Xp,
+                      strides=(Xp.strides[0], Xp.strides[1]))
 
 
 def _conv_max(Xp: np.ndarray, W_stack: np.ndarray, d_c: int, winner: bool):
@@ -438,21 +445,92 @@ def forward(token_ids, length: int, params: ModelParams, masks: DropoutMasks | N
     return y
 
 
-def _encode_description_cached(desc_ids, params: ModelParams):
-    """f(D) in (0,1)^{d_c} for a description's token ids (tied embedding,
-    largest-kernel convolution, spatial max pool, sigmoid dense layer), and
-    the cache its gradient needs."""
-    ids = np.asarray(desc_ids, dtype=np.int64)
-    if len(ids) == 0:
-        raise ValueError("cannot encode an empty description")
-    Xp, _ = _embed_padded(ids, params.W_e, params.desc_conv.shape[0])
-    W = _stack_kernels([params.desc_conv])
-    Zd, _ = _conv_max(Xp, W, W.shape[1], False)
-    amax = Zd.argmax(axis=0)
-    m = Zd[amax, np.arange(Zd.shape[1])]
-    pre = params.desc_W @ m + params.desc_b
-    f = sigmoid(pre)
-    return f, {"ids": ids, "Xp": Xp, "W": W, "amax": amax, "m": m, "f": f}
+class DescriptionBatch:
+    """The description encodings f(D_j) of a batch's labels, all from one
+    convolution, and the gradient they collect over the batch.
+
+    The parameters are fixed within a batch, so each label is encoded once.
+    The descriptions are laid into one padded sequence with s//2 zero rows
+    between neighbours (kernel width s = s_max). A window reaches s//2 rows
+    back and (s-1)//2 ahead, so none mixes two descriptions, and each
+    description's rows see exactly the windows of its own padded input. One
+    `_conv_max` runs over the sequence, and each description takes its
+    spatial max over its own rows (ties to the lowest row). `backward` adds
+    each sample's regularizer gradient w.r.t. the dense layer's input into
+    one row per label (`regularize`); the encoder's gradient is linear in
+    it, so `finish` runs the encoder's backward once for the whole batch.
+    """
+
+    def __init__(self, params: ModelParams, desc_ids_list, labels):
+        self.params = params
+        labels = np.asarray(labels, dtype=np.int64)
+        self.row = np.full(params.n_labels, -1)  # label -> its row of F and Dpre
+        self.row[labels] = np.arange(len(labels))
+        descs = [np.asarray(desc_ids_list[j], dtype=np.int64) for j in labels]
+        lens = np.array([len(ids) for ids in descs])
+        if np.any(lens == 0):
+            raise ValueError("cannot encode an empty description")
+        s, _, d_c = params.desc_conv.shape
+        # the output row of every description token: description k's tokens
+        # follow k gaps of s//2 zero rows
+        self.ids = np.concatenate(descs)
+        self.rows = np.arange(len(self.ids)) + s // 2 * np.repeat(np.arange(len(lens)), lens)
+        starts = np.concatenate(([0], np.cumsum(lens[:-1])))
+        self.Xp = np.zeros((self.rows[-1] + s, params.W_e.shape[1]))
+        self.Xp[s // 2 + self.rows] = params.W_e[self.ids]
+        self.W = _stack_kernels([params.desc_conv])
+        Z, _ = _conv_max(self.Xp, self.W, d_c, False)
+        Zd = Z[self.rows]
+        self.m = np.maximum.reduceat(Zd, starts, axis=0)             # (k, d_c)
+        # argmax within each description: the first row holding the max
+        # (or, as argmax does, the first NaN)
+        hit = (Zd == np.repeat(self.m, lens, axis=0)) | np.isnan(Zd)
+        pos = np.where(hit, np.arange(len(Zd))[:, None], len(Zd))
+        self.amax = self.rows[np.minimum.reduceat(pos, starts, axis=0)]
+        self.F = sigmoid(self.m @ params.desc_W.T + params.desc_b)  # (k, d_c)
+        self.Dpre = np.zeros_like(self.F)
+
+    def regularize(self, js: np.ndarray, grads: GradientSet) -> float:
+        """lambda * sum_j ||V_j - f(D_j)||^2 over the gold labels `js` of one
+        sample; adds its gradient into grads["V"] and the batch's Dpre."""
+        params, lam = self.params, self.params.config.lambda_
+        idx = self.row[js]
+        if np.any(idx < 0):
+            raise ValueError("a gold label is missing from the description batch")
+        F = self.F[idx]
+        diff = params.V[js] - F
+        grads["V"][js] += 2.0 * lam * diff
+        if not params.config.freeze_desc_encoder:
+            self.Dpre[idx] += -2.0 * lam * diff * F * (1.0 - F)
+        return lam * float(np.sum(diff * diff))
+
+    def finish(self, grads: GradientSet) -> None:
+        """Add the description encoder's gradient for the collected Dpre."""
+        params, cfg = self.params, self.params.config
+        if cfg.freeze_desc_encoder:
+            return
+        grads["desc_W"] += self.Dpre.T @ self.m
+        grads["desc_b"] += self.Dpre.sum(axis=0)
+        d_c = self.F.shape[1]
+        dZ = np.zeros((self.rows[-1] + 1, d_c))
+        dZ[self.amax, np.arange(d_c)] = self.Dpre @ params.desc_W
+        dW, dX = _conv_max_backward(self.Xp, self.W, None, dZ)
+        grads["desc_conv"] += dW.reshape(params.desc_conv.shape)
+        if not cfg.freeze_embeddings:
+            np.add.at(grads["W_e"], self.ids, dX[self.rows])
+
+
+def description_batch(params: ModelParams, desc_ids_list, golds) -> DescriptionBatch | None:
+    """The DescriptionBatch of every label gold in one of `golds` (one gold
+    vector per sample), or None when no regularizer applies: an mvc-lda
+    model, lambda = 0, or no gold label."""
+    cfg = params.config
+    if cfg.kind != "mvc-rlda" or cfg.lambda_ <= 0.0:
+        return None
+    if desc_ids_list is None:
+        raise ValueError("the mvc-rlda regularizer requires encoded label descriptions")
+    labels = np.flatnonzero(np.any(np.asarray(golds) > 0, axis=0))
+    return DescriptionBatch(params, desc_ids_list, labels) if len(labels) else None
 
 
 # ---------------------------------------------------------------------------
@@ -481,11 +559,19 @@ def backward(
     masks: DropoutMasks | None = None,
     desc_ids_list=None,
     out: GradientSet | None = None,
+    *,
+    desc_batch: DescriptionBatch | None = None,
 ) -> tuple[float, GradientSet]:
     """Per-sample loss and analytic gradients for every trainable tensor.
 
     The dropout masks are fixed for the forward/backward pair. For
     mvc-rlda, `desc_ids_list` holds the encoded description of every label.
+
+    `desc_batch` is the `description_batch` of the samples whose gradients
+    `out` collects, built for these parameters; its gold labels must
+    include this sample's. The caller finishes it into `out` once the last
+    sample is in. Without it, this sample's gold labels form a batch of
+    their own, finished here.
 
     Without `out`, the gradients go to a fresh buffer that is checked to be
     finite. With `out`, they are added into it unchecked, so one buffer can
@@ -493,9 +579,6 @@ def backward(
     always gives a non-finite sum).
     """
     cfg = params.config
-    rlda = cfg.kind == "mvc-rlda"
-    if rlda and desc_ids_list is None:
-        raise ValueError("mvc-rlda backward requires encoded label descriptions")
     y, cache = _forward_cached(token_ids, length, params, masks)
     g = np.asarray(gold, dtype=np.float64)
     grads = GradientSet.zeros_like(params) if out is None else out
@@ -523,28 +606,14 @@ def backward(
         dC = C @ (VtdP + VtdP.T)
         grads["V"] += dP_pre @ G
 
-    # attention regularizer and description encoder; each gold label's
-    # description is encoded once, for both its loss term and its gradient
+    # attention regularizer; the description encoder's gradient waits for
+    # the batch's `finish`
+    own_batch = desc_batch is None
+    if own_batch:
+        desc_batch = description_batch(params, desc_ids_list, [g])
     reg = 0.0
-    if rlda and cfg.lambda_ > 0.0:
-        for j in np.flatnonzero(g > 0):
-            f, dcache = _encode_description_cached(desc_ids_list[j], params)
-            diff = params.V[j] - f
-            reg += cfg.lambda_ * float(diff @ diff)
-            grads["V"][j] += 2.0 * cfg.lambda_ * diff
-            if cfg.freeze_desc_encoder:
-                continue
-            df = -2.0 * cfg.lambda_ * diff
-            dpre = df * f * (1.0 - f)
-            grads["desc_W"] += np.outer(dpre, dcache["m"])
-            grads["desc_b"] += dpre
-            dm = params.desc_W.T @ dpre
-            dZd = np.zeros((len(dcache["ids"]), params.desc_conv.shape[2]))
-            dZd[dcache["amax"], np.arange(dZd.shape[1])] = dm
-            dWc, dXdesc = _conv_max_backward(dcache["Xp"], dcache["W"], None, dZd)
-            grads["desc_conv"] += dWc.reshape(params.desc_conv.shape)
-            if not cfg.freeze_embeddings:
-                np.add.at(grads["W_e"], dcache["ids"], dXdesc)
+    if desc_batch is not None:
+        reg = desc_batch.regularize(np.flatnonzero(g > 0), grads)
     loss = loss_mvc_lda(y, g) + reg
     if not np.isfinite(loss):
         raise NumericalError("non-finite loss")
@@ -561,6 +630,8 @@ def backward(
         if not cfg.freeze_embeddings:
             np.add.at(grads["W_e"], cache["ids"], dX)
 
+    if own_batch and desc_batch is not None:
+        desc_batch.finish(grads)
     if out is None:
         grads.check_finite()
     return loss, grads

@@ -22,6 +22,7 @@ from .model import (
     ModelParams,
     NumericalError,
     backward,
+    description_batch,
     init_params,
     make_dropout_masks,
     predict_matrix,
@@ -195,16 +196,25 @@ def train(
             accum = GradientSet.zeros_like(params)
             batch_loss = 0.0
             try:
+                # every description the batch regularizes toward, encoded once
+                desc_batch = description_batch(
+                    params, desc_ids_list, [train_docs[int(di)].gold for di in batch])
                 for di in batch:
                     doc = train_docs[int(di)]
                     srng = np.random.default_rng([cfg.seed, epoch, int(di)])
                     ids = truncate_segment(doc.token_ids, cfg.max_segment, srng)
                     masks = make_dropout_masks(srng, len(ids), n_labels, d_c, cfg.dropout)
                     loss, _ = backward(
-                        ids, doc.length, doc.gold, params,
-                        masks=masks, desc_ids_list=desc_ids_list, out=accum,
+                        ids, doc.length, doc.gold, params, masks=masks,
+                        desc_ids_list=desc_ids_list, out=accum, desc_batch=desc_batch,
                     )
                     batch_loss += loss
+                if desc_batch is not None:
+                    desc_batch.finish(accum)
+                    # dropped before the next batch's is built: keeping both
+                    # alive left ~100 MB more heap resident after training on
+                    # the `mimic` bench corpus
+                    desc_batch = None
                 accum.scale_(1.0 / len(batch))
                 adam_step(params, accum, state, cfg)
             except NumericalError as exc:

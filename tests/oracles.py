@@ -111,6 +111,39 @@ def reference_loss(y, gold, params, desc_ids_list=None):
     return loss
 
 
+def per_label_regularizer(gold, params, desc_ids_list, grads):
+    """lambda * sum_j ||V_j - f(D_j)||^2 over the gold-positive labels, with
+    its gradient added into `grads` (tensor name -> array). Each label's
+    description is encoded on its own, forward and backward, through
+    `channel_conv`: the per-gold-label loop that the once-per-batch packed
+    encoder replaced."""
+    cfg = params.config
+    lam = cfg.lambda_
+    reg = 0.0
+    for j in np.flatnonzero(np.asarray(gold) > 0):
+        X = params.W_e[desc_ids_list[j]]
+        Z = channel_conv(X, params.desc_conv)
+        amax = Z.argmax(axis=0)
+        cols = np.arange(Z.shape[1])
+        m = Z[amax, cols]
+        f = two_branch_sigmoid(params.desc_W @ m + params.desc_b)
+        diff = params.V[j] - f
+        reg += lam * float(diff @ diff)
+        grads["V"][j] += 2.0 * lam * diff
+        if cfg.freeze_desc_encoder:
+            continue
+        dpre = -2.0 * lam * diff * f * (1.0 - f)
+        grads["desc_W"] += np.outer(dpre, m)
+        grads["desc_b"] += dpre
+        dZ = np.zeros_like(Z)
+        dZ[amax, cols] = params.desc_W.T @ dpre
+        dW, dX = channel_conv_backward(X, params.desc_conv, dZ)
+        grads["desc_conv"] += dW
+        if not cfg.freeze_embeddings:
+            np.add.at(grads["W_e"], desc_ids_list[j], dX)
+    return reg
+
+
 def _cbow_noise_cumulative(docs, vocab_size):
     counts = np.zeros(vocab_size, dtype=np.float64)
     for ids in docs:

@@ -385,6 +385,25 @@ class TestBaselineCmd:
         assert (hier_out / "baseline_model.bin").exists()
 
 
+    @pytest.mark.parametrize("line,message", [("svm_reg = 0", "svm_reg must be finite and > 0"),
+                                              ("svm_epochs = 0", "svm_epochs must be >= 1")],
+                             ids=["svm_reg", "svm_epochs"])
+    def test_invalid_svm_config_is_data_error(self, line, message, corpus_dir, tmp_path,
+                                              capsys):
+        cfg = tmp_path / "baseline.cfg"
+        cfg.write_text(line + "\n")
+        code = run([
+            "baseline",
+            "--train", str(corpus_dir / "train.jsonl"),
+            "--test", str(corpus_dir / "test.jsonl"),
+            "--labels", str(corpus_dir / "descriptions.tsv"),
+            "--config", str(cfg), "--seed", "4", "--out", str(tmp_path / "out"),
+        ])
+        assert code == cli.EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "baseline_model.bin").exists()
+
+
 @pytest.fixture(scope="session")
 def hb_cfg(tmp_path_factory):
     path = tmp_path_factory.mktemp("hbcfg") / "hb.cfg"

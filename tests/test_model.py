@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -13,6 +14,7 @@ from oracles import (
     fd_gradcheck,
     multi_view_max,
     multi_view_max_backward,
+    per_label_regularizer,
     reference_loss,
     two_branch_sigmoid,
 )
@@ -178,6 +180,20 @@ class TestChunkedConv:
         assert_rel_close(dX, dX_ref)
         for block, ref in zip(model._channel_blocks(dW, kernels, d_e), dW_ref, strict=True):
             assert_rel_close(block, ref)
+
+    @pytest.mark.parametrize("s,l", [(s, l) for s in (1, 2, 5, 12)
+                                     for l in sorted({0, 1, s - 1, CHUNK + 1})])
+    def test_windows_are_the_sliding_window_view(self, s, l):
+        d_e = 3
+        Xp = np.random.default_rng(s * 1000 + l).normal(size=(l + s - 1, d_e))
+        win = model._windows(Xp, s)
+        assert win.shape == (l, s * d_e)
+        if l == 0:
+            return
+        ref = np.lib.stride_tricks.sliding_window_view(Xp, s, axis=0).transpose(0, 2, 1)
+        ref = ref.reshape(l, -1)
+        assert np.array_equal(win.copy().view(np.uint64), ref.copy().view(np.uint64))
+        assert np.shares_memory(win, Xp)
 
     def test_tied_channels_send_the_gradient_to_the_lower_index(self):
         rng = np.random.default_rng(40)
@@ -346,7 +362,7 @@ class TestEncodeDescription:
 
     @staticmethod
     def encode(ids, params):
-        return model._encode_description_cached(ids, params)[0]
+        return model.DescriptionBatch(params, [ids], [0]).F[0]
 
     def test_zero_dense_layer_gives_half(self):
         params = small_params(kind="mvc-rlda", seed=12)
@@ -369,6 +385,105 @@ class TestEncodeDescription:
         params = small_params(kind="mvc-rlda", seed=15)
         with pytest.raises(ValueError):
             self.encode([], params)
+
+
+def per_label_reference(samples, params, desc):
+    """Summed loss and gradients of `samples` ((ids, gold, masks) triples):
+    the regularizer from the per-gold-label oracle, the rest from `backward`
+    at lambda = 0."""
+    bare = dataclasses.replace(params, config=dataclasses.replace(params.config, lambda_=0.0))
+    grads = model.GradientSet.zeros_like(params)
+    loss = 0.0
+    for ids, gold, masks in samples:
+        loss += model.backward(ids, len(ids), gold, bare, masks=masks, out=grads)[0]
+        loss += per_label_regularizer(gold, params, desc, grads.data)
+    return loss, grads
+
+
+def batch_path(samples, params, desc):
+    """Summed loss and gradients of `samples` with one description batch."""
+    grads = model.GradientSet.zeros_like(params)
+    batch = model.description_batch(params, desc, [gold for _, gold, _ in samples])
+    loss = 0.0
+    for ids, gold, masks in samples:
+        loss += model.backward(ids, len(ids), gold, params, masks=masks, desc_ids_list=desc,
+                               out=grads, desc_batch=batch)[0]
+    batch.finish(grads)
+    return loss, grads
+
+
+class TestDescriptionBatch:
+    """The packed once-per-batch description encoder against the per-label
+    loop, for every gradient tensor and the loss."""
+
+    J, VOCAB = 6, 20
+
+    def batch(self, kernels, **cfg):
+        rng = np.random.default_rng(sum(kernels))
+        params = small_params(kind="mvc-rlda", seed=len(kernels), vocab=self.VOCAB,
+                              labels=self.J, kernels=kernels, lambda_=0.05, **cfg)
+        # label 1: one token, shorter than the description kernel (s_max);
+        # label 2: one repeated id, so interior windows tie in the spatial max
+        desc = [rng.integers(0, self.VOCAB, int(rng.integers(2, 7))) for _ in range(self.J)]
+        desc[1], desc[2] = np.array([3]), np.full(12, 7)
+        golds = [[1, 1, 1, 0, 0, 0], [1, 1, 1, 0, 0, 0], [1, 0, 0, 1, 1, 0], [1, 0, 1, 0, 0, 1]]
+        samples = []
+        for i, gold in enumerate(golds):  # samples 0 and 1 share a gold set; label 0 is in all
+            n = (5, 1, 12, 30)[i]
+            masks = model.make_dropout_masks(rng, n, self.J, 4, 0.2) if i % 2 else None
+            samples.append((rng.integers(0, self.VOCAB, n), np.array(gold, float), masks))
+        return samples, params, desc
+
+    def assert_matches_reference(self, samples, params, desc):
+        loss_ref, ref = per_label_reference(samples, params, desc)
+        loss, grads = batch_path(samples, params, desc)
+        assert loss == pytest.approx(loss_ref, rel=1e-12, abs=0.0)
+        for name, arr in ref.data.items():
+            assert_rel_close(grads[name], arr)
+        return grads
+
+    @pytest.mark.parametrize("kernels", [(1, 3), (2, 4, 6, 8), (5,)])
+    @pytest.mark.parametrize("freeze", ["", "freeze_desc_encoder", "freeze_embeddings"])
+    def test_batch_matches_per_label_loop(self, kernels, freeze):
+        samples, params, desc = self.batch(kernels, **({freeze: True} if freeze else {}))
+        grads = self.assert_matches_reference(samples, params, desc)
+        frozen = {"freeze_desc_encoder": ("desc_conv", "desc_W", "desc_b"),
+                  "freeze_embeddings": ("W_e",)}.get(freeze, ())
+        for name in ("W_e", "desc_conv", "desc_W", "desc_b"):
+            assert np.any(grads[name]) != (name in frozen), name
+
+    @pytest.mark.parametrize("kernels", [(1, 3), (2, 4, 6, 8), (5,)])
+    def test_batch_of_one_matches_per_label_loop(self, kernels):
+        samples, params, desc = self.batch(kernels)
+        for ids, gold, masks in samples:
+            loss_ref, ref = per_label_reference([(ids, gold, masks)], params, desc)
+            loss, grads = model.backward(ids, len(ids), gold, params, masks=masks,
+                                         desc_ids_list=desc)
+            assert loss == pytest.approx(loss_ref, rel=1e-12, abs=0.0)
+            for name, arr in ref.data.items():
+                assert_rel_close(grads[name], arr)
+
+    def test_gold_label_outside_the_batch_rejected(self):
+        samples, params, desc = self.batch((1, 3))
+        batch = model.description_batch(params, desc, [samples[0][1]])
+        ids, gold, _ = samples[2]
+        with pytest.raises(ValueError, match="missing from the description batch"):
+            model.backward(ids, len(ids), gold, params, desc_ids_list=desc,
+                           out=model.GradientSet.zeros_like(params), desc_batch=batch)
+
+    def test_lambda_zero_builds_no_batch(self, monkeypatch):
+        samples, params, desc = self.batch((1, 3))
+        params = dataclasses.replace(
+            params, config=dataclasses.replace(params.config, lambda_=0.0))
+
+        def no_batch(*args, **kwargs):
+            raise AssertionError("a description batch was built at lambda = 0")
+
+        monkeypatch.setattr(model, "DescriptionBatch", no_batch)
+        golds = [gold for _, gold, _ in samples]
+        assert model.description_batch(params, desc, golds) is None
+        for ids, gold, masks in samples:
+            model.backward(ids, len(ids), gold, params, masks=masks, desc_ids_list=desc)
 
 
 class TestLosses:
@@ -408,8 +523,7 @@ class TestLosses:
     def test_rlda_regularizer_zero_when_attention_matches_encoding(self):
         params = small_params(kind="mvc-rlda", seed=17, lambda_=0.5)
         desc = [np.array([1, 2]), np.array([3]), np.array([4, 5])]
-        for j in range(3):
-            params.V[j] = model._encode_description_cached(desc[j], params)[0]
+        params.V[:] = model.DescriptionBatch(params, desc, range(3)).F
         rlda, lda = self.rlda_and_lda_loss(params, np.ones(3), desc)
         assert rlda == pytest.approx(lda, abs=1e-12)
 
@@ -527,6 +641,9 @@ class TestBackward:
         ]
         buf = model.GradientSet.zeros_like(params)
         total = model.GradientSet.zeros_like(params)
+        # the same samples through one description batch for all three
+        shared = model.GradientSet.zeros_like(params)
+        batch = model.description_batch(params, desc, [gold for _, gold in samples])
         for ids, gold in samples:
             masks = model.make_dropout_masks(np.random.default_rng(len(ids)), len(ids), 3, 4, 0.2)
             alone, grads = model.backward(ids, len(ids), gold, params, masks=masks,
@@ -536,8 +653,15 @@ class TestBackward:
                                             desc_ids_list=desc, out=buf)
             assert into == alone
             assert returned is buf
+            shared_loss, returned = model.backward(ids, len(ids), gold, params, masks=masks,
+                                                   desc_ids_list=desc, out=shared,
+                                                   desc_batch=batch)
+            assert shared_loss == pytest.approx(alone, rel=1e-12, abs=0.0)
+            assert returned is shared
+        batch.finish(shared)
         for name, arr in total.data.items():
             assert np.allclose(buf[name], arr, rtol=1e-12, atol=1e-15), name
+            assert np.allclose(shared[name], arr, rtol=1e-12, atol=1e-15), name
 
 
 class TestCheckpoint:
