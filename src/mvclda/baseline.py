@@ -45,16 +45,22 @@ class TfidfFeaturizer:
         return X
 
 
-def fit_tfidf(token_docs, max_features: int = MAX_FEATURES) -> TfidfFeaturizer:
-    """Select the most document-frequent unigrams (ties lexicographic) and
-    fit idf = ln(N / df)."""
+def fit_tfidf(token_docs, max_features: int = MAX_FEATURES,
+              min_doc_freq: int = 1) -> TfidfFeaturizer:
+    """Select the most document-frequent unigrams (ties lexicographic) among
+    those in at least `min_doc_freq` documents, and fit idf = ln(N / df)."""
     if not token_docs:
         raise ValueError("cannot fit tf-idf on an empty corpus")
+    if max_features < 1:
+        raise ValueError("max_features must be >= 1")
     df: dict[str, int] = {}
     for doc in token_docs:
         for tok in set(doc):
             df[tok] = df.get(tok, 0) + 1
-    terms = sorted(df, key=lambda t: (-df[t], t))[:max_features]
+    terms = sorted((t for t in df if df[t] >= min_doc_freq), key=lambda t: (-df[t], t))
+    if df and not terms:
+        raise ValueError(f"no term occurs in min_doc_freq = {min_doc_freq} documents")
+    terms = terms[:max_features]
     n = len(token_docs)
     idf = np.array([math.log(n / df[t]) for t in terms])
     return TfidfFeaturizer(terms=terms, idf=idf)

@@ -13,7 +13,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+import types
+import typing
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,76 +45,63 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(",") if p.strip())
+def _parser(tp):
+    """The config-value parser for a field of type `tp`: `bool` takes the
+    words above, `tuple[int, ...]` and `tuple[float, ...]` (optionally
+    `| None`) take comma lists with blank items skipped, `int` and `float`
+    parse as themselves."""
+    if typing.get_origin(tp) is tuple:
+        item = typing.get_args(tp)[0]
+        return lambda text: tuple(item(p) for p in text.split(",") if p.strip())
+    if typing.get_origin(tp) is types.UnionType:
+        return _parser(next(a for a in typing.get_args(tp) if a is not type(None)))
+    return _parse_bool if tp is bool else tp
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in text.split(",") if p.strip())
-
-
-TRAIN_SCHEMA = {
-    "learning_rate": float,
-    "beta1": float,
-    "beta2": float,
-    "epsilon": float,
-    "batch_size": int,
-    "max_segment": int,
-    "patience": int,
-    "max_epochs": int,
-    "dropout": float,
-    "lambda": float,
-    "kernel_sizes": _parse_int_list,
-    "n_filters": int,
-    "embed_dim": int,
-    "attention_softmax": _parse_bool,
-    "use_length": _parse_bool,
-    "freeze_embeddings": _parse_bool,
-    "freeze_desc_encoder": _parse_bool,
-    "length_scale": float,
-    "min_doc_freq": int,
-    "cbow_window": int,
-    "cbow_epochs": int,
-    "cbow_negative": int,
+# How a config dataclass's fields are spelled as config keys: a prefix and
+# per-field renames on top of `model.config_key`.
+_SPELLING = {
+    embed.CbowConfig: ("cbow_", {}),
+    baseline.SvmConfig: ("svm_", {}),
+    hb.SearchSpace: ("", {"lambdas": "lambda_candidates"}),
 }
 
-SYNTH_SCHEMA = {
-    "n_codes": int,
-    "zipf_exponent": float,
-    "n_train": int,
-    "n_dev": int,
-    "n_test": int,
-    "background_vocab": int,
-    "evidence_len_min": int,
-    "evidence_len_max": int,
-    "doc_len_min": int,
-    "doc_len_max": int,
-    "coupling": float,
-    "seed": int,
-}
 
-HYPERBAND_SCHEMA = dict(
-    TRAIN_SCHEMA,
-    **{
-        "s0_min": int,
-        "s0_max": int,
-        "dc_min": int,
-        "dc_max": int,
-        "lambda_candidates": _parse_float_list,
-    },
-)
+def _key(cls, name: str) -> str:
+    prefix, renames = _SPELLING.get(cls, ("", {}))
+    return renames.get(name, prefix + model.config_key(name))
 
-BASELINE_SCHEMA = {
-    "max_features": int,
-    "svm_epochs": int,
-    "svm_reg": float,
+
+def _keys(cls, skip=()) -> dict:
+    """{config key: parser} for the fields of dataclass `cls` not in `skip`."""
+    hints = typing.get_type_hints(cls)
+    return {_key(cls, f.name): _parser(hints[f.name]) for f in fields(cls) if f.name not in skip}
+
+
+def _build(cls, values: dict, **fixed):
+    """Dataclass `cls` from the parsed config `values` of its fields' keys;
+    `fixed` arguments take precedence, and absent keys keep the defaults."""
+    kw = {f.name: values[_key(cls, f.name)] for f in fields(cls) if _key(cls, f.name) in values}
+    return cls(**dict(kw, **fixed))
+
+
+# One key table per command. The seeds, the model kind and the embedding
+# width of a loaded table come from the command line or the data.
+SYNTH_KEYS = _keys(corpus.SynthConfig, skip={"seed"})
+TRAIN_KEYS = {
+    **_keys(train_mod.TrainConfig, skip={"seed"}),
+    **_keys(model.ModelConfig, skip={"kind"}),
+    **_keys(embed.CbowConfig, skip={"dim", "lr_start", "lr_end", "seed"}),
     "min_doc_freq": int,
 }
+HYPERBAND_KEYS = {**TRAIN_KEYS, **_keys(hb.SearchSpace)}
+BASELINE_KEYS = {**_keys(baseline.SvmConfig, skip={"seed"}), "max_features": int,
+                 "min_doc_freq": int}
 
 
-def parse_kv_config(text: str, schema: dict, source: str = "<config>") -> dict:
+def parse_kv_config(text: str, keys: dict, source: str = "<config>") -> dict:
     """Flat `key = value` lines; blank lines and '#' comments are allowed;
-    keys outside the schema are rejected."""
+    keys outside the key table are rejected."""
     values: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -123,17 +112,17 @@ def parse_kv_config(text: str, schema: dict, source: str = "<config>") -> dict:
         key, _, raw = stripped.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key not in schema:
+        if key not in keys:
             raise corpus.DataFormatError(f"{source}:{lineno}: unknown config key {key!r}")
         try:
-            values[key] = schema[key](raw)
+            values[key] = keys[key](raw)
         except ValueError as exc:
             raise corpus.DataFormatError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from exc
     return values
 
 
-def _apply_env_overrides(values: dict, schema: dict) -> dict:
-    for key, caster in schema.items():
+def _apply_env_overrides(values: dict, keys: dict) -> dict:
+    for key, caster in keys.items():
         raw = os.environ.get(ENV_PREFIX + key.upper())
         if raw is not None:
             try:
@@ -145,10 +134,10 @@ def _apply_env_overrides(values: dict, schema: dict) -> dict:
     return values
 
 
-def load_config(path, schema: dict) -> dict:
+def load_config(path, keys: dict) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        values = parse_kv_config(fh.read(), schema, source=str(path))
-    return _apply_env_overrides(values, schema)
+        values = parse_kv_config(fh.read(), keys, source=str(path))
+    return _apply_env_overrides(values, keys)
 
 
 def _write_json(path, obj) -> None:
@@ -171,47 +160,6 @@ def _write_manifest(out_dir: Path, command: str, seed, config: dict, inputs: dic
     _write_json(out_dir / "manifest.json", manifest)
 
 
-def _train_config_from(values: dict, seed: int) -> train_mod.TrainConfig:
-    kw = {}
-    for key in ("learning_rate", "beta1", "beta2", "epsilon", "batch_size",
-                "max_segment", "patience", "max_epochs", "dropout"):
-        if key in values:
-            kw[key] = values[key]
-    return train_mod.TrainConfig(seed=seed, **kw)
-
-
-def _model_config_from(values: dict, kind: str, embed_dim: int) -> model.ModelConfig:
-    """The model config from config-file values; `embed_dim` is the width of
-    the embedding table in use, whatever the `embed_dim` key says."""
-    kw = {"kind": kind, "embed_dim": embed_dim}
-    mapping = {
-        "kernel_sizes": "kernel_sizes",
-        "n_filters": "n_filters",
-        "lambda": "lambda_",
-        "attention_softmax": "attention_softmax",
-        "use_length": "use_length",
-        "length_scale": "length_scale",
-        "freeze_embeddings": "freeze_embeddings",
-        "freeze_desc_encoder": "freeze_desc_encoder",
-    }
-    for key, attr in mapping.items():
-        if key in values:
-            kw[attr] = values[key]
-    cfg = model.ModelConfig(**kw)
-    cfg.validate()
-    return cfg
-
-
-def _cbow_config_from(values: dict, dim: int, seed: int) -> embed.CbowConfig:
-    return embed.CbowConfig(
-        dim=dim,
-        window=values.get("cbow_window", 5),
-        epochs=values.get("cbow_epochs", 5),
-        negative=values.get("cbow_negative", 5),
-        seed=seed,
-    )
-
-
 def _load_label_space(desc_path, hierarchy_path=None) -> corpus.LabelSpace:
     descriptions = corpus.read_descriptions_tsv(desc_path)
     parents = corpus.read_hierarchy_tsv(hierarchy_path) if hierarchy_path else None
@@ -232,17 +180,19 @@ class _TrainingSetup:
     table: np.ndarray
     vocab_checksum: str
     model_cfg: model.ModelConfig
+    train_cfg: train_mod.TrainConfig
     inputs: dict
     artifacts: dict
 
 
-def _training_setup(args, schema: dict) -> _TrainingSetup:
+def _training_setup(args, keys: dict) -> _TrainingSetup:
     """Shared front half of train/hyperband/ablate. Load the config and
     create the output directory; read the corpora, build the vocabulary
     from the training split only and encode everything; load --embeddings
     (with vocabulary checksum verification) or pretrain CBOW vectors on the
-    encoded training text; derive the model config."""
-    values = load_config(args.config, schema)
+    encoded training text; derive the model and training configs."""
+    values = load_config(args.config, keys)
+    model_cfg = _build(model.ModelConfig, values, kind=args.model)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     raw_train = corpus.read_corpus_jsonl(args.train)
@@ -267,16 +217,19 @@ def _training_setup(args, schema: dict) -> _TrainingSetup:
             )
         inputs["embeddings"] = Path(args.embeddings)
     else:
-        cbow_cfg = _cbow_config_from(values, values.get("embed_dim", 100), args.seed)
+        cbow_cfg = _build(embed.CbowConfig, values, dim=model_cfg.embed_dim, seed=args.seed)
         table = embed.train_cbow([d.token_ids for d in train_docs], vocab.size, cbow_cfg)
         emb_path = out_dir / "embeddings.bin"
         embed.save_embeddings(emb_path, table, vocab_checksum)
         artifacts["embeddings"] = emb_path
+    # the width of the table in use, whatever the embed_dim key says
+    model_cfg = replace(model_cfg, embed_dim=table.shape[1])
+    model_cfg.validate()
 
     return _TrainingSetup(
         values, out_dir, labels, vocab, train_docs, dev_docs,
         [vocab.encode(toks) for toks in labels.descriptions], table, vocab_checksum,
-        _model_config_from(values, args.model, table.shape[1]), inputs, artifacts,
+        model_cfg, _build(train_mod.TrainConfig, values, seed=args.seed), inputs, artifacts,
     )
 
 
@@ -285,9 +238,8 @@ def _training_setup(args, schema: dict) -> _TrainingSetup:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    values = load_config(args.config, SYNTH_SCHEMA)
-    values["seed"] = args.seed
-    cfg = corpus.SynthConfig(**values)
+    values = load_config(args.config, SYNTH_KEYS)
+    cfg = _build(corpus.SynthConfig, values, seed=args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     synth = corpus.generate_synthetic_corpus(cfg)
@@ -307,13 +259,14 @@ def cmd_synth(args) -> int:
     groups_path = out_dir / "groups.tsv"
     corpus.write_pairs_tsv(groups_path, sorted(synth.groups.items()))
     artifacts["groups"] = groups_path
-    _write_manifest(out_dir, "synth", args.seed, values, {"config": Path(args.config)}, artifacts)
+    _write_manifest(out_dir, "synth", args.seed, dict(values, seed=args.seed),
+                    {"config": Path(args.config)}, artifacts)
     print(f"wrote {len(synth.train)}/{len(synth.dev)}/{len(synth.test)} documents to {out_dir}")
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
-    run = _training_setup(args, TRAIN_SCHEMA)
+    run = _training_setup(args, TRAIN_KEYS)
     if args.model == "mvc-lda" and "lambda" in run.values:
         print("warning: --model mvc-lda ignores the lambda config key", file=sys.stderr)
     params0 = model.init_params(
@@ -321,7 +274,7 @@ def cmd_train(args) -> int:
         np.random.default_rng(args.seed), embeddings=run.table,
     )
     best, history = train_mod.train(params0, run.train_docs, run.dev_docs, run.desc_ids,
-                                     _train_config_from(run.values, args.seed))
+                                     run.train_cfg)
 
     ckpt_path = run.out_dir / "checkpoint.bin"
     model.save_checkpoint(ckpt_path, best, run.vocab_checksum)
@@ -394,16 +347,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_hyperband(args) -> int:
-    run = _training_setup(args, HYPERBAND_SCHEMA)
-    values = run.values
-    lambdas = values.get("lambda_candidates", hb.LAMBDA_CANDIDATES)
-    space = hb.SearchSpace(
-        s0_min=values.get("s0_min", 2),
-        s0_max=values.get("s0_max", 8),
-        dc_min=values.get("dc_min", 30),
-        dc_max=values.get("dc_max", 100),
-        lambdas=tuple(lambdas) if args.model == "mvc-rlda" else None,
-    )
+    run = _training_setup(args, HYPERBAND_KEYS)
+    space = _build(hb.SearchSpace, run.values)
+    if args.model == "mvc-lda":  # no regularizer, so no lambda to search
+        space = replace(space, lambdas=None)
 
     def evaluate(trial_cfg: hb.TrialConfig, epochs: int) -> float:
         cfg = replace(
@@ -412,10 +359,7 @@ def cmd_hyperband(args) -> int:
             n_filters=trial_cfg.n_filters,
             lambda_=trial_cfg.lambda_ if trial_cfg.lambda_ is not None else run.model_cfg.lambda_,
         )
-        tcfg = replace(
-            _train_config_from(values, args.seed),
-            max_epochs=epochs, patience=max(epochs, 1),
-        )
+        tcfg = replace(run.train_cfg, max_epochs=epochs, patience=max(epochs, 1))
         params0 = model.init_params(
             cfg, run.vocab.size, run.labels.n_labels,
             np.random.default_rng(args.seed), embeddings=run.table,
@@ -440,7 +384,7 @@ def cmd_hyperband(args) -> int:
     })
     run.artifacts["best_config"] = best_path
     _write_manifest(run.out_dir, "hyperband", args.seed,
-                    dict(values, R=args.R, eta=args.eta), run.inputs, run.artifacts)
+                    dict(run.values, R=args.R, eta=args.eta), run.inputs, run.artifacts)
     print(f"best dev micro F1 {best_score:.5f} with {best_cfg.to_json_obj()}")
     return EXIT_OK
 
@@ -448,7 +392,7 @@ def cmd_hyperband(args) -> int:
 def cmd_ablate(args) -> int:
     # read before the setup pretrains, so a malformed test split fails fast
     raw_eval = corpus.read_corpus_jsonl(args.test) if args.test else None
-    run = _training_setup(args, TRAIN_SCHEMA)
+    run = _training_setup(args, TRAIN_KEYS)
     eval_docs = run.dev_docs
     if args.test:
         eval_docs, _ = corpus.encode_corpus(raw_eval, run.vocab, run.labels)
@@ -461,10 +405,10 @@ def cmd_ablate(args) -> int:
     table_reduced = None
     if "extra_notes" in components:
         reduced = [train_mod.reduce_document(d) for d in run.train_docs]
-        cbow_cfg = _cbow_config_from(run.values, run.table.shape[1], args.seed)
+        cbow_cfg = _build(embed.CbowConfig, run.values, dim=run.table.shape[1], seed=args.seed)
         table_reduced = embed.train_cbow([d.token_ids for d in reduced], run.vocab.size, cbow_cfg)
     report = train_mod.ablate(
-        run.model_cfg, _train_config_from(run.values, args.seed),
+        run.model_cfg, run.train_cfg,
         run.train_docs, run.dev_docs, eval_docs, run.desc_ids, components,
         vocab_size=run.vocab.size, p_at=args.p_at,
         embeddings=run.table, embeddings_reduced=table_reduced,
@@ -483,12 +427,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    values = load_config(args.config, BASELINE_SCHEMA) if args.config else {}
-    svm_cfg = baseline.SvmConfig(
-        epochs=values.get("svm_epochs", 30),
-        reg=values.get("svm_reg", 1e-4),
-        seed=args.seed,
-    )
+    values = load_config(args.config, BASELINE_KEYS) if args.config else {}
+    svm_cfg = _build(baseline.SvmConfig, values, seed=args.seed)
     svm_cfg.validate()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -508,7 +448,8 @@ def cmd_baseline(args) -> int:
         return g
 
     gold_train, gold_test = gold_of(raw_train), gold_of(raw_test)
-    featurizer = baseline.fit_tfidf(train_tokens, values.get("max_features", baseline.MAX_FEATURES))
+    tfidf_kw = {key: values[key] for key in ("max_features", "min_doc_freq") if key in values}
+    featurizer = baseline.fit_tfidf(train_tokens, **tfidf_kw)
     X_train = featurizer.transform(train_tokens)
     X_test = featurizer.transform(test_tokens)
     inputs = {"train": Path(args.train), "test": Path(args.test), "labels": Path(args.labels)}

@@ -1,5 +1,5 @@
-"""Multi-label evaluation: micro/macro F1, P@n, PR AUC, Pearson correlation,
-frequency-binned F1, and report comparison.
+"""Multi-label evaluation: micro/macro F1, P@n, PR AUC, frequency-binned F1,
+and report comparison.
 
 Scores are n_docs x n_labels matrices in [0, 1]; gold matrices are binary
 with the same shape. All operations are pure and permutation-invariant in
@@ -9,7 +9,6 @@ document order.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -129,89 +128,6 @@ def pr_auc(scores: np.ndarray, gold: np.ndarray) -> float:
     steps = (recall - np.concatenate([[0.0], recall[:-1]])) * precision
     # accumulate, unlike np.sum, adds strictly left to right
     return float(np.add.accumulate(steps)[-1])
-
-
-def pearson(x, y) -> float:
-    """Sample Pearson correlation coefficient."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("inputs must be equal-length 1-d sequences")
-    if x.size < 2:
-        raise ValueError("need at least two observations")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    vx = float(np.dot(xc, xc))
-    vy = float(np.dot(yc, yc))
-    if vx == 0.0 or vy == 0.0:
-        raise ValueError("correlation is undefined for zero-variance input")
-    return float(np.dot(xc, yc) / math.sqrt(vx * vy))
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    # Continued fraction for the incomplete beta function (Lentz's method).
-    max_iter, eps, fpmin = 200, 3e-14, 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < fpmin:
-        d = fpmin
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_iter + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        de = d * c
-        h *= de
-        if abs(de - 1.0) < eps:
-            break
-    return h
-
-
-def _betainc(a: float, b: float, x: float) -> float:
-    # Regularized incomplete beta I_x(a, b).
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_bt = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
-    bt = math.exp(ln_bt)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return bt * _betacf(a, b, x) / a
-    return 1.0 - bt * _betacf(b, a, 1.0 - x) / b
-
-
-def pearson_test(x, y) -> tuple[float, float]:
-    """Pearson correlation with its two-sided p-value (t distribution)."""
-    rho = pearson(x, y)
-    n = len(np.asarray(x))
-    dof = n - 2
-    if dof <= 0:
-        return rho, 1.0
-    if abs(rho) >= 1.0:
-        return rho, 0.0
-    t2 = rho * rho * dof / (1.0 - rho * rho)
-    p = _betainc(dof / 2.0, 0.5, dof / (dof + t2))
-    return rho, float(min(1.0, max(0.0, p)))
 
 
 @dataclass

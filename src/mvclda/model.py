@@ -48,7 +48,8 @@ Everything is float64; no autodiff framework is involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -112,6 +113,14 @@ class ModelConfig:
             raise ValueError("regularization weight must be >= 0")
         if self.n_filters < 1 or self.embed_dim < 1:
             raise ValueError("filter count and embedding dim must be positive")
+        if not (math.isfinite(self.length_scale) and self.length_scale > 0):
+            raise ValueError("length_scale must be finite and > 0")
+
+
+def config_key(field_name: str) -> str:
+    """The config-file and checkpoint-header key of a config dataclass field:
+    the name without a trailing underscore (`lambda_` is `lambda`)."""
+    return field_name.rstrip("_")
 
 
 @dataclass
@@ -651,25 +660,18 @@ def predict_matrix(params: ModelParams, docs) -> np.ndarray:
 # Checkpoint serialization
 # ---------------------------------------------------------------------------
 
+# ModelConfig fields that steer training only; checkpoints do not record them.
+_TRAINING_ONLY = ("freeze_embeddings", "freeze_desc_encoder")
+_HEADER_FIELDS = [f.name for f in fields(ModelConfig) if f.name not in _TRAINING_ONLY]
+
+
 def save_checkpoint(path, params: ModelParams, vocab_checksum: str) -> None:
     """The model config and vocabulary checksum in a tensor-file header, then
     every tensor in the fixed `tensors()` order. Round-trips bit-exactly."""
-    cfg = params.config
-    header = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_FORMAT_VERSION,
-        "kind": cfg.kind,
-        "vocab_size": params.vocab_size,
-        "embed_dim": cfg.embed_dim,
-        "n_filters": cfg.n_filters,
-        "n_labels": params.n_labels,
-        "kernel_sizes": list(cfg.kernel_sizes),
-        "lambda": cfg.lambda_,
-        "attention_softmax": cfg.attention_softmax,
-        "use_length": cfg.use_length,
-        "length_scale": cfg.length_scale,
-        "vocab_sha256": vocab_checksum,
-    }
+    header = {config_key(name): getattr(params.config, name) for name in _HEADER_FIELDS}
+    header.update(format=CHECKPOINT_FORMAT, version=CHECKPOINT_FORMAT_VERSION,
+                  vocab_size=params.vocab_size, n_labels=params.n_labels,
+                  vocab_sha256=vocab_checksum)
     write_tensor_file(path, header, params.tensors())
 
 
@@ -693,16 +695,8 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     does not give raises DataFormatError."""
     header, arrays = read_tensor_file(path, CHECKPOINT_FORMAT, CHECKPOINT_FORMAT_VERSION)
     try:
-        cfg = ModelConfig(
-            kind=header["kind"],
-            kernel_sizes=tuple(header["kernel_sizes"]),
-            n_filters=header["n_filters"],
-            embed_dim=header["embed_dim"],
-            lambda_=header["lambda"],
-            attention_softmax=header["attention_softmax"],
-            use_length=header["use_length"],
-            length_scale=header["length_scale"],
-        )
+        kw = {name: header[config_key(name)] for name in _HEADER_FIELDS}
+        cfg = ModelConfig(**dict(kw, kernel_sizes=tuple(kw["kernel_sizes"])))
         cfg.validate()
         shapes = _tensor_shapes(cfg, header["vocab_size"], header["n_labels"])
     except KeyError as exc:

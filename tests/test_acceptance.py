@@ -20,6 +20,7 @@ from oracles import (
     brute_precision_at_n,
     fd_gradcheck,
     grid_pr_auc,
+    hand_pearson,
     reference_loss,
 )
 
@@ -318,7 +319,7 @@ def test_criterion_06_length_feature_behavior(learn_corpus, ablation_run):
     synth, _, _, _, _ = learn_corpus
     lengths = [len(d.text.split()) for d in synth.train]
     cards = [len(d.codes) for d in synth.train]
-    rho = metrics.pearson(lengths, cards)
+    rho = hand_pearson(lengths, cards)
     dev_delta = ablation_run["ablations"]["length_embedding"]["delta"]["dev_micro_f1"]
     ok = rho > 0.3 and dev_delta != 0.0
     report_line(

@@ -53,6 +53,14 @@ class TestTfidf:
         with pytest.raises(ValueError):
             baseline.fit_tfidf([])
 
+    def test_min_doc_freq_floor_drops_rare_terms(self):
+        docs = [["b", "a"], ["b", "a"], ["b"], ["z"]]
+        assert baseline.fit_tfidf(docs).terms == ["b", "a", "z"]
+        assert baseline.fit_tfidf(docs, min_doc_freq=2).terms == ["b", "a"]
+        assert baseline.fit_tfidf(docs, min_doc_freq=3).terms == ["b"]
+        with pytest.raises(ValueError, match="no term"):
+            baseline.fit_tfidf(docs, min_doc_freq=4)
+
 
 def separable_dataset():
     """Docs with token 'x' belong to label 0, token 'y' to label 1."""

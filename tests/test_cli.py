@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,58 @@ class TestExitCodes:
         assert "epoch 2, batch 7" in capsys.readouterr().err
 
 
+TRAIN_KEYS = [
+    "learning_rate", "beta1", "beta2", "epsilon", "batch_size", "max_segment", "patience",
+    "max_epochs", "dropout", "lambda", "kernel_sizes", "n_filters", "embed_dim",
+    "attention_softmax", "use_length", "freeze_embeddings", "freeze_desc_encoder",
+    "length_scale", "min_doc_freq", "cbow_window", "cbow_epochs", "cbow_negative",
+]
+SEARCH_KEYS = ["s0_min", "s0_max", "dc_min", "dc_max", "lambda_candidates"]
+COMMAND_KEYS = {
+    "Synthesis": (cli.SYNTH_KEYS, [
+        "n_codes", "zipf_exponent", "n_train", "n_dev", "n_test", "background_vocab",
+        "evidence_len_min", "evidence_len_max", "doc_len_min", "doc_len_max", "coupling",
+    ]),
+    "Training / model": (cli.TRAIN_KEYS, TRAIN_KEYS),
+    "Hyperband": (cli.HYPERBAND_KEYS, TRAIN_KEYS + SEARCH_KEYS),
+    "Baseline": (cli.BASELINE_KEYS, ["max_features", "svm_epochs", "svm_reg", "min_doc_freq"]),
+}
+
+
+class TestConfigKeys:
+    # the tables derive from the config dataclasses; these literal lists keep
+    # a new dataclass field (say CbowConfig.lr_start) from becoming a key
+    @pytest.mark.parametrize("section", list(COMMAND_KEYS))
+    def test_accepted_keys(self, section):
+        table, expected = COMMAND_KEYS[section]
+        assert sorted(table) == sorted(expected)
+
+    def test_readme_names_every_key_in_full(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("## Configuration keys")[1].split("\n## ")[0]
+        named = {}
+        for para in section.split("\n\n"):
+            title = re.match(r"\*\*(.+?)\*\*", para)
+            if title:
+                named[title.group(1)] = set(re.findall(r"`([a-z0-9_]+)`", para))
+        assert set(named) == set(COMMAND_KEYS)
+        named["Hyperband"] |= set(TRAIN_KEYS)  # "training keys plus ..."
+        for title, (_, expected) in COMMAND_KEYS.items():
+            assert named[title] == set(expected), title
+
+    def test_parsing(self):
+        values = cli.parse_kv_config(
+            "kernel_sizes = 1, 3,\nlambda = 0.5\nuse_length = No\nfreeze_embeddings = YES\n"
+            "lambda_candidates = 0.1,,0.2\nn_filters = 7\n", cli.HYPERBAND_KEYS)
+        assert values == {"kernel_sizes": (1, 3), "lambda": 0.5, "use_length": False,
+                          "freeze_embeddings": True, "lambda_candidates": (0.1, 0.2),
+                          "n_filters": 7}
+        assert type(values["n_filters"]) is int and type(values["lambda"]) is float
+        for line in ("use_length = maybe", "n_filters = 2.5", "kernel_sizes = 1,x"):
+            with pytest.raises(corpus.DataFormatError, match="bad value"):
+                cli.parse_kv_config(line, cli.TRAIN_KEYS)
+
+
 class TestSynth:
     def test_outputs_and_sizes(self, corpus_dir):
         train = corpus.read_corpus_jsonl(corpus_dir / "train.jsonl")
@@ -115,6 +168,16 @@ class TestSynth:
         cfg.write_text("bogus_key = 3\n")
         assert run(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "o"),
                     "--seed", "1"]) == cli.EXIT_DATA
+
+    def test_seed_comes_from_the_command_line_only(self, corpus_dir, tmp_path, capsys):
+        # --seed always won, so a seed key was silently ignored
+        cfg = tmp_path / "seeded.cfg"
+        cfg.write_text(SYNTH_CFG + "seed = 99\n")
+        assert run(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "o"),
+                    "--seed", "13"]) == cli.EXIT_DATA
+        assert "unknown config key 'seed'" in capsys.readouterr().err
+        manifest = json.loads((corpus_dir / "manifest.json").read_text())
+        assert manifest["config"]["seed"] == 13
 
 
 class TestTrain:
@@ -184,7 +247,9 @@ class TestTrain:
         assert str(emb) in err and "old text-header format" in err
 
     def test_pretrained_embeddings_reproduce_the_checkpoint(
-            self, corpus_dir, train_cfg_path, trained_dir, tmp_path):
+            self, corpus_dir, train_cfg_path, trained_dir, tmp_path, monkeypatch):
+        # a loaded table sets the width, whatever the embed_dim key says
+        monkeypatch.setenv("MVC_EMBED_DIM", "5")
         out = tmp_path / "reuse"
         code = self._train_with_embeddings(
             corpus_dir, train_cfg_path, trained_dir / "embeddings.bin", out)
@@ -205,6 +270,22 @@ class TestTrain:
         ]) == 0
         lines = (out / "history.jsonl").read_text().strip().split("\n")
         assert len(lines) == 1
+
+    def test_zero_length_scale_is_data_error(self, corpus_dir, tmp_path, capsys):
+        # it once ended in a ZeroDivisionError traceback inside forward
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(TRAIN_CFG + "length_scale = 0\n")
+        code = run([
+            "train", "--model", "mvc-lda",
+            "--train", str(corpus_dir / "train.jsonl"),
+            "--dev", str(corpus_dir / "dev.jsonl"),
+            "--labels", str(corpus_dir / "descriptions.tsv"),
+            "--config", str(cfg),
+            "--seed", "3", "--out", str(tmp_path / "out"),
+        ])
+        assert code == cli.EXIT_DATA
+        assert "length_scale must be finite and > 0" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "checkpoint.bin").exists()
 
     def test_rlda_trains(self, corpus_dir, train_cfg_path, tmp_path):
         out = tmp_path / "rlda"
@@ -402,6 +483,44 @@ class TestBaselineCmd:
         assert code == cli.EXIT_DATA
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out" / "baseline_model.bin").exists()
+
+    def _baseline(self, corpus_dir, out, cfg_text=None):
+        argv = ["baseline",
+                "--train", str(corpus_dir / "train.jsonl"),
+                "--test", str(corpus_dir / "test.jsonl"),
+                "--labels", str(corpus_dir / "descriptions.tsv"),
+                "--seed", "4", "--out", str(out)]
+        if cfg_text is not None:
+            cfg = out.parent / f"{out.name}.cfg"
+            cfg.write_text(cfg_text)
+            argv += ["--config", str(cfg)]
+        return run(argv)
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_max_features_below_one_is_data_error(self, value, corpus_dir, tmp_path, capsys):
+        # -1 once sliced off the last term, 0 fitted a featureless model
+        out = tmp_path / "out"
+        assert self._baseline(corpus_dir, out, f"max_features = {value}\n") == cli.EXIT_DATA
+        assert "max_features must be >= 1" in capsys.readouterr().err
+        assert not (out / "baseline_model.bin").exists()
+
+    def test_min_doc_freq_floors_the_terms(self, corpus_dir, tmp_path):
+        def terms(out):
+            header, _ = corpus.read_tensor_file(out / "baseline_model.bin", "mvclda.baseline", 2)
+            return header["terms"]
+
+        default, floor1, floor5 = tmp_path / "default", tmp_path / "floor1", tmp_path / "floor5"
+        assert self._baseline(corpus_dir, default) == 0
+        assert self._baseline(corpus_dir, floor1, "min_doc_freq = 1\n") == 0
+        assert self._baseline(corpus_dir, floor5, "min_doc_freq = 5\n") == 0
+        # 1 is the default: the same model and metrics
+        for name in ("baseline_model.bin", "metrics.json"):
+            assert (floor1 / name).read_bytes() == (default / name).read_bytes()
+        docs = [set(corpus.preprocess_text(d.text))
+                for d in corpus.read_corpus_jsonl(corpus_dir / "train.jsonl")]
+        df = {t: sum(t in doc for doc in docs) for t in terms(default)}
+        assert min(df.values()) < 5
+        assert terms(floor5) == [t for t in terms(default) if df[t] >= 5]
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,6 @@ from oracles import (
     brute_micro_f1,
     brute_precision_at_n,
     grid_pr_auc,
-    hand_pearson,
     threshold_sweep_pr_auc,
 )
 
@@ -192,39 +191,6 @@ class TestPrAuc:
         pred_sweep = s > 0.5
         assert tp == int(np.sum(pred_sweep & g))
         assert fp == int(np.sum(pred_sweep & ~g))
-
-
-class TestPearson:
-    def test_linear(self):
-        assert metrics.pearson([1, 2, 3], [2, 4, 6]) == pytest.approx(1.0, abs=1e-12)
-
-    def test_anti_linear(self):
-        assert metrics.pearson([1, 2, 3], [-1, -2, -3]) == pytest.approx(-1.0, abs=1e-12)
-
-    def test_hand_value(self):
-        assert metrics.pearson([1, 2, 3], [1, 2, 4]) == pytest.approx(0.98198, abs=1e-5)
-        assert metrics.pearson([1, 2, 3], [1, 2, 4]) == pytest.approx(
-            hand_pearson([1, 2, 3], [1, 2, 4]), abs=1e-12
-        )
-
-    def test_zero_variance_rejected(self):
-        with pytest.raises(ValueError):
-            metrics.pearson([1, 1, 1], [1, 2, 3])
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            metrics.pearson([1, 2], [1, 2, 3])
-
-    def test_against_scipy(self):
-        scipy_stats = pytest.importorskip("scipy.stats")
-        rng = np.random.default_rng(6)
-        for n in (5, 20, 200):
-            x = rng.normal(size=n)
-            y = 0.4 * x + rng.normal(size=n)
-            rho, p = metrics.pearson_test(x, y)
-            ref = scipy_stats.pearsonr(x, y)
-            assert rho == pytest.approx(ref.statistic, abs=1e-12)
-            assert p == pytest.approx(ref.pvalue, rel=1e-8, abs=1e-12)
 
 
 class TestFrequencyBinnedF1:

@@ -702,11 +702,14 @@ class TestCheckpoint:
         path = tmp_path / "ckpt"
         model.save_checkpoint(path, small_params(seed=27), vocab_checksum="x")
         head, _, body = path.read_bytes().partition(b"\n")
-        header = json.loads(head)
-        header["kernel_sizes"] = [3, 1]
-        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
-        with pytest.raises(ValueError, match="ascending"):
-            model.load_checkpoint(path)
+        # a zero length_scale once passed and divided by zero in forward
+        for key, value, message in [("kernel_sizes", [3, 1], "ascending"),
+                                    ("length_scale", 0, "length_scale"),
+                                    ("length_scale", float("inf"), "length_scale")]:
+            header = dict(json.loads(head), **{key: value})
+            path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+            with pytest.raises(ValueError, match=message):
+                model.load_checkpoint(path)
 
 
 class TestConfigValidation:
@@ -724,6 +727,11 @@ class TestConfigValidation:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             model.ModelConfig(kind="cnn").validate()
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
+    def test_length_scale_must_be_finite_and_positive(self, scale):
+        with pytest.raises(ValueError, match="length_scale"):
+            model.ModelConfig(length_scale=scale).validate()
 
     def test_init_deterministic(self):
         a = small_params(seed=28)
