@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import write_tensor_file
+from .corpus import build_vocabulary, write_tensor_file
 
 BASELINE_FORMAT = "mvclda.baseline"
 BASELINE_FORMAT_VERSION = 2
@@ -47,22 +47,19 @@ class TfidfFeaturizer:
 
 def fit_tfidf(token_docs, max_features: int = MAX_FEATURES,
               min_doc_freq: int = 1) -> TfidfFeaturizer:
-    """Select the most document-frequent unigrams (ties lexicographic) among
-    those in at least `min_doc_freq` documents, and fit idf = ln(N / df)."""
+    """Select the most document-frequent unigrams (ties lexicographic: the
+    `build_vocabulary` ranking) among those in at least `min_doc_freq`
+    documents, and fit idf = ln(N / df)."""
     if not token_docs:
         raise ValueError("cannot fit tf-idf on an empty corpus")
     if max_features < 1:
         raise ValueError("max_features must be >= 1")
-    df: dict[str, int] = {}
-    for doc in token_docs:
-        for tok in set(doc):
-            df[tok] = df.get(tok, 0) + 1
-    terms = sorted((t for t in df if df[t] >= min_doc_freq), key=lambda t: (-df[t], t))
-    if df and not terms:
+    vocab = build_vocabulary(token_docs, min_doc_freq)
+    if not vocab.id_to_token and any(token_docs):
         raise ValueError(f"no term occurs in min_doc_freq = {min_doc_freq} documents")
-    terms = terms[:max_features]
+    terms = vocab.id_to_token[:max_features]
     n = len(token_docs)
-    idf = np.array([math.log(n / df[t]) for t in terms])
+    idf = np.array([math.log(n / vocab.doc_freq[t]) for t in terms])
     return TfidfFeaturizer(terms=terms, idf=idf)
 
 

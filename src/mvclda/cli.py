@@ -186,12 +186,17 @@ class _TrainingSetup:
 
 
 def _training_setup(args, keys: dict) -> _TrainingSetup:
-    """Shared front half of train/hyperband/ablate. Load the config and
-    create the output directory; read the corpora, build the vocabulary
-    from the training split only and encode everything; load --embeddings
-    (with vocabulary checksum verification) or pretrain CBOW vectors on the
-    encoded training text; derive the model and training configs."""
+    """Shared front half of train/hyperband/ablate. Load the config (an
+    mvc-lda model has no regularizer, so each lambda key set there earns a
+    warning) and create the output directory; read the corpora, build the
+    vocabulary from the training split only and encode everything; load
+    --embeddings (with vocabulary checksum verification) or pretrain CBOW
+    vectors on the encoded training text; derive the model and training
+    configs."""
     values = load_config(args.config, keys)
+    for key in ("lambda", "lambda_candidates"):
+        if args.model == "mvc-lda" and key in values:
+            print(f"warning: --model mvc-lda ignores the {key} config key", file=sys.stderr)
     model_cfg = _build(model.ModelConfig, values, kind=args.model)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -267,8 +272,6 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     run = _training_setup(args, TRAIN_KEYS)
-    if args.model == "mvc-lda" and "lambda" in run.values:
-        print("warning: --model mvc-lda ignores the lambda config key", file=sys.stderr)
     params0 = model.init_params(
         run.model_cfg, run.vocab.size, run.labels.n_labels,
         np.random.default_rng(args.seed), embeddings=run.table,

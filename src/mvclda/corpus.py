@@ -71,12 +71,6 @@ class Vocabulary:
             [self.token_to_id.get(t, self.oov_id) for t in tokens], dtype=np.int64
         )
 
-    def decode(self, ids) -> list[str]:
-        out = []
-        for i in ids:
-            out.append("<oov>" if int(i) == self.oov_id else self.id_to_token[int(i)])
-        return out
-
 
 def build_vocabulary(
     train_docs: list[list[str]], min_doc_freq: int = MIN_DOC_FREQ
@@ -129,17 +123,6 @@ class LabelSpace:
     @property
     def n_labels(self) -> int:
         return len(self.codes)
-
-    def ancestors(self, code: str) -> list[str]:
-        """Chain of ancestor node names from parent upward (hierarchy only)."""
-        if self.parents is None:
-            return []
-        chain = []
-        node = code
-        while node in self.parents:
-            node = self.parents[node]
-            chain.append(node)
-        return chain
 
 
 def _check_acyclic(parents: dict[str, str]) -> None:

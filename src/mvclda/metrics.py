@@ -198,14 +198,6 @@ class MetricsReport:
         obj = asdict(self)
         return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "MetricsReport":
-        obj = json.loads(text)
-        obj["bins"] = (
-            None if obj.get("bins") is None else [BinRow(**row) for row in obj["bins"]]
-        )
-        return cls(**obj)
-
 
 def evaluate_predictions(
     scores: np.ndarray,
@@ -265,34 +257,14 @@ def evaluate_predictions(
 
 
 def compare_reports(a: MetricsReport, b: MetricsReport) -> dict:
-    """Elementwise deltas b - a for two reports over the same label space."""
+    """The micro F1, PR AUC and shared P@n deltas b - a for two reports over
+    the same label space."""
     if a.n_labels != b.n_labels:
         raise ValueError("reports cover different label spaces")
-    delta: dict = {
+    return {
         "micro_f1": b.micro_f1 - a.micro_f1,
         "pr_auc": b.pr_auc - a.pr_auc,
         "p_at": {
             n: b.p_at[n] - a.p_at[n] for n in sorted(set(a.p_at) & set(b.p_at))
         },
     }
-    if a.macro_f1 is not None and b.macro_f1 is not None:
-        delta["macro_f1"] = b.macro_f1 - a.macro_f1
-    shared_groups = set(a.micro_f1_by_group) & set(b.micro_f1_by_group)
-    if shared_groups:
-        delta["micro_f1_by_group"] = {
-            g: b.micro_f1_by_group[g] - a.micro_f1_by_group[g]
-            for g in sorted(shared_groups)
-        }
-    if a.bins is not None and b.bins is not None:
-        if len(a.bins) != len(b.bins) or any(
-            (ra.bin_lo, ra.bin_hi) != (rb.bin_lo, rb.bin_hi)
-            for ra, rb in zip(a.bins, b.bins)
-        ):
-            raise ValueError("reports use different binnings")
-        delta["bins"] = [
-            None
-            if ra.micro_f1 is None or rb.micro_f1 is None
-            else rb.micro_f1 - ra.micro_f1
-            for ra, rb in zip(a.bins, b.bins)
-        ]
-    return delta

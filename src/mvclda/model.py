@@ -35,11 +35,12 @@ one its window gradients, which s_max shifted adds fold back onto the input
 rows. So the convolution's transient memory depends on CONV_CHUNK, not on
 the document length.
 
-The description encoder is the one-channel case, run once per training
-batch (DescriptionBatch): the parameters are fixed within a batch, so the
-descriptions of the batch's gold labels are packed into one padded
-sequence, encoded by one convolution, and their gradient is summed over the
-batch's samples before one backward pass.
+`backward` takes a whole training batch. The parameters are fixed within
+it, so the kernels are stacked once, and the description encoder, the
+one-channel case, runs once (DescriptionBatch): the descriptions of the
+batch's gold labels are packed into one padded sequence, encoded by one
+convolution, and their gradient is summed over the batch's samples before
+one backward pass.
 
 Gradients are analytic and exact for this fixed architecture (the max
 operations route their full subgradient to the lowest-index winner).
@@ -433,7 +434,7 @@ def _forward_cached(token_ids, length: int, params: ModelParams, masks: DropoutM
     if not np.all(np.isfinite(y)):
         raise NumericalError("non-finite model output")
     cache = {
-        "ids": ids, "Xp": Xp, "W_stack": W_stack, "x_scale": x_scale, "winner": winner,
+        "ids": ids, "Xp": Xp, "x_scale": x_scale, "winner": winner,
         "C": C, "G": G, "S": S, "P_pre": P_pre, "P": P, "p_scale": p_scale,
         "T": T, "lt": lt, "y": y,
     }
@@ -504,8 +505,6 @@ class DescriptionBatch:
         sample; adds its gradient into grads["V"] and the batch's Dpre."""
         params, lam = self.params, self.params.config.lambda_
         idx = self.row[js]
-        if np.any(idx < 0):
-            raise ValueError("a gold label is missing from the description batch")
         F = self.F[idx]
         diff = params.V[js] - F
         grads["V"][js] += 2.0 * lam * diff
@@ -560,37 +559,39 @@ def loss_mvc_lda(y: np.ndarray, gold: np.ndarray) -> float:
 # Backward
 # ---------------------------------------------------------------------------
 
-def backward(
-    token_ids,
-    length: int,
-    gold: np.ndarray,
-    params: ModelParams,
-    masks: DropoutMasks | None = None,
-    desc_ids_list=None,
-    out: GradientSet | None = None,
-    *,
-    desc_batch: DescriptionBatch | None = None,
-) -> tuple[float, GradientSet]:
-    """Per-sample loss and analytic gradients for every trainable tensor.
+def backward(samples, params: ModelParams, desc_ids_list=None) -> tuple[float, GradientSet]:
+    """Summed loss and analytic gradients of a batch for every trainable tensor.
 
-    The dropout masks are fixed for the forward/backward pair. For
+    `samples` are the batch's (token_ids, length, gold, masks) tuples; each
+    sample's dropout masks are fixed for its forward/backward pair. For
     mvc-rlda, `desc_ids_list` holds the encoded description of every label.
 
-    `desc_batch` is the `description_batch` of the samples whose gradients
-    `out` collects, built for these parameters; its gold labels must
-    include this sample's. The caller finishes it into `out` once the last
-    sample is in. Without it, this sample's gold labels form a batch of
-    their own, finished here.
-
-    Without `out`, the gradients go to a fresh buffer that is checked to be
-    finite. With `out`, they are added into it unchecked, so one buffer can
-    collect a whole batch; the caller checks the sum (a non-finite summand
-    always gives a non-finite sum).
+    The parameters are fixed within the batch, so the kernels are stacked
+    once and the descriptions of every gold label are encoded once. The
+    samples are added in order into one zeroed buffer, and the description
+    encoder's backward runs after the last. The sum is not checked for
+    finiteness here; `adam_step` checks it before it updates anything.
     """
+    grads = GradientSet.zeros_like(params)
+    desc_batch = description_batch(params, desc_ids_list, [gold for _, _, gold, _ in samples])
+    W_stack = _stack_kernels(params.conv)
+    loss = 0.0
+    for token_ids, length, gold, masks in samples:
+        loss += _sample_backward(token_ids, length, gold, params, masks, W_stack, desc_batch,
+                                 grads)
+    if desc_batch is not None:
+        desc_batch.finish(grads)
+    return loss, grads
+
+
+def _sample_backward(token_ids, length: int, gold, params: ModelParams,
+                     masks: DropoutMasks | None, W_stack: np.ndarray,
+                     desc_batch: DescriptionBatch | None, grads: GradientSet) -> float:
+    """One sample's loss; adds its gradients into `grads`, the description
+    encoder's into `desc_batch` for its `finish`."""
     cfg = params.config
-    y, cache = _forward_cached(token_ids, length, params, masks)
+    y, cache = _forward_cached(token_ids, length, params, masks, W_stack=W_stack)
     g = np.asarray(gold, dtype=np.float64)
-    grads = GradientSet.zeros_like(params) if out is None else out
     C, S, G = cache["C"], cache["S"], cache["G"]
 
     dlogits = y - g                                  # (J,)
@@ -617,9 +618,6 @@ def backward(
 
     # attention regularizer; the description encoder's gradient waits for
     # the batch's `finish`
-    own_batch = desc_batch is None
-    if own_batch:
-        desc_batch = description_batch(params, desc_ids_list, [g])
     reg = 0.0
     if desc_batch is not None:
         reg = desc_batch.regularize(np.flatnonzero(g > 0), grads)
@@ -631,19 +629,14 @@ def backward(
     # gradients are zero
     if C.shape[0] > 0:
         dM = dC * (1.0 - C * C)
-        dW, dXd = _conv_max_backward(cache["Xp"], cache["W_stack"], cache["winner"], dM)
+        dW, dXd = _conv_max_backward(cache["Xp"], W_stack, cache["winner"], dM)
         for i, block in enumerate(_channel_blocks(dW, cfg.kernel_sizes, cfg.embed_dim)):
             grads[f"conv{i}"] += block
 
         dX = dXd if cache["x_scale"] is None else dXd * cache["x_scale"][:, None]
         if not cfg.freeze_embeddings:
             np.add.at(grads["W_e"], cache["ids"], dX)
-
-    if own_batch and desc_batch is not None:
-        desc_batch.finish(grads)
-    if out is None:
-        grads.check_finite()
-    return loss, grads
+    return loss
 
 
 def predict_matrix(params: ModelParams, docs) -> np.ndarray:

@@ -22,7 +22,6 @@ from .model import (
     ModelParams,
     NumericalError,
     backward,
-    description_batch,
     init_params,
     make_dropout_masks,
     predict_matrix,
@@ -83,14 +82,14 @@ class AdamState:
 
 
 def adam_step(params: ModelParams, grads: GradientSet, state: AdamState, cfg: TrainConfig) -> None:
-    """Bias-corrected Adam update, applied in place."""
+    """Bias-corrected Adam update, applied in place. A non-finite gradient
+    raises NumericalError before anything is updated."""
+    grads.check_finite()
     state.t += 1
     bc1 = 1.0 - cfg.beta1 ** state.t
     bc2 = 1.0 - cfg.beta2 ** state.t
     for name, arr in params.tensors():
         g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise NumericalError(f"non-finite gradient in tensor {name!r}")
         m, v = state.m[name], state.v[name]
         m *= cfg.beta1
         m += (1.0 - cfg.beta1) * g
@@ -193,30 +192,18 @@ def train(
         epoch_loss = 0.0
         for batch_idx, start in enumerate(range(0, len(order), cfg.batch_size)):
             batch = order[start : start + cfg.batch_size]
-            accum = GradientSet.zeros_like(params)
-            batch_loss = 0.0
+            samples = []
+            for di in batch:
+                doc = train_docs[int(di)]
+                srng = np.random.default_rng([cfg.seed, epoch, int(di)])
+                ids = truncate_segment(doc.token_ids, cfg.max_segment, srng)
+                masks = make_dropout_masks(srng, len(ids), n_labels, d_c, cfg.dropout)
+                samples.append((ids, doc.length, doc.gold, masks))
             try:
-                # every description the batch regularizes toward, encoded once
-                desc_batch = description_batch(
-                    params, desc_ids_list, [train_docs[int(di)].gold for di in batch])
-                for di in batch:
-                    doc = train_docs[int(di)]
-                    srng = np.random.default_rng([cfg.seed, epoch, int(di)])
-                    ids = truncate_segment(doc.token_ids, cfg.max_segment, srng)
-                    masks = make_dropout_masks(srng, len(ids), n_labels, d_c, cfg.dropout)
-                    loss, _ = backward(
-                        ids, doc.length, doc.gold, params, masks=masks,
-                        desc_ids_list=desc_ids_list, out=accum, desc_batch=desc_batch,
-                    )
-                    batch_loss += loss
-                if desc_batch is not None:
-                    desc_batch.finish(accum)
-                    # dropped before the next batch's is built: keeping both
-                    # alive left ~100 MB more heap resident after training on
-                    # the `mimic` bench corpus
-                    desc_batch = None
-                accum.scale_(1.0 / len(batch))
-                adam_step(params, accum, state, cfg)
+                batch_loss, grads = backward(samples, params, desc_ids_list)
+                grads.scale_(1.0 / len(batch))
+                adam_step(params, grads, state, cfg)
+                del grads  # freed before the next batch's backward allocates its own
             except NumericalError as exc:
                 raise NumericalError(
                     f"training diverged at epoch {epoch}, batch {batch_idx}: {exc}"

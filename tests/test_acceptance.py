@@ -55,7 +55,7 @@ def test_criterion_01_gradient_correctness():
         def loss_fn():
             return reference_loss(model.forward(ids, 30, params), gold, params, desc_arg)
 
-        _, grads = model.backward(ids, 30, gold, params, desc_ids_list=desc_arg)
+        _, grads = model.backward([(ids, 30, gold, None)], params, desc_arg)
         worst = max(worst, fd_gradcheck(params, loss_fn, grads, step=1e-5, rtol=1e-4))
     elapsed = time.perf_counter() - started
     report_line(
@@ -100,7 +100,7 @@ def test_criterion_02_equation_fidelity():
     )
     desc = [np.array([1, 2]), np.array([3, 4]), np.array([5])]
     ids, g = np.array([6, 7, 8, 9]), np.zeros(3)
-    loss, _ = model.backward(ids, 4, g, params, desc_ids_list=desc)
+    loss, _ = model.backward([(ids, 4, g, None)], params, desc)
     ok &= abs(loss - model.loss_mvc_lda(model.forward(ids, 4, params), g)) < 1e-12
     report_line(2, "hand-derived equation cases exact to 1e-12", ok)
 

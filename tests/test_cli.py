@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from mvclda import cli, corpus, model
-from mvclda.metrics import MetricsReport
 
 from test_corpus import TENSOR_FILE_DAMAGES, damage_tensor_file
 
@@ -318,10 +317,10 @@ class TestEvaluate:
     def test_reproduces_best_dev_micro_f1(self, trained_dir, corpus_dir, tmp_path):
         out = tmp_path / "dev_metrics.json"
         assert self._evaluate(trained_dir, corpus_dir, "dev", out) == 0
-        report = MetricsReport.from_json(out.read_text())
+        report = json.loads(out.read_text())
         history = [json.loads(l) for l in (trained_dir / "history.jsonl").read_text().splitlines()]
         best = max(h["dev_micro_f1"] for h in history)
-        assert report.micro_f1 == best
+        assert report["micro_f1"] == best
 
     def test_p_at_list_and_groups_and_counts(self, trained_dir, corpus_dir, tmp_path):
         out = tmp_path / "full_metrics.json"
@@ -336,10 +335,10 @@ class TestEvaluate:
             "--groups", str(corpus_dir / "groups.tsv"),
             "--train-counts", str(trained_dir / "train_counts.tsv"),
         ]) == 0
-        report = MetricsReport.from_json(out.read_text())
-        assert set(report.p_at) == {"8", "5"}
-        assert set(report.micro_f1_by_group) == {"diagnosis", "procedure"}
-        assert report.bins is not None
+        report = json.loads(out.read_text())
+        assert set(report["p_at"]) == {"8", "5"}
+        assert set(report["micro_f1_by_group"]) == {"diagnosis", "procedure"}
+        assert report["bins"] is not None
 
     def test_byte_identical_rerun(self, trained_dir, corpus_dir, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -451,8 +450,8 @@ class TestBaselineCmd:
             "--labels", str(corpus_dir / "descriptions.tsv"),
             "--seed", "4", "--out", str(flat_out),
         ]) == 0
-        report = MetricsReport.from_json((flat_out / "metrics.json").read_text())
-        assert 0.0 <= report.micro_f1 <= 1.0
+        report = json.loads((flat_out / "metrics.json").read_text())
+        assert 0.0 <= report["micro_f1"] <= 1.0
 
         hier_out = tmp_path / "hier"
         assert run([
@@ -556,6 +555,17 @@ class TestHyperbandCmd:
         assert self._run(corpus_dir, hb_cfg, a) == 0
         assert self._run(corpus_dir, hb_cfg, b) == 0
         assert (a / "trials.jsonl").read_bytes() == (b / "trials.jsonl").read_bytes()
+
+    def test_lda_warns_about_lambda_keys(self, corpus_dir, hb_cfg, tmp_path, capsys):
+        # the mvc-lda search space has no lambda, whatever the config says
+        cfg = tmp_path / "lambdas.cfg"
+        cfg.write_text(hb_cfg.read_text() + "lambda_candidates = 0.01,0.001\n")
+        assert self._run(corpus_dir, cfg, tmp_path / "hb") == 0
+        err = capsys.readouterr().err
+        assert "ignores the lambda config key" in err
+        assert "ignores the lambda_candidates config key" in err
+        best = json.loads((tmp_path / "hb" / "best_config.json").read_text())
+        assert best["best_config"]["lambda"] is None
 
 
 class TestAblateCmd:

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -287,9 +289,7 @@ class TestReports:
             train_counts=[3, 9, 27, 81, 243, 729],
             macro_labels=np.arange(6),
         )
-        text = report.to_json()
-        again = metrics.MetricsReport.from_json(text)
-        assert again == report
+        assert json.loads(report.to_json()) == dataclasses.asdict(report)
         assert set(report.p_at) == {"3", "5"}
         assert set(report.micro_f1_by_group) == {"diagnosis", "procedure"}
         assert report.bins is not None and len(report.bins) == 10
@@ -318,15 +318,3 @@ class TestReports:
         )
         with pytest.raises(ValueError):
             metrics.compare_reports(a, b)
-
-    def test_binned_deltas_match_direct_recomputation(self):
-        rng = np.random.default_rng(12)
-        gold = (rng.random((12, 8)) < 0.4).astype(float)
-        gold[0] = 1
-        counts = rng.integers(1, 500, 8)
-        ra = metrics.evaluate_predictions(rng.random((12, 8)), gold, train_counts=counts, p_at=(2,))
-        rb = metrics.evaluate_predictions(rng.random((12, 8)), gold, train_counts=counts, p_at=(2,))
-        delta = metrics.compare_reports(ra, rb)
-        for i, d in enumerate(delta["bins"]):
-            if d is not None:
-                assert d == pytest.approx(rb.bins[i].micro_f1 - ra.bins[i].micro_f1, abs=1e-12)

@@ -392,24 +392,21 @@ def per_label_reference(samples, params, desc):
     the regularizer from the per-gold-label oracle, the rest from `backward`
     at lambda = 0."""
     bare = dataclasses.replace(params, config=dataclasses.replace(params.config, lambda_=0.0))
-    grads = model.GradientSet.zeros_like(params)
-    loss = 0.0
-    for ids, gold, masks in samples:
-        loss += model.backward(ids, len(ids), gold, bare, masks=masks, out=grads)[0]
+    loss, grads = model.backward(batch_of(samples), bare)
+    for _, gold, _ in samples:
         loss += per_label_regularizer(gold, params, desc, grads.data)
     return loss, grads
 
 
+def batch_of(samples):
+    """`backward`'s (token_ids, length, gold, masks) tuples of (ids, gold,
+    masks) triples, each document's length its token count."""
+    return [(ids, len(ids), gold, masks) for ids, gold, masks in samples]
+
+
 def batch_path(samples, params, desc):
-    """Summed loss and gradients of `samples` with one description batch."""
-    grads = model.GradientSet.zeros_like(params)
-    batch = model.description_batch(params, desc, [gold for _, gold, _ in samples])
-    loss = 0.0
-    for ids, gold, masks in samples:
-        loss += model.backward(ids, len(ids), gold, params, masks=masks, desc_ids_list=desc,
-                               out=grads, desc_batch=batch)[0]
-    batch.finish(grads)
-    return loss, grads
+    """Summed loss and gradients of `samples` through one `backward` call."""
+    return model.backward(batch_of(samples), params, desc)
 
 
 class TestDescriptionBatch:
@@ -457,19 +454,10 @@ class TestDescriptionBatch:
         samples, params, desc = self.batch(kernels)
         for ids, gold, masks in samples:
             loss_ref, ref = per_label_reference([(ids, gold, masks)], params, desc)
-            loss, grads = model.backward(ids, len(ids), gold, params, masks=masks,
-                                         desc_ids_list=desc)
+            loss, grads = model.backward([(ids, len(ids), gold, masks)], params, desc)
             assert loss == pytest.approx(loss_ref, rel=1e-12, abs=0.0)
             for name, arr in ref.data.items():
                 assert_rel_close(grads[name], arr)
-
-    def test_gold_label_outside_the_batch_rejected(self):
-        samples, params, desc = self.batch((1, 3))
-        batch = model.description_batch(params, desc, [samples[0][1]])
-        ids, gold, _ = samples[2]
-        with pytest.raises(ValueError, match="missing from the description batch"):
-            model.backward(ids, len(ids), gold, params, desc_ids_list=desc,
-                           out=model.GradientSet.zeros_like(params), desc_batch=batch)
 
     def test_lambda_zero_builds_no_batch(self, monkeypatch):
         samples, params, desc = self.batch((1, 3))
@@ -482,8 +470,7 @@ class TestDescriptionBatch:
         monkeypatch.setattr(model, "DescriptionBatch", no_batch)
         golds = [gold for _, gold, _ in samples]
         assert model.description_batch(params, desc, golds) is None
-        for ids, gold, masks in samples:
-            model.backward(ids, len(ids), gold, params, masks=masks, desc_ids_list=desc)
+        model.backward(batch_of(samples), params, desc)
 
 
 class TestLosses:
@@ -511,7 +498,7 @@ class TestLosses:
     IDS = [3, 1, 4, 1, 5]
 
     def rlda_and_lda_loss(self, params, g, desc):
-        loss, _ = model.backward(self.IDS, 5, g, params, desc_ids_list=desc)
+        loss, _ = model.backward([(self.IDS, 5, g, None)], params, desc)
         return loss, model.loss_mvc_lda(model.forward(self.IDS, 5, params), g)
 
     def test_rlda_reduces_to_lda_when_gold_empty(self):
@@ -567,7 +554,7 @@ class TestBackward:
         def loss_fn():
             return reference_loss(model.forward(ids, 12, params), gold, params, desc)
 
-        loss, grads = model.backward(ids, 12, gold, params, desc_ids_list=desc)
+        loss, grads = model.backward([(ids, 12, gold, None)], params, desc)
         if kind == "mvc-lda":
             assert loss == model.loss_mvc_lda(model.forward(ids, 12, params), gold)
         else:
@@ -585,7 +572,7 @@ class TestBackward:
         def loss_fn():
             return reference_loss(model.forward(ids, 10, params, masks=masks), gold, params, desc)
 
-        _, grads = model.backward(ids, 10, gold, params, masks=masks, desc_ids_list=desc)
+        _, grads = model.backward([(ids, 10, gold, masks)], params, desc)
         fd_gradcheck(params, loss_fn, grads, max_per_tensor=20)
 
     def test_stationary_point_gives_zero_gradients(self):
@@ -596,7 +583,7 @@ class TestBackward:
         # all-zero weights give y = 0.5 everywhere; a gold of exactly 0.5
         # makes the BCE gradient vanish identically
         gold = np.full(3, 0.5)
-        _, grads = model.backward([1, 2, 3], 3, gold, params)
+        _, grads = model.backward([([1, 2, 3], 3, gold, None)], params)
         for name, arr in grads.data.items():
             assert np.allclose(arr, 0.0, atol=1e-15), name
 
@@ -604,31 +591,31 @@ class TestBackward:
         params = small_params(seed=22, kernels=(1, 1))
         params.conv[1][:] = params.conv[0]  # exact tie at every position
         gold = np.array([1.0, 0.0, 1.0])
-        _, grads = model.backward([1, 2, 3, 4], 4, gold, params)
+        _, grads = model.backward([([1, 2, 3, 4], 4, gold, None)], params)
         assert np.allclose(grads["conv1"], 0.0)
         assert not np.allclose(grads["conv0"], 0.0)
 
     def test_bce_path_active_for_negative_labels(self):
         params = small_params(seed=23)
         gold = np.zeros(3)
-        _, grads = model.backward([1, 2, 3], 3, gold, params)
+        _, grads = model.backward([([1, 2, 3], 3, gold, None)], params)
         assert not np.allclose(grads["U"], 0.0)
 
     def test_freeze_embeddings_blocks_w_e(self):
         params = small_params(seed=24, freeze_embeddings=True)
-        _, grads = model.backward([1, 2, 3], 3, np.array([1.0, 0.0, 1.0]), params)
+        _, grads = model.backward([([1, 2, 3], 3, np.array([1.0, 0.0, 1.0]), None)], params)
         assert np.array_equal(grads["W_e"], np.zeros_like(params.W_e))
 
     def test_freeze_desc_encoder_blocks_description_grads(self):
         rng = np.random.default_rng(25)
         params = small_params(kind="mvc-rlda", seed=25, lambda_=0.1, freeze_desc_encoder=True)
         desc = self._desc(rng, 3, 20)
-        _, grads = model.backward([1, 2, 3], 3, np.ones(3), params, desc_ids_list=desc)
+        _, grads = model.backward([([1, 2, 3], 3, np.ones(3), None)], params, desc)
         assert np.array_equal(grads["desc_conv"], np.zeros_like(params.desc_conv))
         assert np.array_equal(grads["desc_W"], np.zeros_like(params.desc_W))
         # the attention side of the regularizer still acts on V
         base = small_params(kind="mvc-rlda", seed=25, lambda_=0.0, freeze_desc_encoder=True)
-        _, base_grads = model.backward([1, 2, 3], 3, np.ones(3), base, desc_ids_list=desc)
+        _, base_grads = model.backward([([1, 2, 3], 3, np.ones(3), None)], base, desc)
         assert not np.allclose(grads["V"], base_grads["V"])
 
 
@@ -636,32 +623,22 @@ class TestBackward:
         rng = np.random.default_rng(31)
         params = small_params(kind="mvc-rlda", seed=31, lambda_=0.05)
         desc = self._desc(rng, 3, 20)
-        samples = [
-            (rng.integers(0, 20, n), (rng.random(3) < 0.5).astype(float)) for n in (7, 3, 11)
-        ]
-        buf = model.GradientSet.zeros_like(params)
+        samples = []
+        for n in (7, 3, 11):
+            ids, gold = rng.integers(0, 20, n), (rng.random(3) < 0.5).astype(float)
+            masks = model.make_dropout_masks(np.random.default_rng(n), n, 3, 4, 0.2)
+            samples.append((ids, n, gold, masks))
         total = model.GradientSet.zeros_like(params)
-        # the same samples through one description batch for all three
-        shared = model.GradientSet.zeros_like(params)
-        batch = model.description_batch(params, desc, [gold for _, gold in samples])
-        for ids, gold in samples:
-            masks = model.make_dropout_masks(np.random.default_rng(len(ids)), len(ids), 3, 4, 0.2)
-            alone, grads = model.backward(ids, len(ids), gold, params, masks=masks,
-                                          desc_ids_list=desc)
+        total_loss = 0.0
+        for sample in samples:
+            alone, grads = model.backward([sample], params, desc)
             total.add_(grads)
-            into, returned = model.backward(ids, len(ids), gold, params, masks=masks,
-                                            desc_ids_list=desc, out=buf)
-            assert into == alone
-            assert returned is buf
-            shared_loss, returned = model.backward(ids, len(ids), gold, params, masks=masks,
-                                                   desc_ids_list=desc, out=shared,
-                                                   desc_batch=batch)
-            assert shared_loss == pytest.approx(alone, rel=1e-12, abs=0.0)
-            assert returned is shared
-        batch.finish(shared)
+            total_loss += alone
+        # the same samples as one batch, through one description batch
+        loss, grads = model.backward(samples, params, desc)
+        assert loss == pytest.approx(total_loss, rel=1e-12, abs=0.0)
         for name, arr in total.data.items():
-            assert np.allclose(buf[name], arr, rtol=1e-12, atol=1e-15), name
-            assert np.allclose(shared[name], arr, rtol=1e-12, atol=1e-15), name
+            assert np.allclose(grads[name], arr, rtol=1e-12, atol=1e-15), name
 
 
 class TestCheckpoint:

@@ -95,9 +95,19 @@ class TestAdamStep:
         params = tiny_params(seed=4)
         state = train.AdamState.for_params(params)
         grads = model.GradientSet.zeros_like(params)
-        grads["b"][0] = np.nan
+        for arr in grads.data.values():
+            arr[...] = 0.5
+        grads["b"][0] = np.nan  # b comes after W_e, conv*, V and U in update order
+        before = params.copy()
+        moments = {name: (state.m[name].copy(), state.v[name].copy()) for name in state.m}
         with pytest.raises(model.NumericalError, match="b"):
             train.adam_step(params, grads, state, train.TrainConfig())
+        # rejected before any tensor, moment or the step count moved
+        assert state.t == 0
+        for (name, arr), (_, old) in zip(params.tensors(), before.tensors()):
+            assert np.array_equal(arr, old), name
+            assert np.array_equal(state.m[name], moments[name][0]), name
+            assert np.array_equal(state.v[name], moments[name][1]), name
 
 
 class TestEarlyStopper:
