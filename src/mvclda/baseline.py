@@ -148,18 +148,9 @@ class LinearOvrModel:
 
 def train_flat(X: np.ndarray, gold: np.ndarray, codes, cfg: SvmConfig) -> LinearOvrModel:
     """Independent classifier per label; zero-positive labels get an
-    always-negative classifier."""
-    codes = list(codes)
-    gold = np.asarray(gold)
-    csr, rows = _csr_rows(X), np.arange(X.shape[0])
-    weights = np.zeros((len(codes), X.shape[1]))
-    bias = np.zeros(len(codes))
-    for j in range(len(codes)):
-        y = np.where(gold[:, j] > 0, 1.0, -1.0)
-        weights[j], bias[j] = _train_hinge(
-            csr, rows, X.shape[1], y, cfg, label_seed=cfg.seed * 100_003 + j
-        )
-    return LinearOvrModel(nodes=codes, weights=weights, bias=bias)
+    always-negative classifier. This is the hierarchical trainer over an
+    empty hierarchy."""
+    return _train_ovr(X, gold, codes, {}, cfg, hierarchical=False)
 
 
 def predict_flat(model: LinearOvrModel, X: np.ndarray) -> np.ndarray:
@@ -208,6 +199,13 @@ def train_hierarchical(
     document whose gold set intersects its parent's subtree (root-level
     nodes see all documents); positives are the documents intersecting the
     node's own subtree."""
+    return _train_ovr(X, gold, codes, parents, cfg, hierarchical=True)
+
+
+def _train_ovr(X: np.ndarray, gold: np.ndarray, codes, parents: dict[str, str],
+               cfg: SvmConfig, hierarchical: bool) -> LinearOvrModel:
+    """`train_hierarchical`'s rule; without parents every node is a root-level
+    label with its own column as positives, which is `train_flat`."""
     codes = list(codes)
     gold = np.asarray(gold)
     nodes = _hierarchy_nodes(codes, parents)
@@ -228,7 +226,7 @@ def train_hierarchical(
         weights[k], bias[k] = _train_hinge(
             csr, pool, X.shape[1], y, cfg, label_seed=cfg.seed * 100_003 + k
         )
-    return LinearOvrModel(nodes=nodes, weights=weights, bias=bias, hierarchical=True)
+    return LinearOvrModel(nodes=nodes, weights=weights, bias=bias, hierarchical=hierarchical)
 
 
 def predict_hierarchical(

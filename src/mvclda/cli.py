@@ -440,17 +440,8 @@ def cmd_baseline(args) -> int:
     labels = _load_label_space(args.labels, args.hierarchy)
     train_tokens = [corpus.preprocess_text(d.text) for d in raw_train]
     test_tokens = [corpus.preprocess_text(d.text) for d in raw_test]
-
-    def gold_of(raws):
-        g = np.zeros((len(raws), labels.n_labels))
-        for i, raw in enumerate(raws):
-            for code in raw.codes:
-                j = labels.code_to_index.get(code)
-                if j is not None:
-                    g[i, j] = 1.0
-        return g
-
-    gold_train, gold_test = gold_of(raw_train), gold_of(raw_test)
+    gold_train, _ = corpus.encode_gold(raw_train, labels)
+    gold_test, _ = corpus.encode_gold(raw_test, labels)
     tfidf_kw = {key: values[key] for key in ("max_features", "min_doc_freq") if key in values}
     featurizer = baseline.fit_tfidf(train_tokens, **tfidf_kw)
     X_train = featurizer.transform(train_tokens)
@@ -501,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"mvclda {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", parents=[], help="generate a seeded synthetic corpus")
+    p = sub.add_parser("synth", help="generate a seeded synthetic corpus")
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, required=True)

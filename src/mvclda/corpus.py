@@ -164,38 +164,36 @@ class EncodedDocument:
             raise ValueError("length must equal the number of token ids")
 
 
-def encode_document(
-    raw: RawDocument, vocab: Vocabulary, labels: LabelSpace, tokens: list[str] | None = None
-) -> tuple[EncodedDocument, int]:
-    """Encode one document; returns (doc, count of gold codes that were
-    dropped because the label space does not contain them). `tokens`, when
-    given, is `preprocess_text(raw.text)` computed by the caller."""
-    ids = vocab.encode(preprocess_text(raw.text) if tokens is None else tokens)
-    gold = np.zeros(labels.n_labels, dtype=np.float64)
+def encode_gold(raws: list[RawDocument], labels: LabelSpace) -> tuple[np.ndarray, int]:
+    """Each document's 0/1 gold vector over the label space, as the rows of
+    one matrix, and the count of gold codes dropped because the label space
+    does not contain them (logged as a warning)."""
+    gold = np.zeros((len(raws), labels.n_labels), dtype=np.float64)
     dropped = 0
-    for code in raw.codes:
-        j = labels.code_to_index.get(code)
-        if j is None:
-            dropped += 1
-        else:
-            gold[j] = 1.0
-    return EncodedDocument(ids, len(ids), gold, doc_id=raw.doc_id), dropped
+    for i, raw in enumerate(raws):
+        for code in raw.codes:
+            j = labels.code_to_index.get(code)
+            if j is None:
+                dropped += 1
+            else:
+                gold[i, j] = 1.0
+    if dropped:
+        logger.warning("dropped %d gold codes absent from the label space", dropped)
+    return gold, dropped
 
 
 def encode_corpus(
     raws: list[RawDocument], vocab: Vocabulary, labels: LabelSpace,
     token_docs: list[list[str]] | None = None,
 ) -> tuple[list[EncodedDocument], int]:
-    """`encode_document` over a corpus; `token_docs`, when given, holds
-    each document's preprocessed tokens."""
+    """Encode each document's tokens and gold codes; returns the documents
+    and `encode_gold`'s dropped count. `token_docs`, when given, holds each
+    document's `preprocess_text` tokens, computed by the caller."""
+    gold, dropped = encode_gold(raws, labels)
     docs = []
-    dropped = 0
     for i, raw in enumerate(raws):
-        doc, d = encode_document(raw, vocab, labels, None if token_docs is None else token_docs[i])
-        docs.append(doc)
-        dropped += d
-    if dropped:
-        logger.warning("dropped %d gold codes absent from the label space", dropped)
+        ids = vocab.encode(preprocess_text(raw.text) if token_docs is None else token_docs[i])
+        docs.append(EncodedDocument(ids, len(ids), gold[i], doc_id=raw.doc_id))
     return docs, dropped
 
 

@@ -86,7 +86,6 @@ class Trial:
     config: TrialConfig
     epochs: int
     dev_micro_f1: float
-    status: str = "completed"
 
 
 def hyperband_search(

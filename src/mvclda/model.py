@@ -42,6 +42,10 @@ batch's gold labels are packed into one padded sequence, encoded by one
 convolution, and their gradient is summed over the batch's samples before
 one backward pass.
 
+The parameters are one table of named tensors, `ModelParams.arrays`, and
+`_tensor_shapes` is the one list of its names and shapes; the gradients,
+Adam's moments and the checkpoint use the same names.
+
 Gradients are analytic and exact for this fixed architecture (the max
 operations route their full subgradient to the lowest-index winner).
 Everything is float64; no autodiff framework is involved.
@@ -126,52 +130,34 @@ def config_key(field_name: str) -> str:
 
 @dataclass
 class ModelParams:
+    """The model's tensors: `arrays` maps each name `_tensor_shapes` lists,
+    the one list of tensors, to its array, in that order."""
+
     config: ModelConfig
-    W_e: np.ndarray                 # d_v x d_e
-    conv: list[np.ndarray]          # per channel: s_i x d_e x d_c
-    V: np.ndarray                   # n_labels x d_c, attention weights
-    U: np.ndarray                   # n_labels x d_c, output weights
-    b: np.ndarray                   # n_labels
-    K: np.ndarray                   # n_labels, length-feature weight
-    d: np.ndarray                   # n_labels, length-feature bias
-    desc_conv: np.ndarray | None = None   # s_max x d_e x d_c
-    desc_W: np.ndarray | None = None      # d_c x d_c
-    desc_b: np.ndarray | None = None      # d_c
+    arrays: dict[str, np.ndarray]
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.arrays[name]
+
+    @property
+    def conv(self) -> list[np.ndarray]:
+        """The per-channel kernels, s_i x d_e x d_c each."""
+        return [self.arrays[f"conv{i}"] for i in range(len(self.config.kernel_sizes))]
 
     @property
     def vocab_size(self) -> int:
-        return self.W_e.shape[0]
+        return self.arrays["W_e"].shape[0]
 
     @property
     def n_labels(self) -> int:
-        return self.V.shape[0]
+        return self.arrays["V"].shape[0]
 
     def tensors(self):
         """(name, array) pairs in the fixed serialization order."""
-        yield "W_e", self.W_e
-        for i, w in enumerate(self.conv):
-            yield f"conv{i}", w
-        yield "V", self.V
-        yield "U", self.U
-        yield "b", self.b
-        yield "K", self.K
-        yield "d", self.d
-        if self.config.kind == "mvc-rlda":
-            yield "desc_conv", self.desc_conv
-            yield "desc_W", self.desc_W
-            yield "desc_b", self.desc_b
+        return self.arrays.items()
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            config=self.config,
-            W_e=self.W_e.copy(),
-            conv=[w.copy() for w in self.conv],
-            V=self.V.copy(), U=self.U.copy(), b=self.b.copy(),
-            K=self.K.copy(), d=self.d.copy(),
-            desc_conv=None if self.desc_conv is None else self.desc_conv.copy(),
-            desc_W=None if self.desc_W is None else self.desc_W.copy(),
-            desc_b=None if self.desc_b is None else self.desc_b.copy(),
-        )
+        return ModelParams(self.config, {name: a.copy() for name, a in self.arrays.items()})
 
 
 class GradientSet:
@@ -221,30 +207,26 @@ def init_params(
     during training unless frozen)."""
     cfg.validate()
     d_e, d_c = cfg.embed_dim, cfg.n_filters
-    if embeddings is not None:
-        if embeddings.shape != (vocab_size, d_e):
-            raise ValueError(
-                f"embedding table shape {embeddings.shape} does not match "
-                f"(vocab {vocab_size}, dim {d_e})"
-            )
-        W_e = embeddings.astype(np.float64).copy()
-    else:
-        W_e = (rng.random((vocab_size, d_e)) - 0.5) / d_e
-    conv = [
-        _glorot(rng, (s, d_e, d_c), s * d_e, s * d_c) for s in cfg.kernel_sizes
-    ]
-    V = _glorot(rng, (n_labels, d_c), d_c, 1)
-    U = _glorot(rng, (n_labels, d_c), d_c, 1)
-    b = np.zeros(n_labels)
-    K = np.zeros(n_labels)
-    d = np.zeros(n_labels)
-    desc_conv = desc_W = desc_b = None
-    if cfg.kind == "mvc-rlda":
-        s_max = max(cfg.kernel_sizes)
-        desc_conv = _glorot(rng, (s_max, d_e, d_c), s_max * d_e, s_max * d_c)
-        desc_W = _glorot(rng, (d_c, d_c), d_c, d_c)
-        desc_b = np.zeros(d_c)
-    return ModelParams(cfg, W_e, conv, V, U, b, K, d, desc_conv, desc_W, desc_b)
+    if embeddings is not None and embeddings.shape != (vocab_size, d_e):
+        raise ValueError(
+            f"embedding table shape {embeddings.shape} does not match "
+            f"(vocab {vocab_size}, dim {d_e})"
+        )
+    arrays = {}
+    # the table order is the RNG draw order
+    for name, shape in _tensor_shapes(cfg, vocab_size, n_labels).items():
+        if name == "W_e":
+            arrays[name] = ((rng.random(shape) - 0.5) / d_e if embeddings is None
+                            else embeddings.astype(np.float64).copy())
+        elif len(shape) == 3:    # convolution kernels, s x d_e x d_c
+            arrays[name] = _glorot(rng, shape, shape[0] * d_e, shape[0] * d_c)
+        elif name in ("V", "U"):  # one d_c -> 1 map per label
+            arrays[name] = _glorot(rng, shape, d_c, 1)
+        elif name == "desc_W":
+            arrays[name] = _glorot(rng, shape, d_c, d_c)
+        else:                    # biases and length weights
+            arrays[name] = np.zeros(shape)
+    return ModelParams(cfg, arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +376,7 @@ def _forward_cached(token_ids, length: int, params: ModelParams, masks: DropoutM
     ids = np.asarray(token_ids, dtype=np.int64)
     if len(ids) and (ids.min() < 0 or ids.max() >= params.vocab_size):
         raise ValueError("token id out of range for the embedding table")
-    Xp, X = _embed_padded(ids, params.W_e, max(cfg.kernel_sizes))
+    Xp, X = _embed_padded(ids, params["W_e"], max(cfg.kernel_sizes))
     if masks is not None:
         x_scale = masks.x_keep / (1.0 - masks.rate)
         X *= x_scale[:, None]
@@ -407,13 +389,13 @@ def _forward_cached(token_ids, length: int, params: ModelParams, masks: DropoutM
     C = np.tanh(M, out=M)
 
     if cfg.attention_softmax:
-        S = _softmax_columns(C @ params.V.T)  # (l, J) attention weights
+        S = _softmax_columns(C @ params["V"].T)  # (l, J) attention weights
         P_pre = S.T @ C
         G = None
     else:
         S = None
         G = C.T @ C                           # (d_c, d_c) Gram matrix
-        P_pre = params.V @ G
+        P_pre = params["V"] @ G
 
     if masks is not None:
         p_scale = masks.p_keep / (1.0 - masks.rate)
@@ -422,10 +404,10 @@ def _forward_cached(token_ids, length: int, params: ModelParams, masks: DropoutM
         p_scale = None
         P = P_pre
 
-    logits = np.sum(params.U * P, axis=1) + params.b
+    logits = np.sum(params["U"] * P, axis=1) + params["b"]
     if cfg.use_length:
         lt = length / cfg.length_scale
-        T = sigmoid(params.K * lt + params.d)
+        T = sigmoid(params["K"] * lt + params["d"])
         logits = logits + T
     else:
         lt = 0.0
@@ -480,15 +462,15 @@ class DescriptionBatch:
         lens = np.array([len(ids) for ids in descs])
         if np.any(lens == 0):
             raise ValueError("cannot encode an empty description")
-        s, _, d_c = params.desc_conv.shape
+        s, _, d_c = params["desc_conv"].shape
         # the output row of every description token: description k's tokens
         # follow k gaps of s//2 zero rows
         self.ids = np.concatenate(descs)
         self.rows = np.arange(len(self.ids)) + s // 2 * np.repeat(np.arange(len(lens)), lens)
         starts = np.concatenate(([0], np.cumsum(lens[:-1])))
-        self.Xp = np.zeros((self.rows[-1] + s, params.W_e.shape[1]))
-        self.Xp[s // 2 + self.rows] = params.W_e[self.ids]
-        self.W = _stack_kernels([params.desc_conv])
+        self.Xp = np.zeros((self.rows[-1] + s, params["W_e"].shape[1]))
+        self.Xp[s // 2 + self.rows] = params["W_e"][self.ids]
+        self.W = _stack_kernels([params["desc_conv"]])
         Z, _ = _conv_max(self.Xp, self.W, d_c, False)
         Zd = Z[self.rows]
         self.m = np.maximum.reduceat(Zd, starts, axis=0)             # (k, d_c)
@@ -497,7 +479,7 @@ class DescriptionBatch:
         hit = (Zd == np.repeat(self.m, lens, axis=0)) | np.isnan(Zd)
         pos = np.where(hit, np.arange(len(Zd))[:, None], len(Zd))
         self.amax = self.rows[np.minimum.reduceat(pos, starts, axis=0)]
-        self.F = sigmoid(self.m @ params.desc_W.T + params.desc_b)  # (k, d_c)
+        self.F = sigmoid(self.m @ params["desc_W"].T + params["desc_b"])  # (k, d_c)
         self.Dpre = np.zeros_like(self.F)
 
     def regularize(self, js: np.ndarray, grads: GradientSet) -> float:
@@ -506,7 +488,7 @@ class DescriptionBatch:
         params, lam = self.params, self.params.config.lambda_
         idx = self.row[js]
         F = self.F[idx]
-        diff = params.V[js] - F
+        diff = params["V"][js] - F
         grads["V"][js] += 2.0 * lam * diff
         if not params.config.freeze_desc_encoder:
             self.Dpre[idx] += -2.0 * lam * diff * F * (1.0 - F)
@@ -521,9 +503,9 @@ class DescriptionBatch:
         grads["desc_b"] += self.Dpre.sum(axis=0)
         d_c = self.F.shape[1]
         dZ = np.zeros((self.rows[-1] + 1, d_c))
-        dZ[self.amax, np.arange(d_c)] = self.Dpre @ params.desc_W
+        dZ[self.amax, np.arange(d_c)] = self.Dpre @ params["desc_W"]
         dW, dX = _conv_max_backward(self.Xp, self.W, None, dZ)
-        grads["desc_conv"] += dW.reshape(params.desc_conv.shape)
+        grads["desc_conv"] += dW.reshape(params["desc_conv"].shape)
         if not cfg.freeze_embeddings:
             np.add.at(grads["W_e"], self.ids, dX[self.rows])
 
@@ -597,7 +579,7 @@ def _sample_backward(token_ids, length: int, gold, params: ModelParams,
     dlogits = y - g                                  # (J,)
     grads["U"] += dlogits[:, None] * cache["P"]
     grads["b"] += dlogits
-    dP = dlogits[:, None] * params.U
+    dP = dlogits[:, None] * params["U"]
     if cfg.use_length:
         T = cache["T"]
         dz = dlogits * T * (1.0 - T)
@@ -609,10 +591,10 @@ def _sample_backward(token_ids, length: int, gold, params: ModelParams,
     if cfg.attention_softmax:
         dS = C @ dP_pre.T                            # (l, J)
         dA = S * (dS - np.sum(S * dS, axis=0, keepdims=True))
-        dC = S @ dP_pre + dA @ params.V
+        dC = S @ dP_pre + dA @ params["V"]
         grads["V"] += dA.T @ C
     else:
-        VtdP = params.V.T @ dP_pre                   # (d_c, d_c)
+        VtdP = params["V"].T @ dP_pre                # (d_c, d_c)
         dC = C @ (VtdP + VtdP.T)
         grads["V"] += dP_pre @ G
 
@@ -669,13 +651,19 @@ def save_checkpoint(path, params: ModelParams, vocab_checksum: str) -> None:
 
 
 def _tensor_shapes(cfg: ModelConfig, vocab_size: int, n_labels: int) -> dict[str, tuple]:
-    """Each tensor's shape under `cfg`, by `ModelParams.tensors()` name."""
+    """The one list of the model's tensors: each name and its shape under
+    `cfg`, in the order `ModelParams.arrays` holds them, `init_params` draws
+    them and the checkpoint stores them."""
     d_e, d_c = cfg.embed_dim, cfg.n_filters
     shapes = {"W_e": (vocab_size, d_e)}
+    # per channel, its s_i x d_e x d_c kernel
     shapes.update({f"conv{i}": (s, d_e, d_c) for i, s in enumerate(cfg.kernel_sizes)})
+    # per label: attention and output weights, output bias, length-feature
+    # weight and bias
     shapes.update(V=(n_labels, d_c), U=(n_labels, d_c), b=(n_labels,), K=(n_labels,),
                   d=(n_labels,))
     if cfg.kind == "mvc-rlda":
+        # the description encoder: s_max-wide kernel, dense layer
         shapes.update(desc_conv=(max(cfg.kernel_sizes), d_e, d_c), desc_W=(d_c, d_c),
                       desc_b=(d_c,))
     return shapes
@@ -704,13 +692,4 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
                 f"{path}: tensor {name} has shape {list(arrays[name].shape)}, "
                 f"the header's config needs {list(shape)}"
             )
-    params = ModelParams(
-        config=cfg,
-        W_e=arrays["W_e"], conv=[arrays[f"conv{i}"] for i in range(len(cfg.kernel_sizes))],
-        V=arrays["V"], U=arrays["U"], b=arrays["b"],
-        K=arrays["K"], d=arrays["d"],
-        desc_conv=arrays.get("desc_conv"),
-        desc_W=arrays.get("desc_W"),
-        desc_b=arrays.get("desc_b"),
-    )
-    return params, header
+    return ModelParams(cfg, {name: arrays[name] for name in shapes}), header

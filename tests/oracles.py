@@ -104,9 +104,9 @@ def reference_loss(y, gold, params, desc_ids_list=None):
     if params.config.kind != "mvc-rlda":
         return loss
     for j in np.flatnonzero(g > 0):
-        m = channel_conv(params.W_e[desc_ids_list[j]], params.desc_conv).max(axis=0)
-        f = 1.0 / (1.0 + np.exp(-(params.desc_W @ m + params.desc_b)))
-        diff = params.V[j] - f
+        m = channel_conv(params["W_e"][desc_ids_list[j]], params["desc_conv"]).max(axis=0)
+        f = 1.0 / (1.0 + np.exp(-(params["desc_W"] @ m + params["desc_b"])))
+        diff = params["V"][j] - f
         loss += params.config.lambda_ * float(diff @ diff)
     return loss
 
@@ -121,13 +121,13 @@ def per_label_regularizer(gold, params, desc_ids_list, grads):
     lam = cfg.lambda_
     reg = 0.0
     for j in np.flatnonzero(np.asarray(gold) > 0):
-        X = params.W_e[desc_ids_list[j]]
-        Z = channel_conv(X, params.desc_conv)
+        X = params["W_e"][desc_ids_list[j]]
+        Z = channel_conv(X, params["desc_conv"])
         amax = Z.argmax(axis=0)
         cols = np.arange(Z.shape[1])
         m = Z[amax, cols]
-        f = two_branch_sigmoid(params.desc_W @ m + params.desc_b)
-        diff = params.V[j] - f
+        f = two_branch_sigmoid(params["desc_W"] @ m + params["desc_b"])
+        diff = params["V"][j] - f
         reg += lam * float(diff @ diff)
         grads["V"][j] += 2.0 * lam * diff
         if cfg.freeze_desc_encoder:
@@ -136,8 +136,8 @@ def per_label_regularizer(gold, params, desc_ids_list, grads):
         grads["desc_W"] += np.outer(dpre, m)
         grads["desc_b"] += dpre
         dZ = np.zeros_like(Z)
-        dZ[amax, cols] = params.desc_W.T @ dpre
-        dW, dX = channel_conv_backward(X, params.desc_conv, dZ)
+        dZ[amax, cols] = params["desc_W"].T @ dpre
+        dW, dX = channel_conv_backward(X, params["desc_conv"], dZ)
         grads["desc_conv"] += dW
         if not cfg.freeze_embeddings:
             np.add.at(grads["W_e"], desc_ids_list[j], dX)

@@ -77,10 +77,10 @@ def test_criterion_02_equation_fidelity():
         model.ModelConfig(kernel_sizes=(1, 3), n_filters=1, embed_dim=1),
         3, 1, np.random.default_rng(2),
     )
-    params.W_e[:, 0] = [1.0, 2.0, 3.0]
+    params["W_e"][:, 0] = [1.0, 2.0, 3.0]
     params.conv[0][:] = 1.0
     params.conv[1][:] = 0.5
-    params.V[:], params.K[:], params.d[:] = 2.0, 1.0, 0.0
+    params["V"][:], params["K"][:], params["d"][:] = 2.0, 1.0, 0.0
     _, cache = model._forward_cached(np.array([0, 1, 2]), 5000, params, None)
     # convolution cross-channel max: pre-tanh max([1,2,3], [1.5,3,2.5])
     m = np.tanh([1.5, 3.0, 3.0])

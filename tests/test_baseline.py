@@ -110,6 +110,25 @@ class TestFlatOvr:
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.bias, b.bias)
 
+    def test_equals_hierarchical_over_an_empty_hierarchy(self):
+        rng = np.random.default_rng(6)
+        for case in range(5):
+            n, dim, n_codes = int(rng.integers(8, 20)), int(rng.integers(3, 8)), 4
+            X = rng.normal(size=(n, dim)) * (rng.random((n, dim)) < 0.6)
+            gold = (rng.random((n, n_codes)) < 0.4).astype(float)
+            gold[:, 0], gold[:, 1] = 0.0, 1.0  # a label with no positive, one with no negative
+            codes = [f"c{i}" for i in range(n_codes)]
+            cfg = baseline.SvmConfig(epochs=3, seed=case)
+            flat = baseline.train_flat(X, gold, codes, cfg)
+            hier = baseline.train_hierarchical(X, gold, codes, {}, cfg)
+            assert flat.nodes == hier.nodes == codes
+            assert not flat.hierarchical and hier.hierarchical
+            assert flat.weights.tobytes() == hier.weights.tobytes()
+            assert flat.bias.tobytes() == hier.bias.tobytes()
+            X_test = rng.normal(size=(10, dim))
+            assert np.array_equal(baseline.predict_flat(flat, X_test),
+                                  baseline.predict_hierarchical(hier, X_test, codes, {}))
+
 
 def _manual_model(nodes, fire: dict[str, bool], dim=3):
     weights = np.zeros((len(nodes), dim))

@@ -495,6 +495,23 @@ class TestBaselineCmd:
             argv += ["--config", str(cfg)]
         return run(argv)
 
+    def test_unknown_gold_code_warns_and_changes_no_metric(self, corpus_dir, tmp_path, caplog):
+        lines = (corpus_dir / "test.jsonl").read_text().splitlines()
+        doc = json.loads(lines[0])
+        doc["codes"].append("NOT-A-CODE")
+        test_path = tmp_path / "test.jsonl"
+        test_path.write_text("\n".join([json.dumps(doc)] + lines[1:]) + "\n")
+        assert self._baseline(corpus_dir, tmp_path / "known") == 0
+        assert "dropped" not in caplog.text
+        argv = ["baseline",
+                "--train", str(corpus_dir / "train.jsonl"), "--test", str(test_path),
+                "--labels", str(corpus_dir / "descriptions.tsv"),
+                "--seed", "4", "--out", str(tmp_path / "unknown")]
+        assert run(argv) == 0
+        assert "dropped 1 gold codes absent from the label space" in caplog.text
+        assert ((tmp_path / "unknown" / "metrics.json").read_bytes()
+                == (tmp_path / "known" / "metrics.json").read_bytes())
+
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_max_features_below_one_is_data_error(self, value, corpus_dir, tmp_path, capsys):
         # -1 once sliced off the last term, 0 fitted a featureless model

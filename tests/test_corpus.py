@@ -123,10 +123,16 @@ def _toy_space():
     return corpus.make_label_space({"A": "alpha disease", "B": "beta disease", "C": "gamma"})
 
 
+def encode_document(raw, vocab, labels):
+    """One document through `encode_corpus`: (its encoding, dropped count)."""
+    docs, dropped = corpus.encode_corpus([raw], vocab, labels)
+    return docs[0], dropped
+
+
 class TestEncodeDocument:
     def test_empty_text(self):
         vocab = corpus.build_vocabulary([["w"]] * 3)
-        doc, dropped = corpus.encode_document(
+        doc, dropped = encode_document(
             corpus.RawDocument("d1", "", set()), vocab, _toy_space()
         )
         assert len(doc.token_ids) == 0 and doc.length == 0
@@ -134,14 +140,14 @@ class TestEncodeDocument:
 
     def test_all_unknown_tokens(self):
         vocab = corpus.build_vocabulary([["w"]] * 3)
-        doc, _ = corpus.encode_document(
+        doc, _ = encode_document(
             corpus.RawDocument("d1", "novel words only", set()), vocab, _toy_space()
         )
         assert np.all(doc.token_ids == vocab.oov_id)
 
     def test_gold_vector(self):
         vocab = corpus.build_vocabulary([["w"]] * 3)
-        doc, dropped = corpus.encode_document(
+        doc, dropped = encode_document(
             corpus.RawDocument("d1", "w", {"A", "B"}), vocab, _toy_space()
         )
         assert doc.gold.tolist() == [1.0, 1.0, 0.0]
@@ -149,7 +155,7 @@ class TestEncodeDocument:
 
     def test_unknown_codes_dropped_and_counted(self):
         vocab = corpus.build_vocabulary([["w"]] * 3)
-        doc, dropped = corpus.encode_document(
+        doc, dropped = encode_document(
             corpus.RawDocument("d1", "w", {"A", "Zed", "Q"}), vocab, _toy_space()
         )
         assert doc.gold.tolist() == [1.0, 0.0, 0.0]
@@ -158,7 +164,7 @@ class TestEncodeDocument:
     def test_round_trip_through_vocabulary(self):
         tokens = ["alpha", "beta", "alpha"]
         vocab = corpus.build_vocabulary([tokens] * 3)
-        doc, _ = corpus.encode_document(
+        doc, _ = encode_document(
             corpus.RawDocument("d1", "alpha beta alpha", set()), vocab, _toy_space()
         )
         assert [vocab.id_to_token[i] for i in doc.token_ids] == tokens

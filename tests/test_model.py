@@ -45,9 +45,11 @@ def params_over(X, weights, labels=1):
     cfg = model.ModelConfig(kernel_sizes=tuple(w.shape[0] for w in weights),
                             n_filters=d_c, embed_dim=d_e)
     rng = np.random.default_rng(0)
-    return model.ModelParams(cfg, np.array(X, dtype=np.float64), list(weights),
-                             V=rng.normal(size=(labels, d_c)), U=rng.normal(size=(labels, d_c)),
-                             b=np.zeros(labels), K=np.zeros(labels), d=np.zeros(labels))
+    return model.ModelParams(cfg, {
+        "W_e": np.array(X, dtype=np.float64), **{f"conv{i}": w for i, w in enumerate(weights)},
+        "V": rng.normal(size=(labels, d_c)), "U": rng.normal(size=(labels, d_c)),
+        "b": np.zeros(labels), "K": np.zeros(labels), "d": np.zeros(labels),
+    })
 
 
 def cached(params, ids, length=None):
@@ -68,14 +70,14 @@ def pooled(C, V):
     d_c = C.shape[1]
     X = np.arctanh(C) if len(C) else np.zeros((1, d_c))
     params = params_over(X, [np.eye(d_c)[None]], labels=len(V))
-    params.V[:] = V
+    params["V"][:] = V
     return cached(params, np.arange(len(C)))["P"]
 
 
 def length_feature(length, K_j, d_j):
     """The length feature T of a one-label model from `_forward_cached`'s cache."""
     params = small_params(labels=1)
-    params.K[:], params.d[:] = K_j, d_j
+    params["K"][:], params["d"][:] = K_j, d_j
     return float(cached(params, [1, 2], length)["T"][0])
 
 
@@ -294,23 +296,23 @@ class TestForward:
     def test_zero_length_document_scores_bias_plus_length(self):
         for softmax in (False, True):
             params = small_params(seed=29, attention_softmax=softmax)
-            params.b[:] = [0.5, -1.0, 2.0]
-            params.K[:] = 3.0
-            params.d[:] = [0.1, 0.2, -0.3]
-            T = model.sigmoid(params.K * (7 / model.LENGTH_SCALE) + params.d)
-            assert np.array_equal(model.forward([], 7, params), model.sigmoid(params.b + T))
+            params["b"][:] = [0.5, -1.0, 2.0]
+            params["K"][:] = 3.0
+            params["d"][:] = [0.1, 0.2, -0.3]
+            T = model.sigmoid(params["K"] * (7 / model.LENGTH_SCALE) + params["d"])
+            assert np.array_equal(model.forward([], 7, params), model.sigmoid(params["b"] + T))
             no_length = small_params(seed=29, attention_softmax=softmax, use_length=False)
-            assert np.array_equal(model.forward([], 0, no_length), model.sigmoid(no_length.b))
+            assert np.array_equal(model.forward([], 0, no_length), model.sigmoid(no_length["b"]))
 
     def test_gram_form_matches_per_label_attention_pool(self):
         rng = np.random.default_rng(30)
         params = small_params(seed=30, labels=6, kernels=(2, 4, 6))
-        params.K[:] = rng.normal(size=6)
+        params["K"][:] = rng.normal(size=6)
         ids = rng.integers(0, 20, 9)
-        C = np.tanh(multi_view_max(params.W_e[ids], params.conv)[0])
-        P = np.stack([C.T @ (C @ v) for v in params.V])
-        T = two_branch_sigmoid(params.K * (9 / model.LENGTH_SCALE) + params.d)
-        y = two_branch_sigmoid(np.sum(params.U * P, axis=1) + params.b + T)
+        C = np.tanh(multi_view_max(params["W_e"][ids], params.conv)[0])
+        P = np.stack([C.T @ (C @ v) for v in params["V"]])
+        T = two_branch_sigmoid(params["K"] * (9 / model.LENGTH_SCALE) + params["d"])
+        y = two_branch_sigmoid(np.sum(params["U"] * P, axis=1) + params["b"] + T)
         assert np.allclose(cached(params, ids)["P"], P, rtol=1e-12, atol=0.0)
         assert np.allclose(model.forward(ids, 9, params), y, rtol=1e-12, atol=0.0)
 
@@ -343,7 +345,7 @@ class TestForward:
 
     def test_length_feature_uses_given_length_not_ids(self):
         params = small_params(seed=10)
-        params.K[:] = 3.0
+        params["K"][:] = 3.0
         short = model.forward([1, 2], 2, params)
         long = model.forward([1, 2], 20_000, params)
         assert not np.allclose(short, long)
@@ -366,8 +368,8 @@ class TestEncodeDescription:
 
     def test_zero_dense_layer_gives_half(self):
         params = small_params(kind="mvc-rlda", seed=12)
-        params.desc_W[:] = 0.0
-        params.desc_b[:] = 0.0
+        params["desc_W"][:] = 0.0
+        params["desc_b"][:] = 0.0
         assert np.allclose(self.encode([1, 2, 3], params), 0.5, atol=1e-12)
 
     def test_description_shorter_than_kernel(self):
@@ -510,7 +512,7 @@ class TestLosses:
     def test_rlda_regularizer_zero_when_attention_matches_encoding(self):
         params = small_params(kind="mvc-rlda", seed=17, lambda_=0.5)
         desc = [np.array([1, 2]), np.array([3]), np.array([4, 5])]
-        params.V[:] = model.DescriptionBatch(params, desc, range(3)).F
+        params["V"][:] = model.DescriptionBatch(params, desc, range(3)).F
         rlda, lda = self.rlda_and_lda_loss(params, np.ones(3), desc)
         assert rlda == pytest.approx(lda, abs=1e-12)
 
@@ -604,15 +606,15 @@ class TestBackward:
     def test_freeze_embeddings_blocks_w_e(self):
         params = small_params(seed=24, freeze_embeddings=True)
         _, grads = model.backward([([1, 2, 3], 3, np.array([1.0, 0.0, 1.0]), None)], params)
-        assert np.array_equal(grads["W_e"], np.zeros_like(params.W_e))
+        assert np.array_equal(grads["W_e"], np.zeros_like(params["W_e"]))
 
     def test_freeze_desc_encoder_blocks_description_grads(self):
         rng = np.random.default_rng(25)
         params = small_params(kind="mvc-rlda", seed=25, lambda_=0.1, freeze_desc_encoder=True)
         desc = self._desc(rng, 3, 20)
         _, grads = model.backward([([1, 2, 3], 3, np.ones(3), None)], params, desc)
-        assert np.array_equal(grads["desc_conv"], np.zeros_like(params.desc_conv))
-        assert np.array_equal(grads["desc_W"], np.zeros_like(params.desc_W))
+        assert np.array_equal(grads["desc_conv"], np.zeros_like(params["desc_conv"]))
+        assert np.array_equal(grads["desc_W"], np.zeros_like(params["desc_W"]))
         # the attention side of the regularizer still acts on V
         base = small_params(kind="mvc-rlda", seed=25, lambda_=0.0, freeze_desc_encoder=True)
         _, base_grads = model.backward([([1, 2, 3], 3, np.ones(3), None)], base, desc)

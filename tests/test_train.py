@@ -75,21 +75,21 @@ class TestAdamStep:
         # theta=0, g=1, lr=0.001: bias-corrected m_hat = v_hat = 1
         # -> theta' = -lr / (1 + eps) ~ -0.001
         params = tiny_params(seed=2)
-        params.b[:] = 0.0
+        params["b"][:] = 0.0
         state = train.AdamState.for_params(params)
         grads = model.GradientSet.zeros_like(params)
         grads["b"][:] = 1.0
         train.adam_step(params, grads, state, train.TrainConfig())
-        assert params.b[0] == pytest.approx(-0.001, abs=1e-8)
+        assert params["b"][0] == pytest.approx(-0.001, abs=1e-8)
 
     def test_identical_gradients_identical_updates(self):
         params = tiny_params(seed=3)
-        params.b[:] = 0.5
+        params["b"][:] = 0.5
         state = train.AdamState.for_params(params)
         grads = model.GradientSet.zeros_like(params)
         grads["b"][:] = 0.37
         train.adam_step(params, grads, state, train.TrainConfig())
-        assert np.all(params.b == params.b[0])
+        assert np.all(params["b"] == params["b"][0])
 
     def test_non_finite_gradient_rejected(self):
         params = tiny_params(seed=4)
@@ -184,7 +184,7 @@ class TestTrainLoop:
         best, history = train.train(tiny_params(kind=kind, seed=9), docs, docs, desc, self.CFG)
         assert all(math.isfinite(e.train_loss) for e in history.epochs)
         scores = model.predict_matrix(best, docs[3:4])
-        assert np.array_equal(scores[0], model.sigmoid(best.b + model.sigmoid(best.d)))
+        assert np.array_equal(scores[0], model.sigmoid(best["b"] + model.sigmoid(best["d"])))
 
     def test_run_to_run_determinism(self):
         rng = np.random.default_rng(8)
@@ -203,10 +203,7 @@ class TestTrainLoop:
         cfg = train.TrainConfig(batch_size=4, max_epochs=5, patience=10, dropout=0.2, seed=9)
         rlda0 = tiny_params(kind="mvc-rlda", seed=9)
         rlda0 = model.ModelParams(
-            config=model.ModelConfig(**{**rlda0.config.__dict__, "lambda_": 0.0}),
-            W_e=rlda0.W_e, conv=rlda0.conv, V=rlda0.V, U=rlda0.U, b=rlda0.b,
-            K=rlda0.K, d=rlda0.d, desc_conv=rlda0.desc_conv, desc_W=rlda0.desc_W,
-            desc_b=rlda0.desc_b,
+            model.ModelConfig(**{**rlda0.config.__dict__, "lambda_": 0.0}), rlda0.arrays
         )
         lda0 = tiny_params(kind="mvc-lda", seed=9)
         rlda_best, rlda_hist = train.train(rlda0, docs, docs, desc, cfg)
@@ -220,8 +217,8 @@ class TestTrainLoop:
             if name in shared:
                 assert np.array_equal(arr, shared[name]), name
         # description encoder never moved
-        assert np.array_equal(rlda_best.desc_conv, rlda0.desc_conv)
-        assert np.array_equal(rlda_best.desc_W, rlda0.desc_W)
+        assert np.array_equal(rlda_best["desc_conv"], rlda0["desc_conv"])
+        assert np.array_equal(rlda_best["desc_W"], rlda0["desc_W"])
 
     def test_divergence_reports_epoch_and_batch(self, monkeypatch):
         rng = np.random.default_rng(10)
@@ -253,10 +250,7 @@ class TestTrainLoop:
         frozen = model.ModelConfig(**{
             **params.config.__dict__, "freeze_embeddings": True,
         })
-        params = model.ModelParams(
-            config=frozen, W_e=params.W_e, conv=params.conv, V=params.V,
-            U=params.U, b=params.b, K=params.K, d=params.d,
-        )
+        params = model.ModelParams(frozen, params.arrays)
         _, history = train.train(
             params, docs, docs, None,
             train.TrainConfig(batch_size=4, max_epochs=60, patience=3,

@@ -1,0 +1,161 @@
+"""Check that the working tree writes the same files as a git revision.
+
+    python tools/same_outputs.py <rev>
+
+Extracts `git archive <rev> src` into a temporary directory and runs one
+command flow with that source and with the working tree's `src/`, each in
+its own run directory with the same relative paths. The flow: synth;
+train mvc-rlda, mvc-lda, and mvc-lda with the first run's `--embeddings`;
+evaluate both models (the first with `--groups` and `--train-counts`);
+flat and hierarchical baselines; hyperband at R=3, eta=3; ablate with
+every component. Every file either run wrote is then reported as
+identical or differing; `history.jsonl` is compared with each line's
+`wall_time_s` removed, the only field allowed to differ. Exits 0 when
+every file matches and 1 otherwise.
+
+Needs no network; reads `.git` only through `git archive`. BLAS runs one
+thread, as in the benchmark.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+CONFIGS = {
+    "synth.cfg": """\
+n_codes = 12
+n_train = 60
+n_dev = 15
+n_test = 15
+background_vocab = 80
+doc_len_min = 30
+doc_len_max = 90
+""",
+    # max_segment below the longest note, so truncation runs too
+    "train.cfg": """\
+kernel_sizes = 2,4,6,8
+n_filters = 8
+embed_dim = 12
+max_epochs = 3
+max_segment = 60
+lambda = 0.01
+cbow_epochs = 1
+""",
+    "hyperband.cfg": """\
+n_filters = 8
+embed_dim = 12
+max_segment = 60
+cbow_epochs = 1
+s0_min = 2
+s0_max = 6
+dc_min = 4
+dc_max = 10
+""",
+}
+
+DATA = ["--train", "data/train.jsonl", "--labels", "data/descriptions.tsv"]
+TRAIN = DATA + ["--dev", "data/dev.jsonl", "--config", "cfg/train.cfg", "--seed", "42"]
+FLOW = [
+    ["synth", "--config", "cfg/synth.cfg", "--out-dir", "data", "--seed", "42"],
+    ["train", "--model", "mvc-rlda", *TRAIN, "--out", "rlda"],
+    ["train", "--model", "mvc-lda", *TRAIN, "--out", "lda"],
+    ["train", "--model", "mvc-lda", *TRAIN, "--embeddings", "rlda/embeddings.bin",
+     "--out", "lda_emb"],
+    ["evaluate", "--checkpoint", "rlda/checkpoint.bin", "--test", "data/test.jsonl",
+     "--labels", "data/descriptions.tsv", "--vocab", "rlda/vocab.tsv",
+     "--metrics-out", "rlda/metrics.json", "--p-at", "8,5", "--groups", "data/groups.tsv",
+     "--train-counts", "rlda/train_counts.tsv"],
+    ["evaluate", "--checkpoint", "lda/checkpoint.bin", "--test", "data/test.jsonl",
+     "--labels", "data/descriptions.tsv", "--vocab", "lda/vocab.tsv",
+     "--metrics-out", "lda/metrics.json"],
+    ["baseline", *DATA, "--test", "data/test.jsonl", "--seed", "42", "--out", "base_flat"],
+    ["baseline", *DATA, "--test", "data/test.jsonl", "--hierarchy", "data/hierarchy.tsv",
+     "--seed", "42", "--out", "base_hier"],
+    ["hyperband", "--model", "mvc-rlda", *DATA, "--dev", "data/dev.jsonl",
+     "--config", "cfg/hyperband.cfg", "--R", "3", "--eta", "3", "--seed", "42", "--out", "hb"],
+    ["ablate", "--model", "mvc-rlda", *TRAIN, "--test", "data/test.jsonl",
+     "--components", "all", "--out", "abl"],
+]
+
+
+def run_flow(src: Path, run_dir: Path) -> None:
+    """Run FLOW with the package in `src`, from `run_dir`."""
+    cfg_dir = run_dir / "cfg"
+    cfg_dir.mkdir(parents=True)
+    for name, text in CONFIGS.items():
+        (cfg_dir / name).write_text(text)
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MVC_")}
+    env.update(PYTHONPATH=str(src), OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    for argv in FLOW:
+        done = subprocess.run([sys.executable, "-m", "mvclda.cli", *argv], cwd=run_dir,
+                              env=env, capture_output=True, text=True)
+        if done.returncode != 0:
+            raise SystemExit(f"{src}: `mvclda {' '.join(argv)}` exited {done.returncode}:\n"
+                             f"{done.stderr}")
+
+
+def outputs(run_dir: Path) -> dict[str, bytes]:
+    """Every file the flow wrote under `run_dir`, by relative path."""
+    return {str(p.relative_to(run_dir)): p.read_bytes() for p in sorted(run_dir.rglob("*"))
+            if p.is_file() and p.relative_to(run_dir).parts[0] != "cfg"}
+
+
+def without_wall_time(history: bytes) -> list[dict]:
+    lines = [json.loads(line) for line in history.decode("utf-8").splitlines()]
+    for line in lines:
+        line.pop("wall_time_s", None)
+    return lines
+
+
+def compare(old: dict[str, bytes], new: dict[str, bytes]) -> list[tuple[str, str]]:
+    """(path, verdict) for every file in either run."""
+    verdicts = []
+    for path in sorted(old.keys() | new.keys()):
+        if path not in new:
+            verdict = "only at the revision"
+        elif path not in old:
+            verdict = "only in the working tree"
+        elif old[path] == new[path]:
+            verdict = "identical"
+        elif (Path(path).name == "history.jsonl"
+              and without_wall_time(old[path]) == without_wall_time(new[path])):
+            verdict = "identical except wall_time_s"
+        else:
+            verdict = "DIFFERS"
+        verdicts.append((path, verdict))
+    return verdicts
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python tools/same_outputs.py <rev>", file=sys.stderr)
+        return 2
+    rev = argv[0]
+    archive = subprocess.run(["git", "-C", str(REPO), "archive", "--format=tar", rev, "src"],
+                             capture_output=True, check=True).stdout
+    with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
+        tmp = Path(tmp)
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp / "rev", filter="data")
+        run_flow(tmp / "rev" / "src", tmp / "run_rev")
+        run_flow(REPO / "src", tmp / "run_tree")
+        verdicts = compare(outputs(tmp / "run_rev"), outputs(tmp / "run_tree"))
+    for path, verdict in verdicts:
+        print(f"{verdict:30s} {path}")
+    same = sum(v.startswith("identical") for _, v in verdicts)
+    print(f"{same} of {len(verdicts)} files match {rev}")
+    return 0 if same == len(verdicts) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
