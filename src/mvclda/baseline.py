@@ -5,6 +5,10 @@ trained by deterministic subgradient descent on L2-regularized hinge loss.
 Hierarchical prediction marks a code present only when its own classifier
 and every ancestor's classifier fire, so predictions are ancestor-closed by
 construction.
+
+Models are row-sparse: a node whose training pool has no positive or no
+negative gets a constant classifier, its bias alone, and keeps no weight
+row.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 from .corpus import build_vocabulary, write_tensor_file
 
 BASELINE_FORMAT = "mvclda.baseline"
-BASELINE_FORMAT_VERSION = 2
+BASELINE_FORMAT_VERSION = 3
 
 MAX_FEATURES = 10_000
 
@@ -92,12 +96,13 @@ def _train_hinge(csr, rows: np.ndarray, dim: int, y: np.ndarray, cfg: SvmConfig,
 
     y is +/-1 per row. Returns (w, b); b is unregularized. w is kept as
     a * v (Shalev-Shwartz et al., 2011), so the shrink is O(1) and the
-    margin and the update touch only the sample's nonzeros.
+    margin and the update touch only the sample's nonzeros. A pool with no
+    positive or no negative gives the constant classifier (None, -1 or +1).
     """
     if not np.any(y > 0):
-        return np.zeros(dim), -1.0
+        return None, -1.0
     if not np.any(y < 0):
-        return np.zeros(dim), 1.0
+        return None, 1.0
     row_cols = [csr[0][r] for r in rows]
     row_vals = [csr[1][r] for r in rows]
     y = y.tolist()
@@ -131,11 +136,13 @@ class LinearOvrModel:
     """One binary linear classifier per node name.
 
     Flat models have one node per label code; hierarchical models one per
-    hierarchy node (label codes plus internal parents).
+    hierarchy node (label codes plus internal parents). Only the trained
+    nodes `rows` have weights; every other node's score is its bias.
     """
 
     nodes: list[str]
-    weights: np.ndarray            # n_nodes x dim
+    rows: np.ndarray               # ascending node indices of the trained classifiers
+    weights: np.ndarray            # len(rows) x dim
     bias: np.ndarray               # n_nodes
     hierarchical: bool = False
 
@@ -143,7 +150,9 @@ class LinearOvrModel:
         self.node_index = {n: i for i, n in enumerate(self.nodes)}
 
     def decision(self, X: np.ndarray) -> np.ndarray:
-        return X @ self.weights.T + self.bias
+        scores = np.tile(self.bias, (X.shape[0], 1))
+        scores[:, self.rows] += X @ self.weights.T
+        return scores
 
 
 def train_flat(X: np.ndarray, gold: np.ndarray, codes, cfg: SvmConfig) -> LinearOvrModel:
@@ -217,16 +226,23 @@ def _train_ovr(X: np.ndarray, gold: np.ndarray, codes, parents: dict[str, str],
         for node in nodes
     }
     csr, all_rows = _csr_rows(X), np.arange(len(gold))
-    weights = np.zeros((len(nodes), X.shape[1]))
+    rows, weights = [], []
     bias = np.zeros(len(nodes))
     for k, node in enumerate(nodes):
         parent = parents.get(node)
         pool = all_rows if parent is None else np.flatnonzero(subtree_pos[parent])
         y = np.where(subtree_pos[node][pool], 1.0, -1.0)
-        weights[k], bias[k] = _train_hinge(
+        w, bias[k] = _train_hinge(
             csr, pool, X.shape[1], y, cfg, label_seed=cfg.seed * 100_003 + k
         )
-    return LinearOvrModel(nodes=nodes, weights=weights, bias=bias, hierarchical=hierarchical)
+        if w is not None:
+            rows.append(k)
+            weights.append(w)
+    return LinearOvrModel(
+        nodes=nodes, rows=np.array(rows, dtype=np.int64),
+        weights=np.array(weights, dtype=np.float64).reshape(len(rows), X.shape[1]),
+        bias=bias, hierarchical=hierarchical,
+    )
 
 
 def predict_hierarchical(
@@ -234,26 +250,31 @@ def predict_hierarchical(
 ) -> np.ndarray:
     """A code is present iff its classifier and every ancestor's classifier
     predict positive; the positive set is therefore ancestor-closed."""
-    fired = model.decision(X) > 0
-    out = np.zeros((X.shape[0], len(codes)), dtype=bool)
-    for j, chain in enumerate(_ancestor_chains(codes, parents)):
+    chains = _ancestor_chains(codes, parents)
+    depth = max(map(len, chains), default=1)
+    # each code's chain as node indices, padded with the code's own node
+    index = np.empty((len(chains), depth), dtype=np.int64)
+    for j, chain in enumerate(chains):
         try:
             cols = [model.node_index[n] for n in chain]
         except KeyError as exc:
             raise ValueError(f"no classifier for hierarchy node {exc.args[0]!r}") from exc
-        out[:, j] = fired[:, cols].all(axis=1)
-    return out
+        index[j] = cols + cols[:1] * (depth - len(cols))
+    fired = model.decision(X) > 0
+    return fired[:, index].all(axis=2)
 
 
 def save_baseline(path, featurizer: TfidfFeaturizer, model: LinearOvrModel) -> None:
-    """The featurizer's terms and the model's nodes in a tensor-file header,
-    then the idf, weights and bias tensors."""
+    """The featurizer's terms, the model's nodes and its trained node
+    indices `rows` in a tensor-file header, then the idf, the trained rows'
+    weights and every node's bias."""
     header = {
         "format": BASELINE_FORMAT,
         "version": BASELINE_FORMAT_VERSION,
         "hierarchical": model.hierarchical,
         "terms": featurizer.terms,
         "nodes": model.nodes,
+        "rows": model.rows.tolist(),
     }
     write_tensor_file(path, header, [
         ("idf", featurizer.idf), ("weights", model.weights), ("bias", model.bias),

@@ -166,6 +166,13 @@ def _load_label_space(desc_path, hierarchy_path=None) -> corpus.LabelSpace:
     return corpus.make_label_space(descriptions, parents)
 
 
+def _warn_dropped(dropped: int) -> None:
+    """Report `corpus.encode_gold`'s count of gold codes outside the label space."""
+    if dropped:
+        print(f"warning: dropped {dropped} gold codes absent from the label space",
+              file=sys.stderr)
+
+
 @dataclass
 class _TrainingSetup:
     """What train, hyperband and ablate share before their own work."""
@@ -205,8 +212,10 @@ def _training_setup(args, keys: dict) -> _TrainingSetup:
     labels = _load_label_space(args.labels)
     token_docs = [corpus.preprocess_text(d.text) for d in raw_train]
     vocab = corpus.build_vocabulary(token_docs, values.get("min_doc_freq", corpus.MIN_DOC_FREQ))
-    train_docs, _ = corpus.encode_corpus(raw_train, vocab, labels, token_docs)
-    dev_docs, _ = corpus.encode_corpus(raw_dev, vocab, labels)
+    train_docs, dropped = corpus.encode_corpus(raw_train, vocab, labels, token_docs)
+    _warn_dropped(dropped)
+    dev_docs, dropped = corpus.encode_corpus(raw_dev, vocab, labels)
+    _warn_dropped(dropped)
     inputs = {"train": Path(args.train), "dev": Path(args.dev), "labels": Path(args.labels),
               "config": Path(args.config)}
 
@@ -312,7 +321,8 @@ def cmd_evaluate(args) -> int:
             f"label file defines {labels.n_labels}"
         )
     raw_docs = corpus.read_corpus_jsonl(args.test)
-    docs, _ = corpus.encode_corpus(raw_docs, vocab, labels)
+    docs, dropped = corpus.encode_corpus(raw_docs, vocab, labels)
+    _warn_dropped(dropped)
     scores = model.predict_matrix(params, docs)
     gold = train_mod.gold_matrix(docs)
 
@@ -398,7 +408,8 @@ def cmd_ablate(args) -> int:
     run = _training_setup(args, TRAIN_KEYS)
     eval_docs = run.dev_docs
     if args.test:
-        eval_docs, _ = corpus.encode_corpus(raw_eval, run.vocab, run.labels)
+        eval_docs, dropped = corpus.encode_corpus(raw_eval, run.vocab, run.labels)
+        _warn_dropped(dropped)
         run.inputs["test"] = Path(args.test)
     components = (
         list(train_mod.ABLATION_COMPONENTS)
@@ -440,8 +451,10 @@ def cmd_baseline(args) -> int:
     labels = _load_label_space(args.labels, args.hierarchy)
     train_tokens = [corpus.preprocess_text(d.text) for d in raw_train]
     test_tokens = [corpus.preprocess_text(d.text) for d in raw_test]
-    gold_train, _ = corpus.encode_gold(raw_train, labels)
-    gold_test, _ = corpus.encode_gold(raw_test, labels)
+    gold_train, dropped = corpus.encode_gold(raw_train, labels)
+    _warn_dropped(dropped)
+    gold_test, dropped = corpus.encode_gold(raw_test, labels)
+    _warn_dropped(dropped)
     tfidf_kw = {key: values[key] for key in ("max_features", "min_doc_freq") if key in values}
     featurizer = baseline.fit_tfidf(train_tokens, **tfidf_kw)
     X_train = featurizer.transform(train_tokens)
@@ -526,6 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dev", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--config", required=True)
+    p.add_argument("--embeddings", help="pretrained embedding file (else CBOW runs)")
     p.add_argument("--R", type=int, default=27)
     p.add_argument("--eta", type=int, default=3)
     p.add_argument("--seed", type=int, required=True)

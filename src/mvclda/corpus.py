@@ -8,14 +8,11 @@ explicit seeded stream.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 # Characters stripped from token edges. Internal hyphens/slashes are kept
 # so clinical tokens like "x-ray" survive.
@@ -167,7 +164,7 @@ class EncodedDocument:
 def encode_gold(raws: list[RawDocument], labels: LabelSpace) -> tuple[np.ndarray, int]:
     """Each document's 0/1 gold vector over the label space, as the rows of
     one matrix, and the count of gold codes dropped because the label space
-    does not contain them (logged as a warning)."""
+    does not contain them."""
     gold = np.zeros((len(raws), labels.n_labels), dtype=np.float64)
     dropped = 0
     for i, raw in enumerate(raws):
@@ -177,8 +174,6 @@ def encode_gold(raws: list[RawDocument], labels: LabelSpace) -> tuple[np.ndarray
                 dropped += 1
             else:
                 gold[i, j] = 1.0
-    if dropped:
-        logger.warning("dropped %d gold codes absent from the label space", dropped)
     return gold, dropped
 
 

@@ -406,3 +406,18 @@ def walk_hierarchical_fit(X, gold, codes, parents, nodes, cfg):
         y = np.where(meets(node)[pool], 1.0, -1.0)
         weights[k], bias[k] = dense_pegasos(X[pool], y, cfg, cfg.seed * 100_003 + k)
     return weights, bias, pools
+
+
+def loop_predict_hierarchical(model, X, codes, parents):
+    """Per code, walk its ancestor chain and AND the fired columns of every
+    node on it, one code at a time: the loop `baseline.predict_hierarchical`
+    replaced."""
+    fired = model.decision(X) > 0
+    out = np.zeros((X.shape[0], len(codes)), dtype=bool)
+    for j, code in enumerate(codes):
+        node, cols = code, [model.node_index[code]]
+        while node in parents:
+            node = parents[node]
+            cols.append(model.node_index[node])
+        out[:, j] = fired[:, cols].all(axis=1)
+    return out

@@ -382,7 +382,8 @@ def test_criterion_08_hierarchy_closure():
         parents = {codes[i]: codes[int(rng.integers(0, i))] for i in range(1, n_codes)}
         weights = rng.normal(size=(n_codes, 5))
         bias = rng.normal(size=n_codes)
-        ovr = baseline.LinearOvrModel(codes, weights, bias, hierarchical=True)
+        ovr = baseline.LinearOvrModel(codes, np.arange(n_codes), weights, bias,
+                                      hierarchical=True)
         X = rng.normal(size=(30, 5))
         pred = baseline.predict_hierarchical(ovr, X, codes, parents)
         for j, code in enumerate(codes):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from mvclda import baseline
 from mvclda.corpus import read_tensor_file
 
-from oracles import dense_pegasos, subtree_label_columns, walk_hierarchical_fit
+from oracles import (dense_pegasos, loop_predict_hierarchical, subtree_label_columns,
+                     walk_hierarchical_fit)
 
 
 class TestTfidf:
@@ -107,6 +109,7 @@ class TestFlatOvr:
         X = feat.transform(docs)
         a = baseline.train_flat(X, gold, ["L0", "L1"], baseline.SvmConfig(seed=4))
         b = baseline.train_flat(X, gold, ["L0", "L1"], baseline.SvmConfig(seed=4))
+        assert np.array_equal(a.rows, b.rows)
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.bias, b.bias)
 
@@ -123,6 +126,7 @@ class TestFlatOvr:
             hier = baseline.train_hierarchical(X, gold, codes, {}, cfg)
             assert flat.nodes == hier.nodes == codes
             assert not flat.hierarchical and hier.hierarchical
+            assert flat.rows.tolist() == hier.rows.tolist() == [2, 3]
             assert flat.weights.tobytes() == hier.weights.tobytes()
             assert flat.bias.tobytes() == hier.bias.tobytes()
             X_test = rng.normal(size=(10, dim))
@@ -131,9 +135,10 @@ class TestFlatOvr:
 
 
 def _manual_model(nodes, fire: dict[str, bool], dim=3):
-    weights = np.zeros((len(nodes), dim))
+    """Constant classifiers only: no trained rows, each node's bias +/-1."""
     bias = np.array([1.0 if fire[n] else -1.0 for n in nodes])
-    return baseline.LinearOvrModel(nodes=nodes, weights=weights, bias=bias, hierarchical=True)
+    return baseline.LinearOvrModel(nodes=nodes, rows=np.zeros(0, dtype=np.int64),
+                                   weights=np.zeros((0, dim)), bias=bias, hierarchical=True)
 
 
 class TestHierarchical:
@@ -158,7 +163,8 @@ class TestHierarchical:
             parents = {codes[i]: codes[int(rng.integers(0, i))] for i in range(1, n_codes)}
             weights = rng.normal(size=(n_codes, 4))
             bias = rng.normal(size=n_codes)
-            m = baseline.LinearOvrModel(codes, weights, bias, hierarchical=True)
+            m = baseline.LinearOvrModel(codes, np.arange(n_codes), weights, bias,
+                                        hierarchical=True)
             X = rng.normal(size=(20, 4))
             pred = baseline.predict_hierarchical(m, X, codes, parents)
             for j, code in enumerate(codes):
@@ -179,8 +185,8 @@ class TestHierarchical:
         parents = {"k0": "r0"}
         weights = rng.normal(size=(3, 4))
         bias = rng.normal(size=3)
-        hier = baseline.LinearOvrModel(codes, weights, bias, hierarchical=True)
-        flat = baseline.LinearOvrModel(codes, weights, bias)
+        hier = baseline.LinearOvrModel(codes, np.arange(3), weights, bias, hierarchical=True)
+        flat = baseline.LinearOvrModel(codes, np.arange(3), weights, bias)
         X = rng.normal(size=(25, 4))
         hp = baseline.predict_hierarchical(hier, X, codes, parents)
         fp = baseline.predict_flat(flat, X)
@@ -238,6 +244,14 @@ def _assert_matches_oracle(weights, bias, ref_weights, ref_bias):
     assert np.abs(bias - ref_bias).max() <= 1e-10
 
 
+def _assert_model_matches_oracle(ovr, ref_weights, ref_bias):
+    """The trained rows against the oracle's; every other oracle row is the
+    zero vector of a constant classifier."""
+    untrained = np.setdiff1d(np.arange(len(ovr.nodes)), ovr.rows)
+    assert not ref_weights[untrained].any()
+    _assert_matches_oracle(ovr.weights, ovr.bias, ref_weights[ovr.rows], ref_bias)
+
+
 class TestSparsePegasosMatchesDenseLoop:
     """The scaled sparse steps against the dense per-step loop they replaced:
     the same visiting order and arithmetic, only the float sums reordered."""
@@ -253,9 +267,10 @@ class TestSparsePegasosMatchesDenseLoop:
         ovr = baseline.train_flat(X, gold, [f"c{j}" for j in range(5)], cfg)
         ref = [dense_pegasos(X, np.where(gold[:, j] > 0, 1.0, -1.0), cfg, 3 * 100_003 + j)
                for j in range(5)]
-        _assert_matches_oracle(ovr.weights, ovr.bias,
-                               np.array([w for w, _ in ref]), np.array([b for _, b in ref]))
+        _assert_model_matches_oracle(ovr, np.array([w for w, _ in ref]),
+                                     np.array([b for _, b in ref]))
         assert ovr.bias[3] == 1.0 and ovr.bias[4] == -1.0
+        assert ovr.rows.tolist() == [0, 1, 2]
         assert ovr.weights[1].any()
 
     # three levels: R > G2 > c3 and G1 > c0 > c1 > c2 (R, G1, G2 are not
@@ -284,7 +299,7 @@ class TestSparsePegasosMatchesDenseLoop:
         ovr = baseline.train_hierarchical(X, gold, self.CODES, self.PARENTS, cfg)
         ref_w, ref_b, pools = walk_hierarchical_fit(
             X, gold, self.CODES, self.PARENTS, ovr.nodes, cfg)
-        _assert_matches_oracle(ovr.weights, ovr.bias, ref_w, ref_b)
+        _assert_model_matches_oracle(ovr, ref_w, ref_b)
         # a child pool is a strict subset here, so the row picks are exercised
         assert 0 < pools["c1"].size < len(X)
         assert pools["c7"].size == 0
@@ -309,7 +324,8 @@ class TestSerialization:
         docs, gold = separable_dataset()
         feat = baseline.fit_tfidf(docs)
         X = feat.transform(docs)
-        ovr = baseline.train_flat(X, gold, ["L0", "L1"], baseline.SvmConfig(seed=9))
+        gold = np.hstack([np.zeros((len(gold), 1)), gold])  # L- has no positive
+        ovr = baseline.train_flat(X, gold, ["L-", "L0", "L1"], baseline.SvmConfig(seed=9))
         path = tmp_path / "model.bin"
         baseline.save_baseline(path, feat, ovr)
         header, arrays = read_tensor_file(
@@ -318,6 +334,69 @@ class TestSerialization:
         assert header["terms"] == feat.terms
         assert header["nodes"] == ovr.nodes
         assert header["hierarchical"] is False
+        assert header["rows"] == [1, 2]
+        assert arrays["weights"].shape == (2, len(feat.terms))
         assert np.array_equal(arrays["idf"], feat.idf)
         assert np.array_equal(arrays["weights"], ovr.weights)
         assert np.array_equal(arrays["bias"], ovr.bias)
+
+
+class TestRowSparse:
+    """Only trained classifiers keep a weight row; a constant one scores its
+    bias."""
+
+    def test_untrained_scores_are_the_bias_and_trained_match_dense(self):
+        rng = np.random.default_rng(21)
+        X = _sparse_tfidf(rng, 30)
+        gold = (rng.random((30, 6)) < 0.3).astype(float)
+        gold[:, 1] = 0.0   # no positive
+        gold[:, 4] = 1.0   # no negative
+        ovr = baseline.train_flat(X, gold, [f"c{j}" for j in range(6)],
+                                  baseline.SvmConfig(epochs=3, seed=2))
+        assert ovr.rows.tolist() == [0, 2, 3, 5]
+        dense = np.zeros((6, X.shape[1]))
+        dense[ovr.rows] = ovr.weights
+        X_test = rng.random((25, X.shape[1])) * (rng.random((25, X.shape[1])) < 0.3)
+        scores, ref = ovr.decision(X_test), X_test @ dense.T + ovr.bias
+        assert np.array_equal(scores[:, [1, 4]], np.tile([-1.0, 1.0], (25, 1)))
+        scale = np.abs(ref).max()
+        assert np.abs(scores - ref).max() <= 1e-12 * scale
+
+    def test_train_flat_memory_grows_with_trained_rows_only(self):
+        # 2,000 labels at dim 10,000; only label 0 has positives. Dense
+        # weights alone would take 160 MB.
+        rng = np.random.default_rng(22)
+        n, dim = 20, 10_000
+        X = np.zeros((n, dim))
+        for i in range(n):
+            X[i, rng.choice(dim, 5, replace=False)] = rng.random(5)
+        gold = np.zeros((n, 2_000))
+        gold[::2, 0] = 1.0
+        codes = [f"c{j}" for j in range(2_000)]
+        tracemalloc.start()
+        try:
+            ovr = baseline.train_flat(X, gold, codes, baseline.SvmConfig(epochs=1, seed=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ovr.rows.tolist() == [0] and ovr.weights.shape == (1, dim)
+        assert peak < 16 * 2**20
+
+    def test_hierarchical_prediction_matches_per_code_loop(self):
+        rng = np.random.default_rng(23)
+        for case in range(10):
+            n_codes, dim = int(rng.integers(1, 14)), 5
+            # internal nodes p* are not codes; chains have uneven depths
+            nodes = [f"c{i}" for i in range(n_codes)] + [f"p{i}" for i in range(4)]
+            parents = {}
+            for i, node in enumerate(nodes[1:], 1):
+                if rng.random() < 0.7:
+                    parents[node] = nodes[int(rng.integers(0, i))]
+            codes = nodes[:n_codes]
+            rows = np.flatnonzero(rng.random(len(nodes)) < 0.6)
+            m = baseline.LinearOvrModel(nodes, rows, rng.normal(size=(len(rows), dim)),
+                                        rng.normal(size=len(nodes)), hierarchical=True)
+            X = rng.normal(size=(15, dim))
+            pred = baseline.predict_hierarchical(m, X, codes, parents)
+            assert pred.dtype == bool and pred.shape == (15, n_codes)
+            assert np.array_equal(pred, loop_predict_hierarchical(m, X, codes, parents))

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mvclda import cli, corpus, model
+from mvclda import baseline, cli, corpus, model
 
 from test_corpus import TENSOR_FILE_DAMAGES, damage_tensor_file
 
@@ -495,20 +495,21 @@ class TestBaselineCmd:
             argv += ["--config", str(cfg)]
         return run(argv)
 
-    def test_unknown_gold_code_warns_and_changes_no_metric(self, corpus_dir, tmp_path, caplog):
+    def test_unknown_gold_code_warns_and_changes_no_metric(self, corpus_dir, tmp_path, capsys):
         lines = (corpus_dir / "test.jsonl").read_text().splitlines()
         doc = json.loads(lines[0])
         doc["codes"].append("NOT-A-CODE")
         test_path = tmp_path / "test.jsonl"
         test_path.write_text("\n".join([json.dumps(doc)] + lines[1:]) + "\n")
         assert self._baseline(corpus_dir, tmp_path / "known") == 0
-        assert "dropped" not in caplog.text
+        assert "dropped" not in capsys.readouterr().err
         argv = ["baseline",
                 "--train", str(corpus_dir / "train.jsonl"), "--test", str(test_path),
                 "--labels", str(corpus_dir / "descriptions.tsv"),
                 "--seed", "4", "--out", str(tmp_path / "unknown")]
         assert run(argv) == 0
-        assert "dropped 1 gold codes absent from the label space" in caplog.text
+        assert capsys.readouterr().err == (
+            "warning: dropped 1 gold codes absent from the label space\n")
         assert ((tmp_path / "unknown" / "metrics.json").read_bytes()
                 == (tmp_path / "known" / "metrics.json").read_bytes())
 
@@ -522,7 +523,9 @@ class TestBaselineCmd:
 
     def test_min_doc_freq_floors_the_terms(self, corpus_dir, tmp_path):
         def terms(out):
-            header, _ = corpus.read_tensor_file(out / "baseline_model.bin", "mvclda.baseline", 2)
+            header, _ = corpus.read_tensor_file(out / "baseline_model.bin",
+                                                baseline.BASELINE_FORMAT,
+                                                baseline.BASELINE_FORMAT_VERSION)
             return header["terms"]
 
         default, floor1, floor5 = tmp_path / "default", tmp_path / "floor1", tmp_path / "floor5"
@@ -547,7 +550,7 @@ def hb_cfg(tmp_path_factory):
 
 
 class TestHyperbandCmd:
-    def _run(self, corpus_dir, cfg_path, out):
+    def _run(self, corpus_dir, cfg_path, out, *extra):
         return run([
             "hyperband", "--model", "mvc-lda",
             "--train", str(corpus_dir / "train.jsonl"),
@@ -555,7 +558,7 @@ class TestHyperbandCmd:
             "--labels", str(corpus_dir / "descriptions.tsv"),
             "--config", str(cfg_path),
             "--R", "3", "--eta", "3",
-            "--seed", "5", "--out", str(out),
+            "--seed", "5", "--out", str(out), *extra,
         ])
 
     def test_schedule_and_trials(self, corpus_dir, hb_cfg, tmp_path):
@@ -572,6 +575,18 @@ class TestHyperbandCmd:
         assert self._run(corpus_dir, hb_cfg, a) == 0
         assert self._run(corpus_dir, hb_cfg, b) == 0
         assert (a / "trials.jsonl").read_bytes() == (b / "trials.jsonl").read_bytes()
+
+    def test_pretrained_embeddings_reproduce_the_search(self, corpus_dir, hb_cfg, tmp_path):
+        # the table an earlier search pretrained on the same split and seed
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert self._run(corpus_dir, hb_cfg, first) == 0
+        emb = first / "embeddings.bin"
+        assert self._run(corpus_dir, hb_cfg, again, "--embeddings", str(emb)) == 0
+        for name in ("trials.jsonl", "best_config.json"):
+            assert (again / name).read_bytes() == (first / name).read_bytes()
+        assert not (again / "embeddings.bin").exists()
+        manifest = json.loads((again / "manifest.json").read_text())
+        assert manifest["inputs"]["embeddings"]["path"] == str(emb)
 
     def test_lda_warns_about_lambda_keys(self, corpus_dir, hb_cfg, tmp_path, capsys):
         # the mvc-lda search space has no lambda, whatever the config says

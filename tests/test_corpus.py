@@ -350,7 +350,8 @@ def _embeddings_file(path):
 
 def _baseline_file(path):
     featurizer = baseline.TfidfFeaturizer(terms=["x", "y", "z"], idf=np.ones(3))
-    ovr = baseline.LinearOvrModel(nodes=["A", "B"], weights=np.ones((2, 3)), bias=np.zeros(2))
+    ovr = baseline.LinearOvrModel(nodes=["A", "B"], rows=np.array([1]), weights=np.ones((1, 3)),
+                                  bias=np.zeros(2))
     baseline.save_baseline(path, featurizer, ovr)
     return lambda p: corpus.read_tensor_file(
         p, baseline.BASELINE_FORMAT, baseline.BASELINE_FORMAT_VERSION
