@@ -279,14 +279,20 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _fit(run: _TrainingSetup, model_cfg: model.ModelConfig, train_docs, dev_docs,
+         table: np.ndarray, train_cfg: train_mod.TrainConfig | None = None):
+    """Initialize a `model_cfg` model on embedding `table` from the run's
+    seed and train it (with `train_cfg`, else the run's); returns the best
+    parameters and the history."""
+    train_cfg = train_cfg or run.train_cfg
+    params0 = model.init_params(model_cfg, run.vocab.size, run.labels.n_labels,
+                                np.random.default_rng(train_cfg.seed), embeddings=table)
+    return train_mod.train(params0, train_docs, dev_docs, run.desc_ids, train_cfg)
+
+
 def cmd_train(args) -> int:
     run = _training_setup(args, TRAIN_KEYS)
-    params0 = model.init_params(
-        run.model_cfg, run.vocab.size, run.labels.n_labels,
-        np.random.default_rng(args.seed), embeddings=run.table,
-    )
-    best, history = train_mod.train(params0, run.train_docs, run.dev_docs, run.desc_ids,
-                                     run.train_cfg)
+    best, history = _fit(run, run.model_cfg, run.train_docs, run.dev_docs, run.table)
 
     ckpt_path = run.out_dir / "checkpoint.bin"
     model.save_checkpoint(ckpt_path, best, run.vocab_checksum)
@@ -373,12 +379,8 @@ def cmd_hyperband(args) -> int:
             lambda_=trial_cfg.lambda_ if trial_cfg.lambda_ is not None else run.model_cfg.lambda_,
         )
         tcfg = replace(run.train_cfg, max_epochs=epochs, patience=max(epochs, 1))
-        params0 = model.init_params(
-            cfg, run.vocab.size, run.labels.n_labels,
-            np.random.default_rng(args.seed), embeddings=run.table,
-        )
-        _, history = train_mod.train(params0, run.train_docs, run.dev_docs, run.desc_ids, tcfg)
-        return max(e.dev_micro_f1 for e in history.epochs)
+        _, history = _fit(run, cfg, run.train_docs, run.dev_docs, run.table, tcfg)
+        return history.best_dev_micro_f1
 
     best_cfg, best_score, log = hb.hyperband_search(
         space, evaluate, R=args.R, eta=args.eta, seed=args.seed
@@ -402,36 +404,64 @@ def cmd_hyperband(args) -> int:
     return EXIT_OK
 
 
+# Each ablation component and the model config without it; extra_notes
+# keeps the config and trains on the first half of every note instead.
+ABLATIONS = {
+    "regularization": lambda cfg: replace(cfg, lambda_=0.0),
+    "multi_view": lambda cfg: replace(cfg, kernel_sizes=(max(cfg.kernel_sizes),)),
+    "length_embedding": lambda cfg: replace(cfg, use_length=False),
+    "extra_notes": lambda cfg: cfg,
+}
+
+
 def cmd_ablate(args) -> int:
+    """Train the full model and one model per component with that component
+    removed; report each one's metrics on the evaluation split and its
+    deltas full minus ablated (positive: the component helps)."""
     # read before the setup pretrains, so a malformed test split fails fast
     raw_eval = corpus.read_corpus_jsonl(args.test) if args.test else None
     run = _training_setup(args, TRAIN_KEYS)
+    if args.p_at > run.labels.n_labels:
+        raise ValueError(f"--p-at {args.p_at} exceeds the number of labels {run.labels.n_labels}")
     eval_docs = run.dev_docs
     if args.test:
         eval_docs, dropped = corpus.encode_corpus(raw_eval, run.vocab, run.labels)
         _warn_dropped(dropped)
         run.inputs["test"] = Path(args.test)
-    components = (
-        list(train_mod.ABLATION_COMPONENTS)
-        if args.components == "all"
-        else [c.strip() for c in args.components.split(",") if c.strip()]
-    )
-    table_reduced = None
-    if "extra_notes" in components:
-        reduced = [train_mod.reduce_document(d) for d in run.train_docs]
-        cbow_cfg = _build(embed.CbowConfig, run.values, dim=run.table.shape[1], seed=args.seed)
-        table_reduced = embed.train_cbow([d.token_ids for d in reduced], run.vocab.size, cbow_cfg)
-    report = train_mod.ablate(
-        run.model_cfg, run.train_cfg,
-        run.train_docs, run.dev_docs, eval_docs, run.desc_ids, components,
-        vocab_size=run.vocab.size, p_at=args.p_at,
-        embeddings=run.table, embeddings_reduced=table_reduced,
-    )
+
+    def score(model_cfg, splits, table) -> dict:
+        train_docs, dev_docs, eval_docs = splits
+        best, history = _fit(run, model_cfg, train_docs, dev_docs, table)
+        report = metrics.evaluate_predictions(model.predict_matrix(best, eval_docs),
+                                              train_mod.gold_matrix(eval_docs), p_at=(args.p_at,))
+        return {"best_dev_micro_f1": history.best_dev_micro_f1, "micro_f1": report.micro_f1,
+                "pr_auc": report.pr_auc, "p_at": report.p_at}
+
+    splits = (run.train_docs, run.dev_docs, eval_docs)
+    full = score(run.model_cfg, splits, run.table)
+    ablations = {}
+    for name in args.components:
+        variant_splits, table = splits, run.table
+        if name == "extra_notes":  # the reduced notes get their own CBOW table
+            variant_splits = [[train_mod.reduce_document(d) for d in split] for split in splits]
+            cbow_cfg = _build(embed.CbowConfig, run.values, dim=table.shape[1], seed=args.seed)
+            table = embed.train_cbow([d.token_ids for d in variant_splits[0]], run.vocab.size,
+                                     cbow_cfg)
+        entry = score(ABLATIONS[name](run.model_cfg), variant_splits, table)
+        entry["delta"] = {
+            "micro_f1": full["micro_f1"] - entry["micro_f1"],
+            "pr_auc": full["pr_auc"] - entry["pr_auc"],
+            "p_at": {n: full["p_at"][n] - entry["p_at"][n] for n in full["p_at"]},
+            "dev_micro_f1": full["best_dev_micro_f1"] - entry["best_dev_micro_f1"],
+        }
+        ablations[name] = entry
+
     out_path = run.out_dir / "ablation.json"
-    _write_json(out_path, report)
+    _write_json(out_path, {"format_version": 1, "p_at": args.p_at, "full": full,
+                           "ablations": ablations})
     run.artifacts["ablation"] = out_path
     _write_manifest(run.out_dir, "ablate", args.seed, run.values, run.inputs, run.artifacts)
-    for name, entry in report["ablations"].items():
+    for name, entry in ablations.items():
         d = entry["delta"]
         print(
             f"{name}: micro F1 delta {d['micro_f1']:+.5f}  "
@@ -490,6 +520,29 @@ def cmd_baseline(args) -> int:
 # Argument wiring
 # ---------------------------------------------------------------------------
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below the minimum {low}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+def _components(text: str) -> list[str]:
+    """`all`, or a comma list of ABLATIONS' components."""
+    if text == "all":
+        return list(ABLATIONS)
+    names = [c.strip() for c in text.split(",") if c.strip()]
+    for name in names:
+        if name not in ABLATIONS:
+            raise argparse.ArgumentTypeError(
+                f"unknown ablation component {name!r} (choose from {', '.join(ABLATIONS)})")
+    return names
+
+
 def _p_at_list(text: str) -> list[int]:
     try:
         values = [int(p) for p in text.split(",") if p.strip()]
@@ -540,8 +593,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--embeddings", help="pretrained embedding file (else CBOW runs)")
-    p.add_argument("--R", type=int, default=27)
-    p.add_argument("--eta", type=int, default=3)
+    p.add_argument("--R", type=_int_at_least(1), default=27)
+    p.add_argument("--eta", type=_int_at_least(2), default=3)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_hyperband)
@@ -554,9 +607,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--components", default="all",
-                   help="comma list of regularization,multi_view,length_embedding,extra_notes")
-    p.add_argument("--p-at", type=int, default=8)
+    p.add_argument("--components", type=_components, default="all",
+                   help=f"all, or a comma list of {','.join(ABLATIONS)}")
+    p.add_argument("--p-at", type=_int_at_least(1), default=8)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ablate)
 

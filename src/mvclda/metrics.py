@@ -1,5 +1,5 @@
-"""Multi-label evaluation: micro/macro F1, P@n, PR AUC, frequency-binned F1,
-and report comparison.
+"""Multi-label evaluation: micro/macro F1, P@n, PR AUC and frequency-binned
+F1.
 
 Scores are n_docs x n_labels matrices in [0, 1]; gold matrices are binary
 with the same shape. All operations are pure and permutation-invariant in
@@ -254,17 +254,3 @@ def evaluate_predictions(
         pr_auc=pr_auc(scores, gold01),
         bins=bins,
     )
-
-
-def compare_reports(a: MetricsReport, b: MetricsReport) -> dict:
-    """The micro F1, PR AUC and shared P@n deltas b - a for two reports over
-    the same label space."""
-    if a.n_labels != b.n_labels:
-        raise ValueError("reports cover different label spaces")
-    return {
-        "micro_f1": b.micro_f1 - a.micro_f1,
-        "pr_auc": b.pr_auc - a.pr_auc,
-        "p_at": {
-            n: b.p_at[n] - a.p_at[n] for n in sorted(set(a.p_at) & set(b.p_at))
-        },
-    }

@@ -235,15 +235,15 @@ def init_params(
 
 @dataclass
 class DropoutMasks:
-    """Keep-masks for one forward/backward pair (inverted dropout).
+    """Inverted-dropout scales for one forward/backward pair: the keep
+    masks divided by 1 - rate.
 
     Rows of the embedded input are dropped whole; pooled features are
     dropped elementwise.
     """
 
-    x_keep: np.ndarray      # (l,) bool
-    p_keep: np.ndarray      # (n_labels, d_c) bool
-    rate: float
+    x_scale: np.ndarray     # (l,)
+    p_scale: np.ndarray     # (n_labels, d_c)
 
 
 def make_dropout_masks(rng, l: int, n_labels: int, d_c: int, rate: float) -> DropoutMasks | None:
@@ -252,9 +252,8 @@ def make_dropout_masks(rng, l: int, n_labels: int, d_c: int, rate: float) -> Dro
     if not 0.0 < rate < 1.0:
         raise ValueError("dropout rate must lie in [0, 1)")
     return DropoutMasks(
-        x_keep=rng.random(l) >= rate,
-        p_keep=rng.random((n_labels, d_c)) >= rate,
-        rate=rate,
+        x_scale=(rng.random(l) >= rate) / (1.0 - rate),
+        p_scale=(rng.random((n_labels, d_c)) >= rate) / (1.0 - rate),
     )
 
 
@@ -378,10 +377,7 @@ def _forward_cached(token_ids, length: int, params: ModelParams, masks: DropoutM
         raise ValueError("token id out of range for the embedding table")
     Xp, X = _embed_padded(ids, params["W_e"], max(cfg.kernel_sizes))
     if masks is not None:
-        x_scale = masks.x_keep / (1.0 - masks.rate)
-        X *= x_scale[:, None]
-    else:
-        x_scale = None
+        X *= masks.x_scale[:, None]
 
     if W_stack is None:
         W_stack = _stack_kernels(params.conv)
@@ -390,19 +386,14 @@ def _forward_cached(token_ids, length: int, params: ModelParams, masks: DropoutM
 
     if cfg.attention_softmax:
         S = _softmax_columns(C @ params["V"].T)  # (l, J) attention weights
-        P_pre = S.T @ C
+        P = S.T @ C
         G = None
     else:
         S = None
         G = C.T @ C                           # (d_c, d_c) Gram matrix
-        P_pre = params["V"] @ G
-
+        P = params["V"] @ G
     if masks is not None:
-        p_scale = masks.p_keep / (1.0 - masks.rate)
-        P = P_pre * p_scale
-    else:
-        p_scale = None
-        P = P_pre
+        P *= masks.p_scale
 
     logits = np.sum(params["U"] * P, axis=1) + params["b"]
     if cfg.use_length:
@@ -416,9 +407,8 @@ def _forward_cached(token_ids, length: int, params: ModelParams, masks: DropoutM
     if not np.all(np.isfinite(y)):
         raise NumericalError("non-finite model output")
     cache = {
-        "ids": ids, "Xp": Xp, "x_scale": x_scale, "winner": winner,
-        "C": C, "G": G, "S": S, "P_pre": P_pre, "P": P, "p_scale": p_scale,
-        "T": T, "lt": lt, "y": y,
+        "ids": ids, "Xp": Xp, "winner": winner,
+        "C": C, "G": G, "S": S, "P": P, "T": T, "lt": lt, "y": y,
     }
     return y, cache
 
@@ -586,7 +576,7 @@ def _sample_backward(token_ids, length: int, gold, params: ModelParams,
         grads["K"] += dz * cache["lt"]
         grads["d"] += dz
 
-    dP_pre = dP if cache["p_scale"] is None else dP * cache["p_scale"]
+    dP_pre = dP if masks is None else dP * masks.p_scale
 
     if cfg.attention_softmax:
         dS = C @ dP_pre.T                            # (l, J)
@@ -615,7 +605,7 @@ def _sample_backward(token_ids, length: int, gold, params: ModelParams,
         for i, block in enumerate(_channel_blocks(dW, cfg.kernel_sizes, cfg.embed_dim)):
             grads[f"conv{i}"] += block
 
-        dX = dXd if cache["x_scale"] is None else dXd * cache["x_scale"][:, None]
+        dX = dXd if masks is None else dXd * masks.x_scale[:, None]
         if not cfg.freeze_embeddings:
             np.add.at(grads["W_e"], cache["ids"], dX)
     return loss

@@ -1,5 +1,5 @@
 """Training regimen: Adam, batches of 4, random 10,000-word truncation,
-dropout, early stopping on dev micro F1, and the component-ablation harness.
+dropout, and early stopping on dev micro F1.
 
 Runs are bitwise reproducible under a fixed seed: shuffling, truncation
 offsets, and dropout masks all derive from (seed, epoch, document index),
@@ -9,25 +9,21 @@ so results do not depend on batch composition or worker scheduling.
 from __future__ import annotations
 
 import json
-import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import binarize, compare_reports, evaluate_predictions, micro_f1
+from .corpus import EncodedDocument
+from .metrics import binarize, micro_f1
 from .model import (
     GradientSet,
-    ModelConfig,
     ModelParams,
     NumericalError,
     backward,
-    init_params,
     make_dropout_masks,
     predict_matrix,
 )
-
-ABLATION_COMPONENTS = ("regularization", "multi_view", "length_embedding", "extra_notes")
 
 
 @dataclass(frozen=True)
@@ -98,26 +94,6 @@ def adam_step(params: ModelParams, grads: GradientSet, state: AdamState, cfg: Tr
         arr -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
 
 
-class EarlyStopper:
-    """Strict-improvement tracker: stop once `patience` consecutive epochs
-    pass without a new best score (ties keep the earlier best)."""
-
-    def __init__(self, patience: int):
-        self.patience = patience
-        self.best_score = -math.inf
-        self.best_epoch = 0
-        self.stale = 0
-
-    def update(self, epoch: int, score: float) -> bool:
-        if score > self.best_score:
-            self.best_score = score
-            self.best_epoch = epoch
-            self.stale = 0
-        else:
-            self.stale += 1
-        return self.stale >= self.patience
-
-
 @dataclass
 class EpochStats:
     epoch: int
@@ -128,8 +104,19 @@ class EpochStats:
 
 @dataclass
 class TrainHistory:
+    """The epochs so far, and the early stopper: `best_epoch` moves only on
+    a strictly higher dev micro F1, so ties keep the earlier best."""
+
     epochs: list[EpochStats] = field(default_factory=list)
     best_epoch: int = 0
+
+    def add(self, stats: EpochStats, patience: int) -> bool:
+        """Append an epoch; True once `patience` epochs have passed since
+        the best one."""
+        self.epochs.append(stats)
+        if not self.best_epoch or stats.dev_micro_f1 > self.best_dev_micro_f1:
+            self.best_epoch = stats.epoch
+        return stats.epoch - self.best_epoch >= patience
 
     @property
     def best_dev_micro_f1(self) -> float:
@@ -182,9 +169,7 @@ def train(
     n_labels = params.n_labels
     d_c = params.config.n_filters
     state = AdamState.for_params(params)
-    stopper = EarlyStopper(cfg.patience)
     history = TrainHistory()
-    best_params = params.copy()
 
     for epoch in range(1, cfg.max_epochs + 1):
         started = time.perf_counter()
@@ -211,117 +196,17 @@ def train(
             epoch_loss += batch_loss
         epoch_loss /= len(train_docs)
 
-        f1 = dev_micro_f1(params, dev_docs)
-        stop = stopper.update(epoch, f1)
-        if stopper.best_epoch == epoch:
+        stats = EpochStats(epoch, epoch_loss, dev_micro_f1(params, dev_docs),
+                           time.perf_counter() - started)
+        stop = history.add(stats, cfg.patience)
+        if history.best_epoch == epoch:  # always so at epoch 1
             best_params = params.copy()
-        history.epochs.append(
-            EpochStats(epoch, epoch_loss, f1, time.perf_counter() - started)
-        )
-        history.best_epoch = stopper.best_epoch
         if stop:
             break
     return best_params, history
 
 
-# ---------------------------------------------------------------------------
-# Ablation harness
-# ---------------------------------------------------------------------------
-
-def reduce_document(doc):
+def reduce_document(doc: EncodedDocument) -> EncodedDocument:
     """Reduced-text variant of a document: its first ceil(l/2) tokens."""
     keep = (doc.length + 1) // 2
-    from .corpus import EncodedDocument
-
     return EncodedDocument(doc.token_ids[:keep], keep, doc.gold, doc_id=doc.doc_id)
-
-
-def _variant_config(base: ModelConfig, component: str) -> ModelConfig:
-    if component == "regularization":
-        return replace(base, lambda_=0.0)
-    if component == "multi_view":
-        return replace(base, kernel_sizes=(max(base.kernel_sizes),))
-    if component == "length_embedding":
-        return replace(base, use_length=False)
-    if component == "extra_notes":
-        return base
-    raise ValueError(f"unknown ablation component {component!r}")
-
-
-def ablate(
-    model_cfg: ModelConfig,
-    train_cfg: TrainConfig,
-    train_docs,
-    dev_docs,
-    eval_docs,
-    desc_ids_list,
-    components,
-    *,
-    vocab_size: int,
-    p_at: int = 8,
-    embeddings: np.ndarray | None = None,
-    embeddings_reduced: np.ndarray | None = None,
-) -> dict:
-    """Train the full model plus one model per named component with that
-    component removed, and report metric deltas (full minus ablated) on the
-    evaluation set, recomputed from raw predictions by compare_reports.
-
-    Components: regularization (lambda=0), multi_view (single channel with
-    the largest kernel), length_embedding (length feature removed from the
-    output layer), extra_notes (first half of every document's tokens, a
-    reduced-text corpus stand-in).
-    """
-    components = list(components)
-    for c in components:
-        if c not in ABLATION_COMPONENTS:
-            raise ValueError(f"unknown ablation component {c!r}")
-    n_labels = len(train_docs[0].gold)
-
-    def run(cfg: ModelConfig, tr, dv, ev, emb):
-        params0 = init_params(
-            cfg, vocab_size, n_labels, np.random.default_rng(train_cfg.seed),
-            embeddings=emb,
-        )
-        best, history = train(params0, tr, dv, desc_ids_list, train_cfg)
-        scores = predict_matrix(best, ev)
-        report = evaluate_predictions(scores, gold_matrix(ev), p_at=(p_at,))
-        return report, history
-
-    full_report, full_history = run(model_cfg, train_docs, dev_docs, eval_docs, embeddings)
-
-    def summarize(report, history):
-        return {
-            "best_dev_micro_f1": history.best_dev_micro_f1,
-            "micro_f1": report.micro_f1,
-            "pr_auc": report.pr_auc,
-            "p_at": report.p_at,
-        }
-
-    result = {
-        "format_version": 1,
-        "p_at": p_at,
-        "full": summarize(full_report, full_history),
-        "ablations": {},
-    }
-    for component in components:
-        cfg_v = _variant_config(model_cfg, component)
-        if component == "extra_notes":
-            tr = [reduce_document(d) for d in train_docs]
-            dv = [reduce_document(d) for d in dev_docs]
-            ev = [reduce_document(d) for d in eval_docs]
-            emb = embeddings_reduced if embeddings_reduced is not None else embeddings
-        else:
-            tr, dv, ev, emb = train_docs, dev_docs, eval_docs, embeddings
-        report, history = run(cfg_v, tr, dv, ev, emb)
-        # compare_reports returns (full - ablated): positive means the
-        # component helps
-        delta = compare_reports(report, full_report)
-        entry = summarize(report, history)
-        entry["delta"] = {
-            "micro_f1": delta["micro_f1"],
-            "pr_auc": delta["pr_auc"],
-            "p_at": delta["p_at"],
-            "dev_micro_f1": result["full"]["best_dev_micro_f1"] - history.best_dev_micro_f1,
-        }
-        result["ablations"][component] = entry
-    return result

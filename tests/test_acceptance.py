@@ -334,7 +334,7 @@ def test_criterion_10_ablation_harness(ablation_run):
     for entry in ablation_run["ablations"].values():
         delta = entry["delta"]
         ok &= {"micro_f1", "pr_auc", "p_at"} <= set(delta)
-        # deltas must equal full-minus-ablated, as compare_reports computes
+        # each delta is full minus ablated, recomputed from the two entries
         ok &= abs(delta["micro_f1"] - (ablation_run["full"]["micro_f1"] - entry["micro_f1"])) < 1e-12
         ok &= abs(delta["pr_auc"] - (ablation_run["full"]["pr_auc"] - entry["pr_auc"])) < 1e-12
         ok &= abs(

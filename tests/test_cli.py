@@ -83,6 +83,28 @@ class TestExitCodes:
         assert code == cli.EXIT_NUMERIC
         assert "epoch 2, batch 7" in capsys.readouterr().err
 
+    # each is a usage error before any file is read or written
+    @pytest.mark.parametrize("command, option, value", [
+        ("hyperband", "--R", "0"),
+        ("hyperband", "--eta", "1"),
+        ("ablate", "--p-at", "0"),
+        ("ablate", "--components", "bogus"),
+    ])
+    def test_bad_search_and_ablation_options_exit_1(self, corpus_dir, train_cfg_path, tmp_path,
+                                                   capsys, command, option, value):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            run([
+                command, "--train", str(corpus_dir / "train.jsonl"),
+                "--dev", str(corpus_dir / "dev.jsonl"),
+                "--labels", str(corpus_dir / "descriptions.tsv"),
+                "--config", str(train_cfg_path), "--seed", "1", "--out", str(out),
+                option, value,
+            ])
+        assert err.value.code == cli.EXIT_USAGE
+        assert f"argument {option}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 TRAIN_KEYS = [
     "learning_rate", "beta1", "beta2", "epsilon", "batch_size", "max_segment", "patience",
@@ -618,3 +640,20 @@ class TestAblateCmd:
         }
         for entry in report["ablations"].values():
             assert {"micro_f1", "pr_auc", "p_at"} <= set(entry["delta"])
+
+    def test_p_at_above_label_count_fails_before_training(self, corpus_dir, train_cfg_path,
+                                                          tmp_path, monkeypatch, capsys):
+        def no_training(*args):
+            raise AssertionError("a model trained")
+
+        monkeypatch.setattr(cli.train_mod, "train", no_training)
+        out = tmp_path / "ablate"
+        assert run([
+            "ablate", "--train", str(corpus_dir / "train.jsonl"),
+            "--dev", str(corpus_dir / "dev.jsonl"),
+            "--labels", str(corpus_dir / "descriptions.tsv"),
+            "--config", str(train_cfg_path), "--p-at", "11",
+            "--seed", "6", "--out", str(out),
+        ]) == cli.EXIT_DATA
+        assert "--p-at 11 exceeds the number of labels 10" in capsys.readouterr().err
+        assert not (out / "ablation.json").exists()

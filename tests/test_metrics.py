@@ -293,28 +293,3 @@ class TestReports:
         assert set(report.p_at) == {"3", "5"}
         assert set(report.micro_f1_by_group) == {"diagnosis", "procedure"}
         assert report.bins is not None and len(report.bins) == 10
-
-    def test_compare_reports_zero_delta_on_self(self):
-        report, _, _ = self._report()
-        delta = metrics.compare_reports(report, report)
-        assert delta["micro_f1"] == 0.0
-        assert delta["pr_auc"] == 0.0
-        assert all(v == 0.0 for v in delta["p_at"].values())
-
-    def test_compare_reports_direction(self):
-        rng = np.random.default_rng(10)
-        gold = (rng.random((6, 4)) < 0.5).astype(float)
-        gold[0] = 1
-        perfect = metrics.evaluate_predictions(gold.astype(float), gold, p_at=(2,))
-        nothing = metrics.evaluate_predictions(np.zeros_like(gold), gold, p_at=(2,))
-        delta = metrics.compare_reports(nothing, perfect)
-        assert delta["micro_f1"] == pytest.approx(1.0, abs=1e-12)
-
-    def test_compare_reports_rejects_mismatched_spaces(self):
-        a, _, _ = self._report()
-        rng = np.random.default_rng(11)
-        b = metrics.evaluate_predictions(
-            rng.random((4, 3)), np.ones((4, 3)), p_at=(2,)
-        )
-        with pytest.raises(ValueError):
-            metrics.compare_reports(a, b)

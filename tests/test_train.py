@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from mvclda import model, train
+from mvclda import cli, model, train
 from mvclda.corpus import EncodedDocument
+
+from test_cli import corpus_dir, train_cfg_path  # noqa: F401 (fixtures)
 
 
 def tiny_dataset(rng, n_docs=10, n_labels=5, vocab=30, length=12):
@@ -110,37 +112,43 @@ class TestAdamStep:
             assert np.array_equal(state.v[name], moments[name][1]), name
 
 
+def add_epoch(history, epoch, dev_micro_f1, patience):
+    return history.add(train.EpochStats(epoch, 0.0, dev_micro_f1, 0.0), patience)
+
+
 class TestEarlyStopper:
+    """`TrainHistory.add` is the early stopper."""
+
     def test_constant_scores_stop_after_patience_epochs(self):
-        stopper = train.EarlyStopper(patience=10)
+        history = train.TrainHistory()
         stopped_at = None
         for epoch in range(1, 100):
-            if stopper.update(epoch, 0.5):
+            if add_epoch(history, epoch, 0.5, patience=10):
                 stopped_at = epoch
                 break
         assert stopped_at == 11
-        assert stopper.best_epoch == 1
+        assert history.best_epoch == 1
 
     def test_strict_improvement_never_stops(self):
-        stopper = train.EarlyStopper(patience=10)
+        history = train.TrainHistory()
         for epoch in range(1, 40):
-            assert not stopper.update(epoch, epoch * 0.01)
-        assert stopper.best_epoch == 39
+            assert not add_epoch(history, epoch, epoch * 0.01, patience=10)
+        assert history.best_epoch == 39
 
     def test_tie_keeps_earliest_best(self):
-        stopper = train.EarlyStopper(patience=3)
-        stopper.update(1, 0.7)
-        stopper.update(2, 0.7)
-        assert stopper.best_epoch == 1
+        history = train.TrainHistory()
+        add_epoch(history, 1, 0.7, patience=3)
+        add_epoch(history, 2, 0.7, patience=3)
+        assert history.best_epoch == 1
 
     def test_counter_resets_on_improvement(self):
-        stopper = train.EarlyStopper(patience=2)
-        assert not stopper.update(1, 0.5)
-        assert not stopper.update(2, 0.4)
-        assert not stopper.update(3, 0.6)
-        assert not stopper.update(4, 0.5)
-        assert stopper.update(5, 0.5)
-        assert stopper.best_epoch == 3
+        history = train.TrainHistory()
+        assert not add_epoch(history, 1, 0.5, patience=2)
+        assert not add_epoch(history, 2, 0.4, patience=2)
+        assert not add_epoch(history, 3, 0.6, patience=2)
+        assert not add_epoch(history, 4, 0.5, patience=2)
+        assert add_epoch(history, 5, 0.5, patience=2)
+        assert history.best_epoch == 3
 
 
 class TestTrainLoop:
@@ -261,55 +269,55 @@ class TestTrainLoop:
 
 
 class TestAblate:
-    def _setup(self, seed=13, n_labels=8):
-        rng = np.random.default_rng(seed)
-        docs = tiny_dataset(rng, n_docs=16, n_labels=n_labels, vocab=30, length=14)
-        dev = tiny_dataset(rng, n_docs=6, n_labels=n_labels, vocab=30, length=14)
-        desc = tiny_descriptions(rng, n_labels=n_labels)
-        model_cfg = model.ModelConfig(
-            kind="mvc-rlda", kernel_sizes=(1, 3), n_filters=5, embed_dim=6, lambda_=0.01
-        )
-        train_cfg = train.TrainConfig(batch_size=4, max_epochs=2, patience=10, seed=seed)
-        return model_cfg, train_cfg, docs, dev, desc
+    """The ablate command, on the corpus and config of the CLI tests."""
 
-    def test_empty_component_set_reports_only_full(self):
-        model_cfg, train_cfg, docs, dev, desc = self._setup()
-        report = train.ablate(
-            model_cfg, train_cfg, docs, dev, dev, desc, [], vocab_size=30, p_at=3
-        )
+    def _run(self, corpus_dir, cfg_path, out, *extra):
+        return cli.main([
+            "ablate",
+            "--train", str(corpus_dir / "train.jsonl"),
+            "--dev", str(corpus_dir / "dev.jsonl"),
+            "--labels", str(corpus_dir / "descriptions.tsv"),
+            "--config", str(cfg_path),
+            "--seed", "13", "--p-at", "3", "--out", str(out), *extra,
+        ])
+
+    def test_empty_component_set_reports_only_full(self, corpus_dir, train_cfg_path, tmp_path):
+        assert self._run(corpus_dir, train_cfg_path, tmp_path, "--components", "") == 0
+        report = json.loads((tmp_path / "ablation.json").read_text())
         assert report["ablations"] == {}
         assert "micro_f1" in report["full"]
 
-    def test_unknown_component_rejected(self):
-        model_cfg, train_cfg, docs, dev, desc = self._setup()
-        with pytest.raises(ValueError, match="unknown ablation component"):
-            train.ablate(
-                model_cfg, train_cfg, docs, dev, dev, desc, ["bogus"], vocab_size=30
-            )
+    def test_unknown_component_rejected(self, corpus_dir, train_cfg_path, tmp_path, capsys):
+        out = tmp_path / "abl"
+        with pytest.raises(SystemExit) as exc:
+            self._run(corpus_dir, train_cfg_path, out, "--components", "regularization,bogus")
+        assert exc.value.code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "unknown ablation component 'bogus'" in err
+        assert ", ".join(cli.ABLATIONS) in err
+        assert not out.exists()
 
-    def test_regularization_ablation_noop_for_lda(self):
-        model_cfg, train_cfg, docs, dev, _ = self._setup()
-        lda_cfg = model.ModelConfig(**{**model_cfg.__dict__, "kind": "mvc-lda", "lambda_": 0.0})
-        report = train.ablate(
-            lda_cfg, train_cfg, docs, dev, dev, None, ["regularization"],
-            vocab_size=30, p_at=3,
-        )
+    def test_regularization_ablation_noop_for_lda(self, corpus_dir, train_cfg_path, tmp_path):
+        assert self._run(corpus_dir, train_cfg_path, tmp_path, "--model", "mvc-lda",
+                         "--components", "regularization") == 0
+        report = json.loads((tmp_path / "ablation.json").read_text())
         delta = report["ablations"]["regularization"]["delta"]
-        assert delta["micro_f1"] == 0.0
-        assert delta["pr_auc"] == 0.0
+        assert delta == {"micro_f1": 0.0, "pr_auc": 0.0, "p_at": {"3": 0.0},
+                         "dev_micro_f1": 0.0}
 
-    def test_all_components_present_with_three_metrics(self):
-        model_cfg, train_cfg, docs, dev, desc = self._setup()
-        report = train.ablate(
-            model_cfg, train_cfg, docs, dev, dev, desc,
-            train.ABLATION_COMPONENTS, vocab_size=30, p_at=3,
-        )
-        assert set(report["ablations"]) == set(train.ABLATION_COMPONENTS)
+    def test_all_components_present_with_three_metrics(self, corpus_dir, train_cfg_path,
+                                                       tmp_path):
+        assert self._run(corpus_dir, train_cfg_path, tmp_path) == 0
+        report = json.loads((tmp_path / "ablation.json").read_text())
+        full = report["full"]
+        assert set(report["ablations"]) == set(cli.ABLATIONS)
         for entry in report["ablations"].values():
-            assert set(entry["delta"]) >= {"micro_f1", "pr_auc", "p_at"}
-            assert entry["delta"]["micro_f1"] == pytest.approx(
-                report["full"]["micro_f1"] - entry["micro_f1"], abs=1e-12
-            )
+            assert entry["delta"] == {
+                "micro_f1": full["micro_f1"] - entry["micro_f1"],
+                "pr_auc": full["pr_auc"] - entry["pr_auc"],
+                "p_at": {"3": full["p_at"]["3"] - entry["p_at"]["3"]},
+                "dev_micro_f1": full["best_dev_micro_f1"] - entry["best_dev_micro_f1"],
+            }
 
     def test_reduce_document_halves_tokens(self):
         doc = EncodedDocument(np.arange(9), 9, np.zeros(2))

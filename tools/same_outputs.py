@@ -5,13 +5,16 @@
 Extracts `git archive <rev> src` into a temporary directory and runs one
 command flow with that source and with the working tree's `src/`, each in
 its own run directory with the same relative paths. The flow: synth;
-train mvc-rlda, mvc-lda, and mvc-lda with the first run's `--embeddings`;
-evaluate both models (the first with `--groups` and `--train-counts`);
-flat and hierarchical baselines; hyperband at R=3, eta=3; ablate with
-every component. Every file either run wrote is then reported as
-identical or differing; `history.jsonl` is compared with each line's
-`wall_time_s` removed, the only field allowed to differ. Exits 0 when
-every file matches and 1 otherwise.
+train mvc-rlda, mvc-lda, mvc-lda with the first run's `--embeddings`, and
+mvc-rlda with patience 1, which must stop early (its `history.jsonl` is
+checked to be shorter than `max_epochs`); evaluate the first two models
+(the first with `--groups` and `--train-counts`); flat and hierarchical
+baselines; hyperband at R=3, eta=3; ablate mvc-rlda with every component
+on `--test`, and mvc-lda with regularization and extra_notes on the dev
+split. Every file either run wrote is then reported as identical or
+differing; `history.jsonl` is compared with each line's `wall_time_s`
+removed, the only field allowed to differ. Exits 0 when every file matches
+and 1 otherwise.
 
 Needs no network; reads `.git` only through `git archive`. BLAS runs one
 thread, as in the benchmark.
@@ -29,6 +32,7 @@ import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+STOP_MAX_EPOCHS = 8
 
 CONFIGS = {
     "synth.cfg": """\
@@ -46,6 +50,16 @@ kernel_sizes = 2,4,6,8
 n_filters = 8
 embed_dim = 12
 max_epochs = 3
+max_segment = 60
+lambda = 0.01
+cbow_epochs = 1
+""",
+    "stop.cfg": f"""\
+kernel_sizes = 2,4,6,8
+n_filters = 8
+embed_dim = 12
+max_epochs = {STOP_MAX_EPOCHS}
+patience = 1
 max_segment = 60
 lambda = 0.01
 cbow_epochs = 1
@@ -70,6 +84,8 @@ FLOW = [
     ["train", "--model", "mvc-lda", *TRAIN, "--out", "lda"],
     ["train", "--model", "mvc-lda", *TRAIN, "--embeddings", "rlda/embeddings.bin",
      "--out", "lda_emb"],
+    ["train", "--model", "mvc-rlda", *DATA, "--dev", "data/dev.jsonl", "--config", "cfg/stop.cfg",
+     "--seed", "42", "--out", "stop"],
     ["evaluate", "--checkpoint", "rlda/checkpoint.bin", "--test", "data/test.jsonl",
      "--labels", "data/descriptions.tsv", "--vocab", "rlda/vocab.tsv",
      "--metrics-out", "rlda/metrics.json", "--p-at", "8,5", "--groups", "data/groups.tsv",
@@ -84,6 +100,8 @@ FLOW = [
      "--config", "cfg/hyperband.cfg", "--R", "3", "--eta", "3", "--seed", "42", "--out", "hb"],
     ["ablate", "--model", "mvc-rlda", *TRAIN, "--test", "data/test.jsonl",
      "--components", "all", "--out", "abl"],
+    ["ablate", "--model", "mvc-lda", *TRAIN, "--components", "regularization,extra_notes",
+     "--out", "abl_lda"],
 ]
 
 
@@ -102,6 +120,10 @@ def run_flow(src: Path, run_dir: Path) -> None:
         if done.returncode != 0:
             raise SystemExit(f"{src}: `mvclda {' '.join(argv)}` exited {done.returncode}:\n"
                              f"{done.stderr}")
+    epochs = len((run_dir / "stop" / "history.jsonl").read_text().splitlines())
+    if epochs >= STOP_MAX_EPOCHS:
+        raise SystemExit(f"{src}: the patience-1 run trained all {epochs} epochs; "
+                         "the flow no longer covers early stopping")
 
 
 def outputs(run_dir: Path) -> dict[str, bytes]:
