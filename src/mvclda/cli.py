@@ -10,12 +10,11 @@ overridden with an environment variable `MVC_<KEY>` (upper-cased key).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import types
 import typing
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -140,11 +139,6 @@ def load_config(path, keys: dict) -> dict:
     return _apply_env_overrides(values, keys)
 
 
-def _write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
-
-
 def _write_manifest(out_dir: Path, command: str, seed, config: dict, inputs: dict, artifacts: dict) -> None:
     manifest = {
         "command": command,
@@ -157,7 +151,7 @@ def _write_manifest(out_dir: Path, command: str, seed, config: dict, inputs: dic
         },
         "artifacts": {name: str(p) for name, p in artifacts.items()},
     }
-    _write_json(out_dir / "manifest.json", manifest)
+    corpus.write_json(out_dir / "manifest.json", manifest)
 
 
 def _load_label_space(desc_path, hierarchy_path=None) -> corpus.LabelSpace:
@@ -173,6 +167,15 @@ def _warn_dropped(dropped: int) -> None:
               file=sys.stderr)
 
 
+def _check_split(name: str, path, docs, scored: bool = False) -> None:
+    """Fail, naming the split, when it holds no document, or when a `scored`
+    split (one PR AUC is taken on) has no gold code of the label space."""
+    if not docs:
+        raise ValueError(f"{name} split {path} is empty")
+    if scored and not any(doc.gold.any() for doc in docs):
+        raise ValueError(f"{name} split {path} has no gold code in the label space")
+
+
 @dataclass
 class _TrainingSetup:
     """What train, hyperband and ablate share before their own work."""
@@ -183,11 +186,13 @@ class _TrainingSetup:
     vocab: corpus.Vocabulary
     train_docs: list
     dev_docs: list
+    eval_docs: list  # ablate's evaluation split: --test, else dev
     desc_ids: list
     table: np.ndarray
     vocab_checksum: str
     model_cfg: model.ModelConfig
     train_cfg: train_mod.TrainConfig
+    space: hb.SearchSpace | None  # hyperband's only
     inputs: dict
     artifacts: dict
 
@@ -195,30 +200,47 @@ class _TrainingSetup:
 def _training_setup(args, keys: dict) -> _TrainingSetup:
     """Shared front half of train/hyperband/ablate. Load the config (an
     mvc-lda model has no regularizer, so each lambda key set there earns a
-    warning) and create the output directory; read the corpora, build the
-    vocabulary from the training split only and encode everything; load
-    --embeddings (with vocabulary checksum verification) or pretrain CBOW
-    vectors on the encoded training text; derive the model and training
-    configs."""
+    warning) and check the model and training configs and hyperband's search
+    space; read the corpora and check that no split is empty, build the
+    vocabulary from the training split only and encode everything; create
+    the output directory; load --embeddings (with vocabulary checksum
+    verification) or pretrain CBOW vectors on the encoded training text."""
     values = load_config(args.config, keys)
     for key in ("lambda", "lambda_candidates"):
         if args.model == "mvc-lda" and key in values:
             print(f"warning: --model mvc-lda ignores the {key} config key", file=sys.stderr)
     model_cfg = _build(model.ModelConfig, values, kind=args.model)
+    model_cfg.validate()
+    train_cfg = _build(train_mod.TrainConfig, values, seed=args.seed)
+    train_cfg.validate()
+    space = None
+    if args.command == "hyperband":
+        space = _build(hb.SearchSpace, values)
+        if args.model == "mvc-lda":  # no regularizer, so no lambda to search
+            space = replace(space, lambdas=None)
+        space.validate()
+    splits = {"train": args.train, "dev": args.dev}
+    if getattr(args, "test", None):  # ablate's evaluation split
+        splits["test"] = args.test
+    raws = {name: corpus.read_corpus_jsonl(path) for name, path in splits.items()}
+    for name, path in splits.items():
+        _check_split(name, path, raws[name])
+    labels = _load_label_space(args.labels)
+    token_docs = [corpus.preprocess_text(d.text) for d in raws["train"]]
+    vocab = corpus.build_vocabulary(token_docs, values.get("min_doc_freq", corpus.MIN_DOC_FREQ))
+    docs = {}
+    for name, raw in raws.items():
+        docs[name], dropped = corpus.encode_corpus(raw, vocab, labels,
+                                                   token_docs if name == "train" else None)
+        _warn_dropped(dropped)
+    eval_split = "test" if "test" in splits else "dev"
+    if args.command == "ablate":
+        _check_split(eval_split, splits[eval_split], docs[eval_split], scored=True)
+    inputs = {name: Path(path) for name, path in splits.items()}
+    inputs.update(labels=Path(args.labels), config=Path(args.config))
+
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    raw_train = corpus.read_corpus_jsonl(args.train)
-    raw_dev = corpus.read_corpus_jsonl(args.dev)
-    labels = _load_label_space(args.labels)
-    token_docs = [corpus.preprocess_text(d.text) for d in raw_train]
-    vocab = corpus.build_vocabulary(token_docs, values.get("min_doc_freq", corpus.MIN_DOC_FREQ))
-    train_docs, dropped = corpus.encode_corpus(raw_train, vocab, labels, token_docs)
-    _warn_dropped(dropped)
-    dev_docs, dropped = corpus.encode_corpus(raw_dev, vocab, labels)
-    _warn_dropped(dropped)
-    inputs = {"train": Path(args.train), "dev": Path(args.dev), "labels": Path(args.labels),
-              "config": Path(args.config)}
-
     vocab_path = out_dir / "vocab.tsv"
     corpus.save_vocabulary(vocab_path, vocab)
     artifacts = {"vocab": vocab_path}
@@ -232,18 +254,17 @@ def _training_setup(args, keys: dict) -> _TrainingSetup:
         inputs["embeddings"] = Path(args.embeddings)
     else:
         cbow_cfg = _build(embed.CbowConfig, values, dim=model_cfg.embed_dim, seed=args.seed)
-        table = embed.train_cbow([d.token_ids for d in train_docs], vocab.size, cbow_cfg)
+        table = embed.train_cbow([d.token_ids for d in docs["train"]], vocab.size, cbow_cfg)
         emb_path = out_dir / "embeddings.bin"
         embed.save_embeddings(emb_path, table, vocab_checksum)
         artifacts["embeddings"] = emb_path
     # the width of the table in use, whatever the embed_dim key says
     model_cfg = replace(model_cfg, embed_dim=table.shape[1])
-    model_cfg.validate()
 
     return _TrainingSetup(
-        values, out_dir, labels, vocab, train_docs, dev_docs,
+        values, out_dir, labels, vocab, docs["train"], docs["dev"], docs[eval_split],
         [vocab.encode(toks) for toks in labels.descriptions], table, vocab_checksum,
-        model_cfg, _build(train_mod.TrainConfig, values, seed=args.seed), inputs, artifacts,
+        model_cfg, train_cfg, space, inputs, artifacts,
     )
 
 
@@ -259,20 +280,15 @@ def cmd_synth(args) -> int:
     synth = corpus.generate_synthetic_corpus(cfg)
     artifacts = {}
     for split, docs in (("train", synth.train), ("dev", synth.dev), ("test", synth.test)):
-        path = out_dir / f"{split}.jsonl"
-        corpus.write_corpus_jsonl(path, docs)
-        artifacts[split] = path
+        artifacts[split] = out_dir / f"{split}.jsonl"
+        corpus.write_corpus_jsonl(artifacts[split], docs)
     # descriptions keep the label-space order; the maps are written sorted
-    desc_path = out_dir / "descriptions.tsv"
     labels = synth.labels
-    corpus.write_pairs_tsv(desc_path, zip(labels.codes, map(" ".join, labels.descriptions)))
-    artifacts["descriptions"] = desc_path
-    hier_path = out_dir / "hierarchy.tsv"
-    corpus.write_pairs_tsv(hier_path, sorted((labels.parents or {}).items()))
-    artifacts["hierarchy"] = hier_path
-    groups_path = out_dir / "groups.tsv"
-    corpus.write_pairs_tsv(groups_path, sorted(synth.groups.items()))
-    artifacts["groups"] = groups_path
+    for name, pairs in (("descriptions", zip(labels.codes, map(" ".join, labels.descriptions))),
+                        ("hierarchy", sorted((labels.parents or {}).items())),
+                        ("groups", sorted(synth.groups.items()))):
+        artifacts[name] = out_dir / f"{name}.tsv"
+        corpus.write_pairs_tsv(artifacts[name], pairs)
     _write_manifest(out_dir, "synth", args.seed, dict(values, seed=args.seed),
                     {"config": Path(args.config)}, artifacts)
     print(f"wrote {len(synth.train)}/{len(synth.dev)}/{len(synth.test)} documents to {out_dir}")
@@ -298,8 +314,8 @@ def cmd_train(args) -> int:
     model.save_checkpoint(ckpt_path, best, run.vocab_checksum)
     run.artifacts["checkpoint"] = ckpt_path
     hist_path = run.out_dir / "history.jsonl"
-    with open(hist_path, "w", encoding="utf-8") as fh:
-        fh.write(history.to_jsonl())
+    corpus.write_jsonl(hist_path, (dict(asdict(e), best=e.epoch == history.best_epoch)
+                                   for e in history.epochs))
     run.artifacts["history"] = hist_path
     counts_path = run.out_dir / "train_counts.tsv"
     counts = (train_mod.gold_matrix(run.train_docs) > 0).sum(axis=0)
@@ -326,9 +342,9 @@ def cmd_evaluate(args) -> int:
             f"checkpoint was trained for {params.n_labels} labels, "
             f"label file defines {labels.n_labels}"
         )
-    raw_docs = corpus.read_corpus_jsonl(args.test)
-    docs, dropped = corpus.encode_corpus(raw_docs, vocab, labels)
+    docs, dropped = corpus.encode_corpus(corpus.read_corpus_jsonl(args.test), vocab, labels)
     _warn_dropped(dropped)
+    _check_split("test", args.test, docs, scored=True)
     scores = model.predict_matrix(params, docs)
     gold = train_mod.gold_matrix(docs)
 
@@ -340,19 +356,14 @@ def cmd_evaluate(args) -> int:
     if args.train_counts:
         by_code = corpus.read_counts_tsv(args.train_counts)
         train_counts = np.array([by_code.get(code, 0) for code in labels.codes], dtype=np.float64)
-    support = gold.sum(axis=0)
-    macro_labels = np.flatnonzero(support > 0)
+    # macro F1 over the labels with gold support (the split has at least one)
     report = metrics.evaluate_predictions(
-        scores, gold,
-        p_at=tuple(args.p_at),
-        groups=groups,
-        train_counts=train_counts,
-        macro_labels=macro_labels if macro_labels.size else None,
+        scores, gold, p_at=tuple(args.p_at), groups=groups, train_counts=train_counts,
+        macro_labels=np.flatnonzero(gold.sum(axis=0) > 0),
     )
     out_path = Path(args.metrics_out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
+    corpus.write_json(out_path, asdict(report))
     inputs = {"checkpoint": Path(args.checkpoint), "test": Path(args.test),
               "labels": Path(args.labels), "vocab": Path(args.vocab)}
     if args.groups:
@@ -367,9 +378,6 @@ def cmd_evaluate(args) -> int:
 
 def cmd_hyperband(args) -> int:
     run = _training_setup(args, HYPERBAND_KEYS)
-    space = _build(hb.SearchSpace, run.values)
-    if args.model == "mvc-lda":  # no regularizer, so no lambda to search
-        space = replace(space, lambdas=None)
 
     def evaluate(trial_cfg: hb.TrialConfig, epochs: int) -> float:
         cfg = replace(
@@ -383,17 +391,16 @@ def cmd_hyperband(args) -> int:
         return history.best_dev_micro_f1
 
     best_cfg, best_score, log = hb.hyperband_search(
-        space, evaluate, R=args.R, eta=args.eta, seed=args.seed
+        run.space, evaluate, R=args.R, eta=args.eta, seed=args.seed
     )
     schedule = [
         {"s": s, "n": n, "r": r} for s, n, r in hb.bracket_schedule(args.R, args.eta)
     ]
     trials_path = run.out_dir / "trials.jsonl"
-    with open(trials_path, "w", encoding="utf-8") as fh:
-        fh.write(hb.trials_to_jsonl(log))
+    corpus.write_jsonl(trials_path, (dict(asdict(t), config=t.config.to_json_obj()) for t in log))
     run.artifacts["trials"] = trials_path
     best_path = run.out_dir / "best_config.json"
-    _write_json(best_path, {
+    corpus.write_json(best_path, {
         "R": args.R, "eta": args.eta, "schedule": schedule,
         "best_config": best_cfg.to_json_obj(), "best_dev_micro_f1": best_score,
     })
@@ -405,9 +412,10 @@ def cmd_hyperband(args) -> int:
 
 
 # Each ablation component and the model config without it; extra_notes
-# keeps the config and trains on the first half of every note instead.
+# keeps the config and trains on the first half of every note instead. An
+# mvc-lda model has no regularizer to remove.
 ABLATIONS = {
-    "regularization": lambda cfg: replace(cfg, lambda_=0.0),
+    "regularization": lambda cfg: replace(cfg, lambda_=0.0) if cfg.kind == "mvc-rlda" else cfg,
     "multi_view": lambda cfg: replace(cfg, kernel_sizes=(max(cfg.kernel_sizes),)),
     "length_embedding": lambda cfg: replace(cfg, use_length=False),
     "extra_notes": lambda cfg: cfg,
@@ -417,17 +425,11 @@ ABLATIONS = {
 def cmd_ablate(args) -> int:
     """Train the full model and one model per component with that component
     removed; report each one's metrics on the evaluation split and its
-    deltas full minus ablated (positive: the component helps)."""
-    # read before the setup pretrains, so a malformed test split fails fast
-    raw_eval = corpus.read_corpus_jsonl(args.test) if args.test else None
+    deltas full minus ablated (positive: the component helps). A component
+    whose removal leaves the full model reuses its result."""
     run = _training_setup(args, TRAIN_KEYS)
     if args.p_at > run.labels.n_labels:
         raise ValueError(f"--p-at {args.p_at} exceeds the number of labels {run.labels.n_labels}")
-    eval_docs = run.dev_docs
-    if args.test:
-        eval_docs, dropped = corpus.encode_corpus(raw_eval, run.vocab, run.labels)
-        _warn_dropped(dropped)
-        run.inputs["test"] = Path(args.test)
 
     def score(model_cfg, splits, table) -> dict:
         train_docs, dev_docs, eval_docs = splits
@@ -437,17 +439,20 @@ def cmd_ablate(args) -> int:
         return {"best_dev_micro_f1": history.best_dev_micro_f1, "micro_f1": report.micro_f1,
                 "pr_auc": report.pr_auc, "p_at": report.p_at}
 
-    splits = (run.train_docs, run.dev_docs, eval_docs)
+    splits = (run.train_docs, run.dev_docs, run.eval_docs)
     full = score(run.model_cfg, splits, run.table)
     ablations = {}
     for name in args.components:
-        variant_splits, table = splits, run.table
+        variant_cfg = ABLATIONS[name](run.model_cfg)
         if name == "extra_notes":  # the reduced notes get their own CBOW table
-            variant_splits = [[train_mod.reduce_document(d) for d in split] for split in splits]
-            cbow_cfg = _build(embed.CbowConfig, run.values, dim=table.shape[1], seed=args.seed)
-            table = embed.train_cbow([d.token_ids for d in variant_splits[0]], run.vocab.size,
-                                     cbow_cfg)
-        entry = score(ABLATIONS[name](run.model_cfg), variant_splits, table)
+            reduced = [[train_mod.reduce_document(d) for d in split] for split in splits]
+            cbow_cfg = _build(embed.CbowConfig, run.values, dim=run.table.shape[1], seed=args.seed)
+            table = embed.train_cbow([d.token_ids for d in reduced[0]], run.vocab.size, cbow_cfg)
+            entry = score(variant_cfg, reduced, table)
+        elif variant_cfg == run.model_cfg:  # nothing removed: every delta is 0.0
+            entry = dict(full)
+        else:
+            entry = score(variant_cfg, splits, run.table)
         entry["delta"] = {
             "micro_f1": full["micro_f1"] - entry["micro_f1"],
             "pr_auc": full["pr_auc"] - entry["pr_auc"],
@@ -457,8 +462,8 @@ def cmd_ablate(args) -> int:
         ablations[name] = entry
 
     out_path = run.out_dir / "ablation.json"
-    _write_json(out_path, {"format_version": 1, "p_at": args.p_at, "full": full,
-                           "ablations": ablations})
+    corpus.write_json(out_path, {"format_version": 1, "p_at": args.p_at, "full": full,
+                                 "ablations": ablations})
     run.artifacts["ablation"] = out_path
     _write_manifest(run.out_dir, "ablate", args.seed, run.values, run.inputs, run.artifacts)
     for name, entry in ablations.items():
@@ -508,8 +513,7 @@ def cmd_baseline(args) -> int:
         pred.astype(np.float64), gold_test, p_at=tuple(args.p_at)
     )
     metrics_path = out_dir / "metrics.json"
-    with open(metrics_path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
+    corpus.write_json(metrics_path, asdict(report))
     artifacts["metrics"] = metrics_path
     _write_manifest(out_dir, "baseline", args.seed, values, inputs, artifacts)
     print(f"{'hierarchical' if args.hierarchy else 'flat'} baseline micro F1 {report.micro_f1:.5f}")
@@ -532,10 +536,10 @@ def _int_at_least(low: int):
 
 
 def _components(text: str) -> list[str]:
-    """`all`, or a comma list of ABLATIONS' components."""
+    """`all`, or a comma list of ABLATIONS' components, each kept once."""
     if text == "all":
         return list(ABLATIONS)
-    names = [c.strip() for c in text.split(",") if c.strip()]
+    names = list(dict.fromkeys(c.strip() for c in text.split(",") if c.strip()))
     for name in names:
         if name not in ABLATIONS:
             raise argparse.ArgumentTypeError(

@@ -340,17 +340,25 @@ def generate_synthetic_corpus(cfg: SynthConfig) -> SyntheticCorpus:
 # File formats
 # ---------------------------------------------------------------------------
 
-def write_corpus_jsonl(path, docs: list[RawDocument]) -> None:
+def write_json(path, obj) -> None:
+    """`obj` as one JSON document, indented 2 with sorted keys, and a
+    trailing newline: the writer of every JSON artifact (manifests, metrics
+    reports, the Hyperband best config, the ablation report)."""
     with open(path, "w", encoding="utf-8") as fh:
-        for doc in docs:
-            fh.write(
-                json.dumps(
-                    {"doc_id": doc.doc_id, "text": doc.text, "codes": sorted(doc.codes)},
-                    ensure_ascii=False,
-                    sort_keys=True,
-                )
-            )
-            fh.write("\n")
+        fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
+def write_jsonl(path, rows) -> None:
+    """One sorted-key JSON object per line, non-ASCII text kept as is: the
+    writer of every JSON-lines file (corpora, training histories, trial logs)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
+
+
+def write_corpus_jsonl(path, docs: list[RawDocument]) -> None:
+    write_jsonl(path, ({"doc_id": d.doc_id, "text": d.text, "codes": sorted(d.codes)}
+                       for d in docs))
 
 
 def read_corpus_jsonl(path) -> list[RawDocument]:

@@ -9,7 +9,6 @@ function of (config, epochs, seed).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -127,22 +126,3 @@ def hyperband_search(
                 configs = [config for _score, _t, config in scored[:keep]]
     assert best is not None
     return best.config, best.dev_micro_f1, log
-
-
-def trials_to_jsonl(log: list[Trial]) -> str:
-    lines = []
-    for t in log:
-        lines.append(
-            json.dumps(
-                {
-                    "bracket": t.bracket,
-                    "rung": t.rung,
-                    "trial": t.trial,
-                    "config": t.config.to_json_obj(),
-                    "epochs": t.epochs,
-                    "dev_micro_f1": t.dev_micro_f1,
-                },
-                sort_keys=True,
-            )
-        )
-    return "\n".join(lines) + "\n"

@@ -8,8 +8,7 @@ document order.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -193,10 +192,6 @@ class MetricsReport:
     bins: list[BinRow] | None
     bin_log_base: str = "e"
     format_version: int = REPORT_FORMAT_VERSION
-
-    def to_json(self) -> str:
-        obj = asdict(self)
-        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def evaluate_predictions(

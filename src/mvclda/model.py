@@ -114,8 +114,8 @@ class ModelConfig:
             raise ValueError("kernel sizes must be ascending")
         if len(ks) == 4 and any(b - a != 2 for a, b in zip(ks, ks[1:])):
             raise ValueError("four-channel kernel sizes must step by 2")
-        if self.lambda_ < 0:
-            raise ValueError("regularization weight must be >= 0")
+        if not (math.isfinite(self.lambda_) and self.lambda_ >= 0):
+            raise ValueError("regularization weight (lambda) must be finite and >= 0")
         if self.n_filters < 1 or self.embed_dim < 1:
             raise ValueError("filter count and embedding dim must be positive")
         if not (math.isfinite(self.length_scale) and self.length_scale > 0):

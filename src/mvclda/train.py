@@ -8,7 +8,7 @@ so results do not depend on batch composition or worker scheduling.
 
 from __future__ import annotations
 
-import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -40,6 +40,12 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and > 0")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError("beta1 and beta2 must lie in [0, 1)")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError("epsilon must be finite and > 0")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if self.batch_size < 1:
@@ -122,23 +128,6 @@ class TrainHistory:
     def best_dev_micro_f1(self) -> float:
         return self.epochs[self.best_epoch - 1].dev_micro_f1
 
-    def to_jsonl(self) -> str:
-        lines = []
-        for e in self.epochs:
-            lines.append(
-                json.dumps(
-                    {
-                        "epoch": e.epoch,
-                        "train_loss": e.train_loss,
-                        "dev_micro_f1": e.dev_micro_f1,
-                        "wall_time_s": e.wall_time_s,
-                        "best": e.epoch == self.best_epoch,
-                    },
-                    sort_keys=True,
-                )
-            )
-        return "\n".join(lines) + "\n"
-
 
 def gold_matrix(docs) -> np.ndarray:
     return np.stack([doc.gold for doc in docs])
@@ -160,11 +149,10 @@ def train(
     with the best dev micro F1 together with the per-epoch history.
 
     `desc_ids_list` holds each label's encoded description (required for
-    mvc-rlda, ignored for mvc-lda).
+    mvc-rlda, ignored for mvc-lda). Both document sets must be non-empty;
+    the commands check their splits before any file is written.
     """
     cfg.validate()
-    if not train_docs or not dev_docs:
-        raise ValueError("training and development sets must be non-empty")
     params = params.copy()
     n_labels = params.n_labels
     d_c = params.config.n_filters

@@ -105,6 +105,37 @@ class TestExitCodes:
         assert f"argument {option}" in capsys.readouterr().err
         assert not out.exists()
 
+    # each is a data error before any corpus is read or any file written;
+    # Adam once trained on a negative rate and diverged on a NaN one
+    @pytest.mark.parametrize("command, line, message", [
+        ("train", "learning_rate = -1", "learning_rate must be finite and > 0"),
+        ("train", "learning_rate = 0", "learning_rate must be finite and > 0"),
+        ("train", "learning_rate = nan", "learning_rate must be finite and > 0"),
+        ("train", "beta1 = 1", "beta1 and beta2 must lie in [0, 1)"),
+        ("train", "beta2 = 1.5", "beta1 and beta2 must lie in [0, 1)"),
+        ("train", "epsilon = 0", "epsilon must be finite and > 0"),
+        ("train", "lambda = nan", "lambda) must be finite and >= 0"),
+        ("ablate", "lambda = inf", "lambda) must be finite and >= 0"),
+        ("hyperband", "dc_min = 0", "invalid filter count range"),
+    ])
+    def test_bad_config_values_exit_2_before_reading(self, corpus_dir, tmp_path, monkeypatch,
+                                                     capsys, command, line, message):
+        def no_reading(path):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr(cli.corpus, "read_corpus_jsonl", no_reading)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TRAIN_CFG + line + "\n")
+        out = tmp_path / "out"
+        assert run([
+            command, "--model", "mvc-rlda", "--train", str(corpus_dir / "train.jsonl"),
+            "--dev", str(corpus_dir / "dev.jsonl"),
+            "--labels", str(corpus_dir / "descriptions.tsv"),
+            "--config", str(cfg), "--seed", "1", "--out", str(out),
+        ]) == cli.EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 TRAIN_KEYS = [
     "learning_rate", "beta1", "beta2", "epsilon", "batch_size", "max_segment", "patience",
@@ -202,6 +233,22 @@ class TestSynth:
 
 
 class TestTrain:
+    # an empty dev split once failed only after CBOW had written its files
+    @pytest.mark.parametrize("split", ["train", "dev"])
+    def test_empty_split_fails_before_any_file(self, corpus_dir, train_cfg_path, tmp_path,
+                                               capsys, split):
+        paths = {s: str(corpus_dir / f"{s}.jsonl") for s in ("train", "dev")}
+        paths[split] = str(tmp_path / "empty.jsonl")
+        Path(paths[split]).write_text("")
+        out = tmp_path / "out"
+        assert run([
+            "train", "--model", "mvc-lda", "--train", paths["train"], "--dev", paths["dev"],
+            "--labels", str(corpus_dir / "descriptions.tsv"),
+            "--config", str(train_cfg_path), "--seed", "3", "--out", str(out),
+        ]) == cli.EXIT_DATA
+        assert f"{split} split {paths[split]} is empty" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_artifacts_exist(self, trained_dir):
         for name in ("checkpoint.bin", "history.jsonl", "vocab.tsv",
                      "embeddings.bin", "train_counts.tsv", "manifest.json"):
@@ -291,6 +338,9 @@ class TestTrain:
         ]) == 0
         lines = (out / "history.jsonl").read_text().strip().split("\n")
         assert len(lines) == 1
+        assert json.loads(lines[0]).keys() == {
+            "epoch", "train_loss", "dev_micro_f1", "wall_time_s", "best"}
+        assert json.loads(lines[0])["best"] is True
 
     def test_zero_length_scale_is_data_error(self, corpus_dir, tmp_path, capsys):
         # it once ended in a ZeroDivisionError traceback inside forward
@@ -431,6 +481,16 @@ class TestEvaluate:
         ])
         assert code == cli.EXIT_DATA
         assert ":2:" in capsys.readouterr().err
+
+    def test_empty_test_split_is_data_error(self, trained_dir, corpus_dir, tmp_path, capsys):
+        # it once ended in numpy's "need at least one array to stack"
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "test.jsonl").write_text("")
+        (data / "descriptions.tsv").write_text((corpus_dir / "descriptions.tsv").read_text())
+        assert self._evaluate(trained_dir, data, "test", tmp_path / "m.json") == cli.EXIT_DATA
+        assert f"test split {data / 'test.jsonl'} is empty" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
     def test_vocab_checksum_mismatch(self, trained_dir, corpus_dir, tmp_path, capsys):
         tampered = tmp_path / "vocab.tsv"
@@ -590,6 +650,8 @@ class TestHyperbandCmd:
         assert best["schedule"] == [{"s": 1, "n": 3, "r": 1}, {"s": 0, "n": 2, "r": 3}]
         trials = [json.loads(l) for l in (out / "trials.jsonl").read_text().splitlines()]
         assert len(trials) == 6  # 3 + 1 + 2
+        assert trials[0].keys() == {"bracket", "rung", "trial", "config", "epochs", "dev_micro_f1"}
+        assert trials[0]["config"].keys() == {"kernel_sizes", "n_filters", "lambda"}
         assert best["best_dev_micro_f1"] == max(t["dev_micro_f1"] for t in trials)
 
     def test_trial_log_byte_identical(self, corpus_dir, hb_cfg, tmp_path):
@@ -640,6 +702,59 @@ class TestAblateCmd:
         }
         for entry in report["ablations"].values():
             assert {"micro_f1", "pr_auc", "p_at"} <= set(entry["delta"])
+
+    def test_known_results_are_not_trained_again(self, corpus_dir, train_cfg_path, tmp_path,
+                                                 monkeypatch):
+        # a repeated component, and mvc-lda's regularization (there is none to
+        # remove), once each trained another model; only the full model and
+        # length_embedding need one
+        fits, real_train = [], cli.train_mod.train
+
+        def counted(*args):
+            fits.append(args)
+            return real_train(*args)
+
+        monkeypatch.setattr(cli.train_mod, "train", counted)
+        out = tmp_path / "ablate"
+        assert run([
+            "ablate", "--model", "mvc-lda", "--train", str(corpus_dir / "train.jsonl"),
+            "--dev", str(corpus_dir / "dev.jsonl"),
+            "--labels", str(corpus_dir / "descriptions.tsv"), "--config", str(train_cfg_path),
+            "--components", "regularization,regularization,length_embedding",
+            "--seed", "6", "--out", str(out),
+        ]) == 0
+        assert len(fits) == 2
+        report = json.loads((out / "ablation.json").read_text())
+        assert list(report["ablations"]) == ["length_embedding", "regularization"]
+        regularization = report["ablations"]["regularization"]
+        assert regularization["delta"] == {"micro_f1": 0.0, "pr_auc": 0.0, "p_at": {"8": 0.0},
+                                           "dev_micro_f1": 0.0}
+        assert {k: v for k, v in regularization.items() if k != "delta"} == report["full"]
+
+    @pytest.mark.parametrize("codes, message", [
+        (None, "is empty"),
+        (["999.9"], "has no gold code in the label space"),
+    ])
+    def test_unscorable_test_split_fails_before_training(
+            self, corpus_dir, train_cfg_path, tmp_path, monkeypatch, capsys, codes, message):
+        # both once failed only after the full model had trained
+        def no_training(*args):
+            raise AssertionError("a model trained")
+
+        monkeypatch.setattr(cli.train_mod, "train", no_training)
+        test = tmp_path / "test.jsonl"
+        docs = corpus.read_corpus_jsonl(corpus_dir / "test.jsonl") if codes else []
+        corpus.write_corpus_jsonl(test, [corpus.RawDocument(d.doc_id, d.text, set(codes))
+                                         for d in docs])
+        out = tmp_path / "ablate"
+        assert run([
+            "ablate", "--train", str(corpus_dir / "train.jsonl"),
+            "--dev", str(corpus_dir / "dev.jsonl"), "--test", str(test),
+            "--labels", str(corpus_dir / "descriptions.tsv"),
+            "--config", str(train_cfg_path), "--seed", "6", "--out", str(out),
+        ]) == cli.EXIT_DATA
+        assert f"test split {test} {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_p_at_above_label_count_fails_before_training(self, corpus_dir, train_cfg_path,
                                                           tmp_path, monkeypatch, capsys):

@@ -276,6 +276,17 @@ class TestFileFormats:
             ("b", "", set()),
         ]
 
+    def test_json_writers_bytes(self, tmp_path):
+        # one indented document; one compact sorted-key object per line
+        obj = {"b": [1, 2.5], "a": {"z": None, "y": True}, "é": "ü"}
+        corpus.write_json(tmp_path / "o.json", obj)
+        assert (tmp_path / "o.json").read_bytes() == (
+            json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
+        assert b"\\u00e9" in (tmp_path / "o.json").read_bytes()
+        corpus.write_jsonl(tmp_path / "o.jsonl", [obj, {"k": 1}])
+        assert (tmp_path / "o.jsonl").read_text(encoding="utf-8") == (
+            '{"a": {"y": true, "z": null}, "b": [1, 2.5], "é": "ü"}\n{"k": 1}\n')
+
     def test_malformed_jsonl_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"doc_id": "a", "text": "t", "codes": []}\nnot json\n')

@@ -1,5 +1,5 @@
 import collections
-import json
+import dataclasses
 
 import numpy as np
 import pytest
@@ -92,7 +92,7 @@ class TestHyperbandSearch:
         evaluate_b, _ = scoring_stub()
         _, _, log_a = hb.hyperband_search(hb.SearchSpace(), evaluate_a, R=9, eta=3, seed=4)
         _, _, log_b = hb.hyperband_search(hb.SearchSpace(), evaluate_b, R=9, eta=3, seed=4)
-        assert hb.trials_to_jsonl(log_a) == hb.trials_to_jsonl(log_b)
+        assert log_a == log_b
 
     def test_log_ordered_by_bracket_rung_trial(self):
         evaluate, _ = scoring_stub()
@@ -146,9 +146,11 @@ class TestSampleConfig:
 
 class TestTrialLog:
     def test_jsonl_fields(self):
+        # a trials.jsonl line is a Trial's fields, its config as to_json_obj()
         evaluate, _ = scoring_stub()
         _, _, log = hb.hyperband_search(hb.SearchSpace(), evaluate, R=3, eta=3, seed=12)
-        lines = hb.trials_to_jsonl(log).strip().split("\n")
-        assert len(lines) == len(log)
-        first = json.loads(lines[0])
-        assert set(first) == {"bracket", "rung", "trial", "config", "epochs", "dev_micro_f1"}
+        assert set(dataclasses.asdict(log[0])) == {
+            "bracket", "rung", "trial", "config", "epochs", "dev_micro_f1"}
+        assert log[0].config.to_json_obj() == {
+            "kernel_sizes": list(log[0].config.kernel_sizes),
+            "n_filters": log[0].config.n_filters, "lambda": log[0].config.lambda_}

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mvclda import metrics
+from mvclda import corpus, metrics
 
 from oracles import (
     brute_macro_f1,
@@ -283,13 +283,14 @@ class TestReports:
         gold[0] = 1
         return metrics.evaluate_predictions(scores, gold, p_at=(3, 5), **kwargs), scores, gold
 
-    def test_report_fields_and_json_round_trip(self):
+    def test_report_fields_and_json_round_trip(self, tmp_path):
         report, _, _ = self._report(
             groups=["diagnosis", "procedure"] * 3,
             train_counts=[3, 9, 27, 81, 243, 729],
             macro_labels=np.arange(6),
         )
-        assert json.loads(report.to_json()) == dataclasses.asdict(report)
+        corpus.write_json(tmp_path / "metrics.json", dataclasses.asdict(report))
+        assert json.loads((tmp_path / "metrics.json").read_text()) == dataclasses.asdict(report)
         assert set(report.p_at) == {"3", "5"}
         assert set(report.micro_f1_by_group) == {"diagnosis", "procedure"}
         assert report.bins is not None and len(report.bins) == 10

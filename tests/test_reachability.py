@@ -3,55 +3,111 @@ class, of the package is used by the program.
 
 A function that only tests call is a second, unexercised path beside the
 one the commands run (the layer functions `forward` once duplicated were
-such a path). This guard parses every module of `src/mvclda/` and asserts
-that each public function and method is referenced, as a name or an
-attribute, somewhere in `src/` or `bench/` other than its own definition,
-or named by a string constant in `bench/tracer.py`: the benchmark's tracer
-wraps some methods by name. Other string constants (check names, labels)
-do not count, so a check named "ancestors" keeps no `ancestors` method alive.
+such a path). This guard runs the command flow of `tools/same_outputs.py`
+in process under `sys.setprofile`, recording the code object of every
+call, and asserts that each public function and method of `src/mvclda/`
+was called, or is named in `bench/`: as an attribute `owner.name` whose
+owner is its module or class, or by a string constant in `bench/tracer.py`,
+whose tracer wraps some methods by name. Calls count by code object, so
+`bytes.decode` keeps no `Vocabulary.decode` alive, and a check named
+"ancestors" keeps no `LabelSpace.ancestors` alive.
 """
 
 import ast
+import importlib
+import importlib.util
+import os
+import sys
 from pathlib import Path
 
 import pytest
+
+from mvclda import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "bench" / "tracer.py"
 GUARDED = sorted(p.name for p in (ROOT / "src" / "mvclda").glob("*.py"))
 
 
-def _references() -> set[str]:
+@pytest.fixture(scope="module")
+def called(tmp_path_factory) -> set:
+    """The code objects of every call the command flow makes."""
+    spec = importlib.util.spec_from_file_location("same_outputs", ROOT / "tools" / "same_outputs.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    run_dir = tmp_path_factory.mktemp("flow")
+    (run_dir / "cfg").mkdir()
+    for name, text in tool.CONFIGS.items():
+        (run_dir / "cfg" / name).write_text(text)
+    codes = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(run_dir)
+        for key in [k for k in os.environ if k.startswith(cli.ENV_PREFIX)]:
+            mp.delenv(key)
+        sys.setprofile(profile)
+        try:
+            exits = [cli.main(argv) for argv in tool.FLOW]
+        finally:
+            sys.setprofile(None)
+    assert exits == [cli.EXIT_OK] * len(tool.FLOW)
+    return codes
+
+
+def _bench_names() -> set[str]:
+    """`owner.name` for every attribute in `bench/` taken on a name or an
+    attribute (`embed.initial_tables`, `model.GradientSet.add_` gives
+    `GradientSet.add_`), and every string constant of `bench/tracer.py`."""
     names = set()
-    for top in ("src", "bench"):
-        for path in ROOT.glob(f"{top}/**/*.py"):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-                elif (path == TRACER and isinstance(node, ast.Constant)
-                      and isinstance(node.value, str)):
-                    names.add(node.value)
+    for path in ROOT.glob("bench/**/*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                owner = node.value
+                if isinstance(owner, ast.Name):
+                    names.add(f"{owner.id}.{node.attr}")
+                elif isinstance(owner, ast.Attribute):
+                    names.add(f"{owner.attr}.{node.attr}")
+            elif (path == TRACER and isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)):
+                names.add(node.value)
     return names
 
 
-def _public(tree: ast.Module) -> list[str]:
-    """Public top-level functions, and public methods as `Class.method`."""
+def _public(tree: ast.Module) -> list[tuple[str | None, str]]:
+    """(class or None, name) for each public top-level function and each
+    public method of a public class."""
     names = []
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-            names.append(node.name)
+            names.append((None, node.name))
         elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-            names += [f"{node.name}.{item.name}" for item in node.body
+            names += [(node.name, item.name) for item in node.body
                       if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
     return names
 
 
+def _code(obj):
+    """The code object behind a function, method, classmethod or property."""
+    obj = obj.fget if isinstance(obj, property) else obj
+    return getattr(obj, "__func__", obj).__code__
+
+
 @pytest.mark.parametrize("module", GUARDED)
-def test_public_functions_are_reachable(module):
+def test_public_functions_are_reachable(module, called):
     tree = ast.parse((ROOT / "src" / "mvclda" / module).read_text(encoding="utf-8"))
     public = _public(tree)
     assert public or module == "__init__.py"
-    used = _references()
-    assert [name for name in public if name.rpartition(".")[2] not in used] == []
+    mod = importlib.import_module(f"mvclda.{Path(module).stem}")
+    bench = _bench_names()
+    unused = []
+    for owner, name in public:
+        obj = vars(getattr(mod, owner))[name] if owner else getattr(mod, name)
+        qualified = f"{owner or Path(module).stem}.{name}"
+        # a bare name in `bench` is one of the tracer's strings
+        if _code(obj) not in called and qualified not in bench and name not in bench:
+            unused.append(qualified)
+    assert unused == []
