@@ -73,7 +73,7 @@ class SvmConfig:
     reg: float = 1e-4
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         # the Pegasos step size is 1 / (reg * t)
         if not (math.isfinite(self.reg) and self.reg > 0.0):
             raise ValueError("svm_reg must be finite and > 0")

@@ -139,41 +139,64 @@ def load_config(path, keys: dict) -> dict:
     return _apply_env_overrides(values, keys)
 
 
-def _write_manifest(out_dir: Path, command: str, seed, config: dict, inputs: dict, artifacts: dict) -> None:
+# Every file option of any command; the manifest lists each one given.
+FILE_OPTIONS = ("train", "dev", "test", "labels", "hierarchy", "config", "embeddings",
+                "checkpoint", "vocab", "groups", "train_counts")
+
+
+def _write_manifest(out_dir: Path, args, config: dict, artifacts: dict) -> None:
+    """`manifest.json`: the command and seed of `args`, the `config` values,
+    each file option given with its sha256, and the files written."""
+    given = {name: Path(getattr(args, name)) for name in FILE_OPTIONS if getattr(args, name, None)}
     manifest = {
-        "command": command,
+        "command": args.command,
         "version": __version__,
-        "seed": seed,
+        "seed": getattr(args, "seed", None),
         "config": config,
         "inputs": {
             name: {"path": str(p), "sha256": embed.sha256_file(p)}
-            for name, p in inputs.items()
+            for name, p in given.items()
         },
         "artifacts": {name: str(p) for name, p in artifacts.items()},
     }
     corpus.write_json(out_dir / "manifest.json", manifest)
 
 
-def _load_label_space(desc_path, hierarchy_path=None) -> corpus.LabelSpace:
-    descriptions = corpus.read_descriptions_tsv(desc_path)
-    parents = corpus.read_hierarchy_tsv(hierarchy_path) if hierarchy_path else None
-    return corpus.make_label_space(descriptions, parents)
+def _load_label_space(args) -> corpus.LabelSpace:
+    """The label space of --labels, under --hierarchy's parents if given; a
+    --p-at above its label count is refused here, before any split is read."""
+    descriptions = corpus.read_descriptions_tsv(args.labels)
+    hierarchy = getattr(args, "hierarchy", None)
+    parents = corpus.read_hierarchy_tsv(hierarchy) if hierarchy else None
+    labels = corpus.make_label_space(descriptions, parents)
+    largest = max(np.ravel(getattr(args, "p_at", 0)))  # a list, or ablate's one n
+    if largest > labels.n_labels:
+        raise ValueError(f"--p-at {largest} exceeds the number of labels {labels.n_labels}")
+    return labels
 
 
-def _warn_dropped(dropped: int) -> None:
-    """Report `corpus.encode_gold`'s count of gold codes outside the label space."""
+class _Split(typing.NamedTuple):
+    raws: list
+    tokens: list  # each document's `corpus.preprocess_text` tokens
+    gold: np.ndarray  # `corpus.encode_gold`'s matrix,
+    dropped: int  # and its count of codes outside the label space
+
+
+def _read_split(name: str, path, labels: corpus.LabelSpace, scored: bool = False) -> _Split:
+    """Read split `name` from `path`, tokenize its documents and encode
+    their gold codes, warning about codes outside the label space. Fail,
+    naming the split, when it holds no document, or when a `scored` split
+    (one PR AUC is taken on) has no gold code of the label space."""
+    raws = corpus.read_corpus_jsonl(path)
+    if not raws:
+        raise ValueError(f"{name} split {path} is empty")
+    gold, dropped = corpus.encode_gold(raws, labels)
     if dropped:
         print(f"warning: dropped {dropped} gold codes absent from the label space",
               file=sys.stderr)
-
-
-def _check_split(name: str, path, docs, scored: bool = False) -> None:
-    """Fail, naming the split, when it holds no document, or when a `scored`
-    split (one PR AUC is taken on) has no gold code of the label space."""
-    if not docs:
-        raise ValueError(f"{name} split {path} is empty")
-    if scored and not any(doc.gold.any() for doc in docs):
+    if scored and not gold.any():
         raise ValueError(f"{name} split {path} has no gold code in the label space")
+    return _Split(raws, [corpus.preprocess_text(d.text) for d in raws], gold, dropped)
 
 
 @dataclass
@@ -192,52 +215,39 @@ class _TrainingSetup:
     vocab_checksum: str
     model_cfg: model.ModelConfig
     train_cfg: train_mod.TrainConfig
+    cbow_cfg: embed.CbowConfig  # of the embed_dim key's width; unused under --embeddings
     space: hb.SearchSpace | None  # hyperband's only
-    inputs: dict
     artifacts: dict
 
 
 def _training_setup(args, keys: dict) -> _TrainingSetup:
     """Shared front half of train/hyperband/ablate. Load the config (an
     mvc-lda model has no regularizer, so each lambda key set there earns a
-    warning) and check the model and training configs and hyperband's search
-    space; read the corpora and check that no split is empty, build the
-    vocabulary from the training split only and encode everything; create
-    the output directory; load --embeddings (with vocabulary checksum
-    verification) or pretrain CBOW vectors on the encoded training text."""
+    warning) and build every config from it; load the label space, read the
+    splits (ablate's evaluation split is scored), build the vocabulary from
+    the training split only and encode every split; create the output
+    directory; load --embeddings (with vocabulary checksum verification) or
+    pretrain CBOW vectors on the encoded training text."""
     values = load_config(args.config, keys)
     for key in ("lambda", "lambda_candidates"):
         if args.model == "mvc-lda" and key in values:
             print(f"warning: --model mvc-lda ignores the {key} config key", file=sys.stderr)
     model_cfg = _build(model.ModelConfig, values, kind=args.model)
-    model_cfg.validate()
     train_cfg = _build(train_mod.TrainConfig, values, seed=args.seed)
-    train_cfg.validate()
+    cbow_cfg = _build(embed.CbowConfig, values, dim=model_cfg.embed_dim, seed=args.seed)
     space = None
-    if args.command == "hyperband":
-        space = _build(hb.SearchSpace, values)
-        if args.model == "mvc-lda":  # no regularizer, so no lambda to search
-            space = replace(space, lambdas=None)
-        space.validate()
-    splits = {"train": args.train, "dev": args.dev}
-    if getattr(args, "test", None):  # ablate's evaluation split
-        splits["test"] = args.test
-    raws = {name: corpus.read_corpus_jsonl(path) for name, path in splits.items()}
-    for name, path in splits.items():
-        _check_split(name, path, raws[name])
-    labels = _load_label_space(args.labels)
-    token_docs = [corpus.preprocess_text(d.text) for d in raws["train"]]
-    vocab = corpus.build_vocabulary(token_docs, values.get("min_doc_freq", corpus.MIN_DOC_FREQ))
-    docs = {}
-    for name, raw in raws.items():
-        docs[name], dropped = corpus.encode_corpus(raw, vocab, labels,
-                                                   token_docs if name == "train" else None)
-        _warn_dropped(dropped)
-    eval_split = "test" if "test" in splits else "dev"
-    if args.command == "ablate":
-        _check_split(eval_split, splits[eval_split], docs[eval_split], scored=True)
-    inputs = {name: Path(path) for name, path in splits.items()}
-    inputs.update(labels=Path(args.labels), config=Path(args.config))
+    if args.command == "hyperband":  # an mvc-lda model has no lambda to search
+        no_lambda = {"lambdas": None} if args.model == "mvc-lda" else {}
+        space = _build(hb.SearchSpace, values, **no_lambda)
+    labels = _load_label_space(args)
+    eval_split = "test" if getattr(args, "test", None) else "dev"  # ablate's --test
+    splits = {name: _read_split(name, getattr(args, name), labels,
+                                scored=args.command == "ablate" and name == eval_split)
+              for name in dict.fromkeys(("train", "dev", eval_split))}
+    vocab = corpus.build_vocabulary(splits["train"].tokens,
+                                    values.get("min_doc_freq", corpus.MIN_DOC_FREQ))
+    docs = {name: corpus.encode_corpus(s.raws, vocab, labels, s.tokens, (s.gold, s.dropped))[0]
+            for name, s in splits.items()}
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -251,9 +261,7 @@ def _training_setup(args, keys: dict) -> _TrainingSetup:
             raise ValueError(
                 f"embedding rows {table.shape[0]} do not match vocabulary size {vocab.size}"
             )
-        inputs["embeddings"] = Path(args.embeddings)
     else:
-        cbow_cfg = _build(embed.CbowConfig, values, dim=model_cfg.embed_dim, seed=args.seed)
         table = embed.train_cbow([d.token_ids for d in docs["train"]], vocab.size, cbow_cfg)
         emb_path = out_dir / "embeddings.bin"
         embed.save_embeddings(emb_path, table, vocab_checksum)
@@ -264,7 +272,7 @@ def _training_setup(args, keys: dict) -> _TrainingSetup:
     return _TrainingSetup(
         values, out_dir, labels, vocab, docs["train"], docs["dev"], docs[eval_split],
         [vocab.encode(toks) for toks in labels.descriptions], table, vocab_checksum,
-        model_cfg, train_cfg, space, inputs, artifacts,
+        model_cfg, train_cfg, cbow_cfg, space, artifacts,
     )
 
 
@@ -289,8 +297,7 @@ def cmd_synth(args) -> int:
                         ("groups", sorted(synth.groups.items()))):
         artifacts[name] = out_dir / f"{name}.tsv"
         corpus.write_pairs_tsv(artifacts[name], pairs)
-    _write_manifest(out_dir, "synth", args.seed, dict(values, seed=args.seed),
-                    {"config": Path(args.config)}, artifacts)
+    _write_manifest(out_dir, args, dict(values, seed=args.seed), artifacts)
     print(f"wrote {len(synth.train)}/{len(synth.dev)}/{len(synth.test)} documents to {out_dir}")
     return EXIT_OK
 
@@ -321,7 +328,7 @@ def cmd_train(args) -> int:
     counts = (train_mod.gold_matrix(run.train_docs) > 0).sum(axis=0)
     corpus.write_pairs_tsv(counts_path, sorted(zip(run.labels.codes, counts.tolist())))
     run.artifacts["train_counts"] = counts_path
-    _write_manifest(run.out_dir, "train", args.seed, run.values, run.inputs, run.artifacts)
+    _write_manifest(run.out_dir, args, run.values, run.artifacts)
     print(
         f"best epoch {history.best_epoch} dev micro F1 {history.best_dev_micro_f1:.5f}; "
         f"checkpoint at {ckpt_path}"
@@ -336,18 +343,13 @@ def cmd_evaluate(args) -> int:
         raise ValueError(
             "vocabulary file does not match the checkpoint's vocabulary checksum"
         )
-    labels = _load_label_space(args.labels)
+    labels = _load_label_space(args)
     if labels.n_labels != params.n_labels:
         raise ValueError(
             f"checkpoint was trained for {params.n_labels} labels, "
             f"label file defines {labels.n_labels}"
         )
-    docs, dropped = corpus.encode_corpus(corpus.read_corpus_jsonl(args.test), vocab, labels)
-    _warn_dropped(dropped)
-    _check_split("test", args.test, docs, scored=True)
-    scores = model.predict_matrix(params, docs)
-    gold = train_mod.gold_matrix(docs)
-
+    test = _read_split("test", args.test, labels, scored=True)
     groups = None
     if args.groups:
         by_code = corpus.read_groups_tsv(args.groups)
@@ -356,22 +358,18 @@ def cmd_evaluate(args) -> int:
     if args.train_counts:
         by_code = corpus.read_counts_tsv(args.train_counts)
         train_counts = np.array([by_code.get(code, 0) for code in labels.codes], dtype=np.float64)
+
+    docs, _ = corpus.encode_corpus(test.raws, vocab, labels, test.tokens, (test.gold, test.dropped))
+    scores = model.predict_matrix(params, docs)
     # macro F1 over the labels with gold support (the split has at least one)
     report = metrics.evaluate_predictions(
-        scores, gold, p_at=tuple(args.p_at), groups=groups, train_counts=train_counts,
-        macro_labels=np.flatnonzero(gold.sum(axis=0) > 0),
+        scores, test.gold, p_at=tuple(args.p_at), groups=groups, train_counts=train_counts,
+        macro_labels=np.flatnonzero(test.gold.sum(axis=0) > 0),
     )
     out_path = Path(args.metrics_out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     corpus.write_json(out_path, asdict(report))
-    inputs = {"checkpoint": Path(args.checkpoint), "test": Path(args.test),
-              "labels": Path(args.labels), "vocab": Path(args.vocab)}
-    if args.groups:
-        inputs["groups"] = Path(args.groups)
-    if args.train_counts:
-        inputs["train_counts"] = Path(args.train_counts)
-    _write_manifest(out_path.parent, "evaluate", None, {"p_at": list(args.p_at)}, inputs,
-                    {"metrics": out_path})
+    _write_manifest(out_path.parent, args, {"p_at": list(args.p_at)}, {"metrics": out_path})
     print(f"micro F1 {report.micro_f1:.5f}  PR AUC {report.pr_auc:.5f} -> {out_path}")
     return EXIT_OK
 
@@ -405,8 +403,7 @@ def cmd_hyperband(args) -> int:
         "best_config": best_cfg.to_json_obj(), "best_dev_micro_f1": best_score,
     })
     run.artifacts["best_config"] = best_path
-    _write_manifest(run.out_dir, "hyperband", args.seed,
-                    dict(run.values, R=args.R, eta=args.eta), run.inputs, run.artifacts)
+    _write_manifest(run.out_dir, args, dict(run.values, R=args.R, eta=args.eta), run.artifacts)
     print(f"best dev micro F1 {best_score:.5f} with {best_cfg.to_json_obj()}")
     return EXIT_OK
 
@@ -428,8 +425,6 @@ def cmd_ablate(args) -> int:
     deltas full minus ablated (positive: the component helps). A component
     whose removal leaves the full model reuses its result."""
     run = _training_setup(args, TRAIN_KEYS)
-    if args.p_at > run.labels.n_labels:
-        raise ValueError(f"--p-at {args.p_at} exceeds the number of labels {run.labels.n_labels}")
 
     def score(model_cfg, splits, table) -> dict:
         train_docs, dev_docs, eval_docs = splits
@@ -446,8 +441,8 @@ def cmd_ablate(args) -> int:
         variant_cfg = ABLATIONS[name](run.model_cfg)
         if name == "extra_notes":  # the reduced notes get their own CBOW table
             reduced = [[train_mod.reduce_document(d) for d in split] for split in splits]
-            cbow_cfg = _build(embed.CbowConfig, run.values, dim=run.table.shape[1], seed=args.seed)
-            table = embed.train_cbow([d.token_ids for d in reduced[0]], run.vocab.size, cbow_cfg)
+            table = embed.train_cbow([d.token_ids for d in reduced[0]], run.vocab.size,
+                                     run.cbow_cfg)
             entry = score(variant_cfg, reduced, table)
         elif variant_cfg == run.model_cfg:  # nothing removed: every delta is 0.0
             entry = dict(full)
@@ -465,7 +460,7 @@ def cmd_ablate(args) -> int:
     corpus.write_json(out_path, {"format_version": 1, "p_at": args.p_at, "full": full,
                                  "ablations": ablations})
     run.artifacts["ablation"] = out_path
-    _write_manifest(run.out_dir, "ablate", args.seed, run.values, run.inputs, run.artifacts)
+    _write_manifest(run.out_dir, args, run.values, run.artifacts)
     for name, entry in ablations.items():
         d = entry["delta"]
         print(
@@ -478,44 +473,29 @@ def cmd_ablate(args) -> int:
 def cmd_baseline(args) -> int:
     values = load_config(args.config, BASELINE_KEYS) if args.config else {}
     svm_cfg = _build(baseline.SvmConfig, values, seed=args.seed)
-    svm_cfg.validate()
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    raw_train = corpus.read_corpus_jsonl(args.train)
-    raw_test = corpus.read_corpus_jsonl(args.test)
-    labels = _load_label_space(args.labels, args.hierarchy)
-    train_tokens = [corpus.preprocess_text(d.text) for d in raw_train]
-    test_tokens = [corpus.preprocess_text(d.text) for d in raw_test]
-    gold_train, dropped = corpus.encode_gold(raw_train, labels)
-    _warn_dropped(dropped)
-    gold_test, dropped = corpus.encode_gold(raw_test, labels)
-    _warn_dropped(dropped)
+    labels = _load_label_space(args)
+    train = _read_split("train", args.train, labels)
+    test = _read_split("test", args.test, labels, scored=True)
     tfidf_kw = {key: values[key] for key in ("max_features", "min_doc_freq") if key in values}
-    featurizer = baseline.fit_tfidf(train_tokens, **tfidf_kw)
-    X_train = featurizer.transform(train_tokens)
-    X_test = featurizer.transform(test_tokens)
-    inputs = {"train": Path(args.train), "test": Path(args.test), "labels": Path(args.labels)}
-    if args.config:
-        inputs["config"] = Path(args.config)
-    artifacts: dict = {}
+    featurizer = baseline.fit_tfidf(train.tokens, **tfidf_kw)
+    X_train = featurizer.transform(train.tokens)
+    X_test = featurizer.transform(test.tokens)
     if args.hierarchy:
-        inputs["hierarchy"] = Path(args.hierarchy)
         parents = labels.parents or {}
-        ovr = baseline.train_hierarchical(X_train, gold_train, labels.codes, parents, svm_cfg)
+        ovr = baseline.train_hierarchical(X_train, train.gold, labels.codes, parents, svm_cfg)
         pred = baseline.predict_hierarchical(ovr, X_test, labels.codes, parents)
     else:
-        ovr = baseline.train_flat(X_train, gold_train, labels.codes, svm_cfg)
+        ovr = baseline.train_flat(X_train, train.gold, labels.codes, svm_cfg)
         pred = baseline.predict_flat(ovr, X_test)
-    model_path = out_dir / "baseline_model.bin"
-    baseline.save_baseline(model_path, featurizer, ovr)
-    artifacts["model"] = model_path
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    artifacts = {"model": out_dir / "baseline_model.bin", "metrics": out_dir / "metrics.json"}
+    baseline.save_baseline(artifacts["model"], featurizer, ovr)
     report = metrics.evaluate_predictions(
-        pred.astype(np.float64), gold_test, p_at=tuple(args.p_at)
+        pred.astype(np.float64), test.gold, p_at=tuple(args.p_at)
     )
-    metrics_path = out_dir / "metrics.json"
-    corpus.write_json(metrics_path, asdict(report))
-    artifacts["metrics"] = metrics_path
-    _write_manifest(out_dir, "baseline", args.seed, values, inputs, artifacts)
+    corpus.write_json(artifacts["metrics"], asdict(report))
+    _write_manifest(out_dir, args, values, artifacts)
     print(f"{'hierarchical' if args.hierarchy else 'flat'} baseline micro F1 {report.micro_f1:.5f}")
     return EXIT_OK
 
@@ -568,15 +548,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="train MVC-LDA or MVC-RLDA")
+    # the options train, hyperband and ablate share
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--train", required=True)
+    run.add_argument("--dev", required=True)
+    run.add_argument("--labels", required=True, help="descriptions TSV (defines the label space)")
+    run.add_argument("--config", required=True)
+    run.add_argument("--seed", type=int, required=True)
+    run.add_argument("--out", required=True)
+
+    p = sub.add_parser("train", parents=[run], help="train MVC-LDA or MVC-RLDA")
     p.add_argument("--model", choices=model.MODEL_KINDS, required=True)
-    p.add_argument("--train", required=True)
-    p.add_argument("--dev", required=True)
-    p.add_argument("--labels", required=True, help="descriptions TSV (defines the label space)")
-    p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--embeddings", help="pretrained embedding file (else CBOW runs)")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a checkpoint on a test set")
@@ -590,31 +573,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-counts", help="optional code<TAB>count TSV for binned F1")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("hyperband", help="Hyperband search over kernel sizes, filters, lambda")
+    p = sub.add_parser("hyperband", parents=[run],
+                       help="Hyperband search over kernel sizes, filters, lambda")
     p.add_argument("--model", choices=model.MODEL_KINDS, default="mvc-rlda")
-    p.add_argument("--train", required=True)
-    p.add_argument("--dev", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--config", required=True)
     p.add_argument("--embeddings", help="pretrained embedding file (else CBOW runs)")
     p.add_argument("--R", type=_int_at_least(1), default=27)
     p.add_argument("--eta", type=_int_at_least(2), default=3)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_hyperband)
 
-    p = sub.add_parser("ablate", help="component ablation study")
+    p = sub.add_parser("ablate", parents=[run], help="component ablation study")
     p.add_argument("--model", choices=model.MODEL_KINDS, default="mvc-rlda")
-    p.add_argument("--train", required=True)
-    p.add_argument("--dev", required=True)
     p.add_argument("--test", help="evaluation split for the deltas (default: dev)")
-    p.add_argument("--labels", required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--components", type=_components, default="all",
                    help=f"all, or a comma list of {','.join(ABLATIONS)}")
     p.add_argument("--p-at", type=_int_at_least(1), default=8)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("baseline", help="tf-idf one-vs-rest linear baseline")

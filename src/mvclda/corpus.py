@@ -76,6 +76,8 @@ def build_vocabulary(
 
     A token is retained iff it occurs in >= min_doc_freq distinct documents.
     """
+    if min_doc_freq < 1:
+        raise ValueError(f"min_doc_freq must be >= 1, not {min_doc_freq}")
     if not train_docs:
         raise ValueError("cannot build a vocabulary from an empty training set")
     df: dict[str, int] = {}
@@ -152,13 +154,11 @@ def make_label_space(
 @dataclass
 class EncodedDocument:
     token_ids: np.ndarray
-    length: int
     gold: np.ndarray
-    doc_id: str = ""
 
-    def __post_init__(self):
-        if self.length != len(self.token_ids):
-            raise ValueError("length must equal the number of token ids")
+    @property
+    def length(self) -> int:
+        return len(self.token_ids)
 
 
 def encode_gold(raws: list[RawDocument], labels: LabelSpace) -> tuple[np.ndarray, int]:
@@ -180,15 +180,16 @@ def encode_gold(raws: list[RawDocument], labels: LabelSpace) -> tuple[np.ndarray
 def encode_corpus(
     raws: list[RawDocument], vocab: Vocabulary, labels: LabelSpace,
     token_docs: list[list[str]] | None = None,
+    encoded_gold: tuple[np.ndarray, int] | None = None,
 ) -> tuple[list[EncodedDocument], int]:
     """Encode each document's tokens and gold codes; returns the documents
-    and `encode_gold`'s dropped count. `token_docs`, when given, holds each
-    document's `preprocess_text` tokens, computed by the caller."""
-    gold, dropped = encode_gold(raws, labels)
-    docs = []
-    for i, raw in enumerate(raws):
-        ids = vocab.encode(preprocess_text(raw.text) if token_docs is None else token_docs[i])
-        docs.append(EncodedDocument(ids, len(ids), gold[i], doc_id=raw.doc_id))
+    and `encode_gold`'s dropped count. `token_docs` and `encoded_gold`, when
+    given, are each document's `preprocess_text` tokens and
+    `encode_gold(raws, labels)`, computed by the caller."""
+    gold, dropped = encoded_gold or encode_gold(raws, labels)
+    if token_docs is None:
+        token_docs = [preprocess_text(raw.text) for raw in raws]
+    docs = [EncodedDocument(vocab.encode(tokens), g) for tokens, g in zip(token_docs, gold)]
     return docs, dropped
 
 
@@ -211,7 +212,7 @@ class SynthConfig:
     coupling: float = 0.8
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         counts = (
             self.n_codes, self.n_train, self.n_dev, self.n_test,
             self.background_vocab, self.evidence_len_min, self.evidence_len_max,
@@ -268,7 +269,6 @@ def generate_synthetic_corpus(cfg: SynthConfig) -> SyntheticCorpus:
     number of positive codes per document rises stochastically with document
     length (`coupling` controls the strength).
     """
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
 
     bg_words = [_word(i) for i in range(cfg.background_vocab)]

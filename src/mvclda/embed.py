@@ -44,7 +44,7 @@ class CbowConfig:
     lr_end: float = 0.0001
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.window < 1:
             raise ValueError("window must be >= 1")
         if self.epochs < 1:
@@ -102,7 +102,6 @@ def _center_blocks(ids: np.ndarray, window: int, negative: int, rng, cum: np.nda
 def train_cbow_tables(docs, vocab_size: int, cfg: CbowConfig) -> tuple[np.ndarray, np.ndarray]:
     """Train CBOW and return (input, output) tables; the input table is the
     embedding, the output table is needed to evaluate the objective."""
-    cfg.validate()
     docs = [np.asarray(d, dtype=np.int64) for d in docs]
     if not docs or all(len(d) == 0 for d in docs):
         raise ValueError("cannot pretrain embeddings on an empty corpus")

@@ -28,7 +28,7 @@ class SearchSpace:
     dc_max: int = 100
     lambdas: tuple[float, ...] | None = LAMBDA_CANDIDATES
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.s0_min < 1 or self.s0_min > self.s0_max:
             raise ValueError("invalid kernel size range")
         if self.dc_min < 1 or self.dc_min > self.dc_max:
@@ -52,7 +52,6 @@ class TrialConfig:
 
 
 def sample_config(space: SearchSpace, rng) -> TrialConfig:
-    space.validate()
     s0 = int(rng.integers(space.s0_min, space.s0_max + 1))
     d_c = int(rng.integers(space.dc_min, space.dc_max + 1))
     lam = None
@@ -101,7 +100,6 @@ def hyperband_search(
     earlier trial index winning ties. Returns (best config, its score, the
     complete trial log ordered by bracket/rung/trial).
     """
-    space.validate()
     rng = np.random.default_rng(seed)
     log: list[Trial] = []
     best: Trial | None = None

@@ -18,8 +18,8 @@ REPORT_FORMAT_VERSION = 1
 DEFAULT_THRESHOLD = 0.5
 
 
-def binarize(scores: np.ndarray, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
-    return np.asarray(scores) > threshold
+def binarize(scores: np.ndarray) -> np.ndarray:
+    return np.asarray(scores) > DEFAULT_THRESHOLD
 
 
 def _select(matrix: np.ndarray, labels) -> np.ndarray:
@@ -198,7 +198,6 @@ def evaluate_predictions(
     scores: np.ndarray,
     gold: np.ndarray,
     *,
-    threshold: float = DEFAULT_THRESHOLD,
     p_at: tuple[int, ...] = (8,),
     groups=None,
     train_counts=None,
@@ -213,7 +212,7 @@ def evaluate_predictions(
     """
     scores = np.asarray(scores, dtype=np.float64)
     gold01 = np.asarray(gold)
-    pred = binarize(scores, threshold)
+    pred = binarize(scores)
     tp, fp, fn = micro_counts(pred, gold01)
 
     by_group: dict[str, float] = {}
@@ -239,7 +238,7 @@ def evaluate_predictions(
     return MetricsReport(
         n_docs=int(scores.shape[0]),
         n_labels=int(scores.shape[1]),
-        threshold=float(threshold),
+        threshold=DEFAULT_THRESHOLD,
         tp=tp, fp=fp, fn=fn,
         micro_f1=micro_f1(pred, gold01),
         micro_f1_by_group=by_group,

@@ -104,7 +104,7 @@ class ModelConfig:
     freeze_embeddings: bool = False
     freeze_desc_encoder: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
         ks = tuple(self.kernel_sizes)
@@ -205,7 +205,6 @@ def init_params(
     """Variance-preserving initialization; biases and length weights start
     at zero. `embeddings` supplies pretrained W_e (copied, then fine-tuned
     during training unless frozen)."""
-    cfg.validate()
     d_e, d_c = cfg.embed_dim, cfg.n_filters
     if embeddings is not None and embeddings.shape != (vocab_size, d_e):
         raise ValueError(
@@ -668,7 +667,6 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     try:
         kw = {name: header[config_key(name)] for name in _HEADER_FIELDS}
         cfg = ModelConfig(**dict(kw, kernel_sizes=tuple(kw["kernel_sizes"])))
-        cfg.validate()
         shapes = _tensor_shapes(cfg, header["vocab_size"], header["n_labels"])
     except KeyError as exc:
         raise DataFormatError(f"{path}: checkpoint lacks {exc}") from exc

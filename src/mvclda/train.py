@@ -39,7 +39,7 @@ class TrainConfig:
     dropout: float = 0.2
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning_rate must be finite and > 0")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
@@ -152,7 +152,6 @@ def train(
     mvc-rlda, ignored for mvc-lda). Both document sets must be non-empty;
     the commands check their splits before any file is written.
     """
-    cfg.validate()
     params = params.copy()
     n_labels = params.n_labels
     d_c = params.config.n_filters
@@ -196,5 +195,4 @@ def train(
 
 def reduce_document(doc: EncodedDocument) -> EncodedDocument:
     """Reduced-text variant of a document: its first ceil(l/2) tokens."""
-    keep = (doc.length + 1) // 2
-    return EncodedDocument(doc.token_ids[:keep], keep, doc.gold, doc_id=doc.doc_id)
+    return EncodedDocument(doc.token_ids[: (doc.length + 1) // 2], doc.gold)

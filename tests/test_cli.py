@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mvclda import baseline, cli, corpus, model
+from mvclda import baseline, cli, corpus, embed, model
 
 from test_corpus import TENSOR_FILE_DAMAGES, damage_tensor_file
 
@@ -492,6 +492,18 @@ class TestEvaluate:
         assert f"test split {data / 'test.jsonl'} is empty" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
+    def test_p_at_above_label_count_fails_before_predicting(self, trained_dir, corpus_dir,
+                                                            tmp_path, monkeypatch, capsys):
+        # it once scored every document first
+        def no_prediction(*args):
+            raise AssertionError("a document was scored")
+
+        monkeypatch.setattr(cli.model, "predict_matrix", no_prediction)
+        out = tmp_path / "m.json"
+        assert self._evaluate(trained_dir, corpus_dir, "test", out, p_at="8,50") == cli.EXIT_DATA
+        assert "--p-at 50 exceeds the number of labels 10" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_vocab_checksum_mismatch(self, trained_dir, corpus_dir, tmp_path, capsys):
         tampered = tmp_path / "vocab.tsv"
         tampered.write_text((trained_dir / "vocab.tsv").read_text() + "zzz\t999\t3\n")
@@ -594,6 +606,33 @@ class TestBaselineCmd:
             "warning: dropped 1 gold codes absent from the label space\n")
         assert ((tmp_path / "unknown" / "metrics.json").read_bytes()
                 == (tmp_path / "known" / "metrics.json").read_bytes())
+
+    # each once trained every classifier and wrote baseline_model.bin first
+    @pytest.mark.parametrize("case, message", [
+        ("empty", "test split {test} is empty"),
+        ("foreign", "test split {test} has no gold code in the label space"),
+        ("p_at", "--p-at 50 exceeds the number of labels 10"),
+    ])
+    def test_bad_test_split_or_p_at_fails_before_training(self, corpus_dir, tmp_path,
+                                                          monkeypatch, capsys, case, message):
+        def no_training(*args):
+            raise AssertionError("a classifier trained")
+
+        monkeypatch.setattr(cli.baseline, "train_flat", no_training)
+        test = corpus_dir / "test.jsonl"
+        if case != "p_at":
+            docs = corpus.read_corpus_jsonl(test) if case == "foreign" else []
+            test = tmp_path / "test.jsonl"
+            corpus.write_corpus_jsonl(test, [corpus.RawDocument(d.doc_id, d.text, {"999.9"})
+                                             for d in docs])
+        out = tmp_path / "out"
+        assert run([
+            "baseline", "--train", str(corpus_dir / "train.jsonl"), "--test", str(test),
+            "--labels", str(corpus_dir / "descriptions.tsv"), "--seed", "4",
+            "--p-at", "50" if case == "p_at" else "8", "--out", str(out),
+        ]) == cli.EXIT_DATA
+        assert message.format(test=test) in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_max_features_below_one_is_data_error(self, value, corpus_dir, tmp_path, capsys):
@@ -772,3 +811,107 @@ class TestAblateCmd:
         ]) == cli.EXIT_DATA
         assert "--p-at 11 exceeds the number of labels 10" in capsys.readouterr().err
         assert not (out / "ablation.json").exists()
+
+
+class TestCommandFront:
+    """The check order every command shares: config keys, then the label
+    space, then the splits and --p-at, then the first file written."""
+
+    def _argv(self, command, corpus_dir, cfg, out):
+        data = ["--train", str(corpus_dir / "train.jsonl"),
+                "--labels", str(corpus_dir / "descriptions.tsv"), "--seed", "3"]
+        fit = [*data, "--dev", str(corpus_dir / "dev.jsonl"), "--config", str(cfg),
+               "--out", str(out)]
+        return {
+            "synth": ["synth", "--config", str(cfg), "--out-dir", str(out), "--seed", "3"],
+            "train": ["train", "--model", "mvc-lda", *fit],
+            "hyperband": ["hyperband", "--model", "mvc-lda", *fit, "--R", "1"],
+            "ablate": ["ablate", "--model", "mvc-lda", *fit,
+                       "--components", "length_embedding"],
+            "baseline": ["baseline", *data, "--test", str(corpus_dir / "test.jsonl"),
+                         "--config", str(cfg), "--out", str(out)],
+        }[command]
+
+    # one bad key per config class; each is refused before anything is
+    # written, and a CbowConfig key even when --embeddings replaces CBOW
+    @pytest.mark.parametrize("command, line, message, embeddings", [
+        ("train", "n_filters = 0", "filter count and embedding dim must be positive", False),
+        ("train", "patience = 0", "patience must be >= 1", False),
+        ("train", "cbow_window = 0", "window must be >= 1", False),
+        ("train", "cbow_window = 0", "window must be >= 1", True),
+        ("hyperband", "s0_min = 9", "invalid kernel size range", False),
+        ("baseline", "svm_epochs = 0", "svm_epochs must be >= 1", False),
+        ("synth", "n_codes = 0", "all synthetic corpus counts must be positive", False),
+    ], ids=["ModelConfig", "TrainConfig", "CbowConfig", "CbowConfig-embeddings",
+            "SearchSpace", "SvmConfig", "SynthConfig"])
+    def test_bad_config_key_exits_2_leaving_nothing(self, corpus_dir, trained_dir, tmp_path,
+                                                    capsys, command, line, message, embeddings):
+        base = {"synth": SYNTH_CFG, "baseline": ""}.get(command, TRAIN_CFG)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(base + line + "\n")
+        out = tmp_path / "out"
+        argv = self._argv(command, corpus_dir, cfg, out)
+        if embeddings:
+            argv += ["--embeddings", str(trained_dir / "embeddings.bin")]
+        assert run(argv) == cli.EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, value", [
+        ("train", "0"), ("hyperband", "0"), ("ablate", "0"), ("baseline", "-5"),
+    ])
+    def test_min_doc_freq_below_one_exits_2_leaving_nothing(self, corpus_dir, tmp_path, capsys,
+                                                            command, value):
+        # 0 once kept every token, and -5 every tf-idf term, with exit 0
+        cfg = tmp_path / "floor.cfg"
+        cfg.write_text(("" if command == "baseline" else TRAIN_CFG) + f"min_doc_freq = {value}\n")
+        out = tmp_path / "out"
+        assert run(self._argv(command, corpus_dir, cfg, out)) == cli.EXIT_DATA
+        assert f"min_doc_freq must be >= 1, not {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_inputs_are_the_file_options_given(self, corpus_dir, train_cfg_path,
+                                                        trained_dir, tmp_path):
+        d, emb, cfg = corpus_dir, str(trained_dir / "embeddings.bin"), tmp_path / "b.cfg"
+        cfg.write_text("svm_epochs = 2\n")
+        synth_cfg = tmp_path / "synth.cfg"
+        synth_cfg.write_text(SYNTH_CFG)
+        evaluate = ["evaluate", "--checkpoint", str(trained_dir / "checkpoint.bin"),
+                    "--test", str(d / "test.jsonl"), "--labels", str(d / "descriptions.tsv"),
+                    "--vocab", str(trained_dir / "vocab.tsv")]
+        fit = {"train", "dev", "labels", "config"}
+        # (argv, the directory of its manifest, the file options it gives)
+        cases = [
+            (self._argv("synth", d, synth_cfg, tmp_path / "synth"), "synth", {"config"}),
+            (self._argv("train", d, train_cfg_path, tmp_path / "train"), "train", fit),
+            (self._argv("train", d, train_cfg_path, tmp_path / "train_emb")
+             + ["--embeddings", emb], "train_emb", fit | {"embeddings"}),
+            (evaluate + ["--metrics-out", str(tmp_path / "eval" / "m.json")], "eval",
+             {"checkpoint", "test", "labels", "vocab"}),
+            (evaluate + ["--metrics-out", str(tmp_path / "eval_all" / "m.json"),
+                         "--groups", str(d / "groups.tsv"),
+                         "--train-counts", str(trained_dir / "train_counts.tsv")], "eval_all",
+             {"checkpoint", "test", "labels", "vocab", "groups", "train_counts"}),
+            (["baseline", "--train", str(d / "train.jsonl"), "--test", str(d / "test.jsonl"),
+              "--labels", str(d / "descriptions.tsv"), "--seed", "3",
+              "--out", str(tmp_path / "base")], "base", {"train", "test", "labels"}),
+            (self._argv("baseline", d, cfg, tmp_path / "base_all")
+             + ["--hierarchy", str(d / "hierarchy.tsv")], "base_all",
+             {"train", "test", "labels", "config", "hierarchy"}),
+            (self._argv("hyperband", d, train_cfg_path, tmp_path / "hb"), "hb", fit),
+            (self._argv("hyperband", d, train_cfg_path, tmp_path / "hb_emb")
+             + ["--embeddings", emb], "hb_emb", fit | {"embeddings"}),
+            (self._argv("ablate", d, train_cfg_path, tmp_path / "abl"), "abl", fit),
+            (self._argv("ablate", d, train_cfg_path, tmp_path / "abl_test")
+             + ["--test", str(d / "test.jsonl")], "abl_test", fit | {"test"}),
+        ]
+        assert {argv[0] for argv, _, _ in cases} == {
+            "synth", "train", "evaluate", "baseline", "hyperband", "ablate"}
+        for argv, out, given in cases:
+            assert run(argv) == 0, argv
+            manifest = json.loads((tmp_path / out / "manifest.json").read_text())
+            assert manifest["command"] == argv[0]
+            assert set(manifest["inputs"]) == given, argv
+            for name, entry in manifest["inputs"].items():
+                path = argv[argv.index("--" + name.replace("_", "-")) + 1]
+                assert entry == {"path": path, "sha256": embed.sha256_file(path)}

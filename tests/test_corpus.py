@@ -252,7 +252,7 @@ class TestSyntheticCorpus:
 
     def test_infeasible_evidence_placement_rejected(self):
         with pytest.raises(ValueError):
-            corpus.SynthConfig(doc_len_min=4, doc_len_max=10, evidence_len_max=6).validate()
+            corpus.SynthConfig(doc_len_min=4, doc_len_max=10, evidence_len_max=6)
 
     def test_hierarchy_is_acyclic_forest_over_codes(self):
         synth = corpus.generate_synthetic_corpus(self.CFG)

@@ -184,7 +184,7 @@ class TestPrAuc:
         scores, gold = random_case(rng)
         if gold.sum() == 0:
             gold[0, 0] = 1
-        pred = metrics.binarize(scores, 0.5)
+        pred = metrics.binarize(scores)
         tp, fp, fn = metrics.micro_counts(pred, gold)
         # the sweep at any threshold in [max(s<=0.5), 0.5] yields this exact
         # confusion; verify via direct recomputation with a strict > rule

@@ -39,7 +39,7 @@ def small_params(kind="mvc-lda", seed=0, vocab=20, labels=3, d_e=5, d_c=4,
 
 def params_over(X, weights, labels=1):
     """Parameters whose embedding table is X and whose convolution kernels
-    are `weights` (any order, unvalidated), so the document of ids
+    are `weights` (ascending in size), so the document of ids
     0..len(X)-1 embeds to X on the live path."""
     d_e, d_c = X.shape[1], weights[0].shape[2]
     cfg = model.ModelConfig(kernel_sizes=tuple(w.shape[0] for w in weights),
@@ -138,7 +138,13 @@ class TestMultiViewConv:
         rng = np.random.default_rng(3)
         X = rng.normal(size=(6, 3))
         weights = [rng.normal(size=(s, 3, 2)) for s in (1, 3, 5, 7)]
-        assert np.allclose(frames(X, weights), frames(X, weights[::-1]), atol=1e-12)
+        Xp, _ = model._embed_padded(np.arange(len(X)), X, 7)
+
+        def cross_channel_max(ws):
+            return model._conv_max(Xp, model._stack_kernels(ws), 2, False)[0]
+
+        assert np.allclose(cross_channel_max(weights), cross_channel_max(weights[::-1]),
+                           atol=1e-12)
 
     def test_outputs_strictly_inside_unit_interval(self):
         # float64 tanh saturates to exactly 1.0 above ~19; stay below that
@@ -333,7 +339,7 @@ class TestForward:
 
     def test_predict_matrix_equals_per_document_forward(self):
         params = small_params(seed=13, kernels=(2, 4, 6))
-        docs = [EncodedDocument(np.array(ids, dtype=np.int64), len(ids), np.zeros(3))
+        docs = [EncodedDocument(np.array(ids, dtype=np.int64), np.zeros(3))
                 for ids in ([1, 2, 3, 4], [], [7] * 30)]
         scores = model.predict_matrix(params, docs)
         for row, doc in zip(scores, docs):
@@ -694,23 +700,23 @@ class TestCheckpoint:
 class TestConfigValidation:
     def test_four_channel_structure_enforced(self):
         with pytest.raises(ValueError):
-            model.ModelConfig(kernel_sizes=(2, 4, 6, 9)).validate()
-        model.ModelConfig(kernel_sizes=(6, 8, 10, 12)).validate()
+            model.ModelConfig(kernel_sizes=(2, 4, 6, 9))
+        model.ModelConfig(kernel_sizes=(6, 8, 10, 12))
 
     def test_kernels_must_be_ascending_and_positive(self):
         with pytest.raises(ValueError):
-            model.ModelConfig(kernel_sizes=(3, 1)).validate()
+            model.ModelConfig(kernel_sizes=(3, 1))
         with pytest.raises(ValueError):
-            model.ModelConfig(kernel_sizes=(0,)).validate()
+            model.ModelConfig(kernel_sizes=(0,))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            model.ModelConfig(kind="cnn").validate()
+            model.ModelConfig(kind="cnn")
 
     @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
     def test_length_scale_must_be_finite_and_positive(self, scale):
         with pytest.raises(ValueError, match="length_scale"):
-            model.ModelConfig(length_scale=scale).validate()
+            model.ModelConfig(length_scale=scale)
 
     def test_init_deterministic(self):
         a = small_params(seed=28)

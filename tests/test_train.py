@@ -21,7 +21,7 @@ def tiny_dataset(rng, n_docs=10, n_labels=5, vocab=30, length=12):
         rng.shuffle(ids)
         gold = np.zeros(n_labels)
         gold[positives] = 1.0
-        docs.append(EncodedDocument(ids, len(ids), gold, doc_id=f"doc{i}"))
+        docs.append(EncodedDocument(ids, gold))
     return docs
 
 
@@ -182,7 +182,7 @@ class TestTrainLoop:
     def test_zero_length_documents_train_and_score(self, kind):
         rng = np.random.default_rng(9)
         docs = tiny_dataset(rng)
-        docs[3] = EncodedDocument(np.zeros(0, dtype=np.int64), 0, docs[3].gold, doc_id="empty")
+        docs[3] = EncodedDocument(np.zeros(0, dtype=np.int64), docs[3].gold)
         desc = tiny_descriptions(rng) if kind == "mvc-rlda" else None
         best, history = train.train(tiny_params(kind=kind, seed=9), docs, docs, desc, self.CFG)
         assert all(math.isfinite(e.train_loss) for e in history.epochs)
@@ -303,11 +303,11 @@ class TestAblate:
             }
 
     def test_reduce_document_halves_tokens(self):
-        doc = EncodedDocument(np.arange(9), 9, np.zeros(2))
+        doc = EncodedDocument(np.arange(9), np.zeros(2))
         reduced = train.reduce_document(doc)
         assert reduced.length == 5
         assert np.array_equal(reduced.token_ids, np.arange(5))
-        single = train.reduce_document(EncodedDocument(np.arange(1), 1, np.zeros(2)))
+        single = train.reduce_document(EncodedDocument(np.arange(1), np.zeros(2)))
         assert single.length == 1
-        empty = train.reduce_document(EncodedDocument(np.arange(0), 0, np.zeros(2)))
+        empty = train.reduce_document(EncodedDocument(np.arange(0), np.zeros(2)))
         assert empty.length == 0

@@ -9,12 +9,14 @@ train mvc-rlda, mvc-lda, mvc-lda with the first run's `--embeddings`, and
 mvc-rlda with patience 1, which must stop early (its `history.jsonl` is
 checked to be shorter than `max_epochs`); evaluate the first two models
 (the first with `--groups` and `--train-counts`); flat and hierarchical
-baselines; hyperband at R=3, eta=3; ablate mvc-rlda with every component
-on `--test`, and mvc-lda with regularization, extra_notes and regularization
-again on the dev split. Every file either run wrote is then reported as
-identical or differing; `history.jsonl` is compared with each line's
-`wall_time_s` removed, the only field allowed to differ. Exits 0 when every
-file matches and 1 otherwise.
+baselines, and a flat one with `--config`; hyperband at R=3, eta=3, once
+pretraining and once on the first train run's `--embeddings`; ablate
+mvc-rlda with every component on `--test`, and mvc-lda with regularization,
+extra_notes and regularization again on the dev split. So every file
+option of every command is given at least once. Every file either run
+wrote is then reported as identical or differing; `history.jsonl` is
+compared with each line's `wall_time_s` removed, the only field allowed to
+differ. Exits 0 when every file matches and 1 otherwise.
 
 Needs no network; reads `.git` only through `git archive`. BLAS runs one
 thread, as in the benchmark.
@@ -64,6 +66,11 @@ max_segment = 60
 lambda = 0.01
 cbow_epochs = 1
 """,
+    "baseline.cfg": """\
+svm_epochs = 5
+max_features = 300
+min_doc_freq = 2
+""",
     "hyperband.cfg": """\
 n_filters = 8
 embed_dim = 12
@@ -96,8 +103,13 @@ FLOW = [
     ["baseline", *DATA, "--test", "data/test.jsonl", "--seed", "42", "--out", "base_flat"],
     ["baseline", *DATA, "--test", "data/test.jsonl", "--hierarchy", "data/hierarchy.tsv",
      "--seed", "42", "--out", "base_hier"],
+    ["baseline", *DATA, "--test", "data/test.jsonl", "--config", "cfg/baseline.cfg",
+     "--seed", "42", "--out", "base_cfg"],
     ["hyperband", "--model", "mvc-rlda", *DATA, "--dev", "data/dev.jsonl",
      "--config", "cfg/hyperband.cfg", "--R", "3", "--eta", "3", "--seed", "42", "--out", "hb"],
+    ["hyperband", "--model", "mvc-rlda", *DATA, "--dev", "data/dev.jsonl",
+     "--config", "cfg/hyperband.cfg", "--embeddings", "rlda/embeddings.bin",
+     "--R", "3", "--eta", "3", "--seed", "42", "--out", "hb_emb"],
     ["ablate", "--model", "mvc-rlda", *TRAIN, "--test", "data/test.jsonl",
      "--components", "all", "--out", "abl"],
     # mvc-lda has no regularizer to remove, and the name repeats: a result
