@@ -10,6 +10,7 @@ overridden with an environment variable `MVC_<KEY>` (upper-cased key).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import sys
 import types
@@ -134,8 +135,12 @@ def _apply_env_overrides(values: dict, keys: dict) -> dict:
 
 
 def load_config(path, keys: dict) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        values = parse_kv_config(fh.read(), keys, source=str(path))
+    """The config file at `path` (None: no file), then the environment
+    overrides of `keys`."""
+    values = {}
+    if path is not None:
+        with open(path, "r", encoding="utf-8") as fh:
+            values = parse_kv_config(fh.read(), keys, source=str(path))
     return _apply_env_overrides(values, keys)
 
 
@@ -225,9 +230,10 @@ def _training_setup(args, keys: dict) -> _TrainingSetup:
     mvc-lda model has no regularizer, so each lambda key set there earns a
     warning) and build every config from it; load the label space, read the
     splits (ablate's evaluation split is scored), build the vocabulary from
-    the training split only and encode every split; create the output
-    directory; load --embeddings (with vocabulary checksum verification) or
-    pretrain CBOW vectors on the encoded training text."""
+    the training split only and encode every split; check --embeddings
+    against the vocabulary's checksum; only then create the output
+    directory, write the vocabulary and, without --embeddings, pretrain CBOW
+    vectors on the encoded training text."""
     values = load_config(args.config, keys)
     for key in ("lambda", "lambda_candidates"):
         if args.model == "mvc-lda" and key in values:
@@ -249,19 +255,22 @@ def _training_setup(args, keys: dict) -> _TrainingSetup:
     docs = {name: corpus.encode_corpus(s.raws, vocab, labels, s.tokens, (s.gold, s.dropped))[0]
             for name, s in splits.items()}
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    vocab_path = out_dir / "vocab.tsv"
-    corpus.save_vocabulary(vocab_path, vocab)
-    artifacts = {"vocab": vocab_path}
-    vocab_checksum = embed.sha256_file(vocab_path)
+    vocab_bytes = corpus.vocabulary_bytes(vocab)
+    vocab_checksum = hashlib.sha256(vocab_bytes).hexdigest()
+    table = None
     if getattr(args, "embeddings", None):
         table = embed.load_embeddings(args.embeddings, expected_vocab_checksum=vocab_checksum)
         if table.shape[0] != vocab.size:
             raise ValueError(
                 f"embedding rows {table.shape[0]} do not match vocabulary size {vocab.size}"
             )
-    else:
+
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    vocab_path = out_dir / "vocab.tsv"
+    vocab_path.write_bytes(vocab_bytes)
+    artifacts = {"vocab": vocab_path}
+    if table is None:
         table = embed.train_cbow([d.token_ids for d in docs["train"]], vocab.size, cbow_cfg)
         emb_path = out_dir / "embeddings.bin"
         embed.save_embeddings(emb_path, table, vocab_checksum)
@@ -302,20 +311,18 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _fit(run: _TrainingSetup, model_cfg: model.ModelConfig, train_docs, dev_docs,
-         table: np.ndarray, train_cfg: train_mod.TrainConfig | None = None):
-    """Initialize a `model_cfg` model on embedding `table` from the run's
-    seed and train it (with `train_cfg`, else the run's); returns the best
-    parameters and the history."""
-    train_cfg = train_cfg or run.train_cfg
-    params0 = model.init_params(model_cfg, run.vocab.size, run.labels.n_labels,
-                                np.random.default_rng(train_cfg.seed), embeddings=table)
-    return train_mod.train(params0, train_docs, dev_docs, run.desc_ids, train_cfg)
+def _init_params(run: _TrainingSetup, model_cfg: model.ModelConfig,
+                 table: np.ndarray) -> model.ModelParams:
+    """A `model_cfg` model on embedding `table`, initialized from the run's
+    seed."""
+    return model.init_params(model_cfg, run.vocab.size, run.labels.n_labels,
+                             np.random.default_rng(run.train_cfg.seed), embeddings=table)
 
 
 def cmd_train(args) -> int:
     run = _training_setup(args, TRAIN_KEYS)
-    best, history = _fit(run, run.model_cfg, run.train_docs, run.dev_docs, run.table)
+    best, history = train_mod.train(_init_params(run, run.model_cfg, run.table), run.train_docs,
+                                    run.dev_docs, run.desc_ids, run.train_cfg)
 
     ckpt_path = run.out_dir / "checkpoint.bin"
     model.save_checkpoint(ckpt_path, best, run.vocab_checksum)
@@ -377,19 +384,22 @@ def cmd_evaluate(args) -> int:
 def cmd_hyperband(args) -> int:
     run = _training_setup(args, HYPERBAND_KEYS)
 
-    def evaluate(trial_cfg: hb.TrialConfig, epochs: int) -> float:
+    # every trial is a prefix of its config's run: R epochs, never stopped early
+    train_cfg = replace(run.train_cfg, max_epochs=args.R)
+
+    def start(trial_cfg: hb.TrialConfig):
         cfg = replace(
             run.model_cfg,
             kernel_sizes=trial_cfg.kernel_sizes,
             n_filters=trial_cfg.n_filters,
             lambda_=trial_cfg.lambda_ if trial_cfg.lambda_ is not None else run.model_cfg.lambda_,
         )
-        tcfg = replace(run.train_cfg, max_epochs=epochs, patience=max(epochs, 1))
-        _, history = _fit(run, cfg, run.train_docs, run.dev_docs, run.table, tcfg)
-        return history.best_dev_micro_f1
+        params0 = _init_params(run, cfg, run.table)
+        return (stats.dev_micro_f1 for stats, _ in train_mod.epochs(
+            params0, run.train_docs, run.dev_docs, run.desc_ids, train_cfg))
 
     best_cfg, best_score, log = hb.hyperband_search(
-        run.space, evaluate, R=args.R, eta=args.eta, seed=args.seed
+        run.space, start, R=args.R, eta=args.eta, seed=args.seed
     )
     schedule = [
         {"s": s, "n": n, "r": r} for s, n, r in hb.bracket_schedule(args.R, args.eta)
@@ -428,7 +438,8 @@ def cmd_ablate(args) -> int:
 
     def score(model_cfg, splits, table) -> dict:
         train_docs, dev_docs, eval_docs = splits
-        best, history = _fit(run, model_cfg, train_docs, dev_docs, table)
+        best, history = train_mod.train(_init_params(run, model_cfg, table), train_docs,
+                                        dev_docs, run.desc_ids, run.train_cfg)
         report = metrics.evaluate_predictions(model.predict_matrix(best, eval_docs),
                                               train_mod.gold_matrix(eval_docs), p_at=(args.p_at,))
         return {"best_dev_micro_f1": history.best_dev_micro_f1, "micro_f1": report.micro_f1,
@@ -471,7 +482,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    values = load_config(args.config, BASELINE_KEYS) if args.config else {}
+    values = load_config(args.config, BASELINE_KEYS)
     svm_cfg = _build(baseline.SvmConfig, values, seed=args.seed)
     labels = _load_label_space(args)
     train = _read_split("train", args.train, labels)
@@ -607,9 +618,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except model.NumericalError as exc:
-        print(f"mvclda: numerical error: {exc}", file=sys.stderr)
+        # an overflow or invalid float operation fails the command (exit 3)
+        # instead of warning and writing a result that silently stalled
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
+    except (model.NumericalError, FloatingPointError) as exc:
+        print(f"mvclda: numerical error in {args.command}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, OSError) as exc:  # corpus.DataFormatError is a ValueError
         print(f"mvclda: data error: {exc}", file=sys.stderr)

@@ -503,12 +503,11 @@ def read_tensor_file(path, fmt: str, version: int) -> tuple[dict, dict[str, np.n
 VOCAB_FORMAT_VERSION = 1
 
 
-def save_vocabulary(path, vocab: Vocabulary) -> None:
+def vocabulary_bytes(vocab: Vocabulary) -> bytes:
     """TSV: one header line (format version + oov id), then token/id/doc_freq."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"#version={VOCAB_FORMAT_VERSION}\toov_id={vocab.oov_id}\n")
-        for i, tok in enumerate(vocab.id_to_token):
-            fh.write(f"{tok}\t{i}\t{vocab.doc_freq[tok]}\n")
+    lines = [f"#version={VOCAB_FORMAT_VERSION}\toov_id={vocab.oov_id}\n"]
+    lines += [f"{tok}\t{i}\t{vocab.doc_freq[tok]}\n" for i, tok in enumerate(vocab.id_to_token)]
+    return "".join(lines).encode("utf-8")
 
 
 def _parse_int(path, lineno: int, name: str, raw: str) -> int:

@@ -2,17 +2,26 @@
 weight, maximizing dev micro F1.
 
 The resource is training epochs (R per trial at most); each bracket runs
-successive halving with pruning factor eta. Trials at higher rungs retrain
-from scratch with the larger epoch budget, which keeps every trial a pure
-function of (config, epochs, seed).
+successive halving with pruning factor eta. A trial's score is the best dev
+micro F1 over the first `epochs` epochs of its configuration's one training
+run, which is deterministic. So each configuration trains at most once: a
+promoted trial continues its run, and a repeated configuration reads the
+scores already recorded (Li et al., 2018, "Hyperband", JMLR). A run stays
+in memory only while its bracket may still promote it; a later trial that
+needs more epochs than recorded retrains it from scratch, with the same
+scores.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
+
+from .model import NumericalError
 
 LAMBDA_CANDIDATES = (0.001, 0.0001, 0.0005, 0.0007, 0.01)
 
@@ -86,41 +95,76 @@ class Trial:
     dev_micro_f1: float
 
 
+class _Runs:
+    """Each configuration's run: the dev micro F1 of every epoch trained so
+    far, and the live iterator while a promotion may still continue it."""
+
+    def __init__(self, start):
+        self.start = start
+        self.scores: dict[TrialConfig, list[float]] = {}
+        self.live: dict[TrialConfig, Iterator[float]] = {}
+        self.diverged: set[TrialConfig] = set()  # its scores end where its run raised
+
+    def score(self, config: TrialConfig, epochs: int, where: str) -> float:
+        """Best of the first `epochs` scores of `config`'s run, training it
+        only as far as needed; 0.0 when the run diverges before then."""
+        done = self.scores.setdefault(config, [])
+        if len(done) < epochs and config not in self.diverged:
+            if config not in self.live:  # a dropped run starts over, scoring the same
+                self.live[config] = iter(self.start(config))
+                done.clear()
+            try:
+                while len(done) < epochs:
+                    done.append(float(next(self.live[config])))
+            except (NumericalError, FloatingPointError) as exc:
+                print(f"warning: {where} diverged, scored 0.0: {exc}", file=sys.stderr)
+                del self.live[config]
+                self.diverged.add(config)
+        return max(done[:epochs]) if len(done) >= epochs else 0.0
+
+    def keep_only(self, configs) -> None:
+        for config in self.live.keys() - set(configs):
+            del self.live[config]
+
+
 def hyperband_search(
     space: SearchSpace,
-    evaluate,
+    start,
     R: int = 27,
     eta: int = 3,
     seed: int = 0,
 ) -> tuple[TrialConfig, float, list[Trial]]:
-    """Run all brackets; `evaluate(config, epochs)` must deterministically
-    return the dev micro F1 achieved with that budget.
+    """Run all brackets; `start(config)` must return that config's training
+    run, an iterator of the dev micro F1 after each epoch (at least R), the
+    same on every call. A trial whose run raises NumericalError or
+    FloatingPointError scores 0.0, with a warning, and the search goes on.
 
     Survivors of each rung are the top floor(n_i/eta) configs by score,
     earlier trial index winning ties. Returns (best config, its score, the
     complete trial log ordered by bracket/rung/trial).
     """
     rng = np.random.default_rng(seed)
+    runs = _Runs(start)
     log: list[Trial] = []
     best: Trial | None = None
     for s, n, r in bracket_schedule(R, eta):
         configs = [sample_config(space, rng) for _ in range(n)]
         for i in range(s + 1):
             epochs = r * eta**i
-            scored = []
+            keep = len(configs) // eta if i < s else 0
+            top: list[tuple[float, int, TrialConfig]] = []  # the rung's running top-`keep`
             for t, config in enumerate(configs):
-                score = float(evaluate(config, epochs))
+                score = runs.score(config, epochs, f"bracket {s} rung {i} trial {t}")
                 trial = Trial(
                     bracket=s, rung=i, trial=t,
                     config=config, epochs=epochs, dev_micro_f1=score,
                 )
                 log.append(trial)
-                scored.append((score, t, config))
                 if best is None or score > best.dev_micro_f1:
                     best = trial
-            if i < s:
-                keep = len(configs) // eta
-                scored.sort(key=lambda item: (-item[0], item[1]))
-                configs = [config for _score, _t, config in scored[:keep]]
+                top = sorted(top + [(-score, t, config)])[:keep]
+                # live: the runs still promotable, and the promoted ones not yet continued
+                runs.keep_only([c for *_, c in top] + (configs[t + 1:] if i else []))
+            configs = [config for *_, config in top]
     assert best is not None
     return best.config, best.dev_micro_f1, log

@@ -138,15 +138,12 @@ def dev_micro_f1(params: ModelParams, docs) -> float:
     return micro_f1(binarize(scores), gold_matrix(docs))
 
 
-def train(
-    params: ModelParams,
-    train_docs,
-    dev_docs,
-    desc_ids_list,
-    cfg: TrainConfig,
-) -> tuple[ModelParams, TrainHistory]:
-    """Optimize a (copied) parameter set; returns the parameters of the epoch
-    with the best dev micro F1 together with the per-epoch history.
+def epochs(params: ModelParams, train_docs, dev_docs, desc_ids_list, cfg: TrainConfig):
+    """Train a copy of `params` for `cfg.max_epochs` epochs, yielding each
+    epoch's stats together with the parameters after it (live: copy them to
+    keep them). Shuffling, truncation and dropout derive from (seed, epoch,
+    document), so two runs of one `params` agree epoch by epoch whatever
+    their `max_epochs`.
 
     `desc_ids_list` holds each label's encoded description (required for
     mvc-rlda, ignored for mvc-lda). Both document sets must be non-empty;
@@ -156,7 +153,6 @@ def train(
     n_labels = params.n_labels
     d_c = params.config.n_filters
     state = AdamState.for_params(params)
-    history = TrainHistory()
 
     for epoch in range(1, cfg.max_epochs + 1):
         started = time.perf_counter()
@@ -176,18 +172,32 @@ def train(
                 grads.scale_(1.0 / len(batch))
                 adam_step(params, grads, state, cfg)
                 del grads  # freed before the next batch's backward allocates its own
-            except NumericalError as exc:
+            except (NumericalError, FloatingPointError) as exc:
                 raise NumericalError(
                     f"training diverged at epoch {epoch}, batch {batch_idx}: {exc}"
                 ) from exc
             epoch_loss += batch_loss
         epoch_loss /= len(train_docs)
 
-        stats = EpochStats(epoch, epoch_loss, dev_micro_f1(params, dev_docs),
-                           time.perf_counter() - started)
+        yield EpochStats(epoch, epoch_loss, dev_micro_f1(params, dev_docs),
+                         time.perf_counter() - started), params
+
+
+def train(
+    params: ModelParams,
+    train_docs,
+    dev_docs,
+    desc_ids_list,
+    cfg: TrainConfig,
+) -> tuple[ModelParams, TrainHistory]:
+    """Run `epochs` until the early stopper halts it; returns the parameters
+    of the epoch with the best dev micro F1 together with the per-epoch
+    history."""
+    history = TrainHistory()
+    for stats, trained in epochs(params, train_docs, dev_docs, desc_ids_list, cfg):
         stop = history.add(stats, cfg.patience)
-        if history.best_epoch == epoch:  # always so at epoch 1
-            best_params = params.copy()
+        if history.best_epoch == stats.epoch:  # always so at epoch 1
+            best_params = trained.copy()
         if stop:
             break
     return best_params, history

@@ -5,6 +5,7 @@ lines as they complete. Learning-behavior thresholds were validated by
 reference runs before being frozen here.
 """
 
+import itertools
 import json
 import math
 import time
@@ -351,8 +352,8 @@ def test_criterion_07_hyperband_schedule():
     schedule = [(n, r) for _s, n, r in hb.bracket_schedule(27, 3)]
     ok = schedule == [(27, 1), (12, 3), (6, 9), (4, 27)]
 
-    def evaluate(config, epochs):
-        return config.n_filters / 1000.0 + epochs / 100.0
+    def evaluate(config):
+        return (config.n_filters / 1000.0 + epochs / 100.0 for epochs in itertools.count(1))
 
     _, _, log = hb.hyperband_search(hb.SearchSpace(), evaluate, R=27, eta=3, seed=7)
     populations = {}

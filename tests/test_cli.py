@@ -1,11 +1,13 @@
 import json
 import re
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mvclda import baseline, cli, corpus, embed, model
+from mvclda import baseline, cli, corpus, embed, model, train
 
 from test_corpus import TENSOR_FILE_DAMAGES, damage_tensor_file
 
@@ -314,6 +316,41 @@ class TestTrain:
         err = capsys.readouterr().err
         assert str(emb) in err and "old text-header format" in err
 
+    def test_embeddings_of_another_vocabulary_leave_no_out(
+            self, corpus_dir, train_cfg_path, trained_dir, tmp_path, monkeypatch, capsys):
+        # the table was once refused only after vocab.tsv was written
+        monkeypatch.setenv("MVC_MIN_DOC_FREQ", "2")
+        out = tmp_path / "out"
+        code = self._train_with_embeddings(
+            corpus_dir, train_cfg_path, trained_dir / "embeddings.bin", out)
+        assert code == cli.EXIT_DATA
+        assert "vocabulary" in capsys.readouterr().err
+        assert not out.exists()
+
+    # a finite gradient whose square overflows in Adam once warned, left the
+    # moments inf and wrote a checkpoint with exit 0
+    @pytest.mark.parametrize("key, value", [("LENGTH_SCALE", "1e-300"), ("LAMBDA", "1e200")])
+    def test_float_overflow_is_a_numerical_error(self, corpus_dir, train_cfg_path, tmp_path,
+                                                 monkeypatch, capsys, key, value):
+        monkeypatch.setenv("MVC_" + key, value)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run([
+                "train", "--model", "mvc-rlda",
+                "--train", str(corpus_dir / "train.jsonl"),
+                "--dev", str(corpus_dir / "dev.jsonl"),
+                "--labels", str(corpus_dir / "descriptions.tsv"),
+                "--config", str(train_cfg_path),
+                "--seed", "3", "--out", str(out),
+            ])
+        assert code == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "numerical error in train: training diverged at epoch 1" in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not (out / "checkpoint.bin").exists()
+
     def test_pretrained_embeddings_reproduce_the_checkpoint(
             self, corpus_dir, train_cfg_path, trained_dir, tmp_path, monkeypatch):
         # a loaded table sets the width, whatever the embed_dim key says
@@ -577,6 +614,14 @@ class TestBaselineCmd:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out" / "baseline_model.bin").exists()
 
+    def test_env_override_applies_without_a_config_file(self, corpus_dir, tmp_path,
+                                                         monkeypatch, capsys):
+        # MVC_<KEY> once took effect only next to --config
+        monkeypatch.setenv("MVC_SVM_EPOCHS", "0")
+        assert self._baseline(corpus_dir, tmp_path / "out") == cli.EXIT_DATA
+        assert "svm_epochs must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def _baseline(self, corpus_dir, out, cfg_text=None):
         argv = ["baseline",
                 "--train", str(corpus_dir / "train.jsonl"),
@@ -721,6 +766,92 @@ class TestHyperbandCmd:
         assert "ignores the lambda_candidates config key" in err
         best = json.loads((tmp_path / "hb" / "best_config.json").read_text())
         assert best["best_config"]["lambda"] is None
+
+    @staticmethod
+    def _trials(out):
+        return [json.loads(line) for line in (out / "trials.jsonl").read_text().splitlines()]
+
+    def _rlda_argv(self, corpus_dir, cfg_text, tmp_path, R, seed):
+        cfg = tmp_path / "rlda.cfg"
+        cfg.write_text(TRAIN_CFG + cfg_text)
+        return ["hyperband", "--model", "mvc-rlda",
+                "--train", str(corpus_dir / "train.jsonl"), "--dev", str(corpus_dir / "dev.jsonl"),
+                "--labels", str(corpus_dir / "descriptions.tsv"), "--config", str(cfg),
+                "--R", str(R), "--eta", "3", "--seed", str(seed), "--out", str(tmp_path / "hb")]
+
+    def test_every_trial_scores_as_a_run_from_scratch(self, corpus_dir, tmp_path):
+        # a trial reads its score off its config's one run; train() from
+        # scratch with max_epochs = patience = the trial's epochs gives the
+        # same float, whether the trial trained, continued or reused
+        argv = self._rlda_argv(corpus_dir, "s0_min = 1\ns0_max = 2\ndc_min = 4\ndc_max = 5\n"
+                               "lambda_candidates = 0.01,0.001\n", tmp_path, R=9, seed=5)
+        assert run(argv) == 0
+        trials = self._trials(tmp_path / "hb")
+        args = cli.build_parser().parse_args(argv[:-1] + [str(tmp_path / "ref")])
+        setup = cli._training_setup(args, cli.HYPERBAND_KEYS)
+        reference = {}
+        for t in trials:
+            c, e = t["config"], t["epochs"]
+            key = (json.dumps(c), e)
+            if key not in reference:
+                model_cfg = replace(setup.model_cfg, kernel_sizes=tuple(c["kernel_sizes"]),
+                                    n_filters=c["n_filters"], lambda_=c["lambda"])
+                _, history = train.train(cli._init_params(setup, model_cfg, setup.table),
+                                         setup.train_docs, setup.dev_docs, setup.desc_ids,
+                                         replace(setup.train_cfg, max_epochs=e, patience=e))
+                reference[key] = history.best_dev_micro_f1
+            assert t["dev_micro_f1"] == reference[key], t
+        assert len(reference) < len(trials)  # some trials repeat a config and budget
+
+    def test_a_desk_shaped_search_trains_only_what_it_cannot_reuse(self, corpus_dir, tmp_path,
+                                                                  monkeypatch):
+        # only lambda varies, so configs repeat. At R = 3, eta = 3, bracket 1
+        # trains 3 configs 1 epoch and continues the best to 3; bracket 0
+        # asks 2 configs for 3 epochs. Each config trains to the most epochs
+        # asked of it, and only a config that lost bracket 1's first rung
+        # (its run dropped) trains its 1 epoch again when bracket 0 draws it.
+        trained, real = [], cli.train_mod.epochs
+
+        def counted(*args):
+            for item in real(*args):
+                trained.append(item[0].epoch)
+                yield item
+
+        monkeypatch.setattr(cli.train_mod, "epochs", counted)
+        space = ("s0_min = 1\ns0_max = 1\ndc_min = 4\ndc_max = 4\n"
+                 "lambda_candidates = 0.01,0.001,0.0001\n")
+        retrained_seen = set()
+        for seed in range(1, 7):
+            trained.clear()
+            (tmp_path / str(seed)).mkdir()
+            argv = self._rlda_argv(corpus_dir, space, tmp_path / str(seed), R=3, seed=seed)
+            assert run(argv) == 0
+            most, rung = {}, {(1, 0): set(), (1, 1): set(), (0, 0): set()}
+            for t in self._trials(tmp_path / str(seed) / "hb"):
+                config = json.dumps(t["config"])
+                most[config] = max(most.get(config, 0), t["epochs"])
+                rung[t["bracket"], t["rung"]].add(config)
+            retrained = (rung[0, 0] & rung[1, 0]) - rung[1, 1]
+            assert len(trained) == sum(most.values()) + len(retrained) < 12  # 12 from scratch
+            retrained_seen.add(len(retrained))
+        assert 0 in retrained_seen and len(retrained_seen) > 1  # both cases ran
+
+    def test_a_diverging_trial_scores_zero_and_the_search_goes_on(self, corpus_dir, tmp_path,
+                                                                  capsys):
+        # a lambda of 1e308 makes the loss inf; that once aborted the search
+        argv = self._rlda_argv(corpus_dir, "s0_min = 1\ns0_max = 2\ndc_min = 4\ndc_max = 6\n"
+                               "lambda_candidates = 0.001,1e308\n", tmp_path, R=3, seed=1)
+        assert run(argv) == 0
+        err = capsys.readouterr().err
+        trials = self._trials(tmp_path / "hb")
+        assert len(trials) == 6
+        assert all(t.keys() == {"bracket", "rung", "trial", "config", "epochs", "dev_micro_f1"}
+                   for t in trials)
+        diverged = [t for t in trials if t["config"]["lambda"] == 1e308]
+        assert diverged and all(t["dev_micro_f1"] == 0.0 for t in diverged)
+        for t in diverged:
+            assert f"bracket {t['bracket']} rung {t['rung']} trial {t['trial']} diverged" in err
+        assert max(t["dev_micro_f1"] for t in trials) > 0.0
 
 
 class TestAblateCmd:

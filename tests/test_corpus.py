@@ -93,7 +93,7 @@ class TestVocabulary:
         docs = [["alpha", "beta", "gamma"]] * 3 + [["alpha"]]
         vocab = corpus.build_vocabulary(docs)
         path = tmp_path / "vocab.tsv"
-        corpus.save_vocabulary(path, vocab)
+        path.write_bytes(corpus.vocabulary_bytes(vocab))
         loaded = corpus.load_vocabulary(path)
         assert loaded.token_to_id == vocab.token_to_id
         assert loaded.oov_id == vocab.oov_id

@@ -1,10 +1,13 @@
 import collections
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
 
 from mvclda import hyperband as hb
+from mvclda.model import NumericalError
 
 
 class TestBracketSchedule:
@@ -23,16 +26,17 @@ class TestBracketSchedule:
 
 
 def scoring_stub():
-    """Deterministic evaluator: score improves with epochs and with a
-    config-dependent offset; records every call."""
+    """Deterministic runs: the score after each epoch improves with epochs
+    and with a config-dependent offset; records every epoch trained."""
     calls = []
 
-    def evaluate(config, epochs):
-        calls.append((config, epochs))
+    def start(config):
         bonus = config.n_filters / 1000.0 + config.kernel_sizes[0] / 100.0
-        return min(1.0, 0.1 * np.log1p(epochs) + bonus)
+        for epoch in itertools.count(1):
+            calls.append((config, epoch))
+            yield min(1.0, 0.1 * np.log1p(epoch) + bonus)
 
-    return evaluate, calls
+    return start, calls
 
 
 class TestHyperbandSearch:
@@ -63,12 +67,9 @@ class TestHyperbandSearch:
             assert spent <= (s_max + 1) * 27
 
     def test_survivors_are_top_scored_with_tie_to_earlier_trial(self):
-        scores = {}
-
-        def evaluate(config, epochs):
+        def evaluate(config):
             # every config ties; survivors must be the earliest trials
-            scores.setdefault(id(config), 0.5)
-            return 0.5
+            return itertools.repeat(0.5)
 
         _, _, log = hb.hyperband_search(hb.SearchSpace(), evaluate, R=9, eta=3, seed=2)
         bracket2 = [t for t in log if t.bracket == 2]
@@ -103,8 +104,107 @@ class TestHyperbandSearch:
     def test_empty_space_rejected(self):
         with pytest.raises(ValueError):
             hb.hyperband_search(
-                hb.SearchSpace(lambdas=()), lambda c, e: 0.0, R=3, eta=3, seed=6
+                hb.SearchSpace(lambdas=()), lambda c: itertools.repeat(0.0), R=3, eta=3, seed=6
             )
+
+
+class TestRunReuse:
+    """Each configuration trains at most once: a promoted trial continues
+    its run and a repeated configuration reuses its recorded scores."""
+
+    @staticmethod
+    def wavy(config, epoch):
+        # not monotone in epochs, so a trial's score is the best of a prefix
+        return config.lambda_ * 100.0 + math.sin(epoch) + epoch / 10.0
+
+    def counting_start(self, events, diverge_at=None):
+        """Runs of `wavy` scores. `events` gets ("start", config) when a run
+        starts and ("epoch", config, runs alive) per epoch; a run is alive
+        until it is closed or collected."""
+        live = set()
+
+        def start(config):
+            events.append(("start", config))
+            run = object()
+            live.add(run)
+            try:
+                for epoch in itertools.count(1):
+                    if diverge_at and config.lambda_ == diverge_at[0] and epoch == diverge_at[1]:
+                        raise NumericalError("non-finite loss")
+                    events.append(("epoch", config, len(live)))
+                    yield self.wavy(config, epoch)
+            finally:
+                live.discard(run)
+
+        return start
+
+    def test_scores_are_prefix_bests_and_each_run_is_reused(self):
+        space = hb.SearchSpace(s0_min=2, s0_max=2, dc_min=9, dc_max=9,
+                               lambdas=(0.001, 0.002, 0.003))
+        restarted = 0
+        for seed in range(8):
+            events = []
+            _, _, log = hb.hyperband_search(space, self.counting_start(events), R=9, eta=3,
+                                            seed=seed)
+            for t in log:
+                assert t.dev_micro_f1 == max(self.wavy(t.config, e)
+                                             for e in range(1, t.epochs + 1))
+            epochs = sum(1 for e in events if e[0] == "epoch")
+            most = {}
+            for t in log:
+                most[t.config] = max(most.get(t.config, 0), t.epochs)
+            starts = collections.Counter(e[1] for e in events if e[0] == "start")
+            # at least the distinct epoch-units; beyond them only restarts
+            assert sum(most.values()) <= epochs < sum(t.epochs for t in log)
+            restarted += sum(starts.values()) - len(starts)
+        assert restarted  # a dropped run asked for more epochs starts over
+
+    def test_promoted_trials_continue_their_runs(self):
+        # no config repeats at this seed, so only continuing saves epochs:
+        # 357 epoch-units where training every trial from scratch costs 423
+        start, calls = scoring_stub()
+        _, _, log = hb.hyperband_search(hb.SearchSpace(), start, R=27, eta=3, seed=0)
+        first_rungs = [t.config for t in log if t.rung == 0]
+        assert len(set(first_rungs)) == len(first_rungs) == 49
+        assert sum(t.epochs for t in log) == 423
+        assert len(calls) == 357
+
+    def test_a_single_config_trains_once(self):
+        space = hb.SearchSpace(s0_min=3, s0_max=3, dc_min=9, dc_max=9, lambdas=(0.01,))
+        events = []
+        _, _, log = hb.hyperband_search(space, self.counting_start(events), R=27, eta=3, seed=0)
+        assert len(log) == 69
+        assert sum(1 for e in events if e[0] == "epoch") == 27
+        assert [e[0] for e in events].count("start") == 1
+
+    @pytest.mark.parametrize("s, n, r", hb.bracket_schedule(27, 3))
+    def test_live_runs_bounded_by_the_promotable(self, monkeypatch, s, n, r):
+        # the rung's running top floor(n/eta) plus the one training; the
+        # promoted runs of a later rung are at most that many
+        monkeypatch.setattr(hb, "bracket_schedule", lambda R, eta: [(s, n, r)])
+        events = []
+        hb.hyperband_search(hb.SearchSpace(), self.counting_start(events), R=27, eta=3, seed=s)
+        peak = max(e[2] for e in events if e[0] == "epoch")
+        assert peak <= n // 3 + 1
+        if s:
+            assert peak == n // 3 + 1  # tight: the promotable runs stay live
+
+    def test_a_diverged_run_scores_zero_from_where_it_raised(self, capsys):
+        space = hb.SearchSpace(s0_min=2, s0_max=2, dc_min=9, dc_max=9, lambdas=(0.001, 0.002))
+        events = []
+        start = self.counting_start(events, diverge_at=(0.002, 4))
+        _, _, log = hb.hyperband_search(space, start, R=9, eta=3, seed=3)
+        err = capsys.readouterr().err
+        bad = [t for t in log if t.config.lambda_ == 0.002]
+        assert any(t.epochs < 4 for t in bad) and any(t.epochs >= 4 for t in bad)
+        for t in bad:
+            expected = 0.0 if t.epochs >= 4 else max(self.wavy(t.config, e)
+                                                     for e in range(1, t.epochs + 1))
+            assert t.dev_micro_f1 == expected
+        # it raised once; later trials that need more epochs do not train
+        assert err.count("diverged, scored 0.0") == 1
+        first = next(t for t in log if t.config.lambda_ == 0.002 and t.epochs >= 4)
+        assert f"bracket {first.bracket} rung {first.rung} trial {first.trial} diverged" in err
 
 
 class TestSampleConfig:
