@@ -97,6 +97,8 @@ TRAIN_KEYS = {
 HYPERBAND_KEYS = {**TRAIN_KEYS, **_keys(hb.SearchSpace)}
 BASELINE_KEYS = {**_keys(baseline.SvmConfig, skip={"seed"}), "max_features": int,
                  "min_doc_freq": int}
+# every key of any command; an MVC_ variable that names none is refused
+ALL_KEYS = SYNTH_KEYS.keys() | HYPERBAND_KEYS.keys() | BASELINE_KEYS.keys()
 
 
 def parse_kv_config(text: str, keys: dict, source: str = "<config>") -> dict:
@@ -122,6 +124,13 @@ def parse_kv_config(text: str, keys: dict, source: str = "<config>") -> dict:
 
 
 def _apply_env_overrides(values: dict, keys: dict) -> dict:
+    """`values` with each `MVC_<KEY>` override of `keys` applied. An
+    `MVC_` variable that names no key of any command is refused, as an
+    unknown config-file key is."""
+    known = {ENV_PREFIX + key.upper() for key in ALL_KEYS}
+    for name in sorted(os.environ):
+        if name.startswith(ENV_PREFIX) and name not in known:
+            raise corpus.DataFormatError(f"environment variable {name} names no config key")
     for key, caster in keys.items():
         raw = os.environ.get(ENV_PREFIX + key.upper())
         if raw is not None:

@@ -377,11 +377,16 @@ def read_corpus_jsonl(path) -> list[RawDocument]:
                 raise DataFormatError(
                     f"{path}:{lineno}: expected exactly doc_id/text/codes fields"
                 )
-            doc_id = obj["doc_id"]
+            doc_id, codes = obj["doc_id"], obj["codes"]
+            if not (isinstance(doc_id, str) and isinstance(obj["text"], str)
+                    and isinstance(codes, list) and all(isinstance(c, str) for c in codes)):
+                raise DataFormatError(
+                    f"{path}:{lineno}: doc_id and text must be strings, codes a list of strings"
+                )
             if doc_id in seen:
                 raise DataFormatError(f"{path}:{lineno}: duplicate doc_id {doc_id!r}")
             seen.add(doc_id)
-            docs.append(RawDocument(doc_id=doc_id, text=obj["text"], codes=set(obj["codes"])))
+            docs.append(RawDocument(doc_id=doc_id, text=obj["text"], codes=set(codes)))
     return docs
 
 

@@ -18,9 +18,8 @@ and sigmoid dense layer.
 
 With linear (unnormalized) attention the l x J score matrix A = C V^T is
 never formed: pooling is P = V G with the d_c x d_c Gram matrix G = C^T C,
-and the frame gradient is dC = C (V^T dP + dP^T V). Softmax attention
-normalizes the columns of A, so it forms A. A zero-length document has an
-empty C, hence G = 0 and P = 0, and scores sigmoid(b + T).
+and the frame gradient is dC = C (V^T dP + dP^T V). A zero-length document
+has an empty C, hence G = 0 and P = 0, and scores sigmoid(b + T).
 
 All channels run as one convolution. Padding puts s//2 zeros on the left,
 so channel i's window at a position nests inside the s_max window at row
@@ -98,11 +97,7 @@ class ModelConfig:
     n_filters: int = 90
     embed_dim: int = 100
     lambda_: float = 0.0005
-    attention_softmax: bool = False
     use_length: bool = True
-    length_scale: float = LENGTH_SCALE
-    freeze_embeddings: bool = False
-    freeze_desc_encoder: bool = False
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
@@ -118,8 +113,6 @@ class ModelConfig:
             raise ValueError("regularization weight (lambda) must be finite and >= 0")
         if self.n_filters < 1 or self.embed_dim < 1:
             raise ValueError("filter count and embedding dim must be positive")
-        if not (math.isfinite(self.length_scale) and self.length_scale > 0):
-            raise ValueError("length_scale must be finite and > 0")
 
 
 def config_key(field_name: str) -> str:
@@ -204,7 +197,7 @@ def init_params(
 ) -> ModelParams:
     """Variance-preserving initialization; biases and length weights start
     at zero. `embeddings` supplies pretrained W_e (copied, then fine-tuned
-    during training unless frozen)."""
+    during training)."""
     d_e, d_c = cfg.embed_dim, cfg.n_filters
     if embeddings is not None and embeddings.shape != (vocab_size, d_e):
         raise ValueError(
@@ -360,14 +353,6 @@ def _embed_padded(ids: np.ndarray, W_e: np.ndarray, s: int):
     return Xp, X
 
 
-def _softmax_columns(A: np.ndarray) -> np.ndarray:
-    if A.shape[0] == 0:
-        return A  # no frames: nothing to normalize, and P = S^T C = 0
-    shifted = A - A.max(axis=0, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=0, keepdims=True)
-
-
 def _forward_cached(token_ids, length: int, params: ModelParams, masks: DropoutMasks | None,
                     for_backward: bool = True, W_stack: np.ndarray | None = None):
     cfg = params.config
@@ -383,20 +368,14 @@ def _forward_cached(token_ids, length: int, params: ModelParams, masks: DropoutM
     M, winner = _conv_max(Xp, W_stack, cfg.n_filters, for_backward)
     C = np.tanh(M, out=M)
 
-    if cfg.attention_softmax:
-        S = _softmax_columns(C @ params["V"].T)  # (l, J) attention weights
-        P = S.T @ C
-        G = None
-    else:
-        S = None
-        G = C.T @ C                           # (d_c, d_c) Gram matrix
-        P = params["V"] @ G
+    G = C.T @ C                               # (d_c, d_c) Gram matrix
+    P = params["V"] @ G
     if masks is not None:
         P *= masks.p_scale
 
     logits = np.sum(params["U"] * P, axis=1) + params["b"]
     if cfg.use_length:
-        lt = length / cfg.length_scale
+        lt = length / LENGTH_SCALE
         T = sigmoid(params["K"] * lt + params["d"])
         logits = logits + T
     else:
@@ -407,7 +386,7 @@ def _forward_cached(token_ids, length: int, params: ModelParams, masks: DropoutM
         raise NumericalError("non-finite model output")
     cache = {
         "ids": ids, "Xp": Xp, "winner": winner,
-        "C": C, "G": G, "S": S, "P": P, "T": T, "lt": lt, "y": y,
+        "C": C, "G": G, "P": P, "T": T, "lt": lt, "y": y,
     }
     return y, cache
 
@@ -479,15 +458,12 @@ class DescriptionBatch:
         F = self.F[idx]
         diff = params["V"][js] - F
         grads["V"][js] += 2.0 * lam * diff
-        if not params.config.freeze_desc_encoder:
-            self.Dpre[idx] += -2.0 * lam * diff * F * (1.0 - F)
+        self.Dpre[idx] += -2.0 * lam * diff * F * (1.0 - F)
         return lam * float(np.sum(diff * diff))
 
     def finish(self, grads: GradientSet) -> None:
         """Add the description encoder's gradient for the collected Dpre."""
-        params, cfg = self.params, self.params.config
-        if cfg.freeze_desc_encoder:
-            return
+        params = self.params
         grads["desc_W"] += self.Dpre.T @ self.m
         grads["desc_b"] += self.Dpre.sum(axis=0)
         d_c = self.F.shape[1]
@@ -495,8 +471,7 @@ class DescriptionBatch:
         dZ[self.amax, np.arange(d_c)] = self.Dpre @ params["desc_W"]
         dW, dX = _conv_max_backward(self.Xp, self.W, None, dZ)
         grads["desc_conv"] += dW.reshape(params["desc_conv"].shape)
-        if not cfg.freeze_embeddings:
-            np.add.at(grads["W_e"], self.ids, dX[self.rows])
+        np.add.at(grads["W_e"], self.ids, dX[self.rows])
 
 
 def description_batch(params: ModelParams, desc_ids_list, golds) -> DescriptionBatch | None:
@@ -563,7 +538,7 @@ def _sample_backward(token_ids, length: int, gold, params: ModelParams,
     cfg = params.config
     y, cache = _forward_cached(token_ids, length, params, masks, W_stack=W_stack)
     g = np.asarray(gold, dtype=np.float64)
-    C, S, G = cache["C"], cache["S"], cache["G"]
+    C = cache["C"]
 
     dlogits = y - g                                  # (J,)
     grads["U"] += dlogits[:, None] * cache["P"]
@@ -577,15 +552,9 @@ def _sample_backward(token_ids, length: int, gold, params: ModelParams,
 
     dP_pre = dP if masks is None else dP * masks.p_scale
 
-    if cfg.attention_softmax:
-        dS = C @ dP_pre.T                            # (l, J)
-        dA = S * (dS - np.sum(S * dS, axis=0, keepdims=True))
-        dC = S @ dP_pre + dA @ params["V"]
-        grads["V"] += dA.T @ C
-    else:
-        VtdP = params["V"].T @ dP_pre                # (d_c, d_c)
-        dC = C @ (VtdP + VtdP.T)
-        grads["V"] += dP_pre @ G
+    VtdP = params["V"].T @ dP_pre                    # (d_c, d_c)
+    dC = C @ (VtdP + VtdP.T)
+    grads["V"] += dP_pre @ cache["G"]
 
     # attention regularizer; the description encoder's gradient waits for
     # the batch's `finish`
@@ -605,8 +574,7 @@ def _sample_backward(token_ids, length: int, gold, params: ModelParams,
             grads[f"conv{i}"] += block
 
         dX = dXd if masks is None else dXd * masks.x_scale[:, None]
-        if not cfg.freeze_embeddings:
-            np.add.at(grads["W_e"], cache["ids"], dX)
+        np.add.at(grads["W_e"], cache["ids"], dX)
     return loss
 
 
@@ -624,9 +592,11 @@ def predict_matrix(params: ModelParams, docs) -> np.ndarray:
 # Checkpoint serialization
 # ---------------------------------------------------------------------------
 
-# ModelConfig fields that steer training only; checkpoints do not record them.
-_TRAINING_ONLY = ("freeze_embeddings", "freeze_desc_encoder")
-_HEADER_FIELDS = [f.name for f in fields(ModelConfig) if f.name not in _TRAINING_ONLY]
+_HEADER_FIELDS = [f.name for f in fields(ModelConfig)]
+
+# Header keys of retired ModelConfig fields, each with the one value the
+# model still computes; older checkpoints carry them.
+_RETIRED_HEADER_KEYS = {"attention_softmax": False, "length_scale": LENGTH_SCALE}
 
 
 def save_checkpoint(path, params: ModelParams, vocab_checksum: str) -> None:
@@ -662,8 +632,15 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     """Read a checkpoint written by `save_checkpoint`. A damaged or foreign
     file (see `read_tensor_file`), a header that does not describe a valid
     model, a missing tensor, or a tensor whose shape the header's config
-    does not give raises DataFormatError."""
+    does not give raises DataFormatError, as does a retired key at another
+    value than the model computes; other keys the header holds are ignored."""
     header, arrays = read_tensor_file(path, CHECKPOINT_FORMAT, CHECKPOINT_FORMAT_VERSION)
+    for key, value in _RETIRED_HEADER_KEYS.items():
+        if header.get(key, value) != value:
+            raise DataFormatError(
+                f"{path}: checkpoint header sets retired key {key!r} to {header[key]!r}; "
+                f"this model supports only {value!r}"
+            )
     try:
         kw = {name: header[config_key(name)] for name in _HEADER_FIELDS}
         cfg = ModelConfig(**dict(kw, kernel_sizes=tuple(kw["kernel_sizes"])))

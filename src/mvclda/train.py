@@ -25,13 +25,15 @@ from .model import (
     predict_matrix,
 )
 
+# Adam's moment decay rates and denominator offset
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     batch_size: int = 4
     max_segment: int = 10_000
     patience: int = 10
@@ -42,10 +44,6 @@ class TrainConfig:
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning_rate must be finite and > 0")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie in [0, 1)")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ValueError("epsilon must be finite and > 0")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if self.batch_size < 1:
@@ -88,16 +86,16 @@ def adam_step(params: ModelParams, grads: GradientSet, state: AdamState, cfg: Tr
     raises NumericalError before anything is updated."""
     grads.check_finite()
     state.t += 1
-    bc1 = 1.0 - cfg.beta1 ** state.t
-    bc2 = 1.0 - cfg.beta2 ** state.t
+    bc1 = 1.0 - BETA1 ** state.t
+    bc2 = 1.0 - BETA2 ** state.t
     for name, arr in params.tensors():
         g = grads[name]
         m, v = state.m[name], state.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        arr -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        arr -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + EPSILON)
 
 
 @dataclass

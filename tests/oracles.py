@@ -117,8 +117,7 @@ def per_label_regularizer(gold, params, desc_ids_list, grads):
     description is encoded on its own, forward and backward, through
     `channel_conv`: the per-gold-label loop that the once-per-batch packed
     encoder replaced."""
-    cfg = params.config
-    lam = cfg.lambda_
+    lam = params.config.lambda_
     reg = 0.0
     for j in np.flatnonzero(np.asarray(gold) > 0):
         X = params["W_e"][desc_ids_list[j]]
@@ -130,8 +129,6 @@ def per_label_regularizer(gold, params, desc_ids_list, grads):
         diff = params["V"][j] - f
         reg += lam * float(diff @ diff)
         grads["V"][j] += 2.0 * lam * diff
-        if cfg.freeze_desc_encoder:
-            continue
         dpre = -2.0 * lam * diff * f * (1.0 - f)
         grads["desc_W"] += np.outer(dpre, m)
         grads["desc_b"] += dpre
@@ -139,8 +136,7 @@ def per_label_regularizer(gold, params, desc_ids_list, grads):
         dZ[amax, cols] = params["desc_W"].T @ dpre
         dW, dX = channel_conv_backward(X, params["desc_conv"], dZ)
         grads["desc_conv"] += dW
-        if not cfg.freeze_embeddings:
-            np.add.at(grads["W_e"], desc_ids_list[j], dX)
+        np.add.at(grads["W_e"], desc_ids_list[j], dX)
     return reg
 
 

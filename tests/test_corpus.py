@@ -299,6 +299,19 @@ class TestFileFormats:
         with pytest.raises(corpus.DataFormatError, match=":1:"):
             corpus.read_corpus_jsonl(path)
 
+    # each once ended in a traceback, or ("101.1") was read as the
+    # character set {"1", "0", "."}
+    @pytest.mark.parametrize("field, value", [
+        ("text", 5), ("codes", 7), ("doc_id", ["a"]), ("codes", [["z"]]), ("codes", "101.1"),
+        ("doc_id", None), ("text", ["t"]), ("codes", ["1", 2]),
+    ])
+    def test_field_of_the_wrong_type_rejected(self, tmp_path, field, value):
+        path = tmp_path / "bad.jsonl"
+        good = {"doc_id": "a", "text": "t", "codes": ["1"]}
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "doc_id": "b", field: value}))
+        with pytest.raises(corpus.DataFormatError, match=r"bad\.jsonl:2: doc_id and text must"):
+            corpus.read_corpus_jsonl(path)
+
     def test_duplicate_doc_id_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         line = '{"doc_id": "a", "text": "t", "codes": []}\n'

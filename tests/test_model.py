@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mvclda import model
-from mvclda.corpus import EncodedDocument
+from mvclda.corpus import DataFormatError, EncodedDocument
 
 from oracles import (
     brute_conv,
@@ -300,15 +300,14 @@ class TestForward:
         )
 
     def test_zero_length_document_scores_bias_plus_length(self):
-        for softmax in (False, True):
-            params = small_params(seed=29, attention_softmax=softmax)
-            params["b"][:] = [0.5, -1.0, 2.0]
-            params["K"][:] = 3.0
-            params["d"][:] = [0.1, 0.2, -0.3]
-            T = model.sigmoid(params["K"] * (7 / model.LENGTH_SCALE) + params["d"])
-            assert np.array_equal(model.forward([], 7, params), model.sigmoid(params["b"] + T))
-            no_length = small_params(seed=29, attention_softmax=softmax, use_length=False)
-            assert np.array_equal(model.forward([], 0, no_length), model.sigmoid(no_length["b"]))
+        params = small_params(seed=29)
+        params["b"][:] = [0.5, -1.0, 2.0]
+        params["K"][:] = 3.0
+        params["d"][:] = [0.1, 0.2, -0.3]
+        T = model.sigmoid(params["K"] * (7 / model.LENGTH_SCALE) + params["d"])
+        assert np.array_equal(model.forward([], 7, params), model.sigmoid(params["b"] + T))
+        no_length = small_params(seed=29, use_length=False)
+        assert np.array_equal(model.forward([], 0, no_length), model.sigmoid(no_length["b"]))
 
     def test_gram_form_matches_per_label_attention_pool(self):
         rng = np.random.default_rng(30)
@@ -448,14 +447,11 @@ class TestDescriptionBatch:
         return grads
 
     @pytest.mark.parametrize("kernels", [(1, 3), (2, 4, 6, 8), (5,)])
-    @pytest.mark.parametrize("freeze", ["", "freeze_desc_encoder", "freeze_embeddings"])
-    def test_batch_matches_per_label_loop(self, kernels, freeze):
-        samples, params, desc = self.batch(kernels, **({freeze: True} if freeze else {}))
+    def test_batch_matches_per_label_loop(self, kernels):
+        samples, params, desc = self.batch(kernels)
         grads = self.assert_matches_reference(samples, params, desc)
-        frozen = {"freeze_desc_encoder": ("desc_conv", "desc_W", "desc_b"),
-                  "freeze_embeddings": ("W_e",)}.get(freeze, ())
         for name in ("W_e", "desc_conv", "desc_W", "desc_b"):
-            assert np.any(grads[name]) != (name in frozen), name
+            assert np.any(grads[name]), name
 
     @pytest.mark.parametrize("kernels", [(1, 3), (2, 4, 6, 8), (5,)])
     def test_batch_of_one_matches_per_label_loop(self, kernels):
@@ -536,23 +532,24 @@ class TestBackward:
     def _desc(self, rng, n_labels, vocab):
         return [rng.integers(0, vocab, int(rng.integers(2, 5))) for _ in range(n_labels)]
 
-    # (softmax, kind, labels, tokens); the ids of the 3-label cases predate
-    # the others. 5 labels over 3 tokens has more labels than frames, 0
-    # tokens has no frames at all, and CHUNK + 40 tokens span two row chunks
-    # of the convolution.
+    # (use_length, kind, labels, tokens); the ids of the 3-label cases
+    # predate the others. use_length=False is the length_embedding
+    # ablation's model. 5 labels over 3 tokens has more labels than frames,
+    # 0 tokens has no frames at all, and CHUNK + 40 tokens span two row
+    # chunks of the convolution.
     FD_CASES = [
-        pytest.param(softmax, kind, labels, tokens,
-                     id=f"{softmax}-{kind}" + ("" if tokens == 12 else f"-{labels}labels-{tokens}tokens"))
+        pytest.param(use_length, kind, labels, tokens,
+                     id=f"{use_length}-{kind}" + ("" if tokens == 12 else f"-{labels}labels-{tokens}tokens"))
         for labels, tokens in ((3, 12), (5, 3), (3, 0), (3, CHUNK + 40))
-        for softmax in (False, True)
+        for use_length in (False, True)
         for kind in ("mvc-lda", "mvc-rlda")
     ]
 
-    @pytest.mark.parametrize("softmax,kind,labels,tokens", FD_CASES)
-    def test_gradients_match_finite_differences(self, softmax, kind, labels, tokens):
+    @pytest.mark.parametrize("use_length,kind,labels,tokens", FD_CASES)
+    def test_gradients_match_finite_differences(self, use_length, kind, labels, tokens):
         rng = np.random.default_rng(19)
         params = small_params(
-            kind=kind, seed=19, labels=labels, kernels=(1, 3), attention_softmax=softmax,
+            kind=kind, seed=19, labels=labels, kernels=(1, 3), use_length=use_length,
             lambda_=0.02 if kind == "mvc-rlda" else 0.0,
         )
         ids = rng.integers(0, 20, tokens)
@@ -609,23 +606,6 @@ class TestBackward:
         _, grads = model.backward([([1, 2, 3], 3, gold, None)], params)
         assert not np.allclose(grads["U"], 0.0)
 
-    def test_freeze_embeddings_blocks_w_e(self):
-        params = small_params(seed=24, freeze_embeddings=True)
-        _, grads = model.backward([([1, 2, 3], 3, np.array([1.0, 0.0, 1.0]), None)], params)
-        assert np.array_equal(grads["W_e"], np.zeros_like(params["W_e"]))
-
-    def test_freeze_desc_encoder_blocks_description_grads(self):
-        rng = np.random.default_rng(25)
-        params = small_params(kind="mvc-rlda", seed=25, lambda_=0.1, freeze_desc_encoder=True)
-        desc = self._desc(rng, 3, 20)
-        _, grads = model.backward([([1, 2, 3], 3, np.ones(3), None)], params, desc)
-        assert np.array_equal(grads["desc_conv"], np.zeros_like(params["desc_conv"]))
-        assert np.array_equal(grads["desc_W"], np.zeros_like(params["desc_W"]))
-        # the attention side of the regularizer still acts on V
-        base = small_params(kind="mvc-rlda", seed=25, lambda_=0.0, freeze_desc_encoder=True)
-        _, base_grads = model.backward([([1, 2, 3], 3, np.ones(3), None)], base, desc)
-        assert not np.allclose(grads["V"], base_grads["V"])
-
 
     def test_batch_buffer_equals_sum_of_sample_gradients(self):
         rng = np.random.default_rng(31)
@@ -676,8 +656,7 @@ class TestCheckpoint:
         assert head.decode() == json.dumps(header, sort_keys=True)
         assert set(header) == {
             "format", "version", "kind", "vocab_size", "embed_dim", "n_filters", "n_labels",
-            "kernel_sizes", "lambda", "attention_softmax", "use_length", "length_scale",
-            "vocab_sha256", "tensors",
+            "kernel_sizes", "lambda", "use_length", "vocab_sha256", "tensors",
         }
         assert (header["format"], header["version"]) == ("mvclda.checkpoint", 1)
         assert header["tensors"] == [[n, list(a.shape)] for n, a in params.tensors()]
@@ -687,14 +666,29 @@ class TestCheckpoint:
         path = tmp_path / "ckpt"
         model.save_checkpoint(path, small_params(seed=27), vocab_checksum="x")
         head, _, body = path.read_bytes().partition(b"\n")
-        # a zero length_scale once passed and divided by zero in forward
+        # a retired key at another value than the model computes would
+        # otherwise load silently as the linear, 10000-scaled model
         for key, value, message in [("kernel_sizes", [3, 1], "ascending"),
-                                    ("length_scale", 0, "length_scale"),
-                                    ("length_scale", float("inf"), "length_scale")]:
+                                    ("attention_softmax", True, "'attention_softmax'"),
+                                    ("length_scale", 0, "'length_scale'")]:
             header = dict(json.loads(head), **{key: value})
             path.write_bytes(json.dumps(header).encode() + b"\n" + body)
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(DataFormatError, match=message):
                 model.load_checkpoint(path)
+
+    def test_retired_keys_at_their_one_value_load(self, tmp_path):
+        # headers written before the keys were retired carry them
+        params = small_params(kind="mvc-rlda", seed=27)
+        path = tmp_path / "ckpt"
+        model.save_checkpoint(path, params, vocab_checksum="x")
+        head, _, body = path.read_bytes().partition(b"\n")
+        header = dict(json.loads(head), attention_softmax=False, length_scale=10000.0)
+        path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + body)
+        loaded, _ = model.load_checkpoint(path)
+        assert loaded.config == params.config
+        for (na, a), (nb, b) in zip(params.tensors(), loaded.tensors()):
+            assert na == nb
+            assert np.array_equal(a, b), na
 
 
 class TestConfigValidation:
@@ -713,10 +707,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             model.ModelConfig(kind="cnn")
 
+    # the scale is the constant model.LENGTH_SCALE; a checkpoint header
+    # that carries another value is refused, as a zero scale once divided by
+    # zero in forward
     @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
-    def test_length_scale_must_be_finite_and_positive(self, scale):
-        with pytest.raises(ValueError, match="length_scale"):
-            model.ModelConfig(length_scale=scale)
+    def test_length_scale_must_be_finite_and_positive(self, scale, tmp_path):
+        assert math.isfinite(model.LENGTH_SCALE) and model.LENGTH_SCALE > 0
+        path = tmp_path / "ckpt"
+        model.save_checkpoint(path, small_params(seed=27), vocab_checksum="x")
+        head, _, body = path.read_bytes().partition(b"\n")
+        header = dict(json.loads(head), length_scale=scale)
+        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        with pytest.raises(DataFormatError, match="'length_scale'"):
+            model.load_checkpoint(path)
 
     def test_init_deterministic(self):
         a = small_params(seed=28)

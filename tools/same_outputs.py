@@ -16,7 +16,10 @@ extra_notes and regularization again on the dev split. So every file
 option of every command is given at least once. Every file either run
 wrote is then reported as identical or differing; `history.jsonl` is
 compared with each line's `wall_time_s` removed, the only field allowed to
-differ. Exits 0 when every file matches and 1 otherwise.
+differ. A differing tensor file (`.bin`) is reported by part: whether the
+tensor payloads after the header line are identical, and which header keys
+differ; it still counts as differing. Exits 0 when every file matches and
+1 otherwise.
 
 Needs no network; reads `.git` only through `git archive`. BLAS runs one
 thread, as in the benchmark.
@@ -153,6 +156,17 @@ def without_wall_time(history: bytes) -> list[dict]:
     return lines
 
 
+def tensor_file_verdict(old: bytes, new: bytes) -> str:
+    """How two differing tensor files differ: in their payloads after the
+    header line, and in which keys of their JSON headers."""
+    (old_head, _, old_body), (new_head, _, new_body) = old.partition(b"\n"), new.partition(b"\n")
+    old_header, new_header = json.loads(old_head), json.loads(new_head)
+    keys = sorted(k for k in old_header.keys() | new_header.keys()
+                  if (k in old_header, old_header.get(k)) != (k in new_header, new_header.get(k)))
+    tensors = "tensors identical" if old_body == new_body else "TENSORS DIFFER"
+    return f"{tensors}; header keys differ: {', '.join(keys) or 'none'}"
+
+
 def compare(old: dict[str, bytes], new: dict[str, bytes]) -> list[tuple[str, str]]:
     """(path, verdict) for every file in either run."""
     verdicts = []
@@ -166,6 +180,8 @@ def compare(old: dict[str, bytes], new: dict[str, bytes]) -> list[tuple[str, str
         elif (Path(path).name == "history.jsonl"
               and without_wall_time(old[path]) == without_wall_time(new[path])):
             verdict = "identical except wall_time_s"
+        elif Path(path).suffix == ".bin":
+            verdict = tensor_file_verdict(old[path], new[path])
         else:
             verdict = "DIFFERS"
         verdicts.append((path, verdict))
