@@ -158,9 +158,11 @@ FILE_OPTIONS = ("train", "dev", "test", "labels", "hierarchy", "config", "embedd
                 "checkpoint", "vocab", "groups", "train_counts")
 
 
-def _write_manifest(out_dir: Path, args, config: dict, artifacts: dict) -> None:
-    """`manifest.json`: the command and seed of `args`, the `config` values,
-    each file option given with its sha256, and the files written."""
+def _write_manifest(out_dir: Path, args, config: dict, artifacts: dict,
+                    file_name: str = "manifest.json") -> None:
+    """The manifest `out_dir/file_name`: the command and seed of `args`, the
+    `config` values, each file option given with its sha256, and the files
+    written."""
     given = {name: Path(getattr(args, name)) for name in FILE_OPTIONS if getattr(args, name, None)}
     manifest = {
         "command": args.command,
@@ -173,7 +175,7 @@ def _write_manifest(out_dir: Path, args, config: dict, artifacts: dict) -> None:
         },
         "artifacts": {name: str(p) for name, p in artifacts.items()},
     }
-    corpus.write_json(out_dir / "manifest.json", manifest)
+    corpus.write_json(out_dir / file_name, manifest)
 
 
 def _load_label_space(args) -> corpus.LabelSpace:
@@ -385,7 +387,10 @@ def cmd_evaluate(args) -> int:
     out_path = Path(args.metrics_out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     corpus.write_json(out_path, asdict(report))
-    _write_manifest(out_path.parent, args, {"p_at": list(args.p_at)}, {"metrics": out_path})
+    # named after the metrics file, so evaluating into a train directory
+    # keeps the training run's manifest.json
+    _write_manifest(out_path.parent, args, {"p_at": list(args.p_at)}, {"metrics": out_path},
+                    file_name=f"{out_path.stem}.manifest.json")
     print(f"micro F1 {report.micro_f1:.5f}  PR AUC {report.pr_auc:.5f} -> {out_path}")
     return EXIT_OK
 

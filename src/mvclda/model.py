@@ -23,16 +23,20 @@ has an empty C, hence G = 0 and P = 0, and scores sigmoid(b + T).
 
 All channels run as one convolution. Padding puts s//2 zeros on the left,
 so channel i's window at a position nests inside the s_max window at row
-offset s_max//2 - s_i//2. The input is padded once, at s_max; its windows
-form a zero-copy (l x s_max*d_e) view; and the kernels are stacked into one
-(s_max*d_e) x (n*d_c) matrix, each at its offset in its own column block,
-zeros elsewhere. The rows are taken CONV_CHUNK at a time: per chunk one
-GEMM gives every channel's outputs, a running maximum over the column
-blocks gives the cross-channel max (a later channel wins only when strictly
-greater), and in backward one GEMM gives the chunk's kernel gradients and
-one its window gradients, which s_max shifted adds fold back onto the input
-rows. So the convolution's transient memory depends on CONV_CHUNK, not on
-the document length.
+offset s_max//2 - s_i//2. The kernels are stacked into one (s_max*d_e) x
+(n*d_c) matrix, each at its offset in its own column block, zeros
+elsewhere. The output rows are taken CONV_CHUNK at a time: each chunk's
+input, padded at s_max, is built from the token ids (embedding rows times
+the dropout scale), and its windows form a zero-copy (chunk x s_max*d_e)
+view. Per chunk one GEMM gives every channel's outputs, and a running
+maximum over the column blocks gives the cross-channel max (a later
+channel wins only when strictly greater). In backward one GEMM gives the
+chunk's window gradients, which s_max shifted adds fold onto its input
+rows; the rows no later chunk reaches go straight into the W_e gradient,
+and one GEMM with the rebuilt input gives the chunk's kernel gradients.
+So a training step holds, per document, the frames C, their gradient and
+the winning channels (l x d_c each), and inference only the frames; every
+other transient depends on CONV_CHUNK, not on the document length.
 
 `backward` takes a whole training batch. The parameters are fixed within
 it, so the kernels are stacked once, and the description encoder, the
@@ -71,8 +75,8 @@ LOSS_CLAMP = 1e-12
 MODEL_KINDS = ("mvc-lda", "mvc-rlda")
 
 # Rows of the window matrix per convolution GEMM. The transients of one
-# chunk (CONV_CHUNK x n*d_c products, CONV_CHUNK x s_max*d_e window
-# gradients) do not grow with the document.
+# chunk (its padded input, CONV_CHUNK x n*d_c products, CONV_CHUNK x
+# s_max*d_e window gradients) do not grow with the document.
 CONV_CHUNK = 512
 
 
@@ -209,7 +213,7 @@ def init_params(
     for name, shape in _tensor_shapes(cfg, vocab_size, n_labels).items():
         if name == "W_e":
             arrays[name] = ((rng.random(shape) - 0.5) / d_e if embeddings is None
-                            else embeddings.astype(np.float64).copy())
+                            else np.array(embeddings, dtype=np.float64))
         elif len(shape) == 3:    # convolution kernels, s x d_e x d_c
             arrays[name] = _glorot(rng, shape, shape[0] * d_e, shape[0] * d_c)
         elif name in ("V", "U"):  # one d_c -> 1 map per label
@@ -287,70 +291,101 @@ def _windows(Xp: np.ndarray, s: int) -> np.ndarray:
                       strides=(Xp.strides[0], Xp.strides[1]))
 
 
-def _conv_max(Xp: np.ndarray, W_stack: np.ndarray, d_c: int, winner: bool):
-    """Cross-channel max M (l x d_c) of the convolutions of the padded
-    input `Xp` with the stacked kernels, one GEMM per CONV_CHUNK rows, and,
-    if `winner` (and there are several channels), the index of the lowest
-    channel attaining it."""
+def _input_block(ids: np.ndarray, W_e: np.ndarray, x_scale, s: int, r0: int,
+                 r1: int) -> np.ndarray:
+    """The rows of the padded input that the windows of output rows r0..r1
+    read: r1 - r0 + s - 1 rows from sequence row r0 - s//2 on (s//2 zero
+    rows pad the left, so even kernels get the extra one there). Row i
+    holds W_e[ids[i]] times x_scale[i]; rows outside the sequence, and its
+    -1 rows, are zero."""
+    Xb = np.zeros((r1 - r0 + s - 1, W_e.shape[1]))
+    lo, hi = max(r0 - s // 2, 0), min(r1 + (s - 1) // 2, len(ids))
+    X = Xb[lo - r0 + s // 2 : hi - r0 + s // 2]
+    part = ids[lo:hi]
+    np.take(W_e, part, axis=0, out=X, mode="clip")
+    if x_scale is not None:
+        X *= x_scale[lo:hi, None]
+    if part.size and part.min() < 0:
+        X[part < 0] = 0.0
+    return Xb
+
+
+def _conv_max(ids: np.ndarray, W_e: np.ndarray, x_scale, W_stack: np.ndarray, d_c: int,
+              winner: bool):
+    """Cross-channel max M (l x d_c) of the convolutions of the sequence
+    `ids` (embedded by W_e, rows scaled by the dropout `x_scale` if given,
+    -1 rows zero) with the stacked kernels, and, if `winner` (and there
+    are several channels), the index of the lowest channel attaining it.
+    Per CONV_CHUNK output rows, the chunk's padded input is built and one
+    GEMM gives every channel's outputs."""
     n = W_stack.shape[1] // d_c
-    win = _windows(Xp, W_stack.shape[0] // Xp.shape[1])
-    l = win.shape[0]
+    s = W_stack.shape[0] // W_e.shape[1]
+    l = len(ids)
     M = np.empty((l, d_c))
     arg = np.zeros((l, d_c), dtype=np.min_scalar_type(n - 1)) if winner and n > 1 else None
     for r0 in range(0, l, CONV_CHUNK):
-        Z = win[r0 : r0 + CONV_CHUNK] @ W_stack
-        Mc = M[r0 : r0 + CONV_CHUNK]
+        r1 = min(r0 + CONV_CHUNK, l)
+        Z = _windows(_input_block(ids, W_e, x_scale, s, r0, r1), s) @ W_stack
+        Mc = M[r0:r1]
         Mc[...] = Z[:, :d_c]
         for i in range(1, n):
             Zi = Z[:, i * d_c : (i + 1) * d_c]
             if arg is not None:
                 # strictly greater, so the lowest index keeps a tie
-                np.copyto(arg[r0 : r0 + CONV_CHUNK], i, where=Zi > Mc)
+                np.copyto(arg[r0:r1], i, where=Zi > Mc)
             np.maximum(Mc, Zi, out=Mc)
     return M, arg
 
 
-def _conv_max_backward(Xp: np.ndarray, W_stack: np.ndarray, winner, dM: np.ndarray):
+def _conv_max_backward(ids: np.ndarray, W_e: np.ndarray, x_scale, W_stack: np.ndarray,
+                       winner, dM: np.ndarray, dW_e: np.ndarray) -> np.ndarray:
     """Gradients of `_conv_max` for the upstream gradient dM (l >= 1 rows):
-    dW_stack, shaped like W_stack, and dX, a view of the l unpadded rows.
-    Each position's gradient goes to its winning channel only; `winner` is
-    None for a single channel. Per chunk, one GEMM gives the chunk's share
-    of dW_stack and one gives the window gradients, which an s_max-step
-    shifted add folds back onto the input rows."""
+    returns dW_stack, shaped like W_stack, and adds the input gradient,
+    times x_scale, into the rows `ids` of dW_e (-1 rows add nothing). Each
+    position's gradient goes to its winning channel only; `winner` is None
+    for a single channel. Per chunk, one GEMM gives the window gradients,
+    which an s_max-step shifted add folds onto the chunk's input rows; the
+    last s_max - 1 of those carry into the next chunk, the others are
+    finished and added into dW_e in row order. One GEMM with the rebuilt
+    chunk input gives the chunk's share of dW_stack."""
     l, d_c = dM.shape
-    d_e = Xp.shape[1]
+    d_e = W_e.shape[1]
     s = W_stack.shape[0] // d_e
     n = W_stack.shape[1] // d_c
-    win = _windows(Xp, s)
-    dXp = np.zeros_like(Xp)
     for r0 in range(0, l, CONV_CHUNK):
         r1 = min(r0 + CONV_CHUNK, l)
         if n == 1:
             dZ = dM[r0:r1]
         else:
-            dZ = np.zeros((r1 - r0, n * d_c))
-            for i in range(n):
-                np.copyto(dZ[:, i * d_c : (i + 1) * d_c], dM[r0:r1], where=winner[r0:r1] == i)
+            dZ = np.zeros((r1 - r0, n, d_c))
+            np.put_along_axis(dZ, winner[r0:r1, None], dM[r0:r1, None], axis=1)
+            dZ = dZ.reshape(r1 - r0, n * d_c)
         dwin = dZ @ W_stack.T
+        # padded rows r0 .. r1 + s - 2, the first s - 1 carried over
+        dXb = np.zeros((r1 - r0 + s - 1, d_e))
+        if r0:
+            dXb[: s - 1] = carry
         for a in range(s):
-            dXp[r0 + a : r1 + a] += dwin[:, a * d_e : (a + 1) * d_e]
+            dXb[a : a + r1 - r0] += dwin[:, a * d_e : (a + 1) * d_e]
         del dwin  # freed before the dW product allocates its own transient
+        # finished: every padded row before the next chunk's first window
+        done = r1 - r0 if r1 < l else len(dXb)
+        carry = dXb[done:]
+        lo, hi = max(r0 - s // 2, 0), min(r0 + done - s // 2, l)
+        dX = dXb[lo - r0 + s // 2 : hi - r0 + s // 2]
+        part = ids[lo:hi]
+        if x_scale is not None:
+            dX *= x_scale[lo:hi, None]
+        if part.size and part.min() < 0:
+            keep = part >= 0
+            part, dX = part[keep], dX[keep]
+        np.add.at(dW_e, part, dX)
+        win = _windows(_input_block(ids, W_e, x_scale, s, r0, r1), s)
         if r0 == 0:
-            dW = win[r0:r1].T @ dZ
+            dW = win.T @ dZ
         else:
-            dW += win[r0:r1].T @ dZ
-    return dW, dXp[s // 2 : s // 2 + l]
-
-
-def _embed_padded(ids: np.ndarray, W_e: np.ndarray, s: int):
-    """The embedding rows of `ids`, written straight into a zero-padded
-    (len(ids) + s - 1) x d_e input for kernel width `s` (s//2 zeros on the
-    left, so even kernels get the extra one there), and the view of those
-    rows. No separate l x d_e copy is made."""
-    Xp = np.zeros((len(ids) + s - 1, W_e.shape[1]))
-    X = Xp[s // 2 : s // 2 + len(ids)]
-    np.take(W_e, ids, axis=0, out=X)
-    return Xp, X
+            dW += win.T @ dZ
+    return dW
 
 
 def _forward_cached(token_ids, length: int, params: ModelParams, masks: DropoutMasks | None,
@@ -359,13 +394,10 @@ def _forward_cached(token_ids, length: int, params: ModelParams, masks: DropoutM
     ids = np.asarray(token_ids, dtype=np.int64)
     if len(ids) and (ids.min() < 0 or ids.max() >= params.vocab_size):
         raise ValueError("token id out of range for the embedding table")
-    Xp, X = _embed_padded(ids, params["W_e"], max(cfg.kernel_sizes))
-    if masks is not None:
-        X *= masks.x_scale[:, None]
-
     if W_stack is None:
         W_stack = _stack_kernels(params.conv)
-    M, winner = _conv_max(Xp, W_stack, cfg.n_filters, for_backward)
+    M, winner = _conv_max(ids, params["W_e"], None if masks is None else masks.x_scale,
+                          W_stack, cfg.n_filters, for_backward)
     C = np.tanh(M, out=M)
 
     G = C.T @ C                               # (d_c, d_c) Gram matrix
@@ -385,7 +417,7 @@ def _forward_cached(token_ids, length: int, params: ModelParams, masks: DropoutM
     if not np.all(np.isfinite(y)):
         raise NumericalError("non-finite model output")
     cache = {
-        "ids": ids, "Xp": Xp, "winner": winner,
+        "ids": ids, "winner": winner,
         "C": C, "G": G, "P": P, "T": T, "lt": lt, "y": y,
     }
     return y, cache
@@ -410,12 +442,13 @@ class DescriptionBatch:
     convolution, and the gradient they collect over the batch.
 
     The parameters are fixed within a batch, so each label is encoded once.
-    The descriptions are laid into one padded sequence with s//2 zero rows
-    between neighbours (kernel width s = s_max). A window reaches s//2 rows
-    back and (s-1)//2 ahead, so none mixes two descriptions, and each
-    description's rows see exactly the windows of its own padded input. One
-    `_conv_max` runs over the sequence, and each description takes its
-    spatial max over its own rows (ties to the lowest row). `backward` adds
+    The descriptions are laid into one id sequence, `seq`, with s//2 gap
+    rows of id -1, which embed to zero, between neighbours (kernel width
+    s = s_max). A window reaches s//2 rows back and (s-1)//2 ahead, so none
+    mixes two descriptions, and each description's rows see exactly the
+    windows of its own padded input. One `_conv_max` runs over the
+    sequence, and each description takes its spatial max over its own rows
+    (ties to the lowest row). `backward` adds
     each sample's regularizer gradient w.r.t. the dense layer's input into
     one row per label (`regularize`); the encoder's gradient is linear in
     it, so `finish` runs the encoder's backward once for the whole batch.
@@ -431,15 +464,14 @@ class DescriptionBatch:
         if np.any(lens == 0):
             raise ValueError("cannot encode an empty description")
         s, _, d_c = params["desc_conv"].shape
-        # the output row of every description token: description k's tokens
-        # follow k gaps of s//2 zero rows
-        self.ids = np.concatenate(descs)
-        self.rows = np.arange(len(self.ids)) + s // 2 * np.repeat(np.arange(len(lens)), lens)
+        # the row of every description token in the packed sequence:
+        # description k's tokens follow k gaps of s//2 rows, which hold -1
+        self.rows = np.arange(lens.sum()) + s // 2 * np.repeat(np.arange(len(lens)), lens)
         starts = np.concatenate(([0], np.cumsum(lens[:-1])))
-        self.Xp = np.zeros((self.rows[-1] + s, params["W_e"].shape[1]))
-        self.Xp[s // 2 + self.rows] = params["W_e"][self.ids]
+        self.seq = np.full(self.rows[-1] + 1, -1)
+        self.seq[self.rows] = np.concatenate(descs)
         self.W = _stack_kernels([params["desc_conv"]])
-        Z, _ = _conv_max(self.Xp, self.W, d_c, False)
+        Z, _ = _conv_max(self.seq, params["W_e"], None, self.W, d_c, False)
         Zd = Z[self.rows]
         self.m = np.maximum.reduceat(Zd, starts, axis=0)             # (k, d_c)
         # argmax within each description: the first row holding the max
@@ -467,11 +499,10 @@ class DescriptionBatch:
         grads["desc_W"] += self.Dpre.T @ self.m
         grads["desc_b"] += self.Dpre.sum(axis=0)
         d_c = self.F.shape[1]
-        dZ = np.zeros((self.rows[-1] + 1, d_c))
+        dZ = np.zeros((len(self.seq), d_c))
         dZ[self.amax, np.arange(d_c)] = self.Dpre @ params["desc_W"]
-        dW, dX = _conv_max_backward(self.Xp, self.W, None, dZ)
+        dW = _conv_max_backward(self.seq, params["W_e"], None, self.W, None, dZ, grads["W_e"])
         grads["desc_conv"] += dW.reshape(params["desc_conv"].shape)
-        np.add.at(grads["W_e"], self.ids, dX[self.rows])
 
 
 def description_batch(params: ModelParams, desc_ids_list, golds) -> DescriptionBatch | None:
@@ -538,7 +569,7 @@ def _sample_backward(token_ids, length: int, gold, params: ModelParams,
     cfg = params.config
     y, cache = _forward_cached(token_ids, length, params, masks, W_stack=W_stack)
     g = np.asarray(gold, dtype=np.float64)
-    C = cache["C"]
+    C = cache.pop("C")
 
     dlogits = y - g                                  # (J,)
     grads["U"] += dlogits[:, None] * cache["P"]
@@ -568,13 +599,16 @@ def _sample_backward(token_ids, length: int, gold, params: ModelParams,
     # a zero-length document has no frames: its convolution and embedding
     # gradients are zero
     if C.shape[0] > 0:
-        dM = dC * (1.0 - C * C)
-        dW, dXd = _conv_max_backward(cache["Xp"], W_stack, cache["winner"], dM)
+        # dM = dC * (1 - C*C), the tanh derivative computed in C's buffer
+        np.multiply(C, C, out=C)
+        np.subtract(1.0, C, out=C)
+        dC *= C
+        del C
+        dW = _conv_max_backward(cache["ids"], params["W_e"],
+                                None if masks is None else masks.x_scale, W_stack,
+                                cache["winner"], dC, grads["W_e"])
         for i, block in enumerate(_channel_blocks(dW, cfg.kernel_sizes, cfg.embed_dim)):
             grads[f"conv{i}"] += block
-
-        dX = dXd if masks is None else dXd * masks.x_scale[:, None]
-        np.add.at(grads["W_e"], cache["ids"], dX)
     return loss
 
 

@@ -83,7 +83,12 @@ class AdamState:
 
 def adam_step(params: ModelParams, grads: GradientSet, state: AdamState, cfg: TrainConfig) -> None:
     """Bias-corrected Adam update, applied in place. A non-finite gradient
-    raises NumericalError before anything is updated."""
+    raises NumericalError before anything is updated.
+
+    The gradient is spent once `v` is updated, so its buffers serve as
+    scratch (`grads` holds no gradient afterwards), beside one transient
+    per tensor. The operation order is that of m = b1*m + (1-b1)*g,
+    v = b2*v + (1-b2)*g*g, arr -= lr * (m/bc1) / (sqrt(v/bc2) + eps)."""
     grads.check_finite()
     state.t += 1
     bc1 = 1.0 - BETA1 ** state.t
@@ -91,11 +96,20 @@ def adam_step(params: ModelParams, grads: GradientSet, state: AdamState, cfg: Tr
     for name, arr in params.tensors():
         g = grads[name]
         m, v = state.m[name], state.v[name]
+        scratch = np.multiply(1.0 - BETA1, g)
         m *= BETA1
-        m += (1.0 - BETA1) * g
+        m += scratch
         v *= BETA2
-        v += (1.0 - BETA2) * g * g
-        arr -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + EPSILON)
+        np.multiply(1.0 - BETA2, g, out=scratch)
+        scratch *= g
+        v += scratch
+        denom = np.divide(v, bc2, out=g)
+        np.sqrt(denom, out=denom)
+        denom += EPSILON
+        np.divide(m, bc1, out=scratch)
+        scratch *= cfg.learning_rate
+        scratch /= denom
+        arr -= scratch
 
 
 @dataclass
@@ -137,17 +151,16 @@ def dev_micro_f1(params: ModelParams, docs) -> float:
 
 
 def epochs(params: ModelParams, train_docs, dev_docs, desc_ids_list, cfg: TrainConfig):
-    """Train a copy of `params` for `cfg.max_epochs` epochs, yielding each
+    """Train `params` in place for `cfg.max_epochs` epochs, yielding each
     epoch's stats together with the parameters after it (live: copy them to
-    keep them). Shuffling, truncation and dropout derive from (seed, epoch,
-    document), so two runs of one `params` agree epoch by epoch whatever
-    their `max_epochs`.
+    keep them). Callers pass a freshly initialized set. Shuffling,
+    truncation and dropout derive from (seed, epoch, document), so two runs
+    from equal `params` agree epoch by epoch whatever their `max_epochs`.
 
     `desc_ids_list` holds each label's encoded description (required for
     mvc-rlda, ignored for mvc-lda). Both document sets must be non-empty;
     the commands check their splits before any file is written.
     """
-    params = params.copy()
     n_labels = params.n_labels
     d_c = params.config.n_filters
     state = AdamState.for_params(params)
@@ -188,9 +201,9 @@ def train(
     desc_ids_list,
     cfg: TrainConfig,
 ) -> tuple[ModelParams, TrainHistory]:
-    """Run `epochs` until the early stopper halts it; returns the parameters
-    of the epoch with the best dev micro F1 together with the per-epoch
-    history."""
+    """Run `epochs` on `params`, which it trains in place, until the early
+    stopper halts it; returns a copy of the parameters of the epoch with the
+    best dev micro F1 together with the per-epoch history."""
     history = TrainHistory()
     for stats, trained in epochs(params, train_docs, dev_docs, desc_ids_list, cfg):
         stop = history.add(stats, cfg.patience)

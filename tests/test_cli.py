@@ -458,6 +458,20 @@ class TestEvaluate:
             "--p-at", p_at,
         ])
 
+    def test_evaluating_into_the_train_directory_keeps_both_manifests(
+            self, corpus_dir, train_cfg_path, tmp_path):
+        out = tmp_path / "run"
+        assert run(["train", "--model", "mvc-lda", "--train", str(corpus_dir / "train.jsonl"),
+                    "--dev", str(corpus_dir / "dev.jsonl"),
+                    "--labels", str(corpus_dir / "descriptions.tsv"),
+                    "--config", str(train_cfg_path), "--seed", "3", "--out", str(out)]) == 0
+        assert self._evaluate(out, corpus_dir, "test", out / "metrics.json") == 0
+        trained = json.loads((out / "manifest.json").read_text())
+        evaluated = json.loads((out / "metrics.manifest.json").read_text())
+        assert trained["command"] == "train" and "train" in trained["inputs"]
+        assert evaluated["command"] == "evaluate" and "checkpoint" in evaluated["inputs"]
+        assert evaluated["artifacts"] == {"metrics": str(out / "metrics.json")}
+
     def test_reproduces_best_dev_micro_f1(self, trained_dir, corpus_dir, tmp_path):
         out = tmp_path / "dev_metrics.json"
         assert self._evaluate(trained_dir, corpus_dir, "dev", out) == 0
@@ -1106,7 +1120,9 @@ class TestCommandFront:
             "synth", "train", "evaluate", "baseline", "hyperband", "ablate"}
         for argv, out, given in cases:
             assert run(argv) == 0, argv
-            manifest = json.loads((tmp_path / out / "manifest.json").read_text())
+            # evaluate's manifest is named after its metrics file, m.json
+            file = "m.manifest.json" if argv[0] == "evaluate" else "manifest.json"
+            manifest = json.loads((tmp_path / out / file).read_text())
             assert manifest["command"] == argv[0]
             assert set(manifest["inputs"]) == given, argv
             for name, entry in manifest["inputs"].items():

@@ -142,11 +142,14 @@ class TestCbowMatchesPerCenterLoop:
 
 class TestEmbedLookup:
     """The embedding step forward and the description encoder share: rows
-    of the table written into the zero-padded convolution input."""
+    of the table written into the zero-padded input of one convolution
+    chunk, here the only one."""
 
     @staticmethod
-    def lookup(ids, table, s=1):
-        return model._embed_padded(np.asarray(ids, dtype=np.int64), table, s)
+    def lookup(ids, table, s=1, x_scale=None):
+        ids = np.asarray(ids, dtype=np.int64)
+        Xp = model._input_block(ids, table, x_scale, s, 0, len(ids))
+        return Xp, Xp[s // 2 : s // 2 + len(ids)]
 
     def test_empty_document(self):
         Xp, X = self.lookup([], np.ones((4, 3)), s=3)
@@ -159,6 +162,19 @@ class TestEmbedLookup:
         rows = np.array([[0, 0, 1, 0], [1, 0, 0, 0]], dtype=float)
         assert np.array_equal(X, rows)
         assert np.array_equal(Xp, np.vstack([np.zeros((2, 4)), rows, np.zeros((1, 4))]))
+
+    def test_gap_rows_zero_and_rows_scaled(self):
+        Xp, X = self.lookup([1, -1, 2], np.arange(1.0, 7.0).reshape(3, 2), s=2,
+                            x_scale=np.array([2.0, 3.0, 0.0]))
+        assert np.array_equal(X, [[6.0, 8.0], [0.0, 0.0], [0.0, 0.0]])
+        assert np.array_equal(Xp[0], [0.0, 0.0])
+
+    def test_chunk_block_reads_its_window_rows(self):
+        # output rows 2..4 of a width-4 convolution read sequence rows 0..5
+        table = np.arange(8.0)[:, None]
+        ids = np.array([7, 6, 5, 4, 3, 2, 1])
+        block = model._input_block(ids, table, None, 4, 2, 5)
+        assert np.array_equal(block[:, 0], [7.0, 6.0, 5.0, 4.0, 3.0, 2.0])
 
     def test_repeated_ids_identical_rows(self):
         rng = np.random.default_rng(4)

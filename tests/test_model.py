@@ -138,10 +138,10 @@ class TestMultiViewConv:
         rng = np.random.default_rng(3)
         X = rng.normal(size=(6, 3))
         weights = [rng.normal(size=(s, 3, 2)) for s in (1, 3, 5, 7)]
-        Xp, _ = model._embed_padded(np.arange(len(X)), X, 7)
 
         def cross_channel_max(ws):
-            return model._conv_max(Xp, model._stack_kernels(ws), 2, False)[0]
+            return model._conv_max(np.arange(len(X)), X, None, model._stack_kernels(ws), 2,
+                                   False)[0]
 
         assert np.allclose(cross_channel_max(weights), cross_channel_max(weights[::-1]),
                            atol=1e-12)
@@ -162,7 +162,9 @@ class TestMultiViewConv:
 
 
 class TestChunkedConv:
-    """The stacked, row-chunked convolution against the per-channel one."""
+    """The stacked, row-chunked convolution against the per-channel one. The
+    sequence ids = 0..l-1 over the table X embeds to X, so the input
+    gradient is what `_conv_max_backward` adds into a zero table."""
 
     @pytest.mark.parametrize("kernels", [(1, 3), (2, 4, 6, 8), (6, 8, 10, 12), (5,)])
     @pytest.mark.parametrize("l", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5])
@@ -172,9 +174,9 @@ class TestChunkedConv:
         X = rng.normal(size=(l, d_e))
         weights = [rng.normal(size=(s, d_e, d_c)) for s in kernels]
         M_ref, winner_ref = multi_view_max(X, weights)
-        Xp, _ = model._embed_padded(np.arange(l), X, max(kernels))
+        ids = np.arange(l)
         W_stack = model._stack_kernels(weights)
-        M, winner = model._conv_max(Xp, W_stack, d_c, True)
+        M, winner = model._conv_max(ids, X, None, W_stack, d_c, True)
         assert_rel_close(M, M_ref)
         assert_rel_close(frames(X, weights), np.tanh(M_ref))
         if len(kernels) > 1:
@@ -184,8 +186,40 @@ class TestChunkedConv:
 
         dM = rng.normal(size=(l, d_c))
         dW_ref, dX_ref = multi_view_max_backward(X, weights, winner_ref, dM)
-        dW, dX = model._conv_max_backward(Xp, W_stack, winner, dM)
+        dX = np.zeros_like(X)
+        dW = model._conv_max_backward(ids, X, None, W_stack, winner, dM, dX)
         assert_rel_close(dX, dX_ref)
+        for block, ref in zip(model._channel_blocks(dW, kernels, d_e), dW_ref, strict=True):
+            assert_rel_close(block, ref)
+
+    @pytest.mark.parametrize("kernels", [(1, 3), (2, 4, 6, 8), (5,)])
+    def test_gapped_sequence_with_dropout_matches_reference(self, kernels):
+        # -1 rows (gaps, one of them across the first chunk boundary) embed
+        # to zero and collect no gradient; the dropout scale multiplies each
+        # row forward and its gradient backward
+        rng = np.random.default_rng(sum(kernels))
+        d_e, d_c, vocab, l = 3, 4, 9, 2 * CHUNK + 5
+        table = rng.normal(size=(vocab, d_e))
+        weights = [rng.normal(size=(s, d_e, d_c)) for s in kernels]
+        ids = rng.integers(0, vocab, l)
+        ids[[0, 7, 8, 9, CHUNK - 2, CHUNK - 1, CHUNK, CHUNK + 1, l - 1]] = -1
+        x_scale = (rng.random(l) >= 0.3) / 0.7
+        valid = ids >= 0
+        X = np.where(valid[:, None], table[ids] * x_scale[:, None], 0.0)
+        M_ref, winner_ref = multi_view_max(X, weights)
+        W_stack = model._stack_kernels(weights)
+        M, winner = model._conv_max(ids, table, x_scale, W_stack, d_c, True)
+        assert_rel_close(M, M_ref)
+        if len(kernels) > 1:
+            assert np.array_equal(winner, winner_ref)
+
+        dM = rng.normal(size=(l, d_c))
+        dW_ref, dX_ref = multi_view_max_backward(X, weights, winner_ref, dM)
+        dtable_ref = np.zeros_like(table)
+        np.add.at(dtable_ref, ids[valid], (dX_ref * x_scale[:, None])[valid])
+        dtable = np.zeros_like(table)
+        dW = model._conv_max_backward(ids, table, x_scale, W_stack, winner, dM, dtable)
+        assert_rel_close(dtable, dtable_ref)
         for block, ref in zip(model._channel_blocks(dW, kernels, d_e), dW_ref, strict=True):
             assert_rel_close(block, ref)
 
@@ -209,14 +243,56 @@ class TestChunkedConv:
         X = rng.normal(size=(l, d_e))
         w1, w3 = rng.normal(size=(1, d_e, d_c)), rng.normal(size=(3, d_e, d_c))
         weights = [w1, w3, w3.copy()]  # channels 1 and 2 tie at every position
-        Xp, W_stack = model._embed_padded(np.arange(l), X, 3)[0], model._stack_kernels(weights)
-        _, winner = model._conv_max(Xp, W_stack, d_c, True)
+        ids, W_stack = np.arange(l), model._stack_kernels(weights)
+        _, winner = model._conv_max(ids, X, None, W_stack, d_c, True)
         assert np.array_equal(winner, multi_view_max(X, weights)[1])
         assert np.any(winner == 1) and not np.any(winner == 2)
-        dW, _ = model._conv_max_backward(Xp, W_stack, winner, rng.normal(size=(l, d_c)))
+        dW = model._conv_max_backward(ids, X, None, W_stack, winner,
+                                      rng.normal(size=(l, d_c)), np.zeros_like(X))
         blocks = model._channel_blocks(dW, (1, 3, 3), d_e)
         assert np.array_equal(blocks[2], np.zeros_like(w3))
         assert not np.allclose(blocks[1], 0.0)
+
+
+class TestMemoryPerToken:
+    """One training step and inference hold no l x d_e float64 array: their
+    traced peak grows by less than 8 * d_e bytes per extra token, with
+    d_e much larger than d_c."""
+
+    D_E, D_C, LABELS = 64, 4, 3
+
+    @staticmethod
+    def peak(run) -> int:
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def growth_per_token(self, run):
+        """Peak growth per token of `run(params, ids, masks)` from a note of
+        4 * CHUNK tokens to one of 8 * CHUNK, the inputs made untraced."""
+        params = small_params(seed=42, vocab=50, labels=self.LABELS, d_e=self.D_E,
+                              d_c=self.D_C, kernels=(6, 8, 10, 12))
+        peaks = []
+        for l in (4 * CHUNK, 8 * CHUNK):
+            rng = np.random.default_rng(l)
+            ids = rng.integers(0, 50, l)
+            masks = model.make_dropout_masks(rng, l, self.LABELS, self.D_C, 0.2)
+            peaks.append(self.peak(lambda: run(params, ids, masks)))
+        return (peaks[1] - peaks[0]) / (4 * CHUNK)
+
+    def test_backward(self):
+        gold = np.array([1.0, 0.0, 1.0])
+        growth = self.growth_per_token(
+            lambda params, ids, masks: model.backward([(ids, len(ids), gold, masks)], params))
+        assert growth < 8 * self.D_E
+
+    def test_predict_matrix(self):
+        growth = self.growth_per_token(lambda params, ids, masks: model.predict_matrix(
+            params, [EncodedDocument(ids, np.zeros(self.LABELS))]))
+        assert growth < 8 * self.D_E
 
 
 class TestAttentionPool:
@@ -323,8 +399,9 @@ class TestForward:
 
     def test_eval_peak_allocation_bounded_on_a_long_note(self):
         # paper dimensions, 20,000 tokens: the transients are per row chunk,
-        # so the peak is a few l x d_e and l x d_c arrays (~35 MB), where the
-        # unchunked per-channel convolution reached 139 MB
+        # so the peak is one l x d_c array (~14 MB) and chunk-sized
+        # transients, where the unchunked per-channel convolution reached
+        # 139 MB
         rng = np.random.default_rng(32)
         params = model.init_params(model.ModelConfig(), 500, 48, rng)
         ids = rng.integers(0, 500, 20_000)
@@ -452,6 +529,16 @@ class TestDescriptionBatch:
         grads = self.assert_matches_reference(samples, params, desc)
         for name in ("W_e", "desc_conv", "desc_W", "desc_b"):
             assert np.any(grads[name]), name
+
+    @pytest.mark.parametrize("kernels", [(2, 4, 6, 8), (5,)])
+    def test_packed_sequence_across_conv_chunks(self, kernels):
+        # descriptions of ~CHUNK/4 tokens: the packed sequence of the batch's
+        # six gold labels crosses a CONV_CHUNK boundary
+        samples, params, desc = self.batch(kernels)
+        rng = np.random.default_rng(41)
+        desc = [rng.integers(0, self.VOCAB, CHUNK // 4 + 7 * j) for j in range(self.J)]
+        assert len(model.DescriptionBatch(params, desc, range(self.J)).seq) > CHUNK
+        self.assert_matches_reference(samples, params, desc)
 
     @pytest.mark.parametrize("kernels", [(1, 3), (2, 4, 6, 8), (5,)])
     def test_batch_of_one_matches_per_label_loop(self, kernels):
