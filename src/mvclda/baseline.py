@@ -23,8 +23,6 @@ from .corpus import build_vocabulary, write_tensor_file
 BASELINE_FORMAT = "mvclda.baseline"
 BASELINE_FORMAT_VERSION = 3
 
-MAX_FEATURES = 10_000
-
 _MIN_SCALE = 1e-100
 
 
@@ -49,19 +47,27 @@ class TfidfFeaturizer:
         return X
 
 
-def fit_tfidf(token_docs, max_features: int = MAX_FEATURES,
-              min_doc_freq: int = 1) -> TfidfFeaturizer:
-    """Select the most document-frequent unigrams (ties lexicographic: the
-    `build_vocabulary` ranking) among those in at least `min_doc_freq`
-    documents, and fit idf = ln(N / df)."""
-    if not token_docs:
-        raise ValueError("cannot fit tf-idf on an empty corpus")
-    if max_features < 1:
-        raise ValueError("max_features must be >= 1")
-    vocab = build_vocabulary(token_docs, min_doc_freq)
+@dataclass(frozen=True)
+class TfidfConfig:
+    max_features: int = 10_000
+    min_doc_freq: int = 1
+
+    def __post_init__(self):
+        if self.max_features < 1:
+            raise ValueError("max_features must be >= 1")
+        if self.min_doc_freq < 1:
+            raise ValueError(f"min_doc_freq must be >= 1, not {self.min_doc_freq}")
+
+
+def fit_tfidf(token_docs, cfg: TfidfConfig = TfidfConfig()) -> TfidfFeaturizer:
+    """Select the `cfg.max_features` most document-frequent unigrams (ties
+    lexicographic: the `build_vocabulary` ranking) among those in at least
+    `cfg.min_doc_freq` documents, and fit idf = ln(N / df). An empty corpus,
+    or a floor that keeps no term of a non-empty one, raises ValueError."""
+    vocab = build_vocabulary(token_docs, cfg.min_doc_freq)
     if not vocab.id_to_token and any(token_docs):
-        raise ValueError(f"no term occurs in min_doc_freq = {min_doc_freq} documents")
-    terms = vocab.id_to_token[:max_features]
+        raise ValueError(f"no term occurs in min_doc_freq = {cfg.min_doc_freq} documents")
+    terms = vocab.id_to_token[:cfg.max_features]
     n = len(token_docs)
     idf = np.array([math.log(n / vocab.doc_freq[t]) for t in terms])
     return TfidfFeaturizer(terms=terms, idf=idf)

@@ -92,11 +92,9 @@ TRAIN_KEYS = {
     **_keys(train_mod.TrainConfig, skip={"seed"}),
     **_keys(model.ModelConfig, skip={"kind"}),
     **_keys(embed.CbowConfig, skip={"dim", "lr_start", "lr_end", "seed"}),
-    "min_doc_freq": int,
 }
 HYPERBAND_KEYS = {**TRAIN_KEYS, **_keys(hb.SearchSpace)}
-BASELINE_KEYS = {**_keys(baseline.SvmConfig, skip={"seed"}), "max_features": int,
-                 "min_doc_freq": int}
+BASELINE_KEYS = {**_keys(baseline.SvmConfig, skip={"seed"}), **_keys(baseline.TfidfConfig)}
 # every key of any command; an MVC_ variable that names none is refused
 ALL_KEYS = SYNTH_KEYS.keys() | HYPERBAND_KEYS.keys() | BASELINE_KEYS.keys()
 
@@ -185,7 +183,7 @@ def _load_label_space(args) -> corpus.LabelSpace:
     hierarchy = getattr(args, "hierarchy", None)
     parents = corpus.read_hierarchy_tsv(hierarchy) if hierarchy else None
     labels = corpus.make_label_space(descriptions, parents)
-    largest = max(np.ravel(getattr(args, "p_at", 0)))  # a list, or ablate's one n
+    largest = max(getattr(args, "p_at", [0]))
     if largest > labels.n_labels:
         raise ValueError(f"--p-at {largest} exceeds the number of labels {labels.n_labels}")
     return labels
@@ -261,8 +259,7 @@ def _training_setup(args, keys: dict) -> _TrainingSetup:
     splits = {name: _read_split(name, getattr(args, name), labels,
                                 scored=args.command == "ablate" and name == eval_split)
               for name in dict.fromkeys(("train", "dev", eval_split))}
-    vocab = corpus.build_vocabulary(splits["train"].tokens,
-                                    values.get("min_doc_freq", corpus.MIN_DOC_FREQ))
+    vocab = corpus.build_vocabulary(splits["train"].tokens, train_cfg.min_doc_freq)
     docs = {name: corpus.encode_corpus(s.raws, vocab, labels, s.tokens, (s.gold, s.dropped))[0]
             for name, s in splits.items()}
 
@@ -455,7 +452,8 @@ def cmd_ablate(args) -> int:
         best, history = train_mod.train(_init_params(run, model_cfg, table), train_docs,
                                         dev_docs, run.desc_ids, run.train_cfg)
         report = metrics.evaluate_predictions(model.predict_matrix(best, eval_docs),
-                                              train_mod.gold_matrix(eval_docs), p_at=(args.p_at,))
+                                              train_mod.gold_matrix(eval_docs),
+                                              p_at=tuple(args.p_at))
         return {"best_dev_micro_f1": history.best_dev_micro_f1, "micro_f1": report.micro_f1,
                 "pr_auc": report.pr_auc, "p_at": report.p_at}
 
@@ -482,7 +480,7 @@ def cmd_ablate(args) -> int:
         ablations[name] = entry
 
     out_path = run.out_dir / "ablation.json"
-    corpus.write_json(out_path, {"format_version": 1, "p_at": args.p_at, "full": full,
+    corpus.write_json(out_path, {"format_version": 2, "p_at": args.p_at, "full": full,
                                  "ablations": ablations})
     run.artifacts["ablation"] = out_path
     _write_manifest(run.out_dir, args, run.values, run.artifacts)
@@ -498,11 +496,11 @@ def cmd_ablate(args) -> int:
 def cmd_baseline(args) -> int:
     values = load_config(args.config, BASELINE_KEYS)
     svm_cfg = _build(baseline.SvmConfig, values, seed=args.seed)
+    tfidf_cfg = _build(baseline.TfidfConfig, values)
     labels = _load_label_space(args)
     train = _read_split("train", args.train, labels)
     test = _read_split("test", args.test, labels, scored=True)
-    tfidf_kw = {key: values[key] for key in ("max_features", "min_doc_freq") if key in values}
-    featurizer = baseline.fit_tfidf(train.tokens, **tfidf_kw)
+    featurizer = baseline.fit_tfidf(train.tokens, tfidf_cfg)
     X_train = featurizer.transform(train.tokens)
     X_test = featurizer.transform(test.tokens)
     if args.hierarchy:
@@ -611,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", help="evaluation split for the deltas (default: dev)")
     p.add_argument("--components", type=_components, default="all",
                    help=f"all, or a comma list of {','.join(ABLATIONS)}")
-    p.add_argument("--p-at", type=_int_at_least(1), default=8)
+    p.add_argument("--p-at", type=_p_at_list, default=[8])
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("baseline", help="tf-idf one-vs-rest linear baseline")
@@ -636,7 +634,7 @@ def main(argv=None) -> int:
         # instead of warning and writing a result that silently stalled
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args)
-    except (model.NumericalError, FloatingPointError) as exc:
+    except FloatingPointError as exc:
         print(f"mvclda: numerical error in {args.command}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, OSError) as exc:  # corpus.DataFormatError is a ValueError

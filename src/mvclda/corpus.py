@@ -50,13 +50,18 @@ class Vocabulary:
 
     Retained tokens are those occurring in at least `min_doc_freq` distinct
     training documents; ids are assigned by descending document frequency
-    with lexicographic tie-break, and the OOV id comes last.
+    with lexicographic tie-break, and the OOV id comes last: `token_to_id`
+    and `oov_id` follow from `id_to_token`.
     """
 
-    token_to_id: dict[str, int]
     id_to_token: list[str]
-    oov_id: int
     doc_freq: dict[str, int]
+    token_to_id: dict[str, int] = field(init=False)
+    oov_id: int = field(init=False)
+
+    def __post_init__(self):
+        self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
+        self.oov_id = len(self.id_to_token)
 
     @property
     def size(self) -> int:
@@ -76,8 +81,6 @@ def build_vocabulary(
 
     A token is retained iff it occurs in >= min_doc_freq distinct documents.
     """
-    if min_doc_freq < 1:
-        raise ValueError(f"min_doc_freq must be >= 1, not {min_doc_freq}")
     if not train_docs:
         raise ValueError("cannot build a vocabulary from an empty training set")
     df: dict[str, int] = {}
@@ -88,13 +91,7 @@ def build_vocabulary(
         (t for t, c in df.items() if c >= min_doc_freq),
         key=lambda t: (-df[t], t),
     )
-    token_to_id = {t: i for i, t in enumerate(retained)}
-    return Vocabulary(
-        token_to_id=token_to_id,
-        id_to_token=retained,
-        oov_id=len(retained),
-        doc_freq={t: df[t] for t in retained},
-    )
+    return Vocabulary(retained, {t: df[t] for t in retained})
 
 
 @dataclass
@@ -398,28 +395,32 @@ def write_pairs_tsv(path, pairs) -> None:
             fh.write(f"{key}\t{value}\n")
 
 
-def _read_pairs(path, columns: str, parse=str) -> dict:
-    """Two-column TSV as {key: parse(value)}, blank lines skipped. A line
-    without exactly two fields, a key seen before, or a value `parse`
-    rejects raises DataFormatError naming `path:line`; `columns`
-    ("code<TAB>group") names the two fields."""
-    key_name, value_name = columns.split("<TAB>")
+def _read_pairs(path, columns: str, parse=str, skip: int = 0) -> dict:
+    """TSV with the fields `columns` names ("code<TAB>group") as {first
+    field: the others, each through `parse`}: the one other field of a
+    two-column file, else a tuple of them. The first `skip` lines (headers)
+    and blank lines are passed over. A line without exactly those fields,
+    a first field seen before, or a field `parse` rejects raises
+    DataFormatError naming `path:line`."""
+    key_name, *value_names = columns.split("<TAB>")
     out: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
-            if not line:
+            if lineno <= skip or not line:
                 continue
-            parts = line.split("\t")
-            if len(parts) != 2:
+            key, *raws = line.split("\t")
+            if len(raws) != len(value_names):
                 raise DataFormatError(f"{path}:{lineno}: expected {columns}")
-            key, raw = parts
             if key in out:
                 raise DataFormatError(f"{path}:{lineno}: duplicate {key_name} {key!r}")
-            try:
-                out[key] = parse(raw)
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: bad {value_name} {raw!r}: {exc}") from exc
+            values = []
+            for name, raw in zip(value_names, raws):
+                try:
+                    values.append(parse(raw))
+                except ValueError as exc:
+                    raise DataFormatError(f"{path}:{lineno}: bad {name} {raw!r}: {exc}") from exc
+            out[key] = values[0] if len(values) == 1 else tuple(values)
     return out
 
 
@@ -523,34 +524,22 @@ def _parse_int(path, lineno: int, name: str, raw: str) -> int:
 
 
 def load_vocabulary(path) -> Vocabulary:
+    """The vocabulary of a `vocabulary_bytes` file: its header, then its
+    rows through `_read_pairs`, whose ids must count up from 0 and be
+    followed by the header's oov_id."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
-        if not header.startswith("#version="):
-            raise DataFormatError(f"{path}:1: missing vocabulary header")
-        fields = dict(p.partition("=")[::2] for p in header[1:].split("\t"))
-        if _parse_int(path, 1, "version", fields["version"]) != VOCAB_FORMAT_VERSION:
-            raise DataFormatError(f"{path}:1: unsupported vocabulary format version")
-        # a missing oov_id fails the check below
-        oov_id = _parse_int(path, 1, "oov_id", fields.get("oov_id", "-1"))
-        id_to_token: list[str] = []
-        doc_freq: dict[str, int] = {}
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataFormatError(f"{path}:{lineno}: expected token<TAB>id<TAB>doc_freq")
-            tok, ident, freq = parts
-            if _parse_int(path, lineno, "id", ident) != len(id_to_token):
-                raise DataFormatError(f"{path}:{lineno}: ids must be dense and in order")
-            id_to_token.append(tok)
-            doc_freq[tok] = _parse_int(path, lineno, "doc_freq", freq)
-    if oov_id != len(id_to_token):
+    if not header.startswith("#version="):
+        raise DataFormatError(f"{path}:1: missing vocabulary header")
+    fields = dict(p.partition("=")[::2] for p in header[1:].split("\t"))
+    if _parse_int(path, 1, "version", fields["version"]) != VOCAB_FORMAT_VERSION:
+        raise DataFormatError(f"{path}:1: unsupported vocabulary format version")
+    # a missing oov_id fails the check below
+    oov_id = _parse_int(path, 1, "oov_id", fields.get("oov_id", "-1"))
+    rows = _read_pairs(path, "token<TAB>id<TAB>doc_freq", int, skip=1)
+    if [ident for ident, _ in rows.values()] != list(range(len(rows))):
+        raise DataFormatError(f"{path}: ids must be dense and in order")
+    vocab = Vocabulary(list(rows), {tok: freq for tok, (_, freq) in rows.items()})
+    if oov_id != vocab.oov_id:
         raise DataFormatError(f"{path}: oov_id does not follow the retained tokens")
-    return Vocabulary(
-        token_to_id={t: i for i, t in enumerate(id_to_token)},
-        id_to_token=id_to_token,
-        oov_id=oov_id,
-        doc_freq=doc_freq,
-    )
+    return vocab

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NumericalError
-
 LAMBDA_CANDIDATES = (0.001, 0.0001, 0.0005, 0.0007, 0.01)
 
 
@@ -116,7 +114,7 @@ class _Runs:
             try:
                 while len(done) < epochs:
                     done.append(float(next(self.live[config])))
-            except (NumericalError, FloatingPointError) as exc:
+            except FloatingPointError as exc:
                 print(f"warning: {where} diverged, scored 0.0: {exc}", file=sys.stderr)
                 del self.live[config]
                 self.diverged.add(config)
@@ -136,8 +134,10 @@ def hyperband_search(
 ) -> tuple[TrialConfig, float, list[Trial]]:
     """Run all brackets; `start(config)` must return that config's training
     run, an iterator of the dev micro F1 after each epoch (at least R), the
-    same on every call. A trial whose run raises NumericalError or
-    FloatingPointError scores 0.0, with a warning, and the search goes on.
+    same on every call. A trial whose run raises FloatingPointError (a
+    non-finite loss, output or gradient, or a float overflow, invalid
+    operation or division by zero under the command's `np.errstate`)
+    scores 0.0, with a warning, and the search goes on.
 
     Survivors of each rung are the top floor(n_i/eta) configs by score,
     earlier trial index winning ties. Returns (best config, its score, the

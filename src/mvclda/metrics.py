@@ -240,7 +240,7 @@ def evaluate_predictions(
         n_labels=int(scores.shape[1]),
         threshold=DEFAULT_THRESHOLD,
         tp=tp, fp=fp, fn=fn,
-        micro_f1=micro_f1(pred, gold01),
+        micro_f1=_f1_from_counts(tp, fp, fn),
         micro_f1_by_group=by_group,
         macro_f1=macro,
         macro_n_labels=macro_n,

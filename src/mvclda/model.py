@@ -80,10 +80,6 @@ MODEL_KINDS = ("mvc-lda", "mvc-rlda")
 CONV_CHUNK = 512
 
 
-class NumericalError(RuntimeError):
-    """Non-finite value encountered during forward/backward computation."""
-
-
 def sigmoid(x):
     """Logistic function with one overflow-free exp: with e = exp(-|x|),
     1/(1+e) for x >= 0 and e/(1+e) below. -|x| is taken as min(x, -x),
@@ -184,7 +180,7 @@ class GradientSet:
     def check_finite(self) -> None:
         for name, arr in self.data.items():
             if not np.all(np.isfinite(arr)):
-                raise NumericalError(f"non-finite gradient in tensor {name!r}")
+                raise FloatingPointError(f"non-finite gradient in tensor {name!r}")
 
 
 def _glorot(rng, shape, fan_in, fan_out):
@@ -245,8 +241,6 @@ class DropoutMasks:
 def make_dropout_masks(rng, l: int, n_labels: int, d_c: int, rate: float) -> DropoutMasks | None:
     if rate <= 0.0:
         return None
-    if not 0.0 < rate < 1.0:
-        raise ValueError("dropout rate must lie in [0, 1)")
     return DropoutMasks(
         x_scale=(rng.random(l) >= rate) / (1.0 - rate),
         p_scale=(rng.random((n_labels, d_c)) >= rate) / (1.0 - rate),
@@ -284,9 +278,8 @@ def _stack_kernels(weights) -> np.ndarray:
 def _windows(Xp: np.ndarray, s: int) -> np.ndarray:
     # zero-copy (l, s*d_e) view, row-major over (offset, embedding-dim): in
     # the C-contiguous Xp a window is s*d_e consecutive floats, and the next
-    # window starts one row later
-    if Xp.shape[0] < s:
-        return np.empty((0, s * Xp.shape[1]))
+    # window starts one row later. Xp has at least s rows: a chunk's padded
+    # block holds its r1 - r0 >= 1 output rows plus s - 1
     return np.ndarray(shape=(Xp.shape[0] - s + 1, s * Xp.shape[1]), buffer=Xp,
                       strides=(Xp.strides[0], Xp.strides[1]))
 
@@ -415,7 +408,7 @@ def _forward_cached(token_ids, length: int, params: ModelParams, masks: DropoutM
         T = None
     y = sigmoid(logits)
     if not np.all(np.isfinite(y)):
-        raise NumericalError("non-finite model output")
+        raise FloatingPointError("non-finite model output")
     cache = {
         "ids": ids, "winner": winner,
         "C": C, "G": G, "P": P, "T": T, "lt": lt, "y": y,
@@ -594,7 +587,7 @@ def _sample_backward(token_ids, length: int, gold, params: ModelParams,
         reg = desc_batch.regularize(np.flatnonzero(g > 0), grads)
     loss = loss_mvc_lda(y, g) + reg
     if not np.isfinite(loss):
-        raise NumericalError("non-finite loss")
+        raise FloatingPointError("non-finite loss")
 
     # a zero-length document has no frames: its convolution and embedding
     # gradients are zero

@@ -14,16 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import EncodedDocument
+from .corpus import MIN_DOC_FREQ, EncodedDocument
 from .metrics import binarize, micro_f1
-from .model import (
-    GradientSet,
-    ModelParams,
-    NumericalError,
-    backward,
-    make_dropout_masks,
-    predict_matrix,
-)
+from .model import GradientSet, ModelParams, backward, make_dropout_masks, predict_matrix
 
 # Adam's moment decay rates and denominator offset
 BETA1 = 0.9
@@ -39,6 +32,7 @@ class TrainConfig:
     patience: int = 10
     max_epochs: int = 100
     dropout: float = 0.2
+    min_doc_freq: int = MIN_DOC_FREQ  # the vocabulary floor
     seed: int = 0
 
     def __post_init__(self):
@@ -54,13 +48,13 @@ class TrainConfig:
             raise ValueError("dropout must lie in [0, 1)")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
+        if self.min_doc_freq < 1:
+            raise ValueError(f"min_doc_freq must be >= 1, not {self.min_doc_freq}")
 
 
 def truncate_segment(token_ids: np.ndarray, max_segment: int, rng) -> np.ndarray:
     """Identity for short documents; otherwise a uniformly random contiguous
     window of exactly `max_segment` tokens."""
-    if max_segment < 1:
-        raise ValueError("max segment must be >= 1")
     if len(token_ids) <= max_segment:
         return token_ids
     offset = int(rng.integers(0, len(token_ids) - max_segment + 1))
@@ -83,7 +77,7 @@ class AdamState:
 
 def adam_step(params: ModelParams, grads: GradientSet, state: AdamState, cfg: TrainConfig) -> None:
     """Bias-corrected Adam update, applied in place. A non-finite gradient
-    raises NumericalError before anything is updated.
+    raises FloatingPointError before anything is updated.
 
     The gradient is spent once `v` is updated, so its buffers serve as
     scratch (`grads` holds no gradient afterwards), beside one transient
@@ -183,8 +177,8 @@ def epochs(params: ModelParams, train_docs, dev_docs, desc_ids_list, cfg: TrainC
                 grads.scale_(1.0 / len(batch))
                 adam_step(params, grads, state, cfg)
                 del grads  # freed before the next batch's backward allocates its own
-            except (NumericalError, FloatingPointError) as exc:
-                raise NumericalError(
+            except FloatingPointError as exc:
+                raise FloatingPointError(
                     f"training diverged at epoch {epoch}, batch {batch_idx}: {exc}"
                 ) from exc
             epoch_loss += batch_loss

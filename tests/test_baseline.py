@@ -36,7 +36,7 @@ class TestTfidf:
 
     def test_selection_by_doc_freq_then_lexicographic(self):
         docs = [["b", "a"], ["b", "a"], ["b"], ["z"]]
-        feat = baseline.fit_tfidf(docs, max_features=2)
+        feat = baseline.fit_tfidf(docs, baseline.TfidfConfig(max_features=2))
         assert feat.terms == ["b", "a"]
 
     def test_vectors_unit_or_zero_norm(self):
@@ -58,10 +58,10 @@ class TestTfidf:
     def test_min_doc_freq_floor_drops_rare_terms(self):
         docs = [["b", "a"], ["b", "a"], ["b"], ["z"]]
         assert baseline.fit_tfidf(docs).terms == ["b", "a", "z"]
-        assert baseline.fit_tfidf(docs, min_doc_freq=2).terms == ["b", "a"]
-        assert baseline.fit_tfidf(docs, min_doc_freq=3).terms == ["b"]
+        for n, terms in ((2, ["b", "a"]), (3, ["b"])):
+            assert baseline.fit_tfidf(docs, baseline.TfidfConfig(min_doc_freq=n)).terms == terms
         with pytest.raises(ValueError, match="no term"):
-            baseline.fit_tfidf(docs, min_doc_freq=4)
+            baseline.fit_tfidf(docs, baseline.TfidfConfig(min_doc_freq=4))
 
 
 def separable_dataset():

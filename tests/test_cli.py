@@ -78,7 +78,7 @@ def trained_dir(tmp_path_factory, corpus_dir, train_cfg_path):
 class TestExitCodes:
     def test_numerical_errors_map_to_exit_3(self, monkeypatch, capsys):
         def blow_up(args):
-            raise model.NumericalError("training diverged at epoch 2, batch 7")
+            raise FloatingPointError("training diverged at epoch 2, batch 7")
 
         monkeypatch.setattr(cli, "cmd_synth", blow_up)
         code = cli.main(["synth", "--config", "x", "--out-dir", "y", "--seed", "1"])
@@ -1012,18 +1012,23 @@ class TestCommandFront:
                          "--config", str(cfg), "--out", str(out)],
         }[command]
 
-    # one bad key per config class; each is refused before anything is
+    # one bad key per config class, and each vocabulary key; each is
+    # refused before any file is read (--labels names a missing file) or
     # written, and a CbowConfig key even when --embeddings replaces CBOW
     @pytest.mark.parametrize("command, line, message, embeddings", [
         ("train", "n_filters = 0", "filter count and embedding dim must be positive", False),
         ("train", "patience = 0", "patience must be >= 1", False),
+        ("train", "min_doc_freq = 0", "min_doc_freq must be >= 1, not 0", False),
         ("train", "cbow_window = 0", "window must be >= 1", False),
         ("train", "cbow_window = 0", "window must be >= 1", True),
         ("hyperband", "s0_min = 9", "invalid kernel size range", False),
         ("baseline", "svm_epochs = 0", "svm_epochs must be >= 1", False),
+        ("baseline", "max_features = 0", "max_features must be >= 1", False),
+        ("baseline", "min_doc_freq = 0", "min_doc_freq must be >= 1, not 0", False),
         ("synth", "n_codes = 0", "all synthetic corpus counts must be positive", False),
-    ], ids=["ModelConfig", "TrainConfig", "CbowConfig", "CbowConfig-embeddings",
-            "SearchSpace", "SvmConfig", "SynthConfig"])
+    ], ids=["ModelConfig", "TrainConfig", "TrainConfig-min_doc_freq", "CbowConfig",
+            "CbowConfig-embeddings", "SearchSpace", "SvmConfig", "TfidfConfig-max_features",
+            "TfidfConfig-min_doc_freq", "SynthConfig"])
     def test_bad_config_key_exits_2_leaving_nothing(self, corpus_dir, trained_dir, tmp_path,
                                                     capsys, command, line, message, embeddings):
         base = {"synth": SYNTH_CFG, "baseline": ""}.get(command, TRAIN_CFG)
@@ -1031,6 +1036,8 @@ class TestCommandFront:
         cfg.write_text(base + line + "\n")
         out = tmp_path / "out"
         argv = self._argv(command, corpus_dir, cfg, out)
+        if "--labels" in argv:
+            argv[argv.index("--labels") + 1] = str(tmp_path / "missing.tsv")
         if embeddings:
             argv += ["--embeddings", str(trained_dir / "embeddings.bin")]
         assert run(argv) == cli.EXIT_DATA

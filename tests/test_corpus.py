@@ -118,6 +118,14 @@ class TestVocabulary:
         with pytest.raises(corpus.DataFormatError, match=re.escape(f"{path}:{line}: bad")):
             corpus.load_vocabulary(path)
 
+    def test_load_rejects_repeated_token_with_line(self, tmp_path):
+        # once loaded as {"tok": 1}, leaving id 0 unreachable
+        path = tmp_path / "vocab.tsv"
+        path.write_text("#version=1\toov_id=2\ntok\t0\t3\ntok\t1\t3\n")
+        with pytest.raises(corpus.DataFormatError,
+                           match=re.escape(f"{path}:3: duplicate token")):
+            corpus.load_vocabulary(path)
+
 
 def _toy_space():
     return corpus.make_label_space({"A": "alpha disease", "B": "beta disease", "C": "gamma"})

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from mvclda import hyperband as hb
-from mvclda.model import NumericalError
 
 
 class TestBracketSchedule:
@@ -130,7 +129,7 @@ class TestRunReuse:
             try:
                 for epoch in itertools.count(1):
                     if diverge_at and config.lambda_ == diverge_at[0] and epoch == diverge_at[1]:
-                        raise NumericalError("non-finite loss")
+                        raise FloatingPointError("non-finite loss")
                     events.append(("epoch", config, len(live)))
                     yield self.wavy(config, epoch)
             finally:

@@ -224,14 +224,12 @@ class TestChunkedConv:
             assert_rel_close(block, ref)
 
     @pytest.mark.parametrize("s,l", [(s, l) for s in (1, 2, 5, 12)
-                                     for l in sorted({0, 1, s - 1, CHUNK + 1})])
+                                     for l in sorted({1, s - 1, CHUNK + 1} - {0})])
     def test_windows_are_the_sliding_window_view(self, s, l):
         d_e = 3
         Xp = np.random.default_rng(s * 1000 + l).normal(size=(l + s - 1, d_e))
         win = model._windows(Xp, s)
         assert win.shape == (l, s * d_e)
-        if l == 0:
-            return
         ref = np.lib.stride_tricks.sliding_window_view(Xp, s, axis=0).transpose(0, 2, 1)
         ref = ref.reshape(l, -1)
         assert np.array_equal(win.copy().view(np.uint64), ref.copy().view(np.uint64))

@@ -102,7 +102,7 @@ class TestAdamStep:
         grads["b"][0] = np.nan  # b comes after W_e, conv*, V and U in update order
         before = params.copy()
         moments = {name: (state.m[name].copy(), state.v[name].copy()) for name in state.m}
-        with pytest.raises(model.NumericalError, match="b"):
+        with pytest.raises(FloatingPointError, match="b"):
             train.adam_step(params, grads, state, train.TrainConfig())
         # rejected before any tensor, moment or the step count moved
         assert state.t == 0
@@ -230,10 +230,10 @@ class TestTrainLoop:
         docs = tiny_dataset(rng)
 
         def explode(*args, **kwargs):
-            raise model.NumericalError("non-finite loss")
+            raise FloatingPointError("non-finite loss")
 
         monkeypatch.setattr(train, "backward", explode)
-        with pytest.raises(model.NumericalError, match=r"epoch 1, batch 0"):
+        with pytest.raises(FloatingPointError, match=r"epoch 1, batch 0"):
             train.train(tiny_params(seed=10), docs, docs, None, self.CFG)
 
     def test_history_jsonl_one_line_per_epoch(self):
@@ -283,11 +283,13 @@ class TestAblate:
         assert not out.exists()
 
     def test_regularization_ablation_noop_for_lda(self, corpus_dir, train_cfg_path, tmp_path):
+        # --p-at takes a comma list, as evaluate's does
         assert self._run(corpus_dir, train_cfg_path, tmp_path, "--model", "mvc-lda",
-                         "--components", "regularization") == 0
+                         "--components", "regularization", "--p-at", "3,5") == 0
         report = json.loads((tmp_path / "ablation.json").read_text())
+        assert (report["format_version"], report["p_at"]) == (2, [3, 5])
         delta = report["ablations"]["regularization"]["delta"]
-        assert delta == {"micro_f1": 0.0, "pr_auc": 0.0, "p_at": {"3": 0.0},
+        assert delta == {"micro_f1": 0.0, "pr_auc": 0.0, "p_at": {"3": 0.0, "5": 0.0},
                          "dev_micro_f1": 0.0}
 
     def test_all_components_present_with_three_metrics(self, corpus_dir, train_cfg_path,

@@ -18,8 +18,9 @@ wrote is then reported as identical or differing; `history.jsonl` is
 compared with each line's `wall_time_s` removed, the only field allowed to
 differ. A differing tensor file (`.bin`) is reported by part: whether the
 tensor payloads after the header line are identical, and which header keys
-differ; it still counts as differing. Exits 0 when every file matches and
-1 otherwise.
+differ; a differing JSON document (`.json`) by the top-level keys that
+differ. Either still counts as differing. Exits 0 when every file matches
+and 1 otherwise.
 
 Needs no network; reads `.git` only through `git archive`. BLAS runs one
 thread, as in the benchmark.
@@ -156,15 +157,21 @@ def without_wall_time(history: bytes) -> list[dict]:
     return lines
 
 
+def differing_keys(old: bytes, new: bytes) -> str:
+    """The top-level keys, present in either, whose values differ between
+    two JSON objects, comma separated ('none' if no key does)."""
+    old, new = json.loads(old), json.loads(new)
+    keys = sorted(k for k in old.keys() | new.keys()
+                  if (k in old, old.get(k)) != (k in new, new.get(k)))
+    return ", ".join(keys) or "none"
+
+
 def tensor_file_verdict(old: bytes, new: bytes) -> str:
     """How two differing tensor files differ: in their payloads after the
     header line, and in which keys of their JSON headers."""
     (old_head, _, old_body), (new_head, _, new_body) = old.partition(b"\n"), new.partition(b"\n")
-    old_header, new_header = json.loads(old_head), json.loads(new_head)
-    keys = sorted(k for k in old_header.keys() | new_header.keys()
-                  if (k in old_header, old_header.get(k)) != (k in new_header, new_header.get(k)))
     tensors = "tensors identical" if old_body == new_body else "TENSORS DIFFER"
-    return f"{tensors}; header keys differ: {', '.join(keys) or 'none'}"
+    return f"{tensors}; header keys differ: {differing_keys(old_head, new_head)}"
 
 
 def compare(old: dict[str, bytes], new: dict[str, bytes]) -> list[tuple[str, str]]:
@@ -182,6 +189,8 @@ def compare(old: dict[str, bytes], new: dict[str, bytes]) -> list[tuple[str, str
             verdict = "identical except wall_time_s"
         elif Path(path).suffix == ".bin":
             verdict = tensor_file_verdict(old[path], new[path])
+        elif Path(path).suffix == ".json":
+            verdict = f"keys differ: {differing_keys(old[path], new[path])}"
         else:
             verdict = "DIFFERS"
         verdicts.append((path, verdict))
