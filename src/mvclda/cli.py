@@ -557,6 +557,11 @@ def _p_at_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(str(exc)) from exc
     if not values or any(v < 1 for v in values):
         raise argparse.ArgumentTypeError("P@n values must be positive integers")
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            # the reports key each n once: a repeat would be listed twice
+            # beside one result
+            raise argparse.ArgumentTypeError(f"P@n value {v} given more than once")
     return values
 
 

@@ -45,6 +45,12 @@ batch's gold labels are packed into one padded sequence, encoded by one
 convolution, and their gradient is summed over the batch's samples before
 one backward pass.
 
+W_e's gradient lives on the rows the batch touches: the sorted unique ids
+of its notes and of its packed descriptions. Every other row of it is
+zero, so the buffer is len(rows) x d_e, not V x d_e, and each finished
+block of input gradients adds into it at its ids' positions among those
+rows, in the order a dense buffer would take the same additions.
+
 The parameters are one table of named tensors, `ModelParams.arrays`, and
 `_tensor_shapes` is the one list of its names and shapes; the gradients,
 Adam's moments and the checkpoint use the same names.
@@ -154,14 +160,24 @@ class ModelParams:
 
 
 class GradientSet:
-    """Per-tensor gradients, shape-congruent with ModelParams."""
+    """Per-tensor gradients under ModelParams' names. A tensor named in
+    `rows` is compact: its array holds only the rows `rows[name]` (sorted
+    and unique) of its gradient, whose other rows are zero. `backward`
+    gives W_e's gradient so, on the rows its batch touches. Every other
+    tensor, and every tensor of a set made without `rows`, is dense:
+    shaped like its parameter."""
 
-    def __init__(self, data: dict[str, np.ndarray]):
+    def __init__(self, data: dict[str, np.ndarray], rows: dict[str, np.ndarray] | None = None):
         self.data = data
+        self.rows = {} if rows is None else rows
 
     @classmethod
-    def zeros_like(cls, params: ModelParams) -> "GradientSet":
-        return cls({name: np.zeros_like(arr) for name, arr in params.tensors()})
+    def zeros_like(cls, params: ModelParams,
+                   rows: dict[str, np.ndarray] | None = None) -> "GradientSet":
+        """Zero gradients, compact on the rows given for a tensor in `rows`."""
+        rows = {} if rows is None else rows
+        return cls({name: np.zeros((len(rows[name]), *arr.shape[1:])) if name in rows
+                    else np.zeros_like(arr) for name, arr in params.tensors()}, rows)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.data[name]
@@ -227,15 +243,21 @@ def init_params(
 
 @dataclass
 class DropoutMasks:
-    """Inverted-dropout scales for one forward/backward pair: the keep
-    masks divided by 1 - rate.
+    """Inverted-dropout masks for one forward/backward pair.
 
-    Rows of the embedded input are dropped whole; pooled features are
-    dropped elementwise.
+    Rows of the embedded input are dropped whole: `x_scale` is their keep
+    mask divided by 1 - rate. Pooled features are dropped elementwise:
+    `p_keep` is their keep mask, held as bools (a batch holds one per
+    sample, each n_labels x d_c), and `p_scale` its scale, built when used.
     """
 
     x_scale: np.ndarray     # (l,)
-    p_scale: np.ndarray     # (n_labels, d_c)
+    p_keep: np.ndarray      # (n_labels, d_c), bool
+    rate: float
+
+    @property
+    def p_scale(self) -> np.ndarray:
+        return self.p_keep / (1.0 - self.rate)
 
 
 def make_dropout_masks(rng, l: int, n_labels: int, d_c: int, rate: float) -> DropoutMasks | None:
@@ -243,7 +265,8 @@ def make_dropout_masks(rng, l: int, n_labels: int, d_c: int, rate: float) -> Dro
         return None
     return DropoutMasks(
         x_scale=(rng.random(l) >= rate) / (1.0 - rate),
-        p_scale=(rng.random((n_labels, d_c)) >= rate) / (1.0 - rate),
+        p_keep=rng.random((n_labels, d_c)) >= rate,
+        rate=rate,
     )
 
 
@@ -331,16 +354,19 @@ def _conv_max(ids: np.ndarray, W_e: np.ndarray, x_scale, W_stack: np.ndarray, d_
 
 
 def _conv_max_backward(ids: np.ndarray, W_e: np.ndarray, x_scale, W_stack: np.ndarray,
-                       winner, dM: np.ndarray, dW_e: np.ndarray) -> np.ndarray:
+                       winner, dM: np.ndarray, dW_e: np.ndarray,
+                       rows: np.ndarray) -> np.ndarray:
     """Gradients of `_conv_max` for the upstream gradient dM (l >= 1 rows):
     returns dW_stack, shaped like W_stack, and adds the input gradient,
-    times x_scale, into the rows `ids` of dW_e (-1 rows add nothing). Each
-    position's gradient goes to its winning channel only; `winner` is None
-    for a single channel. Per chunk, one GEMM gives the window gradients,
-    which an s_max-step shifted add folds onto the chunk's input rows; the
-    last s_max - 1 of those carry into the next chunk, the others are
-    finished and added into dW_e in row order. One GEMM with the rebuilt
-    chunk input gives the chunk's share of dW_stack."""
+    times x_scale, into the compact W_e gradient dW_e, whose rows are the
+    embedding rows `rows` (sorted, unique, holding every id >= 0 of `ids`;
+    -1 rows add nothing). Each position's gradient goes to its winning
+    channel only; `winner` is None for a single channel. Per chunk, one
+    GEMM gives the window gradients, which an s_max-step shifted add folds
+    onto the chunk's input rows; the last s_max - 1 of those carry into the
+    next chunk, the others are finished and added into dW_e in row order.
+    One GEMM with the rebuilt chunk input gives the chunk's share of
+    dW_stack."""
     l, d_c = dM.shape
     d_e = W_e.shape[1]
     s = W_stack.shape[0] // d_e
@@ -372,7 +398,7 @@ def _conv_max_backward(ids: np.ndarray, W_e: np.ndarray, x_scale, W_stack: np.nd
         if part.size and part.min() < 0:
             keep = part >= 0
             part, dX = part[keep], dX[keep]
-        np.add.at(dW_e, part, dX)
+        np.add.at(dW_e, np.searchsorted(rows, part), dX)
         win = _windows(_input_block(ids, W_e, x_scale, s, r0, r1), s)
         if r0 == 0:
             dW = win.T @ dZ
@@ -494,7 +520,8 @@ class DescriptionBatch:
         d_c = self.F.shape[1]
         dZ = np.zeros((len(self.seq), d_c))
         dZ[self.amax, np.arange(d_c)] = self.Dpre @ params["desc_W"]
-        dW = _conv_max_backward(self.seq, params["W_e"], None, self.W, None, dZ, grads["W_e"])
+        dW = _conv_max_backward(self.seq, params["W_e"], None, self.W, None, dZ, grads["W_e"],
+                                grads.rows["W_e"])
         grads["desc_conv"] += dW.reshape(params["desc_conv"].shape)
 
 
@@ -539,11 +566,18 @@ def backward(samples, params: ModelParams, desc_ids_list=None) -> tuple[float, G
     The parameters are fixed within the batch, so the kernels are stacked
     once and the descriptions of every gold label are encoded once. The
     samples are added in order into one zeroed buffer, and the description
-    encoder's backward runs after the last. The sum is not checked for
-    finiteness here; `adam_step` checks it before it updates anything.
+    encoder's backward runs after the last. W_e's gradient is compact on
+    the rows the batch touches (`GradientSet.rows`). The sum is not checked
+    for finiteness here; `adam_step` checks it before it updates anything.
     """
-    grads = GradientSet.zeros_like(params)
     desc_batch = description_batch(params, desc_ids_list, [gold for _, _, gold, _ in samples])
+    touched = np.zeros(params.vocab_size, dtype=bool)
+    for token_ids, _, _, _ in samples:
+        # clipped: the forward pass refuses an id out of range
+        np.put(touched, token_ids, True, mode="clip")
+    if desc_batch is not None:
+        touched[desc_batch.seq[desc_batch.rows]] = True
+    grads = GradientSet.zeros_like(params, rows={"W_e": np.flatnonzero(touched)})
     W_stack = _stack_kernels(params.conv)
     loss = 0.0
     for token_ids, length, gold, masks in samples:
@@ -599,7 +633,7 @@ def _sample_backward(token_ids, length: int, gold, params: ModelParams,
         del C
         dW = _conv_max_backward(cache["ids"], params["W_e"],
                                 None if masks is None else masks.x_scale, W_stack,
-                                cache["winner"], dC, grads["W_e"])
+                                cache["winner"], dC, grads["W_e"], grads.rows["W_e"])
         for i, block in enumerate(_channel_blocks(dW, cfg.kernel_sizes, cfg.embed_dim)):
             grads[f"conv{i}"] += block
     return loss

@@ -23,6 +23,11 @@ BETA1 = 0.9
 BETA2 = 0.999
 EPSILON = 1e-8
 
+# Elements of a tensor per row block of `adam_step`: its transients (the
+# block's gradient when the tensor's is compact, one scratch) are this
+# size, not the tensor's.
+ADAM_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -76,34 +81,60 @@ class AdamState:
 
 
 def adam_step(params: ModelParams, grads: GradientSet, state: AdamState, cfg: TrainConfig) -> None:
-    """Bias-corrected Adam update, applied in place. A non-finite gradient
-    raises FloatingPointError before anything is updated.
+    """Bias-corrected Adam update of every row, applied in place. A
+    non-finite gradient raises FloatingPointError before anything is
+    updated.
 
-    The gradient is spent once `v` is updated, so its buffers serve as
-    scratch (`grads` holds no gradient afterwards), beside one transient
-    per tensor. The operation order is that of m = b1*m + (1-b1)*g,
-    v = b2*v + (1-b2)*g*g, arr -= lr * (m/bc1) / (sqrt(v/bc2) + eps)."""
+    Each tensor is walked in blocks of whole rows, ADAM_BLOCK elements or
+    fewer (one row at least), from its first row on; a dense tensor that
+    fits in one block is updated whole. A block's gradient is a view of a
+    dense gradient, or, for a compact one (`GradientSet.rows`), a zeroed
+    block with the touched rows scattered in, so an untouched row gets the
+    update for g = 0: its moments decay and it still moves. Within a
+    block the operation order is that of m = b1*m + (1-b1)*g,
+    v = b2*v + (1-b2)*g*g, arr -= lr * (m/bc1) / (sqrt(v/bc2) + eps),
+    and the block's gradient is spent once `v` is updated, so it serves as
+    scratch beside one transient. Afterwards a dense tensor of `grads`
+    holds no gradient; a compact one is left as it was."""
     grads.check_finite()
     state.t += 1
     bc1 = 1.0 - BETA1 ** state.t
     bc2 = 1.0 - BETA2 ** state.t
+    lr = cfg.learning_rate
     for name, arr in params.tensors():
-        g = grads[name]
+        g, rows = grads[name], grads.rows.get(name)
         m, v = state.m[name], state.v[name]
-        scratch = np.multiply(1.0 - BETA1, g)
-        m *= BETA1
-        m += scratch
-        v *= BETA2
-        np.multiply(1.0 - BETA2, g, out=scratch)
-        scratch *= g
-        v += scratch
-        denom = np.divide(v, bc2, out=g)
-        np.sqrt(denom, out=denom)
-        denom += EPSILON
-        np.divide(m, bc1, out=scratch)
-        scratch *= cfg.learning_rate
-        scratch /= denom
-        arr -= scratch
+        step = max(1, ADAM_BLOCK // math.prod(arr.shape[1:]))
+        if rows is None and step >= len(arr):  # one dense block: the tensors themselves
+            _adam_update(arr, g, m, v, lr, bc1, bc2)
+            continue
+        for r0 in range(0, len(arr), step):
+            r1 = min(r0 + step, len(arr))
+            if rows is None:
+                gb = g[r0:r1]
+            else:
+                lo, hi = np.searchsorted(rows, (r0, r1))
+                gb = np.zeros((r1 - r0, *arr.shape[1:]))
+                gb[rows[lo:hi] - r0] = g[lo:hi]
+            _adam_update(arr[r0:r1], gb, m[r0:r1], v[r0:r1], lr, bc1, bc2)
+
+
+def _adam_update(p, g, m, v, lr: float, bc1: float, bc2: float) -> None:
+    """One block's Adam update in place, with its gradient `g` as scratch."""
+    scratch = np.multiply(1.0 - BETA1, g)
+    m *= BETA1
+    m += scratch
+    v *= BETA2
+    np.multiply(1.0 - BETA2, g, out=scratch)
+    scratch *= g
+    v += scratch
+    denom = np.divide(v, bc2, out=g)
+    np.sqrt(denom, out=denom)
+    denom += EPSILON
+    np.divide(m, bc1, out=scratch)
+    scratch *= lr
+    scratch /= denom
+    p -= scratch
 
 
 @dataclass
@@ -197,12 +228,19 @@ def train(
 ) -> tuple[ModelParams, TrainHistory]:
     """Run `epochs` on `params`, which it trains in place, until the early
     stopper halts it; returns a copy of the parameters of the epoch with the
-    best dev micro F1 together with the per-epoch history."""
+    best dev micro F1 together with the per-epoch history. The first best
+    epoch is copied; a later one is copied into that copy, so one copy is
+    held at a time."""
     history = TrainHistory()
+    best_params = None
     for stats, trained in epochs(params, train_docs, dev_docs, desc_ids_list, cfg):
         stop = history.add(stats, cfg.patience)
         if history.best_epoch == stats.epoch:  # always so at epoch 1
-            best_params = trained.copy()
+            if best_params is None:
+                best_params = trained.copy()
+            else:
+                for name, arr in trained.tensors():
+                    np.copyto(best_params[name], arr)
         if stop:
             break
     return best_params, history

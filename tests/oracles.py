@@ -292,16 +292,59 @@ def threshold_sweep_pr_auc(scores, gold):
     return float(area)
 
 
+def dense_gradient(grads, name, shape):
+    """Tensor `name` of a GradientSet at its full `shape`: a compact one's
+    rows (`grads.rows[name]`) laid into zeros, a dense one as it is."""
+    rows = grads.rows.get(name)
+    if rows is None:
+        return grads[name]
+    out = np.zeros(shape)
+    for k, row in enumerate(rows):
+        out[row] = grads[name][k]
+    return out
+
+
+def dense_gradients(grads, params):
+    """Every tensor of a GradientSet at its parameter's shape, by name."""
+    return {name: dense_gradient(grads, name, arr.shape) for name, arr in params.tensors()}
+
+
+def inplace_adam_step(arrays, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Bias-corrected Adam over whole tensors at step `t` (the step count
+    after this update), in place, with dense gradients (name -> array, used
+    up as scratch): the one-pass update the row-blocked one replaced, in
+    its operation order."""
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    for name, arr in arrays.items():
+        g = grads[name]
+        scratch = np.multiply(1.0 - beta1, g)
+        m[name] *= beta1
+        m[name] += scratch
+        v[name] *= beta2
+        np.multiply(1.0 - beta2, g, out=scratch)
+        scratch *= g
+        v[name] += scratch
+        denom = np.divide(v[name], bc2, out=g)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        np.divide(m[name], bc1, out=scratch)
+        scratch *= lr
+        scratch /= denom
+        arr -= scratch
+
+
 def fd_gradcheck(params, loss_fn, grads, step=1e-5, rtol=1e-4, max_per_tensor=None):
     """Compare analytic gradients against central finite differences.
 
     Returns the worst relative error, where the error is taken relative to
-    max(1, |analytic|, |numeric|).
+    max(1, |analytic|, |numeric|). A compact gradient is checked at its
+    full shape, every untouched row included.
     """
     worst = 0.0
     for name, arr in params.tensors():
         flat = arr.ravel()
-        g = grads[name].ravel()
+        g = dense_gradient(grads, name, arr.shape).ravel()
         if max_per_tensor is None or flat.size <= max_per_tensor:
             indices = range(flat.size)
         else:

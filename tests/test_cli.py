@@ -90,6 +90,7 @@ class TestExitCodes:
         ("hyperband", "--R", "0"),
         ("hyperband", "--eta", "1"),
         ("ablate", "--p-at", "0"),
+        ("ablate", "--p-at", "8,5,8"),  # once recorded [8, 5, 8] beside one "8" result
         ("ablate", "--components", "bogus"),
     ])
     def test_bad_search_and_ablation_options_exit_1(self, corpus_dir, train_cfg_path, tmp_path,
@@ -360,10 +361,12 @@ class TestTrain:
         # a loaded table sets the width, whatever the embed_dim key says
         monkeypatch.setenv("MVC_EMBED_DIM", "5")
         out = tmp_path / "reuse"
-        code = self._train_with_embeddings(
-            corpus_dir, train_cfg_path, trained_dir / "embeddings.bin", out)
+        emb = trained_dir / "embeddings.bin"
+        before = emb.read_bytes()
+        code = self._train_with_embeddings(corpus_dir, train_cfg_path, emb, out)
         assert code == 0
         assert (out / "checkpoint.bin").read_bytes() == (trained_dir / "checkpoint.bin").read_bytes()
+        assert emb.read_bytes() == before  # fine-tuning leaves the loaded file as it was
 
     def test_env_override_shortens_training(self, corpus_dir, train_cfg_path,
                                              tmp_path, monkeypatch):

@@ -6,11 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mvclda import model
+from mvclda import model, train
 from mvclda.corpus import DataFormatError, EncodedDocument
 
 from oracles import (
     brute_conv,
+    dense_gradient,
+    dense_gradients,
     fd_gradcheck,
     multi_view_max,
     multi_view_max_backward,
@@ -164,7 +166,8 @@ class TestMultiViewConv:
 class TestChunkedConv:
     """The stacked, row-chunked convolution against the per-channel one. The
     sequence ids = 0..l-1 over the table X embeds to X, so the input
-    gradient is what `_conv_max_backward` adds into a zero table."""
+    gradient is what `_conv_max_backward` adds into a zero table, compact
+    on every row of it."""
 
     @pytest.mark.parametrize("kernels", [(1, 3), (2, 4, 6, 8), (6, 8, 10, 12), (5,)])
     @pytest.mark.parametrize("l", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5])
@@ -187,7 +190,7 @@ class TestChunkedConv:
         dM = rng.normal(size=(l, d_c))
         dW_ref, dX_ref = multi_view_max_backward(X, weights, winner_ref, dM)
         dX = np.zeros_like(X)
-        dW = model._conv_max_backward(ids, X, None, W_stack, winner, dM, dX)
+        dW = model._conv_max_backward(ids, X, None, W_stack, winner, dM, dX, ids)
         assert_rel_close(dX, dX_ref)
         for block, ref in zip(model._channel_blocks(dW, kernels, d_e), dW_ref, strict=True):
             assert_rel_close(block, ref)
@@ -218,7 +221,8 @@ class TestChunkedConv:
         dtable_ref = np.zeros_like(table)
         np.add.at(dtable_ref, ids[valid], (dX_ref * x_scale[:, None])[valid])
         dtable = np.zeros_like(table)
-        dW = model._conv_max_backward(ids, table, x_scale, W_stack, winner, dM, dtable)
+        dW = model._conv_max_backward(ids, table, x_scale, W_stack, winner, dM, dtable,
+                                      np.arange(vocab))
         assert_rel_close(dtable, dtable_ref)
         for block, ref in zip(model._channel_blocks(dW, kernels, d_e), dW_ref, strict=True):
             assert_rel_close(block, ref)
@@ -246,7 +250,7 @@ class TestChunkedConv:
         assert np.array_equal(winner, multi_view_max(X, weights)[1])
         assert np.any(winner == 1) and not np.any(winner == 2)
         dW = model._conv_max_backward(ids, X, None, W_stack, winner,
-                                      rng.normal(size=(l, d_c)), np.zeros_like(X))
+                                      rng.normal(size=(l, d_c)), np.zeros_like(X), ids)
         blocks = model._channel_blocks(dW, (1, 3, 3), d_e)
         assert np.array_equal(blocks[2], np.zeros_like(w3))
         assert not np.allclose(blocks[1], 0.0)
@@ -255,7 +259,8 @@ class TestChunkedConv:
 class TestMemoryPerToken:
     """One training step and inference hold no l x d_e float64 array: their
     traced peak grows by less than 8 * d_e bytes per extra token, with
-    d_e much larger than d_c."""
+    d_e much larger than d_c. Nor does a training step hold a V x d_e one
+    beside the parameters and Adam's moments."""
 
     D_E, D_C, LABELS = 64, 4, 3
 
@@ -291,6 +296,26 @@ class TestMemoryPerToken:
         growth = self.growth_per_token(lambda params, ids, masks: model.predict_matrix(
             params, [EncodedDocument(ids, np.zeros(self.LABELS))]))
         assert growth < 8 * self.D_E
+
+    def test_backward_and_adam_step_per_vocabulary_row(self):
+        # a dense W_e gradient and a whole-tensor Adam scratch once grew the
+        # peak by 16 * d_e bytes per vocabulary row
+        gold = np.array([1.0, 0.0, 1.0])
+        peaks = []
+        for vocab in (10_000, 40_000):
+            params = small_params(seed=43, vocab=vocab, labels=self.LABELS, d_e=self.D_E,
+                                  d_c=self.D_C, kernels=(6, 8, 10, 12))
+            state = train.AdamState.for_params(params)
+            rng = np.random.default_rng(vocab)
+            ids = rng.integers(0, vocab, 2 * CHUNK)
+            masks = model.make_dropout_masks(rng, len(ids), self.LABELS, self.D_C, 0.2)
+
+            def step():
+                _, grads = model.backward([(ids, len(ids), gold, masks)], params)
+                train.adam_step(params, grads, state, train.TrainConfig())
+
+            peaks.append(self.peak(step))
+        assert (peaks[1] - peaks[0]) / 30_000 < 8 * self.D_E
 
 
 class TestAttentionPool:
@@ -422,6 +447,11 @@ class TestForward:
     def test_out_of_range_token_rejected(self):
         with pytest.raises(ValueError):
             model.forward([99], 1, small_params())
+        # backward marks its batch's ids as W_e's gradient rows before the
+        # forward pass checks them
+        for ids in ([99], [-2]):
+            with pytest.raises(ValueError, match="out of range"):
+                model.backward([(ids, 1, np.zeros(3), None)], small_params())
 
     def test_length_feature_uses_given_length_not_ids(self):
         params = small_params(seed=10)
@@ -475,9 +505,10 @@ def per_label_reference(samples, params, desc):
     at lambda = 0."""
     bare = dataclasses.replace(params, config=dataclasses.replace(params.config, lambda_=0.0))
     loss, grads = model.backward(batch_of(samples), bare)
+    dense = dense_gradients(grads, params)
     for _, gold, _ in samples:
-        loss += per_label_regularizer(gold, params, desc, grads.data)
-    return loss, grads
+        loss += per_label_regularizer(gold, params, desc, dense)
+    return loss, dense
 
 
 def batch_of(samples):
@@ -517,8 +548,8 @@ class TestDescriptionBatch:
         loss_ref, ref = per_label_reference(samples, params, desc)
         loss, grads = batch_path(samples, params, desc)
         assert loss == pytest.approx(loss_ref, rel=1e-12, abs=0.0)
-        for name, arr in ref.data.items():
-            assert_rel_close(grads[name], arr)
+        for name, arr in ref.items():
+            assert_rel_close(dense_gradient(grads, name, arr.shape), arr)
         return grads
 
     @pytest.mark.parametrize("kernels", [(1, 3), (2, 4, 6, 8), (5,)])
@@ -545,8 +576,8 @@ class TestDescriptionBatch:
             loss_ref, ref = per_label_reference([(ids, gold, masks)], params, desc)
             loss, grads = model.backward([(ids, len(ids), gold, masks)], params, desc)
             assert loss == pytest.approx(loss_ref, rel=1e-12, abs=0.0)
-            for name, arr in ref.data.items():
-                assert_rel_close(grads[name], arr)
+            for name, arr in ref.items():
+                assert_rel_close(dense_gradient(grads, name, arr.shape), arr)
 
     def test_lambda_zero_builds_no_batch(self, monkeypatch):
         samples, params, desc = self.batch((1, 3))
@@ -691,6 +722,44 @@ class TestBackward:
         _, grads = model.backward([([1, 2, 3], 3, gold, None)], params)
         assert not np.allclose(grads["U"], 0.0)
 
+    @pytest.mark.parametrize("kernels", [(1, 3), (2, 4, 6, 8)])
+    def test_compact_w_e_gradient_equals_the_dense_add_at_path(self, kernels, monkeypatch):
+        # descriptions packed with -1 gap rows, dropout on all notes but
+        # the last, a zero-length note and one of 2 * CHUNK + 5 tokens,
+        # over a vocabulary most of whose rows the batch leaves untouched.
+        # The dense path takes each row's additions in the same order, so
+        # the compact gradient, laid out at full size, is the dense one
+        # bit for bit.
+        rng = np.random.default_rng(50 + len(kernels))
+        vocab, labels = 3000, 4
+        params = small_params(kind="mvc-rlda", seed=50, vocab=vocab, labels=labels,
+                              kernels=kernels, lambda_=0.05)
+        desc = self._desc(rng, labels, vocab)
+        samples = []
+        for n, rate in ((7, 0.2), (0, 0.2), (2 * CHUNK + 5, 0.2), (9, 0.0)):
+            gold = np.array([1.0, 0.0, 1.0, 1.0]) if n else np.array([0.0, 1.0, 0.0, 0.0])
+            samples.append((rng.integers(0, vocab, n), n, gold,
+                            model.make_dropout_masks(rng, n, labels, 4, rate)))
+        _, grads = model.backward(samples, params, desc)
+        rows = np.unique(np.concatenate([ids for ids, *_ in samples] + desc))
+        assert np.array_equal(grads.rows["W_e"], rows) and len(rows) < vocab
+        assert grads["W_e"].shape == (len(rows), 5)
+
+        # with every row of the table as `rows`, a block adds at its ids
+        # themselves: the dense V x d_e path
+        dense = np.zeros_like(params["W_e"])
+        compact_path = model._conv_max_backward
+
+        def dense_path(ids, W_e, x_scale, W_stack, winner, dM, dW_e, rows):
+            return compact_path(ids, W_e, x_scale, W_stack, winner, dM, dense, np.arange(vocab))
+
+        monkeypatch.setattr(model, "_conv_max_backward", dense_path)
+        _, ref = model.backward(samples, params, desc)
+        full = dense_gradient(grads, "W_e", dense.shape)
+        assert np.array_equal(full.view(np.uint64), dense.view(np.uint64))
+        for name, arr in ref.data.items():
+            if name != "W_e":
+                assert np.array_equal(grads[name].view(np.uint64), arr.view(np.uint64)), name
 
     def test_batch_buffer_equals_sum_of_sample_gradients(self):
         rng = np.random.default_rng(31)
@@ -705,13 +774,14 @@ class TestBackward:
         total_loss = 0.0
         for sample in samples:
             alone, grads = model.backward([sample], params, desc)
-            total.add_(grads)
+            total.add_(model.GradientSet(dense_gradients(grads, params)))
             total_loss += alone
         # the same samples as one batch, through one description batch
         loss, grads = model.backward(samples, params, desc)
         assert loss == pytest.approx(total_loss, rel=1e-12, abs=0.0)
         for name, arr in total.data.items():
-            assert np.allclose(grads[name], arr, rtol=1e-12, atol=1e-15), name
+            assert np.allclose(dense_gradient(grads, name, arr.shape), arr, rtol=1e-12,
+                               atol=1e-15), name
 
 
 class TestCheckpoint:

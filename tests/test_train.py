@@ -7,6 +7,7 @@ import pytest
 from mvclda import cli, model, train
 from mvclda.corpus import EncodedDocument
 
+from oracles import inplace_adam_step
 from test_cli import corpus_dir, train_cfg_path  # noqa: F401 (fixtures)
 
 
@@ -92,6 +93,45 @@ class TestAdamStep:
         grads["b"][:] = 0.37
         train.adam_step(params, grads, state, train.TrainConfig())
         assert np.all(params["b"] == params["b"][0])
+
+    # At 30 elements a block: b, K, d and desc_b lie below one block, V and U
+    # (5 x 6) fill one, and W_e (30 x 8, blocks of 3 rows), the kernels
+    # (rows of 48) and desc_W (6 x 6) span several. At the module's block,
+    # W_e spans three blocks and a partial fourth.
+    @pytest.mark.parametrize("block", [30, None])
+    @pytest.mark.parametrize("compact", [False, True])
+    def test_blocked_step_equals_the_whole_tensor_update(self, block, compact, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(train, "ADAM_BLOCK", block)
+        rows_per_block = train.ADAM_BLOCK // 8
+        vocab = 30 if block is not None else 3 * rows_per_block + 5
+        params = tiny_params(kind="mvc-rlda", seed=14, vocab=vocab)
+        cfg = train.TrainConfig()
+        state = train.AdamState.for_params(params)
+        ref = {name: arr.copy() for name, arr in params.tensors()}
+        m = {name: np.zeros_like(arr) for name, arr in params.tensors()}
+        v = {name: np.zeros_like(arr) for name, arr in params.tensors()}
+        # touched W_e rows on both sides of the first two block boundaries;
+        # no row after the third block's first is touched
+        touched = np.array([0, rows_per_block - 1, rows_per_block, 2 * rows_per_block - 1,
+                            2 * rows_per_block])
+        rng = np.random.default_rng(14)
+        for t in range(1, 4):
+            dense = {name: rng.normal(size=arr.shape) for name, arr in params.tensors()}
+            grads = model.GradientSet({name: g.copy() for name, g in dense.items()})
+            if compact:
+                dense["W_e"][np.setdiff1d(np.arange(vocab), touched)] = 0.0
+                grads = model.GradientSet(dict(grads.data, W_e=dense["W_e"][touched]),
+                                          rows={"W_e": touched})
+                before = grads["W_e"].copy()
+            train.adam_step(params, grads, state, cfg)
+            inplace_adam_step(ref, dense, m, v, t, cfg.learning_rate)
+            if compact:  # a compact gradient is left as it was
+                assert np.array_equal(grads["W_e"], before)
+        for name, arr in params.tensors():
+            for got, want in ((arr, ref[name]), (state.m[name], m[name]),
+                              (state.v[name], v[name])):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
 
     def test_non_finite_gradient_rejected(self):
         params = tiny_params(seed=4)

@@ -12,8 +12,11 @@ checked to be shorter than `max_epochs`); evaluate the first two models
 baselines, and a flat one with `--config`; hyperband at R=3, eta=3, once
 pretraining and once on the first train run's `--embeddings`; ablate
 mvc-rlda with every component on `--test`, and mvc-lda with regularization,
-extra_notes and regularization again on the dev split. So every file
-option of every command is given at least once. Every file either run
+extra_notes and regularization again on the dev split; then a second
+synth with a few thousand background words and one epoch of mvc-rlda
+training on it at embed_dim 64, whose vocabulary spans several of
+`adam_step`'s row blocks and whose batches leave most rows untouched.
+So every file option of every command is given at least once. Every file either run
 wrote is then reported as identical or differing; `history.jsonl` is
 compared with each line's `wall_time_s` removed, the only field allowed to
 differ. A differing tensor file (`.bin`) is reported by part: whether the
@@ -70,6 +73,25 @@ max_segment = 60
 lambda = 0.01
 cbow_epochs = 1
 """,
+    # ~4,000 words at embed_dim 64: several of adam_step's row blocks
+    "wide_synth.cfg": """\
+n_codes = 12
+n_train = 40
+n_dev = 8
+n_test = 8
+background_vocab = 5000
+doc_len_min = 200
+doc_len_max = 400
+""",
+    "wide.cfg": """\
+kernel_sizes = 2,4,6,8
+n_filters = 8
+embed_dim = 64
+max_epochs = 1
+min_doc_freq = 1
+lambda = 0.01
+cbow_epochs = 1
+""",
     "baseline.cfg": """\
 svm_epochs = 5
 max_features = 300
@@ -120,6 +142,10 @@ FLOW = [
     # known without training, then one trained
     ["ablate", "--model", "mvc-lda", *TRAIN,
      "--components", "regularization,extra_notes,regularization", "--out", "abl_lda"],
+    ["synth", "--config", "cfg/wide_synth.cfg", "--out-dir", "wide_data", "--seed", "42"],
+    ["train", "--model", "mvc-rlda", "--train", "wide_data/train.jsonl",
+     "--dev", "wide_data/dev.jsonl", "--labels", "wide_data/descriptions.tsv",
+     "--config", "cfg/wide.cfg", "--seed", "42", "--out", "wide"],
 ]
 
 
