@@ -177,9 +177,11 @@ def _write_manifest(out_dir: Path, args, config: dict, artifacts: dict,
 
 
 def _load_label_space(args) -> corpus.LabelSpace:
-    """The label space of --labels, under --hierarchy's parents if given; a
-    --p-at above its label count is refused here, before any split is read."""
+    """The label space of --labels, under --hierarchy's parents if given. An
+    empty one, or a --p-at above its size, is refused before any split is read."""
     descriptions = corpus.read_descriptions_tsv(args.labels)
+    if not descriptions:
+        raise ValueError(f"--labels {args.labels} defines no code")
     hierarchy = getattr(args, "hierarchy", None)
     parents = corpus.read_hierarchy_tsv(hierarchy) if hierarchy else None
     labels = corpus.make_label_space(descriptions, parents)
@@ -240,9 +242,9 @@ def _training_setup(args, keys: dict) -> _TrainingSetup:
     warning) and build every config from it; load the label space, read the
     splits (ablate's evaluation split is scored), build the vocabulary from
     the training split only and encode every split; check --embeddings
-    against the vocabulary's checksum; only then create the output
-    directory, write the vocabulary and, without --embeddings, pretrain CBOW
-    vectors on the encoded training text."""
+    against the vocabulary's checksum, or, without --embeddings, pretrain
+    CBOW vectors on the encoded training text; only then create the output
+    directory and write the vocabulary and the pretrained vectors."""
     values = load_config(args.config, keys)
     for key in ("lambda", "lambda_candidates"):
         if args.model == "mvc-lda" and key in values:
@@ -265,21 +267,21 @@ def _training_setup(args, keys: dict) -> _TrainingSetup:
 
     vocab_bytes = corpus.vocabulary_bytes(vocab)
     vocab_checksum = hashlib.sha256(vocab_bytes).hexdigest()
-    table = None
     if getattr(args, "embeddings", None):
         table = embed.load_embeddings(args.embeddings, expected_vocab_checksum=vocab_checksum)
         if table.shape[0] != vocab.size:
             raise ValueError(
                 f"embedding rows {table.shape[0]} do not match vocabulary size {vocab.size}"
             )
+    else:
+        table = embed.train_cbow([d.token_ids for d in docs["train"]], vocab.size, cbow_cfg)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     vocab_path = out_dir / "vocab.tsv"
     vocab_path.write_bytes(vocab_bytes)
     artifacts = {"vocab": vocab_path}
-    if table is None:
-        table = embed.train_cbow([d.token_ids for d in docs["train"]], vocab.size, cbow_cfg)
+    if not getattr(args, "embeddings", None):
         emb_path = out_dir / "embeddings.bin"
         embed.save_embeddings(emb_path, table, vocab_checksum)
         artifacts["embeddings"] = emb_path

@@ -21,35 +21,36 @@ never formed: pooling is P = V G with the d_c x d_c Gram matrix G = C^T C,
 and the frame gradient is dC = C (V^T dP + dP^T V). A zero-length document
 has an empty C, hence G = 0 and P = 0, and scores sigmoid(b + T).
 
-All channels run as one convolution. Padding puts s//2 zeros on the left,
-so channel i's window at a position nests inside the s_max window at row
-offset s_max//2 - s_i//2. The kernels are stacked into one (s_max*d_e) x
-(n*d_c) matrix, each at its offset in its own column block, zeros
-elsewhere. The output rows are taken CONV_CHUNK at a time: each chunk's
-input, padded at s_max, is built from the token ids (embedding rows times
-the dropout scale), and its windows form a zero-copy (chunk x s_max*d_e)
+All channels, one or several, run as one convolution. Padding puts s//2
+zeros on the left, so channel i's window at a position nests inside the
+s_max window at row offset s_max//2 - s_i//2. The kernels are stacked into
+one (s_max*d_e) x (n*d_c) matrix, each at its offset in its own column
+block, zeros elsewhere. The input is token ids in [0, V) and one scale per
+row (dropout's, or 0 for a gap row). The output rows are taken CONV_CHUNK
+at a time: each chunk's input, padded at s_max, is built as embedding rows
+times their scale, and its windows form a zero-copy (chunk x s_max*d_e)
 view. Per chunk one GEMM gives every channel's outputs, and a running
 maximum over the column blocks gives the cross-channel max (a later
 channel wins only when strictly greater). In backward one GEMM gives the
 chunk's window gradients, which s_max shifted adds fold onto its input
-rows; the rows no later chunk reaches go straight into the W_e gradient,
-and one GEMM with the rebuilt input gives the chunk's kernel gradients.
-So a training step holds, per document, the frames C, their gradient and
-the winning channels (l x d_c each), and inference only the frames; every
-other transient depends on CONV_CHUNK, not on the document length.
+rows; the rows no later chunk reaches go, times their scale, straight into
+the W_e gradient, and one GEMM with the rebuilt input gives the chunk's
+kernel gradients. So a training step holds, per document, the frames C,
+their gradient and the winning channels (l x d_c each), and inference only
+the frames; every other transient depends on CONV_CHUNK, not on l.
 
 `backward` takes a whole training batch. The parameters are fixed within
-it, so the kernels are stacked once, and the description encoder, the
-one-channel case, runs once (DescriptionBatch): the descriptions of the
-batch's gold labels are packed into one padded sequence, encoded by one
+it, so the kernels are stacked once, and the description encoder runs once
+(DescriptionBatch): the descriptions of the batch's gold labels are packed
+into one sequence, between gap rows of id 0 at scale 0, encoded by one
 convolution, and their gradient is summed over the batch's samples before
 one backward pass.
 
-W_e's gradient lives on the rows the batch touches: the sorted unique ids
-of its notes and of its packed descriptions. Every other row of it is
-zero, so the buffer is len(rows) x d_e, not V x d_e, and each finished
-block of input gradients adds into it at its ids' positions among those
-rows, in the order a dense buffer would take the same additions.
+W_e's gradient lives on the rows the batch touches, the sorted unique ids
+of its notes and its description sequence (gap id 0 included), so the
+buffer is len(rows) x d_e, not V x d_e. Each finished block of input
+gradients adds into it at its ids' positions among those rows, in the
+order a dense buffer would take the same additions.
 
 The parameters are one table of named tensors, `ModelParams.arrays`, and
 `_tensor_shapes` is the one list of its names and shapes; the gradients,
@@ -286,11 +287,8 @@ def _channel_blocks(W_stack: np.ndarray, kernel_sizes, d_e: int) -> list[np.ndar
 
 def _stack_kernels(weights) -> np.ndarray:
     """All channels' kernels as one (s_max*d_e) x (n*d_c) matrix, zero
-    outside each channel's block. A single channel is its kernel's
-    reshape, not a copy."""
+    outside each channel's block."""
     _, d_e, d_c = weights[0].shape
-    if len(weights) == 1:
-        return weights[0].reshape(-1, d_c)
     sizes = [w.shape[0] for w in weights]
     stack = np.zeros((max(sizes) * d_e, len(weights) * d_c))
     for block, w in zip(_channel_blocks(stack, sizes, d_e), weights):
@@ -312,33 +310,30 @@ def _input_block(ids: np.ndarray, W_e: np.ndarray, x_scale, s: int, r0: int,
     """The rows of the padded input that the windows of output rows r0..r1
     read: r1 - r0 + s - 1 rows from sequence row r0 - s//2 on (s//2 zero
     rows pad the left, so even kernels get the extra one there). Row i
-    holds W_e[ids[i]] times x_scale[i]; rows outside the sequence, and its
-    -1 rows, are zero."""
+    holds W_e[ids[i]] times x_scale[i]; rows outside the sequence are
+    zero."""
     Xb = np.zeros((r1 - r0 + s - 1, W_e.shape[1]))
     lo, hi = max(r0 - s // 2, 0), min(r1 + (s - 1) // 2, len(ids))
     X = Xb[lo - r0 + s // 2 : hi - r0 + s // 2]
-    part = ids[lo:hi]
-    np.take(W_e, part, axis=0, out=X, mode="clip")
+    np.take(W_e, ids[lo:hi], axis=0, out=X, mode="clip")
     if x_scale is not None:
         X *= x_scale[lo:hi, None]
-    if part.size and part.min() < 0:
-        X[part < 0] = 0.0
     return Xb
 
 
 def _conv_max(ids: np.ndarray, W_e: np.ndarray, x_scale, W_stack: np.ndarray, d_c: int,
               winner: bool):
     """Cross-channel max M (l x d_c) of the convolutions of the sequence
-    `ids` (embedded by W_e, rows scaled by the dropout `x_scale` if given,
-    -1 rows zero) with the stacked kernels, and, if `winner` (and there
-    are several channels), the index of the lowest channel attaining it.
-    Per CONV_CHUNK output rows, the chunk's padded input is built and one
-    GEMM gives every channel's outputs."""
+    `ids` (ids in [0, V), embedded by W_e, rows times `x_scale` if given)
+    with the stacked kernels, and, if `winner`, the index of the lowest
+    channel attaining it (all zero for one channel). Per CONV_CHUNK output
+    rows, the chunk's padded input is built and one GEMM gives every
+    channel's outputs."""
     n = W_stack.shape[1] // d_c
     s = W_stack.shape[0] // W_e.shape[1]
     l = len(ids)
     M = np.empty((l, d_c))
-    arg = np.zeros((l, d_c), dtype=np.min_scalar_type(n - 1)) if winner and n > 1 else None
+    arg = np.zeros((l, d_c), dtype=np.min_scalar_type(n - 1)) if winner else None
     for r0 in range(0, l, CONV_CHUNK):
         r1 = min(r0 + CONV_CHUNK, l)
         Z = _windows(_input_block(ids, W_e, x_scale, s, r0, r1), s) @ W_stack
@@ -354,31 +349,27 @@ def _conv_max(ids: np.ndarray, W_e: np.ndarray, x_scale, W_stack: np.ndarray, d_
 
 
 def _conv_max_backward(ids: np.ndarray, W_e: np.ndarray, x_scale, W_stack: np.ndarray,
-                       winner, dM: np.ndarray, dW_e: np.ndarray,
+                       winner: np.ndarray, dM: np.ndarray, dW_e: np.ndarray,
                        rows: np.ndarray) -> np.ndarray:
     """Gradients of `_conv_max` for the upstream gradient dM (l >= 1 rows):
     returns dW_stack, shaped like W_stack, and adds the input gradient,
     times x_scale, into the compact W_e gradient dW_e, whose rows are the
-    embedding rows `rows` (sorted, unique, holding every id >= 0 of `ids`;
-    -1 rows add nothing). Each position's gradient goes to its winning
-    channel only; `winner` is None for a single channel. Per chunk, one
-    GEMM gives the window gradients, which an s_max-step shifted add folds
-    onto the chunk's input rows; the last s_max - 1 of those carry into the
-    next chunk, the others are finished and added into dW_e in row order.
-    One GEMM with the rebuilt chunk input gives the chunk's share of
-    dW_stack."""
+    embedding rows `rows` (sorted, unique, holding every id of `ids`).
+    Each position's gradient goes to its winning channel only. Per chunk,
+    one GEMM gives the window gradients, which an s_max-step shifted add
+    folds onto the chunk's input rows; the last s_max - 1 of those carry
+    into the next chunk, the others are finished and added into dW_e in
+    row order. One GEMM with the rebuilt chunk input gives the chunk's
+    share of dW_stack."""
     l, d_c = dM.shape
     d_e = W_e.shape[1]
     s = W_stack.shape[0] // d_e
     n = W_stack.shape[1] // d_c
     for r0 in range(0, l, CONV_CHUNK):
         r1 = min(r0 + CONV_CHUNK, l)
-        if n == 1:
-            dZ = dM[r0:r1]
-        else:
-            dZ = np.zeros((r1 - r0, n, d_c))
-            np.put_along_axis(dZ, winner[r0:r1, None], dM[r0:r1, None], axis=1)
-            dZ = dZ.reshape(r1 - r0, n * d_c)
+        dZ = np.zeros((r1 - r0, n, d_c))
+        np.put_along_axis(dZ, winner[r0:r1, None], dM[r0:r1, None], axis=1)
+        dZ = dZ.reshape(r1 - r0, n * d_c)
         dwin = dZ @ W_stack.T
         # padded rows r0 .. r1 + s - 2, the first s - 1 carried over
         dXb = np.zeros((r1 - r0 + s - 1, d_e))
@@ -392,13 +383,9 @@ def _conv_max_backward(ids: np.ndarray, W_e: np.ndarray, x_scale, W_stack: np.nd
         carry = dXb[done:]
         lo, hi = max(r0 - s // 2, 0), min(r0 + done - s // 2, l)
         dX = dXb[lo - r0 + s // 2 : hi - r0 + s // 2]
-        part = ids[lo:hi]
         if x_scale is not None:
             dX *= x_scale[lo:hi, None]
-        if part.size and part.min() < 0:
-            keep = part >= 0
-            part, dX = part[keep], dX[keep]
-        np.add.at(dW_e, np.searchsorted(rows, part), dX)
+        np.add.at(dW_e, np.searchsorted(rows, ids[lo:hi]), dX)
         win = _windows(_input_block(ids, W_e, x_scale, s, r0, r1), s)
         if r0 == 0:
             dW = win.T @ dZ
@@ -462,15 +449,16 @@ class DescriptionBatch:
 
     The parameters are fixed within a batch, so each label is encoded once.
     The descriptions are laid into one id sequence, `seq`, with s//2 gap
-    rows of id -1, which embed to zero, between neighbours (kernel width
-    s = s_max). A window reaches s//2 rows back and (s-1)//2 ahead, so none
+    rows between neighbours (kernel width s = s_max); a gap row holds id 0
+    at `x_scale` 0, so it embeds to zero and its gradient adds nothing to
+    W_e. A window reaches s//2 rows back and (s-1)//2 ahead, so none
     mixes two descriptions, and each description's rows see exactly the
     windows of its own padded input. One `_conv_max` runs over the
     sequence, and each description takes its spatial max over its own rows
-    (ties to the lowest row). `backward` adds
-    each sample's regularizer gradient w.r.t. the dense layer's input into
-    one row per label (`regularize`); the encoder's gradient is linear in
-    it, so `finish` runs the encoder's backward once for the whole batch.
+    (ties to the lowest row). `backward` adds each sample's regularizer
+    gradient w.r.t. the dense layer's input into one row per label
+    (`regularize`); the encoder's gradient is linear in it, so `finish`
+    runs the encoder's backward once for the whole batch.
     """
 
     def __init__(self, params: ModelParams, desc_ids_list, labels):
@@ -484,13 +472,15 @@ class DescriptionBatch:
             raise ValueError("cannot encode an empty description")
         s, _, d_c = params["desc_conv"].shape
         # the row of every description token in the packed sequence:
-        # description k's tokens follow k gaps of s//2 rows, which hold -1
+        # description k's tokens follow k gaps of s//2 rows
         self.rows = np.arange(lens.sum()) + s // 2 * np.repeat(np.arange(len(lens)), lens)
         starts = np.concatenate(([0], np.cumsum(lens[:-1])))
-        self.seq = np.full(self.rows[-1] + 1, -1)
+        self.seq = np.zeros(self.rows[-1] + 1, dtype=np.int64)
         self.seq[self.rows] = np.concatenate(descs)
+        self.x_scale = np.zeros(len(self.seq))
+        self.x_scale[self.rows] = 1.0
         self.W = _stack_kernels([params["desc_conv"]])
-        Z, _ = _conv_max(self.seq, params["W_e"], None, self.W, d_c, False)
+        Z, self.winner = _conv_max(self.seq, params["W_e"], self.x_scale, self.W, d_c, True)
         Zd = Z[self.rows]
         self.m = np.maximum.reduceat(Zd, starts, axis=0)             # (k, d_c)
         # argmax within each description: the first row holding the max
@@ -520,8 +510,8 @@ class DescriptionBatch:
         d_c = self.F.shape[1]
         dZ = np.zeros((len(self.seq), d_c))
         dZ[self.amax, np.arange(d_c)] = self.Dpre @ params["desc_W"]
-        dW = _conv_max_backward(self.seq, params["W_e"], None, self.W, None, dZ, grads["W_e"],
-                                grads.rows["W_e"])
+        dW = _conv_max_backward(self.seq, params["W_e"], self.x_scale, self.W, self.winner, dZ,
+                                grads["W_e"], grads.rows["W_e"])
         grads["desc_conv"] += dW.reshape(params["desc_conv"].shape)
 
 
@@ -576,7 +566,7 @@ def backward(samples, params: ModelParams, desc_ids_list=None) -> tuple[float, G
         # clipped: the forward pass refuses an id out of range
         np.put(touched, token_ids, True, mode="clip")
     if desc_batch is not None:
-        touched[desc_batch.seq[desc_batch.rows]] = True
+        touched[desc_batch.seq] = True
     grads = GradientSet.zeros_like(params, rows={"W_e": np.flatnonzero(touched)})
     W_stack = _stack_kernels(params.conv)
     loss = 0.0

@@ -86,12 +86,11 @@ def adam_step(params: ModelParams, grads: GradientSet, state: AdamState, cfg: Tr
     updated.
 
     Each tensor is walked in blocks of whole rows, ADAM_BLOCK elements or
-    fewer (one row at least), from its first row on; a dense tensor that
-    fits in one block is updated whole. A block's gradient is a view of a
-    dense gradient, or, for a compact one (`GradientSet.rows`), a zeroed
-    block with the touched rows scattered in, so an untouched row gets the
-    update for g = 0: its moments decay and it still moves. Within a
-    block the operation order is that of m = b1*m + (1-b1)*g,
+    fewer (one row at least), from its first row on. A block's gradient is
+    a view of a dense gradient, or, for a compact one (`GradientSet.rows`),
+    a zeroed block with the touched rows scattered in, so an untouched row
+    gets the update for g = 0: its moments decay and it still moves. Within
+    a block the operation order is that of m = b1*m + (1-b1)*g,
     v = b2*v + (1-b2)*g*g, arr -= lr * (m/bc1) / (sqrt(v/bc2) + eps),
     and the block's gradient is spent once `v` is updated, so it serves as
     scratch beside one transient. Afterwards a dense tensor of `grads`
@@ -105,9 +104,6 @@ def adam_step(params: ModelParams, grads: GradientSet, state: AdamState, cfg: Tr
         g, rows = grads[name], grads.rows.get(name)
         m, v = state.m[name], state.v[name]
         step = max(1, ADAM_BLOCK // math.prod(arr.shape[1:]))
-        if rows is None and step >= len(arr):  # one dense block: the tensors themselves
-            _adam_update(arr, g, m, v, lr, bc1, bc2)
-            continue
         for r0 in range(0, len(arr), step):
             r1 = min(r0 + step, len(arr))
             if rows is None:

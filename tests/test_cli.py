@@ -256,6 +256,23 @@ class TestTrain:
         assert f"{split} split {paths[split]} is empty" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_all_digit_training_split_leaves_no_out(self, corpus_dir, train_cfg_path,
+                                                     tmp_path, capsys):
+        # CBOW found the empty text only after vocab.tsv was written
+        lines = (corpus_dir / "train.jsonl").read_text().splitlines()
+        notes = [dict(json.loads(line), text="123 456") for line in lines]
+        digits = tmp_path / "digits.jsonl"
+        digits.write_text("".join(json.dumps(note) + "\n" for note in notes))
+        out = tmp_path / "out"
+        assert run([
+            "train", "--model", "mvc-lda", "--train", str(digits),
+            "--dev", str(corpus_dir / "dev.jsonl"),
+            "--labels", str(corpus_dir / "descriptions.tsv"),
+            "--config", str(train_cfg_path), "--seed", "3", "--out", str(out),
+        ]) == cli.EXIT_DATA
+        assert "cannot pretrain embeddings on an empty corpus" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_artifacts_exist(self, trained_dir):
         for name in ("checkpoint.bin", "history.jsonl", "vocab.tsv",
                      "embeddings.bin", "train_counts.tsv", "manifest.json"):
@@ -1045,6 +1062,26 @@ class TestCommandFront:
             argv += ["--embeddings", str(trained_dir / "embeddings.bin")]
         assert run(argv) == cli.EXIT_DATA
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    # an empty label space once trained a zero-label model, and scored every
+    # hyperband trial 0.0, with exit 0
+    @pytest.mark.parametrize("command", ["train", "hyperband", "evaluate", "baseline"])
+    def test_empty_label_space_exits_2_leaving_nothing(self, corpus_dir, trained_dir, tmp_path,
+                                                       capsys, command):
+        labels, cfg, out = tmp_path / "empty.tsv", tmp_path / "empty.cfg", tmp_path / "out"
+        labels.write_text("")
+        cfg.write_text("")
+        if command == "evaluate":
+            argv = ["evaluate", "--checkpoint", str(trained_dir / "checkpoint.bin"),
+                    "--test", str(corpus_dir / "test.jsonl"), "--labels", str(labels),
+                    "--vocab", str(trained_dir / "vocab.tsv"),
+                    "--metrics-out", str(out / "metrics.json")]
+        else:
+            argv = self._argv(command, corpus_dir, cfg, out)
+            argv[argv.index("--labels") + 1] = str(labels)
+        assert run(argv) == cli.EXIT_DATA
+        assert f"--labels {labels} defines no code" in capsys.readouterr().err
         assert not out.exists()
 
     # a misspelt variable was once ignored: MVC_MAX_EPOCH=1 trained every epoch

@@ -164,9 +164,10 @@ class TestEmbedLookup:
         assert np.array_equal(Xp, np.vstack([np.zeros((2, 4)), rows, np.zeros((1, 4))]))
 
     def test_gap_rows_zero_and_rows_scaled(self):
-        Xp, X = self.lookup([1, -1, 2], np.arange(1.0, 7.0).reshape(3, 2), s=2,
-                            x_scale=np.array([2.0, 3.0, 0.0]))
-        assert np.array_equal(X, [[6.0, 8.0], [0.0, 0.0], [0.0, 0.0]])
+        # a gap row is a row of scale 0
+        Xp, X = self.lookup([1, 0, 2], np.arange(1.0, 7.0).reshape(3, 2), s=2,
+                            x_scale=np.array([2.0, 0.0, 0.5]))
+        assert np.array_equal(X, [[6.0, 8.0], [0.0, 0.0], [2.5, 3.0]])
         assert np.array_equal(Xp[0], [0.0, 0.0])
 
     def test_chunk_block_reads_its_window_rows(self):

@@ -182,10 +182,8 @@ class TestChunkedConv:
         M, winner = model._conv_max(ids, X, None, W_stack, d_c, True)
         assert_rel_close(M, M_ref)
         assert_rel_close(frames(X, weights), np.tanh(M_ref))
-        if len(kernels) > 1:
-            assert np.array_equal(winner, winner_ref)
-        else:
-            assert winner is None
+        # one channel takes the same path: its winner is all zeros
+        assert np.array_equal(winner, winner_ref)
 
         dM = rng.normal(size=(l, d_c))
         dW_ref, dX_ref = multi_view_max_backward(X, weights, winner_ref, dM)
@@ -197,29 +195,28 @@ class TestChunkedConv:
 
     @pytest.mark.parametrize("kernels", [(1, 3), (2, 4, 6, 8), (5,)])
     def test_gapped_sequence_with_dropout_matches_reference(self, kernels):
-        # -1 rows (gaps, one of them across the first chunk boundary) embed
-        # to zero and collect no gradient; the dropout scale multiplies each
-        # row forward and its gradient backward
+        # gap rows (one run of them across the first chunk boundary) are
+        # rows of scale 0: they embed to zero and add zero to their id's
+        # gradient; the dropout scale multiplies each row forward and its
+        # gradient backward
         rng = np.random.default_rng(sum(kernels))
         d_e, d_c, vocab, l = 3, 4, 9, 2 * CHUNK + 5
         table = rng.normal(size=(vocab, d_e))
         weights = [rng.normal(size=(s, d_e, d_c)) for s in kernels]
         ids = rng.integers(0, vocab, l)
-        ids[[0, 7, 8, 9, CHUNK - 2, CHUNK - 1, CHUNK, CHUNK + 1, l - 1]] = -1
         x_scale = (rng.random(l) >= 0.3) / 0.7
-        valid = ids >= 0
-        X = np.where(valid[:, None], table[ids] * x_scale[:, None], 0.0)
+        x_scale[[0, 7, 8, 9, CHUNK - 2, CHUNK - 1, CHUNK, CHUNK + 1, l - 1]] = 0.0
+        X = table[ids] * x_scale[:, None]
         M_ref, winner_ref = multi_view_max(X, weights)
         W_stack = model._stack_kernels(weights)
         M, winner = model._conv_max(ids, table, x_scale, W_stack, d_c, True)
         assert_rel_close(M, M_ref)
-        if len(kernels) > 1:
-            assert np.array_equal(winner, winner_ref)
+        assert np.array_equal(winner, winner_ref)
 
         dM = rng.normal(size=(l, d_c))
         dW_ref, dX_ref = multi_view_max_backward(X, weights, winner_ref, dM)
         dtable_ref = np.zeros_like(table)
-        np.add.at(dtable_ref, ids[valid], (dX_ref * x_scale[:, None])[valid])
+        np.add.at(dtable_ref, ids, dX_ref * x_scale[:, None])
         dtable = np.zeros_like(table)
         dW = model._conv_max_backward(ids, table, x_scale, W_stack, winner, dM, dtable,
                                       np.arange(vocab))
@@ -724,7 +721,7 @@ class TestBackward:
 
     @pytest.mark.parametrize("kernels", [(1, 3), (2, 4, 6, 8)])
     def test_compact_w_e_gradient_equals_the_dense_add_at_path(self, kernels, monkeypatch):
-        # descriptions packed with -1 gap rows, dropout on all notes but
+        # descriptions packed with gap rows of id 0, dropout on all notes but
         # the last, a zero-length note and one of 2 * CHUNK + 5 tokens,
         # over a vocabulary most of whose rows the batch leaves untouched.
         # The dense path takes each row's additions in the same order, so
@@ -741,7 +738,8 @@ class TestBackward:
             samples.append((rng.integers(0, vocab, n), n, gold,
                             model.make_dropout_masks(rng, n, labels, 4, rate)))
         _, grads = model.backward(samples, params, desc)
-        rows = np.unique(np.concatenate([ids for ids, *_ in samples] + desc))
+        # the gap rows' id 0 is among the touched rows
+        rows = np.unique(np.concatenate([ids for ids, *_ in samples] + desc + [[0]]))
         assert np.array_equal(grads.rows["W_e"], rows) and len(rows) < vocab
         assert grads["W_e"].shape == (len(rows), 5)
 

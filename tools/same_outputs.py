@@ -15,7 +15,9 @@ mvc-rlda with every component on `--test`, and mvc-lda with regularization,
 extra_notes and regularization again on the dev split; then a second
 synth with a few thousand background words and one epoch of mvc-rlda
 training on it at embed_dim 64, whose vocabulary spans several of
-`adam_step`'s row blocks and whose batches leave most rows untouched.
+`adam_step`'s row blocks and whose batches leave most rows untouched, and
+whose notes, trained untruncated, are longer than `model.CONV_CHUNK`, so
+the convolution's backward carries rows from one chunk into the next.
 So every file option of every command is given at least once. Every file either run
 wrote is then reported as identical or differing; `history.jsonl` is
 compared with each line's `wall_time_s` removed, the only field allowed to
@@ -73,15 +75,16 @@ max_segment = 60
 lambda = 0.01
 cbow_epochs = 1
 """,
-    # ~4,000 words at embed_dim 64: several of adam_step's row blocks
+    # ~5,000 words at embed_dim 64: several of adam_step's row blocks;
+    # notes longer than model.CONV_CHUNK (512), two row chunks each
     "wide_synth.cfg": """\
 n_codes = 12
 n_train = 40
 n_dev = 8
 n_test = 8
 background_vocab = 5000
-doc_len_min = 200
-doc_len_max = 400
+doc_len_min = 600
+doc_len_max = 800
 """,
     "wide.cfg": """\
 kernel_sizes = 2,4,6,8
