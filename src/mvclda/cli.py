@@ -241,10 +241,12 @@ def _training_setup(args, keys: dict) -> _TrainingSetup:
     mvc-lda model has no regularizer, so each lambda key set there earns a
     warning) and build every config from it; load the label space, read the
     splits (ablate's evaluation split is scored), build the vocabulary from
-    the training split only and encode every split; check --embeddings
-    against the vocabulary's checksum, or, without --embeddings, pretrain
-    CBOW vectors on the encoded training text; only then create the output
-    directory and write the vocabulary and the pretrained vectors."""
+    the training split only and encode every split; with --embeddings,
+    refuse a training split with no token and check the table against the
+    vocabulary's checksum, or, without it, pretrain CBOW vectors on the
+    encoded training text, which refuses such a split itself; only then
+    create the output directory and write the vocabulary and the
+    pretrained vectors."""
     values = load_config(args.config, keys)
     for key in ("lambda", "lambda_candidates"):
         if args.model == "mvc-lda" and key in values:
@@ -268,6 +270,9 @@ def _training_setup(args, keys: dict) -> _TrainingSetup:
     vocab_bytes = corpus.vocabulary_bytes(vocab)
     vocab_checksum = hashlib.sha256(vocab_bytes).hexdigest()
     if getattr(args, "embeddings", None):
+        # as CBOW does without --embeddings
+        if not any(len(d.token_ids) for d in docs["train"]):
+            raise ValueError(f"train split {args.train} has no token to train on")
         table = embed.load_embeddings(args.embeddings, expected_vocab_checksum=vocab_checksum)
         if table.shape[0] != vocab.size:
             raise ValueError(

@@ -4,6 +4,11 @@ F1.
 Scores are n_docs x n_labels matrices in [0, 1]; gold matrices are binary
 with the same shape. All operations are pure and permutation-invariant in
 document order.
+
+A report sorts the scores once (PR AUC), selects each row's top n by
+partition (P@n) and counts per-label integer TP/FP/FN once: every F1 in it,
+micro, per group, macro and per frequency bin, is a sum or a ratio of those
+counts.
 """
 
 from __future__ import annotations
@@ -16,6 +21,12 @@ REPORT_FORMAT_VERSION = 1
 
 # Presence threshold: scores strictly greater than 0.5 count as predicted.
 DEFAULT_THRESHOLD = 0.5
+
+# Places of the sorted positive scores per block of the PR AUC sweep, and
+# cells per row block of the P@n selection: bounds on the transients beside
+# the sorted copies.
+PR_AUC_BLOCK = 65_536
+P_AT_N_BLOCK = 65_536
 
 
 def binarize(scores: np.ndarray) -> np.ndarray:
@@ -32,14 +43,21 @@ def _select(matrix: np.ndarray, labels) -> np.ndarray:
     return matrix[:, labels]
 
 
+def label_counts(pred: np.ndarray, gold: np.ndarray) -> np.ndarray:
+    """Per-label integer (TP, FP, FN) of a binary prediction matrix: a
+    3 x n_labels int64 table."""
+    p = np.asarray(pred, dtype=bool)
+    g = np.asarray(gold, dtype=bool)
+    tp = np.count_nonzero(p & g, axis=0)
+    return np.stack([tp, np.count_nonzero(p, axis=0) - tp, np.count_nonzero(g, axis=0) - tp])
+
+
 def micro_counts(pred: np.ndarray, gold: np.ndarray, labels=None) -> tuple[int, int, int]:
     """Pooled (TP, FP, FN) over all (document, label) cells of the subset."""
-    p = _select(pred, labels).astype(bool)
-    g = _select(gold, labels).astype(bool)
-    tp = int(np.sum(p & g))
-    fp = int(np.sum(p & ~g))
-    fn = int(np.sum(~p & g))
-    return tp, fp, fn
+    p = _select(pred, labels).astype(bool, copy=False)
+    g = _select(gold, labels).astype(bool, copy=False)
+    tp = int(np.count_nonzero(p & g))
+    return tp, int(np.count_nonzero(p)) - tp, int(np.count_nonzero(g)) - tp
 
 
 def _f1_from_counts(tp: int, fp: int, fn: int) -> float:
@@ -55,21 +73,33 @@ def micro_f1(pred: np.ndarray, gold: np.ndarray, labels=None) -> float:
     return _f1_from_counts(*micro_counts(pred, gold, labels))
 
 
-def macro_f1(pred: np.ndarray, gold: np.ndarray, labels=None) -> float:
+def _micro_f1_by(counts: np.ndarray, key: np.ndarray, n_keys: int) -> list[float]:
+    """Micro F1 of each of n_keys label groups, label j in group key[j],
+    from the label_counts table `counts`: a group's TP/FP/FN are its
+    labels' counts summed (as floats, exact below 2**53)."""
+    sums = np.stack([np.bincount(key, weights=row, minlength=n_keys) for row in counts])
+    return [_f1_from_counts(*(int(c) for c in col)) for col in sums.T]
+
+
+def macro_f1(pred: np.ndarray, gold: np.ndarray, labels=None, *, counts=None) -> float:
     """Unweighted mean of per-label F1. Every label in the subset must have
-    at least one gold positive, otherwise its recall is undefined."""
-    p = _select(pred, labels).astype(bool)
-    g = _select(gold, labels).astype(bool)
-    support = g.sum(axis=0)
-    if np.any(support == 0):
+    at least one gold positive, otherwise its recall is undefined.
+
+    `counts`, when given, is `label_counts(pred, gold)` over every label,
+    and pred and gold are not read again."""
+    if counts is None:
+        counts = label_counts(pred, gold)
+    if labels is not None:
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.size == 0:
+            raise ValueError("label subset is empty")
+        counts = counts[:, labels]
+    tp, fp, fn = counts
+    if np.any(tp + fn == 0):
         raise ValueError(
             "macro F1 is undefined for labels without gold positives; "
             "restrict the label subset"
         )
-    # per-label counts as column sums; every label has tp + fn > 0
-    tp = np.sum(p & g, axis=0)
-    fp = np.sum(p & ~g, axis=0)
-    fn = np.sum(~p & g, axis=0)
     precision = np.divide(tp, tp + fp, out=np.zeros(tp.shape), where=tp + fp > 0)
     recall = tp / (tp + fn)
     pr = precision + recall
@@ -80,19 +110,33 @@ def macro_f1(pred: np.ndarray, gold: np.ndarray, labels=None) -> float:
 def precision_at_n(scores: np.ndarray, gold: np.ndarray, n: int) -> float:
     """Mean over documents of the precision of the n top-scored labels.
 
-    Ties are broken toward the lower label index.
+    Ties are broken toward the lower label index. Each row's n-th highest
+    score comes from a partition, not a sort: the labels above it are all
+    taken, and its ties fill the remaining places from the lowest label
+    index up. Rows go P_AT_N_BLOCK cells at a time.
     """
     scores = np.asarray(scores, dtype=np.float64)
     gold = np.asarray(gold)
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > scores.shape[1]:
-        raise ValueError(f"n={n} exceeds the number of labels {scores.shape[1]}")
-    if scores.shape[0] == 0:
+    n_docs, n_labels = scores.shape
+    if n > n_labels:
+        raise ValueError(f"n={n} exceeds the number of labels {n_labels}")
+    if n_docs == 0:
         return 0.0
-    # a stable sort keeps tied labels in index order
-    top = np.argsort(-scores, axis=1, kind="stable")[:, :n]
-    hits = np.sum(np.take_along_axis(gold, top, axis=1) > 0, axis=1)
+    hits = np.empty(n_docs, dtype=np.int64)
+    step = max(1, P_AT_N_BLOCK // n_labels)
+    for r0 in range(0, n_docs, step):
+        block = scores[r0 : r0 + step]
+        nth = np.partition(block, n_labels - n, axis=1)[:, n_labels - n, None]
+        top = block > nth
+        tied = block == nth
+        free = n - np.count_nonzero(top, axis=1)
+        # rows with more ties at the n-th place than free places
+        crowded = np.flatnonzero(np.count_nonzero(tied, axis=1) > free)
+        tied[crowded] &= np.cumsum(tied[crowded], axis=1) <= free[crowded, None]
+        top |= tied
+        hits[r0 : r0 + step] = np.count_nonzero(top & (gold[r0 : r0 + step] > 0), axis=1)
     return float(np.mean(hits / n))
 
 
@@ -101,32 +145,48 @@ def pr_auc(scores: np.ndarray, gold: np.ndarray) -> float:
 
     Thresholds sweep every distinct score plus 0 and 1; a cell is predicted
     positive when its score is strictly greater than the threshold. Precision
-    is integrated over recall with a right-continuous step rule.
+    is integrated over recall with a right-continuous step rule, threshold
+    by threshold from the highest down, adding strictly left to right.
 
-    One ascending sort gives, for every threshold, the count of cells above
-    it and of gold positives among them; the area is summed threshold by
-    threshold, from the highest down.
+    Recall moves only at the threshold just below a distinct positive score
+    v; every other threshold adds an exact 0.0 step, which leaves the sum's
+    bits as they are, so only those thresholds are visited. There the cells
+    predicted are the cells scoring v or more, counted by a binary search
+    in the scores sorted once, and the true positives the positives scoring
+    v or more, counted by v's first place among the positives' scores,
+    sorted apart. Such a threshold exists when some cell scores below v, or
+    when v > 0 (the threshold 0 then predicts every cell). The distinct
+    positive scores go PR_AUC_BLOCK places of the sorted positives at a
+    time, from the highest down, with the area carried between blocks.
     """
     s = np.asarray(scores, dtype=np.float64).ravel()
-    g = np.asarray(gold).ravel().astype(bool)
-    n_pos = int(g.sum())
+    pos = np.sort(s[np.asarray(gold).ravel().astype(bool)])
+    n_pos = pos.size
     if n_pos == 0:
         raise ValueError("PR AUC is undefined without gold positives")
-    order = np.argsort(s, kind="stable")
-    s_sorted = s[order]
-    pos_below = np.concatenate([[0], np.cumsum(g[order])])
-    thresholds = np.unique(np.concatenate([s, [0.0, 1.0]]))[::-1]
-    below = np.searchsorted(s_sorted, thresholds, side="right")
-    n_pred = s.size - below
-    tp = n_pos - pos_below[below]
-    keep = n_pred > 0
-    recall = tp[keep] / n_pos
-    precision = tp[keep] / n_pred[keep]
-    if recall.size == 0:
-        return 0.0
-    steps = (recall - np.concatenate([[0.0], recall[:-1]])) * precision
-    # accumulate, unlike np.sum, adds strictly left to right
-    return float(np.add.accumulate(steps)[-1])
+    s = np.sort(s)
+    n = s.size
+    area, last_recall = 0.0, 0.0
+    for hi in range(n_pos, 0, -PR_AUC_BLOCK):
+        lo = max(hi - PR_AUC_BLOCK, 0)
+        run_start = np.empty(hi - lo, dtype=bool)
+        run_start[0] = lo == 0 or pos[lo] != pos[lo - 1]
+        np.not_equal(pos[lo + 1 : hi], pos[lo : hi - 1], out=run_start[1:])
+        first = lo + np.flatnonzero(run_start)[::-1]
+        v = pos[first]
+        n_pred = n - np.searchsorted(s, v, side="left")
+        tp = n_pos - first
+        below = (n_pred < n) | (v > 0.0)
+        n_pred, tp = n_pred[below], tp[below]
+        if tp.size == 0:
+            continue
+        recall = tp / n_pos
+        precision = tp / n_pred
+        steps = (recall - np.concatenate([[last_recall], recall[:-1]])) * precision
+        # accumulate, unlike np.sum, adds strictly left to right
+        area = np.add.accumulate(np.concatenate([[area], steps]))[-1]
+        last_recall = recall[-1]
+    return float(area)
 
 
 @dataclass
@@ -142,37 +202,42 @@ def frequency_binned_f1(
     gold: np.ndarray,
     train_counts,
     n_bins: int = 10,
+    *,
+    counts=None,
 ) -> list[BinRow]:
     """Micro F1 per bin of ln(training count), over labels present in both
     the training set (count >= 1) and the evaluation gold (support >= 1).
 
     Bin edges are equal-width over [min, max] of the natural log of counts.
+    Each bin's TP/FP/FN are its labels' columns of the per-label count
+    table summed; `counts`, when given, is `label_counts(pred, gold)`, and
+    pred and gold are not read again.
     """
-    pred = np.asarray(pred).astype(bool)
-    gold = np.asarray(gold).astype(bool)
-    counts = np.asarray(train_counts, dtype=np.float64)
-    eligible = np.flatnonzero((counts >= 1) & (gold.sum(axis=0) >= 1))
+    if counts is None:
+        counts = label_counts(pred, gold)
+    freq = np.asarray(train_counts, dtype=np.float64)
+    tp, _, fn = counts
+    eligible = np.flatnonzero((freq >= 1) & (tp + fn >= 1))
     if eligible.size == 0:
         raise ValueError("no label is present in both the training and evaluation sets")
-    logs = np.log(counts[eligible])
+    logs = np.log(freq[eligible])
     lo, hi = float(logs.min()), float(logs.max())
     width = (hi - lo) / n_bins
     if width == 0.0:
         assignment = np.zeros(eligible.size, dtype=np.int64)
     else:
         assignment = np.minimum(((logs - lo) / width).astype(np.int64), n_bins - 1)
-    rows = []
-    for b in range(n_bins):
-        members = eligible[assignment == b]
-        rows.append(
-            BinRow(
-                bin_lo=lo + b * width,
-                bin_hi=lo + (b + 1) * width,
-                n_labels=int(members.size),
-                micro_f1=micro_f1(pred, gold, members) if members.size else None,
-            )
+    sizes = np.bincount(assignment, minlength=n_bins)
+    f1 = _micro_f1_by(counts[:, eligible], assignment, n_bins)
+    return [
+        BinRow(
+            bin_lo=lo + b * width,
+            bin_hi=lo + (b + 1) * width,
+            n_labels=int(sizes[b]),
+            micro_f1=f1[b] if sizes[b] else None,
         )
-    return rows
+        for b in range(n_bins)
+    ]
 
 
 @dataclass
@@ -213,27 +278,26 @@ def evaluate_predictions(
     scores = np.asarray(scores, dtype=np.float64)
     gold01 = np.asarray(gold)
     pred = binarize(scores)
-    tp, fp, fn = micro_counts(pred, gold01)
+    counts = label_counts(pred, gold01)
+    tp, fp, fn = (int(c) for c in counts.sum(axis=1))
 
     by_group: dict[str, float] = {}
     if groups is not None:
-        tags = list(groups)
-        for tag in sorted(set(tags)):
-            if tag == "none":
-                continue
-            members = np.flatnonzero(np.array([t == tag for t in tags]))
-            by_group[tag] = micro_f1(pred, gold01, members)
+        index: dict[str, int] = {}  # tag -> its number, in order of first sight
+        key = np.array([index.setdefault(tag, len(index)) for tag in groups], dtype=np.int64)
+        f1 = _micro_f1_by(counts, key, len(index))
+        by_group = {tag: f1[index[tag]] for tag in sorted(index) if tag != "none"}
 
     macro = None
     macro_n = 0
     if macro_labels is not None:
         macro_labels = np.asarray(macro_labels, dtype=np.int64)
-        macro = macro_f1(pred, gold01, macro_labels)
+        macro = macro_f1(pred, gold01, macro_labels, counts=counts)
         macro_n = int(macro_labels.size)
 
     bins = None
     if train_counts is not None:
-        bins = frequency_binned_f1(pred, gold01, train_counts)
+        bins = frequency_binned_f1(pred, gold01, train_counts, counts=counts)
 
     return MetricsReport(
         n_docs=int(scores.shape[0]),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import warnings
@@ -271,6 +272,38 @@ class TestTrain:
             "--config", str(train_cfg_path), "--seed", "3", "--out", str(out),
         ]) == cli.EXIT_DATA
         assert "cannot pretrain embeddings on an empty corpus" in capsys.readouterr().err
+        assert not out.exists()
+
+    # with --embeddings, such a split once trained a checkpoint on
+    # zero-length notes and exited 0
+    @pytest.mark.parametrize("command, pretrained", [
+        ("train", True), ("hyperband", True), ("hyperband", False),
+    ])
+    def test_all_digit_training_split_is_refused(self, corpus_dir, train_cfg_path, hb_cfg,
+                                                  tmp_path, capsys, command, pretrained):
+        lines = (corpus_dir / "train.jsonl").read_text().splitlines()
+        digits = tmp_path / "digits.jsonl"
+        digits.write_text("".join(json.dumps(dict(json.loads(line), text="123 456")) + "\n"
+                                  for line in lines))
+        extra = []
+        if pretrained:
+            # a table for the vocabulary of no token, which holds the oov id only
+            vocab = corpus.build_vocabulary([[] for _ in lines])
+            checksum = hashlib.sha256(corpus.vocabulary_bytes(vocab)).hexdigest()
+            emb = tmp_path / "embeddings.bin"
+            embed.save_embeddings(emb, np.full((vocab.size, 8), 0.1), checksum)
+            extra = ["--embeddings", str(emb)]
+        out = tmp_path / "out"
+        assert run([
+            command, "--model", "mvc-lda", "--train", str(digits),
+            "--dev", str(corpus_dir / "dev.jsonl"),
+            "--labels", str(corpus_dir / "descriptions.tsv"),
+            "--config", str(hb_cfg if command == "hyperband" else train_cfg_path),
+            "--seed", "3", "--out", str(out), *extra,
+        ]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert ("has no token to train on" if pretrained
+                else "cannot pretrain embeddings on an empty corpus") in err
         assert not out.exists()
 
     def test_artifacts_exist(self, trained_dir):

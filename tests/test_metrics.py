@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +9,13 @@ import pytest
 from mvclda import corpus, metrics
 
 from oracles import (
+    argsort_pr_auc,
+    argsort_precision_at_n,
     brute_macro_f1,
     brute_micro_f1,
     brute_precision_at_n,
     grid_pr_auc,
+    per_subset_report,
     threshold_sweep_pr_auc,
 )
 
@@ -294,3 +298,109 @@ class TestReports:
         assert set(report.p_at) == {"3", "5"}
         assert set(report.micro_f1_by_group) == {"diagnosis", "procedure"}
         assert report.bins is not None and len(report.bins) == 10
+
+
+MATRIX_KINDS = ["random", "ties", "binary", "ends"]
+
+
+def kind_case(rng, kind, max_docs=20, max_labels=30):
+    """A random case whose scores are continuous, on a 1/8 lattice (many
+    ties), two-valued 0/1 (what the baselines score) or continuous with
+    exact 0.0 and 1.0 cells (ties with the sweep's added thresholds)."""
+    scores, gold = random_case(rng, max_docs, max_labels)
+    if kind == "ties":
+        scores = np.round(scores * 8) / 8.0
+    elif kind == "binary":
+        scores = (scores > 0.7).astype(float)
+    elif kind == "ends":
+        scores[rng.random(scores.shape) < 0.2] = 0.0
+        scores[rng.random(scores.shape) < 0.2] = 1.0
+    gold[0, 0] = 1
+    return scores, gold
+
+
+def full_report_args(rng, gold):
+    j = gold.shape[1]
+    return dict(
+        p_at=tuple(sorted({1, min(5, j), j})),
+        groups=[str(t) for t in rng.choice(["diagnosis", "procedure", "none"], j)],
+        train_counts=rng.integers(0, 300, j),
+        macro_labels=np.flatnonzero(gold.sum(axis=0) > 0),
+    )
+
+
+class TestOneSortReport:
+    """The one-sort report against the per-subset, argsort-based one it
+    replaced (kept in oracles.py): the same report, bit for bit."""
+
+    @pytest.mark.parametrize("kind", MATRIX_KINDS)
+    def test_report_equals_per_subset_report(self, kind):
+        rng = np.random.default_rng(MATRIX_KINDS.index(kind))
+        for _ in range(40):
+            scores, gold = kind_case(rng, kind)
+            kwargs = full_report_args(rng, gold)
+            assert dataclasses.asdict(metrics.evaluate_predictions(scores, gold, **kwargs)) == \
+                dataclasses.asdict(per_subset_report(scores, gold, **kwargs))
+
+    @pytest.mark.parametrize("block", [1, 3])
+    @pytest.mark.parametrize("kind", MATRIX_KINDS)
+    def test_small_blocks_change_no_bit(self, monkeypatch, kind, block):
+        monkeypatch.setattr(metrics, "PR_AUC_BLOCK", block)
+        monkeypatch.setattr(metrics, "P_AT_N_BLOCK", block)
+        rng = np.random.default_rng(10 + MATRIX_KINDS.index(kind))
+        for _ in range(20):
+            scores, gold = kind_case(rng, kind, max_docs=12, max_labels=16)
+            assert metrics.pr_auc(scores, gold) == argsort_pr_auc(scores, gold)
+            kwargs = full_report_args(rng, gold)
+            assert dataclasses.asdict(metrics.evaluate_predictions(scores, gold, **kwargs)) == \
+                dataclasses.asdict(per_subset_report(scores, gold, **kwargs))
+
+    @pytest.mark.parametrize("kind", MATRIX_KINDS)
+    def test_pr_auc_equals_argsort_sweep(self, kind):
+        rng = np.random.default_rng(20 + MATRIX_KINDS.index(kind))
+        for _ in range(60):
+            scores, gold = kind_case(rng, kind)
+            assert metrics.pr_auc(scores, gold) == argsort_pr_auc(scores, gold)
+
+    def test_pr_auc_scores_outside_unit_interval(self):
+        # 0 and 1 then fall between scores, or below or above every score
+        rng = np.random.default_rng(24)
+        for shift in (-1.5, -0.5, 0.5, 1.5):
+            for _ in range(10):
+                scores, gold = kind_case(rng, "ties")
+                assert metrics.pr_auc(scores + shift, gold) == argsort_pr_auc(scores + shift, gold)
+
+    @pytest.mark.parametrize("kind", MATRIX_KINDS)
+    def test_p_at_every_n_with_ties_across_the_cut(self, kind):
+        # three levels (or two) leave the n-th place inside a tie in most rows
+        rng = np.random.default_rng(30 + MATRIX_KINDS.index(kind))
+        for _ in range(15):
+            scores, gold = kind_case(rng, kind, max_labels=20)
+            if kind == "random":
+                scores = rng.integers(0, 3, scores.shape) / 2.0
+            for n in range(1, scores.shape[1] + 1):
+                assert metrics.precision_at_n(scores, gold, n) == \
+                    argsort_precision_at_n(scores, gold, n)
+
+    def test_report_peak_memory_per_cell(self):
+        # MIMIC-III's full label count; the argsort-based report peaked at
+        # ~91 B per cell
+        rng = np.random.default_rng(40)
+        scores = rng.random((120, 8922))
+        gold = (rng.random(scores.shape) < 15 / 8922).astype(float)
+        gold[:, 0] = 1
+        kwargs = dict(p_at=(8, 5), groups=["diagnosis", "procedure"] * 4461,
+                      train_counts=rng.integers(0, 300, 8922),
+                      macro_labels=np.flatnonzero(gold.sum(axis=0) > 0))
+
+        def peak_per_cell(func, *args, **kw):
+            tracemalloc.start()
+            try:
+                func(*args, **kw)
+                return tracemalloc.get_traced_memory()[1] / scores.size
+            finally:
+                tracemalloc.stop()
+
+        assert peak_per_cell(metrics.evaluate_predictions, scores, gold, **kwargs) < 40
+        # a full argsort of the negated scores took 16 B per cell
+        assert peak_per_cell(metrics.precision_at_n, scores, gold, 8) <= 16
