@@ -307,9 +307,9 @@ def _training_setup(args, keys: dict) -> _TrainingSetup:
 def cmd_synth(args) -> int:
     values = load_config(args.config, SYNTH_KEYS)
     cfg = _build(corpus.SynthConfig, values, seed=args.seed)
+    synth = corpus.generate_synthetic_corpus(cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    synth = corpus.generate_synthetic_corpus(cfg)
     artifacts = {}
     for split, docs in (("train", synth.train), ("dev", synth.dev), ("test", synth.test)):
         artifacts[split] = out_dir / f"{split}.jsonl"
@@ -580,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a seeded synthetic corpus")
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.set_defaults(func=cmd_synth)
 
     # the options train, hyperband and ablate share
@@ -589,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--dev", required=True)
     run.add_argument("--labels", required=True, help="descriptions TSV (defines the label space)")
     run.add_argument("--config", required=True)
-    run.add_argument("--seed", type=int, required=True)
+    run.add_argument("--seed", type=_int_at_least(0), required=True)
     run.add_argument("--out", required=True)
 
     p = sub.add_parser("train", parents=[run], help="train MVC-LDA or MVC-RLDA")
@@ -630,7 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--hierarchy", help="child<TAB>parent TSV enabling the hierarchical variant")
     p.add_argument("--config")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--p-at", type=_p_at_list, default=[8])
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_baseline)

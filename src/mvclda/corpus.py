@@ -10,7 +10,9 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -69,9 +71,8 @@ class Vocabulary:
         return len(self.id_to_token) + 1
 
     def encode(self, tokens: list[str]) -> np.ndarray:
-        return np.array(
-            [self.token_to_id.get(t, self.oov_id) for t in tokens], dtype=np.int64
-        )
+        return np.fromiter(map(self.token_to_id.get, tokens, repeat(self.oov_id)), np.int64,
+                           count=len(tokens))
 
 
 def build_vocabulary(
@@ -83,14 +84,12 @@ def build_vocabulary(
     """
     if not train_docs:
         raise ValueError("cannot build a vocabulary from an empty training set")
-    df: dict[str, int] = {}
+    df: Counter[str] = Counter()
     for doc in train_docs:
-        for tok in set(doc):
-            df[tok] = df.get(tok, 0) + 1
-    retained = sorted(
-        (t for t, c in df.items() if c >= min_doc_freq),
-        key=lambda t: (-df[t], t),
-    )
+        df.update(set(doc))
+    # by descending frequency, ties in lexicographic order (a stable sort)
+    retained = sorted(sorted(t for t, c in df.items() if c >= min_doc_freq),
+                      key=df.__getitem__, reverse=True)
     return Vocabulary(retained, {t: df[t] for t in retained})
 
 
@@ -194,6 +193,15 @@ def encode_corpus(
 # Synthetic corpus generation
 # ---------------------------------------------------------------------------
 
+def _zipf_marginals(n_codes: int, exponent: float) -> np.ndarray:
+    """P(code j) proportional to (j + 1) ** -exponent. No floating-point
+    error is raised: an exponent that overflows or underflows shows as a
+    marginal that is not finite or not positive."""
+    with np.errstate(all="ignore"):
+        weights = np.arange(1, n_codes + 1, dtype=np.float64) ** (-exponent)
+        return weights / weights.sum()
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     n_codes: int = 20
@@ -227,6 +235,13 @@ class SynthConfig:
             raise ValueError(
                 "evidence phrases cannot be placed: evidence_len_max exceeds doc_len_min"
             )
+        marginals = _zipf_marginals(self.n_codes, self.zipf_exponent)
+        if not (math.isfinite(self.zipf_exponent) and np.isfinite(marginals).all()
+                and (marginals > 0).all()):
+            raise ValueError(
+                f"zipf_exponent must be finite with every code marginal over "
+                f"{self.n_codes} codes finite and positive, not {self.zipf_exponent}"
+            )
 
 
 @dataclass
@@ -249,13 +264,25 @@ _DESC_FILLERS = [
 ]
 
 
-def _word(index: int) -> str:
-    parts = []
-    index += 1
-    while index:
-        parts.append(_SYLLABLES[index % len(_SYLLABLES)])
-        index //= len(_SYLLABLES)
-    return "".join(reversed(parts))
+def _word_table(n: int) -> np.ndarray:
+    """The n synthetic words: word i spells the number i + 1 in base 12,
+    most significant digit first, one syllable per digit. Built one digit
+    count at a time: a number's word is the word of its leading digits
+    (the number // 12) plus its last digit's syllable. Returned as an
+    object array of Python strings, which a gather need not convert."""
+    base = len(_SYLLABLES)
+    n_digits = 1
+    while base ** n_digits <= n:
+        n_digits += 1
+    syllables = np.array(_SYLLABLES)
+    words = np.zeros(n + 1, dtype=f"<U{2 * n_digits}")  # by number; 0 is ""
+    lo = 1
+    while lo <= n:
+        hi = min(lo * base, n + 1)
+        k = np.arange(lo, hi)
+        words[lo:hi] = np.char.add(words[k // base], syllables[k % base])
+        lo = hi
+    return words[1:].astype(object)
 
 
 def generate_synthetic_corpus(cfg: SynthConfig) -> SyntheticCorpus:
@@ -265,24 +292,24 @@ def generate_synthetic_corpus(cfg: SynthConfig) -> SyntheticCorpus:
     contains that phrase verbatim. Code marginals follow a Zipf law, and the
     number of positive codes per document rises stochastically with document
     length (`coupling` controls the strength).
+
+    The background words come first in one word table, then each code's
+    phrase as a range of it; a note is one array of indices into the table.
     """
     rng = np.random.default_rng(cfg.seed)
-
-    bg_words = [_word(i) for i in range(cfg.background_vocab)]
     code_names = [f"{100 + j}.{j % 10}" for j in range(cfg.n_codes)]
 
-    phrases: list[list[str]] = []
-    descriptions: dict[str, str] = {}
-    next_evidence = cfg.background_vocab
-    for j in range(cfg.n_codes):
-        length = int(rng.integers(cfg.evidence_len_min, cfg.evidence_len_max + 1))
-        phrase = [_word(next_evidence + k) for k in range(length)]
-        next_evidence += length
-        phrases.append(phrase)
-        shared = phrase[: min(2, len(phrase))]
-        filler_a = _DESC_FILLERS[int(rng.integers(len(_DESC_FILLERS)))]
-        filler_b = _DESC_FILLERS[int(rng.integers(len(_DESC_FILLERS)))]
-        descriptions[code_names[j]] = " ".join([filler_a] + shared + [filler_b])
+    lengths, fillers = [], []
+    for _ in range(cfg.n_codes):
+        lengths.append(int(rng.integers(cfg.evidence_len_min, cfg.evidence_len_max + 1)))
+        fillers.append((_DESC_FILLERS[int(rng.integers(len(_DESC_FILLERS)))],
+                        _DESC_FILLERS[int(rng.integers(len(_DESC_FILLERS)))]))
+    lengths = np.array(lengths, dtype=np.int64)
+    starts = cfg.background_vocab + np.cumsum(lengths) - lengths  # of each code's phrase
+    words = _word_table(cfg.background_vocab + int(lengths.sum()))
+    phrases = [words[s:s + n].tolist() for s, n in zip(starts.tolist(), lengths.tolist())]
+    descriptions = {code: " ".join([a, *phrase[:2], b])
+                    for code, phrase, (a, b) in zip(code_names, phrases, fillers)}
 
     # forest over the codes: the first ~sqrt(n) codes are roots
     n_roots = max(1, int(math.isqrt(cfg.n_codes)))
@@ -295,8 +322,7 @@ def generate_synthetic_corpus(cfg: SynthConfig) -> SyntheticCorpus:
         for j, code in enumerate(code_names)
     }
 
-    weights = np.arange(1, cfg.n_codes + 1, dtype=np.float64) ** (-cfg.zipf_exponent)
-    marginals = weights / weights.sum()
+    marginals = _zipf_marginals(cfg.n_codes, cfg.zipf_exponent)
 
     # global cardinality cap chosen so any sampled code set always fits
     card_cap = max(1, min(cfg.n_codes, cfg.doc_len_min // cfg.evidence_len_max))
@@ -309,19 +335,21 @@ def generate_synthetic_corpus(cfg: SynthConfig) -> SyntheticCorpus:
             t = 0.0
         mix = cfg.coupling * t + (1.0 - cfg.coupling) * rng.random()
         n_pos = 1 + int(math.floor(mix * (card_cap - 1) + 1e-12))
-        chosen = rng.choice(cfg.n_codes, size=n_pos, replace=False, p=marginals)
-        chosen = sorted(int(j) for j in chosen)
-        units: list[list[str]] = [list(phrases[j]) for j in chosen]
-        n_background = length - sum(len(u) for u in units)
-        units.extend(
-            [bg_words[int(k)]] for k in rng.integers(0, cfg.background_vocab, n_background)
-        )
-        order = rng.permutation(len(units))
-        tokens = [tok for u in order for tok in units[int(u)]]
+        chosen = np.sort(rng.choice(cfg.n_codes, size=n_pos, replace=False, p=marginals))
+        # the units: each chosen code's phrase, then one-word background units
+        n_background = length - int(lengths[chosen].sum())
+        unit_starts = np.concatenate(
+            [starts[chosen], rng.integers(0, cfg.background_vocab, n_background)])
+        unit_lengths = np.concatenate([lengths[chosen], np.ones(n_background, np.int64)])
+        order = rng.permutation(len(unit_starts))
+        unit_starts, unit_lengths = unit_starts[order], unit_lengths[order]
+        # token p of a unit placed at position c is word start + (p - c)
+        placed = np.cumsum(unit_lengths) - unit_lengths
+        idx = np.arange(length) + np.repeat(unit_starts - placed, unit_lengths)
         return RawDocument(
             doc_id=f"{split}-{i:05d}",
-            text=" ".join(tokens),
-            codes={code_names[j] for j in chosen},
+            text=" ".join(words[idx].tolist()),
+            codes={code_names[j] for j in chosen.tolist()},
         )
 
     train = [make_doc("train", i) for i in range(cfg.n_train)]
@@ -329,8 +357,7 @@ def generate_synthetic_corpus(cfg: SynthConfig) -> SyntheticCorpus:
     test = [make_doc("test", i) for i in range(cfg.n_test)]
 
     labels = make_label_space(descriptions, parents)
-    phrases_by_code = {code_names[j]: phrases[j] for j in range(cfg.n_codes)}
-    return SyntheticCorpus(train, dev, test, labels, groups, phrases_by_code)
+    return SyntheticCorpus(train, dev, test, labels, groups, dict(zip(code_names, phrases)))
 
 
 # ---------------------------------------------------------------------------

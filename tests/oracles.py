@@ -585,3 +585,87 @@ def loop_predict_hierarchical(model, X, codes, parents):
             cols.append(model.node_index[node])
         out[:, j] = fired[:, cols].all(axis=1)
     return out
+
+
+_SYLLABLES = ["ba", "re", "mo", "ti", "lu", "sa", "ne", "ko", "da", "pi", "fo", "gu"]
+_DESC_FILLERS = ["acute", "chronic", "unspecified", "disorder", "of", "with", "primary",
+                 "secondary", "syndrome", "recurrent"]
+
+
+def _word(index):
+    parts = []
+    index += 1
+    while index:
+        parts.append(_SYLLABLES[index % len(_SYLLABLES)])
+        index //= len(_SYLLABLES)
+    return "".join(reversed(parts))
+
+
+def per_word_synthetic_corpus(cfg):
+    """The synthetic corpus of `cfg` built one word and one token at a time:
+    the generator `corpus.generate_synthetic_corpus` replaced, drawing the
+    same random numbers in the same order."""
+    from mvclda.corpus import RawDocument, SyntheticCorpus, make_label_space
+
+    rng = np.random.default_rng(cfg.seed)
+
+    bg_words = [_word(i) for i in range(cfg.background_vocab)]
+    code_names = [f"{100 + j}.{j % 10}" for j in range(cfg.n_codes)]
+
+    phrases = []
+    descriptions = {}
+    next_evidence = cfg.background_vocab
+    for j in range(cfg.n_codes):
+        length = int(rng.integers(cfg.evidence_len_min, cfg.evidence_len_max + 1))
+        phrase = [_word(next_evidence + k) for k in range(length)]
+        next_evidence += length
+        phrases.append(phrase)
+        shared = phrase[: min(2, len(phrase))]
+        filler_a = _DESC_FILLERS[int(rng.integers(len(_DESC_FILLERS)))]
+        filler_b = _DESC_FILLERS[int(rng.integers(len(_DESC_FILLERS)))]
+        descriptions[code_names[j]] = " ".join([filler_a] + shared + [filler_b])
+
+    n_roots = max(1, int(math.isqrt(cfg.n_codes)))
+    parents = {}
+    for j in range(n_roots, cfg.n_codes):
+        parents[code_names[j]] = code_names[int(rng.integers(0, j))]
+
+    groups = {
+        code: ("diagnosis" if j % 2 == 0 else "procedure")
+        for j, code in enumerate(code_names)
+    }
+
+    weights = np.arange(1, cfg.n_codes + 1, dtype=np.float64) ** (-cfg.zipf_exponent)
+    marginals = weights / weights.sum()
+    card_cap = max(1, min(cfg.n_codes, cfg.doc_len_min // cfg.evidence_len_max))
+
+    def make_doc(split, i):
+        length = int(rng.integers(cfg.doc_len_min, cfg.doc_len_max + 1))
+        if cfg.doc_len_max > cfg.doc_len_min:
+            t = (length - cfg.doc_len_min) / (cfg.doc_len_max - cfg.doc_len_min)
+        else:
+            t = 0.0
+        mix = cfg.coupling * t + (1.0 - cfg.coupling) * rng.random()
+        n_pos = 1 + int(math.floor(mix * (card_cap - 1) + 1e-12))
+        chosen = rng.choice(cfg.n_codes, size=n_pos, replace=False, p=marginals)
+        chosen = sorted(int(j) for j in chosen)
+        units = [list(phrases[j]) for j in chosen]
+        n_background = length - sum(len(u) for u in units)
+        units.extend(
+            [bg_words[int(k)]] for k in rng.integers(0, cfg.background_vocab, n_background)
+        )
+        order = rng.permutation(len(units))
+        tokens = [tok for u in order for tok in units[int(u)]]
+        return RawDocument(
+            doc_id=f"{split}-{i:05d}",
+            text=" ".join(tokens),
+            codes={code_names[j] for j in chosen},
+        )
+
+    train = [make_doc("train", i) for i in range(cfg.n_train)]
+    dev = [make_doc("dev", i) for i in range(cfg.n_dev)]
+    test = [make_doc("test", i) for i in range(cfg.n_test)]
+
+    labels = make_label_space(descriptions, parents)
+    phrases_by_code = {code_names[j]: phrases[j] for j in range(cfg.n_codes)}
+    return SyntheticCorpus(train, dev, test, labels, groups, phrases_by_code)

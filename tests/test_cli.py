@@ -1097,6 +1097,42 @@ class TestCommandFront:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    # each once left an empty --out-dir: nan and 1e308 exited 2 from the
+    # sampler, -inf and -400 exited 3 on the overflow of the Zipf weights
+    @pytest.mark.parametrize("exponent", ["nan", "1e308", "-inf", "-400"])
+    def test_bad_zipf_exponent_exits_2_leaving_nothing(self, corpus_dir, tmp_path, capsys,
+                                                       exponent):
+        cfg, out = tmp_path / "zipf.cfg", tmp_path / "out"
+        cfg.write_text(SYNTH_CFG.replace("zipf_exponent = 1.0", f"zipf_exponent = {exponent}"))
+        assert run(self._argv("synth", corpus_dir, cfg, out)) == cli.EXIT_DATA
+        assert "zipf_exponent must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_synth_creates_out_dir_after_generating(self, corpus_dir, tmp_path, monkeypatch):
+        def fail(cfg):
+            raise ValueError("generation failed")
+
+        monkeypatch.setattr(cli.corpus, "generate_synthetic_corpus", fail)
+        cfg, out = tmp_path / "synth.cfg", tmp_path / "out"
+        cfg.write_text(SYNTH_CFG)
+        assert run(self._argv("synth", corpus_dir, cfg, out)) == cli.EXIT_DATA
+        assert not out.exists()
+
+    # synth once created --out-dir, then exited 2 on numpy's "expected
+    # non-negative integer"; a seed is parsed like --R, as a usage error
+    @pytest.mark.parametrize("command", ["synth", "train", "hyperband", "ablate", "baseline"])
+    def test_negative_seed_is_refused_leaving_nothing(self, corpus_dir, train_cfg_path, tmp_path,
+                                                      capsys, command):
+        cfg, out = tmp_path / "synth.cfg", tmp_path / "out"
+        cfg.write_text(SYNTH_CFG)
+        argv = self._argv(command, corpus_dir, cfg if command == "synth" else train_cfg_path, out)
+        argv[argv.index("--seed") + 1] = "-1"
+        with pytest.raises(SystemExit) as err:
+            run(argv)
+        assert err.value.code == cli.EXIT_USAGE
+        assert "argument --seed: -1 is below the minimum 0" in capsys.readouterr().err
+        assert not out.exists()
+
     # an empty label space once trained a zero-label model, and scored every
     # hyperband trial 0.0, with exit 0
     @pytest.mark.parametrize("command", ["train", "hyperband", "evaluate", "baseline"])

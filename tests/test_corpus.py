@@ -7,7 +7,7 @@ import pytest
 
 from mvclda import baseline, corpus, embed, model
 
-from oracles import contains_phrase, hand_pearson
+from oracles import _word, contains_phrase, hand_pearson, per_word_synthetic_corpus
 
 
 class TestPreprocess:
@@ -261,6 +261,53 @@ class TestSyntheticCorpus:
     def test_infeasible_evidence_placement_rejected(self):
         with pytest.raises(ValueError):
             corpus.SynthConfig(doc_len_min=4, doc_len_max=10, evidence_len_max=6)
+
+    # the bench workloads' shapes with fewer notes, then each edge of the
+    # configuration space; 21,000 background words reach five syllables
+    @pytest.mark.parametrize("shape", [
+        dict(n_codes=20, n_train=40, n_dev=8, n_test=8, background_vocab=150,
+             doc_len_min=40, doc_len_max=120, coupling=0.8),
+        dict(n_codes=1000, n_train=3, n_dev=1, n_test=2, background_vocab=40000,
+             evidence_len_min=2, evidence_len_max=34, doc_len_min=1000, doc_len_max=2000),
+        dict(n_codes=48, zipf_exponent=0.0, n_train=1, n_dev=1, n_test=1, background_vocab=2000,
+             doc_len_min=12000, doc_len_max=13000),
+        dict(n_codes=1, n_train=20, n_dev=2, n_test=2),
+        dict(n_codes=9, n_train=20, n_dev=2, n_test=2, evidence_len_max=6, doc_len_min=6,
+             doc_len_max=6),
+        dict(background_vocab=1, n_train=20, n_dev=2, n_test=2),
+        dict(zipf_exponent=0.0, n_train=20, n_dev=2, n_test=2),
+        dict(zipf_exponent=2.5, n_train=20, n_dev=2, n_test=2),
+        dict(coupling=0.0, n_train=20, n_dev=2, n_test=2),
+        dict(coupling=1.0, n_train=20, n_dev=2, n_test=2),
+        dict(n_codes=30, background_vocab=21000, n_train=20, n_dev=2, n_test=2),
+    ], ids=["desk", "mimic", "long", "one-code", "fixed-length", "one-background-word",
+            "zipf-0", "zipf-2.5", "coupling-0", "coupling-1", "five-syllables"])
+    def test_equals_the_per_word_generator(self, shape):
+        cfg = corpus.SynthConfig(**shape, seed=7)
+        new, old = corpus.generate_synthetic_corpus(cfg), per_word_synthetic_corpus(cfg)
+        for split in ("train", "dev", "test"):
+            assert ([(d.doc_id, d.text, d.codes) for d in getattr(new, split)]
+                    == [(d.doc_id, d.text, d.codes) for d in getattr(old, split)])
+        assert new.labels.codes == old.labels.codes
+        assert new.labels.descriptions == old.labels.descriptions
+        assert new.labels.parents == old.labels.parents
+        assert new.groups == old.groups
+        assert new.evidence_phrases == old.evidence_phrases
+        assert all(type(w) is str for p in new.evidence_phrases.values() for w in p)
+        if cfg.background_vocab > 12 ** 4:
+            assert any(len(w) == 10 for d in new.train for w in d.text.split())
+
+    # each side of a change in the number of syllables
+    @pytest.mark.parametrize("n", [1, 11, 12, 13, 143, 144, 145, 1727, 1728, 20735, 20737])
+    def test_word_table_spells_each_number(self, n):
+        assert corpus._word_table(n).tolist() == [_word(i) for i in range(n)]
+
+    def test_bad_zipf_exponent_rejected(self):
+        for exponent in (math.nan, math.inf, -math.inf, 1e308, -400.0):
+            with pytest.raises(ValueError, match="zipf_exponent must be finite"):
+                corpus.SynthConfig(zipf_exponent=exponent)
+        # one code has marginal 1 whatever the finite exponent
+        assert corpus.SynthConfig(n_codes=1, zipf_exponent=1e308).n_codes == 1
 
     def test_hierarchy_is_acyclic_forest_over_codes(self):
         synth = corpus.generate_synthetic_corpus(self.CFG)

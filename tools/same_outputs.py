@@ -17,11 +17,13 @@ synth with a few thousand background words and one epoch of mvc-rlda
 training on it at embed_dim 64, whose vocabulary spans several of
 `adam_step`'s row blocks and whose batches leave most rows untouched, and
 whose notes, trained untruncated, are longer than `model.CONV_CHUNK`, so
-the convolution's backward carries rows from one chunk into the next.
-So every file option of every command is given at least once. Every file either run
-wrote is then reported as identical or differing; `history.jsonl` is
-compared with each line's `wall_time_s` removed, the only field allowed to
-differ. A differing tensor file (`.bin`) is reported by part: whether the
+the convolution's backward carries rows from one chunk into the next;
+last a third synth, no training on it, at the MIMIC-shaped benchmark's
+word range: 40,000 background words and 1,000 codes' phrases, in a few
+notes. So every file option of every command is given at least once.
+Every file either run wrote is then reported as identical or differing;
+`history.jsonl` is compared with each line's `wall_time_s` removed, the
+only field allowed to differ. A differing tensor file (`.bin`) is reported by part: whether the
 tensor payloads after the header line are identical, and which header keys
 differ; a differing JSON document (`.json`) by the top-level keys that
 differ. Either still counts as differing. Exits 0 when every file matches
@@ -95,6 +97,19 @@ min_doc_freq = 1
 lambda = 0.01
 cbow_epochs = 1
 """,
+    # the mimic workload's word range: 40,000 background words (five
+    # syllables from 20,736) and 1,000 phrases of 2-34 words
+    "mimic_synth.cfg": """\
+n_codes = 1000
+n_train = 4
+n_dev = 2
+n_test = 2
+background_vocab = 40000
+evidence_len_min = 2
+evidence_len_max = 34
+doc_len_min = 300
+doc_len_max = 600
+""",
     "baseline.cfg": """\
 svm_epochs = 5
 max_features = 300
@@ -149,6 +164,7 @@ FLOW = [
     ["train", "--model", "mvc-rlda", "--train", "wide_data/train.jsonl",
      "--dev", "wide_data/dev.jsonl", "--labels", "wide_data/descriptions.tsv",
      "--config", "cfg/wide.cfg", "--seed", "42", "--out", "wide"],
+    ["synth", "--config", "cfg/mimic_synth.cfg", "--out-dir", "mimic_data", "--seed", "42"],
 ]
 
 
