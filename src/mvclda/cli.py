@@ -652,6 +652,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # corpus.DataFormatError is a ValueError
         print(f"mvclda: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:  # a config size too large to allocate
+        print(f"mvclda: out of memory in {args.command}: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

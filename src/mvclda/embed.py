@@ -3,16 +3,19 @@
 Single-threaded and deterministic: the same corpus and seed reproduce the
 table to the last bit. Returns the input-side vectors.
 
-A document's centers are taken CBOW_BLOCK at a time. What does not depend
-on the tables is prepared once per block: the context index rows, the
-noise words (one `rng.random` call, the same stream as one call per
-center, and one `searchsorted`) and the learning rates. The SGD updates
-then run one center at a time, in order, with the arithmetic of a plain
-per-center loop, so the tables are bit-identical to it: h is the sum of
-the context rows divided by their count (what `mean` computes), a noise
-word equal to the center is dropped, and each table update is a buffered
-fancy assignment, so an id repeated in a window or among the noise words
-keeps its last copy's update.
+Training holds one 2V x dim table, the input vectors in rows [0, V) and
+the output vectors in rows [V, 2V). A document's centers are taken
+CBOW_BLOCK at a time. What does not depend on the table is prepared once
+per block: the noise words (one `rng.random` call, the same stream as one
+call per center, and one `searchsorted`), the learning rates and each
+center's row ids (its context, then its center and noise words plus V).
+The SGD updates then run one center at a time, in order, as one gather,
+the arithmetic of a plain per-center loop, and one buffered scatter, so
+the tables are bit-identical to that loop: h is the sum of the context
+rows divided by their count (what `mean` computes), a noise word equal to
+the center is dropped, and an id repeated in a window or among the noise
+words keeps its last copy's update. The halves are returned as two
+independent V x dim arrays.
 """
 
 from __future__ import annotations
@@ -29,8 +32,9 @@ EMBED_FORMAT = "mvclda.embeddings"
 EMBED_FORMAT_VERSION = 2
 
 # Centers per prepared block. The block's transients (a CBOW_BLOCK x
-# 2*window index matrix in training, a CBOW_BLOCK x 2*window x dim gather in
-# `cbow_pass_loss`) do not grow with the document.
+# (2*window + 1 + negative) index matrix in training, a CBOW_BLOCK x
+# 2*window x dim gather in `cbow_pass_loss`, the window taken as at most
+# the document's length less one) do not grow with a longer document.
 CBOW_BLOCK = 256
 
 
@@ -67,24 +71,32 @@ def _noise_cumulative(docs, vocab_size: int) -> np.ndarray:
     return np.cumsum(weights / total)
 
 
-def _init_tables(vocab_size: int, cfg: CbowConfig, rng) -> tuple[np.ndarray, np.ndarray]:
-    w_in = (rng.random((vocab_size, cfg.dim)) - 0.5) / cfg.dim
+def _init_tables(vocab_size: int, cfg: CbowConfig, rng) -> np.ndarray:
+    """The stacked 2V x dim table: rows [0, V) the input vectors, uniform in
+    [-0.5, 0.5) / dim, rows [V, 2V) the output vectors, zero."""
+    table = np.zeros((2 * vocab_size, cfg.dim))
+    w_in = table[:vocab_size]
+    rng.random(out=w_in)
+    w_in -= 0.5
+    w_in /= cfg.dim
     # the OOV row (last id) starts at the centroid and then trains normally
     w_in[-1] = w_in.mean(axis=0)
-    w_out = np.zeros((vocab_size, cfg.dim))
-    return w_in, w_out
+    return table
 
 
 def _center_blocks(ids: np.ndarray, window: int, negative: int, rng, cum: np.ndarray):
-    """One document's centers, CBOW_BLOCK at a time, as (centers, ctx, lo,
+    """One document's centers, CBOW_BLOCK at a time, as (centers, ctx,
     counts, negs). Row i of the m x 2*window `ctx` holds the ids at offsets
     -window..-1 and 1..window from its center, -1 outside the document, so
-    the context is the run ctx[i, lo[i] : lo[i] + counts[i]]. `negs` is the
-    m x negative noise words, drawn in center order. A document of fewer
-    than two tokens has no context windows."""
+    the context is the row's counts[i] ids >= 0, in order. `negs` is the
+    m x negative noise words, drawn in center order. A window wider than
+    the document is taken as len(ids) - 1, which reaches every token from
+    every center. A document of fewer than two tokens has no context
+    windows."""
     l = len(ids)
     if l < 2:
         return
+    window = min(window, l - 1)
     for r0 in range(0, l, CBOW_BLOCK):
         r1 = min(r0 + CBOW_BLOCK, l)
         a, b = max(r0 - window, 0), min(r1 + window, l)
@@ -92,22 +104,22 @@ def _center_blocks(ids: np.ndarray, window: int, negative: int, rng, cum: np.nda
         win = np.lib.stride_tricks.sliding_window_view(seg, 2 * window + 1)
         ctx = np.concatenate((win[:, :window], win[:, window + 1 :]), axis=1)
         n = np.arange(r0, r1)
-        lo = np.maximum(window - n, 0)
         counts = np.minimum(n, window) + np.minimum(l - 1 - n, window)
         draws = rng.random((r1 - r0) * negative)
         negs = np.searchsorted(cum, draws).reshape(r1 - r0, negative)
-        yield ids[r0:r1], ctx, lo, counts, negs
+        yield ids[r0:r1], ctx, counts, negs
 
 
 def train_cbow_tables(docs, vocab_size: int, cfg: CbowConfig) -> tuple[np.ndarray, np.ndarray]:
     """Train CBOW and return (input, output) tables; the input table is the
-    embedding, the output table is needed to evaluate the objective."""
+    embedding, the output table is needed to evaluate the objective. The
+    two are independent arrays of V rows each."""
     docs = [np.asarray(d, dtype=np.int64) for d in docs]
     if not docs or all(len(d) == 0 for d in docs):
         raise ValueError("cannot pretrain embeddings on an empty corpus")
     rng = np.random.default_rng(cfg.seed)
     cum = _noise_cumulative(docs, vocab_size)
-    w_in, w_out = _init_tables(vocab_size, cfg, rng)
+    table = _init_tables(vocab_size, cfg, rng)
 
     # single-token documents contribute no context windows
     total = cfg.epochs * sum(len(d) for d in docs if len(d) > 1)
@@ -116,34 +128,47 @@ def train_cbow_tables(docs, vocab_size: int, cfg: CbowConfig) -> tuple[np.ndarra
     processed = 0
     for _epoch in range(cfg.epochs):
         for ids in docs:
-            for centers, ctx, lo, counts, negs in _center_blocks(
+            for centers, ctx, counts, negs in _center_blocks(
                 ids, cfg.window, cfg.negative, rng, cum
             ):
                 m = len(centers)
                 steps = np.arange(processed, processed + m)
                 lrs = cfg.lr_start + (cfg.lr_end - cfg.lr_start) * (steps / total)
                 processed += m
-                # row i: the center, then its noise words (label 1, then 0s)
-                targets = np.concatenate((centers[:, None], negs), axis=1)
-                drop = (negs == centers[:, None]).any(axis=1)
-                for t, row, a, c, lr, d in zip(
-                    targets, ctx, lo.tolist(), counts.tolist(), lrs.tolist(), drop.tolist()
-                ):
-                    if d:
-                        t = np.concatenate((t[:1], t[1:][t[1:] != t[0]]))
-                    cx = row[a : a + c]
-                    hin = w_in[cx]
+                # center i's row ids: its context, then the center and its
+                # noise words (label 1, then 0s) in the output half, without
+                # -1s or noise words equal to the center, end to end
+                rows = np.concatenate((ctx, centers[:, None], negs), axis=1)
+                keep = rows >= 0
+                keep[:, ctx.shape[1] + 1 :] = negs != centers[:, None]
+                rows[:, ctx.shape[1] :] += vocab_size
+                ends = np.cumsum(keep.sum(axis=1)).tolist()
+                rows = rows[keep]
+                start = 0
+                for end, c, lr in zip(ends, counts.tolist(), lrs.tolist()):
+                    idx = rows[start:end]
+                    start = end
+                    w = table.take(idx, axis=0)
+                    hin, wo = w[:c], w[c:]
                     h = np.add.reduce(hin, axis=0) / c
-                    wo = w_out[t]
                     grad = sigmoid(wo @ h)
                     grad[0] -= 1.0
                     grad *= lr
                     dh = grad @ wo
                     wo -= grad[:, None] * h
-                    w_out[t] = wo
                     hin -= dh / c
-                    w_in[cx] = hin
-    return w_in, w_out
+                    table[idx] = w
+    return _split_tables(table, vocab_size)
+
+
+def _split_tables(table: np.ndarray, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The halves of a stacked table as (input, output), neither a view: the
+    output half is copied, then the table shrinks in place to the input
+    half, so at most three V-row tables are held. No view of the table
+    outlives its caller's loop to see the buffer move."""
+    w_out = table[vocab_size:].copy()
+    table.resize((vocab_size, table.shape[1]), refcheck=False)
+    return table, w_out
 
 
 def train_cbow(docs, vocab_size: int, cfg: CbowConfig) -> np.ndarray:
@@ -171,7 +196,7 @@ def cbow_pass_loss(docs, w_in: np.ndarray, w_out: np.ndarray, cfg: CbowConfig, s
     total_loss = 0.0
     n_centers = 0
     for ids in docs:
-        for centers, ctx, _lo, counts, negs in _center_blocks(
+        for centers, ctx, counts, negs in _center_blocks(
             ids, cfg.window, cfg.negative, rng, cum
         ):
             # -1 marks a position outside the document; its gathered row is
@@ -193,7 +218,7 @@ def cbow_pass_loss(docs, w_in: np.ndarray, w_out: np.ndarray, cfg: CbowConfig, s
 def initial_tables(docs, vocab_size: int, cfg: CbowConfig) -> tuple[np.ndarray, np.ndarray]:
     """The exact initialization train_cbow starts from (for objective checks)."""
     rng = np.random.default_rng(cfg.seed)
-    return _init_tables(vocab_size, cfg, rng)
+    return _split_tables(_init_tables(vocab_size, cfg, rng), vocab_size)
 
 
 def sha256_file(path) -> str:

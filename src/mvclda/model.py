@@ -88,12 +88,15 @@ CONV_CHUNK = 512
 
 
 def sigmoid(x):
-    """Logistic function with one overflow-free exp: with e = exp(-|x|),
-    1/(1+e) for x >= 0 and e/(1+e) below. -|x| is taken as min(x, -x),
-    which keeps a NaN's sign bit through to the output."""
+    """Logistic function without overflow: with e = exp(-|x|), 1/(1+e) for
+    x >= 0 and e/(1+e) below. The numerator is exp(min(x, 0)), 1 or e (an
+    exp costs less than a select), and -|x| is min(x, -x); both keep a
+    NaN's sign bit through to the output."""
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(np.minimum(x, -x))
-    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
+    out = np.exp(np.minimum(x, 0.0))
+    e += 1.0
+    out /= e
     return out if out.ndim else float(out)
 
 

@@ -1,0 +1,59 @@
+"""The summary step of `tools/bench_pairs.py` on synthetic run records."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+BETTER = {"rate": "higher", "time": "lower", "f1": "higher"}
+
+
+def _run(workload, pair, side, rate, time, f1=0.5, raw_rate=None):
+    return {"workload": workload, "pair": pair, "side": side,
+            "metrics": {"rate": rate, "time": time, "f1": f1},
+            "unscaled_metrics": {"rate": raw_rate or rate, "time": time, "f1": f1}}
+
+
+def test_gains_wins_and_quartiles_per_pair():
+    runs = []
+    # the tree runs first in odd pairs; pairs match by number, not order
+    for pair, (rev, tree) in enumerate([(100, 110), (100, 120), (100, 90), (100, 130), (100, 115)]):
+        sides = [("rev", rev), ("tree", tree)]
+        for side, rate in sides if pair % 2 == 0 else sides[::-1]:
+            runs.append(_run("long", pair, side, rate, time=200.0 / rate, raw_rate=2 * rate))
+    summary = bench_pairs.summarize(runs, BETTER)["long"]
+    rate = summary["rate"]["metrics"]
+    assert rate["pairs"] == 5
+    assert (rate["tree_wins"], rate["tree_losses"], rate["ties"]) == (4, 1, 0)
+    assert rate["median_gain"] == pytest.approx(0.15)
+    assert rate["rev"] == {"q1": 100, "median": 100, "q3": 100}
+    assert rate["tree"] == {"q1": 110, "median": 115, "q3": 120}
+    assert summary["rate"]["unscaled_metrics"]["tree"]["median"] == 230
+    # a lower-is-better time gains as the rate does: rev / tree - 1
+    assert summary["time"]["metrics"]["median_gain"] == pytest.approx(0.15)
+    assert summary["time"]["metrics"]["tree_wins"] == 4
+    f1 = summary["f1"]["metrics"]
+    assert (f1["tree_wins"], f1["tree_losses"], f1["ties"], f1["median_gain"]) == (0, 0, 5, 0.0)
+
+
+def test_workloads_apart_and_unmatched_runs_left_out():
+    runs = [_run("desk", 0, "rev", 10, 1.0), _run("desk", 0, "tree", 20, 2.0),
+            _run("mimic", 0, "tree", 5, 1.0), _run("mimic", 0, "rev", 4, 1.0),
+            _run("mimic", 1, "rev", 4, 1.0)]  # a pair cut short
+    summary = bench_pairs.summarize(runs, BETTER)
+    assert list(summary) == ["desk", "mimic"]
+    assert summary["desk"]["rate"]["metrics"]["median_gain"] == pytest.approx(1.0)
+    assert summary["desk"]["time"]["metrics"]["median_gain"] == pytest.approx(-0.5)
+    assert summary["mimic"]["rate"]["metrics"]["pairs"] == 1
+    assert summary["mimic"]["rate"]["metrics"]["median_gain"] == pytest.approx(0.25)
+
+
+def test_metric_missing_from_a_run_is_left_out():
+    runs = [_run("desk", 0, "rev", 10, 1.0), _run("desk", 0, "tree", 20, 2.0)]
+    del runs[1]["unscaled_metrics"]["f1"]
+    assert set(bench_pairs.summarize(runs, BETTER)["desk"]) == {"rate", "time"}

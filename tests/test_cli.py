@@ -1108,6 +1108,25 @@ class TestCommandFront:
         assert "zipf_exponent must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    # each once let numpy's MemoryError escape main with a traceback; the
+    # last two fail only after --out holds vocab.tsv and embeddings.bin
+    @pytest.mark.parametrize("key", ["cbow_negative", "embed_dim", "n_filters", "kernel_sizes"])
+    def test_size_that_cannot_be_allocated_exits_2(self, corpus_dir, tmp_path, capsys, key):
+        cfg, out = tmp_path / "huge.cfg", tmp_path / "out"
+        cfg.write_text(TRAIN_CFG + f"{key} = {10**15}\n")
+        assert run(self._argv("train", corpus_dir, cfg, out)) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("mvclda: out of memory in train: ")
+        if key.startswith(("cbow_", "embed_")):
+            assert not out.exists()
+
+    def test_window_past_every_note_trains(self, corpus_dir, tmp_path):
+        # the window is taken as at most a note's length less one, so it
+        # allocates nothing of its own size
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(TRAIN_CFG + f"cbow_window = {10**15}\nmax_epochs = 1\n")
+        assert run(self._argv("train", corpus_dir, cfg, tmp_path / "out")) == cli.EXIT_OK
+
     def test_synth_creates_out_dir_after_generating(self, corpus_dir, tmp_path, monkeypatch):
         def fail(cfg):
             raise ValueError("generation failed")

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -68,6 +69,42 @@ class TestTrainCbow:
         w_in, w_out = embed.train_cbow_tables(docs, 30, cfg)
         after = embed.cbow_pass_loss(docs, w_in, w_out, cfg, seed=99)
         assert after < before
+
+    def test_window_past_every_document_same_as_longest_less_one(self):
+        # a window is taken as at most the document's length less one, which
+        # already reaches every token from every center
+        docs = [np.arange(12) % 7, np.array([3, 1, 4, 1, 5]), np.array([6])]
+        cfg = embed.CbowConfig(dim=6, window=11, epochs=2, seed=3)
+        wide = replace(cfg, window=10**9)
+        tables = embed.train_cbow_tables(docs, 7, cfg)
+        for table, same, ref in zip(tables, embed.train_cbow_tables(docs, 7, wide),
+                                    per_center_cbow(docs, 7, wide)):
+            assert np.array_equal(table, same)
+            assert np.array_equal(table, ref)
+
+
+class TestReturnedTables:
+    """What callers of CBOW hold: the benchmark's tracer keeps the output
+    table of the `train_cbow_tables` call that `train_cbow` makes."""
+
+    def test_train_cbow_calls_train_cbow_tables_through_the_module(self, monkeypatch):
+        calls, real = [], embed.train_cbow_tables
+
+        def spy(*args):
+            calls.append(real(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(embed, "train_cbow_tables", spy)
+        table = embed.train_cbow(_toy_corpus(), 30, SMALL_CFG)
+        assert len(calls) == 1 and table is calls[0][0]
+
+    @pytest.mark.parametrize("tables", [embed.train_cbow_tables, embed.initial_tables])
+    def test_halves_are_independent_arrays(self, tables):
+        w_in, w_out = tables(_toy_corpus(), 30, SMALL_CFG)
+        assert w_in.shape == w_out.shape == (30, SMALL_CFG.dim)
+        assert not np.shares_memory(w_in, w_out)
+        # neither is a view that keeps the 60-row training table alive
+        assert w_in.base is None and w_out.base is None
 
 
 def _cbow_cases():

@@ -1,0 +1,173 @@
+"""Benchmark a git revision against the working tree in alternating pairs.
+
+    python tools/bench_pairs.py <rev> --pr 24 --pairs long=10,mimic=5,desk=5 [--seed 1]
+
+Extracts `git archive <rev> src` into a temporary directory and copies the
+working tree's `bench/` beside it, so both trees run the same benchmark
+on their own source. Then, in one session and one process at a time, it
+runs `bench/run.py --workload w --seed s --trace 0` once with each tree
+per pair, the revision first in even pairs and the working tree first in
+odd ones; the workloads take turns, one pair each, until each has its
+pairs. From each run it keeps the result line (the last line of standard
+output) and the `unscaled_metrics` of that tree's own
+`.bench_runs/<w>-seed<s>-trace0.json`.
+
+Writes `BENCH_<pr>.json` at the root of the checkout: the environment the
+benchmark recorded, the revision, every run, and per workload and
+end-to-end metric of `BENCHMARK.json`, both scaled and raw, each side's
+median and quartiles, the median over pairs of the working tree's gain
+(positive is better, in the metric's own direction), and the pairs the
+working tree wins, loses and ties. Exits 0 when every run was correct
+with no failed operation, and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def _pair_counts(text: str) -> dict[str, int]:
+    counts = {}
+    for item in text.split(","):
+        name, _, n = item.partition("=")
+        counts[name.strip()] = int(n)
+    if any(n < 1 for n in counts.values()):
+        raise argparse.ArgumentTypeError("every workload needs at least one pair")
+    return counts
+
+
+def run_bench(root: Path, workload: str, seed: int) -> dict:
+    """One benchmark run of the tree at `root`: its result line, its
+    unscaled metrics and its recorded environment."""
+    done = subprocess.run(
+        [sys.executable, str(root / "bench" / "run.py"), "--workload", workload,
+         "--seed", str(seed), "--trace", "0"],
+        cwd=root, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"{root}: bench run of {workload} exited {done.returncode}:\n"
+                         f"{done.stderr}")
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    record = json.loads((root / ".bench_runs" / f"{workload}-seed{seed}-trace0.json").read_text())
+    return {
+        "correct": result["correct"], "attempted": result["attempted"],
+        "failed": result["failed"],
+        "metrics": {k: m["value"] for k, m in result["metrics"].items()},
+        "unscaled_metrics": record["unscaled_metrics"],
+        "environment": record["environment"],
+    }
+
+
+def _cpu_model() -> str | None:
+    try:
+        lines = Path("/proc/cpuinfo").read_text().splitlines()
+    except OSError:
+        return None
+    return next((l.partition(":")[2].strip() for l in lines if l.startswith("model name")), None)
+
+
+def _quartiles(values: list[float]) -> dict[str, float]:
+    if len(values) == 1:
+        return {"q1": values[0], "median": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def _compare(rev: list[float], tree: list[float], better: str) -> dict:
+    """Both sides' quartiles and the working tree's pair gains and wins."""
+    if better == "higher":
+        gains = [t / r - 1.0 if r else 0.0 for r, t in zip(rev, tree)]
+    else:
+        gains = [r / t - 1.0 if t else 0.0 for r, t in zip(rev, tree)]
+    return {
+        "rev": _quartiles(rev), "tree": _quartiles(tree),
+        "median_gain": statistics.median(gains),
+        "tree_wins": sum(g > 0 for g in gains), "tree_losses": sum(g < 0 for g in gains),
+        "ties": sum(g == 0 for g in gains), "pairs": len(gains),
+    }
+
+
+def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+    """Per workload, per metric named in `better` ('higher' or 'lower'):
+    the comparison of the revision's and the working tree's runs, matched
+    by pair, for the scaled (`metrics`) and raw (`unscaled_metrics`)
+    values. A run is a dict with `workload`, `pair`, `side` ('rev' or
+    'tree') and both metric dicts."""
+    summary = {}
+    for workload in dict.fromkeys(r["workload"] for r in runs):
+        by_pair = {}
+        for r in runs:
+            if r["workload"] == workload:
+                by_pair.setdefault(r["pair"], {})[r["side"]] = r
+        pairs = [p for _, p in sorted(by_pair.items()) if len(p) == 2]
+        summary[workload] = {
+            name: {kind: _compare([p["rev"][kind][name] for p in pairs],
+                                  [p["tree"][kind][name] for p in pairs], direction)
+                   for kind in ("metrics", "unscaled_metrics")}
+            for name, direction in better.items()
+            if all(name in p[s][kind] for p in pairs for s in ("rev", "tree")
+                   for kind in ("metrics", "unscaled_metrics"))
+        }
+    return summary
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev")
+    parser.add_argument("--pr", type=int, required=True, help="writes BENCH_<pr>.json")
+    parser.add_argument("--pairs", type=_pair_counts, default="long=10,mimic=5,desk=5")
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+
+    spec = json.loads((REPO / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    rev_sha = subprocess.run(["git", "-C", str(REPO), "rev-parse", args.rev],
+                             capture_output=True, text=True, check=True).stdout.strip()
+    archive = subprocess.run(["git", "-C", str(REPO), "archive", "--format=tar", rev_sha, "src"],
+                             capture_output=True, check=True).stdout
+    runs = []
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        rev_root = Path(tmp)
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(rev_root, filter="data")
+        shutil.copytree(REPO / "bench", rev_root / "bench",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        roots = {"rev": rev_root, "tree": REPO}
+        for pair in range(max(args.pairs.values())):
+            for workload, n in args.pairs.items():
+                if pair >= n:
+                    continue
+                for side in ("rev", "tree") if pair % 2 == 0 else ("tree", "rev"):
+                    run = run_bench(roots[side], workload, args.seed)
+                    runs.append({"workload": workload, "pair": pair, "side": side, **run})
+                    print(f"{workload} pair {pair} {side}: "
+                          f"pretrain {run['metrics'].get('pretrain_tokens_per_s', 0):.0f} tok/s, "
+                          f"wall {run['metrics'].get('wall_s', 0):.2f} s", flush=True)
+    ok = all(r["correct"] and r["failed"] == 0 for r in runs)
+    environment = dict(runs[0]["environment"], cpu=_cpu_model())
+    for r in runs:
+        del r["environment"]
+    out = REPO / f"BENCH_{args.pr}.json"
+    out.write_text(json.dumps({
+        "command": f"python tools/bench_pairs.py {args.rev} --pr {args.pr} --pairs "
+                   + ",".join(f"{w}={n}" for w, n in args.pairs.items())
+                   + f" --seed {args.seed}",
+        "rev": rev_sha, "seed": args.seed, "environment": environment,
+        "correct": ok, "summary": summarize(runs, better), "runs": runs,
+    }, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {out}")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
