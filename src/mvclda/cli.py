@@ -91,7 +91,7 @@ SYNTH_KEYS = _keys(corpus.SynthConfig, skip={"seed"})
 TRAIN_KEYS = {
     **_keys(train_mod.TrainConfig, skip={"seed"}),
     **_keys(model.ModelConfig, skip={"kind"}),
-    **_keys(embed.CbowConfig, skip={"dim", "lr_start", "lr_end", "seed"}),
+    **_keys(embed.CbowConfig, skip={"dim", "seed"}),
 }
 HYPERBAND_KEYS = {**TRAIN_KEYS, **_keys(hb.SearchSpace)}
 BASELINE_KEYS = {**_keys(baseline.SvmConfig, skip={"seed"}), **_keys(baseline.TfidfConfig)}
@@ -234,6 +234,7 @@ class _TrainingSetup:
     cbow_cfg: embed.CbowConfig  # of the embed_dim key's width; unused under --embeddings
     space: hb.SearchSpace | None  # hyperband's only
     artifacts: dict
+    params0: model.ModelParams | None = None  # train's and ablate's first model
 
 
 def _training_setup(args, keys: dict) -> _TrainingSetup:
@@ -244,9 +245,10 @@ def _training_setup(args, keys: dict) -> _TrainingSetup:
     the training split only and encode every split; with --embeddings,
     refuse a training split with no token and check the table against the
     vocabulary's checksum, or, without it, pretrain CBOW vectors on the
-    encoded training text, which refuses such a split itself; only then
-    create the output directory and write the vocabulary and the
-    pretrained vectors."""
+    encoded training text, which refuses such a split itself; build train's
+    and ablate's first model; only then create the output directory and
+    write the vocabulary and the pretrained vectors, so that a model too
+    large to allocate leaves no output behind."""
     values = load_config(args.config, keys)
     for key in ("lambda", "lambda_candidates"):
         if args.model == "mvc-lda" and key in values:
@@ -281,23 +283,23 @@ def _training_setup(args, keys: dict) -> _TrainingSetup:
     else:
         table = embed.train_cbow([d.token_ids for d in docs["train"]], vocab.size, cbow_cfg)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    vocab_path = out_dir / "vocab.tsv"
-    vocab_path.write_bytes(vocab_bytes)
-    artifacts = {"vocab": vocab_path}
-    if not getattr(args, "embeddings", None):
-        emb_path = out_dir / "embeddings.bin"
-        embed.save_embeddings(emb_path, table, vocab_checksum)
-        artifacts["embeddings"] = emb_path
     # the width of the table in use, whatever the embed_dim key says
     model_cfg = replace(model_cfg, embed_dim=table.shape[1])
-
-    return _TrainingSetup(
-        values, out_dir, labels, vocab, docs["train"], docs["dev"], docs[eval_split],
+    run = _TrainingSetup(
+        values, Path(args.out), labels, vocab, docs["train"], docs["dev"], docs[eval_split],
         [vocab.encode(toks) for toks in labels.descriptions], table, vocab_checksum,
-        model_cfg, train_cfg, cbow_cfg, space, artifacts,
+        model_cfg, train_cfg, cbow_cfg, space, {},
     )
+    if args.command != "hyperband":  # whose trials build their own models
+        run.params0 = _init_params(run, model_cfg, table)
+
+    run.out_dir.mkdir(parents=True, exist_ok=True)
+    run.artifacts["vocab"] = run.out_dir / "vocab.tsv"
+    run.artifacts["vocab"].write_bytes(vocab_bytes)
+    if not getattr(args, "embeddings", None):
+        run.artifacts["embeddings"] = run.out_dir / "embeddings.bin"
+        embed.save_embeddings(run.artifacts["embeddings"], table, vocab_checksum)
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +338,8 @@ def _init_params(run: _TrainingSetup, model_cfg: model.ModelConfig,
 
 def cmd_train(args) -> int:
     run = _training_setup(args, TRAIN_KEYS)
-    best, history = train_mod.train(_init_params(run, run.model_cfg, run.table), run.train_docs,
-                                    run.dev_docs, run.desc_ids, run.train_cfg)
+    best, history = train_mod.train(run.params0, run.train_docs, run.dev_docs, run.desc_ids,
+                                    run.train_cfg)
 
     ckpt_path = run.out_dir / "checkpoint.bin"
     model.save_checkpoint(ckpt_path, best, run.vocab_checksum)
@@ -454,10 +456,10 @@ def cmd_ablate(args) -> int:
     whose removal leaves the full model reuses its result."""
     run = _training_setup(args, TRAIN_KEYS)
 
-    def score(model_cfg, splits, table) -> dict:
+    def score(params0, splits) -> dict:
         train_docs, dev_docs, eval_docs = splits
-        best, history = train_mod.train(_init_params(run, model_cfg, table), train_docs,
-                                        dev_docs, run.desc_ids, run.train_cfg)
+        best, history = train_mod.train(params0, train_docs, dev_docs, run.desc_ids,
+                                        run.train_cfg)
         report = metrics.evaluate_predictions(model.predict_matrix(best, eval_docs),
                                               train_mod.gold_matrix(eval_docs),
                                               p_at=tuple(args.p_at))
@@ -465,7 +467,8 @@ def cmd_ablate(args) -> int:
                 "pr_auc": report.pr_auc, "p_at": report.p_at}
 
     splits = (run.train_docs, run.dev_docs, run.eval_docs)
-    full = score(run.model_cfg, splits, run.table)
+    full = score(run.params0, splits)
+    run.params0 = None  # trained in place: not held through the variants' training
     ablations = {}
     for name in args.components:
         variant_cfg = ABLATIONS[name](run.model_cfg)
@@ -473,11 +476,11 @@ def cmd_ablate(args) -> int:
             reduced = [[train_mod.reduce_document(d) for d in split] for split in splits]
             table = embed.train_cbow([d.token_ids for d in reduced[0]], run.vocab.size,
                                      run.cbow_cfg)
-            entry = score(variant_cfg, reduced, table)
+            entry = score(_init_params(run, variant_cfg, table), reduced)
         elif variant_cfg == run.model_cfg:  # nothing removed: every delta is 0.0
             entry = dict(full)
         else:
-            entry = score(variant_cfg, splits, run.table)
+            entry = score(_init_params(run, variant_cfg, run.table), splits)
         entry["delta"] = {
             "micro_f1": full["micro_f1"] - entry["micro_f1"],
             "pr_auc": full["pr_auc"] - entry["pr_auc"],
@@ -546,10 +549,13 @@ def _int_at_least(low: int):
 
 
 def _components(text: str) -> list[str]:
-    """`all`, or a comma list of ABLATIONS' components, each kept once."""
+    """`all`, or a nonempty comma list of ABLATIONS' components, each kept
+    once."""
     if text == "all":
         return list(ABLATIONS)
     names = list(dict.fromkeys(c.strip() for c in text.split(",") if c.strip()))
+    if not names:
+        raise argparse.ArgumentTypeError("no ablation component given")
     for name in names:
         if name not in ABLATIONS:
             raise argparse.ArgumentTypeError(

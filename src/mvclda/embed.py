@@ -37,6 +37,11 @@ EMBED_FORMAT_VERSION = 2
 # the document's length less one) do not grow with a longer document.
 CBOW_BLOCK = 256
 
+# The SGD learning rate decays linearly from LR_START at the first center
+# to LR_END at the last.
+LR_START = 0.025
+LR_END = 0.0001
+
 
 @dataclass(frozen=True)
 class CbowConfig:
@@ -44,8 +49,6 @@ class CbowConfig:
     window: int = 5
     epochs: int = 5
     negative: int = 5
-    lr_start: float = 0.025
-    lr_end: float = 0.0001
     seed: int = 0
 
     def __post_init__(self):
@@ -133,7 +136,7 @@ def train_cbow_tables(docs, vocab_size: int, cfg: CbowConfig) -> tuple[np.ndarra
             ):
                 m = len(centers)
                 steps = np.arange(processed, processed + m)
-                lrs = cfg.lr_start + (cfg.lr_end - cfg.lr_start) * (steps / total)
+                lrs = LR_START + (LR_END - LR_START) * (steps / total)
                 processed += m
                 # center i's row ids: its context, then the center and its
                 # noise words (label 1, then 0s) in the output half, without
@@ -176,7 +179,7 @@ def train_cbow(docs, vocab_size: int, cfg: CbowConfig) -> np.ndarray:
 
     Context vectors are averaged to predict the center word against
     `cfg.negative` noise words drawn from the unigram^0.75 distribution;
-    the learning rate decays linearly from lr_start to lr_end.
+    the learning rate decays linearly from LR_START to LR_END.
     """
     w_in, _ = train_cbow_tables(docs, vocab_size, cfg)
     return w_in

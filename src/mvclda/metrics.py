@@ -7,8 +7,8 @@ document order.
 
 A report sorts the scores once (PR AUC), selects each row's top n by
 partition (P@n) and counts per-label integer TP/FP/FN once: every F1 in it,
-micro, per group, macro and per frequency bin, is a sum or a ratio of those
-counts.
+micro, per group, macro and per frequency bin, is one formula (`_f1`) over
+sums of those counts or over the counts themselves.
 """
 
 from __future__ import annotations
@@ -33,16 +33,6 @@ def binarize(scores: np.ndarray) -> np.ndarray:
     return np.asarray(scores) > DEFAULT_THRESHOLD
 
 
-def _select(matrix: np.ndarray, labels) -> np.ndarray:
-    matrix = np.asarray(matrix)
-    if labels is None:
-        return matrix
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.size == 0:
-        raise ValueError("label subset is empty")
-    return matrix[:, labels]
-
-
 def label_counts(pred: np.ndarray, gold: np.ndarray) -> np.ndarray:
     """Per-label integer (TP, FP, FN) of a binary prediction matrix: a
     3 x n_labels int64 table."""
@@ -52,43 +42,35 @@ def label_counts(pred: np.ndarray, gold: np.ndarray) -> np.ndarray:
     return np.stack([tp, np.count_nonzero(p, axis=0) - tp, np.count_nonzero(g, axis=0) - tp])
 
 
-def micro_counts(pred: np.ndarray, gold: np.ndarray, labels=None) -> tuple[int, int, int]:
-    """Pooled (TP, FP, FN) over all (document, label) cells of the subset."""
-    p = _select(pred, labels).astype(bool, copy=False)
-    g = _select(gold, labels).astype(bool, copy=False)
-    tp = int(np.count_nonzero(p & g))
-    return tp, int(np.count_nonzero(p)) - tp, int(np.count_nonzero(g)) - tp
+def _f1(tp, fp, fn) -> np.ndarray:
+    """Elementwise F1 of TP/FP/FN counts (exact below 2**53); a precision
+    or recall with a zero denominator, or both zero, gives 0.0."""
+    tp, fp, fn = (np.asarray(c, dtype=np.float64) for c in (tp, fp, fn))
+    precision = np.divide(tp, tp + fp, out=np.zeros(tp.shape), where=tp + fp > 0)
+    recall = np.divide(tp, tp + fn, out=np.zeros(tp.shape), where=tp + fn > 0)
+    pr = precision + recall
+    return np.divide(2.0 * precision * recall, pr, out=np.zeros(tp.shape), where=pr > 0)
 
 
-def _f1_from_counts(tp: int, fp: int, fn: int) -> float:
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
-
-
-def micro_f1(pred: np.ndarray, gold: np.ndarray, labels=None) -> float:
-    """F1 over confusion counts pooled across every cell of the subset."""
-    return _f1_from_counts(*micro_counts(pred, gold, labels))
+def micro_f1(pred: np.ndarray, gold: np.ndarray) -> float:
+    """F1 over confusion counts pooled across every (document, label) cell."""
+    p = np.asarray(pred, dtype=bool)
+    g = np.asarray(gold, dtype=bool)
+    tp = np.count_nonzero(p & g)
+    return float(_f1(tp, np.count_nonzero(p) - tp, np.count_nonzero(g) - tp))
 
 
 def _micro_f1_by(counts: np.ndarray, key: np.ndarray, n_keys: int) -> list[float]:
     """Micro F1 of each of n_keys label groups, label j in group key[j],
     from the label_counts table `counts`: a group's TP/FP/FN are its
-    labels' counts summed (as floats, exact below 2**53)."""
-    sums = np.stack([np.bincount(key, weights=row, minlength=n_keys) for row in counts])
-    return [_f1_from_counts(*(int(c) for c in col)) for col in sums.T]
+    labels' counts summed."""
+    return _f1(*(np.bincount(key, weights=row, minlength=n_keys) for row in counts)).tolist()
 
 
-def macro_f1(pred: np.ndarray, gold: np.ndarray, labels=None, *, counts=None) -> float:
-    """Unweighted mean of per-label F1. Every label in the subset must have
-    at least one gold positive, otherwise its recall is undefined.
-
-    `counts`, when given, is `label_counts(pred, gold)` over every label,
-    and pred and gold are not read again."""
-    if counts is None:
-        counts = label_counts(pred, gold)
+def macro_f1(counts: np.ndarray, labels=None) -> float:
+    """Unweighted mean of per-label F1 over the label_counts table
+    `counts`, or over its columns `labels`. Every such label must have at
+    least one gold positive, otherwise its recall is undefined."""
     if labels is not None:
         labels = np.asarray(labels, dtype=np.int64)
         if labels.size == 0:
@@ -100,11 +82,7 @@ def macro_f1(pred: np.ndarray, gold: np.ndarray, labels=None, *, counts=None) ->
             "macro F1 is undefined for labels without gold positives; "
             "restrict the label subset"
         )
-    precision = np.divide(tp, tp + fp, out=np.zeros(tp.shape), where=tp + fp > 0)
-    recall = tp / (tp + fn)
-    pr = precision + recall
-    f1 = np.divide(2.0 * precision * recall, pr, out=np.zeros(tp.shape), where=pr > 0)
-    return float(np.mean(f1))
+    return float(np.mean(_f1(tp, fp, fn)))
 
 
 def precision_at_n(scores: np.ndarray, gold: np.ndarray, n: int) -> float:
@@ -197,24 +175,14 @@ class BinRow:
     micro_f1: float | None
 
 
-def frequency_binned_f1(
-    pred: np.ndarray,
-    gold: np.ndarray,
-    train_counts,
-    n_bins: int = 10,
-    *,
-    counts=None,
-) -> list[BinRow]:
+def frequency_binned_f1(counts: np.ndarray, train_counts, n_bins: int = 10) -> list[BinRow]:
     """Micro F1 per bin of ln(training count), over labels present in both
     the training set (count >= 1) and the evaluation gold (support >= 1).
 
     Bin edges are equal-width over [min, max] of the natural log of counts.
-    Each bin's TP/FP/FN are its labels' columns of the per-label count
-    table summed; `counts`, when given, is `label_counts(pred, gold)`, and
-    pred and gold are not read again.
+    Each bin's TP/FP/FN are its labels' columns of the label_counts table
+    `counts` summed.
     """
-    if counts is None:
-        counts = label_counts(pred, gold)
     freq = np.asarray(train_counts, dtype=np.float64)
     tp, _, fn = counts
     eligible = np.flatnonzero((freq >= 1) & (tp + fn >= 1))
@@ -288,27 +256,16 @@ def evaluate_predictions(
         f1 = _micro_f1_by(counts, key, len(index))
         by_group = {tag: f1[index[tag]] for tag in sorted(index) if tag != "none"}
 
-    macro = None
-    macro_n = 0
-    if macro_labels is not None:
-        macro_labels = np.asarray(macro_labels, dtype=np.int64)
-        macro = macro_f1(pred, gold01, macro_labels, counts=counts)
-        macro_n = int(macro_labels.size)
-
-    bins = None
-    if train_counts is not None:
-        bins = frequency_binned_f1(pred, gold01, train_counts, counts=counts)
-
     return MetricsReport(
         n_docs=int(scores.shape[0]),
         n_labels=int(scores.shape[1]),
         threshold=DEFAULT_THRESHOLD,
         tp=tp, fp=fp, fn=fn,
-        micro_f1=_f1_from_counts(tp, fp, fn),
+        micro_f1=float(_f1(tp, fp, fn)),
         micro_f1_by_group=by_group,
-        macro_f1=macro,
-        macro_n_labels=macro_n,
+        macro_f1=None if macro_labels is None else macro_f1(counts, macro_labels),
+        macro_n_labels=0 if macro_labels is None else len(macro_labels),
         p_at={str(n): precision_at_n(scores, gold01, n) for n in p_at},
         pr_auc=pr_auc(scores, gold01),
-        bins=bins,
+        bins=None if train_counts is None else frequency_binned_f1(counts, train_counts),
     )

@@ -162,6 +162,8 @@ def per_center_cbow(docs, vocab_size, cfg):
     draw of `cfg.negative` noise words, the center's own id filtered out of
     them, and two fancy-index updates. Returns (input, output) tables; the
     loop `embed.train_cbow_tables` replaced."""
+    from mvclda.embed import LR_END, LR_START
+
     docs = [np.asarray(d, dtype=np.int64) for d in docs]
     rng = np.random.default_rng(cfg.seed)
     cum = _cbow_noise_cumulative(docs, vocab_size)
@@ -173,7 +175,7 @@ def per_center_cbow(docs, vocab_size, cfg):
     for _epoch in range(cfg.epochs):
         for ids in docs:
             for n, ctx in _cbow_centers(ids, cfg.window):
-                lr = cfg.lr_start + (cfg.lr_end - cfg.lr_start) * (processed / total)
+                lr = LR_START + (LR_END - LR_START) * (processed / total)
                 processed += 1
                 center = ids[n]
                 h = w_in[ctx].mean(axis=0)
@@ -338,7 +340,8 @@ def _subset_counts(pred, gold, labels=None):
     return int(np.sum(p & g)), int(np.sum(p & ~g)), int(np.sum(~p & g))
 
 
-def _f1(tp, fp, fn):
+def f1_from_counts(tp, fp, fn):
+    """F1 of scalar integer counts: the formula `metrics._f1` replaced."""
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     if precision + recall == 0.0:
@@ -378,7 +381,8 @@ def _masked_binned_f1(pred, gold, train_counts, n_bins=10):
         members = eligible[assignment == b]
         rows.append(BinRow(
             bin_lo=lo + b * width, bin_hi=lo + (b + 1) * width, n_labels=int(members.size),
-            micro_f1=_f1(*_subset_counts(pred, gold, members)) if members.size else None,
+            micro_f1=(f1_from_counts(*_subset_counts(pred, gold, members))
+                      if members.size else None),
         ))
     return rows
 
@@ -402,14 +406,14 @@ def per_subset_report(scores, gold, *, p_at=(8,), groups=None, train_counts=None
         for tag in sorted(set(tags)):
             if tag != "none":
                 members = np.flatnonzero(np.array([t == tag for t in tags]))
-                by_group[tag] = _f1(*_subset_counts(pred, gold, members))
+                by_group[tag] = f1_from_counts(*_subset_counts(pred, gold, members))
     macro, macro_n = None, 0
     if macro_labels is not None:
         macro_labels = np.asarray(macro_labels, dtype=np.int64)
         macro, macro_n = _masked_macro_f1(pred, gold, macro_labels), int(macro_labels.size)
     return MetricsReport(
         n_docs=int(scores.shape[0]), n_labels=int(scores.shape[1]), threshold=0.5,
-        tp=tp, fp=fp, fn=fn, micro_f1=_f1(tp, fp, fn), micro_f1_by_group=by_group,
+        tp=tp, fp=fp, fn=fn, micro_f1=f1_from_counts(tp, fp, fn), micro_f1_by_group=by_group,
         macro_f1=macro, macro_n_labels=macro_n,
         p_at={str(n): argsort_precision_at_n(scores, gold, n) for n in p_at},
         pr_auc=argsort_pr_auc(scores, gold),

@@ -130,7 +130,7 @@ def test_criterion_03_metric_oracle_equivalence():
         supported = np.flatnonzero(gold.sum(axis=0) > 0)
         if supported.size:
             assert abs(
-                metrics.macro_f1(pred, gold, supported)
+                metrics.macro_f1(metrics.label_counts(pred, gold), supported)
                 - brute_macro_f1(pred, gold, supported)
             ) < 1e-12
         if gold.sum() > 0:
@@ -246,7 +246,7 @@ def test_criterion_05_regularization_helps_rare_codes():
         best, _ = tr.train(p0, train_docs, dev_docs,
                            desc_ids if kind == "mvc-rlda" else None, tcfg)
         pred = metrics.binarize(model.predict_matrix(best, test_docs))
-        return metrics.micro_f1(pred, test_gold, rare)
+        return metrics.micro_f1(pred[:, rare], test_gold[:, rare])
 
     lda_scores = [run("mvc-lda", seed) for seed in range(5)]
     rlda_scores = [run("mvc-rlda", seed) for seed in range(5)]

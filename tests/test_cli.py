@@ -93,6 +93,9 @@ class TestExitCodes:
         ("ablate", "--p-at", "0"),
         ("ablate", "--p-at", "8,5,8"),  # once recorded [8, 5, 8] beside one "8" result
         ("ablate", "--components", "bogus"),
+        # each once trained the full model and wrote an empty "ablations"
+        ("ablate", "--components", ","),
+        ("ablate", "--components", ""),
     ])
     def test_bad_search_and_ablation_options_exit_1(self, corpus_dir, train_cfg_path, tmp_path,
                                                    capsys, command, option, value):
@@ -165,7 +168,8 @@ COMMAND_KEYS = {
 
 class TestConfigKeys:
     # the tables derive from the config dataclasses; these literal lists keep
-    # a new dataclass field (say CbowConfig.lr_start) from becoming a key
+    # a new dataclass field (say a new CbowConfig setting) from becoming a key
+    # unnoticed
     @pytest.mark.parametrize("section", list(COMMAND_KEYS))
     def test_accepted_keys(self, section):
         table, expected = COMMAND_KEYS[section]
@@ -1108,17 +1112,23 @@ class TestCommandFront:
         assert "zipf_exponent must be finite" in capsys.readouterr().err
         assert not out.exists()
 
-    # each once let numpy's MemoryError escape main with a traceback; the
-    # last two fail only after --out holds vocab.tsv and embeddings.bin
-    @pytest.mark.parametrize("key", ["cbow_negative", "embed_dim", "n_filters", "kernel_sizes"])
-    def test_size_that_cannot_be_allocated_exits_2(self, corpus_dir, tmp_path, capsys, key):
+    # each once let numpy's MemoryError escape main with a traceback; a
+    # model size once failed only after --out held vocab.tsv and
+    # embeddings.bin. numpy refuses a 10**15-sized array at once, without
+    # asking the system for it
+    @pytest.mark.parametrize("command, key", [
+        ("train", "cbow_negative"), ("train", "embed_dim"), ("train", "n_filters"),
+        ("train", "kernel_sizes"), ("ablate", "n_filters"), ("ablate", "kernel_sizes"),
+    ], ids=["cbow_negative", "embed_dim", "n_filters", "kernel_sizes", "ablate-n_filters",
+            "ablate-kernel_sizes"])
+    def test_size_that_cannot_be_allocated_exits_2(self, corpus_dir, tmp_path, capsys,
+                                                   command, key):
         cfg, out = tmp_path / "huge.cfg", tmp_path / "out"
         cfg.write_text(TRAIN_CFG + f"{key} = {10**15}\n")
-        assert run(self._argv("train", corpus_dir, cfg, out)) == cli.EXIT_DATA
+        assert run(self._argv(command, corpus_dir, cfg, out)) == cli.EXIT_DATA
         err = capsys.readouterr().err
-        assert err.splitlines()[-1].startswith("mvclda: out of memory in train: ")
-        if key.startswith(("cbow_", "embed_")):
-            assert not out.exists()
+        assert err.splitlines()[-1].startswith(f"mvclda: out of memory in {command}: ")
+        assert not out.exists()
 
     def test_window_past_every_note_trains(self, corpus_dir, tmp_path):
         # the window is taken as at most a note's length less one, so it

@@ -14,6 +14,7 @@ from oracles import (
     brute_macro_f1,
     brute_micro_f1,
     brute_precision_at_n,
+    f1_from_counts,
     grid_pr_auc,
     per_subset_report,
     threshold_sweep_pr_auc,
@@ -26,6 +27,29 @@ def random_case(rng, max_docs=20, max_labels=30):
     scores = rng.random((n, j))
     gold = (rng.random((n, j)) < 0.3).astype(float)
     return scores, gold
+
+
+class TestF1Formula:
+    """`metrics._f1` against the scalar formula it replaced (kept in
+    oracles.py), bit for bit."""
+
+    @staticmethod
+    def _check(tp, fp, fn):
+        expected = [f1_from_counts(*c) for c in zip(tp.tolist(), fp.tolist(), fn.tolist())]
+        assert metrics._f1(tp, fp, fn).tolist() == expected
+        # the per-group sums arrive as floats
+        assert metrics._f1(*(c.astype(np.float64) for c in (tp, fp, fn))).tolist() == expected
+
+    def test_every_count_up_to_40(self):
+        self._check(*np.indices((41, 41, 41)).reshape(3, -1))
+
+    def test_counts_near_2_to_the_40(self):
+        values = [0, 1, 2, 2**40 - 1, 2**40, 2**40 + 1, 2**40 + 7, 3 * 2**39 + 5]
+        self._check(*np.array(values)[np.indices((8, 8, 8)).reshape(3, -1)])
+
+    def test_scalar_counts(self):
+        for counts in [(0, 0, 0), (0, 3, 4), (2, 1, 1), (2**40, 1, 2**40 - 1)]:
+            assert float(metrics._f1(*counts)) == f1_from_counts(*counts)
 
 
 class TestMicroF1:
@@ -45,10 +69,6 @@ class TestMicroF1:
         gold[0, 0] = 1
         assert metrics.micro_f1(pred, gold) == 0.0
 
-    def test_empty_subset_rejected(self):
-        with pytest.raises(ValueError):
-            metrics.micro_f1(np.ones((1, 2), dtype=bool), np.ones((1, 2)), labels=[])
-
     def test_union_bounded_by_group_extremes(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -58,8 +78,8 @@ class TestMicroF1:
             pred = metrics.binarize(scores)
             j = gold.shape[1]
             split = j // 2
-            a = metrics.micro_f1(pred, gold, labels=np.arange(split))
-            b = metrics.micro_f1(pred, gold, labels=np.arange(split, j))
+            a = metrics.micro_f1(pred[:, :split], gold[:, :split])
+            b = metrics.micro_f1(pred[:, split:], gold[:, split:])
             whole = metrics.micro_f1(pred, gold)
             assert min(a, b) - 1e-12 <= whole <= max(a, b) + 1e-12
 
@@ -74,20 +94,26 @@ class TestMicroF1:
 class TestMacroF1:
     def test_perfect(self):
         gold = np.array([[1, 0], [0, 1]])
-        assert metrics.macro_f1(gold.astype(bool), gold) == 1.0
+        assert metrics.macro_f1(metrics.label_counts(gold.astype(bool), gold)) == 1.0
 
     def test_mean_of_per_label_f1(self):
         pred = np.array([[1, 0], [0, 0]], dtype=bool)
         gold = np.array([[1, 1], [0, 0]])
         # label 0: perfect (1.0); label 1: no predictions (0.0)
-        assert metrics.macro_f1(pred, gold) == pytest.approx(0.5, abs=1e-12)
+        assert metrics.macro_f1(metrics.label_counts(pred, gold)) == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_support_label_rejected(self):
         pred = np.zeros((2, 2), dtype=bool)
         gold = np.array([[1, 0], [1, 0]])
+        counts = metrics.label_counts(pred, gold)
         with pytest.raises(ValueError):
-            metrics.macro_f1(pred, gold)
-        assert metrics.macro_f1(pred, gold, labels=[0]) == 0.0
+            metrics.macro_f1(counts)
+        assert metrics.macro_f1(counts, labels=[0]) == 0.0
+
+    def test_empty_subset_rejected(self):
+        counts = metrics.label_counts(np.ones((1, 2), dtype=bool), np.ones((1, 2)))
+        with pytest.raises(ValueError):
+            metrics.macro_f1(counts, labels=[])
 
 
 class TestPrecisionAtN:
@@ -189,7 +215,7 @@ class TestPrAuc:
         if gold.sum() == 0:
             gold[0, 0] = 1
         pred = metrics.binarize(scores)
-        tp, fp, fn = metrics.micro_counts(pred, gold)
+        tp, fp, fn = metrics.label_counts(pred, gold).sum(axis=1)
         # the sweep at any threshold in [max(s<=0.5), 0.5] yields this exact
         # confusion; verify via direct recomputation with a strict > rule
         s = scores.ravel()
@@ -203,7 +229,7 @@ class TestFrequencyBinnedF1:
     def test_equal_counts_single_bin(self):
         pred = np.ones((2, 3), dtype=bool)
         gold = np.ones((2, 3))
-        rows = metrics.frequency_binned_f1(pred, gold, [7, 7, 7])
+        rows = metrics.frequency_binned_f1(metrics.label_counts(pred, gold), [7, 7, 7])
         occupied = [r for r in rows if r.n_labels]
         assert len(rows) == 10
         assert len(occupied) == 1 and occupied[0].n_labels == 3
@@ -212,7 +238,7 @@ class TestFrequencyBinnedF1:
         counts = [math.e**k for k in range(1, 11)]
         gold = np.ones((1, 10))
         pred = np.ones((1, 10), dtype=bool)
-        rows = metrics.frequency_binned_f1(pred, gold, counts)
+        rows = metrics.frequency_binned_f1(metrics.label_counts(pred, gold), counts)
         assert all(r.n_labels == 1 for r in rows)
 
     def test_perfect_predictor_ones_everywhere(self):
@@ -220,7 +246,7 @@ class TestFrequencyBinnedF1:
         gold = (rng.random((6, 8)) < 0.5).astype(float)
         gold[0] = 1  # every label has support
         counts = rng.integers(1, 1000, 8)
-        rows = metrics.frequency_binned_f1(gold.astype(bool), gold, counts)
+        rows = metrics.frequency_binned_f1(metrics.label_counts(gold.astype(bool), gold), counts)
         for r in rows:
             if r.n_labels:
                 assert r.micro_f1 == 1.0
@@ -229,13 +255,13 @@ class TestFrequencyBinnedF1:
         pred = np.zeros((2, 3), dtype=bool)
         gold = np.array([[1, 0, 1], [0, 0, 1]])
         # label 1 has no test support; label 0 has no train count
-        rows = metrics.frequency_binned_f1(pred, gold, [0, 5, 5])
+        rows = metrics.frequency_binned_f1(metrics.label_counts(pred, gold), [0, 5, 5])
         assert sum(r.n_labels for r in rows) == 1
 
     def test_no_eligible_labels_rejected(self):
         with pytest.raises(ValueError):
             metrics.frequency_binned_f1(
-                np.zeros((1, 2), dtype=bool), np.zeros((1, 2)), [1, 1]
+                metrics.label_counts(np.zeros((1, 2), dtype=bool), np.zeros((1, 2))), [1, 1]
             )
 
 
@@ -254,7 +280,8 @@ class TestOracleEquivalence:
             )
             supported = np.flatnonzero(gold.sum(axis=0) > 0)
             if supported.size:
-                assert metrics.macro_f1(pred, gold, supported) == pytest.approx(
+                counts = metrics.label_counts(pred, gold)
+                assert metrics.macro_f1(counts, supported) == pytest.approx(
                     brute_macro_f1(pred, gold, supported), abs=1e-12
                 )
 
@@ -274,7 +301,8 @@ class TestOracleEquivalence:
             pred = scores >= 0.5
             supported = np.flatnonzero(gold.sum(axis=0) > 0)
             if supported.size:
-                assert metrics.macro_f1(pred, gold, supported) == pytest.approx(
+                counts = metrics.label_counts(pred, gold)
+                assert metrics.macro_f1(counts, supported) == pytest.approx(
                     brute_macro_f1(pred, gold, supported), abs=1e-12
                 )
 

@@ -306,12 +306,6 @@ class TestAblate:
             "--seed", "13", "--p-at", "3", "--out", str(out), *extra,
         ])
 
-    def test_empty_component_set_reports_only_full(self, corpus_dir, train_cfg_path, tmp_path):
-        assert self._run(corpus_dir, train_cfg_path, tmp_path, "--components", "") == 0
-        report = json.loads((tmp_path / "ablation.json").read_text())
-        assert report["ablations"] == {}
-        assert "micro_f1" in report["full"]
-
     def test_unknown_component_rejected(self, corpus_dir, train_cfg_path, tmp_path, capsys):
         out = tmp_path / "abl"
         with pytest.raises(SystemExit) as exc:
