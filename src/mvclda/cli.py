@@ -246,9 +246,10 @@ def _training_setup(args, keys: dict) -> _TrainingSetup:
     refuse a training split with no token and check the table against the
     vocabulary's checksum, or, without it, pretrain CBOW vectors on the
     encoded training text, which refuses such a split itself; build train's
-    and ablate's first model; only then create the output directory and
-    write the vocabulary and the pretrained vectors, so that a model too
-    large to allocate leaves no output behind."""
+    and ablate's first model, or, for hyperband, the largest model its
+    search space holds; only then create the output directory and write
+    the vocabulary and the pretrained vectors, so that a model too large to
+    allocate leaves no output behind."""
     values = load_config(args.config, keys)
     for key in ("lambda", "lambda_candidates"):
         if args.model == "mvc-lda" and key in values:
@@ -290,8 +291,11 @@ def _training_setup(args, keys: dict) -> _TrainingSetup:
         [vocab.encode(toks) for toks in labels.descriptions], table, vocab_checksum,
         model_cfg, train_cfg, cbow_cfg, space, {},
     )
-    if args.command != "hyperband":  # whose trials build their own models
+    if args.command != "hyperband":
         run.params0 = _init_params(run, model_cfg, table)
+    else:  # whose trials build their own: the largest the search can draw is built and dropped
+        _init_params(run, replace(model_cfg, n_filters=space.dc_max,
+                                  kernel_sizes=hb.kernel_sizes(space.s0_max)), table)
 
     run.out_dir.mkdir(parents=True, exist_ok=True)
     run.artifacts["vocab"] = run.out_dir / "vocab.tsv"

@@ -469,12 +469,23 @@ def read_counts_tsv(path) -> dict[str, int]:
     return _read_pairs(path, "code<TAB>count", int)
 
 
+# A tensor's stored dtype: little-endian float32 for a float32 array, named
+# in its header entry; little-endian float64, unnamed, for any other.
+FLOAT32 = "<f4"
+FLOAT64 = "<f8"
+
+
 def write_tensor_file(path, header: dict, tensors) -> None:
-    """One JSON header line (sorted keys): `header` plus a `tensors` list of
-    [name, shape] pairs. Then each tensor as little-endian float64, in the
-    order given. Round-trips bit-exactly through `read_tensor_file`."""
-    arrays = [(name, np.asarray(arr, dtype="<f8")) for name, arr in tensors]
-    header = dict(header, tensors=[[name, list(arr.shape)] for name, arr in arrays])
+    """One JSON header line (sorted keys): `header` plus a `tensors` list,
+    one entry per tensor: [name, shape] for a float64 one, [name, shape,
+    "<f4"] for a float32 one. Then each tensor, little-endian, in the order
+    given. A float32 array is stored as float32, any other as float64.
+    Round-trips bit-exactly through `read_tensor_file`."""
+    arrays = [(name, np.asarray(arr)) for name, arr in tensors]
+    arrays = [(name, arr.astype(FLOAT32 if arr.dtype == np.float32 else FLOAT64, copy=False))
+              for name, arr in arrays]
+    header = dict(header, tensors=[[name, list(arr.shape), FLOAT32] if arr.dtype == FLOAT32
+                                   else [name, list(arr.shape)] for name, arr in arrays])
     with open(path, "wb") as fh:
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
         for _name, arr in arrays:
@@ -482,10 +493,12 @@ def write_tensor_file(path, header: dict, tensors) -> None:
 
 
 def _is_tensor_entry(entry) -> bool:
-    # [name, shape]; bool is an int subclass, but `true` is not a size
-    return (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+    # [name, shape] or [name, shape, "<f4"]; bool is an int subclass, but
+    # `true` is not a size
+    return (isinstance(entry, list) and len(entry) in (2, 3) and isinstance(entry[0], str)
             and isinstance(entry[1], list)
-            and all(type(n) is int and n >= 0 for n in entry[1]))
+            and all(type(n) is int and n >= 0 for n in entry[1])
+            and entry[2:] in ([], [FLOAT32]))
 
 
 def read_tensor_file(path, fmt: str, version: int) -> tuple[dict, dict[str, np.ndarray]]:
@@ -493,8 +506,9 @@ def read_tensor_file(path, fmt: str, version: int) -> tuple[dict, dict[str, np.n
     (header, {name: array}) in file order.
 
     Another format or version, a header that is not a JSON object with a
-    valid `tensors` list, a duplicate tensor name, or a payload other than
-    exactly the declared tensors raises DataFormatError. The declared sizes
+    valid `tensors` list (a dtype other than "<f4" named in an entry is
+    invalid), a duplicate tensor name, or a payload other than exactly the
+    declared tensors raises DataFormatError. The declared sizes
     are checked against the file's length before the payload is read, so no
     header can make the reader allocate more than the file holds."""
     with open(path, "rb") as fh:
@@ -511,10 +525,14 @@ def read_tensor_file(path, fmt: str, version: int) -> tuple[dict, dict[str, np.n
             )
         entries = header.get("tensors")
         if not isinstance(entries, list) or not all(map(_is_tensor_entry, entries)):
-            raise DataFormatError(f"{path}: header has no valid tensors list of [name, shape]")
-        if len({name for name, _ in entries}) != len(entries):
+            raise DataFormatError(
+                f"{path}: header has no valid tensors list of [name, shape] or "
+                f"[name, shape, {FLOAT32!r}]"
+            )
+        if len({entry[0] for entry in entries}) != len(entries):
             raise DataFormatError(f"{path}: duplicate tensor name in header")
-        sizes = [8 * math.prod(shape) for _, shape in entries]
+        dtypes = [np.dtype(FLOAT32 if entry[2:] else FLOAT64) for entry in entries]
+        sizes = [dtype.itemsize * math.prod(entry[1]) for entry, dtype in zip(entries, dtypes)]
         total, left = sum(sizes), os.fstat(fh.fileno()).st_size - fh.tell()
         if total != left:
             problem = "truncated" if total > left else "trailing bytes after the last tensor"
@@ -527,8 +545,8 @@ def read_tensor_file(path, fmt: str, version: int) -> tuple[dict, dict[str, np.n
         if fh.readinto(payload) != total:
             raise DataFormatError(f"{path}: truncated while reading")
     arrays, offset = {}, 0
-    for (name, shape), size in zip(entries, sizes):
-        arrays[name] = np.frombuffer(payload, "<f8", size // 8, offset).reshape(shape)
+    for (name, shape, *_), dtype, size in zip(entries, dtypes, sizes):
+        arrays[name] = np.frombuffer(payload, dtype, size // dtype.itemsize, offset).reshape(shape)
         offset += size
     return header, arrays
 

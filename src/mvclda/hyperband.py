@@ -58,13 +58,18 @@ class TrialConfig:
         }
 
 
+def kernel_sizes(s0: int) -> tuple[int, ...]:
+    """The kernel tuple whose smallest size is s0."""
+    return (s0, s0 + 2, s0 + 4, s0 + 6)
+
+
 def sample_config(space: SearchSpace, rng) -> TrialConfig:
     s0 = int(rng.integers(space.s0_min, space.s0_max + 1))
     d_c = int(rng.integers(space.dc_min, space.dc_max + 1))
     lam = None
     if space.lambdas is not None:
         lam = float(space.lambdas[int(rng.integers(len(space.lambdas)))])
-    return TrialConfig(kernel_sizes=(s0, s0 + 2, s0 + 4, s0 + 6), n_filters=d_c, lambda_=lam)
+    return TrialConfig(kernel_sizes=kernel_sizes(s0), n_filters=d_c, lambda_=lam)
 
 
 def bracket_schedule(R: int, eta: int) -> list[tuple[int, int, int]]:

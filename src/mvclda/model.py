@@ -57,8 +57,16 @@ The parameters are one table of named tensors, `ModelParams.arrays`, and
 Adam's moments and the checkpoint use the same names.
 
 Gradients are analytic and exact for this fixed architecture (the max
-operations route their full subgradient to the lowest-index winner).
-Everything is float64; no autodiff framework is involved.
+operations route their full subgradient to the lowest-index winner); no
+autodiff framework is involved.
+
+The model computes in its parameters' dtype: every buffer, the gold row
+and the dropout scales take it, so a float32 model runs SGEMM and float32
+elementwise work throughout (a single float64 operand would promote the
+rest). `init_params` makes float32 parameters; a float64 set (an older
+checkpoint, or `init_params(..., dtype=np.float64)`) computes in float64.
+Only the loss is summed in float64, and `predict_matrix` returns float64
+scores, which hold float32 ones exactly.
 """
 
 from __future__ import annotations
@@ -91,8 +99,9 @@ def sigmoid(x):
     """Logistic function without overflow: with e = exp(-|x|), 1/(1+e) for
     x >= 0 and e/(1+e) below. The numerator is exp(min(x, 0)), 1 or e (an
     exp costs less than a select), and -|x| is min(x, -x); both keep a
-    NaN's sign bit through to the output."""
-    x = np.asarray(x, dtype=np.float64)
+    NaN's sign bit through to the output. A float input keeps its dtype; a
+    Python float or an integer gives float64."""
+    x = np.asarray(x)
     e = np.exp(np.minimum(x, -x))
     out = np.exp(np.minimum(x, 0.0))
     e += 1.0
@@ -155,6 +164,11 @@ class ModelParams:
     def n_labels(self) -> int:
         return self.arrays["V"].shape[0]
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The float dtype of every tensor, in which the model computes."""
+        return self.arrays["W_e"].dtype
+
     def tensors(self):
         """(name, array) pairs in the fixed serialization order."""
         return self.arrays.items()
@@ -180,7 +194,7 @@ class GradientSet:
                    rows: dict[str, np.ndarray] | None = None) -> "GradientSet":
         """Zero gradients, compact on the rows given for a tensor in `rows`."""
         rows = {} if rows is None else rows
-        return cls({name: np.zeros((len(rows[name]), *arr.shape[1:])) if name in rows
+        return cls({name: np.zeros((len(rows[name]), *arr.shape[1:]), arr.dtype) if name in rows
                     else np.zeros_like(arr) for name, arr in params.tensors()}, rows)
 
     def __getitem__(self, name: str) -> np.ndarray:
@@ -214,10 +228,12 @@ def init_params(
     n_labels: int,
     rng,
     embeddings: np.ndarray | None = None,
+    dtype=np.float32,
 ) -> ModelParams:
     """Variance-preserving initialization; biases and length weights start
     at zero. `embeddings` supplies pretrained W_e (copied, then fine-tuned
-    during training)."""
+    during training). Every tensor is drawn in float64, then cast once to
+    `dtype`, so the draws do not depend on it."""
     d_e, d_c = cfg.embed_dim, cfg.n_filters
     if embeddings is not None and embeddings.shape != (vocab_size, d_e):
         raise ValueError(
@@ -227,9 +243,10 @@ def init_params(
     arrays = {}
     # the table order is the RNG draw order
     for name, shape in _tensor_shapes(cfg, vocab_size, n_labels).items():
-        if name == "W_e":
-            arrays[name] = ((rng.random(shape) - 0.5) / d_e if embeddings is None
-                            else np.array(embeddings, dtype=np.float64))
+        if name == "W_e" and embeddings is not None:
+            arrays[name] = np.array(embeddings, dtype=dtype)
+        elif name == "W_e":
+            arrays[name] = (rng.random(shape) - 0.5) / d_e
         elif len(shape) == 3:    # convolution kernels, s x d_e x d_c
             arrays[name] = _glorot(rng, shape, shape[0] * d_e, shape[0] * d_c)
         elif name in ("V", "U"):  # one d_c -> 1 map per label
@@ -238,7 +255,7 @@ def init_params(
             arrays[name] = _glorot(rng, shape, d_c, d_c)
         else:                    # biases and length weights
             arrays[name] = np.zeros(shape)
-    return ModelParams(cfg, arrays)
+    return ModelParams(cfg, {name: a.astype(dtype, copy=False) for name, a in arrays.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -252,16 +269,19 @@ class DropoutMasks:
     Rows of the embedded input are dropped whole: `x_scale` is their keep
     mask divided by 1 - rate. Pooled features are dropped elementwise:
     `p_keep` is their keep mask, held as bools (a batch holds one per
-    sample, each n_labels x d_c), and `p_scale` its scale, built when used.
+    sample, each n_labels x d_c). A forward pass takes both scales in the
+    parameters' dtype (`scales`), so no float64 operand promotes a float32
+    model's arithmetic.
     """
 
     x_scale: np.ndarray     # (l,)
     p_keep: np.ndarray      # (n_labels, d_c), bool
     rate: float
 
-    @property
-    def p_scale(self) -> np.ndarray:
-        return self.p_keep / (1.0 - self.rate)
+    def scales(self, dtype) -> tuple[np.ndarray, np.ndarray]:
+        """(x_scale, p_scale) in `dtype`; p_scale is p_keep / (1 - rate)."""
+        return (self.x_scale.astype(dtype, copy=False),
+                np.divide(self.p_keep, 1.0 - self.rate, dtype=dtype))
 
 
 def make_dropout_masks(rng, l: int, n_labels: int, d_c: int, rate: float) -> DropoutMasks | None:
@@ -293,7 +313,7 @@ def _stack_kernels(weights) -> np.ndarray:
     outside each channel's block."""
     _, d_e, d_c = weights[0].shape
     sizes = [w.shape[0] for w in weights]
-    stack = np.zeros((max(sizes) * d_e, len(weights) * d_c))
+    stack = np.zeros((max(sizes) * d_e, len(weights) * d_c), weights[0].dtype)
     for block, w in zip(_channel_blocks(stack, sizes, d_e), weights):
         block[...] = w
     return stack
@@ -303,8 +323,9 @@ def _windows(Xp: np.ndarray, s: int) -> np.ndarray:
     # zero-copy (l, s*d_e) view, row-major over (offset, embedding-dim): in
     # the C-contiguous Xp a window is s*d_e consecutive floats, and the next
     # window starts one row later. Xp has at least s rows: a chunk's padded
-    # block holds its r1 - r0 >= 1 output rows plus s - 1
-    return np.ndarray(shape=(Xp.shape[0] - s + 1, s * Xp.shape[1]), buffer=Xp,
+    # block holds its r1 - r0 >= 1 output rows plus s - 1. Without `dtype`
+    # the buffer would be read as float64 whatever Xp's dtype
+    return np.ndarray(shape=(Xp.shape[0] - s + 1, s * Xp.shape[1]), dtype=Xp.dtype, buffer=Xp,
                       strides=(Xp.strides[0], Xp.strides[1]))
 
 
@@ -315,7 +336,7 @@ def _input_block(ids: np.ndarray, W_e: np.ndarray, x_scale, s: int, r0: int,
     rows pad the left, so even kernels get the extra one there). Row i
     holds W_e[ids[i]] times x_scale[i]; rows outside the sequence are
     zero."""
-    Xb = np.zeros((r1 - r0 + s - 1, W_e.shape[1]))
+    Xb = np.zeros((r1 - r0 + s - 1, W_e.shape[1]), W_e.dtype)
     lo, hi = max(r0 - s // 2, 0), min(r1 + (s - 1) // 2, len(ids))
     X = Xb[lo - r0 + s // 2 : hi - r0 + s // 2]
     np.take(W_e, ids[lo:hi], axis=0, out=X, mode="clip")
@@ -335,7 +356,7 @@ def _conv_max(ids: np.ndarray, W_e: np.ndarray, x_scale, W_stack: np.ndarray, d_
     n = W_stack.shape[1] // d_c
     s = W_stack.shape[0] // W_e.shape[1]
     l = len(ids)
-    M = np.empty((l, d_c))
+    M = np.empty((l, d_c), W_stack.dtype)
     arg = np.zeros((l, d_c), dtype=np.min_scalar_type(n - 1)) if winner else None
     for r0 in range(0, l, CONV_CHUNK):
         r1 = min(r0 + CONV_CHUNK, l)
@@ -370,12 +391,12 @@ def _conv_max_backward(ids: np.ndarray, W_e: np.ndarray, x_scale, W_stack: np.nd
     n = W_stack.shape[1] // d_c
     for r0 in range(0, l, CONV_CHUNK):
         r1 = min(r0 + CONV_CHUNK, l)
-        dZ = np.zeros((r1 - r0, n, d_c))
+        dZ = np.zeros((r1 - r0, n, d_c), dM.dtype)
         np.put_along_axis(dZ, winner[r0:r1, None], dM[r0:r1, None], axis=1)
         dZ = dZ.reshape(r1 - r0, n * d_c)
         dwin = dZ @ W_stack.T
         # padded rows r0 .. r1 + s - 2, the first s - 1 carried over
-        dXb = np.zeros((r1 - r0 + s - 1, d_e))
+        dXb = np.zeros((r1 - r0 + s - 1, d_e), dM.dtype)
         if r0:
             dXb[: s - 1] = carry
         for a in range(s):
@@ -405,14 +426,14 @@ def _forward_cached(token_ids, length: int, params: ModelParams, masks: DropoutM
         raise ValueError("token id out of range for the embedding table")
     if W_stack is None:
         W_stack = _stack_kernels(params.conv)
-    M, winner = _conv_max(ids, params["W_e"], None if masks is None else masks.x_scale,
-                          W_stack, cfg.n_filters, for_backward)
+    x_scale, p_scale = (None, None) if masks is None else masks.scales(params.dtype)
+    M, winner = _conv_max(ids, params["W_e"], x_scale, W_stack, cfg.n_filters, for_backward)
     C = np.tanh(M, out=M)
 
     G = C.T @ C                               # (d_c, d_c) Gram matrix
     P = params["V"] @ G
     if masks is not None:
-        P *= masks.p_scale
+        P *= p_scale
 
     logits = np.sum(params["U"] * P, axis=1) + params["b"]
     if cfg.use_length:
@@ -426,7 +447,7 @@ def _forward_cached(token_ids, length: int, params: ModelParams, masks: DropoutM
     if not np.all(np.isfinite(y)):
         raise FloatingPointError("non-finite model output")
     cache = {
-        "ids": ids, "winner": winner,
+        "ids": ids, "winner": winner, "x_scale": x_scale, "p_scale": p_scale,
         "C": C, "G": G, "P": P, "T": T, "lt": lt, "y": y,
     }
     return y, cache
@@ -480,7 +501,7 @@ class DescriptionBatch:
         starts = np.concatenate(([0], np.cumsum(lens[:-1])))
         self.seq = np.zeros(self.rows[-1] + 1, dtype=np.int64)
         self.seq[self.rows] = np.concatenate(descs)
-        self.x_scale = np.zeros(len(self.seq))
+        self.x_scale = np.zeros(len(self.seq), params.dtype)
         self.x_scale[self.rows] = 1.0
         self.W = _stack_kernels([params["desc_conv"]])
         Z, self.winner = _conv_max(self.seq, params["W_e"], self.x_scale, self.W, d_c, True)
@@ -511,7 +532,7 @@ class DescriptionBatch:
         grads["desc_W"] += self.Dpre.T @ self.m
         grads["desc_b"] += self.Dpre.sum(axis=0)
         d_c = self.F.shape[1]
-        dZ = np.zeros((len(self.seq), d_c))
+        dZ = np.zeros((len(self.seq), d_c), self.F.dtype)
         dZ[self.amax, np.arange(d_c)] = self.Dpre @ params["desc_W"]
         dW = _conv_max_backward(self.seq, params["W_e"], self.x_scale, self.W, self.winner, dZ,
                                 grads["W_e"], grads.rows["W_e"])
@@ -538,9 +559,11 @@ def description_batch(params: ModelParams, desc_ids_list, golds) -> DescriptionB
 def loss_mvc_lda(y: np.ndarray, gold: np.ndarray) -> float:
     """Per-sample loss: binary cross entropy summed over labels.
 
-    Outputs are clamped into [1e-12, 1-1e-12] inside the loss only.
+    Outputs are clamped into [1e-12, 1-1e-12] inside the loss only, and
+    the loss is computed in float64 whatever y's dtype: in float32,
+    1 - 1e-12 rounds to 1.0, and the clamp would leave log(0).
     """
-    yc = np.clip(y, LOSS_CLAMP, 1.0 - LOSS_CLAMP)
+    yc = np.clip(np.asarray(y, dtype=np.float64), LOSS_CLAMP, 1.0 - LOSS_CLAMP)
     g = np.asarray(gold, dtype=np.float64)
     return float(-np.sum(g * np.log(yc) + (1.0 - g) * np.log(1.0 - yc)))
 
@@ -588,7 +611,7 @@ def _sample_backward(token_ids, length: int, gold, params: ModelParams,
     encoder's into `desc_batch` for its `finish`."""
     cfg = params.config
     y, cache = _forward_cached(token_ids, length, params, masks, W_stack=W_stack)
-    g = np.asarray(gold, dtype=np.float64)
+    g = np.asarray(gold, dtype=y.dtype)
     C = cache.pop("C")
 
     dlogits = y - g                                  # (J,)
@@ -601,7 +624,7 @@ def _sample_backward(token_ids, length: int, gold, params: ModelParams,
         grads["K"] += dz * cache["lt"]
         grads["d"] += dz
 
-    dP_pre = dP if masks is None else dP * masks.p_scale
+    dP_pre = dP if masks is None else dP * cache["p_scale"]
 
     VtdP = params["V"].T @ dP_pre                    # (d_c, d_c)
     dC = C @ (VtdP + VtdP.T)
@@ -624,8 +647,7 @@ def _sample_backward(token_ids, length: int, gold, params: ModelParams,
         np.subtract(1.0, C, out=C)
         dC *= C
         del C
-        dW = _conv_max_backward(cache["ids"], params["W_e"],
-                                None if masks is None else masks.x_scale, W_stack,
+        dW = _conv_max_backward(cache["ids"], params["W_e"], cache["x_scale"], W_stack,
                                 cache["winner"], dC, grads["W_e"], grads.rows["W_e"])
         for i, block in enumerate(_channel_blocks(dW, cfg.kernel_sizes, cfg.embed_dim)):
             grads[f"conv{i}"] += block
@@ -655,7 +677,8 @@ _RETIRED_HEADER_KEYS = {"attention_softmax": False, "length_scale": LENGTH_SCALE
 
 def save_checkpoint(path, params: ModelParams, vocab_checksum: str) -> None:
     """The model config and vocabulary checksum in a tensor-file header, then
-    every tensor in the fixed `tensors()` order. Round-trips bit-exactly."""
+    every tensor in the fixed `tensors()` order, in its dtype. Round-trips
+    bit-exactly."""
     header = {config_key(name): getattr(params.config, name) for name in _HEADER_FIELDS}
     header.update(format=CHECKPOINT_FORMAT, version=CHECKPOINT_FORMAT_VERSION,
                   vocab_size=params.vocab_size, n_labels=params.n_labels,
@@ -685,9 +708,11 @@ def _tensor_shapes(cfg: ModelConfig, vocab_size: int, n_labels: int) -> dict[str
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
     """Read a checkpoint written by `save_checkpoint`. A damaged or foreign
     file (see `read_tensor_file`), a header that does not describe a valid
-    model, a missing tensor, or a tensor whose shape the header's config
-    does not give raises DataFormatError, as does a retired key at another
-    value than the model computes; other keys the header holds are ignored."""
+    model, a missing tensor, a tensor whose shape the header's config does
+    not give, or tensors of two dtypes raise DataFormatError, as does a
+    retired key at another value than the model computes; other keys the
+    header holds are ignored. The parameters keep the stored dtype: a
+    float64 checkpoint is scored in float64."""
     header, arrays = read_tensor_file(path, CHECKPOINT_FORMAT, CHECKPOINT_FORMAT_VERSION)
     for key, value in _RETIRED_HEADER_KEYS.items():
         if header.get(key, value) != value:
@@ -711,4 +736,6 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
                 f"{path}: tensor {name} has shape {list(arrays[name].shape)}, "
                 f"the header's config needs {list(shape)}"
             )
+    if len({arrays[name].dtype for name in shapes}) > 1:
+        raise DataFormatError(f"{path}: checkpoint tensors are not all of one dtype")
     return ModelParams(cfg, {name: arrays[name] for name in shapes}), header

@@ -68,6 +68,9 @@ def truncate_segment(token_ids: np.ndarray, max_segment: int, rng) -> np.ndarray
 
 @dataclass
 class AdamState:
+    """Adam's moments, each shaped and typed like its tensor, and the step
+    count."""
+
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
@@ -93,8 +96,9 @@ def adam_step(params: ModelParams, grads: GradientSet, state: AdamState, cfg: Tr
     a block the operation order is that of m = b1*m + (1-b1)*g,
     v = b2*v + (1-b2)*g*g, arr -= lr * (m/bc1) / (sqrt(v/bc2) + eps),
     and the block's gradient is spent once `v` is updated, so it serves as
-    scratch beside one transient. Afterwards a dense tensor of `grads`
-    holds no gradient; a compact one is left as it was."""
+    scratch beside one transient; both are in the tensor's dtype.
+    Afterwards a dense tensor of `grads` holds no gradient; a compact one
+    is left as it was."""
     grads.check_finite()
     state.t += 1
     bc1 = 1.0 - BETA1 ** state.t
@@ -110,7 +114,7 @@ def adam_step(params: ModelParams, grads: GradientSet, state: AdamState, cfg: Tr
                 gb = g[r0:r1]
             else:
                 lo, hi = np.searchsorted(rows, (r0, r1))
-                gb = np.zeros((r1 - r0, *arr.shape[1:]))
+                gb = np.zeros((r1 - r0, *arr.shape[1:]), arr.dtype)
                 gb[rows[lo:hi] - r0] = g[lo:hi]
             _adam_update(arr[r0:r1], gb, m[r0:r1], v[r0:r1], lr, bc1, bc2)
 

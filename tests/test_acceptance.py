@@ -50,7 +50,7 @@ def test_criterion_01_gradient_correctness():
             kind=kind, kernel_sizes=(1, 3, 5, 7), n_filters=6, embed_dim=8,
             lambda_=0.01 if kind == "mvc-rlda" else 0.0,
         )
-        params = model.init_params(cfg, 50, 5, np.random.default_rng(11))
+        params = model.init_params(cfg, 50, 5, np.random.default_rng(11), dtype=np.float64)
         desc_arg = desc if kind == "mvc-rlda" else None
 
         def loss_fn():
@@ -76,7 +76,7 @@ def test_criterion_02_equation_fidelity():
     # V = [2], K = 1, d = 0, and length 5000
     params = model.init_params(
         model.ModelConfig(kernel_sizes=(1, 3), n_filters=1, embed_dim=1),
-        3, 1, np.random.default_rng(2),
+        3, 1, np.random.default_rng(2), dtype=np.float64,
     )
     params["W_e"][:, 0] = [1.0, 2.0, 3.0]
     params.conv[0][:] = 1.0
@@ -97,7 +97,7 @@ def test_criterion_02_equation_fidelity():
     params = model.init_params(
         model.ModelConfig(kind="mvc-rlda", kernel_sizes=(1, 3), n_filters=4,
                           embed_dim=5, lambda_=0.7),
-        20, 3, np.random.default_rng(2),
+        20, 3, np.random.default_rng(2), dtype=np.float64,
     )
     desc = [np.array([1, 2]), np.array([3, 4]), np.array([5])]
     ids, g = np.array([6, 7, 8, 9]), np.zeros(3)
@@ -240,7 +240,7 @@ def test_criterion_05_regularization_helps_rare_codes():
             lambda_=0.01 if kind == "mvc-rlda" else 0.0,
         )
         p0 = model.init_params(mcfg, vocab.size, 40, np.random.default_rng(seed),
-                               embeddings=table)
+                               embeddings=table, dtype=np.float64)
         tcfg = tr.TrainConfig(batch_size=4, max_epochs=12, patience=12,
                               dropout=0.2, seed=seed)
         best, _ = tr.train(p0, train_docs, dev_docs,

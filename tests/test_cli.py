@@ -1130,6 +1130,19 @@ class TestCommandFront:
         assert err.splitlines()[-1].startswith(f"mvclda: out of memory in {command}: ")
         assert not out.exists()
 
+    # hyperband draws its trials' sizes inside the search; the largest model
+    # its space holds is built before --out exists
+    @pytest.mark.parametrize("lines", [f"dc_min = {10**15}\ndc_max = {10**15}\n",
+                                       f"s0_max = {10**12}\n"], ids=["dc", "s0_max"])
+    def test_search_space_that_cannot_be_allocated_exits_2(self, corpus_dir, tmp_path, capsys,
+                                                           lines):
+        cfg, out = tmp_path / "huge.cfg", tmp_path / "out"
+        cfg.write_text(TRAIN_CFG + lines)
+        assert run(self._argv("hyperband", corpus_dir, cfg, out)) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("mvclda: out of memory in hyperband: ")
+        assert not out.exists()
+
     def test_window_past_every_note_trains(self, corpus_dir, tmp_path):
         # the window is taken as at most a note's length less one, so it
         # allocates nothing of its own size

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -448,12 +449,18 @@ TENSOR_FILE_DAMAGES = {
     "header_not_object": lambda h, b: b"[1, 2]\n" + b,
     "header_not_json": lambda h, b: b"\xff\xfe junk\n" + b,
     "no_tensors_list": lambda h, b: _rewrite({k: v for k, v in h.items() if k != "tensors"}, b),
-    # the next two keep the declared payload size, so only their own check fires
+    # the next four are refused by the header check each names, before any
+    # size is compared; a float32 tensor keeps its "<f4"
     "negative_dimension": lambda h, b: _rewrite(
-        {**h, "tensors": [[h["tensors"][0][0], [-1, -math.prod(h["tensors"][0][1])]]]
-         + h["tensors"][1:]}, b),
+        {**h, "tensors": [[h["tensors"][0][0], [-1, -math.prod(h["tensors"][0][1])],
+                           *h["tensors"][0][2:]]] + h["tensors"][1:]}, b),
     "duplicate_name": lambda h, b: _rewrite(
         {**h, "tensors": h["tensors"] + [[h["tensors"][0][0], [0]]]}, b),
+    # float64 is the entry without a dtype; no other dtype string is read
+    "named_float64": lambda h, b: _rewrite(
+        {**h, "tensors": [[*h["tensors"][0][:2], "<f8"]] + h["tensors"][1:]}, b),
+    "unknown_dtype": lambda h, b: _rewrite(
+        {**h, "tensors": [[*h["tensors"][0][:2], "float32"]] + h["tensors"][1:]}, b),
     "oversized_tensor": lambda h, b: _rewrite(
         {**h, "tensors": [[h["tensors"][0][0], [10**6, 10**6]]] + h["tensors"][1:]}, b),
     "short_payload": lambda h, b: _rewrite(h, b[:-8]),
@@ -467,8 +474,9 @@ def damage_tensor_file(path, damage: str) -> None:
 
 
 class TestTensorFile:
-    """The one header-plus-float64-tensors container behind the checkpoint,
-    embeddings and baseline files."""
+    """The one header-plus-tensors container behind the checkpoint,
+    embeddings and baseline files: float64 tensors, and float32 ones named
+    as such."""
 
     @pytest.mark.parametrize("damage", list(TENSOR_FILE_DAMAGES))
     @pytest.mark.parametrize("write", [_checkpoint_file, _embeddings_file, _baseline_file],
@@ -492,3 +500,52 @@ class TestTensorFile:
         for name, arr in tensors:
             assert arrays[name].shape == np.shape(arr)
             assert np.array_equal(arrays[name], arr)
+
+    def test_float32_round_trip_beside_float64(self, tmp_path):
+        path = tmp_path / "t.bin"
+        tensors = [("w", np.linspace(-1, 1, 6, dtype=np.float32).reshape(2, 3)),
+                   ("d", np.arange(3.0) / 7), ("s", np.float32(1 / 3))]
+        corpus.write_tensor_file(path, {"format": "f", "version": 1}, tensors)
+        header, arrays = corpus.read_tensor_file(path, "f", 1)
+        assert header["tensors"] == [["w", [2, 3], "<f4"], ["d", [3]], ["s", [], "<f4"]]
+        for name, arr in tensors:
+            assert arrays[name].dtype == np.asarray(arr).dtype, name
+            assert arrays[name].tobytes() == np.asarray(arr).tobytes(), name
+
+    def test_float64_files_keep_the_legacy_layout(self, tmp_path):
+        # a file of [name, shape] entries, every tensor as <f8, reads as
+        # before and is written byte for byte as before; a non-float32
+        # array is stored as float64
+        tensors = [("a", np.arange(6.0).reshape(2, 3) / 3), ("n", np.array([1, 2]))]
+        legacy = (json.dumps({"format": "f", "tensors": [["a", [2, 3]], ["n", [2]]],
+                              "version": 1}, sort_keys=True) + "\n").encode()
+        legacy += b"".join(np.asarray(a, dtype="<f8").tobytes() for _, a in tensors)
+        path = tmp_path / "t.bin"
+        corpus.write_tensor_file(path, {"format": "f", "version": 1}, tensors)
+        assert path.read_bytes() == legacy
+        old = tmp_path / "old.bin"
+        old.write_bytes(legacy)
+        _, arrays = corpus.read_tensor_file(old, "f", 1)
+        for name, arr in tensors:
+            assert arrays[name].dtype == np.float64
+            assert np.array_equal(arrays[name], arr)
+
+    def test_float32_sizes_are_checked_before_allocating(self, tmp_path):
+        path = tmp_path / "t.bin"
+        corpus.write_tensor_file(path, {"format": "f", "version": 1},
+                                 [("w", np.ones((4, 5), dtype=np.float32))])
+        head, _, body = path.read_bytes().partition(b"\n")
+        assert len(body) == 4 * 20  # four bytes a value, not eight
+        path.write_bytes(head + b"\n" + body[:-4])
+        with pytest.raises(corpus.DataFormatError, match="truncated"):
+            corpus.read_tensor_file(path, "f", 1)
+        header = dict(json.loads(head), tensors=[["w", [10**6, 10**6], "<f4"]])
+        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        tracemalloc.start()
+        try:
+            with pytest.raises(corpus.DataFormatError, match="truncated"):
+                corpus.read_tensor_file(path, "f", 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20

@@ -36,7 +36,7 @@ def small_params(kind="mvc-lda", seed=0, vocab=20, labels=3, d_e=5, d_c=4,
     cfg = model.ModelConfig(
         kind=kind, kernel_sizes=kernels, n_filters=d_c, embed_dim=d_e, **cfg_kwargs
     )
-    return model.init_params(cfg, vocab, labels, np.random.default_rng(seed))
+    return model.init_params(cfg, vocab, labels, np.random.default_rng(seed), dtype=np.float64)
 
 
 def params_over(X, weights, labels=1):
@@ -886,3 +886,97 @@ class TestConfigValidation:
         assert cfg.n_filters == 90
         assert cfg.lambda_ == 0.0005
         assert cfg.embed_dim == 100
+
+
+class TestFloat32:
+    """A float32 parameter set computes in float32 end to end; only the loss
+    is summed in float64, and scores come out as float64."""
+
+    CFG = model.ModelConfig(kind="mvc-rlda", kernel_sizes=(2, 4, 6, 8), n_filters=6,
+                            embed_dim=8, lambda_=0.01)
+    VOCAB, J = 40, 5
+
+    def batch(self, seed):
+        """Float32 parameters from `init_params`' default, the float64 set of
+        the same values, descriptions, and a batch of three samples with
+        dropout: a short note, one spanning two row chunks, and an empty one."""
+        rng = np.random.default_rng(seed)
+        p32 = model.init_params(self.CFG, self.VOCAB, self.J, np.random.default_rng(seed))
+        p64 = model.ModelParams(self.CFG, {n: a.astype(np.float64) for n, a in p32.tensors()})
+        desc = [rng.integers(0, self.VOCAB, int(rng.integers(2, 5))) for _ in range(self.J)]
+        samples = []
+        for l in (30, CHUNK + 100, 0):
+            gold = (rng.random(self.J) < 0.5).astype(float)
+            gold[0] = 1.0  # keep the regularizer active
+            samples.append((rng.integers(0, self.VOCAB, l), l, gold,
+                            model.make_dropout_masks(rng, l, self.J, 6, 0.2)))
+        return p32, p64, desc, samples
+
+    def test_init_params_casts_the_float64_draws(self):
+        p32 = model.init_params(self.CFG, self.VOCAB, self.J, np.random.default_rng(3))
+        p64 = model.init_params(self.CFG, self.VOCAB, self.J, np.random.default_rng(3),
+                                dtype=np.float64)
+        assert p32.dtype == np.float32 and p64.dtype == np.float64
+        for (name, a), (_, b) in zip(p32.tensors(), p64.tensors()):
+            assert a.dtype == np.float32, name
+            assert np.array_equal(a, b.astype(np.float32)), name
+
+    def test_backward_and_adam_stay_float32(self):
+        params, _, desc, samples = self.batch(1)
+        state = train.AdamState.for_params(params)
+        loss, grads = model.backward(samples, params, desc)
+        assert isinstance(loss, float) and math.isfinite(loss)
+        for name, g in grads.data.items():
+            assert g.dtype == np.float32, name
+        train.adam_step(params, grads, state, train.TrainConfig())
+        for name, arr in params.tensors():
+            assert arr.dtype == np.float32, name
+            assert state.m[name].dtype == np.float32, name
+            assert state.v[name].dtype == np.float32, name
+        ids, length, _, masks = samples[0]
+        _, cache = model._forward_cached(ids, length, params, masks)
+        for name in ("x_scale", "p_scale", "C", "G", "P", "T", "y"):
+            assert cache[name].dtype == np.float32, name
+        assert model.forward(ids, len(ids), params).dtype == np.float32
+        scores = model.predict_matrix(params, [EncodedDocument(ids, np.zeros(self.J))])
+        assert scores.dtype == np.float64
+        assert np.array_equal(scores[0], model.forward(ids, len(ids), params))
+
+    # float32 rounding of the same arithmetic: at most 1.1e-6 of each
+    # tensor's largest float64 entry over 20 seeds, so 1e-5 (about 84
+    # float32 ulps of 1) leaves a margin of ~9
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gradients_agree_with_float64(self, seed):
+        p32, p64, desc, samples = self.batch(seed)
+        loss32, g32 = model.backward(samples, p32, desc)
+        loss64, g64 = model.backward(samples, p64, desc)
+        assert loss32 == pytest.approx(loss64, rel=1e-5)
+        for name, arr in p32.tensors():
+            got, want = (dense_gradient(g, name, arr.shape) for g in (g32, g64))
+            assert_rel_close(got, want, rel=1e-5)
+
+    def test_loss_finite_at_a_float32_score_of_one(self):
+        # float32 sigmoid reaches exactly 1.0 from a logit of about +17; in
+        # float32 the clamp 1 - 1e-12 would round to 1.0 and leave log(0)
+        y = model.sigmoid(np.array([17.0, 0.0], dtype=np.float32))
+        assert y.dtype == np.float32 and y[0] == 1.0
+        loss = model.loss_mvc_lda(y, np.array([0.0, 1.0]))
+        assert loss == pytest.approx(-math.log(model.LOSS_CLAMP) + math.log(2), rel=1e-6)
+
+    def test_checkpoint_keeps_each_dtype(self, tmp_path):
+        p32, p64, _, _ = self.batch(5)
+        for params in (p32, p64):
+            path = tmp_path / f"{params.dtype}.ckpt"
+            model.save_checkpoint(path, params, vocab_checksum="x")
+            loaded, _ = model.load_checkpoint(path)
+            for (name, a), (_, b) in zip(params.tensors(), loaded.tensors()):
+                assert b.dtype == a.dtype, name
+                assert a.tobytes() == b.tobytes(), name
+
+    def test_checkpoint_of_two_dtypes_rejected(self, tmp_path):
+        p32, _, _, _ = self.batch(6)
+        mixed = model.ModelParams(p32.config, dict(p32.arrays, V=p32["V"].astype(np.float64)))
+        path = tmp_path / "ckpt"
+        model.save_checkpoint(path, mixed, vocab_checksum="x")
+        with pytest.raises(DataFormatError, match="one dtype"):
+            model.load_checkpoint(path)

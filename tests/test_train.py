@@ -26,12 +26,12 @@ def tiny_dataset(rng, n_docs=10, n_labels=5, vocab=30, length=12):
     return docs
 
 
-def tiny_params(kind="mvc-lda", seed=0, n_labels=5, vocab=30, **kwargs):
+def tiny_params(kind="mvc-lda", seed=0, n_labels=5, vocab=30, dtype=np.float32, **kwargs):
     cfg = model.ModelConfig(
         kind=kind, kernel_sizes=(1, 3), n_filters=6, embed_dim=8,
         lambda_=0.01 if kind == "mvc-rlda" else 0.0, **kwargs,
     )
-    return model.init_params(cfg, vocab, n_labels, np.random.default_rng(seed))
+    return model.init_params(cfg, vocab, n_labels, np.random.default_rng(seed), dtype=dtype)
 
 
 def tiny_descriptions(rng, n_labels=5, vocab=30):
@@ -105,7 +105,7 @@ class TestAdamStep:
             monkeypatch.setattr(train, "ADAM_BLOCK", block)
         rows_per_block = train.ADAM_BLOCK // 8
         vocab = 30 if block is not None else 3 * rows_per_block + 5
-        params = tiny_params(kind="mvc-rlda", seed=14, vocab=vocab)
+        params = tiny_params(kind="mvc-rlda", seed=14, vocab=vocab, dtype=np.float64)
         cfg = train.TrainConfig()
         state = train.AdamState.for_params(params)
         ref = {name: arr.copy() for name, arr in params.tensors()}
@@ -132,6 +132,34 @@ class TestAdamStep:
             for got, want in ((arr, ref[name]), (state.m[name], m[name]),
                               (state.v[name], v[name])):
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
+
+    @pytest.mark.parametrize("compact", [False, True])
+    def test_float32_step_equals_the_float32_whole_tensor_update(self, compact, monkeypatch):
+        # the same update in float32: moments, blocks and scratch in the
+        # tensor's dtype, bit for bit the one-pass update over float32 arrays
+        monkeypatch.setattr(train, "ADAM_BLOCK", 30)
+        params = tiny_params(kind="mvc-rlda", seed=15)
+        state = train.AdamState.for_params(params)
+        ref = {name: arr.copy() for name, arr in params.tensors()}
+        m = {name: np.zeros_like(arr) for name, arr in params.tensors()}
+        v = {name: np.zeros_like(arr) for name, arr in params.tensors()}
+        touched = np.array([0, 2, 3, 17, 29])
+        rng = np.random.default_rng(15)
+        for t in range(1, 4):
+            dense = {name: rng.normal(size=arr.shape).astype(np.float32)
+                     for name, arr in params.tensors()}
+            grads = model.GradientSet({name: g.copy() for name, g in dense.items()})
+            if compact:
+                dense["W_e"][np.setdiff1d(np.arange(30), touched)] = 0.0
+                grads = model.GradientSet(dict(grads.data, W_e=dense["W_e"][touched]),
+                                          rows={"W_e": touched})
+            train.adam_step(params, grads, state, train.TrainConfig())
+            inplace_adam_step(ref, dense, m, v, t, train.TrainConfig().learning_rate)
+        for name, arr in params.tensors():
+            for got, want in ((arr, ref[name]), (state.m[name], m[name]),
+                              (state.v[name], v[name])):
+                assert got.dtype == np.float32, name
+                assert np.array_equal(got.view(np.uint32), want.view(np.uint32)), name
 
     def test_non_finite_gradient_rejected(self):
         params = tiny_params(seed=4)

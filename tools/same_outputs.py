@@ -26,8 +26,16 @@ Every file either run wrote is then reported as identical or differing;
 only field allowed to differ. A differing tensor file (`.bin`) is reported by part: whether the
 tensor payloads after the header line are identical, and which header keys
 differ; a differing JSON document (`.json`) by the top-level keys that
-differ. Either still counts as differing. Exits 0 when every file matches
-and 1 otherwise.
+differ. Either still counts as differing.
+
+Then the cross-evaluate step: the working tree's source reruns the flow's
+`evaluate` commands on the revision's checkpoints, in the revision's run
+directory, and each `metrics.json` it writes must equal the revision's own
+byte for byte. A change that moves training arithmetic may change any
+checkpoint, history, trial log or metrics file of the flow, by design;
+this step still holds scoring exact on the revision's checkpoints, which
+an older revision writes in its own format and dtype. Exits 0 when every file of both steps
+matches and 1 otherwise.
 
 Needs no network; reads `.git` only through `git archive`. BLAS runs one
 thread, as in the benchmark.
@@ -168,21 +176,26 @@ FLOW = [
 ]
 
 
+def run_command(src: Path, run_dir: Path, argv: list[str]) -> None:
+    """Run `mvclda argv` with the package in `src`, from `run_dir`."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MVC_")}
+    env.update(PYTHONPATH=str(src), OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-m", "mvclda.cli", *argv], cwd=run_dir,
+                          env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"{src}: `mvclda {' '.join(argv)}` exited {done.returncode}:\n"
+                         f"{done.stderr}")
+
+
 def run_flow(src: Path, run_dir: Path) -> None:
     """Run FLOW with the package in `src`, from `run_dir`."""
     cfg_dir = run_dir / "cfg"
     cfg_dir.mkdir(parents=True)
     for name, text in CONFIGS.items():
         (cfg_dir / name).write_text(text)
-    env = {k: v for k, v in os.environ.items() if not k.startswith("MVC_")}
-    env.update(PYTHONPATH=str(src), OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
     for argv in FLOW:
-        done = subprocess.run([sys.executable, "-m", "mvclda.cli", *argv], cwd=run_dir,
-                              env=env, capture_output=True, text=True)
-        if done.returncode != 0:
-            raise SystemExit(f"{src}: `mvclda {' '.join(argv)}` exited {done.returncode}:\n"
-                             f"{done.stderr}")
+        run_command(src, run_dir, argv)
     epochs = len((run_dir / "stop" / "history.jsonl").read_text().splitlines())
     if epochs >= STOP_MAX_EPOCHS:
         raise SystemExit(f"{src}: the patience-1 run trained all {epochs} epochs; "
@@ -242,6 +255,21 @@ def compare(old: dict[str, bytes], new: dict[str, bytes]) -> list[tuple[str, str
     return verdicts
 
 
+def cross_evaluate(src: Path, rev_dir: Path, out_dir: Path) -> list[tuple[str, str]]:
+    """(path, verdict) for each `evaluate` of FLOW rerun with the package in
+    `src` from the revision's run directory `rev_dir`, on its checkpoints,
+    writing under `out_dir`: whether the metrics file equals the one the
+    revision wrote there."""
+    verdicts = []
+    for argv in (a for a in FLOW if a[0] == "evaluate"):
+        at = argv.index("--metrics-out") + 1
+        ours = out_dir / argv[at]
+        run_command(src, rev_dir, [*argv[:at], str(ours), *argv[at + 1:]])
+        same = ours.read_bytes() == (rev_dir / argv[at]).read_bytes()
+        verdicts.append((argv[at], "identical" if same else "DIFFERS"))
+    return verdicts
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python tools/same_outputs.py <rev>", file=sys.stderr)
@@ -256,11 +284,17 @@ def main(argv: list[str]) -> int:
         run_flow(tmp / "rev" / "src", tmp / "run_rev")
         run_flow(REPO / "src", tmp / "run_tree")
         verdicts = compare(outputs(tmp / "run_rev"), outputs(tmp / "run_tree"))
+        crossed = cross_evaluate(REPO / "src", tmp / "run_rev", tmp / "cross")
     for path, verdict in verdicts:
         print(f"{verdict:30s} {path}")
     same = sum(v.startswith("identical") for _, v in verdicts)
     print(f"{same} of {len(verdicts)} files match {rev}")
-    return 0 if same == len(verdicts) else 1
+    print("cross-evaluate: the working tree's evaluate on the revision's checkpoints")
+    for path, verdict in crossed:
+        print(f"{verdict:30s} {path}")
+    same_crossed = sum(v == "identical" for _, v in crossed)
+    print(f"{same_crossed} of {len(crossed)} cross-evaluated metrics files match {rev}'s")
+    return 0 if same == len(verdicts) and same_crossed == len(crossed) else 1
 
 
 if __name__ == "__main__":
