@@ -161,10 +161,10 @@ class LinearOvrModel:
         return scores
 
 
-def train_flat(X: np.ndarray, gold: np.ndarray, codes, cfg: SvmConfig) -> LinearOvrModel:
-    """Independent classifier per label; zero-positive labels get an
-    always-negative classifier. This is the hierarchical trainer over an
-    empty hierarchy."""
+def train_flat(X: np.ndarray, gold, codes, cfg: SvmConfig) -> LinearOvrModel:
+    """Independent classifier per label, for X's gold cells (`gold_cells`);
+    zero-positive labels get an always-negative classifier. This is the
+    hierarchical trainer over an empty hierarchy."""
     return _train_ovr(X, gold, codes, {}, cfg, hierarchical=False)
 
 
@@ -208,30 +208,30 @@ def _subtree_columns(chains) -> dict[str, list[int]]:
 
 
 def train_hierarchical(
-    X: np.ndarray, gold: np.ndarray, codes, parents: dict[str, str], cfg: SvmConfig
+    X: np.ndarray, gold, codes, parents: dict[str, str], cfg: SvmConfig
 ) -> LinearOvrModel:
-    """One classifier per hierarchy node. A node's training pool is every
-    document whose gold set intersects its parent's subtree (root-level
-    nodes see all documents); positives are the documents intersecting the
-    node's own subtree."""
+    """One classifier per hierarchy node, for X's gold cells. A node's
+    training pool is every document whose gold set intersects its parent's
+    subtree (root-level nodes see all documents); positives are the
+    documents intersecting the node's own subtree."""
     return _train_ovr(X, gold, codes, parents, cfg, hierarchical=True)
 
 
-def _train_ovr(X: np.ndarray, gold: np.ndarray, codes, parents: dict[str, str],
+def _train_ovr(X: np.ndarray, gold, codes, parents: dict[str, str],
                cfg: SvmConfig, hierarchical: bool) -> LinearOvrModel:
     """`train_hierarchical`'s rule; without parents every node is a root-level
     label with its own column as positives, which is `train_flat`."""
     codes = list(codes)
-    gold = np.asarray(gold)
     nodes = _hierarchy_nodes(codes, parents)
     subtree_cols = _subtree_columns(_ancestor_chains(codes, parents))
-    subtree_pos = {
-        node: gold[:, subtree_cols[node]].any(axis=1)
-        if node in subtree_cols
-        else np.zeros(len(gold), dtype=bool)
-        for node in nodes
-    }
-    csr, all_rows = _csr_rows(X), np.arange(len(gold))
+    # each label's positive documents: the gold cells grouped by label
+    doc_ids, label_ids = gold
+    ends = np.cumsum(np.bincount(label_ids, minlength=len(codes)))
+    label_docs = np.split(doc_ids[np.argsort(label_ids, kind="stable")], ends[:-1])
+    subtree_pos = {node: np.zeros(X.shape[0], dtype=bool) for node in nodes}
+    for node, node_cols in subtree_cols.items():
+        subtree_pos[node][np.concatenate([label_docs[j] for j in node_cols])] = True
+    csr, all_rows = _csr_rows(X), np.arange(X.shape[0])
     rows, weights = [], []
     bias = np.zeros(len(nodes))
     for k, node in enumerate(nodes):

@@ -192,9 +192,8 @@ def _load_label_space(args) -> corpus.LabelSpace:
 
 
 class _Split(typing.NamedTuple):
-    raws: list
     tokens: list  # each document's `corpus.preprocess_text` tokens
-    gold: np.ndarray  # `corpus.encode_gold`'s matrix,
+    gold: list  # `corpus.encode_gold`'s label ids per document,
     dropped: int  # and its count of codes outside the label space
 
 
@@ -210,9 +209,9 @@ def _read_split(name: str, path, labels: corpus.LabelSpace, scored: bool = False
     if dropped:
         print(f"warning: dropped {dropped} gold codes absent from the label space",
               file=sys.stderr)
-    if scored and not gold.any():
+    if scored and not any(map(len, gold)):
         raise ValueError(f"{name} split {path} has no gold code in the label space")
-    return _Split(raws, [corpus.preprocess_text(d.text) for d in raws], gold, dropped)
+    return _Split([corpus.preprocess_text(d.text) for d in raws], gold, dropped)
 
 
 @dataclass
@@ -267,7 +266,7 @@ def _training_setup(args, keys: dict) -> _TrainingSetup:
                                 scored=args.command == "ablate" and name == eval_split)
               for name in dict.fromkeys(("train", "dev", eval_split))}
     vocab = corpus.build_vocabulary(splits["train"].tokens, train_cfg.min_doc_freq)
-    docs = {name: corpus.encode_corpus(s.raws, vocab, labels, s.tokens, (s.gold, s.dropped))[0]
+    docs = {name: corpus.encode_corpus(s.tokens, (s.gold, s.dropped), vocab)[0]
             for name, s in splits.items()}
 
     vocab_bytes = corpus.vocabulary_bytes(vocab)
@@ -353,7 +352,8 @@ def cmd_train(args) -> int:
                                    for e in history.epochs))
     run.artifacts["history"] = hist_path
     counts_path = run.out_dir / "train_counts.tsv"
-    counts = (train_mod.gold_matrix(run.train_docs) > 0).sum(axis=0)
+    counts = np.bincount(corpus.gold_cells(d.gold for d in run.train_docs)[1],
+                         minlength=run.labels.n_labels)
     corpus.write_pairs_tsv(counts_path, sorted(zip(run.labels.codes, counts.tolist())))
     run.artifacts["train_counts"] = counts_path
     _write_manifest(run.out_dir, args, run.values, run.artifacts)
@@ -387,12 +387,13 @@ def cmd_evaluate(args) -> int:
         by_code = corpus.read_counts_tsv(args.train_counts)
         train_counts = np.array([by_code.get(code, 0) for code in labels.codes], dtype=np.float64)
 
-    docs, _ = corpus.encode_corpus(test.raws, vocab, labels, test.tokens, (test.gold, test.dropped))
+    docs, _ = corpus.encode_corpus(test.tokens, (test.gold, test.dropped), vocab)
     scores = model.predict_matrix(params, docs)
+    cells = corpus.gold_cells(test.gold)
     # macro F1 over the labels with gold support (the split has at least one)
     report = metrics.evaluate_predictions(
-        scores, test.gold, p_at=tuple(args.p_at), groups=groups, train_counts=train_counts,
-        macro_labels=np.flatnonzero(test.gold.sum(axis=0) > 0),
+        scores, cells, p_at=tuple(args.p_at), groups=groups, train_counts=train_counts,
+        macro_labels=np.unique(cells[1]),
     )
     out_path = Path(args.metrics_out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -465,7 +466,7 @@ def cmd_ablate(args) -> int:
         best, history = train_mod.train(params0, train_docs, dev_docs, run.desc_ids,
                                         run.train_cfg)
         report = metrics.evaluate_predictions(model.predict_matrix(best, eval_docs),
-                                              train_mod.gold_matrix(eval_docs),
+                                              corpus.gold_cells(d.gold for d in eval_docs),
                                               p_at=tuple(args.p_at))
         return {"best_dev_micro_f1": history.best_dev_micro_f1, "micro_f1": report.micro_f1,
                 "pr_auc": report.pr_auc, "p_at": report.p_at}
@@ -517,19 +518,20 @@ def cmd_baseline(args) -> int:
     featurizer = baseline.fit_tfidf(train.tokens, tfidf_cfg)
     X_train = featurizer.transform(train.tokens)
     X_test = featurizer.transform(test.tokens)
+    train_cells = corpus.gold_cells(train.gold)
     if args.hierarchy:
         parents = labels.parents or {}
-        ovr = baseline.train_hierarchical(X_train, train.gold, labels.codes, parents, svm_cfg)
+        ovr = baseline.train_hierarchical(X_train, train_cells, labels.codes, parents, svm_cfg)
         pred = baseline.predict_hierarchical(ovr, X_test, labels.codes, parents)
     else:
-        ovr = baseline.train_flat(X_train, train.gold, labels.codes, svm_cfg)
+        ovr = baseline.train_flat(X_train, train_cells, labels.codes, svm_cfg)
         pred = baseline.predict_flat(ovr, X_test)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = {"model": out_dir / "baseline_model.bin", "metrics": out_dir / "metrics.json"}
     baseline.save_baseline(artifacts["model"], featurizer, ovr)
     report = metrics.evaluate_predictions(
-        pred.astype(np.float64), test.gold, p_at=tuple(args.p_at)
+        pred.astype(np.float64), corpus.gold_cells(test.gold), p_at=tuple(args.p_at)
     )
     corpus.write_json(artifacts["metrics"], asdict(report))
     _write_manifest(out_dir, args, values, artifacts)

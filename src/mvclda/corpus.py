@@ -150,42 +150,39 @@ def make_label_space(
 @dataclass
 class EncodedDocument:
     token_ids: np.ndarray
-    gold: np.ndarray
+    gold: np.ndarray  # the sorted int64 ids of its gold labels
 
     @property
     def length(self) -> int:
         return len(self.token_ids)
 
 
-def encode_gold(raws: list[RawDocument], labels: LabelSpace) -> tuple[np.ndarray, int]:
-    """Each document's 0/1 gold vector over the label space, as the rows of
-    one matrix, and the count of gold codes dropped because the label space
-    does not contain them."""
-    gold = np.zeros((len(raws), labels.n_labels), dtype=np.float64)
-    dropped = 0
-    for i, raw in enumerate(raws):
-        for code in raw.codes:
-            j = labels.code_to_index.get(code)
-            if j is None:
-                dropped += 1
-            else:
-                gold[i, j] = 1.0
-    return gold, dropped
+def encode_gold(raws: list[RawDocument], labels: LabelSpace) -> tuple[list[np.ndarray], int]:
+    """Each document's gold codes as the sorted int64 array of their label
+    ids, and the count of gold codes dropped because the label space does
+    not contain them."""
+    index = labels.code_to_index
+    golds = [np.array(sorted(index[c] for c in raw.codes if c in index), dtype=np.int64)
+             for raw in raws]
+    return golds, sum(len(raw.codes) for raw in raws) - sum(map(len, golds))
 
 
-def encode_corpus(
-    raws: list[RawDocument], vocab: Vocabulary, labels: LabelSpace,
-    token_docs: list[list[str]] | None = None,
-    encoded_gold: tuple[np.ndarray, int] | None = None,
-) -> tuple[list[EncodedDocument], int]:
-    """Encode each document's tokens and gold codes; returns the documents
-    and `encode_gold`'s dropped count. `token_docs` and `encoded_gold`, when
-    given, are each document's `preprocess_text` tokens and
-    `encode_gold(raws, labels)`, computed by the caller."""
-    gold, dropped = encoded_gold or encode_gold(raws, labels)
-    if token_docs is None:
-        token_docs = [preprocess_text(raw.text) for raw in raws]
-    docs = [EncodedDocument(vocab.encode(tokens), g) for tokens, g in zip(token_docs, gold)]
+def gold_cells(golds) -> tuple[np.ndarray, np.ndarray]:
+    """The positive cells of a split's documents x labels gold, from each
+    document's sorted label ids: int64 (rows, cols) in row-major order, the
+    form the metrics and the baselines take."""
+    golds = list(golds)
+    rows = np.repeat(np.arange(len(golds)), [len(g) for g in golds])
+    return rows, np.concatenate([np.zeros(0, np.int64), *golds])
+
+
+def encode_corpus(token_docs: list[list[str]], encoded_gold: tuple[list[np.ndarray], int],
+                  vocab: Vocabulary) -> tuple[list[EncodedDocument], int]:
+    """Encode each document's `preprocess_text` tokens beside its gold ids;
+    `encoded_gold` is `encode_gold`'s (ids, dropped) of the same documents.
+    Returns the documents and the dropped count."""
+    golds, dropped = encoded_gold
+    docs = [EncodedDocument(vocab.encode(tokens), g) for tokens, g in zip(token_docs, golds)]
     return docs, dropped
 
 

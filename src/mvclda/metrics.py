@@ -1,9 +1,9 @@
 """Multi-label evaluation: micro/macro F1, P@n, PR AUC and frequency-binned
 F1.
 
-Scores are n_docs x n_labels matrices in [0, 1]; gold matrices are binary
-with the same shape. All operations are pure and permutation-invariant in
-document order.
+Scores are n_docs x n_labels matrices in [0, 1]; the gold is the int64
+(rows, cols) of its positive cells, row-major (`corpus.gold_cells`). All
+operations are pure and permutation-invariant in document order.
 
 A report sorts the scores once (PR AUC), selects each row's top n by
 partition (P@n) and counts per-label integer TP/FP/FN once: every F1 in it,
@@ -33,13 +33,14 @@ def binarize(scores: np.ndarray) -> np.ndarray:
     return np.asarray(scores) > DEFAULT_THRESHOLD
 
 
-def label_counts(pred: np.ndarray, gold: np.ndarray) -> np.ndarray:
-    """Per-label integer (TP, FP, FN) of a binary prediction matrix: a
-    3 x n_labels int64 table."""
+def label_counts(pred: np.ndarray, gold) -> np.ndarray:
+    """Per-label integer (TP, FP, FN) of a binary prediction matrix against
+    the gold cells: a 3 x n_labels int64 table."""
     p = np.asarray(pred, dtype=bool)
-    g = np.asarray(gold, dtype=bool)
-    tp = np.count_nonzero(p & g, axis=0)
-    return np.stack([tp, np.count_nonzero(p, axis=0) - tp, np.count_nonzero(g, axis=0) - tp])
+    rows, cols = gold
+    tp = np.bincount(cols[p[rows, cols]], minlength=p.shape[1])
+    fn = np.bincount(cols, minlength=p.shape[1]) - tp
+    return np.stack([tp, np.count_nonzero(p, axis=0) - tp, fn])
 
 
 def _f1(tp, fp, fn) -> np.ndarray:
@@ -52,12 +53,9 @@ def _f1(tp, fp, fn) -> np.ndarray:
     return np.divide(2.0 * precision * recall, pr, out=np.zeros(tp.shape), where=pr > 0)
 
 
-def micro_f1(pred: np.ndarray, gold: np.ndarray) -> float:
+def micro_f1(pred: np.ndarray, gold) -> float:
     """F1 over confusion counts pooled across every (document, label) cell."""
-    p = np.asarray(pred, dtype=bool)
-    g = np.asarray(gold, dtype=bool)
-    tp = np.count_nonzero(p & g)
-    return float(_f1(tp, np.count_nonzero(p) - tp, np.count_nonzero(g) - tp))
+    return float(_f1(*label_counts(pred, gold).sum(axis=1)))
 
 
 def _micro_f1_by(counts: np.ndarray, key: np.ndarray, n_keys: int) -> list[float]:
@@ -85,7 +83,7 @@ def macro_f1(counts: np.ndarray, labels=None) -> float:
     return float(np.mean(_f1(tp, fp, fn)))
 
 
-def precision_at_n(scores: np.ndarray, gold: np.ndarray, n: int) -> float:
+def precision_at_n(scores: np.ndarray, gold, n: int) -> float:
     """Mean over documents of the precision of the n top-scored labels.
 
     Ties are broken toward the lower label index. Each row's n-th highest
@@ -94,7 +92,7 @@ def precision_at_n(scores: np.ndarray, gold: np.ndarray, n: int) -> float:
     index up. Rows go P_AT_N_BLOCK cells at a time.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    gold = np.asarray(gold)
+    rows, cols = gold
     if n < 1:
         raise ValueError("n must be at least 1")
     n_docs, n_labels = scores.shape
@@ -114,11 +112,13 @@ def precision_at_n(scores: np.ndarray, gold: np.ndarray, n: int) -> float:
         crowded = np.flatnonzero(np.count_nonzero(tied, axis=1) > free)
         tied[crowded] &= np.cumsum(tied[crowded], axis=1) <= free[crowded, None]
         top |= tied
-        hits[r0 : r0 + step] = np.count_nonzero(top & (gold[r0 : r0 + step] > 0), axis=1)
+        lo, hi = np.searchsorted(rows, (r0, r0 + step))
+        r, c = rows[lo:hi] - r0, cols[lo:hi]
+        hits[r0 : r0 + step] = np.bincount(r[top[r, c]], minlength=len(block))
     return float(np.mean(hits / n))
 
 
-def pr_auc(scores: np.ndarray, gold: np.ndarray) -> float:
+def pr_auc(scores: np.ndarray, gold) -> float:
     """Area under pooled micro precision vs micro recall.
 
     Thresholds sweep every distinct score plus 0 and 1; a cell is predicted
@@ -137,12 +137,12 @@ def pr_auc(scores: np.ndarray, gold: np.ndarray) -> float:
     positive scores go PR_AUC_BLOCK places of the sorted positives at a
     time, from the highest down, with the area carried between blocks.
     """
-    s = np.asarray(scores, dtype=np.float64).ravel()
-    pos = np.sort(s[np.asarray(gold).ravel().astype(bool)])
+    s = np.asarray(scores, dtype=np.float64)
+    pos = np.sort(s[tuple(gold)])
     n_pos = pos.size
     if n_pos == 0:
         raise ValueError("PR AUC is undefined without gold positives")
-    s = np.sort(s)
+    s = np.sort(s.ravel())
     n = s.size
     area, last_recall = 0.0, 0.0
     for hi in range(n_pos, 0, -PR_AUC_BLOCK):
@@ -229,14 +229,14 @@ class MetricsReport:
 
 def evaluate_predictions(
     scores: np.ndarray,
-    gold: np.ndarray,
+    gold,
     *,
     p_at: tuple[int, ...] = (8,),
     groups=None,
     train_counts=None,
     macro_labels=None,
 ) -> MetricsReport:
-    """Assemble the full report for a score matrix.
+    """Assemble the full report for a score matrix and its gold cells.
 
     `groups` is an optional per-label tag sequence; `train_counts` an optional
     per-label training-frequency vector enabling the binned table;
@@ -244,9 +244,8 @@ def evaluate_predictions(
     have gold support).
     """
     scores = np.asarray(scores, dtype=np.float64)
-    gold01 = np.asarray(gold)
     pred = binarize(scores)
-    counts = label_counts(pred, gold01)
+    counts = label_counts(pred, gold)
     tp, fp, fn = (int(c) for c in counts.sum(axis=1))
 
     by_group: dict[str, float] = {}
@@ -265,7 +264,7 @@ def evaluate_predictions(
         micro_f1_by_group=by_group,
         macro_f1=None if macro_labels is None else macro_f1(counts, macro_labels),
         macro_n_labels=0 if macro_labels is None else len(macro_labels),
-        p_at={str(n): precision_at_n(scores, gold01, n) for n in p_at},
-        pr_auc=pr_auc(scores, gold01),
+        p_at={str(n): precision_at_n(scores, gold, n) for n in p_at},
+        pr_auc=pr_auc(scores, gold),
         bins=None if train_counts is None else frequency_binned_f1(counts, train_counts),
     )

@@ -60,8 +60,9 @@ Gradients are analytic and exact for this fixed architecture (the max
 operations route their full subgradient to the lowest-index winner); no
 autodiff framework is involved.
 
-The model computes in its parameters' dtype: every buffer, the gold row
-and the dropout scales take it, so a float32 model runs SGEMM and float32
+The model computes in its parameters' dtype: every buffer, the dense gold
+row `backward` builds from a sample's sorted label ids as a transient, and
+the dropout scales take it, so a float32 model runs SGEMM and float32
 elementwise work throughout (a single float64 operand would promote the
 rest). `init_params` makes float32 parameters; a float64 set (an older
 checkpoint, or `init_params(..., dtype=np.float64)`) computes in float64.
@@ -233,16 +234,20 @@ def init_params(
     """Variance-preserving initialization; biases and length weights start
     at zero. `embeddings` supplies pretrained W_e (copied, then fine-tuned
     during training). Every tensor is drawn in float64, then cast once to
-    `dtype`, so the draws do not depend on it."""
+    `dtype`, so the draws do not depend on it; a draw too large for numpy
+    raises MemoryError before any is made."""
     d_e, d_c = cfg.embed_dim, cfg.n_filters
     if embeddings is not None and embeddings.shape != (vocab_size, d_e):
         raise ValueError(
             f"embedding table shape {embeddings.shape} does not match "
             f"(vocab {vocab_size}, dim {d_e})"
         )
+    shapes = _tensor_shapes(cfg, vocab_size, n_labels)
+    if max(map(math.prod, shapes.values())) * 8 > np.iinfo(np.intp).max:
+        raise MemoryError("a tensor's float64 draw exceeds numpy's largest array size")
     arrays = {}
     # the table order is the RNG draw order
-    for name, shape in _tensor_shapes(cfg, vocab_size, n_labels).items():
+    for name, shape in shapes.items():
         if name == "W_e" and embeddings is not None:
             arrays[name] = np.array(embeddings, dtype=dtype)
         elif name == "W_e":
@@ -516,8 +521,8 @@ class DescriptionBatch:
         self.Dpre = np.zeros_like(self.F)
 
     def regularize(self, js: np.ndarray, grads: GradientSet) -> float:
-        """lambda * sum_j ||V_j - f(D_j)||^2 over the gold labels `js` of one
-        sample; adds its gradient into grads["V"] and the batch's Dpre."""
+        """lambda * sum_j ||V_j - f(D_j)||^2 over the gold label ids `js` of
+        one sample; adds its gradient into grads["V"] and the batch's Dpre."""
         params, lam = self.params, self.params.config.lambda_
         idx = self.row[js]
         F = self.F[idx]
@@ -540,15 +545,15 @@ class DescriptionBatch:
 
 
 def description_batch(params: ModelParams, desc_ids_list, golds) -> DescriptionBatch | None:
-    """The DescriptionBatch of every label gold in one of `golds` (one gold
-    vector per sample), or None when no regularizer applies: an mvc-lda
-    model, lambda = 0, or no gold label."""
+    """The DescriptionBatch of every label gold in one of `golds` (each
+    sample's gold label ids), or None when no regularizer applies: an
+    mvc-lda model, lambda = 0, or no gold label."""
     cfg = params.config
     if cfg.kind != "mvc-rlda" or cfg.lambda_ <= 0.0:
         return None
     if desc_ids_list is None:
         raise ValueError("the mvc-rlda regularizer requires encoded label descriptions")
-    labels = np.flatnonzero(np.any(np.asarray(golds) > 0, axis=0))
+    labels = np.unique(np.concatenate(golds))
     return DescriptionBatch(params, desc_ids_list, labels) if len(labels) else None
 
 
@@ -575,7 +580,7 @@ def loss_mvc_lda(y: np.ndarray, gold: np.ndarray) -> float:
 def backward(samples, params: ModelParams, desc_ids_list=None) -> tuple[float, GradientSet]:
     """Summed loss and analytic gradients of a batch for every trainable tensor.
 
-    `samples` are the batch's (token_ids, length, gold, masks) tuples; each
+    `samples` are the batch's (token_ids, length, gold ids, masks) tuples; each
     sample's dropout masks are fixed for its forward/backward pair. For
     mvc-rlda, `desc_ids_list` holds the encoded description of every label.
 
@@ -611,7 +616,8 @@ def _sample_backward(token_ids, length: int, gold, params: ModelParams,
     encoder's into `desc_batch` for its `finish`."""
     cfg = params.config
     y, cache = _forward_cached(token_ids, length, params, masks, W_stack=W_stack)
-    g = np.asarray(gold, dtype=y.dtype)
+    g = np.zeros_like(y)  # the gold row over every label
+    g[gold] = 1.0
     C = cache.pop("C")
 
     dlogits = y - g                                  # (J,)
@@ -634,7 +640,7 @@ def _sample_backward(token_ids, length: int, gold, params: ModelParams,
     # the batch's `finish`
     reg = 0.0
     if desc_batch is not None:
-        reg = desc_batch.regularize(np.flatnonzero(g > 0), grads)
+        reg = desc_batch.regularize(gold, grads)
     loss = loss_mvc_lda(y, g) + reg
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite loss")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import MIN_DOC_FREQ, EncodedDocument
+from .corpus import MIN_DOC_FREQ, EncodedDocument, gold_cells
 from .metrics import binarize, micro_f1
 from .model import GradientSet, ModelParams, backward, make_dropout_masks, predict_matrix
 
@@ -166,13 +166,9 @@ class TrainHistory:
         return self.epochs[self.best_epoch - 1].dev_micro_f1
 
 
-def gold_matrix(docs) -> np.ndarray:
-    return np.stack([doc.gold for doc in docs])
-
-
 def dev_micro_f1(params: ModelParams, docs) -> float:
     scores = predict_matrix(params, docs)
-    return micro_f1(binarize(scores), gold_matrix(docs))
+    return micro_f1(binarize(scores), gold_cells(doc.gold for doc in docs))
 
 
 def epochs(params: ModelParams, train_docs, dev_docs, desc_ids_list, cfg: TrainConfig):

@@ -9,6 +9,20 @@ import math
 import numpy as np
 
 
+def cells(gold):
+    """The row-major (rows, cols) of a dense gold matrix's nonzero cells:
+    the gold form the library's metrics and baselines take."""
+    return np.nonzero(np.asarray(gold))
+
+
+def dense_gold(docs, n_labels):
+    """The documents x labels 0/1 matrix of encoded documents' gold ids."""
+    gold = np.zeros((len(docs), n_labels))
+    for i, doc in enumerate(docs):
+        gold[i, doc.gold] = 1.0
+    return gold
+
+
 def brute_conv(X, W):
     """Naive zero-padded 1-d convolution: output length equals input length.
 

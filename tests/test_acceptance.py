@@ -19,6 +19,8 @@ from oracles import (
     brute_macro_f1,
     brute_micro_f1,
     brute_precision_at_n,
+    cells,
+    dense_gold,
     fd_gradcheck,
     grid_pr_auc,
     hand_pearson,
@@ -56,7 +58,7 @@ def test_criterion_01_gradient_correctness():
         def loss_fn():
             return reference_loss(model.forward(ids, 30, params), gold, params, desc_arg)
 
-        _, grads = model.backward([(ids, 30, gold, None)], params, desc_arg)
+        _, grads = model.backward([(ids, 30, np.flatnonzero(gold), None)], params, desc_arg)
         worst = max(worst, fd_gradcheck(params, loss_fn, grads, step=1e-5, rtol=1e-4))
     elapsed = time.perf_counter() - started
     report_line(
@@ -101,7 +103,7 @@ def test_criterion_02_equation_fidelity():
     )
     desc = [np.array([1, 2]), np.array([3, 4]), np.array([5])]
     ids, g = np.array([6, 7, 8, 9]), np.zeros(3)
-    loss, _ = model.backward([(ids, 4, g, None)], params, desc)
+    loss, _ = model.backward([(ids, 4, np.flatnonzero(g), None)], params, desc)
     ok &= abs(loss - model.loss_mvc_lda(model.forward(ids, 4, params), g)) < 1e-12
     report_line(2, "hand-derived equation cases exact to 1e-12", ok)
 
@@ -121,20 +123,20 @@ def test_criterion_03_metric_oracle_equivalence():
         scores = np.round(rng.random((n, j)) * 256) / 256.0
         gold = (rng.random((n, j)) < 0.3).astype(float)
         pred = metrics.binarize(scores)
-        assert abs(metrics.micro_f1(pred, gold) - brute_micro_f1(pred, gold)) < 1e-12
+        assert abs(metrics.micro_f1(pred, cells(gold)) - brute_micro_f1(pred, gold)) < 1e-12
         k = min(3, j)
         assert abs(
-            metrics.precision_at_n(scores, gold, k)
+            metrics.precision_at_n(scores, cells(gold), k)
             - brute_precision_at_n(scores, gold, k)
         ) < 1e-12
         supported = np.flatnonzero(gold.sum(axis=0) > 0)
         if supported.size:
             assert abs(
-                metrics.macro_f1(metrics.label_counts(pred, gold), supported)
+                metrics.macro_f1(metrics.label_counts(pred, cells(gold)), supported)
                 - brute_macro_f1(pred, gold, supported)
             ) < 1e-12
         if gold.sum() > 0:
-            assert abs(metrics.pr_auc(scores, gold) - grid_pr_auc(scores, gold)) < 1e-3
+            assert abs(metrics.pr_auc(scores, cells(gold)) - grid_pr_auc(scores, gold)) < 1e-3
         checked += 1
     report_line(3, "metrics match brute-force oracles", checked == 200,
                 f"{checked} random matrices")
@@ -151,14 +153,20 @@ LEARN_CFG = corpus.SynthConfig(
 )
 
 
+def encode(raws, vocab, labels):
+    """`corpus.encode_corpus` of raw documents: their tokens and gold ids."""
+    return corpus.encode_corpus([corpus.preprocess_text(d.text) for d in raws],
+                                corpus.encode_gold(raws, labels), vocab)
+
+
 @pytest.fixture(scope="module")
 def learn_corpus():
     synth = corpus.generate_synthetic_corpus(LEARN_CFG)
     token_docs = [corpus.preprocess_text(d.text) for d in synth.train]
     vocab = corpus.build_vocabulary(token_docs)
-    train_docs, _ = corpus.encode_corpus(synth.train, vocab, synth.labels)
-    dev_docs, _ = corpus.encode_corpus(synth.dev, vocab, synth.labels)
-    test_docs, _ = corpus.encode_corpus(synth.test, vocab, synth.labels)
+    train_docs, _ = encode(synth.train, vocab, synth.labels)
+    dev_docs, _ = encode(synth.dev, vocab, synth.labels)
+    test_docs, _ = encode(synth.test, vocab, synth.labels)
     return synth, vocab, train_docs, dev_docs, test_docs
 
 
@@ -178,18 +186,18 @@ def test_criterion_04_synthetic_learning(learn_corpus):
     tcfg = tr.TrainConfig(batch_size=4, max_epochs=30, patience=10, dropout=0.2, seed=42)
     best, history = tr.train(params0, train_docs, dev_docs, None, tcfg)
 
-    gold = tr.gold_matrix(test_docs)
+    gold = dense_gold(test_docs, 20)
     scores = model.predict_matrix(best, test_docs)
-    test_f1 = metrics.micro_f1(metrics.binarize(scores), gold)
+    test_f1 = metrics.micro_f1(metrics.binarize(scores), cells(gold))
 
     # label-prior comparator: predict the k most frequent training codes for
     # every document, k = rounded mean training cardinality
-    train_gold = tr.gold_matrix(train_docs)
+    train_gold = dense_gold(train_docs, 20)
     k = max(1, int(round(train_gold.sum(axis=1).mean())))
     top = np.argsort(-train_gold.sum(axis=0))[:k]
     prior = np.zeros_like(gold, dtype=bool)
     prior[:, top] = True
-    prior_f1 = metrics.micro_f1(prior, gold)
+    prior_f1 = metrics.micro_f1(prior, cells(gold))
 
     elapsed = time.perf_counter() - started
     ok = (
@@ -218,13 +226,13 @@ def test_criterion_05_regularization_helps_rare_codes():
     synth = corpus.generate_synthetic_corpus(cfg)
     token_docs = [corpus.preprocess_text(d.text) for d in synth.train]
     vocab = corpus.build_vocabulary(token_docs)
-    train_docs, _ = corpus.encode_corpus(synth.train, vocab, synth.labels)
-    dev_docs, _ = corpus.encode_corpus(synth.dev, vocab, synth.labels)
-    test_docs, _ = corpus.encode_corpus(synth.test, vocab, synth.labels)
+    train_docs, _ = encode(synth.train, vocab, synth.labels)
+    dev_docs, _ = encode(synth.dev, vocab, synth.labels)
+    test_docs, _ = encode(synth.test, vocab, synth.labels)
     desc_ids = [vocab.encode(t) for t in synth.labels.descriptions]
 
-    train_gold = tr.gold_matrix(train_docs)
-    test_gold = tr.gold_matrix(test_docs)
+    train_gold = dense_gold(train_docs, 40)
+    test_gold = dense_gold(test_docs, 40)
     rare = np.flatnonzero(train_gold.sum(axis=0) <= 3)
     assert rare.size >= 8, f"corpus has only {rare.size} rare codes"
     assert test_gold[:, rare].sum() > 0
@@ -246,7 +254,7 @@ def test_criterion_05_regularization_helps_rare_codes():
         best, _ = tr.train(p0, train_docs, dev_docs,
                            desc_ids if kind == "mvc-rlda" else None, tcfg)
         pred = metrics.binarize(model.predict_matrix(best, test_docs))
-        return metrics.micro_f1(pred[:, rare], test_gold[:, rare])
+        return metrics.micro_f1(pred[:, rare], cells(test_gold[:, rare]))
 
     lda_scores = [run("mvc-lda", seed) for seed in range(5)]
     rlda_scores = [run("mvc-rlda", seed) for seed in range(5)]

@@ -7,7 +7,7 @@ import pytest
 from mvclda import baseline
 from mvclda.corpus import read_tensor_file
 
-from oracles import (dense_pegasos, loop_predict_hierarchical, subtree_label_columns,
+from oracles import (cells, dense_pegasos, loop_predict_hierarchical, subtree_label_columns,
                      walk_hierarchical_fit)
 
 
@@ -82,7 +82,7 @@ class TestFlatOvr:
         docs, gold = separable_dataset()
         feat = baseline.fit_tfidf(docs)
         X = feat.transform(docs)
-        ovr = baseline.train_flat(X, gold, ["L0", "L1"], baseline.SvmConfig(seed=1))
+        ovr = baseline.train_flat(X, cells(gold), ["L0", "L1"], baseline.SvmConfig(seed=1))
         pred = baseline.predict_flat(ovr, X)
         assert np.array_equal(pred, gold.astype(bool))
 
@@ -92,7 +92,7 @@ class TestFlatOvr:
         gold = np.zeros((15, 2))
         gold[:, 0] = (rng.random(15) < 0.5).astype(float)
         gold[0, 0] = 1
-        ovr = baseline.train_flat(X, gold, ["a", "b"], baseline.SvmConfig(seed=2))
+        ovr = baseline.train_flat(X, cells(gold), ["a", "b"], baseline.SvmConfig(seed=2))
         pred = baseline.predict_flat(ovr, rng.normal(size=(40, 6)))
         assert not pred[:, 1].any()
 
@@ -100,15 +100,15 @@ class TestFlatOvr:
         rng = np.random.default_rng(3)
         X = rng.normal(size=(10, 4))
         gold = np.ones((10, 1))
-        ovr = baseline.train_flat(X, gold, ["a"], baseline.SvmConfig(seed=3))
+        ovr = baseline.train_flat(X, cells(gold), ["a"], baseline.SvmConfig(seed=3))
         assert baseline.predict_flat(ovr, rng.normal(size=(20, 4))).all()
 
     def test_deterministic_under_fixed_seed(self):
         docs, gold = separable_dataset()
         feat = baseline.fit_tfidf(docs)
         X = feat.transform(docs)
-        a = baseline.train_flat(X, gold, ["L0", "L1"], baseline.SvmConfig(seed=4))
-        b = baseline.train_flat(X, gold, ["L0", "L1"], baseline.SvmConfig(seed=4))
+        a = baseline.train_flat(X, cells(gold), ["L0", "L1"], baseline.SvmConfig(seed=4))
+        b = baseline.train_flat(X, cells(gold), ["L0", "L1"], baseline.SvmConfig(seed=4))
         assert np.array_equal(a.rows, b.rows)
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.bias, b.bias)
@@ -122,8 +122,8 @@ class TestFlatOvr:
             gold[:, 0], gold[:, 1] = 0.0, 1.0  # a label with no positive, one with no negative
             codes = [f"c{i}" for i in range(n_codes)]
             cfg = baseline.SvmConfig(epochs=3, seed=case)
-            flat = baseline.train_flat(X, gold, codes, cfg)
-            hier = baseline.train_hierarchical(X, gold, codes, {}, cfg)
+            flat = baseline.train_flat(X, cells(gold), codes, cfg)
+            hier = baseline.train_hierarchical(X, cells(gold), codes, {}, cfg)
             assert flat.nodes == hier.nodes == codes
             assert not flat.hierarchical and hier.hierarchical
             assert flat.rows.tolist() == hier.rows.tolist() == [2, 3]
@@ -207,7 +207,7 @@ class TestHierarchical:
         ], dtype=float)
         codes = ["parent", "child", "other"]
         parents = {"child": "parent"}
-        m = baseline.train_hierarchical(X, gold, codes, parents, baseline.SvmConfig(seed=7))
+        m = baseline.train_hierarchical(X, cells(gold), codes, parents, baseline.SvmConfig(seed=7))
         assert set(m.nodes) == set(codes)
         pred = baseline.predict_hierarchical(m, X, codes, parents)
         for j, code in enumerate(codes):
@@ -220,7 +220,7 @@ class TestHierarchical:
         gold = np.array([[1.0], [1.0], [0.0]])
         X = np.eye(3)
         m = baseline.train_hierarchical(
-            X, gold, ["leaf"], {"leaf": "internal"}, baseline.SvmConfig(seed=8)
+            X, cells(gold), ["leaf"], {"leaf": "internal"}, baseline.SvmConfig(seed=8)
         )
         assert set(m.nodes) == {"leaf", "internal"}
 
@@ -264,7 +264,7 @@ class TestSparsePegasosMatchesDenseLoop:
         gold[:, 4] = 0.0   # no positive
         gold[0, 0] = 1.0   # the empty row is a positive somewhere
         cfg = baseline.SvmConfig(epochs=4, reg=1e-2, seed=3)
-        ovr = baseline.train_flat(X, gold, [f"c{j}" for j in range(5)], cfg)
+        ovr = baseline.train_flat(X, cells(gold), [f"c{j}" for j in range(5)], cfg)
         ref = [dense_pegasos(X, np.where(gold[:, j] > 0, 1.0, -1.0), cfg, 3 * 100_003 + j)
                for j in range(5)]
         _assert_model_matches_oracle(ovr, np.array([w for w, _ in ref]),
@@ -296,7 +296,7 @@ class TestSparsePegasosMatchesDenseLoop:
         gold[:, 5] = 0.0   # no positive
         gold[:, 7] = 0.0   # no positive, and an empty pool (c5's subtree)
         cfg = baseline.SvmConfig(epochs=3, reg=1e-2, seed=5)
-        ovr = baseline.train_hierarchical(X, gold, self.CODES, self.PARENTS, cfg)
+        ovr = baseline.train_hierarchical(X, cells(gold), self.CODES, self.PARENTS, cfg)
         ref_w, ref_b, pools = walk_hierarchical_fit(
             X, gold, self.CODES, self.PARENTS, ovr.nodes, cfg)
         _assert_model_matches_oracle(ovr, ref_w, ref_b)
@@ -325,7 +325,7 @@ class TestSerialization:
         feat = baseline.fit_tfidf(docs)
         X = feat.transform(docs)
         gold = np.hstack([np.zeros((len(gold), 1)), gold])  # L- has no positive
-        ovr = baseline.train_flat(X, gold, ["L-", "L0", "L1"], baseline.SvmConfig(seed=9))
+        ovr = baseline.train_flat(X, cells(gold), ["L-", "L0", "L1"], baseline.SvmConfig(seed=9))
         path = tmp_path / "model.bin"
         baseline.save_baseline(path, feat, ovr)
         header, arrays = read_tensor_file(
@@ -351,7 +351,7 @@ class TestRowSparse:
         gold = (rng.random((30, 6)) < 0.3).astype(float)
         gold[:, 1] = 0.0   # no positive
         gold[:, 4] = 1.0   # no negative
-        ovr = baseline.train_flat(X, gold, [f"c{j}" for j in range(6)],
+        ovr = baseline.train_flat(X, cells(gold), [f"c{j}" for j in range(6)],
                                   baseline.SvmConfig(epochs=3, seed=2))
         assert ovr.rows.tolist() == [0, 2, 3, 5]
         dense = np.zeros((6, X.shape[1]))
@@ -375,7 +375,7 @@ class TestRowSparse:
         codes = [f"c{j}" for j in range(2_000)]
         tracemalloc.start()
         try:
-            ovr = baseline.train_flat(X, gold, codes, baseline.SvmConfig(epochs=1, seed=1))
+            ovr = baseline.train_flat(X, cells(gold), codes, baseline.SvmConfig(epochs=1, seed=1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -634,6 +634,15 @@ class TestEvaluate:
         assert self._evaluate(trained_dir, data, "test", tmp_path / "m.json") == cli.EXIT_DATA
         assert f"test split {data / 'test.jsonl'} is empty" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
+        # notes without a code, or with codes outside the label space only
+        docs = corpus.read_corpus_jsonl(corpus_dir / "test.jsonl")
+        corpus.write_corpus_jsonl(data / "test.jsonl", [
+            corpus.RawDocument(d.doc_id, d.text, {"999.9"} if i % 2 else set())
+            for i, d in enumerate(docs)])
+        assert self._evaluate(trained_dir, data, "test", tmp_path / "m.json") == cli.EXIT_DATA
+        assert (f"test split {data / 'test.jsonl'} has no gold code in the label space"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "m.json").exists()
 
     def test_p_at_above_label_count_fails_before_predicting(self, trained_dir, corpus_dir,
                                                             tmp_path, monkeypatch, capsys):
@@ -1131,9 +1140,12 @@ class TestCommandFront:
         assert not out.exists()
 
     # hyperband draws its trials' sizes inside the search; the largest model
-    # its space holds is built before --out exists
+    # its space holds is built before --out exists. At s0_max = 10**17 a
+    # kernel's bytes pass numpy's largest array size, which numpy itself
+    # refuses with a ValueError ("array is too big")
     @pytest.mark.parametrize("lines", [f"dc_min = {10**15}\ndc_max = {10**15}\n",
-                                       f"s0_max = {10**12}\n"], ids=["dc", "s0_max"])
+                                       f"s0_max = {10**12}\n", f"s0_max = {10**17}\n"],
+                             ids=["dc", "s0_max", "s0_max_past_intp"])
     def test_search_space_that_cannot_be_allocated_exits_2(self, corpus_dir, tmp_path, capsys,
                                                            lines):
         cfg, out = tmp_path / "huge.cfg", tmp_path / "out"

@@ -134,7 +134,8 @@ def _toy_space():
 
 def encode_document(raw, vocab, labels):
     """One document through `encode_corpus`: (its encoding, dropped count)."""
-    docs, dropped = corpus.encode_corpus([raw], vocab, labels)
+    docs, dropped = corpus.encode_corpus([corpus.preprocess_text(raw.text)],
+                                         corpus.encode_gold([raw], labels), vocab)
     return docs[0], dropped
 
 
@@ -159,7 +160,7 @@ class TestEncodeDocument:
         doc, dropped = encode_document(
             corpus.RawDocument("d1", "w", {"A", "B"}), vocab, _toy_space()
         )
-        assert doc.gold.tolist() == [1.0, 1.0, 0.0]
+        assert doc.gold.tolist() == [0, 1] and doc.gold.dtype == np.int64
         assert dropped == 0
 
     def test_unknown_codes_dropped_and_counted(self):
@@ -167,7 +168,13 @@ class TestEncodeDocument:
         doc, dropped = encode_document(
             corpus.RawDocument("d1", "w", {"A", "Zed", "Q"}), vocab, _toy_space()
         )
-        assert doc.gold.tolist() == [1.0, 0.0, 0.0]
+        assert doc.gold.tolist() == [0]
+        assert dropped == 2
+        # every code outside the label space: no gold id
+        doc, dropped = encode_document(
+            corpus.RawDocument("d2", "w", {"Zed", "Q"}), vocab, _toy_space()
+        )
+        assert doc.gold.tolist() == [] and doc.gold.dtype == np.int64
         assert dropped == 2
 
     def test_round_trip_through_vocabulary(self):
@@ -177,6 +184,38 @@ class TestEncodeDocument:
             corpus.RawDocument("d1", "alpha beta alpha", set()), vocab, _toy_space()
         )
         assert [vocab.id_to_token[i] for i in doc.token_ids] == tokens
+
+
+class TestGoldCells:
+    def test_row_major_cells_with_empty_notes(self):
+        dense = np.zeros((6, 5))
+        dense[0, [1, 3]] = dense[2, 0] = dense[4, [2, 4]] = 1.0  # notes 1, 3, 5 empty
+        golds = [np.flatnonzero(row) for row in dense]
+        rows, cols = corpus.gold_cells(golds)
+        assert rows.dtype == cols.dtype == np.int64
+        assert rows.tolist() == [0, 0, 2, 4, 4] and cols.tolist() == [1, 3, 0, 2, 4]
+        assert all(np.array_equal(a, b) for a, b in zip((rows, cols), np.nonzero(dense)))
+        for split in ([], [np.zeros(0, np.int64)] * 3):
+            rows, cols = corpus.gold_cells(split)
+            assert rows.dtype == cols.dtype == np.int64 and rows.size == cols.size == 0
+
+    def test_gold_memory_per_note_is_bounded(self):
+        # CAML's full code set and ~15 codes a note; a dense float64 gold
+        # row held 71 KB per note
+        n_notes, n_codes = 1_000, 8_922
+        labels = corpus.make_label_space({f"c{j}": "code" for j in range(n_codes)})
+        rng = np.random.default_rng(0)
+        raws = [corpus.RawDocument(f"d{i}", "", {f"c{j}" for j in rng.choice(n_codes, 15, False)})
+                for i in range(n_notes)]
+        tracemalloc.start()
+        try:
+            golds, dropped = corpus.encode_gold(raws, labels)
+            cells = corpus.gold_cells(golds)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert dropped == 0 and cells[0].size == 15 * n_notes
+        assert held / n_notes < 1024
 
 
 class TestLabelSpace:

@@ -14,6 +14,7 @@ from oracles import (
     brute_macro_f1,
     brute_micro_f1,
     brute_precision_at_n,
+    cells,
     f1_from_counts,
     grid_pr_auc,
     per_subset_report,
@@ -55,19 +56,19 @@ class TestF1Formula:
 class TestMicroF1:
     def test_perfect_predictions(self):
         gold = np.array([[1, 0], [0, 1]])
-        assert metrics.micro_f1(gold.astype(bool), gold) == 1.0
+        assert metrics.micro_f1(gold.astype(bool), cells(gold)) == 1.0
 
     def test_hand_counted_confusion(self):
         # TP=2, FP=1, FN=1 -> P=R=2/3 -> F1=2/3
         pred = np.array([[1, 1, 0, 1]], dtype=bool)
         gold = np.array([[1, 0, 1, 1]])
-        assert metrics.micro_f1(pred, gold) == pytest.approx(2 / 3, abs=1e-12)
+        assert metrics.micro_f1(pred, cells(gold)) == pytest.approx(2 / 3, abs=1e-12)
 
     def test_all_negative_predictions(self):
         pred = np.zeros((3, 4), dtype=bool)
         gold = np.zeros((3, 4))
         gold[0, 0] = 1
-        assert metrics.micro_f1(pred, gold) == 0.0
+        assert metrics.micro_f1(pred, cells(gold)) == 0.0
 
     def test_union_bounded_by_group_extremes(self):
         rng = np.random.default_rng(0)
@@ -78,9 +79,9 @@ class TestMicroF1:
             pred = metrics.binarize(scores)
             j = gold.shape[1]
             split = j // 2
-            a = metrics.micro_f1(pred[:, :split], gold[:, :split])
-            b = metrics.micro_f1(pred[:, split:], gold[:, split:])
-            whole = metrics.micro_f1(pred, gold)
+            a = metrics.micro_f1(pred[:, :split], cells(gold[:, :split]))
+            b = metrics.micro_f1(pred[:, split:], cells(gold[:, split:]))
+            whole = metrics.micro_f1(pred, cells(gold))
             assert min(a, b) - 1e-12 <= whole <= max(a, b) + 1e-12
 
     def test_document_order_permutation_invariant(self):
@@ -88,30 +89,32 @@ class TestMicroF1:
         scores, gold = random_case(rng)
         perm = rng.permutation(scores.shape[0])
         pred = metrics.binarize(scores)
-        assert metrics.micro_f1(pred, gold) == metrics.micro_f1(pred[perm], gold[perm])
+        assert metrics.micro_f1(pred, cells(gold)) == \
+            metrics.micro_f1(pred[perm], cells(gold[perm]))
 
 
 class TestMacroF1:
     def test_perfect(self):
         gold = np.array([[1, 0], [0, 1]])
-        assert metrics.macro_f1(metrics.label_counts(gold.astype(bool), gold)) == 1.0
+        assert metrics.macro_f1(metrics.label_counts(gold.astype(bool), cells(gold))) == 1.0
 
     def test_mean_of_per_label_f1(self):
         pred = np.array([[1, 0], [0, 0]], dtype=bool)
         gold = np.array([[1, 1], [0, 0]])
         # label 0: perfect (1.0); label 1: no predictions (0.0)
-        assert metrics.macro_f1(metrics.label_counts(pred, gold)) == pytest.approx(0.5, abs=1e-12)
+        counts = metrics.label_counts(pred, cells(gold))
+        assert metrics.macro_f1(counts) == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_support_label_rejected(self):
         pred = np.zeros((2, 2), dtype=bool)
         gold = np.array([[1, 0], [1, 0]])
-        counts = metrics.label_counts(pred, gold)
+        counts = metrics.label_counts(pred, cells(gold))
         with pytest.raises(ValueError):
             metrics.macro_f1(counts)
         assert metrics.macro_f1(counts, labels=[0]) == 0.0
 
     def test_empty_subset_rejected(self):
-        counts = metrics.label_counts(np.ones((1, 2), dtype=bool), np.ones((1, 2)))
+        counts = metrics.label_counts(np.ones((1, 2), dtype=bool), cells(np.ones((1, 2))))
         with pytest.raises(ValueError):
             metrics.macro_f1(counts, labels=[])
 
@@ -120,38 +123,38 @@ class TestPrecisionAtN:
     def test_perfect_top_n(self):
         scores = np.array([[0.9, 0.8, 0.1]])
         gold = np.array([[1, 1, 0]])
-        assert metrics.precision_at_n(scores, gold, 2) == 1.0
+        assert metrics.precision_at_n(scores, cells(gold), 2) == 1.0
 
     def test_hand_case(self):
         scores = np.array([[0.9, 0.8, 0.1]])
         gold = np.array([[1, 0, 1]])
-        assert metrics.precision_at_n(scores, gold, 2) == pytest.approx(0.5, abs=1e-12)
+        assert metrics.precision_at_n(scores, cells(gold), 2) == pytest.approx(0.5, abs=1e-12)
 
     def test_all_negative_document_contributes_zero(self):
         scores = np.array([[0.9, 0.8], [0.7, 0.6]])
         gold = np.array([[1, 1], [0, 0]])
-        assert metrics.precision_at_n(scores, gold, 2) == pytest.approx(0.5, abs=1e-12)
+        assert metrics.precision_at_n(scores, cells(gold), 2) == pytest.approx(0.5, abs=1e-12)
 
     def test_tie_break_prefers_lower_index(self):
         scores = np.array([[0.5, 0.5, 0.5]])
         gold = np.array([[0, 1, 1]])
         # top-2 under ties = labels 0 and 1 -> one hit
-        assert metrics.precision_at_n(scores, gold, 2) == pytest.approx(0.5, abs=1e-12)
+        assert metrics.precision_at_n(scores, cells(gold), 2) == pytest.approx(0.5, abs=1e-12)
 
     def test_n_bounds(self):
         scores = np.array([[0.5, 0.5]])
         gold = np.array([[1, 0]])
         with pytest.raises(ValueError):
-            metrics.precision_at_n(scores, gold, 3)
+            metrics.precision_at_n(scores, cells(gold), 3)
         with pytest.raises(ValueError):
-            metrics.precision_at_n(scores, gold, 0)
+            metrics.precision_at_n(scores, cells(gold), 0)
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(2)
         scores, gold = random_case(rng)
         n = min(3, scores.shape[1])
-        before = metrics.precision_at_n(scores, gold, n)
-        after = metrics.precision_at_n(np.tanh(4 * scores) + 7, gold, n)
+        before = metrics.precision_at_n(scores, cells(gold), n)
+        after = metrics.precision_at_n(np.tanh(4 * scores) + 7, cells(gold), n)
         assert before == after
 
 
@@ -159,16 +162,16 @@ class TestPrAuc:
     def test_perfect_ranking(self):
         scores = np.array([[0.9, 0.8, 0.2, 0.1]])
         gold = np.array([[1, 1, 0, 0]])
-        assert metrics.pr_auc(scores, gold) == pytest.approx(1.0, abs=1e-12)
+        assert metrics.pr_auc(scores, cells(gold)) == pytest.approx(1.0, abs=1e-12)
 
     def test_two_cell_hand_case(self):
         scores = np.array([[0.9, 0.1]])
         gold = np.array([[0, 1]])
-        assert metrics.pr_auc(scores, gold) == pytest.approx(0.5, abs=1e-12)
+        assert metrics.pr_auc(scores, cells(gold)) == pytest.approx(0.5, abs=1e-12)
 
     def test_no_positives_rejected(self):
         with pytest.raises(ValueError):
-            metrics.pr_auc(np.array([[0.5]]), np.array([[0]]))
+            metrics.pr_auc(np.array([[0.5]]), cells(np.array([[0]])))
 
     def test_matches_exhaustive_threshold_grid(self):
         # scores on a 1/256 lattice so the 1e-4 grid resolves every distinct
@@ -180,7 +183,7 @@ class TestPrAuc:
             scores = np.round(scores * 256) / 256.0
             if gold.sum() == 0:
                 continue
-            exact = metrics.pr_auc(scores, gold)
+            exact = metrics.pr_auc(scores, cells(gold))
             grid = grid_pr_auc(scores, gold)
             assert exact == pytest.approx(grid, abs=1e-3)
 
@@ -194,11 +197,11 @@ class TestPrAuc:
                 scores.flat[:3] = (0.0, 1.0, 1.0)  # ties with the added thresholds
             if gold.sum() == 0:
                 gold[0, 0] = 1
-            assert metrics.pr_auc(scores, gold) == threshold_sweep_pr_auc(scores, gold)
+            assert metrics.pr_auc(scores, cells(gold)) == threshold_sweep_pr_auc(scores, gold)
 
     def test_all_scores_zero_gives_zero_area(self):
         gold = np.array([[1, 0, 1]])
-        assert metrics.pr_auc(np.zeros((1, 3)), gold) == 0.0
+        assert metrics.pr_auc(np.zeros((1, 3)), cells(gold)) == 0.0
         assert threshold_sweep_pr_auc(np.zeros((1, 3)), gold) == 0.0
 
     def test_random_scores_auc_near_positive_rate(self):
@@ -206,7 +209,7 @@ class TestPrAuc:
         p = 0.3
         scores = rng.random((80, 50))
         gold = (rng.random((80, 50)) < p).astype(float)
-        auc = metrics.pr_auc(scores, gold)
+        auc = metrics.pr_auc(scores, cells(gold))
         assert abs(auc - gold.mean()) < 0.05
 
     def test_threshold_half_point_on_sweep(self):
@@ -215,7 +218,7 @@ class TestPrAuc:
         if gold.sum() == 0:
             gold[0, 0] = 1
         pred = metrics.binarize(scores)
-        tp, fp, fn = metrics.label_counts(pred, gold).sum(axis=1)
+        tp, fp, fn = metrics.label_counts(pred, cells(gold)).sum(axis=1)
         # the sweep at any threshold in [max(s<=0.5), 0.5] yields this exact
         # confusion; verify via direct recomputation with a strict > rule
         s = scores.ravel()
@@ -229,7 +232,7 @@ class TestFrequencyBinnedF1:
     def test_equal_counts_single_bin(self):
         pred = np.ones((2, 3), dtype=bool)
         gold = np.ones((2, 3))
-        rows = metrics.frequency_binned_f1(metrics.label_counts(pred, gold), [7, 7, 7])
+        rows = metrics.frequency_binned_f1(metrics.label_counts(pred, cells(gold)), [7, 7, 7])
         occupied = [r for r in rows if r.n_labels]
         assert len(rows) == 10
         assert len(occupied) == 1 and occupied[0].n_labels == 3
@@ -238,7 +241,7 @@ class TestFrequencyBinnedF1:
         counts = [math.e**k for k in range(1, 11)]
         gold = np.ones((1, 10))
         pred = np.ones((1, 10), dtype=bool)
-        rows = metrics.frequency_binned_f1(metrics.label_counts(pred, gold), counts)
+        rows = metrics.frequency_binned_f1(metrics.label_counts(pred, cells(gold)), counts)
         assert all(r.n_labels == 1 for r in rows)
 
     def test_perfect_predictor_ones_everywhere(self):
@@ -246,7 +249,8 @@ class TestFrequencyBinnedF1:
         gold = (rng.random((6, 8)) < 0.5).astype(float)
         gold[0] = 1  # every label has support
         counts = rng.integers(1, 1000, 8)
-        rows = metrics.frequency_binned_f1(metrics.label_counts(gold.astype(bool), gold), counts)
+        rows = metrics.frequency_binned_f1(
+            metrics.label_counts(gold.astype(bool), cells(gold)), counts)
         for r in rows:
             if r.n_labels:
                 assert r.micro_f1 == 1.0
@@ -255,13 +259,13 @@ class TestFrequencyBinnedF1:
         pred = np.zeros((2, 3), dtype=bool)
         gold = np.array([[1, 0, 1], [0, 0, 1]])
         # label 1 has no test support; label 0 has no train count
-        rows = metrics.frequency_binned_f1(metrics.label_counts(pred, gold), [0, 5, 5])
+        rows = metrics.frequency_binned_f1(metrics.label_counts(pred, cells(gold)), [0, 5, 5])
         assert sum(r.n_labels for r in rows) == 1
 
     def test_no_eligible_labels_rejected(self):
         with pytest.raises(ValueError):
             metrics.frequency_binned_f1(
-                metrics.label_counts(np.zeros((1, 2), dtype=bool), np.zeros((1, 2))), [1, 1]
+                metrics.label_counts(np.zeros((1, 2), dtype=bool), cells(np.zeros((1, 2)))), [1, 1]
             )
 
 
@@ -271,16 +275,16 @@ class TestOracleEquivalence:
         for _ in range(60):
             scores, gold = random_case(rng)
             pred = metrics.binarize(scores)
-            assert metrics.micro_f1(pred, gold) == pytest.approx(
+            assert metrics.micro_f1(pred, cells(gold)) == pytest.approx(
                 brute_micro_f1(pred, gold), abs=1e-12
             )
             n = min(3, scores.shape[1])
-            assert metrics.precision_at_n(scores, gold, n) == pytest.approx(
+            assert metrics.precision_at_n(scores, cells(gold), n) == pytest.approx(
                 brute_precision_at_n(scores, gold, n), abs=1e-12
             )
             supported = np.flatnonzero(gold.sum(axis=0) > 0)
             if supported.size:
-                counts = metrics.label_counts(pred, gold)
+                counts = metrics.label_counts(pred, cells(gold))
                 assert metrics.macro_f1(counts, supported) == pytest.approx(
                     brute_macro_f1(pred, gold, supported), abs=1e-12
                 )
@@ -293,7 +297,7 @@ class TestOracleEquivalence:
             scores = rng.integers(0, 3, (n_docs, j)) / 2.0
             gold = (rng.random((n_docs, j)) < 0.4).astype(float)
             for n in sorted({1, min(3, j), j}):
-                assert metrics.precision_at_n(scores, gold, n) == pytest.approx(
+                assert metrics.precision_at_n(scores, cells(gold), n) == pytest.approx(
                     brute_precision_at_n(scores, gold, n), abs=1e-12
                 )
             # `>= 0.5` predicts two levels of three, so labels with no
@@ -301,7 +305,7 @@ class TestOracleEquivalence:
             pred = scores >= 0.5
             supported = np.flatnonzero(gold.sum(axis=0) > 0)
             if supported.size:
-                counts = metrics.label_counts(pred, gold)
+                counts = metrics.label_counts(pred, cells(gold))
                 assert metrics.macro_f1(counts, supported) == pytest.approx(
                     brute_macro_f1(pred, gold, supported), abs=1e-12
                 )
@@ -313,7 +317,8 @@ class TestReports:
         scores = rng.random((10, 6))
         gold = (rng.random((10, 6)) < 0.4).astype(float)
         gold[0] = 1
-        return metrics.evaluate_predictions(scores, gold, p_at=(3, 5), **kwargs), scores, gold
+        report = metrics.evaluate_predictions(scores, cells(gold), p_at=(3, 5), **kwargs)
+        return report, scores, gold
 
     def test_report_fields_and_json_round_trip(self, tmp_path):
         report, _, _ = self._report(
@@ -367,7 +372,8 @@ class TestOneSortReport:
         for _ in range(40):
             scores, gold = kind_case(rng, kind)
             kwargs = full_report_args(rng, gold)
-            assert dataclasses.asdict(metrics.evaluate_predictions(scores, gold, **kwargs)) == \
+            report = metrics.evaluate_predictions(scores, cells(gold), **kwargs)
+            assert dataclasses.asdict(report) == \
                 dataclasses.asdict(per_subset_report(scores, gold, **kwargs))
 
     @pytest.mark.parametrize("block", [1, 3])
@@ -378,9 +384,10 @@ class TestOneSortReport:
         rng = np.random.default_rng(10 + MATRIX_KINDS.index(kind))
         for _ in range(20):
             scores, gold = kind_case(rng, kind, max_docs=12, max_labels=16)
-            assert metrics.pr_auc(scores, gold) == argsort_pr_auc(scores, gold)
+            assert metrics.pr_auc(scores, cells(gold)) == argsort_pr_auc(scores, gold)
             kwargs = full_report_args(rng, gold)
-            assert dataclasses.asdict(metrics.evaluate_predictions(scores, gold, **kwargs)) == \
+            report = metrics.evaluate_predictions(scores, cells(gold), **kwargs)
+            assert dataclasses.asdict(report) == \
                 dataclasses.asdict(per_subset_report(scores, gold, **kwargs))
 
     @pytest.mark.parametrize("kind", MATRIX_KINDS)
@@ -388,7 +395,7 @@ class TestOneSortReport:
         rng = np.random.default_rng(20 + MATRIX_KINDS.index(kind))
         for _ in range(60):
             scores, gold = kind_case(rng, kind)
-            assert metrics.pr_auc(scores, gold) == argsort_pr_auc(scores, gold)
+            assert metrics.pr_auc(scores, cells(gold)) == argsort_pr_auc(scores, gold)
 
     def test_pr_auc_scores_outside_unit_interval(self):
         # 0 and 1 then fall between scores, or below or above every score
@@ -396,7 +403,8 @@ class TestOneSortReport:
         for shift in (-1.5, -0.5, 0.5, 1.5):
             for _ in range(10):
                 scores, gold = kind_case(rng, "ties")
-                assert metrics.pr_auc(scores + shift, gold) == argsort_pr_auc(scores + shift, gold)
+                assert metrics.pr_auc(scores + shift, cells(gold)) == \
+                    argsort_pr_auc(scores + shift, gold)
 
     @pytest.mark.parametrize("kind", MATRIX_KINDS)
     def test_p_at_every_n_with_ties_across_the_cut(self, kind):
@@ -407,7 +415,7 @@ class TestOneSortReport:
             if kind == "random":
                 scores = rng.integers(0, 3, scores.shape) / 2.0
             for n in range(1, scores.shape[1] + 1):
-                assert metrics.precision_at_n(scores, gold, n) == \
+                assert metrics.precision_at_n(scores, cells(gold), n) == \
                     argsort_precision_at_n(scores, gold, n)
 
     def test_report_peak_memory_per_cell(self):
@@ -429,6 +437,7 @@ class TestOneSortReport:
             finally:
                 tracemalloc.stop()
 
+        gold = cells(gold)
         assert peak_per_cell(metrics.evaluate_predictions, scores, gold, **kwargs) < 40
         # a full argsort of the negated scores took 16 B per cell
         assert peak_per_cell(metrics.precision_at_n, scores, gold, 8) <= 16

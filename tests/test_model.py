@@ -284,20 +284,20 @@ class TestMemoryPerToken:
         return (peaks[1] - peaks[0]) / (4 * CHUNK)
 
     def test_backward(self):
-        gold = np.array([1.0, 0.0, 1.0])
+        gold = np.array([0, 2])
         growth = self.growth_per_token(
             lambda params, ids, masks: model.backward([(ids, len(ids), gold, masks)], params))
         assert growth < 8 * self.D_E
 
     def test_predict_matrix(self):
         growth = self.growth_per_token(lambda params, ids, masks: model.predict_matrix(
-            params, [EncodedDocument(ids, np.zeros(self.LABELS))]))
+            params, [EncodedDocument(ids, np.zeros(0, np.int64))]))
         assert growth < 8 * self.D_E
 
     def test_backward_and_adam_step_per_vocabulary_row(self):
         # a dense W_e gradient and a whole-tensor Adam scratch once grew the
         # peak by 16 * d_e bytes per vocabulary row
-        gold = np.array([1.0, 0.0, 1.0])
+        gold = np.array([0, 2])
         peaks = []
         for vocab in (10_000, 40_000):
             params = small_params(seed=43, vocab=vocab, labels=self.LABELS, d_e=self.D_E,
@@ -435,7 +435,7 @@ class TestForward:
 
     def test_predict_matrix_equals_per_document_forward(self):
         params = small_params(seed=13, kernels=(2, 4, 6))
-        docs = [EncodedDocument(np.array(ids, dtype=np.int64), np.zeros(3))
+        docs = [EncodedDocument(np.array(ids, dtype=np.int64), np.zeros(0, np.int64))
                 for ids in ([1, 2, 3, 4], [], [7] * 30)]
         scores = model.predict_matrix(params, docs)
         for row, doc in zip(scores, docs):
@@ -448,7 +448,7 @@ class TestForward:
         # forward pass checks them
         for ids in ([99], [-2]):
             with pytest.raises(ValueError, match="out of range"):
-                model.backward([(ids, 1, np.zeros(3), None)], small_params())
+                model.backward([(ids, 1, np.zeros(0, np.int64), None)], small_params())
 
     def test_length_feature_uses_given_length_not_ids(self):
         params = small_params(seed=10)
@@ -509,9 +509,9 @@ def per_label_reference(samples, params, desc):
 
 
 def batch_of(samples):
-    """`backward`'s (token_ids, length, gold, masks) tuples of (ids, gold,
-    masks) triples, each document's length its token count."""
-    return [(ids, len(ids), gold, masks) for ids, gold, masks in samples]
+    """`backward`'s (token_ids, length, gold ids, masks) tuples of (ids,
+    gold row, masks) triples, each document's length its token count."""
+    return [(ids, len(ids), np.flatnonzero(gold), masks) for ids, gold, masks in samples]
 
 
 def batch_path(samples, params, desc):
@@ -571,7 +571,7 @@ class TestDescriptionBatch:
         samples, params, desc = self.batch(kernels)
         for ids, gold, masks in samples:
             loss_ref, ref = per_label_reference([(ids, gold, masks)], params, desc)
-            loss, grads = model.backward([(ids, len(ids), gold, masks)], params, desc)
+            loss, grads = model.backward(batch_of([(ids, gold, masks)]), params, desc)
             assert loss == pytest.approx(loss_ref, rel=1e-12, abs=0.0)
             for name, arr in ref.items():
                 assert_rel_close(dense_gradient(grads, name, arr.shape), arr)
@@ -585,7 +585,7 @@ class TestDescriptionBatch:
             raise AssertionError("a description batch was built at lambda = 0")
 
         monkeypatch.setattr(model, "DescriptionBatch", no_batch)
-        golds = [gold for _, gold, _ in samples]
+        golds = [np.flatnonzero(gold) for _, gold, _ in samples]
         assert model.description_batch(params, desc, golds) is None
         model.backward(batch_of(samples), params, desc)
 
@@ -615,7 +615,7 @@ class TestLosses:
     IDS = [3, 1, 4, 1, 5]
 
     def rlda_and_lda_loss(self, params, g, desc):
-        loss, _ = model.backward([(self.IDS, 5, g, None)], params, desc)
+        loss, _ = model.backward([(self.IDS, 5, np.flatnonzero(g), None)], params, desc)
         return loss, model.loss_mvc_lda(model.forward(self.IDS, 5, params), g)
 
     def test_rlda_reduces_to_lda_when_gold_empty(self):
@@ -623,6 +623,8 @@ class TestLosses:
         desc = [np.array([1, 2]), np.array([3]), np.array([4, 5])]
         rlda, lda = self.rlda_and_lda_loss(params, np.zeros(3), desc)
         assert rlda == lda
+        # a batch whose samples have no gold label encodes no description
+        assert model.description_batch(params, desc, [np.zeros(0, np.int64)] * 2) is None
 
     def test_rlda_regularizer_zero_when_attention_matches_encoding(self):
         params = small_params(kind="mvc-rlda", seed=17, lambda_=0.5)
@@ -672,7 +674,7 @@ class TestBackward:
         def loss_fn():
             return reference_loss(model.forward(ids, 12, params), gold, params, desc)
 
-        loss, grads = model.backward([(ids, 12, gold, None)], params, desc)
+        loss, grads = model.backward([(ids, 12, np.flatnonzero(gold), None)], params, desc)
         if kind == "mvc-lda":
             assert loss == model.loss_mvc_lda(model.forward(ids, 12, params), gold)
         else:
@@ -690,7 +692,7 @@ class TestBackward:
         def loss_fn():
             return reference_loss(model.forward(ids, 10, params, masks=masks), gold, params, desc)
 
-        _, grads = model.backward([(ids, 10, gold, masks)], params, desc)
+        _, grads = model.backward([(ids, 10, np.flatnonzero(gold), masks)], params, desc)
         fd_gradcheck(params, loss_fn, grads, max_per_tensor=20)
 
     def test_stationary_point_gives_zero_gradients(self):
@@ -698,25 +700,24 @@ class TestBackward:
         for name, arr in params.tensors():
             if name != "W_e":
                 arr[:] = 0.0
-        # all-zero weights give y = 0.5 everywhere; a gold of exactly 0.5
-        # makes the BCE gradient vanish identically
-        gold = np.full(3, 0.5)
-        _, grads = model.backward([([1, 2, 3], 3, gold, None)], params)
+        # all-zero weights give y = sigmoid(b); biases of +-200 round y to
+        # exactly the gold row 1, 0, 1, so the BCE gradient vanishes
+        # identically
+        params["b"][:] = [200.0, -200.0, 200.0]
+        _, grads = model.backward([([1, 2, 3], 3, np.array([0, 2]), None)], params)
         for name, arr in grads.data.items():
             assert np.allclose(arr, 0.0, atol=1e-15), name
 
     def test_cross_channel_max_routes_to_lowest_tied_channel(self):
         params = small_params(seed=22, kernels=(1, 1))
         params.conv[1][:] = params.conv[0]  # exact tie at every position
-        gold = np.array([1.0, 0.0, 1.0])
-        _, grads = model.backward([([1, 2, 3, 4], 4, gold, None)], params)
+        _, grads = model.backward([([1, 2, 3, 4], 4, np.array([0, 2]), None)], params)
         assert np.allclose(grads["conv1"], 0.0)
         assert not np.allclose(grads["conv0"], 0.0)
 
     def test_bce_path_active_for_negative_labels(self):
         params = small_params(seed=23)
-        gold = np.zeros(3)
-        _, grads = model.backward([([1, 2, 3], 3, gold, None)], params)
+        _, grads = model.backward([([1, 2, 3], 3, np.zeros(0, np.int64), None)], params)
         assert not np.allclose(grads["U"], 0.0)
 
     @pytest.mark.parametrize("kernels", [(1, 3), (2, 4, 6, 8)])
@@ -734,7 +735,7 @@ class TestBackward:
         desc = self._desc(rng, labels, vocab)
         samples = []
         for n, rate in ((7, 0.2), (0, 0.2), (2 * CHUNK + 5, 0.2), (9, 0.0)):
-            gold = np.array([1.0, 0.0, 1.0, 1.0]) if n else np.array([0.0, 1.0, 0.0, 0.0])
+            gold = np.array([0, 2, 3]) if n else np.array([1])
             samples.append((rng.integers(0, vocab, n), n, gold,
                             model.make_dropout_masks(rng, n, labels, 4, rate)))
         _, grads = model.backward(samples, params, desc)
@@ -765,7 +766,7 @@ class TestBackward:
         desc = self._desc(rng, 3, 20)
         samples = []
         for n in (7, 3, 11):
-            ids, gold = rng.integers(0, 20, n), (rng.random(3) < 0.5).astype(float)
+            ids, gold = rng.integers(0, 20, n), np.flatnonzero(rng.random(3) < 0.5)
             masks = model.make_dropout_masks(np.random.default_rng(n), n, 3, 4, 0.2)
             samples.append((ids, n, gold, masks))
         total = model.GradientSet.zeros_like(params)
@@ -906,9 +907,9 @@ class TestFloat32:
         desc = [rng.integers(0, self.VOCAB, int(rng.integers(2, 5))) for _ in range(self.J)]
         samples = []
         for l in (30, CHUNK + 100, 0):
-            gold = (rng.random(self.J) < 0.5).astype(float)
-            gold[0] = 1.0  # keep the regularizer active
-            samples.append((rng.integers(0, self.VOCAB, l), l, gold,
+            gold = rng.random(self.J) < 0.5
+            gold[0] = True  # keep the regularizer active
+            samples.append((rng.integers(0, self.VOCAB, l), l, np.flatnonzero(gold),
                             model.make_dropout_masks(rng, l, self.J, 6, 0.2)))
         return p32, p64, desc, samples
 
@@ -938,7 +939,7 @@ class TestFloat32:
         for name in ("x_scale", "p_scale", "C", "G", "P", "T", "y"):
             assert cache[name].dtype == np.float32, name
         assert model.forward(ids, len(ids), params).dtype == np.float32
-        scores = model.predict_matrix(params, [EncodedDocument(ids, np.zeros(self.J))])
+        scores = model.predict_matrix(params, [EncodedDocument(ids, np.zeros(0, np.int64))])
         assert scores.dtype == np.float64
         assert np.array_equal(scores[0], model.forward(ids, len(ids), params))
 

@@ -25,6 +25,7 @@ import pytest
 from mvclda import cli
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))  # the tools import their sibling `revision`
 TRACER = ROOT / "bench" / "tracer.py"
 GUARDED = sorted(p.name for p in (ROOT / "src" / "mvclda").glob("*.py"))
 

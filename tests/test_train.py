@@ -20,9 +20,7 @@ def tiny_dataset(rng, n_docs=10, n_labels=5, vocab=30, length=12):
         ids.extend(int(j) for j in positives)
         ids = np.array(ids, dtype=np.int64)
         rng.shuffle(ids)
-        gold = np.zeros(n_labels)
-        gold[positives] = 1.0
-        docs.append(EncodedDocument(ids, gold))
+        docs.append(EncodedDocument(ids, np.sort(positives).astype(np.int64)))
     return docs
 
 
@@ -369,11 +367,11 @@ class TestAblate:
             }
 
     def test_reduce_document_halves_tokens(self):
-        doc = EncodedDocument(np.arange(9), np.zeros(2))
+        doc = EncodedDocument(np.arange(9), np.zeros(0, np.int64))
         reduced = train.reduce_document(doc)
         assert reduced.length == 5
         assert np.array_equal(reduced.token_ids, np.arange(5))
-        single = train.reduce_document(EncodedDocument(np.arange(1), np.zeros(2)))
+        single = train.reduce_document(EncodedDocument(np.arange(1), np.zeros(0, np.int64)))
         assert single.length == 1
-        empty = train.reduce_document(EncodedDocument(np.arange(0), np.zeros(2)))
+        empty = train.reduce_document(EncodedDocument(np.arange(0), np.zeros(0, np.int64)))
         assert empty.length == 0

@@ -24,17 +24,15 @@ with no failed operation, and 1 otherwise.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import shutil
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parent.parent
+from revision import REPO, extract_src
 
 
 def _pair_counts(text: str) -> dict[str, int]:
@@ -133,13 +131,10 @@ def main(argv: list[str]) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     rev_sha = subprocess.run(["git", "-C", str(REPO), "rev-parse", args.rev],
                              capture_output=True, text=True, check=True).stdout.strip()
-    archive = subprocess.run(["git", "-C", str(REPO), "archive", "--format=tar", rev_sha, "src"],
-                             capture_output=True, check=True).stdout
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         rev_root = Path(tmp)
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(rev_root, filter="data")
+        extract_src(rev_sha, rev_root)
         shutil.copytree(REPO / "bench", rev_root / "bench",
                         ignore=shutil.ignore_patterns("__pycache__"))
         roots = {"rev": rev_root, "tree": REPO}

@@ -43,16 +43,15 @@ thread, as in the benchmark.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parent.parent
+from revision import REPO, extract_src
+
 STOP_MAX_EPOCHS = 8
 
 CONFIGS = {
@@ -275,13 +274,9 @@ def main(argv: list[str]) -> int:
         print("usage: python tools/same_outputs.py <rev>", file=sys.stderr)
         return 2
     rev = argv[0]
-    archive = subprocess.run(["git", "-C", str(REPO), "archive", "--format=tar", rev, "src"],
-                             capture_output=True, check=True).stdout
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
         tmp = Path(tmp)
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tmp / "rev", filter="data")
-        run_flow(tmp / "rev" / "src", tmp / "run_rev")
+        run_flow(extract_src(rev, tmp / "rev"), tmp / "run_rev")
         run_flow(REPO / "src", tmp / "run_tree")
         verdicts = compare(outputs(tmp / "run_rev"), outputs(tmp / "run_tree"))
         crossed = cross_evaluate(REPO / "src", tmp / "run_rev", tmp / "cross")
