@@ -30,17 +30,14 @@ _MIN_SCALE = 1e-100
 class TfidfFeaturizer:
     terms: list[str]
     idf: np.ndarray
+    columns: np.ndarray  # the term column of each word-table id, len(terms) for none
 
-    def __post_init__(self):
-        self.term_index = {t: i for i, t in enumerate(self.terms)}
-
-    def transform(self, token_docs) -> np.ndarray:
-        """L2-normalized tf-idf vectors (rows of norm 1, or 0 if empty)."""
-        X = np.zeros((len(token_docs), len(self.terms)))
-        get = self.term_index.get
-        for i, doc in enumerate(token_docs):
-            cols = [k for k in map(get, doc) if k is not None]
-            X[i] = np.bincount(np.array(cols, dtype=np.int64), minlength=len(self.terms))
+    def transform(self, notes) -> np.ndarray:
+        """L2-normalized tf-idf vectors (rows of norm 1, or 0 if empty) of
+        notes of ids in the word table the featurizer was fitted on."""
+        X = np.zeros((len(notes), len(self.terms)))
+        for i, note in enumerate(notes):  # the last count is of words outside the terms
+            X[i] = np.bincount(self.columns[note], minlength=len(self.terms) + 1)[:-1]
         X *= self.idf
         norms = np.linalg.norm(X, axis=1, keepdims=True)
         np.divide(X, norms, out=X, where=norms > 0)
@@ -59,18 +56,19 @@ class TfidfConfig:
             raise ValueError(f"min_doc_freq must be >= 1, not {self.min_doc_freq}")
 
 
-def fit_tfidf(token_docs, cfg: TfidfConfig = TfidfConfig()) -> TfidfFeaturizer:
+def fit_tfidf(notes, words: dict[str, int], cfg: TfidfConfig = TfidfConfig()) -> TfidfFeaturizer:
     """Select the `cfg.max_features` most document-frequent unigrams (ties
     lexicographic: the `build_vocabulary` ranking) among those in at least
-    `cfg.min_doc_freq` documents, and fit idf = ln(N / df). An empty corpus,
-    or a floor that keeps no term of a non-empty one, raises ValueError."""
-    vocab = build_vocabulary(token_docs, cfg.min_doc_freq)
-    if not vocab.id_to_token and any(token_docs):
+    `cfg.min_doc_freq` of the notes, each an array of ids in the word table
+    `words`, and fit idf = ln(N / df). An empty corpus, or a floor that
+    keeps no term of one with a token, raises ValueError."""
+    vocab = build_vocabulary(notes, words, cfg.min_doc_freq)
+    if not vocab.id_to_token and any(map(len, notes)):
         raise ValueError(f"no term occurs in min_doc_freq = {cfg.min_doc_freq} documents")
     terms = vocab.id_to_token[:cfg.max_features]
-    n = len(token_docs)
+    n = len(notes)
     idf = np.array([math.log(n / vocab.doc_freq[t]) for t in terms])
-    return TfidfFeaturizer(terms=terms, idf=idf)
+    return TfidfFeaturizer(terms, idf, np.minimum(vocab.encode(list(words)), len(terms)))
 
 
 @dataclass(frozen=True)

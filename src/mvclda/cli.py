@@ -192,16 +192,18 @@ def _load_label_space(args) -> corpus.LabelSpace:
 
 
 class _Split(typing.NamedTuple):
-    tokens: list  # each document's `corpus.preprocess_text` tokens
+    notes: list  # each document's int32 ids in the command's word table
     gold: list  # `corpus.encode_gold`'s label ids per document,
     dropped: int  # and its count of codes outside the label space
 
 
-def _read_split(name: str, path, labels: corpus.LabelSpace, scored: bool = False) -> _Split:
-    """Read split `name` from `path`, tokenize its documents and encode
-    their gold codes, warning about codes outside the label space. Fail,
-    naming the split, when it holds no document, or when a `scored` split
-    (one PR AUC is taken on) has no gold code of the label space."""
+def _read_split(name: str, path, labels: corpus.LabelSpace, words: dict,
+                scored: bool = False) -> _Split:
+    """Read split `name` from `path` into int32 ids in the word table
+    `words`, which gains each unseen word at the next id, and encode its
+    gold codes, warning about codes outside the label space. Fail, naming
+    the split, when it holds no document, or when a `scored` split (one PR
+    AUC is taken on) has no gold code of the label space."""
     raws = corpus.read_corpus_jsonl(path)
     if not raws:
         raise ValueError(f"{name} split {path} is empty")
@@ -211,7 +213,8 @@ def _read_split(name: str, path, labels: corpus.LabelSpace, scored: bool = False
               file=sys.stderr)
     if scored and not any(map(len, gold)):
         raise ValueError(f"{name} split {path} has no gold code in the label space")
-    return _Split([corpus.preprocess_text(d.text) for d in raws], gold, dropped)
+    ids = ((words.setdefault(t, len(words)) for t in corpus.preprocess_text(d.text)) for d in raws)
+    return _Split([np.fromiter(note, np.int32) for note in ids], gold, dropped)
 
 
 @dataclass
@@ -262,11 +265,12 @@ def _training_setup(args, keys: dict) -> _TrainingSetup:
         space = _build(hb.SearchSpace, values, **no_lambda)
     labels = _load_label_space(args)
     eval_split = "test" if getattr(args, "test", None) else "dev"  # ablate's --test
-    splits = {name: _read_split(name, getattr(args, name), labels,
+    words: dict[str, int] = {}
+    splits = {name: _read_split(name, getattr(args, name), labels, words,
                                 scored=args.command == "ablate" and name == eval_split)
               for name in dict.fromkeys(("train", "dev", eval_split))}
-    vocab = corpus.build_vocabulary(splits["train"].tokens, train_cfg.min_doc_freq)
-    docs = {name: corpus.encode_corpus(s.tokens, (s.gold, s.dropped), vocab)[0]
+    vocab = corpus.build_vocabulary(splits["train"].notes, words, train_cfg.min_doc_freq)
+    docs = {name: corpus.encode_corpus(s.notes, words, (s.gold, s.dropped), vocab)[0]
             for name, s in splits.items()}
 
     vocab_bytes = corpus.vocabulary_bytes(vocab)
@@ -377,7 +381,8 @@ def cmd_evaluate(args) -> int:
             f"checkpoint was trained for {params.n_labels} labels, "
             f"label file defines {labels.n_labels}"
         )
-    test = _read_split("test", args.test, labels, scored=True)
+    words: dict[str, int] = {}
+    test = _read_split("test", args.test, labels, words, scored=True)
     groups = None
     if args.groups:
         by_code = corpus.read_groups_tsv(args.groups)
@@ -387,7 +392,7 @@ def cmd_evaluate(args) -> int:
         by_code = corpus.read_counts_tsv(args.train_counts)
         train_counts = np.array([by_code.get(code, 0) for code in labels.codes], dtype=np.float64)
 
-    docs, _ = corpus.encode_corpus(test.tokens, (test.gold, test.dropped), vocab)
+    docs, _ = corpus.encode_corpus(test.notes, words, (test.gold, test.dropped), vocab)
     scores = model.predict_matrix(params, docs)
     cells = corpus.gold_cells(test.gold)
     # macro F1 over the labels with gold support (the split has at least one)
@@ -513,11 +518,12 @@ def cmd_baseline(args) -> int:
     svm_cfg = _build(baseline.SvmConfig, values, seed=args.seed)
     tfidf_cfg = _build(baseline.TfidfConfig, values)
     labels = _load_label_space(args)
-    train = _read_split("train", args.train, labels)
-    test = _read_split("test", args.test, labels, scored=True)
-    featurizer = baseline.fit_tfidf(train.tokens, tfidf_cfg)
-    X_train = featurizer.transform(train.tokens)
-    X_test = featurizer.transform(test.tokens)
+    words: dict[str, int] = {}  # both splits' words, before the fit
+    train = _read_split("train", args.train, labels, words)
+    test = _read_split("test", args.test, labels, words, scored=True)
+    featurizer = baseline.fit_tfidf(train.notes, words, tfidf_cfg)
+    X_train = featurizer.transform(train.notes)
+    X_test = featurizer.transform(test.notes)
     train_cells = corpus.gold_cells(train.gold)
     if args.hierarchy:
         parents = labels.parents or {}

@@ -1,6 +1,9 @@
 """Text preprocessing, vocabulary construction, dataset encoding, and
 seeded synthetic corpus generation.
 
+A note is held as one int32 array of ids in its command's word table, a
+dict from word to id in first-seen order; vocabularies are built from those.
+
 All operations here are pure given their inputs; randomness is an
 explicit seeded stream.
 """
@@ -10,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -75,21 +77,17 @@ class Vocabulary:
                            count=len(tokens))
 
 
-def build_vocabulary(
-    train_docs: list[list[str]], min_doc_freq: int = MIN_DOC_FREQ
-) -> Vocabulary:
-    """Build a vocabulary from tokenized training documents.
-
-    A token is retained iff it occurs in >= min_doc_freq distinct documents.
-    """
-    if not train_docs:
+def build_vocabulary(notes: list[np.ndarray], words: dict[str, int],
+                     min_doc_freq: int = MIN_DOC_FREQ) -> Vocabulary:
+    """Build a vocabulary from the training notes, each an array of ids in
+    the word table `words`: a word is retained iff it occurs in >=
+    min_doc_freq distinct notes."""
+    if not notes:
         raise ValueError("cannot build a vocabulary from an empty training set")
-    df: Counter[str] = Counter()
-    for doc in train_docs:
-        df.update(set(doc))
+    counts = np.bincount(np.concatenate([np.unique(n) for n in notes]), minlength=len(words))
+    df = {w: c for w, c in zip(words, counts.tolist()) if c >= min_doc_freq}
     # by descending frequency, ties in lexicographic order (a stable sort)
-    retained = sorted(sorted(t for t, c in df.items() if c >= min_doc_freq),
-                      key=df.__getitem__, reverse=True)
+    retained = sorted(sorted(df), key=df.__getitem__, reverse=True)
     return Vocabulary(retained, {t: df[t] for t in retained})
 
 
@@ -102,11 +100,12 @@ class LabelSpace:
     """
 
     codes: list[str]
-    code_to_index: dict[str, int]
     descriptions: list[list[str]]
     parents: dict[str, str] | None = None
+    code_to_index: dict[str, int] = field(init=False)
 
     def __post_init__(self):
+        self.code_to_index = {c: i for i, c in enumerate(self.codes)}
         if len(self.codes) != len(self.descriptions):
             raise ValueError("one description required per code")
         for code, desc in zip(self.codes, self.descriptions):
@@ -141,7 +140,6 @@ def make_label_space(
     codes = list(descriptions)
     return LabelSpace(
         codes=codes,
-        code_to_index={c: i for i, c in enumerate(codes)},
         descriptions=[preprocess_text(descriptions[c]) for c in codes],
         parents=dict(parents) if parents else None,
     )
@@ -176,14 +174,14 @@ def gold_cells(golds) -> tuple[np.ndarray, np.ndarray]:
     return rows, np.concatenate([np.zeros(0, np.int64), *golds])
 
 
-def encode_corpus(token_docs: list[list[str]], encoded_gold: tuple[list[np.ndarray], int],
+def encode_corpus(notes: list, words: dict, encoded_gold: tuple[list[np.ndarray], int],
                   vocab: Vocabulary) -> tuple[list[EncodedDocument], int]:
-    """Encode each document's `preprocess_text` tokens beside its gold ids;
-    `encoded_gold` is `encode_gold`'s (ids, dropped) of the same documents.
-    Returns the documents and the dropped count."""
+    """Encode each note's ids in the word table `words` as vocabulary ids
+    beside its gold ids; `encoded_gold` is `encode_gold`'s (ids, dropped) of
+    the same documents. Returns the documents and the dropped count."""
     golds, dropped = encoded_gold
-    docs = [EncodedDocument(vocab.encode(tokens), g) for tokens, g in zip(token_docs, golds)]
-    return docs, dropped
+    lookup = vocab.encode(list(words))  # the vocabulary id of each word id
+    return [EncodedDocument(lookup[n], g) for n, g in zip(notes, golds)], dropped
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ the library's own code paths.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -508,6 +509,42 @@ def fd_gradcheck(params, loss_fn, grads, step=1e-5, rtol=1e-4, max_per_tensor=No
                 )
             worst = max(worst, rel)
     return worst
+
+
+def word_table(token_docs):
+    """Each token list as an int32 array of ids in a word table, a dict
+    that gains each unseen word at the next id; returns (arrays, table)."""
+    words = {}
+    notes = [np.array([words.setdefault(t, len(words)) for t in doc], dtype=np.int32)
+             for doc in token_docs]
+    return notes, words
+
+
+def string_vocabulary(token_docs, min_doc_freq):
+    """The retained words and their document frequencies, counted over lists
+    of token strings: the words in >= min_doc_freq documents, by descending
+    frequency with lexicographic ties. The string path `build_vocabulary`
+    replaced."""
+    df = Counter()
+    for doc in token_docs:
+        df.update(set(doc))
+    retained = sorted(sorted(t for t, c in df.items() if c >= min_doc_freq),
+                      key=df.__getitem__, reverse=True)
+    return retained, {t: df[t] for t in retained}
+
+
+def per_token_tfidf(terms, idf, token_docs):
+    """L2-normalized tf-idf rows of lists of token strings, one dict lookup
+    per token: the `TfidfFeaturizer.transform` the id gather replaced."""
+    term_index = {t: i for i, t in enumerate(terms)}
+    X = np.zeros((len(token_docs), len(terms)))
+    for i, doc in enumerate(token_docs):
+        cols = [k for k in map(term_index.get, doc) if k is not None]
+        X[i] = np.bincount(np.array(cols, dtype=np.int64), minlength=len(terms))
+    X *= idf
+    norms = np.linalg.norm(X, axis=1, keepdims=True)
+    np.divide(X, norms, out=X, where=norms > 0)
+    return X
 
 
 def contains_phrase(text: str, phrase_tokens) -> bool:

@@ -25,6 +25,7 @@ from oracles import (
     grid_pr_auc,
     hand_pearson,
     reference_loss,
+    word_table,
 )
 
 
@@ -155,7 +156,7 @@ LEARN_CFG = corpus.SynthConfig(
 
 def encode(raws, vocab, labels):
     """`corpus.encode_corpus` of raw documents: their tokens and gold ids."""
-    return corpus.encode_corpus([corpus.preprocess_text(d.text) for d in raws],
+    return corpus.encode_corpus(*word_table([corpus.preprocess_text(d.text) for d in raws]),
                                 corpus.encode_gold(raws, labels), vocab)
 
 
@@ -163,7 +164,7 @@ def encode(raws, vocab, labels):
 def learn_corpus():
     synth = corpus.generate_synthetic_corpus(LEARN_CFG)
     token_docs = [corpus.preprocess_text(d.text) for d in synth.train]
-    vocab = corpus.build_vocabulary(token_docs)
+    vocab = corpus.build_vocabulary(*word_table(token_docs))
     train_docs, _ = encode(synth.train, vocab, synth.labels)
     dev_docs, _ = encode(synth.dev, vocab, synth.labels)
     test_docs, _ = encode(synth.test, vocab, synth.labels)
@@ -225,7 +226,7 @@ def test_criterion_05_regularization_helps_rare_codes():
     )
     synth = corpus.generate_synthetic_corpus(cfg)
     token_docs = [corpus.preprocess_text(d.text) for d in synth.train]
-    vocab = corpus.build_vocabulary(token_docs)
+    vocab = corpus.build_vocabulary(*word_table(token_docs))
     train_docs, _ = encode(synth.train, vocab, synth.labels)
     dev_docs, _ = encode(synth.dev, vocab, synth.labels)
     test_docs, _ = encode(synth.test, vocab, synth.labels)

@@ -7,37 +7,43 @@ import pytest
 from mvclda import baseline
 from mvclda.corpus import read_tensor_file
 
-from oracles import (cells, dense_pegasos, loop_predict_hierarchical, subtree_label_columns,
-                     walk_hierarchical_fit)
+from oracles import (cells, dense_pegasos, loop_predict_hierarchical, per_token_tfidf,
+                     string_vocabulary, subtree_label_columns, walk_hierarchical_fit, word_table)
+from test_corpus import tricky_token_corpus
+
+
+def tfidf(docs, cfg=baseline.TfidfConfig()):
+    """`fit_tfidf` on lists of token strings through a word table, and the
+    tf-idf rows of the same documents."""
+    notes, words = word_table(docs)
+    feat = baseline.fit_tfidf(notes, words, cfg)
+    return feat, feat.transform(notes)
 
 
 class TestTfidf:
     def test_hand_case(self):
         docs = [["a", "a", "b"], ["b"]]
-        feat = baseline.fit_tfidf(docs)
+        feat, X = tfidf(docs)
+        a, b = feat.terms.index("a"), feat.terms.index("b")
         # df(a)=1, df(b)=2, N=2 -> idf(a)=ln2, idf(b)=0
-        assert feat.idf[feat.term_index["a"]] == pytest.approx(math.log(2), abs=1e-12)
-        assert feat.idf[feat.term_index["b"]] == 0.0
-        X = feat.transform([["a", "a", "b"]])
-        # unnormalized weights (2 ln2, 0) -> normalized (1, 0)
-        assert X[0, feat.term_index["a"]] == pytest.approx(1.0, abs=1e-12)
-        assert X[0, feat.term_index["b"]] == 0.0
+        assert feat.idf[a] == pytest.approx(math.log(2), abs=1e-12)
+        assert feat.idf[b] == 0.0
+        # unnormalized weights of ["a", "a", "b"] (2 ln2, 0) -> normalized (1, 0)
+        assert X[0, a] == pytest.approx(1.0, abs=1e-12)
+        assert X[0, b] == 0.0
 
     def test_ubiquitous_term_weight_zero(self):
         docs = [["x", "y"], ["x", "z"], ["x", "y"]]
-        feat = baseline.fit_tfidf(docs)
-        X = feat.transform(docs)
-        assert np.all(X[:, feat.term_index["x"]] == 0.0)
+        feat, X = tfidf(docs)
+        assert np.all(X[:, feat.terms.index("x")] == 0.0)
 
     def test_small_corpus_keeps_all_terms(self):
         docs = [["a", "b"], ["c"]]
-        feat = baseline.fit_tfidf(docs)
-        assert sorted(feat.terms) == ["a", "b", "c"]
+        assert sorted(tfidf(docs)[0].terms) == ["a", "b", "c"]
 
     def test_selection_by_doc_freq_then_lexicographic(self):
         docs = [["b", "a"], ["b", "a"], ["b"], ["z"]]
-        feat = baseline.fit_tfidf(docs, baseline.TfidfConfig(max_features=2))
-        assert feat.terms == ["b", "a"]
+        assert tfidf(docs, baseline.TfidfConfig(max_features=2))[0].terms == ["b", "a"]
 
     def test_vectors_unit_or_zero_norm(self):
         rng = np.random.default_rng(0)
@@ -46,22 +52,36 @@ class TestTfidf:
             [vocabulary[int(k)] for k in rng.integers(0, 20, rng.integers(0, 12))]
             for _ in range(30)
         ]
-        feat = baseline.fit_tfidf(docs)
-        X = feat.transform(docs)
+        _, X = tfidf(docs)
         norms = np.linalg.norm(X, axis=1)
         assert np.all((np.abs(norms - 1) < 1e-12) | (norms == 0))
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
-            baseline.fit_tfidf([])
+            baseline.fit_tfidf([], {})
 
     def test_min_doc_freq_floor_drops_rare_terms(self):
         docs = [["b", "a"], ["b", "a"], ["b"], ["z"]]
-        assert baseline.fit_tfidf(docs).terms == ["b", "a", "z"]
+        assert tfidf(docs)[0].terms == ["b", "a", "z"]
         for n, terms in ((2, ["b", "a"]), (3, ["b"])):
-            assert baseline.fit_tfidf(docs, baseline.TfidfConfig(min_doc_freq=n)).terms == terms
+            assert tfidf(docs, baseline.TfidfConfig(min_doc_freq=n))[0].terms == terms
         with pytest.raises(ValueError, match="no term"):
-            baseline.fit_tfidf(docs, baseline.TfidfConfig(min_doc_freq=4))
+            tfidf(docs, baseline.TfidfConfig(min_doc_freq=4))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_per_token_path(self, seed):
+        train, _, test = tricky_token_corpus(seed)
+        notes, words = word_table(train + test)  # test's own words too, as `baseline` reads
+        for cfg in (baseline.TfidfConfig(), baseline.TfidfConfig(max_features=5),
+                    baseline.TfidfConfig(min_doc_freq=3)):
+            feat = baseline.fit_tfidf(notes[:len(train)], words, cfg)
+            terms, df = string_vocabulary(train, cfg.min_doc_freq)
+            terms = terms[:cfg.max_features]
+            idf = np.array([math.log(len(train) / df[t]) for t in terms])
+            assert feat.terms == terms and np.array_equal(feat.idf, idf)
+            for split, split_notes in ((train, notes[:len(train)]), (test, notes[len(train):])):
+                assert np.array_equal(feat.transform(split_notes),
+                                      per_token_tfidf(terms, idf, split))
 
 
 def separable_dataset():
@@ -80,8 +100,7 @@ def separable_dataset():
 class TestFlatOvr:
     def test_linearly_separable_perfect_training_accuracy(self):
         docs, gold = separable_dataset()
-        feat = baseline.fit_tfidf(docs)
-        X = feat.transform(docs)
+        _, X = tfidf(docs)
         ovr = baseline.train_flat(X, cells(gold), ["L0", "L1"], baseline.SvmConfig(seed=1))
         pred = baseline.predict_flat(ovr, X)
         assert np.array_equal(pred, gold.astype(bool))
@@ -105,8 +124,7 @@ class TestFlatOvr:
 
     def test_deterministic_under_fixed_seed(self):
         docs, gold = separable_dataset()
-        feat = baseline.fit_tfidf(docs)
-        X = feat.transform(docs)
+        _, X = tfidf(docs)
         a = baseline.train_flat(X, cells(gold), ["L0", "L1"], baseline.SvmConfig(seed=4))
         b = baseline.train_flat(X, cells(gold), ["L0", "L1"], baseline.SvmConfig(seed=4))
         assert np.array_equal(a.rows, b.rows)
@@ -197,8 +215,7 @@ class TestHierarchical:
         # parent subtree = {parent, child}; child classifier trains only on
         # documents whose gold intersects the parent's subtree
         docs_tokens = [["p"], ["p", "c"], ["q"], ["q"]]
-        feat = baseline.fit_tfidf(docs_tokens)
-        X = feat.transform(docs_tokens)
+        _, X = tfidf(docs_tokens)
         gold = np.array([
             [1, 0, 0],
             [1, 1, 0],
@@ -233,7 +250,7 @@ def _sparse_tfidf(rng, n_docs, n_terms=40):
         [terms[int(k)] for k in rng.integers(0, n_terms, rng.integers(1, 9))]
         for _ in range(n_docs - 1)
     ]
-    X = baseline.fit_tfidf(docs).transform(docs)
+    _, X = tfidf(docs)
     assert not X[0].any() and X.any(axis=1)[1:].all()
     return X
 
@@ -322,8 +339,7 @@ class TestSparsePegasosMatchesDenseLoop:
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         docs, gold = separable_dataset()
-        feat = baseline.fit_tfidf(docs)
-        X = feat.transform(docs)
+        feat, X = tfidf(docs)
         gold = np.hstack([np.zeros((len(gold), 1)), gold])  # L- has no positive
         ovr = baseline.train_flat(X, cells(gold), ["L-", "L0", "L1"], baseline.SvmConfig(seed=9))
         path = tmp_path / "model.bin"

@@ -292,7 +292,7 @@ class TestTrain:
         extra = []
         if pretrained:
             # a table for the vocabulary of no token, which holds the oov id only
-            vocab = corpus.build_vocabulary([[] for _ in lines])
+            vocab = corpus.build_vocabulary([np.zeros(0, np.int32) for _ in lines], {})
             checksum = hashlib.sha256(corpus.vocabulary_bytes(vocab)).hexdigest()
             emb = tmp_path / "embeddings.bin"
             embed.save_embeddings(emb, np.full((vocab.size, 8), 0.1), checksum)
@@ -710,6 +710,24 @@ class TestBaselineCmd:
         ]) == 0
         assert (hier_out / "baseline_model.bin").exists()
 
+
+    def test_all_digit_training_split_fits_bias_only(self, corpus_dir, tmp_path):
+        # no term to weigh: no tf-idf column, so every classifier is its bias
+        lines = (corpus_dir / "train.jsonl").read_text().splitlines()
+        digits = tmp_path / "digits.jsonl"
+        digits.write_text("".join(json.dumps(dict(json.loads(line), text="123 456")) + "\n"
+                                  for line in lines))
+        out = tmp_path / "out"
+        assert run([
+            "baseline", "--train", str(digits), "--test", str(corpus_dir / "test.jsonl"),
+            "--labels", str(corpus_dir / "descriptions.tsv"), "--seed", "4", "--out", str(out),
+        ]) == 0
+        header, arrays = corpus.read_tensor_file(out / "baseline_model.bin",
+                                                 baseline.BASELINE_FORMAT,
+                                                 baseline.BASELINE_FORMAT_VERSION)
+        assert header["terms"] == [] and arrays["idf"].shape == (0,)
+        assert arrays["weights"].shape == (len(header["rows"]), 0)
+        assert 0.0 <= json.loads((out / "metrics.json").read_text())["micro_f1"] <= 1.0
 
     @pytest.mark.parametrize("line,message", [("svm_reg = 0", "svm_reg must be finite and > 0"),
                                               ("svm_epochs = 0", "svm_epochs must be >= 1")],

@@ -6,9 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mvclda import baseline, corpus, embed, model
+from mvclda import baseline, cli, corpus, embed, model
 
-from oracles import _word, contains_phrase, hand_pearson, per_word_synthetic_corpus
+from oracles import (_word, contains_phrase, hand_pearson, per_word_synthetic_corpus,
+                     string_vocabulary, word_table)
 
 
 class TestPreprocess:
@@ -53,24 +54,63 @@ class TestPreprocess:
         assert corpus.preprocess_text(" ".join(once)) == once
 
 
+# words that stress the ranking: non-ASCII, a word beside the same word
+# with a trailing NUL (numpy's "<U" order drops it), and shared stems
+TRICKY_WORDS = ["a", "a\x00", "ab", "b", "é", "e", "ß", "ss", "日本", "z\x00z", "Z"]
+
+
+def tricky_token_corpus(seed):
+    """(train, dev, test) lists of token lists over TRICKY_WORDS and a few
+    numbered words, with document-frequency ties; dev and test add words
+    of their own, and each split holds an empty note. Training opens with
+    "q\x00" before "q", tied at 3 notes: an order that cannot tell them
+    apart keeps them in the order first seen."""
+    rng = np.random.default_rng(seed)
+    pool = TRICKY_WORDS + [f"w{k}" for k in range(12)]
+
+    def split(n, extra):
+        words = pool + extra
+        return [[]] + [
+            [words[k] for k in rng.integers(0, len(words), rng.integers(0, 15))]
+            for _ in range(n)]
+
+    return ([["q\x00", "q"]] * 3 + split(40, []), split(10, ["dev-only", "ünseen"]),
+            split(10, ["test-only", "a\x00\x00"]))
+
+
 class TestVocabulary:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_string_vocabulary(self, seed):
+        train, dev, test = tricky_token_corpus(seed)
+        # the table is filled from test first, so its order is not train's
+        notes, words = word_table(test + train + dev)
+        train_notes, dev_notes = notes[len(test):-len(dev)], notes[-len(dev):]
+        for min_doc_freq in (1, 2, 3, 5):
+            vocab = corpus.build_vocabulary(train_notes, words, min_doc_freq)
+            assert vocab == corpus.Vocabulary(*string_vocabulary(train, min_doc_freq))
+            docs, _ = corpus.encode_corpus(dev_notes, words,
+                                           ([np.zeros(0, np.int64)] * len(dev), 0), vocab)
+            for doc, tokens in zip(docs, dev):
+                assert doc.token_ids.dtype == np.int64
+                assert np.array_equal(doc.token_ids, vocab.encode(tokens))
+
     def test_doc_freq_boundary(self):
         docs = [["twice"], ["twice"], ["thrice"], ["thrice"], ["thrice"]]
-        vocab = corpus.build_vocabulary(docs)
+        vocab = corpus.build_vocabulary(*word_table(docs))
         assert "thrice" in vocab.token_to_id
         assert "twice" not in vocab.token_to_id
         assert vocab.encode(["twice"])[0] == vocab.oov_id
 
     def test_hand_counted_example(self):
         docs = [["pain"], ["pain"], ["pain"], ["pain", "rare"]]
-        vocab = corpus.build_vocabulary(docs)
+        vocab = corpus.build_vocabulary(*word_table(docs))
         assert list(vocab.token_to_id) == ["pain"]
         assert vocab.encode(["rare"])[0] == vocab.oov_id
         assert vocab.doc_freq["pain"] == 4
 
     def test_repeats_within_one_doc_count_once(self):
         docs = [["dup", "dup", "dup"], ["x"], ["x"], ["x"]]
-        vocab = corpus.build_vocabulary(docs)
+        vocab = corpus.build_vocabulary(*word_table(docs))
         assert "dup" not in vocab.token_to_id
 
     def test_id_order_descending_freq_then_lexicographic(self):
@@ -80,7 +120,7 @@ class TestVocabulary:
             ["b", "a", "c"],
             ["b"],
         ]
-        vocab = corpus.build_vocabulary(docs)
+        vocab = corpus.build_vocabulary(*word_table(docs))
         # b: 4 docs; a and c: 3 docs each -> a before c
         assert vocab.id_to_token == ["b", "a", "c"]
         assert vocab.oov_id == 3
@@ -88,11 +128,11 @@ class TestVocabulary:
 
     def test_empty_training_set_errors(self):
         with pytest.raises(ValueError):
-            corpus.build_vocabulary([])
+            corpus.build_vocabulary([], {})
 
     def test_save_load_round_trip(self, tmp_path):
         docs = [["alpha", "beta", "gamma"]] * 3 + [["alpha"]]
-        vocab = corpus.build_vocabulary(docs)
+        vocab = corpus.build_vocabulary(*word_table(docs))
         path = tmp_path / "vocab.tsv"
         path.write_bytes(corpus.vocabulary_bytes(vocab))
         loaded = corpus.load_vocabulary(path)
@@ -134,14 +174,14 @@ def _toy_space():
 
 def encode_document(raw, vocab, labels):
     """One document through `encode_corpus`: (its encoding, dropped count)."""
-    docs, dropped = corpus.encode_corpus([corpus.preprocess_text(raw.text)],
+    docs, dropped = corpus.encode_corpus(*word_table([corpus.preprocess_text(raw.text)]),
                                          corpus.encode_gold([raw], labels), vocab)
     return docs[0], dropped
 
 
 class TestEncodeDocument:
     def test_empty_text(self):
-        vocab = corpus.build_vocabulary([["w"]] * 3)
+        vocab = corpus.build_vocabulary(*word_table([["w"]] * 3))
         doc, dropped = encode_document(
             corpus.RawDocument("d1", "", set()), vocab, _toy_space()
         )
@@ -149,14 +189,14 @@ class TestEncodeDocument:
         assert dropped == 0
 
     def test_all_unknown_tokens(self):
-        vocab = corpus.build_vocabulary([["w"]] * 3)
+        vocab = corpus.build_vocabulary(*word_table([["w"]] * 3))
         doc, _ = encode_document(
             corpus.RawDocument("d1", "novel words only", set()), vocab, _toy_space()
         )
         assert np.all(doc.token_ids == vocab.oov_id)
 
     def test_gold_vector(self):
-        vocab = corpus.build_vocabulary([["w"]] * 3)
+        vocab = corpus.build_vocabulary(*word_table([["w"]] * 3))
         doc, dropped = encode_document(
             corpus.RawDocument("d1", "w", {"A", "B"}), vocab, _toy_space()
         )
@@ -164,7 +204,7 @@ class TestEncodeDocument:
         assert dropped == 0
 
     def test_unknown_codes_dropped_and_counted(self):
-        vocab = corpus.build_vocabulary([["w"]] * 3)
+        vocab = corpus.build_vocabulary(*word_table([["w"]] * 3))
         doc, dropped = encode_document(
             corpus.RawDocument("d1", "w", {"A", "Zed", "Q"}), vocab, _toy_space()
         )
@@ -179,7 +219,7 @@ class TestEncodeDocument:
 
     def test_round_trip_through_vocabulary(self):
         tokens = ["alpha", "beta", "alpha"]
-        vocab = corpus.build_vocabulary([tokens] * 3)
+        vocab = corpus.build_vocabulary(*word_table([tokens] * 3))
         doc, _ = encode_document(
             corpus.RawDocument("d1", "alpha beta alpha", set()), vocab, _toy_space()
         )
@@ -216,6 +256,29 @@ class TestGoldCells:
             tracemalloc.stop()
         assert dropped == 0 and cells[0].size == 15 * n_notes
         assert held / n_notes < 1024
+
+    def test_front_memory_per_note_is_bounded(self, tmp_path):
+        # notes of ~1,500 tokens read, counted into a vocabulary and
+        # encoded; a note held as a list of token strings took ~100 KB
+        n_notes, n_words = 200, 5_000
+        rng = np.random.default_rng(0)
+        table = corpus._word_table(n_words)
+        path = tmp_path / "train.jsonl"
+        corpus.write_corpus_jsonl(path, [
+            corpus.RawDocument(f"d{i}", " ".join(table[rng.integers(0, n_words, 1_500)]), {"c"})
+            for i in range(n_notes)])
+        labels = corpus.make_label_space({"c": "code"})
+        tracemalloc.start()
+        try:
+            words = {}
+            split = cli._read_split("train", path, labels, words)
+            vocab = corpus.build_vocabulary(split.notes, words)
+            docs, _ = corpus.encode_corpus(split.notes, words, (split.gold, split.dropped), vocab)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(d.length for d in docs) == 1_500 * n_notes
+        assert peak / n_notes < 40 * 1024
 
 
 class TestLabelSpace:
@@ -468,7 +531,7 @@ def _embeddings_file(path):
 
 
 def _baseline_file(path):
-    featurizer = baseline.TfidfFeaturizer(terms=["x", "y", "z"], idf=np.ones(3))
+    featurizer = baseline.TfidfFeaturizer(["x", "y", "z"], np.ones(3), np.arange(3))
     ovr = baseline.LinearOvrModel(nodes=["A", "B"], rows=np.array([1]), weights=np.ones((1, 3)),
                                   bias=np.zeros(2))
     baseline.save_baseline(path, featurizer, ovr)

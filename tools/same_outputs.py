@@ -18,9 +18,12 @@ training on it at embed_dim 64, whose vocabulary spans several of
 `adam_step`'s row blocks and whose batches leave most rows untouched, and
 whose notes, trained untruncated, are longer than `model.CONV_CHUNK`, so
 the convolution's backward carries rows from one chunk into the next;
-last a third synth, no training on it, at the MIMIC-shaped benchmark's
-word range: 40,000 background words and 1,000 codes' phrases, in a few
-notes. So every file option of every command is given at least once.
+then `evaluate` of that model and a flat baseline on the same data, whose
+test notes hold words its training split lacks, so word-table ids cross
+splits; last a third synth, no training on it, at the MIMIC-shaped
+benchmark's word range: 40,000 background words and 1,000 codes'
+phrases, in a few notes, and a flat baseline on it. So every file option
+of every command is given at least once.
 Every file either run wrote is then reported as identical or differing;
 `history.jsonl` is compared with each line's `wall_time_s` removed, the
 only field allowed to differ. A differing tensor file (`.bin`) is reported by part: whether the
@@ -171,7 +174,14 @@ FLOW = [
     ["train", "--model", "mvc-rlda", "--train", "wide_data/train.jsonl",
      "--dev", "wide_data/dev.jsonl", "--labels", "wide_data/descriptions.tsv",
      "--config", "cfg/wide.cfg", "--seed", "42", "--out", "wide"],
+    ["evaluate", "--checkpoint", "wide/checkpoint.bin", "--test", "wide_data/test.jsonl",
+     "--labels", "wide_data/descriptions.tsv", "--vocab", "wide/vocab.tsv",
+     "--metrics-out", "wide/metrics.json"],
+    ["baseline", "--train", "wide_data/train.jsonl", "--test", "wide_data/test.jsonl",
+     "--labels", "wide_data/descriptions.tsv", "--seed", "42", "--out", "wide_base"],
     ["synth", "--config", "cfg/mimic_synth.cfg", "--out-dir", "mimic_data", "--seed", "42"],
+    ["baseline", "--train", "mimic_data/train.jsonl", "--test", "mimic_data/test.jsonl",
+     "--labels", "mimic_data/descriptions.tsv", "--seed", "42", "--out", "mimic_base"],
 ]
 
 
