@@ -30,11 +30,14 @@ _MIN_SCALE = 1e-100
 class TfidfFeaturizer:
     terms: list[str]
     idf: np.ndarray
-    columns: np.ndarray  # the term column of each word-table id, len(terms) for none
+    # the term column of each word-table id and of the id past the table,
+    # len(terms) for none
+    columns: np.ndarray
 
     def transform(self, notes) -> np.ndarray:
         """L2-normalized tf-idf vectors (rows of norm 1, or 0 if empty) of
-        notes of ids in the word table the featurizer was fitted on."""
+        notes of ids in the word table the featurizer was fitted on, or of
+        the id past it."""
         X = np.zeros((len(notes), len(self.terms)))
         for i, note in enumerate(notes):  # the last count is of words outside the terms
             X[i] = np.bincount(self.columns[note], minlength=len(self.terms) + 1)[:-1]
@@ -68,7 +71,7 @@ def fit_tfidf(notes, words: dict[str, int], cfg: TfidfConfig = TfidfConfig()) ->
     terms = vocab.id_to_token[:cfg.max_features]
     n = len(notes)
     idf = np.array([math.log(n / vocab.doc_freq[t]) for t in terms])
-    return TfidfFeaturizer(terms, idf, np.minimum(vocab.encode(list(words)), len(terms)))
+    return TfidfFeaturizer(terms, idf, np.minimum(vocab.lookup(words), len(terms)))
 
 
 @dataclass(frozen=True)

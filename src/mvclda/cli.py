@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import os
 import sys
 import types
@@ -197,24 +198,34 @@ class _Split(typing.NamedTuple):
     dropped: int  # and its count of codes outside the label space
 
 
-def _read_split(name: str, path, labels: corpus.LabelSpace, words: dict,
+def _read_split(name: str, path, labels: corpus.LabelSpace, words: dict, grow: bool = False,
                 scored: bool = False) -> _Split:
-    """Read split `name` from `path` into int32 ids in the word table
-    `words`, which gains each unseen word at the next id, and encode its
-    gold codes, warning about codes outside the label space. Fail, naming
-    the split, when it holds no document, or when a `scored` split (one PR
-    AUC is taken on) has no gold code of the label space."""
-    raws = corpus.read_corpus_jsonl(path)
-    if not raws:
+    """Read split `name` from `path` one note at a time into int32 ids in
+    the word table `words`, and encode its gold codes, warning about codes
+    outside the label space. The training split (`grow`) adds each unseen
+    word to the table at the next id; any other split gives every word
+    outside the table the one id len(words), which the vocabulary and the
+    tf-idf terms map to none (`corpus.Vocabulary.lookup`). Fail, naming the
+    split, when it holds no document, or when a `scored` split (one PR AUC
+    is taken on) has no gold code of the label space."""
+    notes, gold, dropped = [], [], 0
+    unseen = len(words)
+    for raw in corpus.read_corpus_jsonl(path):
+        (note_gold,), note_dropped = corpus.encode_gold([raw], labels)
+        gold.append(note_gold)
+        dropped += note_dropped
+        tokens = corpus.preprocess_text(raw.text)
+        ids = ((words.setdefault(t, len(words)) for t in tokens) if grow
+               else map(words.get, tokens, itertools.repeat(unseen)))
+        notes.append(np.fromiter(ids, np.int32, len(tokens)))
+    if not notes:
         raise ValueError(f"{name} split {path} is empty")
-    gold, dropped = corpus.encode_gold(raws, labels)
     if dropped:
         print(f"warning: dropped {dropped} gold codes absent from the label space",
               file=sys.stderr)
     if scored and not any(map(len, gold)):
         raise ValueError(f"{name} split {path} has no gold code in the label space")
-    ids = ((words.setdefault(t, len(words)) for t in corpus.preprocess_text(d.text)) for d in raws)
-    return _Split([np.fromiter(note, np.int32) for note in ids], gold, dropped)
+    return _Split(notes, gold, dropped)
 
 
 @dataclass
@@ -266,7 +277,7 @@ def _training_setup(args, keys: dict) -> _TrainingSetup:
     labels = _load_label_space(args)
     eval_split = "test" if getattr(args, "test", None) else "dev"  # ablate's --test
     words: dict[str, int] = {}
-    splits = {name: _read_split(name, getattr(args, name), labels, words,
+    splits = {name: _read_split(name, getattr(args, name), labels, words, grow=name == "train",
                                 scored=args.command == "ablate" and name == eval_split)
               for name in dict.fromkeys(("train", "dev", eval_split))}
     vocab = corpus.build_vocabulary(splits["train"].notes, words, train_cfg.min_doc_freq)
@@ -381,7 +392,8 @@ def cmd_evaluate(args) -> int:
             f"checkpoint was trained for {params.n_labels} labels, "
             f"label file defines {labels.n_labels}"
         )
-    words: dict[str, int] = {}
+    # the vocabulary's words at their ids: the table the model was trained on
+    words = vocab.token_to_id
     test = _read_split("test", args.test, labels, words, scored=True)
     groups = None
     if args.groups:
@@ -518,8 +530,8 @@ def cmd_baseline(args) -> int:
     svm_cfg = _build(baseline.SvmConfig, values, seed=args.seed)
     tfidf_cfg = _build(baseline.TfidfConfig, values)
     labels = _load_label_space(args)
-    words: dict[str, int] = {}  # both splits' words, before the fit
-    train = _read_split("train", args.train, labels, words)
+    words: dict[str, int] = {}
+    train = _read_split("train", args.train, labels, words, grow=True)
     test = _read_split("test", args.test, labels, words, scored=True)
     featurizer = baseline.fit_tfidf(train.notes, words, tfidf_cfg)
     X_train = featurizer.transform(train.notes)

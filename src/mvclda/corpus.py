@@ -2,7 +2,9 @@
 seeded synthetic corpus generation.
 
 A note is held as one int32 array of ids in its command's word table, a
-dict from word to id in first-seen order; vocabularies are built from those.
+dict from word to id in the training split's first-seen order; the id
+len(table) stands for every word outside it. Vocabularies are built from
+those.
 
 All operations here are pure given their inputs; randomness is an
 explicit seeded stream.
@@ -75,6 +77,11 @@ class Vocabulary:
     def encode(self, tokens: list[str]) -> np.ndarray:
         return np.fromiter(map(self.token_to_id.get, tokens, repeat(self.oov_id)), np.int64,
                            count=len(tokens))
+
+    def lookup(self, words: dict[str, int]) -> np.ndarray:
+        """The id of each id of the word table `words`, then of the id
+        len(words), which stands for every word outside the table: OOV."""
+        return np.append(self.encode(list(words)), self.oov_id)
 
 
 def build_vocabulary(notes: list[np.ndarray], words: dict[str, int],
@@ -176,11 +183,12 @@ def gold_cells(golds) -> tuple[np.ndarray, np.ndarray]:
 
 def encode_corpus(notes: list, words: dict, encoded_gold: tuple[list[np.ndarray], int],
                   vocab: Vocabulary) -> tuple[list[EncodedDocument], int]:
-    """Encode each note's ids in the word table `words` as vocabulary ids
-    beside its gold ids; `encoded_gold` is `encode_gold`'s (ids, dropped) of
-    the same documents. Returns the documents and the dropped count."""
+    """Encode each note's ids in the word table `words` (len(words) for a
+    word outside it) as vocabulary ids beside its gold ids; `encoded_gold`
+    is `encode_gold`'s (ids, dropped) of the same documents. Returns the
+    documents and the dropped count."""
     golds, dropped = encoded_gold
-    lookup = vocab.encode(list(words))  # the vocabulary id of each word id
+    lookup = vocab.lookup(words)
     return [EncodedDocument(lookup[n], g) for n, g in zip(notes, golds)], dropped
 
 
@@ -380,8 +388,11 @@ def write_corpus_jsonl(path, docs: list[RawDocument]) -> None:
                        for d in docs))
 
 
-def read_corpus_jsonl(path) -> list[RawDocument]:
-    docs = []
+def read_corpus_jsonl(path):
+    """The documents of a corpus file, yielded one line at a time, so no
+    more than one note's text is held. A line that is not one document's
+    JSON object, or a doc_id seen before, raises DataFormatError naming
+    `path:line` when the reader reaches it."""
     seen = set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -405,8 +416,7 @@ def read_corpus_jsonl(path) -> list[RawDocument]:
             if doc_id in seen:
                 raise DataFormatError(f"{path}:{lineno}: duplicate doc_id {doc_id!r}")
             seen.add(doc_id)
-            docs.append(RawDocument(doc_id=doc_id, text=obj["text"], codes=set(codes)))
-    return docs
+            yield RawDocument(doc_id=doc_id, text=obj["text"], codes=set(codes))
 
 
 def write_pairs_tsv(path, pairs) -> None:

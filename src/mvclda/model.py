@@ -28,16 +28,22 @@ one (s_max*d_e) x (n*d_c) matrix, each at its offset in its own column
 block, zeros elsewhere. The input is token ids in [0, V) and one scale per
 row (dropout's, or 0 for a gap row). The output rows are taken CONV_CHUNK
 at a time: each chunk's input, padded at s_max, is built as embedding rows
-times their scale, and its windows form a zero-copy (chunk x s_max*d_e)
-view. Per chunk one GEMM gives every channel's outputs, and a running
-maximum over the column blocks gives the cross-channel max (a later
-channel wins only when strictly greater). In backward one GEMM gives the
-chunk's window gradients, which s_max shifted adds fold onto its input
-rows; the rows no later chunk reaches go, times their scale, straight into
-the W_e gradient, and one GEMM with the rebuilt input gives the chunk's
-kernel gradients. So a training step holds, per document, the frames C,
-their gradient and the winning channels (l x d_c each), and inference only
-the frames; every other transient depends on CONV_CHUNK, not on l.
+times their scale, and its windows form a (chunk x s_max*d_e) view whose
+row stride (d_e) is below its row width, which BLAS cannot take. So the
+window matrix is copied into a contiguous one before its GEMM, as numpy
+would copy it itself, with the same bits, but faster. Per chunk one GEMM
+gives every channel's outputs, and a running maximum over the column
+blocks gives the cross-channel max (a later channel wins only when
+strictly greater). In backward each output's gradient is put at its
+winning channel's column, one GEMM gives the chunk's window gradients,
+which s_max shifted adds fold onto its input rows; the rows no later chunk
+reaches go, times their scale, straight into the W_e gradient, and one
+GEMM with the rebuilt window matrix gives the chunk's kernel gradients.
+Both scatters run over flat offsets into raveled arrays, in the order a
+row-wise scatter takes. So a training step holds, per document, the
+frames C, their gradient and the winning channels (l x d_c each), and
+inference only the frames; every other transient depends on CONV_CHUNK,
+not on l.
 
 `backward` takes a whole training batch. The parameters are fixed within
 it, so the kernels are stacked once, and the description encoder runs once
@@ -52,9 +58,16 @@ buffer is len(rows) x d_e, not V x d_e. Each finished block of input
 gradients adds into it at its ids' positions among those rows, in the
 order a dense buffer would take the same additions.
 
-The parameters are one table of named tensors, `ModelParams.arrays`, and
-`_tensor_shapes` is the one list of its names and shapes; the gradients,
-Adam's moments and the checkpoint use the same names.
+The parameters are one table of named tensors, and `_tensor_shapes` is
+the one list of its names and shapes; the gradients, Adam's moments and
+the checkpoint use the same names. A table is one flat buffer, each
+tensor a view of it, laid end to end in `_tensor_shapes` order, the
+checkpoint's payload order; its tensors share one dtype. The parameters
+(`ModelParams.flat`), each of Adam's moments and the dense gradients
+(`GradientSet.flat`, every tensor but the compact W_e, which leads the
+table) are such buffers, so an update, a scale, a finiteness check or a
+copy acts on each buffer once, not on each tensor. Only this module knows
+the layout.
 
 Gradients are analytic and exact for this fixed architecture (the max
 operations route their full subgradient to the lowest-index winner); no
@@ -73,7 +86,7 @@ scores, which hold float32 ones exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -141,13 +154,60 @@ def config_key(field_name: str) -> str:
     return field_name.rstrip("_")
 
 
-@dataclass
+def _one_dtype(arrays) -> np.dtype:
+    """The one dtype of `arrays`; tensors of two dtypes make no table."""
+    dtypes = {np.asarray(a).dtype for a in arrays}
+    if len(dtypes) != 1:
+        raise ValueError("tensors of one table must share one dtype, not "
+                         f"{sorted(map(str, dtypes))}")
+    return dtypes.pop()
+
+
+def _views(flat: np.ndarray, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
+    """Each tensor of `shapes` as a view of the 1-D buffer `flat`, laid end
+    to end in `shapes`' order; the sizes must fill `flat`."""
+    views, offset = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        views[name] = flat[offset : offset + size].reshape(shape)
+        offset += size
+    if offset != flat.size:
+        raise ValueError(f"a table of {offset} elements laid over a buffer of {flat.size}")
+    return views
+
+
+@dataclass(eq=False)
 class ModelParams:
-    """The model's tensors: `arrays` maps each name `_tensor_shapes` lists,
-    the one list of tensors, to its array, in that order."""
+    """The model's tensors, held in one flat buffer `flat`: each tensor
+    `_tensor_shapes` lists (under `config`, for `vocab_size` word ids and
+    `n_labels` labels) is a view of it, laid end to end in that order, the
+    checkpoint's payload order. `arrays` maps each name to its view."""
 
     config: ModelConfig
-    arrays: dict[str, np.ndarray]
+    vocab_size: int
+    n_labels: int
+    flat: np.ndarray
+    arrays: dict[str, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.arrays = _views(self.flat, _tensor_shapes(self.config, self.vocab_size,
+                                                       self.n_labels))
+
+    @classmethod
+    def of(cls, config: ModelConfig, arrays: dict[str, np.ndarray]) -> "ModelParams":
+        """The table of `arrays`, every tensor `_tensor_shapes` lists for
+        `config` and the rows of their W_e and V, copied into one new
+        buffer. Tensors of two dtypes, or names or shapes other than the
+        table's, raise ValueError."""
+        dtype = _one_dtype(arrays.values())
+        shapes = _tensor_shapes(config, len(arrays["W_e"]), len(arrays["V"]))
+        if {name: np.shape(a) for name, a in arrays.items()} != shapes:
+            raise ValueError("the tensors do not match the config's table")
+        params = cls(config, len(arrays["W_e"]), len(arrays["V"]),
+                     np.empty(sum(map(math.prod, shapes.values())), dtype))
+        for name, view in params.arrays.items():
+            view[...] = arrays[name]
+        return params
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.arrays[name]
@@ -158,61 +218,90 @@ class ModelParams:
         return [self.arrays[f"conv{i}"] for i in range(len(self.config.kernel_sizes))]
 
     @property
-    def vocab_size(self) -> int:
-        return self.arrays["W_e"].shape[0]
-
-    @property
-    def n_labels(self) -> int:
-        return self.arrays["V"].shape[0]
-
-    @property
     def dtype(self) -> np.dtype:
         """The float dtype of every tensor, in which the model computes."""
-        return self.arrays["W_e"].dtype
+        return self.flat.dtype
 
     def tensors(self):
         """(name, array) pairs in the fixed serialization order."""
         return self.arrays.items()
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.config, {name: a.copy() for name, a in self.arrays.items()})
+        return ModelParams(self.config, self.vocab_size, self.n_labels, self.flat.copy())
+
+    def zeros_like(self) -> "ModelParams":
+        """A table of these tensors' names, shapes and dtype, all zero."""
+        return ModelParams(self.config, self.vocab_size, self.n_labels, np.zeros_like(self.flat))
 
 
 class GradientSet:
-    """Per-tensor gradients under ModelParams' names. A tensor named in
-    `rows` is compact: its array holds only the rows `rows[name]` (sorted
-    and unique) of its gradient, whose other rows are zero. `backward`
-    gives W_e's gradient so, on the rows its batch touches. Every other
-    tensor, and every tensor of a set made without `rows`, is dense:
-    shaped like its parameter."""
+    """Per-tensor gradients under ModelParams' names, in its table order. A
+    tensor named in `rows` is compact: its array holds only the rows
+    `rows[name]` (sorted and unique) of its gradient, whose other rows are
+    zero. `backward` gives W_e's gradient so, on the rows its batch
+    touches. Every other tensor is dense, shaped like its parameter, and a
+    view of one flat buffer `flat`, in table order. Compact tensors lead
+    the table, so `flat` lines up with the tail of the parameters' buffer
+    (`dense_part`)."""
 
     def __init__(self, data: dict[str, np.ndarray], rows: dict[str, np.ndarray] | None = None):
-        self.data = data
-        self.rows = {} if rows is None else rows
+        """The gradients `data` (every tensor, in table order), each copied
+        into the set's own arrays. Gradients of two dtypes, or a compact
+        tensor after a dense one, raise ValueError."""
+        self._lay_out({name: a.shape for name, a in data.items()},
+                      _one_dtype(data.values()), {} if rows is None else rows)
+        for name, arr in self.data.items():
+            arr[...] = data[name]
+
+    def _lay_out(self, shapes: dict[str, tuple], dtype, rows: dict[str, np.ndarray]) -> None:
+        """Zeroed arrays of `shapes`, the dense ones views of one buffer."""
+        if list(shapes)[: len(rows)] != list(rows):
+            raise ValueError("compact gradients must lead the table")
+        dense = {name: shape for name, shape in shapes.items() if name not in rows}
+        self.rows = rows
+        self.flat = np.zeros(sum(map(math.prod, dense.values())), dtype)
+        self.data = {name: np.zeros(shapes[name], dtype) for name in rows}
+        self.data.update(_views(self.flat, dense))
 
     @classmethod
     def zeros_like(cls, params: ModelParams,
                    rows: dict[str, np.ndarray] | None = None) -> "GradientSet":
         """Zero gradients, compact on the rows given for a tensor in `rows`."""
         rows = {} if rows is None else rows
-        return cls({name: np.zeros((len(rows[name]), *arr.shape[1:]), arr.dtype) if name in rows
-                    else np.zeros_like(arr) for name, arr in params.tensors()}, rows)
+        grads = cls.__new__(cls)
+        grads._lay_out({name: (len(rows[name]), *a.shape[1:]) if name in rows else a.shape
+                        for name, a in params.tensors()}, params.dtype, rows)
+        return grads
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.data[name]
 
     def __setitem__(self, name: str, value: np.ndarray) -> None:
-        self.data[name] = value
+        # `grads[name] += x` stores back the array it updated in place; any
+        # other value is copied in, so a dense tensor stays a view of `flat`
+        if value is not self.data[name]:
+            self.data[name][...] = value
+
+    def dense_part(self, table: np.ndarray) -> np.ndarray:
+        """The tail of a table's flat buffer (the parameters' or an Adam
+        moment's) that `flat` lines up with."""
+        return table[len(table) - len(self.flat):]
 
     def add_(self, other: "GradientSet") -> None:
         for name, arr in other.data.items():
             self.data[name] += arr
 
     def scale_(self, factor: float) -> None:
-        for arr in self.data.values():
-            arr *= factor
+        self.flat *= factor
+        for name in self.rows:
+            self.data[name] *= factor
 
     def check_finite(self) -> None:
+        """Raise FloatingPointError, naming the first tensor in table order
+        that holds a non-finite value, if any does."""
+        if np.isfinite(self.flat).all() and all(np.isfinite(self.data[n]).all()
+                                                for n in self.rows):
+            return
         for name, arr in self.data.items():
             if not np.all(np.isfinite(arr)):
                 raise FloatingPointError(f"non-finite gradient in tensor {name!r}")
@@ -233,9 +322,10 @@ def init_params(
 ) -> ModelParams:
     """Variance-preserving initialization; biases and length weights start
     at zero. `embeddings` supplies pretrained W_e (copied, then fine-tuned
-    during training). Every tensor is drawn in float64, then cast once to
-    `dtype`, so the draws do not depend on it; a draw too large for numpy
-    raises MemoryError before any is made."""
+    during training). Each tensor is drawn in float64, then cast into its
+    view of the new table's buffer, in `dtype`, so the draws do not depend
+    on it; a table too large for numpy raises MemoryError before any draw
+    is made."""
     d_e, d_c = cfg.embed_dim, cfg.n_filters
     if embeddings is not None and embeddings.shape != (vocab_size, d_e):
         raise ValueError(
@@ -243,24 +333,25 @@ def init_params(
             f"(vocab {vocab_size}, dim {d_e})"
         )
     shapes = _tensor_shapes(cfg, vocab_size, n_labels)
-    if max(map(math.prod, shapes.values())) * 8 > np.iinfo(np.intp).max:
-        raise MemoryError("a tensor's float64 draw exceeds numpy's largest array size")
-    arrays = {}
+    size = sum(map(math.prod, shapes.values()))
+    if size * 8 > np.iinfo(np.intp).max:
+        raise MemoryError("the table's float64 draws exceed numpy's largest array size")
+    params = ModelParams(cfg, vocab_size, n_labels, np.zeros(size, dtype))
     # the table order is the RNG draw order
-    for name, shape in shapes.items():
+    for name, view in params.tensors():
+        shape = view.shape
         if name == "W_e" and embeddings is not None:
-            arrays[name] = np.array(embeddings, dtype=dtype)
+            view[...] = embeddings
         elif name == "W_e":
-            arrays[name] = (rng.random(shape) - 0.5) / d_e
+            view[...] = (rng.random(shape) - 0.5) / d_e
         elif len(shape) == 3:    # convolution kernels, s x d_e x d_c
-            arrays[name] = _glorot(rng, shape, shape[0] * d_e, shape[0] * d_c)
+            view[...] = _glorot(rng, shape, shape[0] * d_e, shape[0] * d_c)
         elif name in ("V", "U"):  # one d_c -> 1 map per label
-            arrays[name] = _glorot(rng, shape, d_c, 1)
+            view[...] = _glorot(rng, shape, d_c, 1)
         elif name == "desc_W":
-            arrays[name] = _glorot(rng, shape, d_c, d_c)
-        else:                    # biases and length weights
-            arrays[name] = np.zeros(shape)
-    return ModelParams(cfg, {name: a.astype(dtype, copy=False) for name, a in arrays.items()})
+            view[...] = _glorot(rng, shape, d_c, d_c)
+        # biases and length weights stay zero
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +456,8 @@ def _conv_max(ids: np.ndarray, W_e: np.ndarray, x_scale, W_stack: np.ndarray, d_
     arg = np.zeros((l, d_c), dtype=np.min_scalar_type(n - 1)) if winner else None
     for r0 in range(0, l, CONV_CHUNK):
         r1 = min(r0 + CONV_CHUNK, l)
-        Z = _windows(_input_block(ids, W_e, x_scale, s, r0, r1), s) @ W_stack
+        # the window matrix's copy lives for its product only
+        Z = np.ascontiguousarray(_windows(_input_block(ids, W_e, x_scale, s, r0, r1), s)) @ W_stack
         Mc = M[r0:r1]
         Mc[...] = Z[:, :d_c]
         for i in range(1, n):
@@ -382,8 +474,9 @@ def _conv_max_backward(ids: np.ndarray, W_e: np.ndarray, x_scale, W_stack: np.nd
                        rows: np.ndarray) -> np.ndarray:
     """Gradients of `_conv_max` for the upstream gradient dM (l >= 1 rows):
     returns dW_stack, shaped like W_stack, and adds the input gradient,
-    times x_scale, into the compact W_e gradient dW_e, whose rows are the
-    embedding rows `rows` (sorted, unique, holding every id of `ids`).
+    times x_scale, into the compact W_e gradient dW_e (C-contiguous), whose
+    rows are the embedding rows `rows` (sorted, unique, holding every id of
+    `ids`).
     Each position's gradient goes to its winning channel only. Per chunk,
     one GEMM gives the window gradients, which an s_max-step shifted add
     folds onto the chunk's input rows; the last s_max - 1 of those carry
@@ -396,9 +489,10 @@ def _conv_max_backward(ids: np.ndarray, W_e: np.ndarray, x_scale, W_stack: np.nd
     n = W_stack.shape[1] // d_c
     for r0 in range(0, l, CONV_CHUNK):
         r1 = min(r0 + CONV_CHUNK, l)
-        dZ = np.zeros((r1 - r0, n, d_c), dM.dtype)
-        np.put_along_axis(dZ, winner[r0:r1, None], dM[r0:r1, None], axis=1)
-        dZ = dZ.reshape(r1 - r0, n * d_c)
+        # position k's gradient goes to column winner * d_c + j of row k
+        dZ = np.zeros((r1 - r0, n * d_c), dM.dtype)
+        dZ.reshape(-1)[(np.arange(r1 - r0)[:, None] * n + winner[r0:r1]) * d_c
+                       + np.arange(d_c)] = dM[r0:r1]
         dwin = dZ @ W_stack.T
         # padded rows r0 .. r1 + s - 2, the first s - 1 carried over
         dXb = np.zeros((r1 - r0 + s - 1, d_e), dM.dtype)
@@ -414,12 +508,18 @@ def _conv_max_backward(ids: np.ndarray, W_e: np.ndarray, x_scale, W_stack: np.nd
         dX = dXb[lo - r0 + s // 2 : hi - r0 + s // 2]
         if x_scale is not None:
             dX *= x_scale[lo:hi, None]
-        np.add.at(dW_e, np.searchsorted(rows, ids[lo:hi]), dX)
-        win = _windows(_input_block(ids, W_e, x_scale, s, r0, r1), s)
+        # element (k, j) of dX adds at flat offset pos_k * d_e + j; in dX's
+        # row-major order, each element of dW_e takes its additions in the
+        # order of the rows k, as a row-wise scatter would
+        np.add.at(dW_e.reshape(-1),
+                  (np.searchsorted(rows, ids[lo:hi])[:, None] * d_e + np.arange(d_e)).reshape(-1),
+                  dX.reshape(-1))
+        win = np.ascontiguousarray(_windows(_input_block(ids, W_e, x_scale, s, r0, r1), s))
         if r0 == 0:
             dW = win.T @ dZ
         else:
             dW += win.T @ dZ
+        del win  # freed before the next chunk's transients
     return dW
 
 
@@ -718,7 +818,8 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     not give, or tensors of two dtypes raise DataFormatError, as does a
     retired key at another value than the model computes; other keys the
     header holds are ignored. The parameters keep the stored dtype: a
-    float64 checkpoint is scored in float64."""
+    float64 checkpoint is scored in float64. The tensors are copied once,
+    into the table's buffer."""
     header, arrays = read_tensor_file(path, CHECKPOINT_FORMAT, CHECKPOINT_FORMAT_VERSION)
     for key, value in _RETIRED_HEADER_KEYS.items():
         if header.get(key, value) != value:
@@ -742,6 +843,7 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
                 f"{path}: tensor {name} has shape {list(arrays[name].shape)}, "
                 f"the header's config needs {list(shape)}"
             )
-    if len({arrays[name].dtype for name in shapes}) > 1:
-        raise DataFormatError(f"{path}: checkpoint tensors are not all of one dtype")
-    return ModelParams(cfg, {name: arrays[name] for name in shapes}), header
+    try:  # one copy, from the file's payload into the table's buffer
+        return ModelParams.of(cfg, {name: arrays[name] for name in shapes}), header
+    except ValueError as exc:  # tensors of two dtypes
+        raise DataFormatError(f"{path}: checkpoint {exc}") from exc

@@ -68,19 +68,16 @@ def truncate_segment(token_ids: np.ndarray, max_segment: int, rng) -> np.ndarray
 
 @dataclass
 class AdamState:
-    """Adam's moments, each shaped and typed like its tensor, and the step
-    count."""
+    """Adam's moments, each a table laid out, shaped and typed as the
+    parameters' (`ModelParams.zeros_like`), and the step count."""
 
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: ModelParams
+    v: ModelParams
     t: int = 0
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamState":
-        return cls(
-            m={name: np.zeros_like(a) for name, a in params.tensors()},
-            v={name: np.zeros_like(a) for name, a in params.tensors()},
-        )
+        return cls(m=params.zeros_like(), v=params.zeros_like())
 
 
 def adam_step(params: ModelParams, grads: GradientSet, state: AdamState, cfg: TrainConfig) -> None:
@@ -88,35 +85,39 @@ def adam_step(params: ModelParams, grads: GradientSet, state: AdamState, cfg: Tr
     non-finite gradient raises FloatingPointError before anything is
     updated.
 
-    Each tensor is walked in blocks of whole rows, ADAM_BLOCK elements or
-    fewer (one row at least), from its first row on. A block's gradient is
-    a view of a dense gradient, or, for a compact one (`GradientSet.rows`),
-    a zeroed block with the touched rows scattered in, so an untouched row
-    gets the update for g = 0: its moments decay and it still moves. Within
-    a block the operation order is that of m = b1*m + (1-b1)*g,
-    v = b2*v + (1-b2)*g*g, arr -= lr * (m/bc1) / (sqrt(v/bc2) + eps),
-    and the block's gradient is spent once `v` is updated, so it serves as
-    scratch beside one transient; both are in the tensor's dtype.
-    Afterwards a dense tensor of `grads` holds no gradient; a compact one
-    is left as it was."""
+    The dense gradients are one buffer, `grads.flat`, which lines up with
+    the tail of the parameters' and each moment's buffer
+    (`GradientSet.dense_part`); one pass walks the four in blocks of
+    ADAM_BLOCK elements. A compact tensor (`GradientSet.rows`) is walked in
+    blocks of whole rows, ADAM_BLOCK elements or fewer (one row at least),
+    from its first row on; a block's gradient is a zeroed block with the
+    touched rows scattered in, so an untouched row gets the update for
+    g = 0: its moments decay and it still moves. Every element takes the
+    operations m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+    arr -= lr * (m/bc1) / (sqrt(v/bc2) + eps) in that order, whatever its
+    block, and a block's gradient is spent once `v` is updated, so it
+    serves as scratch beside one transient; both are in the parameters'
+    dtype. Afterwards the dense gradients are spent; a compact one is left
+    as it was."""
     grads.check_finite()
     state.t += 1
     bc1 = 1.0 - BETA1 ** state.t
     bc2 = 1.0 - BETA2 ** state.t
     lr = cfg.learning_rate
-    for name, arr in params.tensors():
-        g, rows = grads[name], grads.rows.get(name)
-        m, v = state.m[name], state.v[name]
+    for name, rows in grads.rows.items():
+        arr, g, m, v = params[name], grads[name], state.m[name], state.v[name]
         step = max(1, ADAM_BLOCK // math.prod(arr.shape[1:]))
         for r0 in range(0, len(arr), step):
             r1 = min(r0 + step, len(arr))
-            if rows is None:
-                gb = g[r0:r1]
-            else:
-                lo, hi = np.searchsorted(rows, (r0, r1))
-                gb = np.zeros((r1 - r0, *arr.shape[1:]), arr.dtype)
-                gb[rows[lo:hi] - r0] = g[lo:hi]
+            lo, hi = np.searchsorted(rows, (r0, r1))
+            gb = np.zeros((r1 - r0, *arr.shape[1:]), arr.dtype)
+            gb[rows[lo:hi] - r0] = g[lo:hi]
             _adam_update(arr[r0:r1], gb, m[r0:r1], v[r0:r1], lr, bc1, bc2)
+    g = grads.flat
+    p, m, v = (grads.dense_part(table.flat) for table in (params, state.m, state.v))
+    for i in range(0, len(g), ADAM_BLOCK):
+        block = slice(i, i + ADAM_BLOCK)
+        _adam_update(p[block], g[block], m[block], v[block], lr, bc1, bc2)
 
 
 def _adam_update(p, g, m, v, lr: float, bc1: float, bc2: float) -> None:
@@ -235,8 +236,7 @@ def train(
             if best_params is None:
                 best_params = trained.copy()
             else:
-                for name, arr in trained.tensors():
-                    np.copyto(best_params[name], arr)
+                np.copyto(best_params.flat, trained.flat)
         if stop:
             break
     return best_params, history

@@ -59,3 +59,35 @@ def test_metric_missing_from_a_run_is_left_out():
     runs = [_run("desk", 0, "rev", 10, 1.0), _run("desk", 0, "tree", 20, 2.0)]
     del runs[1]["unscaled_metrics"]["f1"]
     assert set(bench_pairs.summarize(runs, BETTER)["desk"]) == {"rate", "time"}
+
+
+def test_schedule_alternates_untraced_then_traced_pairs():
+    runs = bench_pairs.schedule({"desk": 2, "mimic": 1}, traced=2)
+    assert runs == [
+        ("desk", 0, "rev", 0), ("desk", 0, "tree", 0), ("mimic", 0, "rev", 0),
+        ("mimic", 0, "tree", 0), ("desk", 1, "tree", 0), ("desk", 1, "rev", 0),
+        # every workload's traced pairs, whatever its untraced count
+        ("desk", 0, "rev", 1), ("desk", 0, "tree", 1), ("mimic", 0, "rev", 1),
+        ("mimic", 0, "tree", 1), ("desk", 1, "tree", 1), ("desk", 1, "rev", 1),
+        ("mimic", 1, "tree", 1), ("mimic", 1, "rev", 1),
+    ]
+    assert bench_pairs.schedule({"long": 1}, traced=0) == [("long", 0, "rev", 0),
+                                                           ("long", 0, "tree", 0)]
+
+
+def test_traced_runs_summarized_per_layer_from_one_kind():
+    # a traced run holds its per-layer metrics, unscaled, under `metrics` alone
+    runs = []
+    for pair, (rev, tree) in enumerate([(4.0, 3.0), (5.0, 4.0), (4.5, 5.0)]):
+        for side, backward in (("rev", rev), ("tree", tree)):
+            runs.append({"workload": "desk", "pair": pair, "side": side, "trace": 1,
+                         "metrics": {"model.backward_s": backward, "train.adam_steps": 300}})
+    layer = {"model.backward_s": "lower", "train.adam_steps": "lower", "train.epochs": "higher"}
+    summary = bench_pairs.summarize(runs, layer, kinds=("metrics",))["desk"]
+    assert set(summary) == {"model.backward_s", "train.adam_steps"}
+    backward = summary["model.backward_s"]
+    assert set(backward) == {"metrics"}
+    assert backward["metrics"]["rev"] == {"q1": 4.25, "median": 4.5, "q3": 4.75}
+    assert backward["metrics"]["tree"] == {"q1": 3.5, "median": 4.0, "q3": 4.5}
+    assert (backward["metrics"]["tree_wins"], backward["metrics"]["tree_losses"]) == (2, 1)
+    assert summary["train.adam_steps"]["metrics"]["ties"] == 3

@@ -203,9 +203,8 @@ class TestConfigKeys:
 
 class TestSynth:
     def test_outputs_and_sizes(self, corpus_dir):
-        train = corpus.read_corpus_jsonl(corpus_dir / "train.jsonl")
-        dev = corpus.read_corpus_jsonl(corpus_dir / "dev.jsonl")
-        test = corpus.read_corpus_jsonl(corpus_dir / "test.jsonl")
+        train, dev, test = (list(corpus.read_corpus_jsonl(corpus_dir / f"{split}.jsonl"))
+                            for split in ("train", "dev", "test"))
         assert (len(train), len(dev), len(test)) == (40, 10, 10)
         assert (corpus_dir / "descriptions.tsv").exists()
         assert (corpus_dir / "hierarchy.tsv").exists()

@@ -259,7 +259,11 @@ class TestGoldCells:
 
     def test_front_memory_per_note_is_bounded(self, tmp_path):
         # notes of ~1,500 tokens read, counted into a vocabulary and
-        # encoded; a note held as a list of token strings took ~100 KB
+        # encoded; a note held as a list of token strings took ~100 KB.
+        # The split's notes were also once all read before the first was
+        # tokenized, which raised the read's peak above what it keeps by
+        # ~2.7 MB here (~12.5 KB of text a note), against ~0.27 MB read one
+        # note at a time
         n_notes, n_words = 200, 5_000
         rng = np.random.default_rng(0)
         table = corpus._word_table(n_words)
@@ -271,7 +275,8 @@ class TestGoldCells:
         tracemalloc.start()
         try:
             words = {}
-            split = cli._read_split("train", path, labels, words)
+            split = cli._read_split("train", path, labels, words, grow=True)
+            held, read_peak = tracemalloc.get_traced_memory()
             vocab = corpus.build_vocabulary(split.notes, words)
             docs, _ = corpus.encode_corpus(split.notes, words, (split.gold, split.dropped), vocab)
             peak = tracemalloc.get_traced_memory()[1]
@@ -279,6 +284,7 @@ class TestGoldCells:
             tracemalloc.stop()
         assert sum(d.length for d in docs) == 1_500 * n_notes
         assert peak / n_notes < 40 * 1024
+        assert read_peak - held < 48 * max(map(len, path.read_bytes().splitlines()))
 
 
 class TestLabelSpace:
@@ -449,13 +455,13 @@ class TestFileFormats:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"doc_id": "a", "text": "t", "codes": []}\nnot json\n')
         with pytest.raises(corpus.DataFormatError, match=":2:"):
-            corpus.read_corpus_jsonl(path)
+            list(corpus.read_corpus_jsonl(path))
 
     def test_wrong_fields_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"doc_id": "a", "body": "t", "codes": []}\n')
         with pytest.raises(corpus.DataFormatError, match=":1:"):
-            corpus.read_corpus_jsonl(path)
+            list(corpus.read_corpus_jsonl(path))
 
     # each once ended in a traceback, or ("101.1") was read as the
     # character set {"1", "0", "."}
@@ -468,14 +474,14 @@ class TestFileFormats:
         good = {"doc_id": "a", "text": "t", "codes": ["1"]}
         path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "doc_id": "b", field: value}))
         with pytest.raises(corpus.DataFormatError, match=r"bad\.jsonl:2: doc_id and text must"):
-            corpus.read_corpus_jsonl(path)
+            list(corpus.read_corpus_jsonl(path))
 
     def test_duplicate_doc_id_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         line = '{"doc_id": "a", "text": "t", "codes": []}\n'
         path.write_text(line + line)
         with pytest.raises(corpus.DataFormatError, match="duplicate"):
-            corpus.read_corpus_jsonl(path)
+            list(corpus.read_corpus_jsonl(path))
 
     def test_descriptions_round_trip(self, tmp_path):
         space = _toy_space()

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from mvclda import model, train
-from mvclda.corpus import DataFormatError, EncodedDocument
+from mvclda.corpus import (DataFormatError, EncodedDocument, read_tensor_file,
+                           write_tensor_file)
 
 from oracles import (
     brute_conv,
@@ -47,11 +48,41 @@ def params_over(X, weights, labels=1):
     cfg = model.ModelConfig(kernel_sizes=tuple(w.shape[0] for w in weights),
                             n_filters=d_c, embed_dim=d_e)
     rng = np.random.default_rng(0)
-    return model.ModelParams(cfg, {
+    return model.ModelParams.of(cfg, {
         "W_e": np.array(X, dtype=np.float64), **{f"conv{i}": w for i, w in enumerate(weights)},
         "V": rng.normal(size=(labels, d_c)), "U": rng.normal(size=(labels, d_c)),
         "b": np.zeros(labels), "K": np.zeros(labels), "d": np.zeros(labels),
     })
+
+
+def scatter_reference_backward(ids, W_e, x_scale, W_stack, winner, dM, dW_e, rows):
+    """`model._conv_max_backward` with the winners put by `put_along_axis`,
+    the input gradient added by a row-wise `np.add.at`, and numpy's own
+    handling of the window view in the kernel GEMM."""
+    l, d_c = dM.shape
+    d_e = W_e.shape[1]
+    s, n = W_stack.shape[0] // d_e, W_stack.shape[1] // d_c
+    for r0 in range(0, l, CHUNK):
+        r1 = min(r0 + CHUNK, l)
+        dZ = np.zeros((r1 - r0, n, d_c), dM.dtype)
+        np.put_along_axis(dZ, winner[r0:r1, None], dM[r0:r1, None], axis=1)
+        dZ = dZ.reshape(r1 - r0, n * d_c)
+        dwin = dZ @ W_stack.T
+        dXb = np.zeros((r1 - r0 + s - 1, d_e), dM.dtype)
+        if r0:
+            dXb[: s - 1] = carry
+        for a in range(s):
+            dXb[a : a + r1 - r0] += dwin[:, a * d_e : (a + 1) * d_e]
+        done = r1 - r0 if r1 < l else len(dXb)
+        carry = dXb[done:]
+        lo, hi = max(r0 - s // 2, 0), min(r0 + done - s // 2, l)
+        dX = dXb[lo - r0 + s // 2 : hi - r0 + s // 2]
+        if x_scale is not None:
+            dX *= x_scale[lo:hi, None]
+        np.add.at(dW_e, np.searchsorted(rows, ids[lo:hi]), dX)
+        win = model._windows(model._input_block(ids, W_e, x_scale, s, r0, r1), s)
+        dW = win.T @ dZ if r0 == 0 else dW + win.T @ dZ
+    return dW
 
 
 def cached(params, ids, length=None):
@@ -157,10 +188,10 @@ class TestMultiViewConv:
         assert np.all(C > -1) and np.all(C < 1)
 
     def test_dimension_mismatch_rejected(self):
-        # kernels over 5 embedding dims cannot convolve 2-dim rows
-        params = params_over(np.ones((3, 2)), [np.ones((1, 5, 2))])
+        # kernels over 5 embedding dims cannot convolve 2-dim rows: no
+        # parameter table holds them
         with pytest.raises(ValueError):
-            model.forward([0, 1, 2], 3, params)
+            params_over(np.ones((3, 2)), [np.ones((1, 5, 2))])
 
 
 class TestChunkedConv:
@@ -196,16 +227,18 @@ class TestChunkedConv:
     @pytest.mark.parametrize("kernels", [(1, 3), (2, 4, 6, 8), (5,)])
     def test_gapped_sequence_with_dropout_matches_reference(self, kernels):
         # gap rows (one run of them across the first chunk boundary) are
-        # rows of scale 0: they embed to zero and add zero to their id's
-        # gradient; the dropout scale multiplies each row forward and its
-        # gradient backward
+        # rows of id 0 at scale 0: they embed to zero and add zero to their
+        # id's gradient; the dropout scale multiplies each row forward and
+        # its gradient backward. Ten ids repeat heavily, gap id 0 most
         rng = np.random.default_rng(sum(kernels))
-        d_e, d_c, vocab, l = 3, 4, 9, 2 * CHUNK + 5
+        d_e, d_c, vocab, l = 3, 4, 10, 2 * CHUNK + 5
         table = rng.normal(size=(vocab, d_e))
         weights = [rng.normal(size=(s, d_e, d_c)) for s in kernels]
         ids = rng.integers(0, vocab, l)
         x_scale = (rng.random(l) >= 0.3) / 0.7
-        x_scale[[0, 7, 8, 9, CHUNK - 2, CHUNK - 1, CHUNK, CHUNK + 1, l - 1]] = 0.0
+        gaps = [0, 7, 8, 9, CHUNK - 2, CHUNK - 1, CHUNK, CHUNK + 1, l - 1]
+        ids[gaps] = 0
+        x_scale[gaps] = 0.0
         X = table[ids] * x_scale[:, None]
         M_ref, winner_ref = multi_view_max(X, weights)
         W_stack = model._stack_kernels(weights)
@@ -223,6 +256,17 @@ class TestChunkedConv:
         assert_rel_close(dtable, dtable_ref)
         for block, ref in zip(model._channel_blocks(dW, kernels, d_e), dW_ref, strict=True):
             assert_rel_close(block, ref)
+
+        # the flat scatters and the contiguous window matrix give the bits
+        # of the row-wise scatters on numpy's window view, in either dtype
+        for dtype in (np.float64, np.float32):
+            args = [a.astype(dtype) for a in (table, x_scale, W_stack)]
+            got, want = np.zeros_like(args[0]), np.zeros_like(args[0])
+            dW = model._conv_max_backward(ids, *args, winner, dM.astype(dtype), got,
+                                          np.arange(vocab))
+            dW_want = scatter_reference_backward(ids, *args, winner, dM.astype(dtype), want,
+                                                 np.arange(vocab))
+            assert got.tobytes() == want.tobytes() and dW.tobytes() == dW_want.tobytes()
 
     @pytest.mark.parametrize("s,l", [(s, l) for s in (1, 2, 5, 12)
                                      for l in sorted({1, s - 1, CHUNK + 1} - {0})])
@@ -313,6 +357,77 @@ class TestMemoryPerToken:
 
             peaks.append(self.peak(step))
         assert (peaks[1] - peaks[0]) / 30_000 < 8 * self.D_E
+
+
+def assert_laid_out(flat, tensors, shapes):
+    """The (name, array) pairs `tensors` are C-contiguous views of the 1-D
+    buffer `flat`, in `shapes`' order and shapes, laid end to end over all
+    of it."""
+    assert [(name, arr.shape) for name, arr in tensors] == list(shapes.items())
+    address, offset = flat.__array_interface__["data"][0], 0
+    for name, arr in tensors:
+        assert arr.dtype == flat.dtype and arr.flags.c_contiguous, name
+        assert np.shares_memory(arr, flat), name
+        assert arr.__array_interface__["data"][0] == address + offset * flat.itemsize, name
+        offset += arr.size
+    assert offset == flat.size
+
+
+class TestTables:
+    """The parameters, the dense gradients and each of Adam's moments are
+    one flat buffer each, every tensor a view of it in `_tensor_shapes`
+    order."""
+
+    CFG = model.ModelConfig(kind="mvc-rlda", kernel_sizes=(2, 4), n_filters=4, embed_dim=5,
+                            lambda_=0.05)
+
+    def test_every_table_is_one_buffer_in_table_order(self, tmp_path):
+        rng = np.random.default_rng(60)
+        params = model.init_params(self.CFG, 40, 3, rng)
+        shapes = model._tensor_shapes(self.CFG, 40, 3)
+        path = tmp_path / "ckpt"
+        model.save_checkpoint(path, params, vocab_checksum="x")
+        loaded, _ = model.load_checkpoint(path)
+        state = train.AdamState.for_params(params)
+        for table in (params, loaded, params.copy(), state.m, state.v,
+                      model.ModelParams.of(self.CFG, dict(params.tensors()))):
+            assert_laid_out(table.flat, table.tensors(), shapes)
+        desc = [rng.integers(0, 40, 3) for _ in range(3)]
+        _, grads = model.backward([(rng.integers(0, 40, 9), 9, np.array([0, 2]), None)],
+                                  params, desc)
+        dense = {name: shape for name, shape in shapes.items() if name != "W_e"}
+        assert_laid_out(grads.flat, [(n, grads[n]) for n in dense], dense)
+        # the dense gradients line up with the tail of the parameters' buffer
+        tail = grads.dense_part(params.flat)
+        assert tail.size == grads.flat.size and np.shares_memory(tail, params["desc_b"])
+        assert not np.shares_memory(tail, params["W_e"])
+
+    def test_copies_are_independent_buffers(self):
+        params = model.init_params(self.CFG, 40, 3, np.random.default_rng(61))
+        copy = params.copy()
+        assert not np.shares_memory(copy.flat, params.flat)
+        before = copy.flat.copy()
+        params.flat += 1.0
+        assert np.array_equal(copy.flat, before)
+
+    def test_check_finite_names_a_compact_w_e(self):
+        rng = np.random.default_rng(62)
+        params = model.init_params(self.CFG, 40, 3, rng)
+        _, grads = model.backward([(rng.integers(0, 40, 9), 9, np.array([1]), None)], params,
+                                  [rng.integers(0, 40, 3) for _ in range(3)])
+        grads.check_finite()
+        grads["W_e"][1, 2] = np.inf
+        grads["b"][0] = np.nan  # a later tensor of the table
+        with pytest.raises(FloatingPointError, match="'W_e'"):
+            grads.check_finite()
+
+    def test_table_of_two_dtypes_refused(self):
+        params = model.init_params(self.CFG, 40, 3, np.random.default_rng(63))
+        mixed = dict(params.tensors(), V=params["V"].astype(np.float64))
+        with pytest.raises(ValueError, match="one dtype"):
+            model.ModelParams.of(self.CFG, mixed)
+        with pytest.raises(ValueError, match="one dtype"):
+            model.GradientSet(mixed)
 
 
 class TestAttentionPool:
@@ -903,7 +1018,7 @@ class TestFloat32:
         dropout: a short note, one spanning two row chunks, and an empty one."""
         rng = np.random.default_rng(seed)
         p32 = model.init_params(self.CFG, self.VOCAB, self.J, np.random.default_rng(seed))
-        p64 = model.ModelParams(self.CFG, {n: a.astype(np.float64) for n, a in p32.tensors()})
+        p64 = model.ModelParams.of(self.CFG, {n: a.astype(np.float64) for n, a in p32.tensors()})
         desc = [rng.integers(0, self.VOCAB, int(rng.integers(2, 5))) for _ in range(self.J)]
         samples = []
         for l in (30, CHUNK + 100, 0):
@@ -976,8 +1091,12 @@ class TestFloat32:
 
     def test_checkpoint_of_two_dtypes_rejected(self, tmp_path):
         p32, _, _, _ = self.batch(6)
-        mixed = model.ModelParams(p32.config, dict(p32.arrays, V=p32["V"].astype(np.float64)))
         path = tmp_path / "ckpt"
-        model.save_checkpoint(path, mixed, vocab_checksum="x")
+        model.save_checkpoint(path, p32, vocab_checksum="x")
+        header, _ = read_tensor_file(path, model.CHECKPOINT_FORMAT,
+                                     model.CHECKPOINT_FORMAT_VERSION)
+        # no table holds two dtypes, so the mixed file is written tensor by tensor
+        write_tensor_file(path, header, [(name, a.astype(np.float64) if name == "V" else a)
+                                         for name, a in p32.tensors()])
         with pytest.raises(DataFormatError, match="one dtype"):
             model.load_checkpoint(path)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -167,7 +168,7 @@ class TestAdamStep:
             arr[...] = 0.5
         grads["b"][0] = np.nan  # b comes after W_e, conv*, V and U in update order
         before = params.copy()
-        moments = {name: (state.m[name].copy(), state.v[name].copy()) for name in state.m}
+        moments = {name: (state.m[name].copy(), state.v[name].copy()) for name in state.m.arrays}
         with pytest.raises(FloatingPointError, match="b"):
             train.adam_step(params, grads, state, train.TrainConfig())
         # rejected before any tensor, moment or the step count moved
@@ -265,15 +266,25 @@ class TestTrainLoop:
         for (_, x), (_, y) in zip(a_params.tensors(), b_params.tensors()):
             assert np.array_equal(x, y)
 
+    def test_best_epoch_copy_is_an_independent_buffer(self):
+        rng = np.random.default_rng(11)
+        docs = tiny_dataset(rng)
+        params = tiny_params(seed=11)
+        cfg = train.TrainConfig(learning_rate=0.01, max_epochs=10, dropout=0.0, seed=11)
+        best, history = train.train(params, docs, docs, None, cfg)
+        assert history.best_epoch > 1  # copied into the first best epoch's copy
+        assert not np.shares_memory(best.flat, params.flat)
+        before = best.flat.copy()
+        params.flat += 1.0
+        assert np.array_equal(best.flat, before)
+
     def test_lambda_zero_rlda_matches_lda_trajectory(self):
         rng = np.random.default_rng(9)
         docs = tiny_dataset(rng)
         desc = tiny_descriptions(rng)
         cfg = train.TrainConfig(batch_size=4, max_epochs=5, patience=10, dropout=0.2, seed=9)
         rlda0 = tiny_params(kind="mvc-rlda", seed=9)
-        rlda0 = model.ModelParams(
-            model.ModelConfig(**{**rlda0.config.__dict__, "lambda_": 0.0}), rlda0.arrays
-        )
+        rlda0 = dataclasses.replace(rlda0, config=dataclasses.replace(rlda0.config, lambda_=0.0))
         lda0 = tiny_params(kind="mvc-lda", seed=9)
         # train.train trains the params it is given in place
         desc_conv0, desc_W0 = rlda0["desc_conv"].copy(), rlda0["desc_W"].copy()

@@ -1,6 +1,7 @@
 """Benchmark a git revision against the working tree in alternating pairs.
 
     python tools/bench_pairs.py <rev> --pr 24 --pairs long=10,mimic=5,desk=5 [--seed 1]
+        [--traced 5]
 
 Extracts `git archive <rev> src` into a temporary directory and copies the
 working tree's `bench/` beside it, so both trees run the same benchmark
@@ -10,15 +11,18 @@ per pair, the revision first in even pairs and the working tree first in
 odd ones; the workloads take turns, one pair each, until each has its
 pairs. From each run it keeps the result line (the last line of standard
 output) and the `unscaled_metrics` of that tree's own
-`.bench_runs/<w>-seed<s>-trace0.json`.
+`.bench_runs/<w>-seed<s>-trace0.json`. With `--traced N` it then runs
+`--trace 1` N times per side for each of those workloads, in the same
+alternation, and keeps each run's per-layer metrics.
 
 Writes `BENCH_<pr>.json` at the root of the checkout: the environment the
 benchmark recorded, the revision, every run, and per workload and
 end-to-end metric of `BENCHMARK.json`, both scaled and raw, each side's
 median and quartiles, the median over pairs of the working tree's gain
 (positive is better, in the metric's own direction), and the pairs the
-working tree wins, loses and ties. Exits 0 when every run was correct
-with no failed operation, and 1 otherwise.
+working tree wins, loses and ties; under `traced`, the same for every
+per-layer metric of `BENCHMARK.json` over the traced runs. Exits 0 when
+every run was correct with no failed operation, and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -45,25 +49,42 @@ def _pair_counts(text: str) -> dict[str, int]:
     return counts
 
 
-def run_bench(root: Path, workload: str, seed: int) -> dict:
+def run_bench(root: Path, workload: str, seed: int, trace: int = 0) -> dict:
     """One benchmark run of the tree at `root`: its result line, its
-    unscaled metrics and its recorded environment."""
+    recorded environment and, untraced, its unscaled metrics (a traced
+    run's per-layer metrics are unscaled already)."""
     done = subprocess.run(
         [sys.executable, str(root / "bench" / "run.py"), "--workload", workload,
-         "--seed", str(seed), "--trace", "0"],
+         "--seed", str(seed), "--trace", str(trace)],
         cwd=root, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"{root}: bench run of {workload} exited {done.returncode}:\n"
                          f"{done.stderr}")
     result = json.loads(done.stdout.strip().splitlines()[-1])
-    record = json.loads((root / ".bench_runs" / f"{workload}-seed{seed}-trace0.json").read_text())
-    return {
+    record = json.loads(
+        (root / ".bench_runs" / f"{workload}-seed{seed}-trace{trace}.json").read_text())
+    run = {
         "correct": result["correct"], "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {k: m["value"] for k, m in result["metrics"].items()},
-        "unscaled_metrics": record["unscaled_metrics"],
         "environment": record["environment"],
     }
+    if not trace:
+        run["unscaled_metrics"] = record["unscaled_metrics"]
+    return run
+
+
+def schedule(pairs: dict[str, int], traced: int) -> list[tuple[str, int, str, int]]:
+    """(workload, pair, side, trace) of every run, in running order: the
+    untraced pairs, the workloads taking turns one pair each until each has
+    its count, then `traced` traced pairs of every workload, in turns the
+    same way. The revision runs first in even pairs, the working tree in
+    odd ones."""
+    rounds = [(pair, workload, 0) for pair in range(max(pairs.values()))
+              for workload, n in pairs.items() if pair < n]
+    rounds += [(pair, workload, 1) for pair in range(traced) for workload in pairs]
+    return [(workload, pair, side, trace) for pair, workload, trace in rounds
+            for side in (("rev", "tree") if pair % 2 == 0 else ("tree", "rev"))]
 
 
 def _cpu_model() -> str | None:
@@ -95,12 +116,13 @@ def _compare(rev: list[float], tree: list[float], better: str) -> dict:
     }
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+def summarize(runs: list[dict], better: dict[str, str],
+              kinds: tuple[str, ...] = ("metrics", "unscaled_metrics")) -> dict:
     """Per workload, per metric named in `better` ('higher' or 'lower'):
     the comparison of the revision's and the working tree's runs, matched
-    by pair, for the scaled (`metrics`) and raw (`unscaled_metrics`)
-    values. A run is a dict with `workload`, `pair`, `side` ('rev' or
-    'tree') and both metric dicts."""
+    by pair, for each kind of value `kinds` names: by default the scaled
+    (`metrics`) and raw (`unscaled_metrics`) ones. A run is a dict with
+    `workload`, `pair`, `side` ('rev' or 'tree') and those metric dicts."""
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         by_pair = {}
@@ -111,10 +133,9 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
         summary[workload] = {
             name: {kind: _compare([p["rev"][kind][name] for p in pairs],
                                   [p["tree"][kind][name] for p in pairs], direction)
-                   for kind in ("metrics", "unscaled_metrics")}
+                   for kind in kinds}
             for name, direction in better.items()
-            if all(name in p[s][kind] for p in pairs for s in ("rev", "tree")
-                   for kind in ("metrics", "unscaled_metrics"))
+            if all(name in p[s][kind] for p in pairs for s in ("rev", "tree") for kind in kinds)
         }
     return summary
 
@@ -125,10 +146,15 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--pr", type=int, required=True, help="writes BENCH_<pr>.json")
     parser.add_argument("--pairs", type=_pair_counts, default="long=10,mimic=5,desk=5")
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--traced", type=int, default=0,
+                        help="traced runs per side and workload, for per-layer metrics")
     args = parser.parse_args(argv)
+    if args.traced < 0:
+        parser.error("--traced must be >= 0")
 
     spec = json.loads((REPO / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    layer_better = {m["name"]: m["better"] for m in spec["per_layer"]}
     rev_sha = subprocess.run(["git", "-C", str(REPO), "rev-parse", args.rev],
                              capture_output=True, text=True, check=True).stdout.strip()
     runs = []
@@ -138,27 +164,28 @@ def main(argv: list[str]) -> int:
         shutil.copytree(REPO / "bench", rev_root / "bench",
                         ignore=shutil.ignore_patterns("__pycache__"))
         roots = {"rev": rev_root, "tree": REPO}
-        for pair in range(max(args.pairs.values())):
-            for workload, n in args.pairs.items():
-                if pair >= n:
-                    continue
-                for side in ("rev", "tree") if pair % 2 == 0 else ("tree", "rev"):
-                    run = run_bench(roots[side], workload, args.seed)
-                    runs.append({"workload": workload, "pair": pair, "side": side, **run})
-                    print(f"{workload} pair {pair} {side}: "
-                          f"pretrain {run['metrics'].get('pretrain_tokens_per_s', 0):.0f} tok/s, "
-                          f"wall {run['metrics'].get('wall_s', 0):.2f} s", flush=True)
+        for workload, pair, side, trace in schedule(args.pairs, args.traced):
+            run = run_bench(roots[side], workload, args.seed, trace)
+            runs.append({"workload": workload, "pair": pair, "side": side, "trace": trace,
+                         **run})
+            print(f"{workload} pair {pair} {side}{' traced' if trace else ''}: "
+                  f"train {run['metrics'].get('train_tokens_per_s', 0):.0f} tok/s, "
+                  f"backward {run['metrics'].get('model.backward_s', 0):.3f} s", flush=True)
     ok = all(r["correct"] and r["failed"] == 0 for r in runs)
     environment = dict(runs[0]["environment"], cpu=_cpu_model())
     for r in runs:
         del r["environment"]
+    untraced = [r for r in runs if not r["trace"]]
+    traced = [r for r in runs if r["trace"]]
     out = REPO / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps({
         "command": f"python tools/bench_pairs.py {args.rev} --pr {args.pr} --pairs "
                    + ",".join(f"{w}={n}" for w, n in args.pairs.items())
-                   + f" --seed {args.seed}",
+                   + f" --seed {args.seed}" + (f" --traced {args.traced}" if args.traced else ""),
         "rev": rev_sha, "seed": args.seed, "environment": environment,
-        "correct": ok, "summary": summarize(runs, better), "runs": runs,
+        "correct": ok, "summary": summarize(untraced, better), "runs": untraced,
+        **({"traced": {"summary": summarize(traced, layer_better, kinds=("metrics",)),
+                       "runs": traced}} if traced else {}),
     }, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}")
     return 0 if ok else 1
