@@ -240,7 +240,7 @@ class _TrainingSetup:
     dev_docs: list
     eval_docs: list  # ablate's evaluation split: --test, else dev
     desc_ids: list
-    table: np.ndarray
+    table: np.ndarray | None  # the pretrained vectors; hyperband's and ablate's only, after setup
     vocab_checksum: str
     model_cfg: model.ModelConfig
     train_cfg: train_mod.TrainConfig
@@ -356,6 +356,7 @@ def _init_params(run: _TrainingSetup, model_cfg: model.ModelConfig,
 
 def cmd_train(args) -> int:
     run = _training_setup(args, TRAIN_KEYS)
+    run.table = None  # its first model holds the vectors; the table is not read again
     best, history = train_mod.train(run.params0, run.train_docs, run.dev_docs, run.desc_ids,
                                     run.train_cfg)
 

@@ -506,9 +506,12 @@ def _is_tensor_entry(entry) -> bool:
             and entry[2:] in ([], [FLOAT32]))
 
 
-def read_tensor_file(path, fmt: str, version: int) -> tuple[dict, dict[str, np.ndarray]]:
+def read_tensor_file(path, fmt: str,
+                     version: int) -> tuple[dict, dict[str, np.ndarray], np.ndarray]:
     """Read a `write_tensor_file` file of format `fmt` at `version`; return
-    (header, {name: array}) in file order.
+    (header, {name: array} in file order, payload). The payload is the one
+    byte array all tensors were read into, each array a writable view of
+    it, so a caller may take it whole as another view.
 
     Another format or version, a header that is not a JSON object with a
     valid `tensors` list (a dtype other than "<f4" named in an entry is
@@ -545,15 +548,14 @@ def read_tensor_file(path, fmt: str, version: int) -> tuple[dict, dict[str, np.n
                 f"{path}: {problem}: the header declares {total} bytes of tensors, "
                 f"the file holds {left}"
             )
-        # one buffer for the whole payload; the arrays are writable views of it
-        payload = bytearray(total)
+        payload = np.empty(total, np.uint8)
         if fh.readinto(payload) != total:
             raise DataFormatError(f"{path}: truncated while reading")
     arrays, offset = {}, 0
     for (name, shape, *_), dtype, size in zip(entries, dtypes, sizes):
-        arrays[name] = np.frombuffer(payload, dtype, size // dtype.itemsize, offset).reshape(shape)
+        arrays[name] = payload[offset : offset + size].view(dtype).reshape(shape)
         offset += size
-    return header, arrays
+    return header, arrays, payload
 
 
 VOCAB_FORMAT_VERSION = 1

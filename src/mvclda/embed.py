@@ -251,7 +251,7 @@ def load_embeddings(path, expected_vocab_checksum: str | None = None) -> np.ndar
                 f"{path}: embedding file of the old text-header format (version 1), "
                 "which this program no longer reads; pretrain it again"
             )
-    header, arrays = read_tensor_file(path, EMBED_FORMAT, EMBED_FORMAT_VERSION)
+    header, arrays, _ = read_tensor_file(path, EMBED_FORMAT, EMBED_FORMAT_VERSION)
     table = arrays.get("embeddings")
     stored = header.get("vocab_sha256")
     if table is None or table.ndim != 2 or not isinstance(stored, str):

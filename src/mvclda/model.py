@@ -52,22 +52,21 @@ into one sequence, between gap rows of id 0 at scale 0, encoded by one
 convolution, and their gradient is summed over the batch's samples before
 one backward pass.
 
-W_e's gradient lives on the rows the batch touches, the sorted unique ids
-of its notes and its description sequence (gap id 0 included), so the
-buffer is len(rows) x d_e, not V x d_e. Each finished block of input
-gradients adds into it at its ids' positions among those rows, in the
-order a dense buffer would take the same additions.
-
 The parameters are one table of named tensors, and `_tensor_shapes` is
-the one list of its names and shapes; the gradients, Adam's moments and
-the checkpoint use the same names. A table is one flat buffer, each
-tensor a view of it, laid end to end in `_tensor_shapes` order, the
-checkpoint's payload order; its tensors share one dtype. The parameters
-(`ModelParams.flat`), each of Adam's moments and the dense gradients
-(`GradientSet.flat`, every tensor but the compact W_e, which leads the
-table) are such buffers, so an update, a scale, a finiteness check or a
-copy acts on each buffer once, not on each tensor. Only this module knows
-the layout.
+the one list of its names and shapes. A table is one flat buffer of one
+dtype, each tensor a view of it, laid end to end in `_tensor_shapes`
+order, which is also the checkpoint's payload order. Every table has this
+layout: the parameters (`ModelParams.flat`), each of Adam's moments, a
+batch's gradients (`GradientSet.flat`) and a loaded checkpoint, whose
+payload, read once, is the table's buffer. So an update, a scale, a
+finiteness check or a copy acts on each buffer once, not on each tensor.
+A batch's W_e gradient lives on the rows the batch touches, the sorted
+unique ids of its notes and its description sequence (gap id 0
+included): its table is laid out for len(rows) word ids, not V, so W_e's
+gradient is len(rows) x d_e, and every tensor after it lines up with the
+parameters'. Each finished block of input gradients adds into it at its
+ids' positions among those rows, in the order a dense buffer would take
+the same additions. Only this module knows the layout.
 
 Gradients are analytic and exact for this fixed architecture (the max
 operations route their full subgradient to the lowest-index winner); no
@@ -154,15 +153,6 @@ def config_key(field_name: str) -> str:
     return field_name.rstrip("_")
 
 
-def _one_dtype(arrays) -> np.dtype:
-    """The one dtype of `arrays`; tensors of two dtypes make no table."""
-    dtypes = {np.asarray(a).dtype for a in arrays}
-    if len(dtypes) != 1:
-        raise ValueError("tensors of one table must share one dtype, not "
-                         f"{sorted(map(str, dtypes))}")
-    return dtypes.pop()
-
-
 def _views(flat: np.ndarray, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
     """Each tensor of `shapes` as a view of the 1-D buffer `flat`, laid end
     to end in `shapes`' order; the sizes must fill `flat`."""
@@ -193,22 +183,6 @@ class ModelParams:
         self.arrays = _views(self.flat, _tensor_shapes(self.config, self.vocab_size,
                                                        self.n_labels))
 
-    @classmethod
-    def of(cls, config: ModelConfig, arrays: dict[str, np.ndarray]) -> "ModelParams":
-        """The table of `arrays`, every tensor `_tensor_shapes` lists for
-        `config` and the rows of their W_e and V, copied into one new
-        buffer. Tensors of two dtypes, or names or shapes other than the
-        table's, raise ValueError."""
-        dtype = _one_dtype(arrays.values())
-        shapes = _tensor_shapes(config, len(arrays["W_e"]), len(arrays["V"]))
-        if {name: np.shape(a) for name, a in arrays.items()} != shapes:
-            raise ValueError("the tensors do not match the config's table")
-        params = cls(config, len(arrays["W_e"]), len(arrays["V"]),
-                     np.empty(sum(map(math.prod, shapes.values())), dtype))
-        for name, view in params.arrays.items():
-            view[...] = arrays[name]
-        return params
-
     def __getitem__(self, name: str) -> np.ndarray:
         return self.arrays[name]
 
@@ -235,42 +209,23 @@ class ModelParams:
 
 
 class GradientSet:
-    """Per-tensor gradients under ModelParams' names, in its table order. A
-    tensor named in `rows` is compact: its array holds only the rows
-    `rows[name]` (sorted and unique) of its gradient, whose other rows are
-    zero. `backward` gives W_e's gradient so, on the rows its batch
-    touches. Every other tensor is dense, shaped like its parameter, and a
-    view of one flat buffer `flat`, in table order. Compact tensors lead
-    the table, so `flat` lines up with the tail of the parameters' buffer
-    (`dense_part`)."""
-
-    def __init__(self, data: dict[str, np.ndarray], rows: dict[str, np.ndarray] | None = None):
-        """The gradients `data` (every tensor, in table order), each copied
-        into the set's own arrays. Gradients of two dtypes, or a compact
-        tensor after a dense one, raise ValueError."""
-        self._lay_out({name: a.shape for name, a in data.items()},
-                      _one_dtype(data.values()), {} if rows is None else rows)
-        for name, arr in self.data.items():
-            arr[...] = data[name]
-
-    def _lay_out(self, shapes: dict[str, tuple], dtype, rows: dict[str, np.ndarray]) -> None:
-        """Zeroed arrays of `shapes`, the dense ones views of one buffer."""
-        if list(shapes)[: len(rows)] != list(rows):
-            raise ValueError("compact gradients must lead the table")
-        dense = {name: shape for name, shape in shapes.items() if name not in rows}
-        self.rows = rows
-        self.flat = np.zeros(sum(map(math.prod, dense.values())), dtype)
-        self.data = {name: np.zeros(shapes[name], dtype) for name in rows}
-        self.data.update(_views(self.flat, dense))
+    """A batch's gradients, one table over `rows`: one flat buffer `flat`,
+    laid out by `_tensor_shapes` with W_e's vocabulary size taken as
+    len(rows). W_e's gradient is compact, held only on the embedding rows
+    `rows` (sorted and unique; its other rows are zero), at the head of the
+    buffer; every other tensor is shaped like its parameter, so the tail
+    of `flat` after W_e lines up with the tail of the parameters' and each
+    Adam moment's buffer. `data` maps each name to its view."""
 
     @classmethod
-    def zeros_like(cls, params: ModelParams,
-                   rows: dict[str, np.ndarray] | None = None) -> "GradientSet":
-        """Zero gradients, compact on the rows given for a tensor in `rows`."""
-        rows = {} if rows is None else rows
-        grads = cls.__new__(cls)
-        grads._lay_out({name: (len(rows[name]), *a.shape[1:]) if name in rows else a.shape
-                        for name, a in params.tensors()}, params.dtype, rows)
+    def zeros_like(cls, params: ModelParams, rows: np.ndarray | None = None) -> "GradientSet":
+        """Zero gradients for `params`, W_e's on the embedding rows `rows`,
+        every row if None."""
+        grads = cls()
+        grads.rows = np.arange(params.vocab_size) if rows is None else rows
+        shapes = _tensor_shapes(params.config, len(grads.rows), params.n_labels)
+        grads.flat = np.zeros(sum(map(math.prod, shapes.values())), params.dtype)
+        grads.data = _views(grads.flat, shapes)
         return grads
 
     def __getitem__(self, name: str) -> np.ndarray:
@@ -278,32 +233,25 @@ class GradientSet:
 
     def __setitem__(self, name: str, value: np.ndarray) -> None:
         # `grads[name] += x` stores back the array it updated in place; any
-        # other value is copied in, so a dense tensor stays a view of `flat`
+        # other value is copied in, so every tensor stays a view of `flat`
         if value is not self.data[name]:
             self.data[name][...] = value
 
-    def dense_part(self, table: np.ndarray) -> np.ndarray:
-        """The tail of a table's flat buffer (the parameters' or an Adam
-        moment's) that `flat` lines up with."""
-        return table[len(table) - len(self.flat):]
-
     def add_(self, other: "GradientSet") -> None:
-        for name, arr in other.data.items():
-            self.data[name] += arr
+        if not np.array_equal(self.rows, other.rows):
+            raise ValueError("gradients over other W_e rows do not add")
+        self.flat += other.flat
 
     def scale_(self, factor: float) -> None:
         self.flat *= factor
-        for name in self.rows:
-            self.data[name] *= factor
 
     def check_finite(self) -> None:
         """Raise FloatingPointError, naming the first tensor in table order
         that holds a non-finite value, if any does."""
-        if np.isfinite(self.flat).all() and all(np.isfinite(self.data[n]).all()
-                                                for n in self.rows):
+        if np.isfinite(self.flat).all():
             return
         for name, arr in self.data.items():
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise FloatingPointError(f"non-finite gradient in tensor {name!r}")
 
 
@@ -640,7 +588,7 @@ class DescriptionBatch:
         dZ = np.zeros((len(self.seq), d_c), self.F.dtype)
         dZ[self.amax, np.arange(d_c)] = self.Dpre @ params["desc_W"]
         dW = _conv_max_backward(self.seq, params["W_e"], self.x_scale, self.W, self.winner, dZ,
-                                grads["W_e"], grads.rows["W_e"])
+                                grads["W_e"], grads.rows)
         grads["desc_conv"] += dW.reshape(params["desc_conv"].shape)
 
 
@@ -698,7 +646,7 @@ def backward(samples, params: ModelParams, desc_ids_list=None) -> tuple[float, G
         np.put(touched, token_ids, True, mode="clip")
     if desc_batch is not None:
         touched[desc_batch.seq] = True
-    grads = GradientSet.zeros_like(params, rows={"W_e": np.flatnonzero(touched)})
+    grads = GradientSet.zeros_like(params, rows=np.flatnonzero(touched))
     W_stack = _stack_kernels(params.conv)
     loss = 0.0
     for token_ids, length, gold, masks in samples:
@@ -754,7 +702,7 @@ def _sample_backward(token_ids, length: int, gold, params: ModelParams,
         dC *= C
         del C
         dW = _conv_max_backward(cache["ids"], params["W_e"], cache["x_scale"], W_stack,
-                                cache["winner"], dC, grads["W_e"], grads.rows["W_e"])
+                                cache["winner"], dC, grads["W_e"], grads.rows)
         for i, block in enumerate(_channel_blocks(dW, cfg.kernel_sizes, cfg.embed_dim)):
             grads[f"conv{i}"] += block
     return loss
@@ -814,13 +762,15 @@ def _tensor_shapes(cfg: ModelConfig, vocab_size: int, n_labels: int) -> dict[str
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
     """Read a checkpoint written by `save_checkpoint`. A damaged or foreign
     file (see `read_tensor_file`), a header that does not describe a valid
-    model, a missing tensor, a tensor whose shape the header's config does
-    not give, or tensors of two dtypes raise DataFormatError, as does a
-    retired key at another value than the model computes; other keys the
-    header holds are ignored. The parameters keep the stored dtype: a
-    float64 checkpoint is scored in float64. The tensors are copied once,
-    into the table's buffer."""
-    header, arrays = read_tensor_file(path, CHECKPOINT_FORMAT, CHECKPOINT_FORMAT_VERSION)
+    model, a missing or an extra tensor, tensors out of the table's order,
+    a tensor whose shape the header's config does not give, or tensors of
+    two dtypes raise DataFormatError, as does a retired key at another
+    value than the model computes; other keys the header holds are
+    ignored. The parameters keep the stored dtype: a float64 checkpoint is
+    scored in float64. The file's payload, read once, is the table's
+    buffer."""
+    header, arrays, payload = read_tensor_file(path, CHECKPOINT_FORMAT,
+                                               CHECKPOINT_FORMAT_VERSION)
     for key, value in _RETIRED_HEADER_KEYS.items():
         if header.get(key, value) != value:
             raise DataFormatError(
@@ -843,7 +793,12 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
                 f"{path}: tensor {name} has shape {list(arrays[name].shape)}, "
                 f"the header's config needs {list(shape)}"
             )
-    try:  # one copy, from the file's payload into the table's buffer
-        return ModelParams.of(cfg, {name: arrays[name] for name in shapes}), header
-    except ValueError as exc:  # tensors of two dtypes
-        raise DataFormatError(f"{path}: checkpoint {exc}") from exc
+    if list(arrays) != list(shapes):
+        raise DataFormatError(f"{path}: checkpoint tensors {list(arrays)} are not the "
+                              f"table's {list(shapes)}, in its order")
+    dtypes = {a.dtype for a in arrays.values()}
+    if len(dtypes) != 1:
+        raise DataFormatError(f"{path}: checkpoint tensors must share one dtype, not "
+                              f"{sorted(map(str, dtypes))}")
+    return ModelParams(cfg, len(arrays["W_e"]), len(arrays["V"]),
+                       payload.view(dtypes.pop())), header

@@ -85,36 +85,35 @@ def adam_step(params: ModelParams, grads: GradientSet, state: AdamState, cfg: Tr
     non-finite gradient raises FloatingPointError before anything is
     updated.
 
-    The dense gradients are one buffer, `grads.flat`, which lines up with
-    the tail of the parameters' and each moment's buffer
-    (`GradientSet.dense_part`); one pass walks the four in blocks of
-    ADAM_BLOCK elements. A compact tensor (`GradientSet.rows`) is walked in
-    blocks of whole rows, ADAM_BLOCK elements or fewer (one row at least),
-    from its first row on; a block's gradient is a zeroed block with the
-    touched rows scattered in, so an untouched row gets the update for
-    g = 0: its moments decay and it still moves. Every element takes the
-    operations m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
-    arr -= lr * (m/bc1) / (sqrt(v/bc2) + eps) in that order, whatever its
-    block, and a block's gradient is spent once `v` is updated, so it
-    serves as scratch beside one transient; both are in the parameters'
-    dtype. Afterwards the dense gradients are spent; a compact one is left
-    as it was."""
+    The gradients are one table over W_e's rows `grads.rows` (see
+    GradientSet). W_e comes first: it is walked in blocks of whole rows,
+    ADAM_BLOCK elements or fewer (one row at least), from its first row
+    on; a block's gradient is a zeroed block with the touched rows
+    scattered in, so an untouched row gets the update for g = 0: its
+    moments decay and it still moves. Then the rest of `grads.flat`,
+    which lines up with the rest of the parameters' and each moment's
+    buffer, is walked in one pass, in blocks of ADAM_BLOCK elements. Every
+    element takes the operations m = b1*m + (1-b1)*g,
+    v = b2*v + (1-b2)*g*g, arr -= lr * (m/bc1) / (sqrt(v/bc2) + eps) in
+    that order, whatever its block, and a block's gradient is spent once
+    `v` is updated, so it serves as scratch beside one transient; both are
+    in the parameters' dtype. Afterwards the gradients after W_e are
+    spent; W_e's is left as it was."""
     grads.check_finite()
     state.t += 1
     bc1 = 1.0 - BETA1 ** state.t
     bc2 = 1.0 - BETA2 ** state.t
     lr = cfg.learning_rate
-    for name, rows in grads.rows.items():
-        arr, g, m, v = params[name], grads[name], state.m[name], state.v[name]
-        step = max(1, ADAM_BLOCK // math.prod(arr.shape[1:]))
-        for r0 in range(0, len(arr), step):
-            r1 = min(r0 + step, len(arr))
-            lo, hi = np.searchsorted(rows, (r0, r1))
-            gb = np.zeros((r1 - r0, *arr.shape[1:]), arr.dtype)
-            gb[rows[lo:hi] - r0] = g[lo:hi]
-            _adam_update(arr[r0:r1], gb, m[r0:r1], v[r0:r1], lr, bc1, bc2)
-    g = grads.flat
-    p, m, v = (grads.dense_part(table.flat) for table in (params, state.m, state.v))
+    arr, g, m, v, rows = params["W_e"], grads["W_e"], state.m["W_e"], state.v["W_e"], grads.rows
+    step = max(1, ADAM_BLOCK // arr.shape[1])
+    for r0 in range(0, len(arr), step):
+        r1 = min(r0 + step, len(arr))
+        lo, hi = np.searchsorted(rows, (r0, r1))
+        gb = np.zeros((r1 - r0, arr.shape[1]), arr.dtype)
+        gb[rows[lo:hi] - r0] = g[lo:hi]
+        _adam_update(arr[r0:r1], gb, m[r0:r1], v[r0:r1], lr, bc1, bc2)
+    g = grads.flat[g.size:]
+    p, m, v = (table.flat[arr.size:] for table in (params, state.m, state.v))
     for i in range(0, len(g), ADAM_BLOCK):
         block = slice(i, i + ADAM_BLOCK)
         _adam_update(p[block], g[block], m[block], v[block], lr, bc1, bc2)

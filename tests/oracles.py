@@ -437,13 +437,12 @@ def per_subset_report(scores, gold, *, p_at=(8,), groups=None, train_counts=None
 
 
 def dense_gradient(grads, name, shape):
-    """Tensor `name` of a GradientSet at its full `shape`: a compact one's
-    rows (`grads.rows[name]`) laid into zeros, a dense one as it is."""
-    rows = grads.rows.get(name)
-    if rows is None:
+    """Tensor `name` of a GradientSet at its full `shape`: W_e's rows
+    (`grads.rows`) laid into zeros, any other tensor as it is."""
+    if name != "W_e":
         return grads[name]
     out = np.zeros(shape)
-    for k, row in enumerate(rows):
+    for k, row in enumerate(grads.rows):
         out[row] = grads[name][k]
     return out
 

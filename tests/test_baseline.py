@@ -344,7 +344,7 @@ class TestSerialization:
         ovr = baseline.train_flat(X, cells(gold), ["L-", "L0", "L1"], baseline.SvmConfig(seed=9))
         path = tmp_path / "model.bin"
         baseline.save_baseline(path, feat, ovr)
-        header, arrays = read_tensor_file(
+        header, arrays, _ = read_tensor_file(
             path, baseline.BASELINE_FORMAT, baseline.BASELINE_FORMAT_VERSION
         )
         assert header["terms"] == feat.terms

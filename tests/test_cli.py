@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -421,6 +422,32 @@ class TestTrain:
         assert (out / "checkpoint.bin").read_bytes() == (trained_dir / "checkpoint.bin").read_bytes()
         assert emb.read_bytes() == before  # fine-tuning leaves the loaded file as it was
 
+    def test_pretrained_table_is_not_held_while_training(self, corpus_dir, train_cfg_path,
+                                                         tmp_path, monkeypatch):
+        # the float64 table CBOW returns is V x d_e; once the first model
+        # and embeddings.bin hold it, train lets it go before its epochs
+        tables, held, real_cbow, real_train = [], [], embed.train_cbow, train.train
+
+        def cbow(*args, **kwargs):
+            table = real_cbow(*args, **kwargs)
+            tables.append(weakref.ref(table))
+            return table
+
+        def watched(*args):
+            held.append(tables[0]() is not None)
+            return real_train(*args)
+
+        monkeypatch.setattr(cli.embed, "train_cbow", cbow)
+        monkeypatch.setattr(cli.train_mod, "train", watched)
+        assert run([
+            "train", "--model", "mvc-lda",
+            "--train", str(corpus_dir / "train.jsonl"),
+            "--dev", str(corpus_dir / "dev.jsonl"),
+            "--labels", str(corpus_dir / "descriptions.tsv"),
+            "--config", str(train_cfg_path), "--seed", "3", "--out", str(tmp_path / "out"),
+        ]) == 0
+        assert len(tables) == 1 and held == [False]
+
     def test_env_override_shortens_training(self, corpus_dir, train_cfg_path,
                                              tmp_path, monkeypatch):
         monkeypatch.setenv("MVC_MAX_EPOCHS", "1")
@@ -572,14 +599,17 @@ class TestEvaluate:
         assert self._evaluate(trained_dir, data, "test", tmp_path / "m.json") == 0
 
     @pytest.mark.parametrize(
-        "damage", ["invalid_config", "short_V", "no_U"] + list(TENSOR_FILE_DAMAGES)
+        "damage", ["invalid_config", "short_V", "no_U", "extra_tensor", "swapped_V_U"]
+        + list(TENSOR_FILE_DAMAGES)
     )
     def test_damaged_checkpoint_is_data_error(self, damage, trained_dir, corpus_dir,
                                               tmp_path, capsys):
         # "oversized_tensor" declares a 10^6 x 10^6 W_e, which the reader
         # must refuse before allocating it; "short_V" and "no_U" are
         # self-consistent files whose V lacks one of the header's n_filters
-        # columns, or which lack U
+        # columns, or which lack U; "extra_tensor" carries one tensor more
+        # than the table, and "swapped_V_U" stores U before V, both of one
+        # shape, so only the order tells them apart
         ckpt = tmp_path / "checkpoint.bin"
         ckpt.write_bytes((trained_dir / "checkpoint.bin").read_bytes())
         if damage == "invalid_config":
@@ -587,27 +617,37 @@ class TestEvaluate:
             header = json.loads(head)
             header["n_filters"] = 0
             ckpt.write_bytes(json.dumps(header).encode() + b"\n" + body)
-        elif damage in ("short_V", "no_U"):
-            header, arrays = corpus.read_tensor_file(
+        elif damage in ("short_V", "no_U", "extra_tensor", "swapped_V_U"):
+            header, arrays, _ = corpus.read_tensor_file(
                 ckpt, model.CHECKPOINT_FORMAT, model.CHECKPOINT_FORMAT_VERSION
             )
             if damage == "short_V":
                 arrays["V"] = arrays["V"][:, :-1]
-            else:
+            elif damage == "no_U":
                 del arrays["U"]
+            elif damage == "extra_tensor":
+                arrays["extra"] = arrays["b"]
+            else:
+                names = list(arrays)
+                i, j = names.index("V"), names.index("U")
+                names[i], names[j] = names[j], names[i]
+                arrays = {name: arrays[name] for name in names}
             del header["tensors"]
             corpus.write_tensor_file(ckpt, header, arrays.items())
         else:
             damage_tensor_file(ckpt, damage)
-        code = self._evaluate(trained_dir, corpus_dir, "test", tmp_path / "m.json",
-                              checkpoint=ckpt)
+        metrics_out = tmp_path / "m.json"
+        code = self._evaluate(trained_dir, corpus_dir, "test", metrics_out, checkpoint=ckpt)
         assert code == cli.EXIT_DATA
         err = capsys.readouterr().err
         assert str(ckpt) in err
+        assert not metrics_out.exists()
         if damage == "short_V":
             assert "tensor V has shape" in err
         if damage == "no_U":
             assert "lacks 'U'" in err
+        if damage in ("extra_tensor", "swapped_V_U"):
+            assert "in its order" in err
 
     def test_malformed_test_file_reports_line(self, trained_dir, corpus_dir,
                                               tmp_path, capsys):
@@ -721,9 +761,9 @@ class TestBaselineCmd:
             "baseline", "--train", str(digits), "--test", str(corpus_dir / "test.jsonl"),
             "--labels", str(corpus_dir / "descriptions.tsv"), "--seed", "4", "--out", str(out),
         ]) == 0
-        header, arrays = corpus.read_tensor_file(out / "baseline_model.bin",
-                                                 baseline.BASELINE_FORMAT,
-                                                 baseline.BASELINE_FORMAT_VERSION)
+        header, arrays, _ = corpus.read_tensor_file(out / "baseline_model.bin",
+                                                    baseline.BASELINE_FORMAT,
+                                                    baseline.BASELINE_FORMAT_VERSION)
         assert header["terms"] == [] and arrays["idf"].shape == (0,)
         assert arrays["weights"].shape == (len(header["rows"]), 0)
         assert 0.0 <= json.loads((out / "metrics.json").read_text())["micro_f1"] <= 1.0
@@ -821,9 +861,9 @@ class TestBaselineCmd:
 
     def test_min_doc_freq_floors_the_terms(self, corpus_dir, tmp_path):
         def terms(out):
-            header, _ = corpus.read_tensor_file(out / "baseline_model.bin",
-                                                baseline.BASELINE_FORMAT,
-                                                baseline.BASELINE_FORMAT_VERSION)
+            header, _, _ = corpus.read_tensor_file(out / "baseline_model.bin",
+                                                   baseline.BASELINE_FORMAT,
+                                                   baseline.BASELINE_FORMAT_VERSION)
             return header["terms"]
 
         default, floor1, floor5 = tmp_path / "default", tmp_path / "floor1", tmp_path / "floor5"

@@ -602,19 +602,23 @@ class TestTensorFile:
         tensors = [("b", np.arange(6.0).reshape(3, 2).T), ("a", np.float64(2.5)),
                    ("empty", np.zeros((0, 4)))]
         corpus.write_tensor_file(path, {"format": "f", "version": 3, "note": "x"}, tensors)
-        header, arrays = corpus.read_tensor_file(path, "f", 3)
+        header, arrays, payload = corpus.read_tensor_file(path, "f", 3)
         assert header["note"] == "x"
         assert list(arrays) == ["b", "a", "empty"]
         for name, arr in tensors:
             assert arrays[name].shape == np.shape(arr)
             assert np.array_equal(arrays[name], arr)
+            assert arrays[name].flags.writeable
+        # every tensor is a view of the one payload array, read in file order
+        assert payload.tobytes() == path.read_bytes().partition(b"\n")[2]
+        assert np.shares_memory(arrays["b"], payload) and np.shares_memory(arrays["a"], payload)
 
     def test_float32_round_trip_beside_float64(self, tmp_path):
         path = tmp_path / "t.bin"
         tensors = [("w", np.linspace(-1, 1, 6, dtype=np.float32).reshape(2, 3)),
                    ("d", np.arange(3.0) / 7), ("s", np.float32(1 / 3))]
         corpus.write_tensor_file(path, {"format": "f", "version": 1}, tensors)
-        header, arrays = corpus.read_tensor_file(path, "f", 1)
+        header, arrays, _ = corpus.read_tensor_file(path, "f", 1)
         assert header["tensors"] == [["w", [2, 3], "<f4"], ["d", [3]], ["s", [], "<f4"]]
         for name, arr in tensors:
             assert arrays[name].dtype == np.asarray(arr).dtype, name
@@ -633,7 +637,7 @@ class TestTensorFile:
         assert path.read_bytes() == legacy
         old = tmp_path / "old.bin"
         old.write_bytes(legacy)
-        _, arrays = corpus.read_tensor_file(old, "f", 1)
+        _, arrays, _ = corpus.read_tensor_file(old, "f", 1)
         for name, arr in tensors:
             assert arrays[name].dtype == np.float64
             assert np.array_equal(arrays[name], arr)

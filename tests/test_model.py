@@ -48,11 +48,11 @@ def params_over(X, weights, labels=1):
     cfg = model.ModelConfig(kernel_sizes=tuple(w.shape[0] for w in weights),
                             n_filters=d_c, embed_dim=d_e)
     rng = np.random.default_rng(0)
-    return model.ModelParams.of(cfg, {
-        "W_e": np.array(X, dtype=np.float64), **{f"conv{i}": w for i, w in enumerate(weights)},
-        "V": rng.normal(size=(labels, d_c)), "U": rng.normal(size=(labels, d_c)),
-        "b": np.zeros(labels), "K": np.zeros(labels), "d": np.zeros(labels),
-    })
+    # in `_tensor_shapes` order: W_e, the kernels, V, U, b, K, d
+    tensors = [X, *weights, rng.normal(size=(labels, d_c)), rng.normal(size=(labels, d_c)),
+               np.zeros(3 * labels)]
+    return model.ModelParams(cfg, len(X), labels,
+                             np.concatenate([np.ravel(t) for t in tensors]).astype(np.float64))
 
 
 def scatter_reference_backward(ids, W_e, x_scale, W_stack, winner, dM, dW_e, rows):
@@ -374,8 +374,8 @@ def assert_laid_out(flat, tensors, shapes):
 
 
 class TestTables:
-    """The parameters, the dense gradients and each of Adam's moments are
-    one flat buffer each, every tensor a view of it in `_tensor_shapes`
+    """The parameters, the gradients and each of Adam's moments are one
+    flat buffer each, every tensor a view of it in `_tensor_shapes`
     order."""
 
     CFG = model.ModelConfig(kind="mvc-rlda", kernel_sizes=(2, 4), n_filters=4, embed_dim=5,
@@ -389,18 +389,18 @@ class TestTables:
         model.save_checkpoint(path, params, vocab_checksum="x")
         loaded, _ = model.load_checkpoint(path)
         state = train.AdamState.for_params(params)
-        for table in (params, loaded, params.copy(), state.m, state.v,
-                      model.ModelParams.of(self.CFG, dict(params.tensors()))):
+        for table in (params, loaded, params.copy(), state.m, state.v):
             assert_laid_out(table.flat, table.tensors(), shapes)
         desc = [rng.integers(0, 40, 3) for _ in range(3)]
-        _, grads = model.backward([(rng.integers(0, 40, 9), 9, np.array([0, 2]), None)],
-                                  params, desc)
-        dense = {name: shape for name, shape in shapes.items() if name != "W_e"}
-        assert_laid_out(grads.flat, [(n, grads[n]) for n in dense], dense)
-        # the dense gradients line up with the tail of the parameters' buffer
-        tail = grads.dense_part(params.flat)
-        assert tail.size == grads.flat.size and np.shares_memory(tail, params["desc_b"])
-        assert not np.shares_memory(tail, params["W_e"])
+        ids = rng.integers(0, 40, 9)
+        _, grads = model.backward([(ids, 9, np.array([0, 2]), None)], params, desc)
+        # one table over the touched rows (the gold labels' descriptions
+        # too), W_e's compact gradient at its head
+        assert np.array_equal(grads.rows, np.unique(np.concatenate([ids, desc[0], desc[2], [0]])))
+        assert_laid_out(grads.flat, grads.data.items(),
+                        model._tensor_shapes(self.CFG, len(grads.rows), 3))
+        # so the gradients after W_e line up with the parameters' after W_e
+        assert grads.flat.size - grads["W_e"].size == params.flat.size - params["W_e"].size
 
     def test_copies_are_independent_buffers(self):
         params = model.init_params(self.CFG, 40, 3, np.random.default_rng(61))
@@ -421,13 +421,24 @@ class TestTables:
         with pytest.raises(FloatingPointError, match="'W_e'"):
             grads.check_finite()
 
-    def test_table_of_two_dtypes_refused(self):
+    def test_gradient_buffer_acts_on_its_one_buffer(self):
         params = model.init_params(self.CFG, 40, 3, np.random.default_rng(63))
-        mixed = dict(params.tensors(), V=params["V"].astype(np.float64))
-        with pytest.raises(ValueError, match="one dtype"):
-            model.ModelParams.of(self.CFG, mixed)
-        with pytest.raises(ValueError, match="one dtype"):
-            model.GradientSet(mixed)
+        rows = np.array([0, 5, 39])
+        grads = model.GradientSet.zeros_like(params, rows)
+        assert grads.flat.dtype == params.dtype and grads["W_e"].shape == (3, 5)
+        grads.flat[:] = np.arange(grads.flat.size)
+        other = model.GradientSet.zeros_like(params, rows)
+        other.flat[:] = 1.0
+        grads.add_(other)
+        grads.scale_(0.5)
+        assert np.array_equal(grads.flat, (np.arange(grads.flat.size) + 1.0) / 2)
+        for name, arr in grads.data.items():
+            assert np.shares_memory(arr, grads.flat), name
+        # gradients over other rows are not laid out alike
+        with pytest.raises(ValueError, match="other W_e rows"):
+            grads.add_(model.GradientSet.zeros_like(params, np.array([0, 5, 38])))
+        # without rows, W_e's gradient covers every row
+        assert np.array_equal(model.GradientSet.zeros_like(params).rows, np.arange(40))
 
 
 class TestAttentionPool:
@@ -856,7 +867,7 @@ class TestBackward:
         _, grads = model.backward(samples, params, desc)
         # the gap rows' id 0 is among the touched rows
         rows = np.unique(np.concatenate([ids for ids, *_ in samples] + desc + [[0]]))
-        assert np.array_equal(grads.rows["W_e"], rows) and len(rows) < vocab
+        assert np.array_equal(grads.rows, rows) and len(rows) < vocab
         assert grads["W_e"].shape == (len(rows), 5)
 
         # with every row of the table as `rows`, a block adds at its ids
@@ -888,7 +899,10 @@ class TestBackward:
         total_loss = 0.0
         for sample in samples:
             alone, grads = model.backward([sample], params, desc)
-            total.add_(model.GradientSet(dense_gradients(grads, params)))
+            full = model.GradientSet.zeros_like(params)
+            for name, arr in dense_gradients(grads, params).items():
+                full[name] = arr
+            total.add_(full)
             total_loss += alone
         # the same samples as one batch, through one description batch
         loss, grads = model.backward(samples, params, desc)
@@ -913,6 +927,22 @@ class TestCheckpoint:
             second = tmp_path / f"{kind}-again.ckpt"
             model.save_checkpoint(second, loaded, vocab_checksum="ab" * 32)
             assert path.read_bytes() == second.read_bytes()
+
+    def test_load_reads_the_payload_as_the_table(self, tmp_path):
+        # the payload is read once, into the buffer the table views; copying
+        # it into a second buffer would peak at twice the table's bytes
+        cfg = model.ModelConfig(kind="mvc-rlda", kernel_sizes=(2, 4), n_filters=8, embed_dim=16)
+        params = model.init_params(cfg, 20_000, 50, np.random.default_rng(29))
+        path = tmp_path / "ckpt"
+        model.save_checkpoint(path, params, vocab_checksum="x")
+        tracemalloc.start()
+        try:
+            loaded, _ = model.load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * params.flat.nbytes
+        assert loaded.dtype == np.float32 and loaded.flat.tobytes() == params.flat.tobytes()
 
     def test_layout_is_the_version_1_checkpoint(self, tmp_path):
         # files written before the shared tensor container must still load:
@@ -1018,7 +1048,7 @@ class TestFloat32:
         dropout: a short note, one spanning two row chunks, and an empty one."""
         rng = np.random.default_rng(seed)
         p32 = model.init_params(self.CFG, self.VOCAB, self.J, np.random.default_rng(seed))
-        p64 = model.ModelParams.of(self.CFG, {n: a.astype(np.float64) for n, a in p32.tensors()})
+        p64 = model.ModelParams(self.CFG, self.VOCAB, self.J, p32.flat.astype(np.float64))
         desc = [rng.integers(0, self.VOCAB, int(rng.integers(2, 5))) for _ in range(self.J)]
         samples = []
         for l in (30, CHUNK + 100, 0):
@@ -1093,8 +1123,8 @@ class TestFloat32:
         p32, _, _, _ = self.batch(6)
         path = tmp_path / "ckpt"
         model.save_checkpoint(path, p32, vocab_checksum="x")
-        header, _ = read_tensor_file(path, model.CHECKPOINT_FORMAT,
-                                     model.CHECKPOINT_FORMAT_VERSION)
+        header, _, _ = read_tensor_file(path, model.CHECKPOINT_FORMAT,
+                                        model.CHECKPOINT_FORMAT_VERSION)
         # no table holds two dtypes, so the mixed file is written tensor by tensor
         write_tensor_file(path, header, [(name, a.astype(np.float64) if name == "V" else a)
                                          for name, a in p32.tensors()])
