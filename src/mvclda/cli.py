@@ -255,14 +255,16 @@ def _training_setup(args, keys: dict) -> _TrainingSetup:
     mvc-lda model has no regularizer, so each lambda key set there earns a
     warning) and build every config from it; load the label space, read the
     splits (ablate's evaluation split is scored), build the vocabulary from
-    the training split only and encode every split; with --embeddings,
-    refuse a training split with no token and check the table against the
-    vocabulary's checksum, or, without it, pretrain CBOW vectors on the
-    encoded training text, which refuses such a split itself; build train's
-    and ablate's first model, or, for hyperband, the largest model its
-    search space holds; only then create the output directory and write
-    the vocabulary and the pretrained vectors, so that a model too large to
-    allocate leaves no output behind."""
+    the training split only and encode every split; refuse ablate's
+    extra_notes when no training note's first half has two tokens for
+    CBOW; with --embeddings, refuse a training split with no token and
+    check the table against the vocabulary's checksum, or, without it,
+    pretrain CBOW vectors on the encoded training text, which refuses such
+    a split itself; build train's and ablate's first model, or, for
+    hyperband, the largest model its search space holds; only then create
+    the output directory and write the vocabulary and the pretrained
+    vectors, so that a model too large to allocate leaves no output
+    behind."""
     values = load_config(args.config, keys)
     for key in ("lambda", "lambda_candidates"):
         if args.model == "mvc-lda" and key in values:
@@ -283,6 +285,10 @@ def _training_setup(args, keys: dict) -> _TrainingSetup:
     vocab = corpus.build_vocabulary(splits["train"].notes, words, train_cfg.min_doc_freq)
     docs = {name: corpus.encode_corpus(s.notes, words, (s.gold, s.dropped), vocab)[0]
             for name, s in splits.items()}
+    if "extra_notes" in getattr(args, "components", ()) and not any(
+            train_mod.reduce_document(d).length > 1 for d in docs["train"]):
+        raise ValueError(f"ablate component extra_notes: no note of train split {args.train} "
+                         "keeps two tokens in its first half, so CBOW has no context window")
 
     vocab_bytes = corpus.vocabulary_bytes(vocab)
     vocab_checksum = hashlib.sha256(vocab_bytes).hexdigest()

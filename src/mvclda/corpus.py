@@ -4,7 +4,7 @@ seeded synthetic corpus generation.
 A note is held as one int32 array of ids in its command's word table, a
 dict from word to id in the training split's first-seen order; the id
 len(table) stands for every word outside it. Vocabularies are built from
-those.
+those and map them to int32 ids.
 
 All operations here are pure given their inputs; randomness is an
 explicit seeded stream.
@@ -75,13 +75,13 @@ class Vocabulary:
         return len(self.id_to_token) + 1
 
     def encode(self, tokens: list[str]) -> np.ndarray:
-        return np.fromiter(map(self.token_to_id.get, tokens, repeat(self.oov_id)), np.int64,
+        return np.fromiter(map(self.token_to_id.get, tokens, repeat(self.oov_id)), np.int32,
                            count=len(tokens))
 
     def lookup(self, words: dict[str, int]) -> np.ndarray:
-        """The id of each id of the word table `words`, then of the id
+        """The int32 id of each id of the word table `words`, then of the id
         len(words), which stands for every word outside the table: OOV."""
-        return np.append(self.encode(list(words)), self.oov_id)
+        return np.append(self.encode(list(words)), np.int32(self.oov_id))
 
 
 def build_vocabulary(notes: list[np.ndarray], words: dict[str, int],
@@ -154,7 +154,7 @@ def make_label_space(
 
 @dataclass
 class EncodedDocument:
-    token_ids: np.ndarray
+    token_ids: np.ndarray  # int32 vocabulary ids
     gold: np.ndarray  # the sorted int64 ids of its gold labels
 
     @property
@@ -184,9 +184,9 @@ def gold_cells(golds) -> tuple[np.ndarray, np.ndarray]:
 def encode_corpus(notes: list, words: dict, encoded_gold: tuple[list[np.ndarray], int],
                   vocab: Vocabulary) -> tuple[list[EncodedDocument], int]:
     """Encode each note's ids in the word table `words` (len(words) for a
-    word outside it) as vocabulary ids beside its gold ids; `encoded_gold`
-    is `encode_gold`'s (ids, dropped) of the same documents. Returns the
-    documents and the dropped count."""
+    word outside it) as int32 vocabulary ids beside its gold ids;
+    `encoded_gold` is `encode_gold`'s (ids, dropped) of the same documents.
+    Returns the documents and the dropped count."""
     golds, dropped = encoded_gold
     lookup = vocab.lookup(words)
     return [EncodedDocument(lookup[n], g) for n, g in zip(notes, golds)], dropped

@@ -66,7 +66,7 @@ def _noise_cumulative(docs, vocab_size: int) -> np.ndarray:
     counts = np.zeros(vocab_size, dtype=np.float64)
     for ids in docs:
         if len(ids):
-            counts += np.bincount(np.asarray(ids, dtype=np.int64), minlength=vocab_size)
+            counts += np.bincount(ids, minlength=vocab_size)
     weights = counts ** 0.75
     total = weights.sum()
     if total == 0.0:
@@ -117,7 +117,6 @@ def train_cbow_tables(docs, vocab_size: int, cfg: CbowConfig) -> tuple[np.ndarra
     """Train CBOW and return (input, output) tables; the input table is the
     embedding, the output table is needed to evaluate the objective. The
     two are independent arrays of V rows each."""
-    docs = [np.asarray(d, dtype=np.int64) for d in docs]
     if not docs or all(len(d) == 0 for d in docs):
         raise ValueError("cannot pretrain embeddings on an empty corpus")
     rng = np.random.default_rng(cfg.seed)
@@ -138,9 +137,10 @@ def train_cbow_tables(docs, vocab_size: int, cfg: CbowConfig) -> tuple[np.ndarra
                 steps = np.arange(processed, processed + m)
                 lrs = LR_START + (LR_END - LR_START) * (steps / total)
                 processed += m
-                # center i's row ids: its context, then the center and its
-                # noise words (label 1, then 0s) in the output half, without
-                # -1s or noise words equal to the center, end to end
+                # center i's int64 row ids (ctx's -1 padding is int64): its
+                # context, then the center and its noise words (label 1, then
+                # 0s) in the output half, without -1s or noise words equal to
+                # the center, end to end
                 rows = np.concatenate((ctx, centers[:, None], negs), axis=1)
                 keep = rows >= 0
                 keep[:, ctx.shape[1] + 1 :] = negs != centers[:, None]
@@ -175,7 +175,7 @@ def _split_tables(table: np.ndarray, vocab_size: int) -> tuple[np.ndarray, np.nd
 
 
 def train_cbow(docs, vocab_size: int, cfg: CbowConfig) -> np.ndarray:
-    """Train CBOW vectors on encoded documents (sequences of token ids).
+    """Train CBOW vectors on encoded documents (int32 token-id arrays).
 
     Context vectors are averaged to predict the center word against
     `cfg.negative` noise words drawn from the unigram^0.75 distribution;
@@ -192,7 +192,6 @@ def cbow_pass_loss(docs, w_in: np.ndarray, w_out: np.ndarray, cfg: CbowConfig, s
     objective relative to initialization. Each block of centers is scored
     at once and the per-center losses are summed block by block.
     """
-    docs = [np.asarray(d, dtype=np.int64) for d in docs]
     rng = np.random.default_rng(seed)
     cum = _noise_cumulative(docs, w_in.shape[0])
     eps = 1e-12

@@ -25,7 +25,7 @@ All channels, one or several, run as one convolution. Padding puts s//2
 zeros on the left, so channel i's window at a position nests inside the
 s_max window at row offset s_max//2 - s_i//2. The kernels are stacked into
 one (s_max*d_e) x (n*d_c) matrix, each at its offset in its own column
-block, zeros elsewhere. The input is token ids in [0, V) and one scale per
+block, zeros elsewhere. The input is int32 ids in [0, V) and one scale per
 row (dropout's, or 0 for a gap row). The output rows are taken CONV_CHUNK
 at a time: each chunk's input, padded at s_max, is built as embedding rows
 times their scale, and its windows form a (chunk x s_max*d_e) view whose
@@ -474,7 +474,7 @@ def _conv_max_backward(ids: np.ndarray, W_e: np.ndarray, x_scale, W_stack: np.nd
 def _forward_cached(token_ids, length: int, params: ModelParams, masks: DropoutMasks | None,
                     for_backward: bool = True, W_stack: np.ndarray | None = None):
     cfg = params.config
-    ids = np.asarray(token_ids, dtype=np.int64)
+    ids = np.asarray(token_ids)
     if len(ids) and (ids.min() < 0 or ids.max() >= params.vocab_size):
         raise ValueError("token id out of range for the embedding table")
     if W_stack is None:
@@ -543,7 +543,7 @@ class DescriptionBatch:
         labels = np.asarray(labels, dtype=np.int64)
         self.row = np.full(params.n_labels, -1)  # label -> its row of F and Dpre
         self.row[labels] = np.arange(len(labels))
-        descs = [np.asarray(desc_ids_list[j], dtype=np.int64) for j in labels]
+        descs = [desc_ids_list[j] for j in labels]
         lens = np.array([len(ids) for ids in descs])
         if np.any(lens == 0):
             raise ValueError("cannot encode an empty description")
@@ -552,7 +552,7 @@ class DescriptionBatch:
         # description k's tokens follow k gaps of s//2 rows
         self.rows = np.arange(lens.sum()) + s // 2 * np.repeat(np.arange(len(lens)), lens)
         starts = np.concatenate(([0], np.cumsum(lens[:-1])))
-        self.seq = np.zeros(self.rows[-1] + 1, dtype=np.int64)
+        self.seq = np.zeros(self.rows[-1] + 1, dtype=np.int32)
         self.seq[self.rows] = np.concatenate(descs)
         self.x_scale = np.zeros(len(self.seq), params.dtype)
         self.x_scale[self.rows] = 1.0

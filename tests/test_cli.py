@@ -448,6 +448,46 @@ class TestTrain:
         ]) == 0
         assert len(tables) == 1 and held == [False]
 
+    def test_token_ids_are_int32_from_reader_to_model(self, corpus_dir, train_cfg_path,
+                                                      tmp_path, monkeypatch):
+        # one token-id dtype: CBOW, the training and dev notes, every label
+        # description and evaluate's notes all take int32 ids
+        seen = []
+        real_cbow, real_train, real_predict = embed.train_cbow, train.train, model.predict_matrix
+
+        def cbow(docs, *args):
+            seen.append(("cbow", {ids.dtype for ids in docs}))
+            return real_cbow(docs, *args)
+
+        def watched(params, train_docs, dev_docs, desc_ids, cfg):
+            seen.append(("notes", {d.token_ids.dtype for d in train_docs + dev_docs}))
+            seen.append(("descriptions", {ids.dtype for ids in desc_ids}))
+            return real_train(params, train_docs, dev_docs, desc_ids, cfg)
+
+        def predict(params, docs):
+            seen.append(("evaluate", {d.token_ids.dtype for d in docs}))
+            return real_predict(params, docs)
+
+        monkeypatch.setattr(cli.embed, "train_cbow", cbow)
+        monkeypatch.setattr(cli.train_mod, "train", watched)
+        monkeypatch.setattr(cli.model, "predict_matrix", predict)
+        out = tmp_path / "out"
+        assert run([
+            "train", "--model", "mvc-rlda",
+            "--train", str(corpus_dir / "train.jsonl"),
+            "--dev", str(corpus_dir / "dev.jsonl"),
+            "--labels", str(corpus_dir / "descriptions.tsv"),
+            "--config", str(train_cfg_path), "--seed", "3", "--out", str(out),
+        ]) == 0
+        assert run([
+            "evaluate", "--checkpoint", str(out / "checkpoint.bin"),
+            "--test", str(corpus_dir / "test.jsonl"),
+            "--labels", str(corpus_dir / "descriptions.tsv"), "--vocab", str(out / "vocab.tsv"),
+            "--metrics-out", str(out / "metrics.json"),
+        ]) == 0
+        assert seen == [(name, {np.dtype(np.int32)})
+                        for name in ("cbow", "notes", "descriptions", "evaluate")]
+
     def test_env_override_shortens_training(self, corpus_dir, train_cfg_path,
                                              tmp_path, monkeypatch):
         monkeypatch.setenv("MVC_MAX_EPOCHS", "1")
@@ -1114,6 +1154,45 @@ class TestAblateCmd:
         ]) == cli.EXIT_DATA
         assert "--p-at 11 exceeds the number of labels 10" in capsys.readouterr().err
         assert not (out / "ablation.json").exists()
+
+    @staticmethod
+    def _short_notes(tmp_path):
+        """A training split where no note's first half holds two tokens;
+        the whole notes "fever cough" and "rash fever" do."""
+        data = tmp_path / "short"
+        data.mkdir()
+        notes = {"a": ("fever cough", {"A"}), "b": ("123 456", {"B"}),
+                 "c": ("rash fever", {"B"}), "d": ("cough", {"A"})}
+        corpus.write_corpus_jsonl(data / "train.jsonl", [corpus.RawDocument(i, text, codes)
+                                                         for i, (text, codes) in notes.items()])
+        corpus.write_corpus_jsonl(data / "dev.jsonl", [
+            corpus.RawDocument("e", "fever rash cough", {"A"}),
+            corpus.RawDocument("f", "rash", {"B"})])
+        (data / "descriptions.tsv").write_text("A\tfever and cough\nB\trash\n")
+        (data / "train.cfg").write_text("kernel_sizes = 1,3\nn_filters = 4\nembed_dim = 4\n"
+                                        "min_doc_freq = 1\nmax_epochs = 1\nbatch_size = 2\n"
+                                        "cbow_epochs = 1\n")
+        return ["ablate", "--train", str(data / "train.jsonl"), "--dev", str(data / "dev.jsonl"),
+                "--labels", str(data / "descriptions.tsv"), "--config", str(data / "train.cfg"),
+                "--p-at", "1", "--seed", "6", "--out", str(tmp_path / "ablate")]
+
+    def test_extra_notes_without_a_context_window_fails_before_training(
+            self, tmp_path, monkeypatch, capsys):
+        # it once failed in the reduced notes' CBOW, after every other model
+        # had trained, leaving --out with only vocab.tsv and embeddings.bin
+        def no_training(*args):
+            raise AssertionError("a model trained")
+
+        monkeypatch.setattr(cli.train_mod, "train", no_training)
+        assert run(self._short_notes(tmp_path)) == cli.EXIT_DATA
+        assert "ablate component extra_notes: no note of train split" in capsys.readouterr().err
+        assert not (tmp_path / "ablate").exists()
+
+    def test_other_components_run_on_notes_too_short_for_extra_notes(self, tmp_path):
+        argv = self._short_notes(tmp_path)
+        assert run([*argv, "--components", "regularization,multi_view,length_embedding"]) == 0
+        report = json.loads((tmp_path / "ablate" / "ablation.json").read_text())
+        assert list(report["ablations"]) == ["length_embedding", "multi_view", "regularization"]
 
 
 class TestCommandFront:

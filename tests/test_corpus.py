@@ -91,7 +91,7 @@ class TestVocabulary:
             docs, _ = corpus.encode_corpus(dev_notes, words,
                                            ([np.zeros(0, np.int64)] * len(dev), 0), vocab)
             for doc, tokens in zip(docs, dev):
-                assert doc.token_ids.dtype == np.int64
+                assert doc.token_ids.dtype == np.int32
                 assert np.array_equal(doc.token_ids, vocab.encode(tokens))
 
     def test_doc_freq_boundary(self):

@@ -134,6 +134,10 @@ def _cbow_cases():
         "one_center_past_a_block": (
             [rng.integers(0, 60, block + 1), rng.integers(0, 60, 20)], 60,
             embed.CbowConfig(dim=8, window=5, epochs=1, seed=7)),
+        # the int32 ids every command passes
+        "int32_ids": (
+            [rng.integers(0, 40, n).astype(np.int32) for n in (0, 1, 2, 45, block + 3)], 40,
+            embed.CbowConfig(dim=8, window=3, epochs=2, seed=8)),
     }
 
 

@@ -567,6 +567,23 @@ class TestForward:
         for row, doc in zip(scores, docs):
             assert np.array_equal(row, model.forward(doc.token_ids, doc.length, params))
 
+    def test_int32_ids_are_used_as_given(self):
+        # ids only index: an int32 note is neither cast nor copied, int32
+        # descriptions pack into an int32 sequence, and both give the bits
+        # of the same ids as int64
+        params = small_params(kind="mvc-rlda", seed=16)
+        ids = np.array([3, 1, 4, 1, 5, 9, 2, 6], dtype=np.int32)
+        y, cache = model._forward_cached(ids, len(ids), params, None)
+        assert np.shares_memory(cache["ids"], ids)
+        y64 = model.forward(ids.astype(np.int64), len(ids), params)
+        assert np.array_equal(y.view(np.uint64), y64.view(np.uint64))
+        desc = [ids[:3], ids[4:], ids[2:7]]
+        batch = model.DescriptionBatch(params, desc, [0, 2])
+        batch64 = model.DescriptionBatch(params, [d.astype(np.int64) for d in desc], [0, 2])
+        assert batch.seq.dtype == np.int32
+        assert np.array_equal(batch.seq, batch64.seq)
+        assert np.array_equal(batch.F.view(np.uint64), batch64.F.view(np.uint64))
+
     def test_out_of_range_token_rejected(self):
         with pytest.raises(ValueError):
             model.forward([99], 1, small_params())
