@@ -177,16 +177,16 @@ def _write_manifest(out_dir: Path, args, config: dict, artifacts: dict,
     corpus.write_json(out_dir / file_name, manifest)
 
 
-def _load_label_space(args) -> corpus.LabelSpace:
-    """The label space of --labels, under --hierarchy's parents if given. An
-    empty one, or a --p-at above its size, is refused before any split is read."""
-    descriptions = corpus.read_descriptions_tsv(args.labels)
+def _load_label_space(path, hierarchy=None, p_at=()) -> corpus.LabelSpace:
+    """The label space of the descriptions at `path`, under the parents of
+    the `hierarchy` file if given. An empty one, or a --p-at value in
+    `p_at` above its size, is refused before any split is read."""
+    descriptions = corpus.read_descriptions_tsv(path)
     if not descriptions:
-        raise ValueError(f"--labels {args.labels} defines no code")
-    hierarchy = getattr(args, "hierarchy", None)
+        raise ValueError(f"--labels {path} defines no code")
     parents = corpus.read_hierarchy_tsv(hierarchy) if hierarchy else None
     labels = corpus.make_label_space(descriptions, parents)
-    largest = max(getattr(args, "p_at", [0]))
+    largest = max(p_at, default=0)
     if largest > labels.n_labels:
         raise ValueError(f"--p-at {largest} exceeds the number of labels {labels.n_labels}")
     return labels
@@ -230,7 +230,9 @@ def _read_split(name: str, path, labels: corpus.LabelSpace, words: dict, grow: b
 
 @dataclass
 class _TrainingSetup:
-    """What train, hyperband and ablate share before their own work."""
+    """What train, hyperband and ablate all read, built by `_read_and_check`
+    and then `_start`; each command makes its own checks before or between
+    the two (hyperband's search space, ablate's extra_notes)."""
 
     values: dict
     out_dir: Path
@@ -238,92 +240,84 @@ class _TrainingSetup:
     vocab: corpus.Vocabulary
     train_docs: list
     dev_docs: list
-    eval_docs: list  # ablate's evaluation split: --test, else dev
     desc_ids: list
-    table: np.ndarray | None  # the pretrained vectors; hyperband's and ablate's only, after setup
     vocab_checksum: str
-    model_cfg: model.ModelConfig
+    model_cfg: model.ModelConfig  # at the pretrained table's width once `_start` has run
     train_cfg: train_mod.TrainConfig
     cbow_cfg: embed.CbowConfig  # of the embed_dim key's width; unused under --embeddings
-    space: hb.SearchSpace | None  # hyperband's only
     artifacts: dict
-    params0: model.ModelParams | None = None  # train's and ablate's first model
 
 
-def _training_setup(args, keys: dict) -> _TrainingSetup:
-    """Shared front half of train/hyperband/ablate. Load the config (an
-    mvc-lda model has no regularizer, so each lambda key set there earns a
-    warning) and build every config from it; load the label space, read the
-    splits (ablate's evaluation split is scored), build the vocabulary from
-    the training split only and encode every split; refuse ablate's
-    extra_notes when no training note's first half has two tokens for
-    CBOW; with --embeddings, refuse a training split with no token and
-    check the table against the vocabulary's checksum, or, without it,
-    pretrain CBOW vectors on the encoded training text, which refuses such
-    a split itself; build train's and ablate's first model, or, for
-    hyperband, the largest model its search space holds; only then create
-    the output directory and write the vocabulary and the pretrained
-    vectors, so that a model too large to allocate leaves no output
-    behind."""
-    values = load_config(args.config, keys)
+def _read_and_check(args, values: dict, p_at=(), scored=None) -> tuple[_TrainingSetup, list]:
+    """Build the model, training and CBOW configs from `values`, warning
+    about each lambda key under mvc-lda, which has no regularizer; load the
+    label space, refusing a `p_at` above its size; read train, dev and
+    `scored`, the (name, path) of the split PR AUC is taken on; build the
+    vocabulary from train alone and encode every split. Returns the setup
+    and `scored`'s documents, dev's when `scored` is None."""
     for key in ("lambda", "lambda_candidates"):
         if args.model == "mvc-lda" and key in values:
             print(f"warning: --model mvc-lda ignores the {key} config key", file=sys.stderr)
     model_cfg = _build(model.ModelConfig, values, kind=args.model)
     train_cfg = _build(train_mod.TrainConfig, values, seed=args.seed)
     cbow_cfg = _build(embed.CbowConfig, values, dim=model_cfg.embed_dim, seed=args.seed)
-    space = None
-    if args.command == "hyperband":  # an mvc-lda model has no lambda to search
-        no_lambda = {"lambdas": None} if args.model == "mvc-lda" else {}
-        space = _build(hb.SearchSpace, values, **no_lambda)
-    labels = _load_label_space(args)
-    eval_split = "test" if getattr(args, "test", None) else "dev"  # ablate's --test
+    labels = _load_label_space(args.labels, p_at=p_at)
+    eval_split, eval_path = scored or ("dev", args.dev)
     words: dict[str, int] = {}
-    splits = {name: _read_split(name, getattr(args, name), labels, words, grow=name == "train",
-                                scored=args.command == "ablate" and name == eval_split)
-              for name in dict.fromkeys(("train", "dev", eval_split))}
+    splits = {name: _read_split(name, path, labels, words, grow=name == "train",
+                                scored=scored is not None and name == eval_split)
+              for name, path in {"train": args.train, "dev": args.dev,
+                                 eval_split: eval_path}.items()}
     vocab = corpus.build_vocabulary(splits["train"].notes, words, train_cfg.min_doc_freq)
     docs = {name: corpus.encode_corpus(s.notes, words, (s.gold, s.dropped), vocab)[0]
             for name, s in splits.items()}
-    if "extra_notes" in getattr(args, "components", ()) and not any(
-            train_mod.reduce_document(d).length > 1 for d in docs["train"]):
-        raise ValueError(f"ablate component extra_notes: no note of train split {args.train} "
-                         "keeps two tokens in its first half, so CBOW has no context window")
+    run = _TrainingSetup(
+        values, Path(args.out), labels, vocab, docs["train"], docs["dev"],
+        [vocab.encode(toks) for toks in labels.descriptions],
+        hashlib.sha256(corpus.vocabulary_bytes(vocab)).hexdigest(),
+        model_cfg, train_cfg, cbow_cfg, {},
+    )
+    return run, docs[eval_split]
 
-    vocab_bytes = corpus.vocabulary_bytes(vocab)
-    vocab_checksum = hashlib.sha256(vocab_bytes).hexdigest()
-    if getattr(args, "embeddings", None):
+
+def _init_params(run: _TrainingSetup, model_cfg: model.ModelConfig,
+                 table: np.ndarray) -> model.ModelParams:
+    """A `model_cfg` model on embedding `table`, initialized from the run's
+    seed."""
+    return model.init_params(model_cfg, run.vocab.size, run.labels.n_labels,
+                             np.random.default_rng(run.train_cfg.seed), embeddings=table)
+
+
+def _start(args, run, embeddings=None, **sizes) -> tuple[model.ModelParams, np.ndarray]:
+    """Get the float64 table: the `embeddings` file, checked against the
+    vocabulary's checksum (a training split with no token is refused
+    first, as CBOW refuses it), or else CBOW on the training split. Set
+    the run's model config to the table's width, build the first model
+    with the caller's `sizes`, and only then create --out and write the
+    vocabulary and the CBOW table, so that a model too large to allocate
+    leaves no output behind. Returns the first model and the table."""
+    if embeddings:
         # as CBOW does without --embeddings
-        if not any(len(d.token_ids) for d in docs["train"]):
+        if not any(len(d.token_ids) for d in run.train_docs):
             raise ValueError(f"train split {args.train} has no token to train on")
-        table = embed.load_embeddings(args.embeddings, expected_vocab_checksum=vocab_checksum)
-        if table.shape[0] != vocab.size:
+        table = embed.load_embeddings(embeddings, expected_vocab_checksum=run.vocab_checksum)
+        if table.shape[0] != run.vocab.size:
             raise ValueError(
-                f"embedding rows {table.shape[0]} do not match vocabulary size {vocab.size}"
+                f"embedding rows {table.shape[0]} do not match vocabulary size {run.vocab.size}"
             )
     else:
-        table = embed.train_cbow([d.token_ids for d in docs["train"]], vocab.size, cbow_cfg)
-
-    # the width of the table in use, whatever the embed_dim key says
-    model_cfg = replace(model_cfg, embed_dim=table.shape[1])
-    run = _TrainingSetup(
-        values, Path(args.out), labels, vocab, docs["train"], docs["dev"], docs[eval_split],
-        [vocab.encode(toks) for toks in labels.descriptions], table, vocab_checksum,
-        model_cfg, train_cfg, cbow_cfg, space, {},
-    )
-    if args.command != "hyperband":
-        run.params0 = _init_params(run, model_cfg, table)
-    else:  # whose trials build their own: the largest the search can draw is built and dropped
-        _init_params(run, replace(model_cfg, n_filters=space.dc_max,
-                                  kernel_sizes=hb.kernel_sizes(space.s0_max)), table)
+        table = embed.train_cbow([d.token_ids for d in run.train_docs], run.vocab.size,
+                                 run.cbow_cfg)
+    run.model_cfg = replace(run.model_cfg, embed_dim=table.shape[1])
+    params0 = _init_params(run, replace(run.model_cfg, **sizes), table)
 
     run.out_dir.mkdir(parents=True, exist_ok=True)
     run.artifacts["vocab"] = run.out_dir / "vocab.tsv"
-    run.artifacts["vocab"].write_bytes(vocab_bytes)
-    if not getattr(args, "embeddings", None):
+    run.artifacts["vocab"].write_bytes(corpus.vocabulary_bytes(run.vocab))
+    if not embeddings:
         run.artifacts["embeddings"] = run.out_dir / "embeddings.bin"
-        embed.save_embeddings(run.artifacts["embeddings"], table, vocab_checksum)
-    return run
+        embed.save_embeddings(run.artifacts["embeddings"], table, run.vocab_checksum)
+    return params0, table
 
 
 # ---------------------------------------------------------------------------
@@ -352,18 +346,11 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _init_params(run: _TrainingSetup, model_cfg: model.ModelConfig,
-                 table: np.ndarray) -> model.ModelParams:
-    """A `model_cfg` model on embedding `table`, initialized from the run's
-    seed."""
-    return model.init_params(model_cfg, run.vocab.size, run.labels.n_labels,
-                             np.random.default_rng(run.train_cfg.seed), embeddings=table)
-
-
 def cmd_train(args) -> int:
-    run = _training_setup(args, TRAIN_KEYS)
-    run.table = None  # its first model holds the vectors; the table is not read again
-    best, history = train_mod.train(run.params0, run.train_docs, run.dev_docs, run.desc_ids,
+    run, _ = _read_and_check(args, load_config(args.config, TRAIN_KEYS))
+    # its first model holds the vectors: the table is not held through the epochs
+    params0 = _start(args, run, args.embeddings)[0]
+    best, history = train_mod.train(params0, run.train_docs, run.dev_docs, run.desc_ids,
                                     run.train_cfg)
 
     ckpt_path = run.out_dir / "checkpoint.bin"
@@ -393,15 +380,15 @@ def cmd_evaluate(args) -> int:
         raise ValueError(
             "vocabulary file does not match the checkpoint's vocabulary checksum"
         )
-    labels = _load_label_space(args)
+    labels = _load_label_space(args.labels, p_at=args.p_at)
     if labels.n_labels != params.n_labels:
         raise ValueError(
             f"checkpoint was trained for {params.n_labels} labels, "
             f"label file defines {labels.n_labels}"
         )
-    # the vocabulary's words at their ids: the table the model was trained on
-    words = vocab.token_to_id
-    test = _read_split("test", args.test, labels, words, scored=True)
+    # the vocabulary's words at their ids, so each note is read straight
+    # into vocabulary ids, an unseen word into len(words), the OOV id
+    test = _read_split("test", args.test, labels, vocab.token_to_id, scored=True)
     groups = None
     if args.groups:
         by_code = corpus.read_groups_tsv(args.groups)
@@ -411,7 +398,7 @@ def cmd_evaluate(args) -> int:
         by_code = corpus.read_counts_tsv(args.train_counts)
         train_counts = np.array([by_code.get(code, 0) for code in labels.codes], dtype=np.float64)
 
-    docs, _ = corpus.encode_corpus(test.notes, words, (test.gold, test.dropped), vocab)
+    docs = [corpus.EncodedDocument(ids, gold) for ids, gold in zip(test.notes, test.gold)]
     scores = model.predict_matrix(params, docs)
     cells = corpus.gold_cells(test.gold)
     # macro F1 over the labels with gold support (the split has at least one)
@@ -431,24 +418,26 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_hyperband(args) -> int:
-    run = _training_setup(args, HYPERBAND_KEYS)
+    values = load_config(args.config, HYPERBAND_KEYS)
+    no_lambda = {"lambdas": None} if args.model == "mvc-lda" else {}  # no lambda to search
+    space = _build(hb.SearchSpace, values, **no_lambda)
+    run, _ = _read_and_check(args, values)
+    # the largest model the search can draw, built and dropped before any trial
+    table = _start(args, run, args.embeddings, n_filters=space.dc_max,
+                   kernel_sizes=hb.kernel_sizes(space.s0_max))[1]
 
     # every trial is a prefix of its config's run: R epochs, never stopped early
     train_cfg = replace(run.train_cfg, max_epochs=args.R)
 
     def start(trial_cfg: hb.TrialConfig):
-        cfg = replace(
-            run.model_cfg,
-            kernel_sizes=trial_cfg.kernel_sizes,
-            n_filters=trial_cfg.n_filters,
-            lambda_=trial_cfg.lambda_ if trial_cfg.lambda_ is not None else run.model_cfg.lambda_,
-        )
-        params0 = _init_params(run, cfg, run.table)
+        lambda_ = run.model_cfg.lambda_ if trial_cfg.lambda_ is None else trial_cfg.lambda_
+        params0 = _init_params(run, replace(run.model_cfg, kernel_sizes=trial_cfg.kernel_sizes,
+                                            n_filters=trial_cfg.n_filters, lambda_=lambda_), table)
         return (stats.dev_micro_f1 for stats, _ in train_mod.epochs(
             params0, run.train_docs, run.dev_docs, run.desc_ids, train_cfg))
 
     best_cfg, best_score, log = hb.hyperband_search(
-        run.space, start, R=args.R, eta=args.eta, seed=args.seed
+        space, start, R=args.R, eta=args.eta, seed=args.seed
     )
     schedule = [
         {"s": s, "n": n, "r": r} for s, n, r in hb.bracket_schedule(args.R, args.eta)
@@ -483,7 +472,13 @@ def cmd_ablate(args) -> int:
     removed; report each one's metrics on the evaluation split and its
     deltas full minus ablated (positive: the component helps). A component
     whose removal leaves the full model reuses its result."""
-    run = _training_setup(args, TRAIN_KEYS)
+    run, eval_docs = _read_and_check(args, load_config(args.config, TRAIN_KEYS), args.p_at,
+                                     ("test", args.test) if args.test else ("dev", args.dev))
+    if "extra_notes" in args.components and not any(
+            train_mod.reduce_document(d).length > 1 for d in run.train_docs):
+        raise ValueError(f"ablate component extra_notes: no note of train split {args.train} "
+                         "keeps two tokens in its first half, so CBOW has no context window")
+    params0, table = _start(args, run)
 
     def score(params0, splits) -> dict:
         train_docs, dev_docs, eval_docs = splits
@@ -495,21 +490,21 @@ def cmd_ablate(args) -> int:
         return {"best_dev_micro_f1": history.best_dev_micro_f1, "micro_f1": report.micro_f1,
                 "pr_auc": report.pr_auc, "p_at": report.p_at}
 
-    splits = (run.train_docs, run.dev_docs, run.eval_docs)
-    full = score(run.params0, splits)
-    run.params0 = None  # trained in place: not held through the variants' training
+    splits = (run.train_docs, run.dev_docs, eval_docs)
+    full = score(params0, splits)
+    del params0  # trained in place: not held through the variants' training
     ablations = {}
     for name in args.components:
         variant_cfg = ABLATIONS[name](run.model_cfg)
         if name == "extra_notes":  # the reduced notes get their own CBOW table
             reduced = [[train_mod.reduce_document(d) for d in split] for split in splits]
-            table = embed.train_cbow([d.token_ids for d in reduced[0]], run.vocab.size,
-                                     run.cbow_cfg)
-            entry = score(_init_params(run, variant_cfg, table), reduced)
+            reduced_table = embed.train_cbow([d.token_ids for d in reduced[0]], run.vocab.size,
+                                             run.cbow_cfg)
+            entry = score(_init_params(run, variant_cfg, reduced_table), reduced)
         elif variant_cfg == run.model_cfg:  # nothing removed: every delta is 0.0
             entry = dict(full)
         else:
-            entry = score(_init_params(run, variant_cfg, run.table), splits)
+            entry = score(_init_params(run, variant_cfg, table), splits)
         entry["delta"] = {
             "micro_f1": full["micro_f1"] - entry["micro_f1"],
             "pr_auc": full["pr_auc"] - entry["pr_auc"],
@@ -536,7 +531,7 @@ def cmd_baseline(args) -> int:
     values = load_config(args.config, BASELINE_KEYS)
     svm_cfg = _build(baseline.SvmConfig, values, seed=args.seed)
     tfidf_cfg = _build(baseline.TfidfConfig, values)
-    labels = _load_label_space(args)
+    labels = _load_label_space(args.labels, args.hierarchy, args.p_at)
     words: dict[str, int] = {}
     train = _read_split("train", args.train, labels, words, grow=True)
     test = _read_split("test", args.test, labels, words, scored=True)

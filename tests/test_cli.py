@@ -46,6 +46,19 @@ def run(argv):
     return cli.main(argv)
 
 
+def _watch_models(monkeypatch) -> list:
+    """Weak references to the models the commands build, in build order."""
+    built, real = [], model.init_params
+
+    def init(*args, **kwargs):
+        params = real(*args, **kwargs)
+        built.append(weakref.ref(params))
+        return params
+
+    monkeypatch.setattr(cli.model, "init_params", init)
+    return built
+
+
 @pytest.fixture(scope="session")
 def corpus_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("corpus")
@@ -979,6 +992,20 @@ class TestHyperbandCmd:
         best = json.loads((tmp_path / "hb" / "best_config.json").read_text())
         assert best["best_config"]["lambda"] is None
 
+    def test_size_probe_is_not_held_during_the_search(self, corpus_dir, hb_cfg, tmp_path,
+                                                      monkeypatch):
+        # the largest model the space holds is built before --out to be
+        # refused early, then dropped: no trial trains beside it
+        built, held, real_epochs = _watch_models(monkeypatch), [], train.epochs
+
+        def watched(*args):
+            held.append(built[0]() is not None)
+            return real_epochs(*args)
+
+        monkeypatch.setattr(cli.train_mod, "epochs", watched)
+        assert self._run(corpus_dir, hb_cfg, tmp_path / "hb") == 0
+        assert held and not any(held)
+
     @staticmethod
     def _trials(out):
         return [json.loads(line) for line in (out / "trials.jsonl").read_text().splitlines()]
@@ -1000,7 +1027,8 @@ class TestHyperbandCmd:
         assert run(argv) == 0
         trials = self._trials(tmp_path / "hb")
         args = cli.build_parser().parse_args(argv[:-1] + [str(tmp_path / "ref")])
-        setup = cli._training_setup(args, cli.HYPERBAND_KEYS)
+        setup, _ = cli._read_and_check(args, cli.load_config(args.config, cli.HYPERBAND_KEYS))
+        table = cli._start(args, setup)[1]
         reference = {}
         for t in trials:
             c, e = t["config"], t["epochs"]
@@ -1008,7 +1036,7 @@ class TestHyperbandCmd:
             if key not in reference:
                 model_cfg = replace(setup.model_cfg, kernel_sizes=tuple(c["kernel_sizes"]),
                                     n_filters=c["n_filters"], lambda_=c["lambda"])
-                _, history = train.train(cli._init_params(setup, model_cfg, setup.table),
+                _, history = train.train(cli._init_params(setup, model_cfg, table),
                                          setup.train_docs, setup.dev_docs, setup.desc_ids,
                                          replace(setup.train_cfg, max_epochs=e, patience=e))
                 reference[key] = history.best_dev_micro_f1
@@ -1084,6 +1112,44 @@ class TestAblateCmd:
         }
         for entry in report["ablations"].values():
             assert {"micro_f1", "pr_auc", "p_at"} <= set(entry["delta"])
+
+    def test_full_model_is_not_held_while_variants_train(self, corpus_dir, train_cfg_path,
+                                                         tmp_path, monkeypatch):
+        # the full model is trained in place and scored; no variant trains
+        # beside it
+        built, held, real_train = _watch_models(monkeypatch), [], train.train
+
+        def watched(*args):
+            held.append(built[0]() is not None)
+            return real_train(*args)
+
+        monkeypatch.setattr(cli.train_mod, "train", watched)
+        assert run([
+            "ablate", "--model", "mvc-lda", "--train", str(corpus_dir / "train.jsonl"),
+            "--dev", str(corpus_dir / "dev.jsonl"),
+            "--labels", str(corpus_dir / "descriptions.tsv"), "--config", str(train_cfg_path),
+            "--components", "length_embedding,multi_view",
+            "--seed", "6", "--out", str(tmp_path / "ablate"),
+        ]) == 0
+        assert held == [True, False, False]
+
+    def test_extra_notes_table_serves_only_its_own_variant(self, corpus_dir, train_cfg_path,
+                                                           tmp_path):
+        # the reduced notes' CBOW table trains extra_notes alone: a variant
+        # listed after it starts from the full training split's table
+        def ablation(components):
+            out = tmp_path / components
+            assert run([
+                "ablate", "--model", "mvc-lda", "--train", str(corpus_dir / "train.jsonl"),
+                "--dev", str(corpus_dir / "dev.jsonl"),
+                "--labels", str(corpus_dir / "descriptions.tsv"),
+                "--config", str(train_cfg_path), "--components", components,
+                "--seed", "6", "--out", str(out),
+            ]) == 0
+            return json.loads((out / "ablation.json").read_text())["ablations"]
+
+        after = ablation("extra_notes,multi_view")["multi_view"]
+        assert after == ablation("multi_view")["multi_view"]
 
     def test_known_results_are_not_trained_again(self, corpus_dir, train_cfg_path, tmp_path,
                                                  monkeypatch):
