@@ -241,11 +241,11 @@ class _TrainingSetup:
     train_docs: list
     dev_docs: list
     desc_ids: list
-    vocab_checksum: str
     model_cfg: model.ModelConfig  # at the pretrained table's width once `_start` has run
     train_cfg: train_mod.TrainConfig
     cbow_cfg: embed.CbowConfig  # of the embed_dim key's width; unused under --embeddings
     artifacts: dict
+    vocab_checksum: str = ""  # of the vocabulary file, set by `_start`
 
 
 def _read_and_check(args, values: dict, p_at=(), scored=None) -> tuple[_TrainingSetup, list]:
@@ -274,7 +274,6 @@ def _read_and_check(args, values: dict, p_at=(), scored=None) -> tuple[_Training
     run = _TrainingSetup(
         values, Path(args.out), labels, vocab, docs["train"], docs["dev"],
         [vocab.encode(toks) for toks in labels.descriptions],
-        hashlib.sha256(corpus.vocabulary_bytes(vocab)).hexdigest(),
         model_cfg, train_cfg, cbow_cfg, {},
     )
     return run, docs[eval_split]
@@ -288,14 +287,18 @@ def _init_params(run: _TrainingSetup, model_cfg: model.ModelConfig,
                              np.random.default_rng(run.train_cfg.seed), embeddings=table)
 
 
-def _start(args, run, embeddings=None, **sizes) -> tuple[model.ModelParams, np.ndarray]:
-    """Get the float64 table: the `embeddings` file, checked against the
-    vocabulary's checksum (a training split with no token is refused
+def _start(args, run, embeddings=None, **sizes) -> model.ModelParams:
+    """Build the vocabulary file's bytes once, and set the run's checksum
+    to their hash. Get the float64 table: the `embeddings` file, checked
+    against that checksum (a training split with no token is refused
     first, as CBOW refuses it), or else CBOW on the training split. Set
     the run's model config to the table's width, build the first model
     with the caller's `sizes`, and only then create --out and write the
     vocabulary and the CBOW table, so that a model too large to allocate
-    leaves no output behind. Returns the first model and the table."""
+    leaves no output behind. Returns the first model alone: its W_e is the
+    table in the model's dtype, and the float64 table is dropped here."""
+    vocab_bytes = corpus.vocabulary_bytes(run.vocab)
+    run.vocab_checksum = hashlib.sha256(vocab_bytes).hexdigest()
     if embeddings:
         # as CBOW does without --embeddings
         if not any(len(d.token_ids) for d in run.train_docs):
@@ -313,11 +316,11 @@ def _start(args, run, embeddings=None, **sizes) -> tuple[model.ModelParams, np.n
 
     run.out_dir.mkdir(parents=True, exist_ok=True)
     run.artifacts["vocab"] = run.out_dir / "vocab.tsv"
-    run.artifacts["vocab"].write_bytes(corpus.vocabulary_bytes(run.vocab))
+    run.artifacts["vocab"].write_bytes(vocab_bytes)
     if not embeddings:
         run.artifacts["embeddings"] = run.out_dir / "embeddings.bin"
         embed.save_embeddings(run.artifacts["embeddings"], table, run.vocab_checksum)
-    return params0, table
+    return params0
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +351,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     run, _ = _read_and_check(args, load_config(args.config, TRAIN_KEYS))
-    # its first model holds the vectors: the table is not held through the epochs
-    params0 = _start(args, run, args.embeddings)[0]
+    params0 = _start(args, run, args.embeddings)
     best, history = train_mod.train(params0, run.train_docs, run.dev_docs, run.desc_ids,
                                     run.train_cfg)
 
@@ -422,9 +424,10 @@ def cmd_hyperband(args) -> int:
     no_lambda = {"lambdas": None} if args.model == "mvc-lda" else {}  # no lambda to search
     space = _build(hb.SearchSpace, values, **no_lambda)
     run, _ = _read_and_check(args, values)
-    # the largest model the search can draw, built and dropped before any trial
+    # the largest model the search can draw, built and dropped before any
+    # trial; every trial starts from its W_e, the table in the model's dtype
     table = _start(args, run, args.embeddings, n_filters=space.dc_max,
-                   kernel_sizes=hb.kernel_sizes(space.s0_max))[1]
+                   kernel_sizes=hb.kernel_sizes(space.s0_max))["W_e"].copy()
 
     # every trial is a prefix of its config's run: R epochs, never stopped early
     train_cfg = replace(run.train_cfg, max_epochs=args.R)
@@ -478,7 +481,8 @@ def cmd_ablate(args) -> int:
             train_mod.reduce_document(d).length > 1 for d in run.train_docs):
         raise ValueError(f"ablate component extra_notes: no note of train split {args.train} "
                          "keeps two tokens in its first half, so CBOW has no context window")
-    params0, table = _start(args, run)
+    params0 = _start(args, run)
+    table = params0["W_e"].copy()  # params0 trains in place
 
     def score(params0, splits) -> dict:
         train_docs, dev_docs, eval_docs = splits
@@ -496,11 +500,10 @@ def cmd_ablate(args) -> int:
     ablations = {}
     for name in args.components:
         variant_cfg = ABLATIONS[name](run.model_cfg)
-        if name == "extra_notes":  # the reduced notes get their own CBOW table
+        if name == "extra_notes":  # their own CBOW table, dropped once the model holds it
             reduced = [[train_mod.reduce_document(d) for d in split] for split in splits]
-            reduced_table = embed.train_cbow([d.token_ids for d in reduced[0]], run.vocab.size,
-                                             run.cbow_cfg)
-            entry = score(_init_params(run, variant_cfg, reduced_table), reduced)
+            entry = score(_init_params(run, variant_cfg, embed.train_cbow(
+                [d.token_ids for d in reduced[0]], run.vocab.size, run.cbow_cfg)), reduced)
         elif variant_cfg == run.model_cfg:  # nothing removed: every delta is 0.0
             entry = dict(full)
         else:
@@ -550,9 +553,8 @@ def cmd_baseline(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = {"model": out_dir / "baseline_model.bin", "metrics": out_dir / "metrics.json"}
     baseline.save_baseline(artifacts["model"], featurizer, ovr)
-    report = metrics.evaluate_predictions(
-        pred.astype(np.float64), corpus.gold_cells(test.gold), p_at=tuple(args.p_at)
-    )
+    report = metrics.evaluate_predictions(pred, corpus.gold_cells(test.gold),
+                                          p_at=tuple(args.p_at))
     corpus.write_json(artifacts["metrics"], asdict(report))
     _write_manifest(out_dir, args, values, artifacts)
     print(f"{'hierarchical' if args.hierarchy else 'flat'} baseline micro F1 {report.micro_f1:.5f}")

@@ -245,9 +245,9 @@ def save_embeddings(path, table: np.ndarray, vocab_checksum: str) -> None:
 
 def load_embeddings(path, expected_vocab_checksum: str | None = None) -> np.ndarray:
     """Read a table written by `save_embeddings`, checking its vocabulary
-    checksum when one is expected. A damaged or foreign file, or a header
-    without a 2-d `embeddings` tensor and a `vocab_sha256`, raises
-    DataFormatError."""
+    checksum when one is expected. A damaged or foreign file, a header
+    without a 2-d `embeddings` tensor and a `vocab_sha256`, or a table
+    holding a NaN or an infinity raises DataFormatError."""
     with open(path, "rb") as fh:
         if fh.read(5) == b"#emb\t":
             raise DataFormatError(
@@ -264,4 +264,6 @@ def load_embeddings(path, expected_vocab_checksum: str | None = None) -> np.ndar
             f"{path}: embedding table was trained against a different vocabulary "
             f"(checksum {stored[:12]}… != {expected_vocab_checksum[:12]}…)"
         )
+    if not np.isfinite(table).all():
+        raise DataFormatError(f"{path}: embedding table holds non-finite values")
     return table

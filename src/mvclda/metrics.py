@@ -1,7 +1,11 @@
 """Multi-label evaluation: micro/macro F1, P@n, PR AUC and frequency-binned
 F1.
 
-Scores are n_docs x n_labels matrices in [0, 1]; the gold is the int64
+Scores are n_docs x n_labels matrices in [0, 1], taken in their own dtype:
+a model's float32 or float64 scores, or a baseline's boolean predictions
+(False and True sort, compare and threshold as 0 and 1 do). Every score
+converts to float64 exactly, so no float64 copy is made and each report
+equals the one of the widened scores, bit for bit. The gold is the int64
 (rows, cols) of its positive cells, row-major (`corpus.gold_cells`). All
 operations are pure and permutation-invariant in document order.
 
@@ -22,10 +26,8 @@ REPORT_FORMAT_VERSION = 1
 # Presence threshold: scores strictly greater than 0.5 count as predicted.
 DEFAULT_THRESHOLD = 0.5
 
-# Places of the sorted positive scores per block of the PR AUC sweep, and
-# cells per row block of the P@n selection: bounds on the transients beside
-# the sorted copies.
-PR_AUC_BLOCK = 65_536
+# Cells per row block of the P@n selection: a bound on the transients
+# beside the partitioned copy.
 P_AT_N_BLOCK = 65_536
 
 
@@ -91,7 +93,6 @@ def precision_at_n(scores: np.ndarray, gold, n: int) -> float:
     taken, and its ties fill the remaining places from the lowest label
     index up. Rows go P_AT_N_BLOCK cells at a time.
     """
-    scores = np.asarray(scores, dtype=np.float64)
     rows, cols = gold
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -133,38 +134,26 @@ def pr_auc(scores: np.ndarray, gold) -> float:
     in the scores sorted once, and the true positives the positives scoring
     v or more, counted by v's first place among the positives' scores,
     sorted apart. Such a threshold exists when some cell scores below v, or
-    when v > 0 (the threshold 0 then predicts every cell). The distinct
-    positive scores go PR_AUC_BLOCK places of the sorted positives at a
-    time, from the highest down, with the area carried between blocks.
+    when v > 0 (the threshold 0 then predicts every cell).
     """
-    s = np.asarray(scores, dtype=np.float64)
-    pos = np.sort(s[tuple(gold)])
+    pos = np.sort(scores[tuple(gold)])
     n_pos = pos.size
     if n_pos == 0:
         raise ValueError("PR AUC is undefined without gold positives")
-    s = np.sort(s.ravel())
+    s = np.sort(scores.ravel())
     n = s.size
-    area, last_recall = 0.0, 0.0
-    for hi in range(n_pos, 0, -PR_AUC_BLOCK):
-        lo = max(hi - PR_AUC_BLOCK, 0)
-        run_start = np.empty(hi - lo, dtype=bool)
-        run_start[0] = lo == 0 or pos[lo] != pos[lo - 1]
-        np.not_equal(pos[lo + 1 : hi], pos[lo : hi - 1], out=run_start[1:])
-        first = lo + np.flatnonzero(run_start)[::-1]
-        v = pos[first]
-        n_pred = n - np.searchsorted(s, v, side="left")
-        tp = n_pos - first
-        below = (n_pred < n) | (v > 0.0)
-        n_pred, tp = n_pred[below], tp[below]
-        if tp.size == 0:
-            continue
-        recall = tp / n_pos
-        precision = tp / n_pred
-        steps = (recall - np.concatenate([[last_recall], recall[:-1]])) * precision
-        # accumulate, unlike np.sum, adds strictly left to right
-        area = np.add.accumulate(np.concatenate([[area], steps]))[-1]
-        last_recall = recall[-1]
-    return float(area)
+    run_start = np.empty(n_pos, dtype=bool)
+    run_start[0] = True
+    np.not_equal(pos[1:], pos[:-1], out=run_start[1:])
+    first = np.flatnonzero(run_start)[::-1]
+    v = pos[first]
+    n_pred = n - np.searchsorted(s, v, side="left")
+    below = (n_pred < n) | (v > 0.0)
+    tp = (n_pos - first)[below]
+    recall = tp / n_pos
+    steps = (recall - np.concatenate(([0.0], recall[:-1]))) * (tp / n_pred[below])
+    # accumulate, unlike np.sum, adds strictly left to right
+    return float(np.add.accumulate(np.concatenate(([0.0], steps)))[-1])
 
 
 @dataclass
@@ -243,7 +232,6 @@ def evaluate_predictions(
     `macro_labels` an optional label subset for macro F1 (every member must
     have gold support).
     """
-    scores = np.asarray(scores, dtype=np.float64)
     pred = binarize(scores)
     counts = label_counts(pred, gold)
     tp, fp, fn = (int(c) for c in counts.sum(axis=1))

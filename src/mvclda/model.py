@@ -78,8 +78,8 @@ the dropout scales take it, so a float32 model runs SGEMM and float32
 elementwise work throughout (a single float64 operand would promote the
 rest). `init_params` makes float32 parameters; a float64 set (an older
 checkpoint, or `init_params(..., dtype=np.float64)`) computes in float64.
-Only the loss is summed in float64, and `predict_matrix` returns float64
-scores, which hold float32 ones exactly.
+Only the loss is summed in float64; `predict_matrix` returns its scores
+in the parameters' dtype too, and the metrics take them as they are.
 """
 
 from __future__ import annotations
@@ -709,8 +709,9 @@ def _sample_backward(token_ids, length: int, gold, params: ModelParams,
 
 
 def predict_matrix(params: ModelParams, docs) -> np.ndarray:
-    """Eval-mode score matrix (n_docs x n_labels) for encoded documents."""
-    out = np.zeros((len(docs), params.n_labels))
+    """Eval-mode score matrix (n_docs x n_labels) for encoded documents, in
+    the parameters' dtype."""
+    out = np.zeros((len(docs), params.n_labels), params.dtype)
     # the parameters are fixed here, so the kernels are stacked once
     W_stack = _stack_kernels(params.conv)
     for i, doc in enumerate(docs):

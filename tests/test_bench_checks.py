@@ -1,0 +1,68 @@
+"""The bench's own output checks over a tiny synth, train and evaluate run.
+
+`bench/run.py` checks every pass's scores, metrics report, PR AUC and CBOW
+objective with `bench/checks.py`, on what `bench/tracer.py` keeps of the
+calls. Here the same checks run on the same kept calls, so a change to the
+score dtype or to the report fails in the test suite, not only as a
+bench run's failed check.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
+
+from mvclda import cli
+
+from test_cli import SYNTH_CFG, TRAIN_CFG
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+checks = _load("checks")
+tracer_mod = _load("tracer")
+
+
+def test_checks_pass_on_the_kept_scores_report_and_cbow_tables(tmp_path):
+    (tmp_path / "synth.cfg").write_text(SYNTH_CFG)
+    (tmp_path / "train.cfg").write_text(TRAIN_CFG)
+    data, out = tmp_path / "data", tmp_path / "out"
+    tracer = tracer_mod.Tracer("phase")
+
+    def command(*argv):
+        # the command span the tracer keeps calls under, as a bench pass opens it
+        span = tracer.open(f"cli.{argv[0]}")
+        try:
+            assert cli.main([str(a) for a in argv]) == 0, argv
+        finally:
+            tracer.close(span)
+
+    tracer.install()
+    try:
+        command("synth", "--config", tmp_path / "synth.cfg", "--out-dir", data, "--seed", 13)
+        command("train", "--model", "mvc-rlda", "--train", data / "train.jsonl",
+                "--dev", data / "dev.jsonl", "--labels", data / "descriptions.tsv",
+                "--config", tmp_path / "train.cfg", "--seed", 3, "--out", out)
+        command("evaluate", "--checkpoint", out / "checkpoint.bin",
+                "--test", data / "test.jsonl", "--labels", data / "descriptions.tsv",
+                "--vocab", out / "vocab.tsv", "--metrics-out", out / "metrics.json",
+                "--p-at", "1,5")
+    finally:
+        tracer.restore()
+
+    report = json.loads((out / "metrics.json").read_text())
+    gold = checks.gold_from_files(data / "test.jsonl", data / "descriptions.tsv")
+    scores = np.asarray(tracer.kept["predict"][2])
+    checks.scores_valid(scores, gold)
+    checks.report_matches(report, scores, gold)
+    checks.pr_auc_matches(report, scores, gold)
+    (docs, vocab_size, cbow_cfg), _, (w_in, w_out) = tracer.kept["cbow"]
+    checks.cbow_objective_fell(docs, vocab_size, cbow_cfg, w_in, w_out)

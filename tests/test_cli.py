@@ -436,30 +436,42 @@ class TestTrain:
         assert emb.read_bytes() == before  # fine-tuning leaves the loaded file as it was
 
     def test_pretrained_table_is_not_held_while_training(self, corpus_dir, train_cfg_path,
-                                                         tmp_path, monkeypatch):
-        # the float64 table CBOW returns is V x d_e; once the first model
-        # and embeddings.bin hold it, train lets it go before its epochs
-        tables, held, real_cbow, real_train = [], [], embed.train_cbow, train.train
+                                                         hb_cfg, tmp_path, monkeypatch):
+        # the float64 table CBOW returns or --embeddings loads is V x d_e;
+        # once the first model and embeddings.bin hold it, each command lets
+        # it go before any training starts: hyperband and ablate start later
+        # models from a float32 copy, and ablate's extra_notes from its own
+        # table, dropped once its model holds it
+        tables, held = [], []
+        real_cbow, real_load, real_epochs = embed.train_cbow, embed.load_embeddings, train.epochs
 
-        def cbow(*args, **kwargs):
-            table = real_cbow(*args, **kwargs)
-            tables.append(weakref.ref(table))
-            return table
+        def returned(real):
+            def spy(*args, **kwargs):
+                table = real(*args, **kwargs)
+                tables.append(weakref.ref(table))
+                return table
+            return spy
 
         def watched(*args):
-            held.append(tables[0]() is not None)
-            return real_train(*args)
+            held.append([table() is not None for table in tables])
+            return real_epochs(*args)
 
-        monkeypatch.setattr(cli.embed, "train_cbow", cbow)
-        monkeypatch.setattr(cli.train_mod, "train", watched)
-        assert run([
-            "train", "--model", "mvc-lda",
-            "--train", str(corpus_dir / "train.jsonl"),
-            "--dev", str(corpus_dir / "dev.jsonl"),
-            "--labels", str(corpus_dir / "descriptions.tsv"),
-            "--config", str(train_cfg_path), "--seed", "3", "--out", str(tmp_path / "out"),
-        ]) == 0
-        assert len(tables) == 1 and held == [False]
+        monkeypatch.setattr(cli.embed, "train_cbow", returned(real_cbow))
+        monkeypatch.setattr(cli.embed, "load_embeddings", returned(real_load))
+        monkeypatch.setattr(cli.train_mod, "epochs", watched)
+        argv = TestCommandFront._argv
+        first = tmp_path / "train"
+        runs = [(argv("train", corpus_dir, train_cfg_path, first), 1),
+                (argv("train", corpus_dir, train_cfg_path, tmp_path / "reuse")
+                 + ["--embeddings", str(first / "embeddings.bin")], 1),
+                (argv("hyperband", corpus_dir, hb_cfg, tmp_path / "hb") + ["--R", "3"], 1),
+                (argv("ablate", corpus_dir, train_cfg_path, tmp_path / "ablate")
+                 + ["--components", "all"], 2)]
+        for args, n_tables in runs:
+            tables.clear()
+            held.clear()
+            assert run(args) == 0, args[0]
+            assert len(tables) == n_tables and held and not any(map(any, held)), args
 
     def test_token_ids_are_int32_from_reader_to_model(self, corpus_dir, train_cfg_path,
                                                       tmp_path, monkeypatch):
@@ -1028,7 +1040,7 @@ class TestHyperbandCmd:
         trials = self._trials(tmp_path / "hb")
         args = cli.build_parser().parse_args(argv[:-1] + [str(tmp_path / "ref")])
         setup, _ = cli._read_and_check(args, cli.load_config(args.config, cli.HYPERBAND_KEYS))
-        table = cli._start(args, setup)[1]
+        table = cli._start(args, setup)["W_e"]
         reference = {}
         for t in trials:
             c, e = t["config"], t["epochs"]
@@ -1265,7 +1277,8 @@ class TestCommandFront:
     """The check order every command shares: config keys, then the label
     space, then the splits and --p-at, then the first file written."""
 
-    def _argv(self, command, corpus_dir, cfg, out):
+    @staticmethod
+    def _argv(command, corpus_dir, cfg, out):
         data = ["--train", str(corpus_dir / "train.jsonl"),
                 "--labels", str(corpus_dir / "descriptions.tsv"), "--seed", "3"]
         fit = [*data, "--dev", str(corpus_dir / "dev.jsonl"), "--config", str(cfg),
@@ -1500,3 +1513,35 @@ class TestCommandFront:
             for name, entry in manifest["inputs"].items():
                 path = argv[argv.index("--" + name.replace("_", "-")) + 1]
                 assert entry == {"path": path, "sha256": embed.sha256_file(path)}
+
+    # a NaN in the table once made train exit 3 at its first batch after
+    # writing vocab.tsv, and hyperband exit 0 with every trial diverged
+    @pytest.mark.parametrize("command", ["train", "hyperband"])
+    def test_non_finite_embeddings_exit_2_leaving_nothing(self, corpus_dir, train_cfg_path,
+                                                          trained_dir, tmp_path, capsys, command):
+        table = embed.load_embeddings(trained_dir / "embeddings.bin").copy()
+        table[1, 2] = np.nan
+        emb, out = tmp_path / "embeddings.bin", tmp_path / "out"
+        embed.save_embeddings(emb, table, embed.sha256_file(trained_dir / "vocab.tsv"))
+        argv = self._argv(command, corpus_dir, train_cfg_path, out) + ["--embeddings", str(emb)]
+        assert run(argv) == cli.EXIT_DATA
+        assert f"{emb}: embedding table holds non-finite values" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "hyperband", "ablate"])
+    def test_vocabulary_is_formatted_once(self, corpus_dir, train_cfg_path, tmp_path,
+                                          monkeypatch, command):
+        # its bytes are both hashed for the checksum and written as vocab.tsv
+        calls, real = [], corpus.vocabulary_bytes
+
+        def counted(vocab):
+            calls.append(vocab)
+            return real(vocab)
+
+        monkeypatch.setattr(cli.corpus, "vocabulary_bytes", counted)
+        out = tmp_path / "out"
+        assert run(self._argv(command, corpus_dir, train_cfg_path, out)) == 0
+        assert len(calls) == 1
+        # the table is pinned to the vocabulary file written
+        embed.load_embeddings(out / "embeddings.bin",
+                              expected_vocab_checksum=embed.sha256_file(out / "vocab.tsv"))

@@ -366,20 +366,23 @@ class TestOneSortReport:
     """The one-sort report against the per-subset, argsort-based one it
     replaced (kept in oracles.py): the same report, bit for bit."""
 
+    # float32 scores (a float32 model's) and boolean predictions (the
+    # baselines') are reported as they are, as their float64 widening is
     @pytest.mark.parametrize("kind", MATRIX_KINDS)
     def test_report_equals_per_subset_report(self, kind):
         rng = np.random.default_rng(MATRIX_KINDS.index(kind))
         for _ in range(40):
             scores, gold = kind_case(rng, kind)
             kwargs = full_report_args(rng, gold)
-            report = metrics.evaluate_predictions(scores, cells(gold), **kwargs)
-            assert dataclasses.asdict(report) == \
-                dataclasses.asdict(per_subset_report(scores, gold, **kwargs))
+            for given in (scores, scores.astype(np.float32), scores > 0.5):
+                report = metrics.evaluate_predictions(given, cells(gold), **kwargs)
+                widened = given.astype(np.float64)
+                assert dataclasses.asdict(report) == \
+                    dataclasses.asdict(per_subset_report(widened, gold, **kwargs)), given.dtype
 
     @pytest.mark.parametrize("block", [1, 3])
     @pytest.mark.parametrize("kind", MATRIX_KINDS)
     def test_small_blocks_change_no_bit(self, monkeypatch, kind, block):
-        monkeypatch.setattr(metrics, "PR_AUC_BLOCK", block)
         monkeypatch.setattr(metrics, "P_AT_N_BLOCK", block)
         rng = np.random.default_rng(10 + MATRIX_KINDS.index(kind))
         for _ in range(20):

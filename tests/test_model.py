@@ -1052,8 +1052,8 @@ class TestConfigValidation:
 
 
 class TestFloat32:
-    """A float32 parameter set computes in float32 end to end; only the loss
-    is summed in float64, and scores come out as float64."""
+    """A float32 parameter set computes in float32 end to end, scores
+    included; only the loss is summed in float64."""
 
     CFG = model.ModelConfig(kind="mvc-rlda", kernel_sizes=(2, 4, 6, 8), n_filters=6,
                             embed_dim=8, lambda_=0.01)
@@ -1102,8 +1102,18 @@ class TestFloat32:
             assert cache[name].dtype == np.float32, name
         assert model.forward(ids, len(ids), params).dtype == np.float32
         scores = model.predict_matrix(params, [EncodedDocument(ids, np.zeros(0, np.int64))])
-        assert scores.dtype == np.float64
+        assert scores.dtype == np.float32
         assert np.array_equal(scores[0], model.forward(ids, len(ids), params))
+
+    def test_scores_keep_the_parameters_dtype(self):
+        # a float64 set (an older checkpoint) scores in float64
+        p32, p64, _, samples = self.batch(2)
+        docs = [EncodedDocument(ids, np.zeros(0, np.int64)) for ids, *_ in samples]
+        for params in (p32, p64):
+            scores = model.predict_matrix(params, docs)
+            assert scores.dtype == params.dtype
+            for doc, row in zip(docs, scores):
+                assert np.array_equal(row, model.forward(doc.token_ids, doc.length, params))
 
     # float32 rounding of the same arithmetic: at most 1.1e-6 of each
     # tensor's largest float64 entry over 20 seeds, so 1e-5 (about 84
