@@ -34,17 +34,25 @@ class TfidfFeaturizer:
     # len(terms) for none
     columns: np.ndarray
 
-    def transform(self, notes) -> np.ndarray:
-        """L2-normalized tf-idf vectors (rows of norm 1, or 0 if empty) of
-        notes of ids in the word table the featurizer was fitted on, or of
-        the id past it."""
-        X = np.zeros((len(notes), len(self.terms)))
-        for i, note in enumerate(notes):  # the last count is of words outside the terms
-            X[i] = np.bincount(self.columns[note], minlength=len(self.terms) + 1)[:-1]
-        X *= self.idf
-        norms = np.linalg.norm(X, axis=1, keepdims=True)
-        np.divide(X, norms, out=X, where=norms > 0)
-        return X
+    def transform(self, notes) -> tuple[list[np.ndarray], list[np.ndarray], int]:
+        """Each note's L2-normalized tf-idf vector (norm 1, or 0 if empty) as
+        its nonzero term columns and values, and the term count, for notes of
+        ids in the word table the featurizer was fitted on, or the id past it."""
+        cols, vals, dim = [], [], len(self.terms)
+        for note in notes:  # the last count is of words outside the terms
+            x = np.bincount(self.columns[note], minlength=dim + 1)[:-1] * self.idf
+            cols.append(x.nonzero()[0])
+            # np.linalg.norm's sum, over the full row; an empty note divides no value by 0
+            vals.append(x[cols[-1]] / math.sqrt(np.add.reduce(x * x)))
+        return cols, vals, dim
+
+
+def to_dense(rows) -> np.ndarray:
+    """The notes x terms matrix of `TfidfFeaturizer.transform`'s rows."""
+    X = np.zeros((len(rows[0]), rows[2]))
+    for x, cols, vals in zip(X, rows[0], rows[1]):
+        x[cols] = vals
+    return X
 
 
 @dataclass(frozen=True)
@@ -88,18 +96,9 @@ class SvmConfig:
             raise ValueError("svm_epochs must be >= 1")
 
 
-def _csr_rows(X: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Each row's nonzero columns and values, as views of X's CSR arrays."""
-    rows, indices = np.nonzero(X)
-    data = X[rows, indices]
-    indptr = np.searchsorted(rows, np.arange(X.shape[0] + 1))
-    return np.split(indices, indptr[1:-1]), np.split(data, indptr[1:-1])
-
-
-def _train_hinge(csr, rows: np.ndarray, dim: int, y: np.ndarray, cfg: SvmConfig,
-                 label_seed: int):
+def _train_hinge(rows, pool: np.ndarray, y: np.ndarray, cfg: SvmConfig, label_seed: int):
     """Pegasos-style subgradient descent on hinge loss with L2 penalty, over
-    the `_csr_rows` rows `rows` of the feature matrix.
+    the rows `pool` of `TfidfFeaturizer.transform`'s output.
 
     y is +/-1 per row. Returns (w, b); b is unregularized. w is kept as
     a * v (Shalev-Shwartz et al., 2011), so the shrink is O(1) and the
@@ -110,17 +109,17 @@ def _train_hinge(csr, rows: np.ndarray, dim: int, y: np.ndarray, cfg: SvmConfig,
         return None, -1.0
     if not np.any(y < 0):
         return None, 1.0
-    row_cols = [csr[0][r] for r in rows]
-    row_vals = [csr[1][r] for r in rows]
+    row_cols = [rows[0][r] for r in pool]
+    row_vals = [rows[1][r] for r in pool]
     y = y.tolist()
     reg, inv_reg = cfg.reg, 1.0 / cfg.reg
     rng = np.random.default_rng(label_seed)
-    v = np.zeros(dim)
+    v = np.zeros(rows[2])
     a = 1.0
     b = 0.0
     t = 0
     for _epoch in range(cfg.epochs):
-        for i in rng.permutation(len(rows)).tolist():
+        for i in rng.permutation(len(pool)).tolist():
             t += 1
             lr = 1.0 / (reg * (t + inv_reg))
             cols, vals, y_i = row_cols[i], row_vals[i], y[i]
@@ -162,11 +161,11 @@ class LinearOvrModel:
         return scores
 
 
-def train_flat(X: np.ndarray, gold, codes, cfg: SvmConfig) -> LinearOvrModel:
-    """Independent classifier per label, for X's gold cells (`gold_cells`);
-    zero-positive labels get an always-negative classifier. This is the
-    hierarchical trainer over an empty hierarchy."""
-    return _train_ovr(X, gold, codes, {}, cfg, hierarchical=False)
+def train_flat(rows, gold, codes, cfg: SvmConfig) -> LinearOvrModel:
+    """Independent classifier per label, for `transform`'s rows and their gold
+    cells (`gold_cells`); zero-positive labels get an always-negative
+    classifier. This is the hierarchical trainer over an empty hierarchy."""
+    return _train_ovr(rows, gold, codes, {}, cfg, hierarchical=False)
 
 
 def predict_flat(model: LinearOvrModel, X: np.ndarray) -> np.ndarray:
@@ -208,18 +207,17 @@ def _subtree_columns(chains) -> dict[str, list[int]]:
     return cols
 
 
-def train_hierarchical(
-    X: np.ndarray, gold, codes, parents: dict[str, str], cfg: SvmConfig
-) -> LinearOvrModel:
-    """One classifier per hierarchy node, for X's gold cells. A node's
-    training pool is every document whose gold set intersects its parent's
-    subtree (root-level nodes see all documents); positives are the
-    documents intersecting the node's own subtree."""
-    return _train_ovr(X, gold, codes, parents, cfg, hierarchical=True)
+def train_hierarchical(rows, gold, codes, parents: dict[str, str],
+                       cfg: SvmConfig) -> LinearOvrModel:
+    """One classifier per hierarchy node, for `transform`'s rows and their
+    gold cells. A node's training pool is every document whose gold set
+    intersects its parent's subtree (root-level nodes see all documents);
+    positives are the documents intersecting the node's own subtree."""
+    return _train_ovr(rows, gold, codes, parents, cfg, hierarchical=True)
 
 
-def _train_ovr(X: np.ndarray, gold, codes, parents: dict[str, str],
-               cfg: SvmConfig, hierarchical: bool) -> LinearOvrModel:
+def _train_ovr(rows, gold, codes, parents: dict[str, str], cfg: SvmConfig,
+               hierarchical: bool) -> LinearOvrModel:
     """`train_hierarchical`'s rule; without parents every node is a root-level
     label with its own column as positives, which is `train_flat`."""
     codes = list(codes)
@@ -229,25 +227,24 @@ def _train_ovr(X: np.ndarray, gold, codes, parents: dict[str, str],
     doc_ids, label_ids = gold
     ends = np.cumsum(np.bincount(label_ids, minlength=len(codes)))
     label_docs = np.split(doc_ids[np.argsort(label_ids, kind="stable")], ends[:-1])
-    subtree_pos = {node: np.zeros(X.shape[0], dtype=bool) for node in nodes}
-    for node, node_cols in subtree_cols.items():
-        subtree_pos[node][np.concatenate([label_docs[j] for j in node_cols])] = True
-    csr, all_rows = _csr_rows(X), np.arange(X.shape[0])
-    rows, weights = [], []
+    # each node's positive documents, sorted: those with gold in its subtree
+    subtree_docs = {node: np.unique(np.concatenate([label_docs[j] for j in node_cols]))
+                    for node, node_cols in subtree_cols.items()}
+    no_docs, all_docs = np.zeros(0, dtype=np.int64), np.arange(len(rows[0]))
+    trained, weights = [], []
     bias = np.zeros(len(nodes))
     for k, node in enumerate(nodes):
         parent = parents.get(node)
-        pool = all_rows if parent is None else np.flatnonzero(subtree_pos[parent])
-        y = np.where(subtree_pos[node][pool], 1.0, -1.0)
-        w, bias[k] = _train_hinge(
-            csr, pool, X.shape[1], y, cfg, label_seed=cfg.seed * 100_003 + k
-        )
+        pool = all_docs if parent is None else subtree_docs.get(parent, no_docs)
+        y = np.full(len(pool), -1.0)  # the node's positives lie in its sorted pool
+        y[np.searchsorted(pool, subtree_docs.get(node, no_docs))] = 1.0
+        w, bias[k] = _train_hinge(rows, pool, y, cfg, label_seed=cfg.seed * 100_003 + k)
         if w is not None:
-            rows.append(k)
+            trained.append(k)
             weights.append(w)
     return LinearOvrModel(
-        nodes=nodes, rows=np.array(rows, dtype=np.int64),
-        weights=np.array(weights, dtype=np.float64).reshape(len(rows), X.shape[1]),
+        nodes=nodes, rows=np.array(trained, dtype=np.int64),
+        weights=np.array(weights, dtype=np.float64).reshape(len(trained), rows[2]),
         bias=bias, hierarchical=hierarchical,
     )
 

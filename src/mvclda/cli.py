@@ -539,15 +539,15 @@ def cmd_baseline(args) -> int:
     train = _read_split("train", args.train, labels, words, grow=True)
     test = _read_split("test", args.test, labels, words, scored=True)
     featurizer = baseline.fit_tfidf(train.notes, words, tfidf_cfg)
-    X_train = featurizer.transform(train.notes)
-    X_test = featurizer.transform(test.notes)
+    train_rows = featurizer.transform(train.notes)
+    X_test = baseline.to_dense(featurizer.transform(test.notes))  # for the one scoring GEMM
     train_cells = corpus.gold_cells(train.gold)
     if args.hierarchy:
         parents = labels.parents or {}
-        ovr = baseline.train_hierarchical(X_train, train_cells, labels.codes, parents, svm_cfg)
+        ovr = baseline.train_hierarchical(train_rows, train_cells, labels.codes, parents, svm_cfg)
         pred = baseline.predict_hierarchical(ovr, X_test, labels.codes, parents)
     else:
-        ovr = baseline.train_flat(X_train, train_cells, labels.codes, svm_cfg)
+        ovr = baseline.train_flat(train_rows, train_cells, labels.codes, svm_cfg)
         pred = baseline.predict_flat(ovr, X_test)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -42,6 +42,8 @@ class SearchSpace:
             raise ValueError("invalid filter count range")
         if self.lambdas is not None and len(self.lambdas) == 0:
             raise ValueError("empty regularization candidate set")
+        if not all(math.isfinite(lam) and lam >= 0 for lam in self.lambdas or ()):
+            raise ValueError("lambda_candidates must be finite and >= 0")
 
 
 @dataclass(frozen=True)

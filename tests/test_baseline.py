@@ -14,10 +14,17 @@ from test_corpus import tricky_token_corpus
 
 def tfidf(docs, cfg=baseline.TfidfConfig()):
     """`fit_tfidf` on lists of token strings through a word table, and the
-    tf-idf rows of the same documents."""
+    dense form of the same documents' tf-idf rows."""
     notes, words = word_table(docs)
     feat = baseline.fit_tfidf(notes, words, cfg)
-    return feat, feat.transform(notes)
+    return feat, baseline.to_dense(feat.transform(notes))
+
+
+def rows_of(X):
+    """A dense matrix in `TfidfFeaturizer.transform`'s form: each row's
+    nonzero columns and values, and the column count."""
+    cols = [np.flatnonzero(x) for x in X]
+    return cols, [x[c] for x, c in zip(X, cols)], X.shape[1]
 
 
 class TestTfidf:
@@ -80,8 +87,44 @@ class TestTfidf:
             idf = np.array([math.log(len(train) / df[t]) for t in terms])
             assert feat.terms == terms and np.array_equal(feat.idf, idf)
             for split, split_notes in ((train, notes[:len(train)]), (test, notes[len(train):])):
-                assert np.array_equal(feat.transform(split_notes),
+                assert np.array_equal(baseline.to_dense(feat.transform(split_notes)),
                                       per_token_tfidf(terms, idf, split))
+
+
+class TestSparseRows:
+    """Fitting holds each note's nonzero tf-idf entries, not a notes x terms
+    matrix."""
+
+    def test_rows_are_the_nonzeros_of_the_dense_form(self):
+        train, _, test = tricky_token_corpus(0)
+        notes, words = word_table(train + test)
+        cols, vals, dim = baseline.fit_tfidf(notes, words).transform(notes)
+        ref_cols, ref_vals, ref_dim = rows_of(baseline.to_dense((cols, vals, dim)))
+        assert dim == ref_dim and len(cols) == len(notes)
+        for c, v, ref_c, ref_v in zip(cols, vals, ref_cols, ref_vals):
+            assert np.array_equal(c, ref_c) and np.array_equal(v, ref_v)
+
+    def test_transform_and_train_flat_memory_is_far_below_notes_by_terms(self):
+        # 500 notes over 10,000 terms, each term in some note: a dense
+        # float64 matrix alone would take 40 MB
+        rng = np.random.default_rng(24)
+        n, n_terms = 500, 10_000
+        terms = [f"t{k}" for k in range(n_terms)]
+        docs = [terms[20 * i:20 * i + 20] + [terms[k] for k in rng.integers(0, n_terms, 10)]
+                for i in range(n)]
+        notes, words = word_table(docs)
+        feat = baseline.fit_tfidf(notes, words)
+        gold = cells(rng.random((n, 3)) < 0.3)
+        tracemalloc.start()
+        try:
+            rows = feat.transform(notes)
+            ovr = baseline.train_flat(rows, gold, ["a", "b", "c"],
+                                      baseline.SvmConfig(epochs=1, seed=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(feat.terms) == n_terms and ovr.weights.shape == (3, n_terms)
+        assert peak < n * n_terms * 8 / 10
 
 
 def separable_dataset():
@@ -101,7 +144,8 @@ class TestFlatOvr:
     def test_linearly_separable_perfect_training_accuracy(self):
         docs, gold = separable_dataset()
         _, X = tfidf(docs)
-        ovr = baseline.train_flat(X, cells(gold), ["L0", "L1"], baseline.SvmConfig(seed=1))
+        ovr = baseline.train_flat(rows_of(X), cells(gold), ["L0", "L1"],
+                                  baseline.SvmConfig(seed=1))
         pred = baseline.predict_flat(ovr, X)
         assert np.array_equal(pred, gold.astype(bool))
 
@@ -111,7 +155,8 @@ class TestFlatOvr:
         gold = np.zeros((15, 2))
         gold[:, 0] = (rng.random(15) < 0.5).astype(float)
         gold[0, 0] = 1
-        ovr = baseline.train_flat(X, cells(gold), ["a", "b"], baseline.SvmConfig(seed=2))
+        ovr = baseline.train_flat(rows_of(X), cells(gold), ["a", "b"],
+                                  baseline.SvmConfig(seed=2))
         pred = baseline.predict_flat(ovr, rng.normal(size=(40, 6)))
         assert not pred[:, 1].any()
 
@@ -119,14 +164,15 @@ class TestFlatOvr:
         rng = np.random.default_rng(3)
         X = rng.normal(size=(10, 4))
         gold = np.ones((10, 1))
-        ovr = baseline.train_flat(X, cells(gold), ["a"], baseline.SvmConfig(seed=3))
+        ovr = baseline.train_flat(rows_of(X), cells(gold), ["a"], baseline.SvmConfig(seed=3))
         assert baseline.predict_flat(ovr, rng.normal(size=(20, 4))).all()
 
     def test_deterministic_under_fixed_seed(self):
         docs, gold = separable_dataset()
         _, X = tfidf(docs)
-        a = baseline.train_flat(X, cells(gold), ["L0", "L1"], baseline.SvmConfig(seed=4))
-        b = baseline.train_flat(X, cells(gold), ["L0", "L1"], baseline.SvmConfig(seed=4))
+        rows = rows_of(X)
+        a = baseline.train_flat(rows, cells(gold), ["L0", "L1"], baseline.SvmConfig(seed=4))
+        b = baseline.train_flat(rows, cells(gold), ["L0", "L1"], baseline.SvmConfig(seed=4))
         assert np.array_equal(a.rows, b.rows)
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.bias, b.bias)
@@ -140,8 +186,8 @@ class TestFlatOvr:
             gold[:, 0], gold[:, 1] = 0.0, 1.0  # a label with no positive, one with no negative
             codes = [f"c{i}" for i in range(n_codes)]
             cfg = baseline.SvmConfig(epochs=3, seed=case)
-            flat = baseline.train_flat(X, cells(gold), codes, cfg)
-            hier = baseline.train_hierarchical(X, cells(gold), codes, {}, cfg)
+            flat = baseline.train_flat(rows_of(X), cells(gold), codes, cfg)
+            hier = baseline.train_hierarchical(rows_of(X), cells(gold), codes, {}, cfg)
             assert flat.nodes == hier.nodes == codes
             assert not flat.hierarchical and hier.hierarchical
             assert flat.rows.tolist() == hier.rows.tolist() == [2, 3]
@@ -224,7 +270,8 @@ class TestHierarchical:
         ], dtype=float)
         codes = ["parent", "child", "other"]
         parents = {"child": "parent"}
-        m = baseline.train_hierarchical(X, cells(gold), codes, parents, baseline.SvmConfig(seed=7))
+        m = baseline.train_hierarchical(rows_of(X), cells(gold), codes, parents,
+                                        baseline.SvmConfig(seed=7))
         assert set(m.nodes) == set(codes)
         pred = baseline.predict_hierarchical(m, X, codes, parents)
         for j, code in enumerate(codes):
@@ -237,7 +284,7 @@ class TestHierarchical:
         gold = np.array([[1.0], [1.0], [0.0]])
         X = np.eye(3)
         m = baseline.train_hierarchical(
-            X, cells(gold), ["leaf"], {"leaf": "internal"}, baseline.SvmConfig(seed=8)
+            rows_of(X), cells(gold), ["leaf"], {"leaf": "internal"}, baseline.SvmConfig(seed=8)
         )
         assert set(m.nodes) == {"leaf", "internal"}
 
@@ -281,7 +328,7 @@ class TestSparsePegasosMatchesDenseLoop:
         gold[:, 4] = 0.0   # no positive
         gold[0, 0] = 1.0   # the empty row is a positive somewhere
         cfg = baseline.SvmConfig(epochs=4, reg=1e-2, seed=3)
-        ovr = baseline.train_flat(X, cells(gold), [f"c{j}" for j in range(5)], cfg)
+        ovr = baseline.train_flat(rows_of(X), cells(gold), [f"c{j}" for j in range(5)], cfg)
         ref = [dense_pegasos(X, np.where(gold[:, j] > 0, 1.0, -1.0), cfg, 3 * 100_003 + j)
                for j in range(5)]
         _assert_model_matches_oracle(ovr, np.array([w for w, _ in ref]),
@@ -313,7 +360,7 @@ class TestSparsePegasosMatchesDenseLoop:
         gold[:, 5] = 0.0   # no positive
         gold[:, 7] = 0.0   # no positive, and an empty pool (c5's subtree)
         cfg = baseline.SvmConfig(epochs=3, reg=1e-2, seed=5)
-        ovr = baseline.train_hierarchical(X, cells(gold), self.CODES, self.PARENTS, cfg)
+        ovr = baseline.train_hierarchical(rows_of(X), cells(gold), self.CODES, self.PARENTS, cfg)
         ref_w, ref_b, pools = walk_hierarchical_fit(
             X, gold, self.CODES, self.PARENTS, ovr.nodes, cfg)
         _assert_model_matches_oracle(ovr, ref_w, ref_b)
@@ -329,8 +376,7 @@ class TestSparsePegasosMatchesDenseLoop:
         y = np.where(rng.random(12) < 0.5, 1.0, -1.0)
         y[:2] = 1.0, -1.0
         cfg = baseline.SvmConfig(epochs=2, reg=1e20, seed=0)
-        w, b = baseline._train_hinge(baseline._csr_rows(X), np.arange(12), X.shape[1], y,
-                                     cfg, label_seed=7)
+        w, b = baseline._train_hinge(rows_of(X), np.arange(12), y, cfg, label_seed=7)
         ref_w, ref_b = dense_pegasos(X, y, cfg, 7)
         assert np.all(np.isfinite(w))
         _assert_matches_oracle(w, np.array([b]), ref_w, np.array([ref_b]))
@@ -341,7 +387,8 @@ class TestSerialization:
         docs, gold = separable_dataset()
         feat, X = tfidf(docs)
         gold = np.hstack([np.zeros((len(gold), 1)), gold])  # L- has no positive
-        ovr = baseline.train_flat(X, cells(gold), ["L-", "L0", "L1"], baseline.SvmConfig(seed=9))
+        ovr = baseline.train_flat(rows_of(X), cells(gold), ["L-", "L0", "L1"],
+                                  baseline.SvmConfig(seed=9))
         path = tmp_path / "model.bin"
         baseline.save_baseline(path, feat, ovr)
         header, arrays, _ = read_tensor_file(
@@ -367,7 +414,7 @@ class TestRowSparse:
         gold = (rng.random((30, 6)) < 0.3).astype(float)
         gold[:, 1] = 0.0   # no positive
         gold[:, 4] = 1.0   # no negative
-        ovr = baseline.train_flat(X, cells(gold), [f"c{j}" for j in range(6)],
+        ovr = baseline.train_flat(rows_of(X), cells(gold), [f"c{j}" for j in range(6)],
                                   baseline.SvmConfig(epochs=3, seed=2))
         assert ovr.rows.tolist() == [0, 2, 3, 5]
         dense = np.zeros((6, X.shape[1]))
@@ -388,10 +435,11 @@ class TestRowSparse:
             X[i, rng.choice(dim, 5, replace=False)] = rng.random(5)
         gold = np.zeros((n, 2_000))
         gold[::2, 0] = 1.0
-        codes = [f"c{j}" for j in range(2_000)]
+        codes, rows = [f"c{j}" for j in range(2_000)], rows_of(X)
         tracemalloc.start()
         try:
-            ovr = baseline.train_flat(X, cells(gold), codes, baseline.SvmConfig(epochs=1, seed=1))
+            ovr = baseline.train_flat(rows, cells(gold), codes,
+                                      baseline.SvmConfig(epochs=1, seed=1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

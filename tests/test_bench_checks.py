@@ -1,10 +1,13 @@
-"""The bench's own output checks over a tiny synth, train and evaluate run.
+"""The bench's own output checks over a tiny synth, train, evaluate,
+baseline and hyperband run.
 
-`bench/run.py` checks every pass's scores, metrics report, PR AUC and CBOW
-objective with `bench/checks.py`, on what `bench/tracer.py` keeps of the
-calls. Here the same checks run on the same kept calls, so a change to the
-score dtype or to the report fails in the test suite, not only as a
-bench run's failed check.
+`bench/run.py` checks every pass's scores, metrics report, PR AUC, training
+loss, hierarchical baseline predictions, Hyperband log and CBOW objective
+with `bench/checks.py`, on what `bench/tracer.py` keeps of the calls and on
+the files the commands write. Here the same checks run on the same kept
+calls and files, so a change to the score dtype, the report, the baselines
+or the search fails in the test suite, not only as a bench run's failed
+check.
 """
 
 import importlib.util
@@ -13,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from mvclda import cli
+from mvclda import cli, hyperband
 
 from test_cli import SYNTH_CFG, TRAIN_CFG
 
@@ -34,7 +37,7 @@ tracer_mod = _load("tracer")
 def test_checks_pass_on_the_kept_scores_report_and_cbow_tables(tmp_path):
     (tmp_path / "synth.cfg").write_text(SYNTH_CFG)
     (tmp_path / "train.cfg").write_text(TRAIN_CFG)
-    data, out = tmp_path / "data", tmp_path / "out"
+    data, out, hb_dir = tmp_path / "data", tmp_path / "out", tmp_path / "hb"
     tracer = tracer_mod.Tracer("phase")
 
     def command(*argv):
@@ -55,6 +58,14 @@ def test_checks_pass_on_the_kept_scores_report_and_cbow_tables(tmp_path):
                 "--test", data / "test.jsonl", "--labels", data / "descriptions.tsv",
                 "--vocab", out / "vocab.tsv", "--metrics-out", out / "metrics.json",
                 "--p-at", "1,5")
+        for kind, extra in (("flat", ()), ("hier", ("--hierarchy", data / "hierarchy.tsv"))):
+            command("baseline", "--train", data / "train.jsonl", "--test", data / "test.jsonl",
+                    "--labels", data / "descriptions.tsv", *extra, "--seed", 3,
+                    "--p-at", "1,5", "--out", tmp_path / f"base-{kind}")
+        command("hyperband", "--model", "mvc-rlda", "--train", data / "train.jsonl",
+                "--dev", data / "dev.jsonl", "--labels", data / "descriptions.tsv",
+                "--config", tmp_path / "train.cfg", "--embeddings", out / "embeddings.bin",
+                "--R", 3, "--eta", 3, "--seed", 3, "--out", hb_dir)
     finally:
         tracer.restore()
 
@@ -66,3 +77,8 @@ def test_checks_pass_on_the_kept_scores_report_and_cbow_tables(tmp_path):
     checks.pr_auc_matches(report, scores, gold)
     (docs, vocab_size, cbow_cfg), _, (w_in, w_out) = tracer.kept["cbow"]
     checks.cbow_objective_fell(docs, vocab_size, cbow_cfg, w_in, w_out)
+    checks.loss_decreased(out / "history.jsonl", 2)  # TRAIN_CFG's max_epochs, patience 10
+    checks.ancestor_closed(tracer.kept["hier"][2], data / "descriptions.tsv",
+                           data / "hierarchy.tsv")
+    checks.hyperband_log_matches(hyperband.bracket_schedule(3, 3), 3, hb_dir / "trials.jsonl",
+                                 hb_dir / "best_config.json")

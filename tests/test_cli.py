@@ -1466,6 +1466,18 @@ class TestCommandFront:
         assert f"min_doc_freq must be >= 1, not {value}" in capsys.readouterr().err
         assert not out.exists()
 
+    # each once exited 2 only after CBOW, with vocab.tsv and embeddings.bin in --out
+    @pytest.mark.parametrize("value", ["-0.5", "nan", "inf"])
+    def test_bad_lambda_candidate_exits_2_leaving_nothing(self, corpus_dir, tmp_path, capsys,
+                                                          value):
+        cfg, out = tmp_path / "lambdas.cfg", tmp_path / "out"
+        cfg.write_text(TRAIN_CFG + f"lambda_candidates = 0.01,{value}\n")
+        argv = self._argv("hyperband", corpus_dir, cfg, out)
+        argv[argv.index("--model") + 1] = "mvc-rlda"
+        assert run(argv) == cli.EXIT_DATA
+        assert "lambda_candidates must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_manifest_inputs_are_the_file_options_given(self, corpus_dir, train_cfg_path,
                                                         trained_dir, tmp_path):
         d, emb, cfg = corpus_dir, str(trained_dir / "embeddings.bin"), tmp_path / "b.cfg"
