@@ -96,35 +96,39 @@ class SvmConfig:
             raise ValueError("svm_epochs must be >= 1")
 
 
-def _train_hinge(rows, pool: np.ndarray, y: np.ndarray, cfg: SvmConfig, label_seed: int):
-    """Pegasos-style subgradient descent on hinge loss with L2 penalty, over
-    the rows `pool` of `TfidfFeaturizer.transform`'s output.
+def _row_steps(rows) -> list[tuple]:
+    """Each row of `TfidfFeaturizer.transform`'s output as what a Pegasos
+    step reads: its nonzero columns, their values and the values' bound
+    `dot`."""
+    return [(cols, vals, vals.dot) for cols, vals in zip(rows[0], rows[1])]
 
-    y is +/-1 per row. Returns (w, b); b is unregularized. w is kept as
-    a * v (Shalev-Shwartz et al., 2011), so the shrink is O(1) and the
-    margin and the update touch only the sample's nonzeros. A pool with no
-    positive or no negative gives the constant classifier (None, -1 or +1).
+
+def _train_hinge(steps: list[tuple], y: list[float], cfg: SvmConfig, label_seed: int,
+                 v: np.ndarray) -> float:
+    """Pegasos-style subgradient descent on hinge loss with L2 penalty over
+    `steps`, `_row_steps` of the pool's rows, with y +/-1 per row and both
+    signs present.
+
+    Trains w into `v`, zeros on entry, and returns b, which is unregularized.
+    w is kept as a * v (Shalev-Shwartz et al., 2011), so the shrink is O(1)
+    and the margin and the update touch only the sample's nonzeros. Step
+    sizes, margins and the scale are Python floats: a numpy product would
+    raise under the commands' errstate where `reg * t` overflows and the
+    step size is 0.
     """
-    if not np.any(y > 0):
-        return None, -1.0
-    if not np.any(y < 0):
-        return None, 1.0
-    row_cols = [rows[0][r] for r in pool]
-    row_vals = [rows[1][r] for r in pool]
-    y = y.tolist()
     reg, inv_reg = cfg.reg, 1.0 / cfg.reg
     rng = np.random.default_rng(label_seed)
-    v = np.zeros(rows[2])
     a = 1.0
     b = 0.0
     t = 0
     for _epoch in range(cfg.epochs):
-        for i in rng.permutation(len(pool)).tolist():
+        for i in rng.permutation(len(steps)).tolist():
             t += 1
             lr = 1.0 / (reg * (t + inv_reg))
-            cols, vals, y_i = row_cols[i], row_vals[i], y[i]
+            cols, vals, dot = steps[i]
+            y_i = y[i]
             v_row = v[cols]
-            margin = y_i * (a * np.dot(vals, v_row) + b)
+            margin = y_i * (a * float(dot(v_row)) + b)
             a *= 1.0 - lr * reg
             if a < _MIN_SCALE:  # fold the scale into v before it underflows
                 v *= a
@@ -134,7 +138,8 @@ def _train_hinge(rows, pool: np.ndarray, y: np.ndarray, cfg: SvmConfig, label_se
                 v_row += (lr * y_i / a) * vals
                 v[cols] = v_row
                 b += lr * y_i
-    return a * v, b
+    v *= a
+    return b
 
 
 @dataclass
@@ -231,22 +236,30 @@ def _train_ovr(rows, gold, codes, parents: dict[str, str], cfg: SvmConfig,
     subtree_docs = {node: np.unique(np.concatenate([label_docs[j] for j in node_cols]))
                     for node, node_cols in subtree_cols.items()}
     no_docs, all_docs = np.zeros(0, dtype=np.int64), np.arange(len(rows[0]))
-    trained, weights = [], []
+    # each node's pool and its positives, which lie in the sorted pool
+    pools = [(subtree_docs.get(parents[node], no_docs) if node in parents else all_docs,
+              subtree_docs.get(node, no_docs)) for node in nodes]
+    # a pool with no positive or no negative gives the constant classifier,
+    # its bias alone
     bias = np.zeros(len(nodes))
-    for k, node in enumerate(nodes):
-        parent = parents.get(node)
-        pool = all_docs if parent is None else subtree_docs.get(parent, no_docs)
-        y = np.full(len(pool), -1.0)  # the node's positives lie in its sorted pool
-        y[np.searchsorted(pool, subtree_docs.get(node, no_docs))] = 1.0
-        w, bias[k] = _train_hinge(rows, pool, y, cfg, label_seed=cfg.seed * 100_003 + k)
-        if w is not None:
+    trained = []
+    for k, (pool, positives) in enumerate(pools):
+        if not len(positives):
+            bias[k] = -1.0
+        elif len(positives) == len(pool):
+            bias[k] = 1.0
+        else:
             trained.append(k)
-            weights.append(w)
-    return LinearOvrModel(
-        nodes=nodes, rows=np.array(trained, dtype=np.int64),
-        weights=np.array(weights, dtype=np.float64).reshape(len(trained), rows[2]),
-        bias=bias, hierarchical=hierarchical,
-    )
+    weights = np.zeros((len(trained), rows[2]))
+    steps = _row_steps(rows)
+    for k, w in zip(trained, weights):
+        pool, positives = pools[k]
+        y = np.full(len(pool), -1.0)
+        y[np.searchsorted(pool, positives)] = 1.0
+        bias[k] = _train_hinge([steps[r] for r in pool.tolist()], y.tolist(), cfg,
+                               cfg.seed * 100_003 + k, w)
+    return LinearOvrModel(nodes=nodes, rows=np.array(trained, dtype=np.int64),
+                          weights=weights, bias=bias, hierarchical=hierarchical)
 
 
 def predict_hierarchical(

@@ -586,6 +586,49 @@ def dense_pegasos(X, y, cfg, label_seed):
     return w, b
 
 
+def per_step_pegasos(rows, pool, y, cfg, label_seed):
+    """Pegasos-style subgradient descent on hinge loss with L2 penalty, over
+    the rows `pool` of `TfidfFeaturizer.transform`'s output.
+
+    y is +/-1 per row. Returns (w, b); b is unregularized. w is kept as
+    a * v (Shalev-Shwartz et al., 2011), so the shrink is O(1) and the
+    margin and the update touch only the sample's nonzeros. A pool with no
+    positive or no negative gives the constant classifier (None, -1 or +1).
+    The sparse loop `baseline._train_hinge` replaced, one `np.dot` and
+    numpy-scalar margin a step, whose floats the fit keeps bit for bit.
+    """
+    if not np.any(y > 0):
+        return None, -1.0
+    if not np.any(y < 0):
+        return None, 1.0
+    row_cols = [rows[0][r] for r in pool]
+    row_vals = [rows[1][r] for r in pool]
+    y = y.tolist()
+    reg, inv_reg = cfg.reg, 1.0 / cfg.reg
+    rng = np.random.default_rng(label_seed)
+    v = np.zeros(rows[2])
+    a = 1.0
+    b = 0.0
+    t = 0
+    for _epoch in range(cfg.epochs):
+        for i in rng.permutation(len(pool)).tolist():
+            t += 1
+            lr = 1.0 / (reg * (t + inv_reg))
+            cols, vals, y_i = row_cols[i], row_vals[i], y[i]
+            v_row = v[cols]
+            margin = y_i * (a * np.dot(vals, v_row) + b)
+            a *= 1.0 - lr * reg
+            if a < 1e-100:  # fold the scale into v before it underflows
+                v *= a
+                v_row *= a
+                a = 1.0
+            if margin < 1.0:
+                v_row += (lr * y_i / a) * vals
+                v[cols] = v_row
+                b += lr * y_i
+    return a * v, b
+
+
 def subtree_label_columns(node, codes, parents):
     """Label columns whose code lies in the subtree rooted at `node` (the
     node itself included when it is a label), by walking every code's
@@ -603,11 +646,12 @@ def subtree_label_columns(node, codes, parents):
     return np.array(cols, dtype=np.int64)
 
 
-def walk_hierarchical_fit(X, gold, codes, parents, nodes, cfg):
-    """Per hierarchy node, `dense_pegasos` on the copied rows of its pool:
-    the documents whose gold set meets the parent's subtree (all documents
-    for a root), positive when they meet the node's own subtree, with the
-    subtrees from `subtree_label_columns`. Returns (weights, bias, pools)."""
+def walk_hierarchical_fit(X, gold, codes, parents, nodes, cfg, fit=dense_pegasos):
+    """Per hierarchy node, `fit` (`dense_pegasos` unless given) on the copied
+    rows of its pool: the documents whose gold set meets the parent's subtree
+    (all documents for a root), positive when they meet the node's own
+    subtree, with the subtrees from `subtree_label_columns`. Returns
+    (weights, bias, pools)."""
     gold = np.asarray(gold)
 
     def meets(node):
@@ -622,7 +666,7 @@ def walk_hierarchical_fit(X, gold, codes, parents, nodes, cfg):
         pool = np.flatnonzero(meets(parent)) if parent is not None else np.arange(len(gold))
         pools[node] = pool
         y = np.where(meets(node)[pool], 1.0, -1.0)
-        weights[k], bias[k] = dense_pegasos(X[pool], y, cfg, cfg.seed * 100_003 + k)
+        weights[k], bias[k] = fit(X[pool], y, cfg, cfg.seed * 100_003 + k)
     return weights, bias, pools
 
 

@@ -7,8 +7,9 @@ import pytest
 from mvclda import baseline
 from mvclda.corpus import read_tensor_file
 
-from oracles import (cells, dense_pegasos, loop_predict_hierarchical, per_token_tfidf,
-                     string_vocabulary, subtree_label_columns, walk_hierarchical_fit, word_table)
+from oracles import (cells, dense_pegasos, loop_predict_hierarchical, per_step_pegasos,
+                     per_token_tfidf, string_vocabulary, subtree_label_columns,
+                     walk_hierarchical_fit, word_table)
 from test_corpus import tricky_token_corpus
 
 
@@ -376,10 +377,71 @@ class TestSparsePegasosMatchesDenseLoop:
         y = np.where(rng.random(12) < 0.5, 1.0, -1.0)
         y[:2] = 1.0, -1.0
         cfg = baseline.SvmConfig(epochs=2, reg=1e20, seed=0)
-        w, b = baseline._train_hinge(rows_of(X), np.arange(12), y, cfg, label_seed=7)
+        w = np.zeros(X.shape[1])
+        b = baseline._train_hinge(baseline._row_steps(rows_of(X)), y.tolist(), cfg, 7, w)
         ref_w, ref_b = dense_pegasos(X, y, cfg, 7)
         assert np.all(np.isfinite(w))
         _assert_matches_oracle(w, np.array([b]), ref_w, np.array([ref_b]))
+
+
+def per_step_dense(X, y, cfg, label_seed):
+    """`per_step_pegasos` over every row of the dense X; a constant
+    classifier's weights are zeros, as `dense_pegasos` gives them."""
+    w, b = per_step_pegasos(rows_of(X), np.arange(len(X)), y, cfg, label_seed)
+    return (np.zeros(X.shape[1]) if w is None else w), b
+
+
+class TestFitEqualsPerStepLoop:
+    """The fit against the sparse per-step loop it replaced, bit for bit:
+    the same floats in the same order, on `TestSparsePegasosMatchesDenseLoop`'s
+    cases."""
+
+    @staticmethod
+    def _assert_model_is(ovr, ref_weights, ref_bias):
+        untrained = np.setdiff1d(np.arange(len(ovr.nodes)), ovr.rows)
+        assert not ref_weights[untrained].any()
+        assert np.array_equal(ovr.weights, ref_weights[ovr.rows])
+        assert np.array_equal(ovr.bias, ref_bias)
+
+    def test_flat(self):
+        rng = np.random.default_rng(11)
+        X = _sparse_tfidf(rng, 30)
+        gold = (rng.random((30, 5)) < 0.3).astype(float)
+        gold[:, 3] = 1.0   # all positive
+        gold[:, 4] = 0.0   # no positive
+        gold[0, 0] = 1.0   # the empty row is a positive somewhere
+        cfg = baseline.SvmConfig(epochs=4, reg=1e-2, seed=3)
+        ovr = baseline.train_flat(rows_of(X), cells(gold), [f"c{j}" for j in range(5)], cfg)
+        ref = [per_step_dense(X, np.where(gold[:, j] > 0, 1.0, -1.0), cfg, 3 * 100_003 + j)
+               for j in range(5)]
+        self._assert_model_is(ovr, np.array([w for w, _ in ref]), np.array([b for _, b in ref]))
+        assert ovr.rows.tolist() == [0, 1, 2]
+
+    def test_hierarchical(self):
+        rng = np.random.default_rng(12)
+        X = _sparse_tfidf(rng, 36)
+        gold = (rng.random((36, 8)) < 0.25).astype(float)
+        gold[:, 6] = 1.0   # all positive
+        gold[:, 5] = 0.0   # no positive
+        gold[:, 7] = 0.0   # no positive, and an empty pool (c5's subtree)
+        cfg = baseline.SvmConfig(epochs=3, reg=1e-2, seed=5)
+        case = TestSparsePegasosMatchesDenseLoop
+        ovr = baseline.train_hierarchical(rows_of(X), cells(gold), case.CODES, case.PARENTS, cfg)
+        ref_w, ref_b, _ = walk_hierarchical_fit(X, gold, case.CODES, case.PARENTS, ovr.nodes,
+                                                cfg, fit=per_step_dense)
+        self._assert_model_is(ovr, ref_w, ref_b)
+        assert 0 < len(ovr.rows) < len(ovr.nodes)
+
+    def test_vanishing_scale_folds_into_v(self):
+        rng = np.random.default_rng(13)
+        X = _sparse_tfidf(rng, 12)
+        y = np.where(rng.random(12) < 0.5, 1.0, -1.0)
+        y[:2] = 1.0, -1.0
+        cfg = baseline.SvmConfig(epochs=2, reg=1e20, seed=0)
+        ovr = baseline.train_flat(rows_of(X), cells((y > 0)[:, None]), ["c"], cfg)
+        ref_w, ref_b = per_step_dense(X, y, cfg, 0)
+        self._assert_model_is(ovr, ref_w[None], np.array([ref_b]))
+        assert ovr.rows.tolist() == [0] and ovr.weights.any()
 
 
 class TestSerialization:
@@ -445,6 +507,27 @@ class TestRowSparse:
             tracemalloc.stop()
         assert ovr.rows.tolist() == [0] and ovr.weights.shape == (1, dim)
         assert peak < 16 * 2**20
+
+    def test_train_flat_holds_the_weight_rows_once(self):
+        # 100 trained labels at dim 10,000: the fit writes each row into the
+        # one weights matrix (8 MB) instead of stacking a list of rows
+        rng = np.random.default_rng(25)
+        n, dim, n_labels = 20, 10_000, 100
+        X = np.zeros((n, dim))
+        for i in range(n):
+            X[i, rng.choice(dim, 5, replace=False)] = rng.random(5)
+        gold = rng.random((n, n_labels)) < 0.5
+        gold[0], gold[1] = True, False   # every label has both signs
+        codes, rows = [f"c{j}" for j in range(n_labels)], rows_of(X)
+        tracemalloc.start()
+        try:
+            ovr = baseline.train_flat(rows, cells(gold), codes,
+                                      baseline.SvmConfig(epochs=1, seed=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ovr.weights.shape == (n_labels, dim)
+        assert peak < 1.5 * ovr.weights.nbytes
 
     def test_hierarchical_prediction_matches_per_code_loop(self):
         rng = np.random.default_rng(23)

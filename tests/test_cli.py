@@ -859,6 +859,13 @@ class TestBaselineCmd:
         assert "svm_epochs must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_overflowing_step_size_is_zero_not_a_numeric_error(self, corpus_dir, tmp_path):
+        # reg * t overflows past the first step, so every later step size is
+        # 0; in Python floats, where the command's errstate cannot raise
+        out = tmp_path / "out"
+        assert self._baseline(corpus_dir, out, "svm_reg = 1e308\n") == 0
+        assert 0.0 <= json.loads((out / "metrics.json").read_text())["micro_f1"] <= 1.0
+
     def _baseline(self, corpus_dir, out, cfg_text=None):
         argv = ["baseline",
                 "--train", str(corpus_dir / "train.jsonl"),

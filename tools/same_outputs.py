@@ -22,8 +22,9 @@ then `evaluate` of that model and a flat baseline on the same data, whose
 test notes hold words its training split lacks, so word-table ids cross
 splits; last a third synth, no training on it, at the MIMIC-shaped
 benchmark's word range: 40,000 background words and 1,000 codes'
-phrases, in a few notes, and a flat baseline on it. So every file option
-of every command is given at least once.
+phrases, in a few notes, and a flat and a hierarchical baseline on it, so
+the hierarchical fit's node loop and its constant nodes run at label scale.
+So every file option of every command is given at least once.
 Every file either run wrote is then reported as identical or differing;
 `history.jsonl` is compared with each line's `wall_time_s` removed, the
 only field allowed to differ. A differing tensor file (`.bin`) is reported by part: whether the
@@ -182,6 +183,9 @@ FLOW = [
     ["synth", "--config", "cfg/mimic_synth.cfg", "--out-dir", "mimic_data", "--seed", "42"],
     ["baseline", "--train", "mimic_data/train.jsonl", "--test", "mimic_data/test.jsonl",
      "--labels", "mimic_data/descriptions.tsv", "--seed", "42", "--out", "mimic_base"],
+    ["baseline", "--train", "mimic_data/train.jsonl", "--test", "mimic_data/test.jsonl",
+     "--labels", "mimic_data/descriptions.tsv", "--hierarchy", "mimic_data/hierarchy.tsv",
+     "--seed", "42", "--out", "mimic_hier"],
 ]
 
 
