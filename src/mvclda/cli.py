@@ -10,6 +10,8 @@ overridden with an environment variable `MVC_<KEY>` (upper-cased key).
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import hashlib
 import itertools
 import os
@@ -672,7 +674,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _one_blas_thread() -> None:
+    """Set numpy's bundled OpenBLAS to one thread, once per process. The
+    checkpoint's bytes depend on the BLAS thread count, and a second
+    thread buys nothing measurable on this model's GEMMs. Under another
+    BLAS, or without the symbol, the threads are left alone."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*")):
+        set_threads = getattr(ctypes.CDLL(str(path)), "scipy_openblas_set_num_threads64_", None)
+        if set_threads is not None:
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            set_threads(1)
+
+
 def main(argv=None) -> int:
+    _one_blas_thread()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -45,6 +45,16 @@ frames C, their gradient and the winning channels (l x d_c each), and
 inference only the frames; every other transient depends on CONV_CHUNK,
 not on l.
 
+The forward pass splits at the Gram matrix. `_frames` gives one note's
+frames and G = C^T C; `_label_side` takes a stack of Grams and the notes'
+lengths and gives P, T and y for each. A training sample is a stack of
+one. `predict_matrix` computes each note's frames and Gram alone, with
+its own convolution GEMMs (a GEMM row's bits can depend on the GEMM's row
+count, so packing notes into one GEMM is not exact), and runs the label
+side once per block of notes. A block's P holds at most CONV_CHUNK x
+n*d_c elements, as many as one chunk's products, so that bound, not the
+number of notes, sets inference's label-side transients.
+
 `backward` takes a whole training batch. The parameters are fixed within
 it, so the kernels are stacked once, and the description encoder runs once
 (DescriptionBatch): the descriptions of the batch's gold labels are packed
@@ -471,39 +481,54 @@ def _conv_max_backward(ids: np.ndarray, W_e: np.ndarray, x_scale, W_stack: np.nd
     return dW
 
 
-def _forward_cached(token_ids, length: int, params: ModelParams, masks: DropoutMasks | None,
-                    for_backward: bool = True, W_stack: np.ndarray | None = None):
-    cfg = params.config
-    ids = np.asarray(token_ids)
+def _frames(ids: np.ndarray, params: ModelParams, x_scale, W_stack: np.ndarray,
+            winner: bool):
+    """A note's frames C = tanh(M) (l x d_c) over the stacked kernels
+    W_stack, its Gram matrix G = C^T C (d_c x d_c) and, if `winner`, each
+    frame's winning channel (see `_conv_max`). Its ids must lie in [0, V)."""
     if len(ids) and (ids.min() < 0 or ids.max() >= params.vocab_size):
         raise ValueError("token id out of range for the embedding table")
-    if W_stack is None:
-        W_stack = _stack_kernels(params.conv)
-    x_scale, p_scale = (None, None) if masks is None else masks.scales(params.dtype)
-    M, winner = _conv_max(ids, params["W_e"], x_scale, W_stack, cfg.n_filters, for_backward)
+    M, arg = _conv_max(ids, params["W_e"], x_scale, W_stack, params.config.n_filters, winner)
     C = np.tanh(M, out=M)
+    return C, C.T @ C, arg
 
-    G = C.T @ C                               # (d_c, d_c) Gram matrix
-    P = params["V"] @ G
-    if masks is not None:
+
+def _label_side(G: np.ndarray, lengths, params: ModelParams, p_scale=None):
+    """The label side of a stack of notes from their Grams G (B x d_c x d_c)
+    and untruncated lengths: pooled features P = V G (B x J x d_c), times
+    the dropout scale `p_scale` if given, the length feature T (B x J, None
+    without `use_length`) and the scores y (B x J). Each note's numbers are
+    the bits of a stack of one. Raises FloatingPointError if a score is
+    not finite."""
+    P = np.matmul(params["V"], G)
+    if p_scale is not None:
         P *= p_scale
-
-    logits = np.sum(params["U"] * P, axis=1) + params["b"]
-    if cfg.use_length:
-        lt = length / LENGTH_SCALE
-        T = sigmoid(params["K"] * lt + params["d"])
+    logits = np.sum(params["U"] * P, axis=-1) + params["b"]
+    T = None
+    if params.config.use_length:
+        # cast: a float64 array would promote a float32 model's K * lt
+        lt = (np.asarray(lengths) / LENGTH_SCALE).astype(params.dtype)
+        T = sigmoid(params["K"] * lt[:, None] + params["d"])
         logits = logits + T
-    else:
-        lt = 0.0
-        T = None
     y = sigmoid(logits)
     if not np.all(np.isfinite(y)):
         raise FloatingPointError("non-finite model output")
+    return P, T, y
+
+
+def _forward_cached(token_ids, length: int, params: ModelParams, masks: DropoutMasks | None,
+                    for_backward: bool = True, W_stack: np.ndarray | None = None):
+    ids = np.asarray(token_ids)
+    if W_stack is None:
+        W_stack = _stack_kernels(params.conv)
+    x_scale, p_scale = (None, None) if masks is None else masks.scales(params.dtype)
+    C, G, winner = _frames(ids, params, x_scale, W_stack, for_backward)
+    P, T, y = _label_side(G[None], [length], params, p_scale)
     cache = {
         "ids": ids, "winner": winner, "x_scale": x_scale, "p_scale": p_scale,
-        "C": C, "G": G, "P": P, "T": T, "lt": lt, "y": y,
+        "C": C, "G": G, "P": P[0], "T": None if T is None else T[0], "y": y[0],
     }
-    return y, cache
+    return y[0], cache
 
 
 def forward(token_ids, length: int, params: ModelParams, masks: DropoutMasks | None = None,
@@ -675,7 +700,7 @@ def _sample_backward(token_ids, length: int, gold, params: ModelParams,
     if cfg.use_length:
         T = cache["T"]
         dz = dlogits * T * (1.0 - T)
-        grads["K"] += dz * cache["lt"]
+        grads["K"] += dz * (length / LENGTH_SCALE)
         grads["d"] += dz
 
     dP_pre = dP if masks is None else dP * cache["p_scale"]
@@ -710,12 +735,18 @@ def _sample_backward(token_ids, length: int, gold, params: ModelParams,
 
 def predict_matrix(params: ModelParams, docs) -> np.ndarray:
     """Eval-mode score matrix (n_docs x n_labels) for encoded documents, in
-    the parameters' dtype."""
-    out = np.zeros((len(docs), params.n_labels), params.dtype)
+    the parameters' dtype: row i is `forward` of docs[i], bit for bit. The
+    label side runs once per block of notes (see the module docstring)."""
+    out = np.empty((len(docs), params.n_labels), params.dtype)
     # the parameters are fixed here, so the kernels are stacked once
     W_stack = _stack_kernels(params.conv)
-    for i, doc in enumerate(docs):
-        out[i] = forward(doc.token_ids, doc.length, params, W_stack=W_stack)
+    # a block's P (block x J x d_c) is at most one chunk's CONV_CHUNK x n*d_c
+    block = max(1, CONV_CHUNK * len(params.config.kernel_sizes) // params.n_labels)
+    for b0 in range(0, len(docs), block):
+        notes = docs[b0 : b0 + block]
+        G = np.stack([_frames(np.asarray(doc.token_ids), params, None, W_stack, False)[1]
+                      for doc in notes])
+        out[b0 : b0 + len(notes)] = _label_side(G, [doc.length for doc in notes], params)[2]
     return out
 
 

@@ -1,6 +1,15 @@
+"""The commands through `cli.main`. Every `cli.main` call sets numpy's
+bundled OpenBLAS to one thread for its process, so the in-process calls
+here leave the test process pinned to one BLAS thread too; that is the
+setting every command runs under. `TestBlasThreads` runs its commands in
+child processes, each under its own `OPENBLAS_NUM_THREADS`."""
+
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 import weakref
 from dataclasses import replace
@@ -592,6 +601,33 @@ class TestTrain:
             (out / "checkpoint.bin").open("rb").readline().decode()
         )
         assert header["kind"] == "mvc-rlda"
+
+
+class TestBlasThreads:
+    def test_checkpoint_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # paper kernels on notes of 1,000-1,600 tokens: GEMMs large enough
+        # that a second OpenBLAS thread changes their bits, unless the
+        # command sets one thread itself
+        (tmp_path / "synth.cfg").write_text("n_codes = 20\nn_train = 8\nn_dev = 4\nn_test = 4\n"
+                                            "background_vocab = 2000\ndoc_len_min = 1000\n"
+                                            "doc_len_max = 1600\n")
+        (tmp_path / "train.cfg").write_text("max_epochs = 1\nkernel_sizes = 6,8,10,12\n"
+                                            "n_filters = 90\nembed_dim = 100\ncbow_epochs = 1\n")
+        data = tmp_path / "data"
+        assert run(["synth", "--config", str(tmp_path / "synth.cfg"), "--out-dir", str(data),
+                    "--seed", "3"]) == 0
+        src = str(Path(cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        for threads in ("1", "2"):
+            subprocess.run(
+                [sys.executable, "-m", "mvclda.cli", "train", "--model", "mvc-rlda",
+                 "--train", str(data / "train.jsonl"), "--dev", str(data / "dev.jsonl"),
+                 "--labels", str(data / "descriptions.tsv"), "--config",
+                 str(tmp_path / "train.cfg"), "--seed", "3", "--out", str(tmp_path / threads)],
+                env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
+                check=True, capture_output=True)
+        assert ((tmp_path / "1" / "checkpoint.bin").read_bytes()
+                == (tmp_path / "2" / "checkpoint.bin").read_bytes())
 
 
 class TestEvaluate:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
@@ -492,6 +493,16 @@ class TestLengthEmbed:
         assert all(b > a for a, b in zip(values, values[1:]))
 
 
+def predict_one(ids, length, params):
+    """`model.predict_matrix`'s row for one note of `ids` (of length
+    len(ids)), called as `model.forward` is."""
+    assert length == len(ids)
+    return model.predict_matrix(params, [EncodedDocument(np.asarray(ids), np.zeros(0))])[0]
+
+
+SCORERS = [model.forward, predict_one]
+
+
 class TestForward:
     def test_all_zero_weights_output(self):
         params = small_params()
@@ -560,12 +571,26 @@ class TestForward:
         assert peak < 64 * 2**20
 
     def test_predict_matrix_equals_per_document_forward(self):
-        params = small_params(seed=13, kernels=(2, 4, 6))
-        docs = [EncodedDocument(np.array(ids, dtype=np.int64), np.zeros(0, np.int64))
-                for ids in ([1, 2, 3, 4], [], [7] * 30)]
-        scores = model.predict_matrix(params, docs)
-        for row, doc in zip(scores, docs):
-            assert np.array_equal(row, model.forward(doc.token_ids, doc.length, params))
+        # 512 labels over three channels: a block holds three notes, so the
+        # 13 notes span five blocks, the last of one note. They include
+        # empty notes, notes of 1-5 tokens (the row counts at which a
+        # GEMM row's bits can depend on the GEMM's row count) and a note
+        # longer than CONV_CHUNK
+        assert model.CONV_CHUNK * 3 // 512 == 3
+        rng = np.random.default_rng(13)
+        docs = [EncodedDocument(rng.integers(0, 20, n).astype(np.int32), np.zeros(0, np.int64))
+                for n in (4, 0, 30, 1, 2, 3, 0, 5, CHUNK + 37, 1, 17, 4, 2)]
+        for kind, dtype, use_length in itertools.product(model.MODEL_KINDS,
+                                                         (np.float32, np.float64), (True, False)):
+            cfg = model.ModelConfig(kind=kind, kernel_sizes=(2, 4, 6), n_filters=4, embed_dim=5,
+                                    use_length=use_length)
+            params = model.init_params(cfg, 20, 512, rng, dtype=dtype)
+            for name in ("b", "K", "d"):
+                params[name][...] = rng.normal(size=512)
+            scores = model.predict_matrix(params, docs)
+            assert scores.dtype == dtype and scores.shape == (len(docs), 512)
+            for row, doc in zip(scores, docs):
+                assert np.array_equal(row, model.forward(doc.token_ids, doc.length, params))
 
     def test_int32_ids_are_used_as_given(self):
         # ids only index: an int32 note is neither cast nor copied, int32
@@ -585,13 +610,21 @@ class TestForward:
         assert np.array_equal(batch.F.view(np.uint64), batch64.F.view(np.uint64))
 
     def test_out_of_range_token_rejected(self):
-        with pytest.raises(ValueError):
-            model.forward([99], 1, small_params())
+        for score, ids in itertools.product(SCORERS, ([99], [-2], [3, 20])):
+            with pytest.raises(ValueError, match="out of range"):
+                score(ids, len(ids), small_params())
         # backward marks its batch's ids as W_e's gradient rows before the
         # forward pass checks them
         for ids in ([99], [-2]):
             with pytest.raises(ValueError, match="out of range"):
                 model.backward([(ids, 1, np.zeros(0, np.int64), None)], small_params())
+
+    def test_non_finite_output_raises(self):
+        params = small_params(seed=9)
+        params["b"][1] = np.nan
+        for score in SCORERS:
+            with pytest.raises(FloatingPointError, match="non-finite model output"):
+                score([1, 2, 3], 3, params)
 
     def test_length_feature_uses_given_length_not_ids(self):
         params = small_params(seed=10)

@@ -42,7 +42,8 @@ an older revision writes in its own format and dtype. Exits 0 when every file of
 matches and 1 otherwise.
 
 Needs no network; reads `.git` only through `git archive`. BLAS runs one
-thread, as in the benchmark.
+thread, as in the benchmark. The commands set one OpenBLAS thread
+themselves, but an older revision does not, so the environment pins it.
 """
 
 from __future__ import annotations
