@@ -33,10 +33,15 @@ row stride (d_e) is below its row width, which BLAS cannot take. So the
 window matrix is copied into a contiguous one before its GEMM, as numpy
 would copy it itself, with the same bits, but faster. Per chunk one GEMM
 gives every channel's outputs, and a running maximum over the column
-blocks gives the cross-channel max (a later channel wins only when
-strictly greater). In backward each output's gradient is put at its
-winning channel's column, one GEMM gives the chunk's window gradients,
-which s_max shifted adds fold onto its input rows; the rows no later chunk
+blocks gives the cross-channel max. The winning channels, in the smallest
+unsigned type that holds n - 1, are kept by a maximum, not a masked copy:
+before channel i every winner is below i, so max(winner, i * (channel i
+strictly greater)) sets i exactly where channel i beats the running max
+and leaves a tie to the lowest channel. In backward each output's
+gradient is put at its winning channel's column by flat offsets of
+numpy's index type (a chunk's channel-0 offsets, built once per call,
+plus winner * d_c), one GEMM gives the chunk's window gradients, which
+s_max shifted adds fold onto its input rows; the rows no later chunk
 reaches go, times their scale, straight into the W_e gradient, and one
 GEMM with the rebuilt window matrix gives the chunk's kernel gradients.
 Both scatters run over flat offsets into raveled arrays, in the order a
@@ -404,9 +409,14 @@ def _conv_max(ids: np.ndarray, W_e: np.ndarray, x_scale, W_stack: np.ndarray, d_
     """Cross-channel max M (l x d_c) of the convolutions of the sequence
     `ids` (ids in [0, V), embedded by W_e, rows times `x_scale` if given)
     with the stacked kernels, and, if `winner`, the index of the lowest
-    channel attaining it (all zero for one channel). Per CONV_CHUNK output
-    rows, the chunk's padded input is built and one GEMM gives every
-    channel's outputs."""
+    channel attaining it (all zero for one channel), in the smallest
+    unsigned type that holds n - 1. Per CONV_CHUNK output rows, the
+    chunk's padded input is built and one GEMM gives every channel's
+    outputs. The winners are kept by max(winner, i * (Z_i > M)): every
+    winner before channel i is below i, so that is i exactly where channel
+    i is strictly greater, and a tie stays with the lower channel. The
+    product is taken in the winners' dtype; a bool mask viewed as uint16
+    would halve each row."""
     n = W_stack.shape[1] // d_c
     s = W_stack.shape[0] // W_e.shape[1]
     l = len(ids)
@@ -421,8 +431,9 @@ def _conv_max(ids: np.ndarray, W_e: np.ndarray, x_scale, W_stack: np.ndarray, d_
         for i in range(1, n):
             Zi = Z[:, i * d_c : (i + 1) * d_c]
             if arg is not None:
-                # strictly greater, so the lowest index keeps a tie
-                np.copyto(arg[r0:r1], i, where=Zi > Mc)
+                # every winner so far is below i: i where strictly greater
+                a = arg[r0:r1]
+                np.maximum(a, np.multiply(np.greater(Zi, Mc), i, dtype=a.dtype), out=a)
             np.maximum(Mc, Zi, out=Mc)
     return M, arg
 
@@ -445,12 +456,15 @@ def _conv_max_backward(ids: np.ndarray, W_e: np.ndarray, x_scale, W_stack: np.nd
     d_e = W_e.shape[1]
     s = W_stack.shape[0] // d_e
     n = W_stack.shape[1] // d_c
+    # flat offset of (row k, column j) of a chunk's dZ at channel 0
+    base = np.arange(min(l, CONV_CHUNK), dtype=np.intp)[:, None] * (n * d_c) + np.arange(d_c)
     for r0 in range(0, l, CONV_CHUNK):
         r1 = min(r0 + CONV_CHUNK, l)
         # position k's gradient goes to column winner * d_c + j of row k
         dZ = np.zeros((r1 - r0, n * d_c), dM.dtype)
-        dZ.reshape(-1)[(np.arange(r1 - r0)[:, None] * n + winner[r0:r1]) * d_c
-                       + np.arange(d_c)] = dM[r0:r1]
+        flat = np.multiply(winner[r0:r1], d_c, dtype=np.intp)
+        flat += base[: r1 - r0]
+        dZ.reshape(-1)[flat] = dM[r0:r1]
         dwin = dZ @ W_stack.T
         # padded rows r0 .. r1 + s - 2, the first s - 1 carried over
         dXb = np.zeros((r1 - r0 + s - 1, d_e), dM.dtype)

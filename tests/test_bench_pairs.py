@@ -91,3 +91,53 @@ def test_traced_runs_summarized_per_layer_from_one_kind():
     assert backward["metrics"]["tree"] == {"q1": 3.5, "median": 4.0, "q3": 4.5}
     assert (backward["metrics"]["tree_wins"], backward["metrics"]["tree_losses"]) == (2, 1)
     assert summary["train.adam_steps"]["metrics"]["ties"] == 3
+
+
+def _rates(rev, tree):
+    return [_run("long", pair, side, rate, time=1.0)
+            for pair, both in enumerate(zip(rev, tree))
+            for side, rate in zip(("rev", "tree"), both)]
+
+
+def _rate_verdicts(rev, tree, bound=0.25):
+    summary = bench_pairs.summarize(_rates(rev, tree), {"rate": "higher", "time": "lower"},
+                                    bounds={"rate": bound})
+    return summary["long"]["rate"]["metrics"], summary["long"]["time"]["metrics"]
+
+
+def test_claim_needs_nine_of_ten_pairs_won_and_medians_past_the_iqr():
+    rev = [100, 101, 99, 102, 98, 100, 101, 99, 100, 100]  # IQR 99..100.75
+    rate, time = _rate_verdicts(rev, [110] * 9 + [90])
+    assert (rate["tree_wins"], rate["claim_met"]) == (9, True)
+    # a tie counts for neither side: 8 wins and 2 ties fall short
+    rate, _ = _rate_verdicts(rev, [110] * 8 + rev[8:])
+    assert (rate["tree_wins"], rate["ties"], rate["claim_met"]) == (8, 2, False)
+    # 10 of 10 won by less than the revision's spread
+    rate, _ = _rate_verdicts(rev, [r + 1 for r in rev])
+    assert (rate["tree_wins"], rate["claim_met"]) == (10, False)
+    # a metric without a bound has no bound verdict, and equal runs claim nothing
+    assert "within_bound" not in time and time["claim_met"] is False
+
+
+def test_bound_verdict_from_the_median_or_unresolved_by_the_revisions_spread():
+    rev = [100, 101, 99, 102, 98, 100, 101, 99, 100, 100]
+    assert _rate_verdicts(rev, [80] * 10)[0]["within_bound"] is True
+    assert _rate_verdicts(rev, [70] * 10)[0]["within_bound"] is False
+    # the revision's spread (IQR 60..140) is wider than the bound
+    wide = [60, 140, 60, 140, 60, 140, 60, 140, 100, 100]
+    assert _rate_verdicts(wide, [75] * 10)[0]["within_bound"] == "unresolved"
+    assert _rate_verdicts(wide, [30] * 10)[0]["within_bound"] == "unresolved"
+    # unless every tree run beats every revision run
+    assert _rate_verdicts(wide, [150] * 10)[0]["within_bound"] is True
+    # lower is better: a time 20% longer is within a 0.25 bound, 30% is not
+    runs = _rates([1] * 4, [1] * 4)
+    for r, t in zip(runs[::2], runs[1::2]):
+        r["metrics"]["time"], t["metrics"]["time"] = 1.0, 1.2
+    summary = bench_pairs.summarize(runs, {"time": "lower"}, kinds=("metrics",),
+                                    bounds={"time": 0.25})
+    assert summary["long"]["time"]["metrics"]["within_bound"] is True
+    for t in runs[1::2]:
+        t["metrics"]["time"] = 1.3
+    summary = bench_pairs.summarize(runs, {"time": "lower"}, kinds=("metrics",),
+                                    bounds={"time": 0.25})
+    assert summary["long"]["time"]["metrics"]["within_bound"] is False

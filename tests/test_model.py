@@ -225,7 +225,7 @@ class TestChunkedConv:
         for block, ref in zip(model._channel_blocks(dW, kernels, d_e), dW_ref, strict=True):
             assert_rel_close(block, ref)
 
-    @pytest.mark.parametrize("kernels", [(1, 3), (2, 4, 6, 8), (5,)])
+    @pytest.mark.parametrize("kernels", [(1, 3), (2, 4, 6, 8), (6, 8, 10, 12), (5,)])
     def test_gapped_sequence_with_dropout_matches_reference(self, kernels):
         # gap rows (one run of them across the first chunk boundary) are
         # rows of id 0 at scale 0: they embed to zero and add zero to their
@@ -296,6 +296,31 @@ class TestChunkedConv:
         blocks = model._channel_blocks(dW, (1, 3, 3), d_e)
         assert np.array_equal(blocks[2], np.zeros_like(w3))
         assert not np.allclose(blocks[1], 0.0)
+
+    def test_winners_past_256_channels(self):
+        # 300 width-1 channels need uint16 winners, whose update must not
+        # read a bool mask as uint16 (that halves each row). Channel 262
+        # copies 60 and 290 copies 270, so each tie, one of them past 255,
+        # goes to the lower channel
+        rng = np.random.default_rng(300)
+        l, d_e, d_c = CHUNK + 5, 3, 4
+        X = rng.normal(size=(l, d_e))
+        weights = [rng.normal(size=(1, d_e, d_c)) for _ in range(300)]
+        weights[262], weights[290] = weights[60].copy(), weights[270].copy()
+        ids, W_stack = np.arange(l), model._stack_kernels(weights)
+        _, winner = model._conv_max(ids, X, None, W_stack, d_c, True)
+        assert winner.dtype == np.uint16
+        assert np.array_equal(winner, multi_view_max(X, weights)[1])
+        assert np.any(winner == 60) and np.any(winner == 270)
+        assert not np.any(np.isin(winner, (262, 290)))
+
+        dM = rng.normal(size=(l, d_c))
+        for dtype in (np.float64, np.float32):
+            X_d, W_d, dM_d = X.astype(dtype), W_stack.astype(dtype), dM.astype(dtype)
+            got, want = np.zeros_like(X_d), np.zeros_like(X_d)
+            dW = model._conv_max_backward(ids, X_d, None, W_d, winner, dM_d, got, ids)
+            dW_want = scatter_reference_backward(ids, X_d, None, W_d, winner, dM_d, want, ids)
+            assert got.tobytes() == want.tobytes() and dW.tobytes() == dW_want.tobytes()
 
 
 class TestMemoryPerToken:

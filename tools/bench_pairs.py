@@ -20,9 +20,16 @@ benchmark recorded, the revision, every run, and per workload and
 end-to-end metric of `BENCHMARK.json`, both scaled and raw, each side's
 median and quartiles, the median over pairs of the working tree's gain
 (positive is better, in the metric's own direction), and the pairs the
-working tree wins, loses and ties; under `traced`, the same for every
-per-layer metric of `BENCHMARK.json` over the traced runs. Exits 0 when
-every run was correct with no failed operation, and 1 otherwise.
+working tree wins, loses and ties. Two verdicts go with each: `claim_met`,
+whether a gain meets the claim rule (at least 9 of 10 pairs won, ties
+for neither side, and the medians further apart than the revision's
+interquartile range), and, for a metric with a `bound`, `within_bound`:
+whether the tree's median is worse by at most that fraction, or
+"unresolved" where the revision's own spread exceeds it and not every
+tree run beats every revision run. Under `traced`, the same, without a
+bound, for every per-layer metric of `BENCHMARK.json` over the traced
+runs. Exits 0 when every run was correct with no failed
+operation, and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -102,27 +109,56 @@ def _quartiles(values: list[float]) -> dict[str, float]:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def _compare(rev: list[float], tree: list[float], better: str) -> dict:
-    """Both sides' quartiles and the working tree's pair gains and wins."""
+def _within_bound(rev: list[float], tree: list[float], sign: float,
+                  bound: float) -> bool | str:
+    """Whether the working tree's median is worse than the revision's by at
+    most `bound` (a fraction of the revision's median); "unresolved" when
+    the revision's own quartile spread is wider than that, unless every
+    tree run beats every revision run."""
+    if min(sign * t for t in tree) > max(sign * r for r in rev):
+        return True
+    r, t = _quartiles(rev), statistics.median(tree)
+    scale = abs(r["median"]) or 1.0
+    if (r["q3"] - r["q1"]) / scale > bound:
+        return "unresolved"
+    return sign * (r["median"] - t) / scale <= bound
+
+
+def _compare(rev: list[float], tree: list[float], better: str,
+             bound: float | None = None) -> dict:
+    """Both sides' quartiles, the working tree's pair gains and wins, and
+    whether they meet the claim rule: at least 9 of 10 pairs won (a tie
+    counts for neither side), and the medians further apart, the tree's
+    way, than the revision's interquartile range. With a `bound`, also
+    whether the tree's median stays within it (see `_within_bound`)."""
     if better == "higher":
         gains = [t / r - 1.0 if r else 0.0 for r, t in zip(rev, tree)]
     else:
         gains = [r / t - 1.0 if t else 0.0 for r, t in zip(rev, tree)]
-    return {
-        "rev": _quartiles(rev), "tree": _quartiles(tree),
-        "median_gain": statistics.median(gains),
-        "tree_wins": sum(g > 0 for g in gains), "tree_losses": sum(g < 0 for g in gains),
+    sign = 1.0 if better == "higher" else -1.0
+    rev_q, tree_q = _quartiles(rev), _quartiles(tree)
+    wins = sum(g > 0 for g in gains)
+    out = {
+        "rev": rev_q, "tree": tree_q, "median_gain": statistics.median(gains),
+        "tree_wins": wins, "tree_losses": sum(g < 0 for g in gains),
         "ties": sum(g == 0 for g in gains), "pairs": len(gains),
+        "claim_met": (10 * wins >= 9 * len(gains)
+                      and sign * (tree_q["median"] - rev_q["median"]) > rev_q["q3"] - rev_q["q1"]),
     }
+    if bound is not None:
+        out["within_bound"] = _within_bound(rev, tree, sign, bound)
+    return out
 
 
 def summarize(runs: list[dict], better: dict[str, str],
-              kinds: tuple[str, ...] = ("metrics", "unscaled_metrics")) -> dict:
+              kinds: tuple[str, ...] = ("metrics", "unscaled_metrics"),
+              bounds: dict[str, float] | None = None) -> dict:
     """Per workload, per metric named in `better` ('higher' or 'lower'):
     the comparison of the revision's and the working tree's runs, matched
     by pair, for each kind of value `kinds` names: by default the scaled
-    (`metrics`) and raw (`unscaled_metrics`) ones. A run is a dict with
-    `workload`, `pair`, `side` ('rev' or 'tree') and those metric dicts."""
+    (`metrics`) and raw (`unscaled_metrics`) ones, with the metric's bound
+    from `bounds`, if it has one. A run is a dict with `workload`, `pair`,
+    `side` ('rev' or 'tree') and those metric dicts."""
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         by_pair = {}
@@ -132,7 +168,8 @@ def summarize(runs: list[dict], better: dict[str, str],
         pairs = [p for _, p in sorted(by_pair.items()) if len(p) == 2]
         summary[workload] = {
             name: {kind: _compare([p["rev"][kind][name] for p in pairs],
-                                  [p["tree"][kind][name] for p in pairs], direction)
+                                  [p["tree"][kind][name] for p in pairs], direction,
+                                  (bounds or {}).get(name))
                    for kind in kinds}
             for name, direction in better.items()
             if all(name in p[s][kind] for p in pairs for s in ("rev", "tree") for kind in kinds)
@@ -154,6 +191,7 @@ def main(argv: list[str]) -> int:
 
     spec = json.loads((REPO / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
     layer_better = {m["name"]: m["better"] for m in spec["per_layer"]}
     rev_sha = subprocess.run(["git", "-C", str(REPO), "rev-parse", args.rev],
                              capture_output=True, text=True, check=True).stdout.strip()
@@ -183,7 +221,7 @@ def main(argv: list[str]) -> int:
                    + ",".join(f"{w}={n}" for w, n in args.pairs.items())
                    + f" --seed {args.seed}" + (f" --traced {args.traced}" if args.traced else ""),
         "rev": rev_sha, "seed": args.seed, "environment": environment,
-        "correct": ok, "summary": summarize(untraced, better), "runs": untraced,
+        "correct": ok, "summary": summarize(untraced, better, bounds=bounds), "runs": untraced,
         **({"traced": {"summary": summarize(traced, layer_better, kinds=("metrics",)),
                        "runs": traced}} if traced else {}),
     }, indent=1) + "\n", encoding="utf-8")
