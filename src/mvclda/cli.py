@@ -61,18 +61,14 @@ def _parser(tp):
     return _parse_bool if tp is bool else tp
 
 
-# How a config dataclass's fields are spelled as config keys: a prefix and
-# per-field renames on top of `model.config_key`.
-_SPELLING = {
-    embed.CbowConfig: ("cbow_", {}),
-    baseline.SvmConfig: ("svm_", {}),
-    hb.SearchSpace: ("", {"lambdas": "lambda_candidates"}),
-}
+# The key prefix of each config dataclass whose fields set a component
+# beside the model (`cbow_epochs`, `svm_reg`); a field of any other class
+# is keyed by `model.config_key` of its name alone.
+_PREFIX = {embed.CbowConfig: "cbow_", baseline.SvmConfig: "svm_"}
 
 
 def _key(cls, name: str) -> str:
-    prefix, renames = _SPELLING.get(cls, ("", {}))
-    return renames.get(name, prefix + model.config_key(name))
+    return _PREFIX.get(cls, "") + model.config_key(name)
 
 
 def _keys(cls, skip=()) -> dict:
@@ -423,7 +419,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_hyperband(args) -> int:
     values = load_config(args.config, HYPERBAND_KEYS)
-    no_lambda = {"lambdas": None} if args.model == "mvc-lda" else {}  # no lambda to search
+    # an mvc-lda model has no lambda to search
+    no_lambda = {"lambda_candidates": None} if args.model == "mvc-lda" else {}
     space = _build(hb.SearchSpace, values, **no_lambda)
     run, _ = _read_and_check(args, values)
     # the largest model the search can draw, built and dropped before any

@@ -33,16 +33,16 @@ class SearchSpace:
     s0_max: int = 8
     dc_min: int = 30
     dc_max: int = 100
-    lambdas: tuple[float, ...] | None = LAMBDA_CANDIDATES
+    lambda_candidates: tuple[float, ...] | None = LAMBDA_CANDIDATES
 
     def __post_init__(self):
         if self.s0_min < 1 or self.s0_min > self.s0_max:
             raise ValueError("invalid kernel size range")
         if self.dc_min < 1 or self.dc_min > self.dc_max:
             raise ValueError("invalid filter count range")
-        if self.lambdas is not None and len(self.lambdas) == 0:
+        if self.lambda_candidates is not None and len(self.lambda_candidates) == 0:
             raise ValueError("empty regularization candidate set")
-        if not all(math.isfinite(lam) and lam >= 0 for lam in self.lambdas or ()):
+        if not all(math.isfinite(lam) and lam >= 0 for lam in self.lambda_candidates or ()):
             raise ValueError("lambda_candidates must be finite and >= 0")
 
 
@@ -69,8 +69,8 @@ def sample_config(space: SearchSpace, rng) -> TrialConfig:
     s0 = int(rng.integers(space.s0_min, space.s0_max + 1))
     d_c = int(rng.integers(space.dc_min, space.dc_max + 1))
     lam = None
-    if space.lambdas is not None:
-        lam = float(space.lambdas[int(rng.integers(len(space.lambdas)))])
+    if space.lambda_candidates is not None:
+        lam = float(space.lambda_candidates[int(rng.integers(len(space.lambda_candidates)))])
     return TrialConfig(kernel_sizes=kernel_sizes(s0), n_filters=d_c, lambda_=lam)
 
 

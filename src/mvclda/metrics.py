@@ -30,6 +30,9 @@ DEFAULT_THRESHOLD = 0.5
 # beside the partitioned copy.
 P_AT_N_BLOCK = 65_536
 
+# Bins of the frequency-binned F1 table, equal-width in ln(training count).
+N_BINS = 10
+
 
 def binarize(scores: np.ndarray) -> np.ndarray:
     return np.asarray(scores) > DEFAULT_THRESHOLD
@@ -67,16 +70,14 @@ def _micro_f1_by(counts: np.ndarray, key: np.ndarray, n_keys: int) -> list[float
     return _f1(*(np.bincount(key, weights=row, minlength=n_keys) for row in counts)).tolist()
 
 
-def macro_f1(counts: np.ndarray, labels=None) -> float:
-    """Unweighted mean of per-label F1 over the label_counts table
-    `counts`, or over its columns `labels`. Every such label must have at
-    least one gold positive, otherwise its recall is undefined."""
-    if labels is not None:
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.size == 0:
-            raise ValueError("label subset is empty")
-        counts = counts[:, labels]
-    tp, fp, fn = counts
+def macro_f1(counts: np.ndarray, labels) -> float:
+    """Unweighted mean of per-label F1 over the columns `labels` of the
+    label_counts table `counts`. Every such label must have at least one
+    gold positive, otherwise its recall is undefined."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.size == 0:
+        raise ValueError("label subset is empty")
+    tp, fp, fn = counts[:, labels]
     if np.any(tp + fn == 0):
         raise ValueError(
             "macro F1 is undefined for labels without gold positives; "
@@ -164,11 +165,12 @@ class BinRow:
     micro_f1: float | None
 
 
-def frequency_binned_f1(counts: np.ndarray, train_counts, n_bins: int = 10) -> list[BinRow]:
+def frequency_binned_f1(counts: np.ndarray, train_counts) -> list[BinRow]:
     """Micro F1 per bin of ln(training count), over labels present in both
     the training set (count >= 1) and the evaluation gold (support >= 1).
 
-    Bin edges are equal-width over [min, max] of the natural log of counts.
+    N_BINS bin edges are equal-width over [min, max] of the natural log of
+    counts.
     Each bin's TP/FP/FN are its labels' columns of the label_counts table
     `counts` summed.
     """
@@ -179,13 +181,13 @@ def frequency_binned_f1(counts: np.ndarray, train_counts, n_bins: int = 10) -> l
         raise ValueError("no label is present in both the training and evaluation sets")
     logs = np.log(freq[eligible])
     lo, hi = float(logs.min()), float(logs.max())
-    width = (hi - lo) / n_bins
+    width = (hi - lo) / N_BINS
     if width == 0.0:
         assignment = np.zeros(eligible.size, dtype=np.int64)
     else:
-        assignment = np.minimum(((logs - lo) / width).astype(np.int64), n_bins - 1)
-    sizes = np.bincount(assignment, minlength=n_bins)
-    f1 = _micro_f1_by(counts[:, eligible], assignment, n_bins)
+        assignment = np.minimum(((logs - lo) / width).astype(np.int64), N_BINS - 1)
+    sizes = np.bincount(assignment, minlength=N_BINS)
+    f1 = _micro_f1_by(counts[:, eligible], assignment, N_BINS)
     return [
         BinRow(
             bin_lo=lo + b * width,
@@ -193,7 +195,7 @@ def frequency_binned_f1(counts: np.ndarray, train_counts, n_bins: int = 10) -> l
             n_labels=int(sizes[b]),
             micro_f1=f1[b] if sizes[b] else None,
         )
-        for b in range(n_bins)
+        for b in range(N_BINS)
     ]
 
 

@@ -52,13 +52,16 @@ not on l.
 
 The forward pass splits at the Gram matrix. `_frames` gives one note's
 frames and G = C^T C; `_label_side` takes a stack of Grams and the notes'
-lengths and gives P, T and y for each. A training sample is a stack of
-one. `predict_matrix` computes each note's frames and Gram alone, with
-its own convolution GEMMs (a GEMM row's bits can depend on the GEMM's row
-count, so packing notes into one GEMM is not exact), and runs the label
-side once per block of notes. A block's P holds at most CONV_CHUNK x
-n*d_c elements, as many as one chunk's products, so that bound, not the
-number of notes, sets inference's label-side transients.
+lengths and gives P, T and y for each. Training, `forward` and
+`predict_matrix` each compose the two. A training sample and `forward`'s
+note are a stack of one; training keeps the frames, the winning channels
+and P, T and y for its backward pass. `predict_matrix` computes each
+note's frames and Gram alone, with its own convolution GEMMs (a GEMM
+row's bits can depend on the GEMM's row count, so packing notes into one
+GEMM is not exact), and runs the label side once per block of notes. A
+block's P holds at most CONV_CHUNK x n*d_c elements, as many as one
+chunk's products, so that bound, not the number of notes, sets
+inference's label-side transients.
 
 `backward` takes a whole training batch. The parameters are fixed within
 it, so the kernels are stacked once, and the description encoder runs once
@@ -233,11 +236,10 @@ class GradientSet:
     Adam moment's buffer. `data` maps each name to its view."""
 
     @classmethod
-    def zeros_like(cls, params: ModelParams, rows: np.ndarray | None = None) -> "GradientSet":
-        """Zero gradients for `params`, W_e's on the embedding rows `rows`,
-        every row if None."""
+    def zeros_like(cls, params: ModelParams, rows: np.ndarray) -> "GradientSet":
+        """Zero gradients for `params`, W_e's on the embedding rows `rows`."""
         grads = cls()
-        grads.rows = np.arange(params.vocab_size) if rows is None else rows
+        grads.rows = rows
         shapes = _tensor_shapes(params.config, len(grads.rows), params.n_labels)
         grads.flat = np.zeros(sum(map(math.prod, shapes.values())), params.dtype)
         grads.data = _views(grads.flat, shapes)
@@ -530,33 +532,17 @@ def _label_side(G: np.ndarray, lengths, params: ModelParams, p_scale=None):
     return P, T, y
 
 
-def _forward_cached(token_ids, length: int, params: ModelParams, masks: DropoutMasks | None,
-                    for_backward: bool = True, W_stack: np.ndarray | None = None):
-    ids = np.asarray(token_ids)
-    if W_stack is None:
-        W_stack = _stack_kernels(params.conv)
-    x_scale, p_scale = (None, None) if masks is None else masks.scales(params.dtype)
-    C, G, winner = _frames(ids, params, x_scale, W_stack, for_backward)
-    P, T, y = _label_side(G[None], [length], params, p_scale)
-    cache = {
-        "ids": ids, "winner": winner, "x_scale": x_scale, "p_scale": p_scale,
-        "C": C, "G": G, "P": P[0], "T": None if T is None else T[0], "y": y[0],
-    }
-    return y[0], cache
-
-
-def forward(token_ids, length: int, params: ModelParams, masks: DropoutMasks | None = None,
-            *, W_stack: np.ndarray | None = None) -> np.ndarray:
+def forward(token_ids, length: int, params: ModelParams,
+            masks: DropoutMasks | None = None) -> np.ndarray:
     """Per-label presence probabilities for one document.
 
     `length` is the untruncated token count (feeds the length feature);
     `masks` enables training-mode dropout, eval mode passes None. A
     document without tokens pools to P = 0 and scores sigmoid(b + T).
-    `W_stack` is `_stack_kernels(params.conv)` when the caller already
-    built it for these parameters.
     """
-    y, _ = _forward_cached(token_ids, length, params, masks, for_backward=False, W_stack=W_stack)
-    return y
+    x_scale, p_scale = (None, None) if masks is None else masks.scales(params.dtype)
+    _, G, _ = _frames(np.asarray(token_ids), params, x_scale, _stack_kernels(params.conv), False)
+    return _label_side(G[None], [length], params, p_scale)[2][0]
 
 
 class DescriptionBatch:
@@ -595,7 +581,7 @@ class DescriptionBatch:
         self.seq[self.rows] = np.concatenate(descs)
         self.x_scale = np.zeros(len(self.seq), params.dtype)
         self.x_scale[self.rows] = 1.0
-        self.W = _stack_kernels([params["desc_conv"]])
+        self.W = params["desc_conv"].reshape(-1, d_c)  # one channel's stack, as a view
         Z, self.winner = _conv_max(self.seq, params["W_e"], self.x_scale, self.W, d_c, True)
         Zd = Z[self.rows]
         self.m = np.maximum.reduceat(Zd, starts, axis=0)             # (k, d_c)
@@ -702,26 +688,29 @@ def _sample_backward(token_ids, length: int, gold, params: ModelParams,
     """One sample's loss; adds its gradients into `grads`, the description
     encoder's into `desc_batch` for its `finish`."""
     cfg = params.config
-    y, cache = _forward_cached(token_ids, length, params, masks, W_stack=W_stack)
+    ids = np.asarray(token_ids)
+    x_scale, p_scale = (None, None) if masks is None else masks.scales(params.dtype)
+    C, G, winner = _frames(ids, params, x_scale, W_stack, True)
+    P, T, y = _label_side(G[None], [length], params, p_scale)
+    y = y[0]
     g = np.zeros_like(y)  # the gold row over every label
     g[gold] = 1.0
-    C = cache.pop("C")
 
     dlogits = y - g                                  # (J,)
-    grads["U"] += dlogits[:, None] * cache["P"]
+    grads["U"] += dlogits[:, None] * P[0]
     grads["b"] += dlogits
     dP = dlogits[:, None] * params["U"]
     if cfg.use_length:
-        T = cache["T"]
+        T = T[0]
         dz = dlogits * T * (1.0 - T)
         grads["K"] += dz * (length / LENGTH_SCALE)
         grads["d"] += dz
 
-    dP_pre = dP if masks is None else dP * cache["p_scale"]
+    dP_pre = dP if p_scale is None else dP * p_scale
 
     VtdP = params["V"].T @ dP_pre                    # (d_c, d_c)
     dC = C @ (VtdP + VtdP.T)
-    grads["V"] += dP_pre @ cache["G"]
+    grads["V"] += dP_pre @ G
 
     # attention regularizer; the description encoder's gradient waits for
     # the batch's `finish`
@@ -740,8 +729,8 @@ def _sample_backward(token_ids, length: int, gold, params: ModelParams,
         np.subtract(1.0, C, out=C)
         dC *= C
         del C
-        dW = _conv_max_backward(cache["ids"], params["W_e"], cache["x_scale"], W_stack,
-                                cache["winner"], dC, grads["W_e"], grads.rows)
+        dW = _conv_max_backward(ids, params["W_e"], x_scale, W_stack, winner, dC, grads["W_e"],
+                                grads.rows)
         for i, block in enumerate(_channel_blocks(dW, cfg.kernel_sizes, cfg.embed_dim)):
             grads[f"conv{i}"] += block
     return loss

@@ -85,14 +85,16 @@ def test_criterion_02_equation_fidelity():
     params.conv[0][:] = 1.0
     params.conv[1][:] = 0.5
     params["V"][:], params["K"][:], params["d"][:] = 2.0, 1.0, 0.0
-    _, cache = model._forward_cached(np.array([0, 1, 2]), 5000, params, None)
+    C, G, _ = model._frames(np.array([0, 1, 2]), params, None,
+                            model._stack_kernels(params.conv), False)
+    P, T, _ = model._label_side(G[None], [5000], params)
     # convolution cross-channel max: pre-tanh max([1,2,3], [1.5,3,2.5])
     m = np.tanh([1.5, 3.0, 3.0])
-    ok &= bool(np.all(np.abs(cache["C"][:, 0] - m) < 1e-12))
+    ok &= bool(np.all(np.abs(C[:, 0] - m) < 1e-12))
     # attention pooling: P = C^T (C V) = 2 (tanh^2 1.5 + 2 tanh^2 3)
-    ok &= abs(cache["P"][0, 0] - 2.0 * float(m @ m)) < 1e-12
+    ok &= abs(P[0, 0, 0] - 2.0 * float(m @ m)) < 1e-12
     # length feature: sigmoid(0.5) at scaled length 0.5
-    ok &= abs(cache["T"][0] - 1.0 / (1.0 + math.exp(-0.5))) < 1e-12
+    ok &= abs(T[0, 0] - 1.0 / (1.0 + math.exp(-0.5))) < 1e-12
     # binary cross entropy: y=0.5, g=1 -> ln 2
     ok &= abs(model.loss_mvc_lda(np.array([0.5]), np.array([1.0])) - math.log(2)) < 1e-12
     # the regularized loss backward returns reduces exactly to the base

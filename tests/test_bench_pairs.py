@@ -141,3 +141,18 @@ def test_bound_verdict_from_the_median_or_unresolved_by_the_revisions_spread():
     summary = bench_pairs.summarize(runs, {"time": "lower"}, kinds=("metrics",),
                                     bounds={"time": 0.25})
     assert summary["long"]["time"]["metrics"]["within_bound"] is False
+
+
+def test_probe_scale_is_each_sides_median_of_scaled_over_raw():
+    runs = []
+    for pair, (rev_raw, tree_raw) in enumerate([(50, 80), (40, 100), (25, 1)]):
+        runs.append(_run("long", pair, "rev", 100, time=1.0, raw_rate=rev_raw))
+        runs.append(_run("long", pair, "tree", 100, time=1.0, raw_rate=tree_raw))
+    runs[-1]["unscaled_metrics"]["rate"] = 0.0  # gives no ratio
+    runs.append(_run("desk", 0, "tree", 10, time=2.0))
+    runs[-1]["unscaled_metrics"]["time"] = 4.0
+    del runs[-1]["unscaled_metrics"]["f1"]  # nor does a missing metric
+    scales = bench_pairs.probe_scales(runs, BETTER)
+    assert scales["long"]["rev"] == {"rate": 2.5, "time": 1.0, "f1": 1.0}  # 2.5 of 2, 2.5, 4
+    assert scales["long"]["tree"] == {"rate": 1.125, "time": 1.0, "f1": 1.0}  # of 1.25, 1
+    assert scales["desk"] == {"tree": {"rate": 1.0, "time": 0.5}}

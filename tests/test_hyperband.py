@@ -103,7 +103,8 @@ class TestHyperbandSearch:
     def test_empty_space_rejected(self):
         with pytest.raises(ValueError):
             hb.hyperband_search(
-                hb.SearchSpace(lambdas=()), lambda c: itertools.repeat(0.0), R=3, eta=3, seed=6
+                hb.SearchSpace(lambda_candidates=()), lambda c: itertools.repeat(0.0), R=3, eta=3,
+                seed=6
             )
 
 
@@ -139,7 +140,7 @@ class TestRunReuse:
 
     def test_scores_are_prefix_bests_and_each_run_is_reused(self):
         space = hb.SearchSpace(s0_min=2, s0_max=2, dc_min=9, dc_max=9,
-                               lambdas=(0.001, 0.002, 0.003))
+                               lambda_candidates=(0.001, 0.002, 0.003))
         restarted = 0
         for seed in range(8):
             events = []
@@ -169,7 +170,7 @@ class TestRunReuse:
         assert len(calls) == 357
 
     def test_a_single_config_trains_once(self):
-        space = hb.SearchSpace(s0_min=3, s0_max=3, dc_min=9, dc_max=9, lambdas=(0.01,))
+        space = hb.SearchSpace(s0_min=3, s0_max=3, dc_min=9, dc_max=9, lambda_candidates=(0.01,))
         events = []
         _, _, log = hb.hyperband_search(space, self.counting_start(events), R=27, eta=3, seed=0)
         assert len(log) == 69
@@ -189,7 +190,8 @@ class TestRunReuse:
             assert peak == n // 3 + 1  # tight: the promotable runs stay live
 
     def test_a_diverged_run_scores_zero_from_where_it_raised(self, capsys):
-        space = hb.SearchSpace(s0_min=2, s0_max=2, dc_min=9, dc_max=9, lambdas=(0.001, 0.002))
+        space = hb.SearchSpace(s0_min=2, s0_max=2, dc_min=9, dc_max=9,
+                               lambda_candidates=(0.001, 0.002))
         events = []
         start = self.counting_start(events, diverge_at=(0.002, 4))
         _, _, log = hb.hyperband_search(space, start, R=9, eta=3, seed=3)
@@ -208,7 +210,7 @@ class TestRunReuse:
 
 class TestSampleConfig:
     def test_single_point_space(self):
-        space = hb.SearchSpace(s0_min=4, s0_max=4, dc_min=50, dc_max=50, lambdas=(0.01,))
+        space = hb.SearchSpace(s0_min=4, s0_max=4, dc_min=50, dc_max=50, lambda_candidates=(0.01,))
         rng = np.random.default_rng(7)
         for _ in range(5):
             cfg = hb.sample_config(space, rng)
@@ -238,7 +240,7 @@ class TestSampleConfig:
         assert seen == set(hb.LAMBDA_CANDIDATES)
 
     def test_lambda_free_space(self):
-        space = hb.SearchSpace(lambdas=None)
+        space = hb.SearchSpace(lambda_candidates=None)
         cfg = hb.sample_config(space, np.random.default_rng(11))
         assert cfg.lambda_ is None
 

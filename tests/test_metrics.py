@@ -96,21 +96,22 @@ class TestMicroF1:
 class TestMacroF1:
     def test_perfect(self):
         gold = np.array([[1, 0], [0, 1]])
-        assert metrics.macro_f1(metrics.label_counts(gold.astype(bool), cells(gold))) == 1.0
+        counts = metrics.label_counts(gold.astype(bool), cells(gold))
+        assert metrics.macro_f1(counts, np.arange(2)) == 1.0
 
     def test_mean_of_per_label_f1(self):
         pred = np.array([[1, 0], [0, 0]], dtype=bool)
         gold = np.array([[1, 1], [0, 0]])
         # label 0: perfect (1.0); label 1: no predictions (0.0)
         counts = metrics.label_counts(pred, cells(gold))
-        assert metrics.macro_f1(counts) == pytest.approx(0.5, abs=1e-12)
+        assert metrics.macro_f1(counts, np.arange(2)) == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_support_label_rejected(self):
         pred = np.zeros((2, 2), dtype=bool)
         gold = np.array([[1, 0], [1, 0]])
         counts = metrics.label_counts(pred, cells(gold))
         with pytest.raises(ValueError):
-            metrics.macro_f1(counts)
+            metrics.macro_f1(counts, np.arange(2))
         assert metrics.macro_f1(counts, labels=[0]) == 0.0
 
     def test_empty_subset_rejected(self):

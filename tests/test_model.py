@@ -86,33 +86,36 @@ def scatter_reference_backward(ids, W_e, x_scale, W_stack, winner, dM, dW_e, row
     return dW
 
 
-def cached(params, ids, length=None):
+def halves(params, ids, length=None):
+    """The frames C, pooled features P and length feature T of one eval-mode
+    note, from the forward halves `_frames` and `_label_side`."""
     ids = np.asarray(ids, dtype=np.int64)
-    _, cache = model._forward_cached(ids, len(ids) if length is None else length, params, None)
-    return cache
+    C, G, _ = model._frames(ids, params, None, model._stack_kernels(params.conv), False)
+    P, T, _ = model._label_side(G[None], [len(ids) if length is None else length], params)
+    return C, P[0], T[0]
 
 
 def frames(X, weights):
-    """C = tanh(cross-channel max) from `_forward_cached`'s cache for a
-    document whose embedded rows are X."""
-    return cached(params_over(X, weights), np.arange(len(X)))["C"]
+    """C = tanh(cross-channel max) from `_frames` for a document whose
+    embedded rows are X."""
+    return halves(params_over(X, weights), np.arange(len(X)))[0]
 
 
 def pooled(C, V):
-    """Pooled features P from `_forward_cached`'s cache for a document whose
-    frames are C: embedded rows arctanh(C) under one width-1 identity kernel."""
+    """Pooled features P from `_label_side` for a document whose frames are
+    C: embedded rows arctanh(C) under one width-1 identity kernel."""
     d_c = C.shape[1]
     X = np.arctanh(C) if len(C) else np.zeros((1, d_c))
     params = params_over(X, [np.eye(d_c)[None]], labels=len(V))
     params["V"][:] = V
-    return cached(params, np.arange(len(C)))["P"]
+    return halves(params, np.arange(len(C)))[1]
 
 
 def length_feature(length, K_j, d_j):
-    """The length feature T of a one-label model from `_forward_cached`'s cache."""
+    """The length feature T of a one-label model from `_label_side`."""
     params = small_params(labels=1)
     params["K"][:], params["d"][:] = K_j, d_j
-    return float(cached(params, [1, 2], length)["T"][0])
+    return float(halves(params, [1, 2], length)[2][0])
 
 
 class TestSigmoid:
@@ -129,7 +132,7 @@ class TestSigmoid:
 
 
 class TestMultiViewConv:
-    """The frames C that `_forward_cached` computes from embedded rows."""
+    """The frames C that `_frames` computes from embedded rows."""
 
     def test_hand_case_two_channels(self):
         # kernel-1 channel [1] and kernel-3 channel [0.5,0.5,0.5] on [1,2,3]:
@@ -463,12 +466,10 @@ class TestTables:
         # gradients over other rows are not laid out alike
         with pytest.raises(ValueError, match="other W_e rows"):
             grads.add_(model.GradientSet.zeros_like(params, np.array([0, 5, 38])))
-        # without rows, W_e's gradient covers every row
-        assert np.array_equal(model.GradientSet.zeros_like(params).rows, np.arange(40))
 
 
 class TestAttentionPool:
-    """The pooled features P = C^T (C V_j) in `_forward_cached`'s cache."""
+    """The pooled features P = C^T (C V_j) that `_label_side` computes."""
 
     def test_hand_case(self):
         # C = 0.5 I, V_j = [1, 2]: C V_j = [0.5, 1], C^T of that = [0.25, 0.5]
@@ -576,7 +577,7 @@ class TestForward:
         P = np.stack([C.T @ (C @ v) for v in params["V"]])
         T = two_branch_sigmoid(params["K"] * (9 / model.LENGTH_SCALE) + params["d"])
         y = two_branch_sigmoid(np.sum(params["U"] * P, axis=1) + params["b"] + T)
-        assert np.allclose(cached(params, ids)["P"], P, rtol=1e-12, atol=0.0)
+        assert np.allclose(halves(params, ids)[1], P, rtol=1e-12, atol=0.0)
         assert np.allclose(model.forward(ids, 9, params), y, rtol=1e-12, atol=0.0)
 
     def test_eval_peak_allocation_bounded_on_a_long_note(self):
@@ -617,17 +618,26 @@ class TestForward:
             for row, doc in zip(scores, docs):
                 assert np.array_equal(row, model.forward(doc.token_ids, doc.length, params))
 
-    def test_int32_ids_are_used_as_given(self):
+    def test_int32_ids_are_used_as_given(self, monkeypatch):
         # ids only index: an int32 note is neither cast nor copied, int32
         # descriptions pack into an int32 sequence, and both give the bits
         # of the same ids as int64
         params = small_params(kind="mvc-rlda", seed=16)
         ids = np.array([3, 1, 4, 1, 5, 9, 2, 6], dtype=np.int32)
-        y, cache = model._forward_cached(ids, len(ids), params, None)
-        assert np.shares_memory(cache["ids"], ids)
+        seen, conv_max = [], model._conv_max
+
+        def spy(conv_ids, *args):
+            seen.append(conv_ids)
+            return conv_max(conv_ids, *args)
+
+        desc = [ids[:3], ids[4:], ids[2:7]]
+        monkeypatch.setattr(model, "_conv_max", spy)
+        y = model.forward(ids, len(ids), params)
+        # training's forward pass; no gold label, so no description is encoded
+        model.backward([(ids, len(ids), np.zeros(0, np.int64), None)], params, desc)
+        assert len(seen) == 2 and all(np.shares_memory(s, ids) for s in seen)
         y64 = model.forward(ids.astype(np.int64), len(ids), params)
         assert np.array_equal(y.view(np.uint64), y64.view(np.uint64))
-        desc = [ids[:3], ids[4:], ids[2:7]]
         batch = model.DescriptionBatch(params, desc, [0, 2])
         batch64 = model.DescriptionBatch(params, [d.astype(np.int64) for d in desc], [0, 2])
         assert batch.seq.dtype == np.int32
@@ -673,6 +683,12 @@ class TestEncodeDescription:
     @staticmethod
     def encode(ids, params):
         return model.DescriptionBatch(params, [ids], [0]).F[0]
+
+    def test_kernel_read_in_place(self):
+        # one channel's stacked kernel is desc_conv itself, reshaped
+        params = small_params(kind="mvc-rlda", seed=65)
+        batch = model.DescriptionBatch(params, [np.array([1, 2, 3])], [0])
+        assert np.shares_memory(batch.W, params["desc_conv"])
 
     def test_zero_dense_layer_gives_half(self):
         params = small_params(kind="mvc-rlda", seed=12)
@@ -909,6 +925,27 @@ class TestBackward:
         for name, arr in grads.data.items():
             assert np.allclose(arr, 0.0, atol=1e-15), name
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", model.MODEL_KINDS)
+    def test_training_forward_is_forward_bit_for_bit(self, kind, dtype):
+        # training composes the forward halves itself, so its loss is
+        # compared with `forward`'s exactly: with dropout and without, on a
+        # whole note, a truncated one (its length past its ids) and an empty
+        # one. At lambda = 0 an mvc-rlda loss is the BCE alone
+        rng = np.random.default_rng(64)
+        cfg = model.ModelConfig(kind=kind, kernel_sizes=(2, 4, 6), n_filters=4, embed_dim=5,
+                                lambda_=0.0)
+        params = model.init_params(cfg, 20, 3, rng, dtype=dtype)
+        params["K"][:] = rng.normal(size=3)  # a length feature that depends on the length
+        gold = np.array([0, 2])
+        g = np.zeros(3)
+        g[gold] = 1.0
+        for n, length in ((9, 9), (9, 40), (0, 7)):
+            ids = rng.integers(0, 20, n)
+            for masks in (None, model.make_dropout_masks(rng, n, 3, 4, 0.3)):
+                loss, _ = model.backward([(ids, length, gold, masks)], params)
+                assert loss == model.loss_mvc_lda(model.forward(ids, length, params, masks), g)
+
     def test_cross_channel_max_routes_to_lowest_tied_channel(self):
         params = small_params(seed=22, kernels=(1, 1))
         params.conv[1][:] = params.conv[0]  # exact tie at every position
@@ -970,11 +1007,11 @@ class TestBackward:
             ids, gold = rng.integers(0, 20, n), np.flatnonzero(rng.random(3) < 0.5)
             masks = model.make_dropout_masks(np.random.default_rng(n), n, 3, 4, 0.2)
             samples.append((ids, n, gold, masks))
-        total = model.GradientSet.zeros_like(params)
+        total = model.GradientSet.zeros_like(params, np.arange(params.vocab_size))
         total_loss = 0.0
         for sample in samples:
             alone, grads = model.backward([sample], params, desc)
-            full = model.GradientSet.zeros_like(params)
+            full = model.GradientSet.zeros_like(params, np.arange(params.vocab_size))
             for name, arr in dense_gradients(grads, params).items():
                 full[name] = arr
             total.add_(full)
@@ -1155,9 +1192,12 @@ class TestFloat32:
             assert state.m[name].dtype == np.float32, name
             assert state.v[name].dtype == np.float32, name
         ids, length, _, masks = samples[0]
-        _, cache = model._forward_cached(ids, length, params, masks)
-        for name in ("x_scale", "p_scale", "C", "G", "P", "T", "y"):
-            assert cache[name].dtype == np.float32, name
+        x_scale, p_scale = masks.scales(params.dtype)
+        C, G, _ = model._frames(ids, params, x_scale, model._stack_kernels(params.conv), True)
+        P, T, y = model._label_side(G[None], [length], params, p_scale)
+        halves = dict(x_scale=x_scale, p_scale=p_scale, C=C, G=G, P=P, T=T, y=y)
+        for name, arr in halves.items():
+            assert arr.dtype == np.float32, name
         assert model.forward(ids, len(ids), params).dtype == np.float32
         scores = model.predict_matrix(params, [EncodedDocument(ids, np.zeros(0, np.int64))])
         assert scores.dtype == np.float32

@@ -1,16 +1,24 @@
-"""Every public top-level function, and every public method of a public
-class, of the package is used by the program.
+"""Every function of the package is used by the program.
 
 A function that only tests call is a second, unexercised path beside the
-one the commands run (the layer functions `forward` once duplicated were
-such a path). This guard runs the command flow of `tools/same_outputs.py`
-in process under `sys.setprofile`, recording the code object of every
-call, and asserts that each public function and method of `src/mvclda/`
-was called, or is named in `bench/`: as an attribute `owner.name` whose
-owner is its module or class, or by a string constant in `bench/tracer.py`,
-whose tracer wraps some methods by name. Calls count by code object, so
-`bytes.decode` keeps no `Vocabulary.decode` alive, and a check named
-"ancestors" keeps no `LabelSpace.ancestors` alive.
+one the commands run (per-layer functions kept beside the fused forward
+pass, or a helper's mode that only one test took, were such paths). Two
+guards:
+
+- The public one runs the command flow of `tools/same_outputs.py` in
+  process under `sys.setprofile`, recording the code object of every
+  call, and asserts that each public top-level function, and each public
+  method of a public class, of `src/mvclda/` was called, or is named in
+  `bench/`: as an attribute `owner.name` whose owner is its module or
+  class, or by a string constant in `bench/tracer.py`, whose tracer wraps
+  some methods by name. Calls count by code object, so `bytes.decode`
+  keeps no `Vocabulary.decode` alive, and a check named "ancestors" keeps
+  no `LabelSpace.ancestors` alive.
+- The private one asserts that each single-underscore top-level function
+  and method of `src/mvclda/` is referenced by name (a bare name or an
+  attribute) somewhere in `src/mvclda/` outside its own `def`. Only the
+  package reaches a private helper, so one it never names is reached by
+  tests alone.
 """
 
 import ast
@@ -18,6 +26,7 @@ import importlib
 import importlib.util
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -112,3 +121,31 @@ def test_public_functions_are_reachable(module, called):
         if _code(obj) not in called and qualified not in bench and name not in bench:
             unused.append(qualified)
     assert unused == []
+
+
+def _private(tree: ast.Module) -> list[ast.FunctionDef]:
+    """Each single-underscore (not dunder) top-level function and method."""
+    defs = []
+    for node in tree.body:
+        items = node.body if isinstance(node, ast.ClassDef) else [node]
+        defs += [item for item in items if isinstance(item, ast.FunctionDef)
+                 and item.name.startswith("_") and not item.name.startswith("__")]
+    return defs
+
+
+def _references(node: ast.AST) -> Counter:
+    """How often each name is referenced under `node`, as a bare name or as
+    an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_private_functions_are_referenced_in_the_package():
+    trees = {module: ast.parse((ROOT / "src" / "mvclda" / module).read_text(encoding="utf-8"))
+             for module in GUARDED}
+    references = sum(map(_references, trees.values()), Counter())
+    private = [(module, node) for module, tree in trees.items() for node in _private(tree)]
+    assert private
+    unreferenced = [f"{module}:{node.name}" for module, node in private
+                    if references[node.name] == _references(node)[node.name]]
+    assert unreferenced == []

@@ -67,7 +67,7 @@ class TestAdamStep:
         params = tiny_params(seed=1)
         before = {name: arr.copy() for name, arr in params.tensors()}
         state = train.AdamState.for_params(params)
-        grads = model.GradientSet.zeros_like(params)
+        grads = model.GradientSet.zeros_like(params, np.arange(params.vocab_size))
         train.adam_step(params, grads, state, train.TrainConfig())
         assert state.t == 1
         for name, arr in params.tensors():
@@ -79,7 +79,7 @@ class TestAdamStep:
         params = tiny_params(seed=2)
         params["b"][:] = 0.0
         state = train.AdamState.for_params(params)
-        grads = model.GradientSet.zeros_like(params)
+        grads = model.GradientSet.zeros_like(params, np.arange(params.vocab_size))
         grads["b"][:] = 1.0
         train.adam_step(params, grads, state, train.TrainConfig())
         assert params["b"][0] == pytest.approx(-0.001, abs=1e-8)
@@ -88,7 +88,7 @@ class TestAdamStep:
         params = tiny_params(seed=3)
         params["b"][:] = 0.5
         state = train.AdamState.for_params(params)
-        grads = model.GradientSet.zeros_like(params)
+        grads = model.GradientSet.zeros_like(params, np.arange(params.vocab_size))
         grads["b"][:] = 0.37
         train.adam_step(params, grads, state, train.TrainConfig())
         assert np.all(params["b"] == params["b"][0])
@@ -117,7 +117,7 @@ class TestAdamStep:
         rng = np.random.default_rng(14)
         for t in range(1, 4):
             dense = {name: rng.normal(size=arr.shape) for name, arr in params.tensors()}
-            grads = model.GradientSet.zeros_like(params, touched if compact else None)
+            grads = model.GradientSet.zeros_like(params, touched if compact else np.arange(vocab))
             for name, g in dense.items():
                 grads[name] = g[touched] if compact and name == "W_e" else g
             if compact:
@@ -147,7 +147,7 @@ class TestAdamStep:
         for t in range(1, 4):
             dense = {name: rng.normal(size=arr.shape).astype(np.float32)
                      for name, arr in params.tensors()}
-            grads = model.GradientSet.zeros_like(params, touched if compact else None)
+            grads = model.GradientSet.zeros_like(params, touched if compact else np.arange(30))
             for name, g in dense.items():
                 grads[name] = g[touched] if compact and name == "W_e" else g
             if compact:
@@ -163,7 +163,7 @@ class TestAdamStep:
     def test_non_finite_gradient_rejected(self):
         params = tiny_params(seed=4)
         state = train.AdamState.for_params(params)
-        grads = model.GradientSet.zeros_like(params)
+        grads = model.GradientSet.zeros_like(params, np.arange(params.vocab_size))
         for arr in grads.data.values():
             arr[...] = 0.5
         grads["b"][0] = np.nan  # b comes after W_e, conv*, V and U in update order

@@ -28,8 +28,11 @@ whether the tree's median is worse by at most that fraction, or
 "unresolved" where the revision's own spread exceeds it and not every
 tree run beats every revision run. Under `traced`, the same, without a
 bound, for every per-layer metric of `BENCHMARK.json` over the traced
-runs. Exits 0 when every run was correct with no failed
-operation, and 1 otherwise.
+runs. Per workload and side it also writes `probe_scale`: for each
+end-to-end metric, the median over the untraced runs of the scaled value
+over the raw one, the factor the benchmark's probe applied to that side.
+Exits 0 when every run was correct with no failed operation, and 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -177,6 +180,23 @@ def summarize(runs: list[dict], better: dict[str, str],
     return summary
 
 
+def probe_scales(runs: list[dict], names) -> dict:
+    """Per workload, side ('rev' or 'tree') and metric of `names`: the
+    median over the runs of its scaled (`metrics`) value over its raw
+    (`unscaled_metrics`) one. A run whose raw value is 0 or missing gives
+    no ratio."""
+    ratios = {}
+    for r in runs:
+        side = ratios.setdefault(r["workload"], {}).setdefault(r["side"], {})
+        for name in names:
+            raw = r["unscaled_metrics"].get(name)
+            if raw:
+                side.setdefault(name, []).append(r["metrics"][name] / raw)
+    return {workload: {side: {name: statistics.median(v) for name, v in by_name.items()}
+                       for side, by_name in sides.items()}
+            for workload, sides in ratios.items()}
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev")
@@ -221,7 +241,8 @@ def main(argv: list[str]) -> int:
                    + ",".join(f"{w}={n}" for w, n in args.pairs.items())
                    + f" --seed {args.seed}" + (f" --traced {args.traced}" if args.traced else ""),
         "rev": rev_sha, "seed": args.seed, "environment": environment,
-        "correct": ok, "summary": summarize(untraced, better, bounds=bounds), "runs": untraced,
+        "correct": ok, "summary": summarize(untraced, better, bounds=bounds),
+        "probe_scale": probe_scales(untraced, better), "runs": untraced,
         **({"traced": {"summary": summarize(traced, layer_better, kinds=("metrics",)),
                        "runs": traced}} if traced else {}),
     }, indent=1) + "\n", encoding="utf-8")

@@ -5,16 +5,18 @@
 Extracts `git archive <rev> src` into a temporary directory and runs one
 command flow with that source and with the working tree's `src/`, each in
 its own run directory with the same relative paths. The flow: synth;
-train mvc-rlda, mvc-lda, mvc-lda with the first run's `--embeddings`, and
+train mvc-rlda, mvc-lda, mvc-lda with the first run's `--embeddings`,
 mvc-rlda with patience 1, which must stop early (its `history.jsonl` is
-checked to be shorter than `max_epochs`); evaluate the first two models
-(the first with `--groups` and `--train-counts`); flat and hierarchical
-baselines, and a flat one with `--config`; hyperband at R=3, eta=3, once
-pretraining and once on the first train run's `--embeddings`; ablate
-mvc-rlda with every component on `--test`, and mvc-lda with regularization,
-extra_notes and regularization again on the dev split; then a second
-synth with a few thousand background words and one epoch of mvc-rlda
-training on it at embed_dim 64, whose vocabulary spans several of
+checked to be shorter than `max_epochs`), and mvc-rlda at dropout 0, so
+training runs without dropout masks; evaluate the first two models (the
+first with `--groups` and `--train-counts`) and the dropout-0 one; flat
+and hierarchical baselines, and a flat one with `--config`; hyperband at
+R=3, eta=3, once pretraining and once on the first train run's
+`--embeddings`; ablate mvc-rlda with every component on `--test`, and
+mvc-lda with regularization, extra_notes and regularization again on the
+dev split; then a second synth with a few thousand background words
+and one epoch of mvc-rlda training on it at embed_dim 64, whose
+vocabulary spans several of
 `adam_step`'s row blocks and whose batches leave most rows untouched, and
 whose notes, trained untruncated, are longer than `model.CONV_CHUNK`, so
 the convolution's backward carries rows from one chunk into the next;
@@ -89,6 +91,17 @@ max_segment = 60
 lambda = 0.01
 cbow_epochs = 1
 """,
+    # no dropout: training makes no masks and scales nothing
+    "nodrop.cfg": """\
+kernel_sizes = 2,4,6,8
+n_filters = 8
+embed_dim = 12
+max_epochs = 3
+max_segment = 60
+lambda = 0.01
+dropout = 0
+cbow_epochs = 1
+""",
     # ~5,000 words at embed_dim 64: several of adam_step's row blocks;
     # notes longer than model.CONV_CHUNK (512), two row chunks each
     "wide_synth.cfg": """\
@@ -149,6 +162,8 @@ FLOW = [
      "--out", "lda_emb"],
     ["train", "--model", "mvc-rlda", *DATA, "--dev", "data/dev.jsonl", "--config", "cfg/stop.cfg",
      "--seed", "42", "--out", "stop"],
+    ["train", "--model", "mvc-rlda", *DATA, "--dev", "data/dev.jsonl",
+     "--config", "cfg/nodrop.cfg", "--seed", "42", "--out", "nodrop"],
     ["evaluate", "--checkpoint", "rlda/checkpoint.bin", "--test", "data/test.jsonl",
      "--labels", "data/descriptions.tsv", "--vocab", "rlda/vocab.tsv",
      "--metrics-out", "rlda/metrics.json", "--p-at", "8,5", "--groups", "data/groups.tsv",
@@ -156,6 +171,9 @@ FLOW = [
     ["evaluate", "--checkpoint", "lda/checkpoint.bin", "--test", "data/test.jsonl",
      "--labels", "data/descriptions.tsv", "--vocab", "lda/vocab.tsv",
      "--metrics-out", "lda/metrics.json"],
+    ["evaluate", "--checkpoint", "nodrop/checkpoint.bin", "--test", "data/test.jsonl",
+     "--labels", "data/descriptions.tsv", "--vocab", "nodrop/vocab.tsv",
+     "--metrics-out", "nodrop/metrics.json"],
     ["baseline", *DATA, "--test", "data/test.jsonl", "--seed", "42", "--out", "base_flat"],
     ["baseline", *DATA, "--test", "data/test.jsonl", "--hierarchy", "data/hierarchy.tsv",
      "--seed", "42", "--out", "base_hier"],
