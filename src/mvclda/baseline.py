@@ -67,7 +67,7 @@ class TfidfConfig:
             raise ValueError(f"min_doc_freq must be >= 1, not {self.min_doc_freq}")
 
 
-def fit_tfidf(notes, words: dict[str, int], cfg: TfidfConfig = TfidfConfig()) -> TfidfFeaturizer:
+def fit_tfidf(notes, words: dict[str, int], cfg: TfidfConfig) -> TfidfFeaturizer:
     """Select the `cfg.max_features` most document-frequent unigrams (ties
     lexicographic: the `build_vocabulary` ranking) among those in at least
     `cfg.min_doc_freq` of the notes, each an array of ids in the word table

@@ -98,9 +98,9 @@ BASELINE_KEYS = {**_keys(baseline.SvmConfig, skip={"seed"}), **_keys(baseline.Tf
 ALL_KEYS = SYNTH_KEYS.keys() | HYPERBAND_KEYS.keys() | BASELINE_KEYS.keys()
 
 
-def parse_kv_config(text: str, keys: dict, source: str = "<config>") -> dict:
+def parse_kv_config(text: str, keys: dict, source: str) -> dict:
     """Flat `key = value` lines; blank lines and '#' comments are allowed;
-    keys outside the key table are rejected."""
+    keys outside the key table are rejected, naming `source` and the line."""
     values: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -146,7 +146,7 @@ def load_config(path, keys: dict) -> dict:
     values = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
-            values = parse_kv_config(fh.read(), keys, source=str(path))
+            values = parse_kv_config(fh.read(), keys, str(path))
     return _apply_env_overrides(values, keys)
 
 
@@ -175,10 +175,11 @@ def _write_manifest(out_dir: Path, args, config: dict, artifacts: dict,
     corpus.write_json(out_dir / file_name, manifest)
 
 
-def _load_label_space(path, hierarchy=None, p_at=()) -> corpus.LabelSpace:
+def _load_label_space(path, p_at, hierarchy=None) -> corpus.LabelSpace:
     """The label space of the descriptions at `path`, under the parents of
-    the `hierarchy` file if given. An empty one, or a --p-at value in
-    `p_at` above its size, is refused before any split is read."""
+    the `hierarchy` file if given. An empty one, a cyclic hierarchy, or a
+    --p-at value in `p_at` above its size, is refused before any split is
+    read."""
     descriptions = corpus.read_descriptions_tsv(path)
     if not descriptions:
         raise ValueError(f"--labels {path} defines no code")
@@ -209,7 +210,7 @@ def _read_split(name: str, path, labels: corpus.LabelSpace, words: dict, grow: b
     notes, gold, dropped = [], [], 0
     unseen = len(words)
     for raw in corpus.read_corpus_jsonl(path):
-        (note_gold,), note_dropped = corpus.encode_gold([raw], labels)
+        note_gold, note_dropped = corpus.encode_gold(raw, labels)
         gold.append(note_gold)
         dropped += note_dropped
         tokens = corpus.preprocess_text(raw.text)
@@ -259,7 +260,7 @@ def _read_and_check(args, values: dict, p_at=(), scored=None) -> tuple[_Training
     model_cfg = _build(model.ModelConfig, values, kind=args.model)
     train_cfg = _build(train_mod.TrainConfig, values, seed=args.seed)
     cbow_cfg = _build(embed.CbowConfig, values, dim=model_cfg.embed_dim, seed=args.seed)
-    labels = _load_label_space(args.labels, p_at=p_at)
+    labels = _load_label_space(args.labels, p_at)
     eval_split, eval_path = scored or ("dev", args.dev)
     words: dict[str, int] = {}
     splits = {name: _read_split(name, path, labels, words, grow=name == "train",
@@ -380,7 +381,7 @@ def cmd_evaluate(args) -> int:
         raise ValueError(
             "vocabulary file does not match the checkpoint's vocabulary checksum"
         )
-    labels = _load_label_space(args.labels, p_at=args.p_at)
+    labels = _load_label_space(args.labels, args.p_at)
     if labels.n_labels != params.n_labels:
         raise ValueError(
             f"checkpoint was trained for {params.n_labels} labels, "
@@ -418,6 +419,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_hyperband(args) -> int:
+    schedule = [{"s": s, "n": n, "r": r} for s, n, r in hb.bracket_schedule(args.R, args.eta)]
     values = load_config(args.config, HYPERBAND_KEYS)
     # an mvc-lda model has no lambda to search
     no_lambda = {"lambda_candidates": None} if args.model == "mvc-lda" else {}
@@ -438,12 +440,7 @@ def cmd_hyperband(args) -> int:
         return (stats.dev_micro_f1 for stats, _ in train_mod.epochs(
             params0, run.train_docs, run.dev_docs, run.desc_ids, train_cfg))
 
-    best_cfg, best_score, log = hb.hyperband_search(
-        space, start, R=args.R, eta=args.eta, seed=args.seed
-    )
-    schedule = [
-        {"s": s, "n": n, "r": r} for s, n, r in hb.bracket_schedule(args.R, args.eta)
-    ]
+    best_cfg, best_score, log = hb.hyperband_search(space, start, args.R, args.eta, args.seed)
     trials_path = run.out_dir / "trials.jsonl"
     corpus.write_jsonl(trials_path, (dict(asdict(t), config=t.config.to_json_obj()) for t in log))
     run.artifacts["trials"] = trials_path
@@ -533,7 +530,7 @@ def cmd_baseline(args) -> int:
     values = load_config(args.config, BASELINE_KEYS)
     svm_cfg = _build(baseline.SvmConfig, values, seed=args.seed)
     tfidf_cfg = _build(baseline.TfidfConfig, values)
-    labels = _load_label_space(args.labels, args.hierarchy, args.p_at)
+    labels = _load_label_space(args.labels, args.p_at, args.hierarchy)
     words: dict[str, int] = {}
     train = _read_split("train", args.train, labels, words, grow=True)
     test = _read_split("test", args.test, labels, words, scored=True)
@@ -630,13 +627,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", help="pretrained embedding file (else CBOW runs)")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="score a checkpoint on a test set")
+    # the P@n cutoffs of evaluate, ablate and baseline
+    p_at = argparse.ArgumentParser(add_help=False)
+    p_at.add_argument("--p-at", type=_p_at_list, default=[8])
+
+    p = sub.add_parser("evaluate", parents=[p_at], help="score a checkpoint on a test set")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--metrics-out", required=True)
-    p.add_argument("--p-at", type=_p_at_list, default=[8])
     p.add_argument("--groups", help="optional code<TAB>group TSV for per-group micro F1")
     p.add_argument("--train-counts", help="optional code<TAB>count TSV for binned F1")
     p.set_defaults(func=cmd_evaluate)
@@ -649,22 +649,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=_int_at_least(2), default=3)
     p.set_defaults(func=cmd_hyperband)
 
-    p = sub.add_parser("ablate", parents=[run], help="component ablation study")
+    p = sub.add_parser("ablate", parents=[run, p_at], help="component ablation study")
     p.add_argument("--model", choices=model.MODEL_KINDS, default="mvc-rlda")
     p.add_argument("--test", help="evaluation split for the deltas (default: dev)")
     p.add_argument("--components", type=_components, default="all",
                    help=f"all, or a comma list of {','.join(ABLATIONS)}")
-    p.add_argument("--p-at", type=_p_at_list, default=[8])
     p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("baseline", help="tf-idf one-vs-rest linear baseline")
+    p = sub.add_parser("baseline", parents=[p_at], help="tf-idf one-vs-rest linear baseline")
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--hierarchy", help="child<TAB>parent TSV enabling the hierarchical variant")
     p.add_argument("--config")
     p.add_argument("--seed", type=_int_at_least(0), required=True)
-    p.add_argument("--p-at", type=_p_at_list, default=[8])
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_baseline)
 

@@ -24,8 +24,6 @@ import numpy as np
 # so clinical tokens like "x-ray" survive.
 PUNCT_EDGE = ".,;:!?\"'()[]{}"
 
-MIN_DOC_FREQ = 3
-
 
 class DataFormatError(ValueError):
     """Malformed input file (carries a line number where available)."""
@@ -85,7 +83,7 @@ class Vocabulary:
 
 
 def build_vocabulary(notes: list[np.ndarray], words: dict[str, int],
-                     min_doc_freq: int = MIN_DOC_FREQ) -> Vocabulary:
+                     min_doc_freq: int) -> Vocabulary:
     """Build a vocabulary from the training notes, each an array of ids in
     the word table `words`: a word is retained iff it occurs in >=
     min_doc_freq distinct notes."""
@@ -137,9 +135,7 @@ def _check_acyclic(parents: dict[str, str]) -> None:
             seen.add(node)
 
 
-def make_label_space(
-    descriptions: dict[str, str], parents: dict[str, str] | None = None
-) -> LabelSpace:
+def make_label_space(descriptions: dict[str, str], parents: dict[str, str] | None) -> LabelSpace:
     """Build a LabelSpace from raw description strings (preprocessed here).
 
     Codes are indexed in the iteration order of `descriptions`.
@@ -162,14 +158,13 @@ class EncodedDocument:
         return len(self.token_ids)
 
 
-def encode_gold(raws: list[RawDocument], labels: LabelSpace) -> tuple[list[np.ndarray], int]:
-    """Each document's gold codes as the sorted int64 array of their label
+def encode_gold(raw: RawDocument, labels: LabelSpace) -> tuple[np.ndarray, int]:
+    """The document's gold codes as the sorted int64 array of their label
     ids, and the count of gold codes dropped because the label space does
     not contain them."""
     index = labels.code_to_index
-    golds = [np.array(sorted(index[c] for c in raw.codes if c in index), dtype=np.int64)
-             for raw in raws]
-    return golds, sum(len(raw.codes) for raw in raws) - sum(map(len, golds))
+    gold = np.array(sorted(index[c] for c in raw.codes if c in index), dtype=np.int64)
+    return gold, len(raw.codes) - len(gold)
 
 
 def gold_cells(golds) -> tuple[np.ndarray, np.ndarray]:
@@ -461,9 +456,7 @@ def read_descriptions_tsv(path) -> dict[str, str]:
 
 
 def read_hierarchy_tsv(path) -> dict[str, str]:
-    parents = _read_pairs(path, "child<TAB>parent")
-    _check_acyclic(parents)
-    return parents
+    return _read_pairs(path, "child<TAB>parent")
 
 
 def read_groups_tsv(path) -> dict[str, str]:

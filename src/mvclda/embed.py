@@ -243,11 +243,12 @@ def save_embeddings(path, table: np.ndarray, vocab_checksum: str) -> None:
     write_tensor_file(path, header, [("embeddings", table)])
 
 
-def load_embeddings(path, expected_vocab_checksum: str | None = None) -> np.ndarray:
-    """Read a table written by `save_embeddings`, checking its vocabulary
-    checksum when one is expected. A damaged or foreign file, a header
+def load_embeddings(path, expected_vocab_checksum: str) -> np.ndarray:
+    """Read a table written by `save_embeddings` against the vocabulary
+    file of checksum `expected_vocab_checksum`. A damaged or foreign file, a header
     without a 2-d `embeddings` tensor and a `vocab_sha256`, or a table
-    holding a NaN or an infinity raises DataFormatError."""
+    holding a NaN or an infinity, or a table written against another
+    vocabulary raises DataFormatError."""
     with open(path, "rb") as fh:
         if fh.read(5) == b"#emb\t":
             raise DataFormatError(
@@ -259,7 +260,7 @@ def load_embeddings(path, expected_vocab_checksum: str | None = None) -> np.ndar
     stored = header.get("vocab_sha256")
     if table is None or table.ndim != 2 or not isinstance(stored, str):
         raise DataFormatError(f"{path}: header lacks a 2-d embeddings tensor or vocab_sha256")
-    if expected_vocab_checksum is not None and stored != expected_vocab_checksum:
+    if stored != expected_vocab_checksum:
         raise DataFormatError(
             f"{path}: embedding table was trained against a different vocabulary "
             f"(checksum {stored[:12]}… != {expected_vocab_checksum[:12]}…)"

@@ -76,17 +76,21 @@ def sample_config(space: SearchSpace, rng) -> TrialConfig:
 
 def bracket_schedule(R: int, eta: int) -> list[tuple[int, int, int]]:
     """(s, n, r) per bracket: s from s_max down to 0, n initial configs,
-    r initial per-trial epochs."""
+    r initial per-trial epochs. An R whose counts a float cannot hold
+    raises ValueError."""
     if R < 1 or eta < 2:
         raise ValueError("R must be >= 1 and eta >= 2")
     s_max = 0
     while eta ** (s_max + 1) <= R:
         s_max += 1
     out = []
-    for s in range(s_max, -1, -1):
-        n = math.ceil((s_max + 1) / (s + 1) * eta**s)
-        r = max(1, int(math.floor(R / eta**s + 1e-9)))
-        out.append((s, n, r))
+    try:
+        for s in range(s_max, -1, -1):
+            n = math.ceil((s_max + 1) / (s + 1) * eta**s)
+            r = max(1, int(math.floor(R / eta**s + 1e-9)))
+            out.append((s, n, r))
+    except OverflowError:
+        raise ValueError(f"R {R} with eta {eta} gives a bracket too large for a float") from None
     return out
 
 
@@ -133,11 +137,7 @@ class _Runs:
 
 
 def hyperband_search(
-    space: SearchSpace,
-    start,
-    R: int = 27,
-    eta: int = 3,
-    seed: int = 0,
+    space: SearchSpace, start, R: int, eta: int, seed: int
 ) -> tuple[TrialConfig, float, list[Trial]]:
     """Run all brackets; `start(config)` must return that config's training
     run, an iterator of the dev micro F1 after each epoch (at least R), the

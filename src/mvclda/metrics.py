@@ -222,7 +222,7 @@ def evaluate_predictions(
     scores: np.ndarray,
     gold,
     *,
-    p_at: tuple[int, ...] = (8,),
+    p_at: tuple[int, ...],
     groups=None,
     train_counts=None,
     macro_labels=None,

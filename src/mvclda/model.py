@@ -282,17 +282,17 @@ def init_params(
     vocab_size: int,
     n_labels: int,
     rng,
-    embeddings: np.ndarray | None = None,
+    embeddings: np.ndarray,
     dtype=np.float32,
 ) -> ModelParams:
     """Variance-preserving initialization; biases and length weights start
-    at zero. `embeddings` supplies pretrained W_e (copied, then fine-tuned
-    during training). Each tensor is drawn in float64, then cast into its
-    view of the new table's buffer, in `dtype`, so the draws do not depend
-    on it; a table too large for numpy raises MemoryError before any draw
-    is made."""
+    at zero, and W_e is the pretrained `embeddings` table (copied, then
+    fine-tuned during training). Each other tensor is drawn in float64,
+    then cast into its view of the new table's buffer, in `dtype`, so the
+    draws do not depend on it; a table too large for numpy raises
+    MemoryError before any draw is made."""
     d_e, d_c = cfg.embed_dim, cfg.n_filters
-    if embeddings is not None and embeddings.shape != (vocab_size, d_e):
+    if embeddings.shape != (vocab_size, d_e):
         raise ValueError(
             f"embedding table shape {embeddings.shape} does not match "
             f"(vocab {vocab_size}, dim {d_e})"
@@ -305,10 +305,8 @@ def init_params(
     # the table order is the RNG draw order
     for name, view in params.tensors():
         shape = view.shape
-        if name == "W_e" and embeddings is not None:
+        if name == "W_e":
             view[...] = embeddings
-        elif name == "W_e":
-            view[...] = (rng.random(shape) - 0.5) / d_e
         elif len(shape) == 3:    # convolution kernels, s x d_e x d_c
             view[...] = _glorot(rng, shape, shape[0] * d_e, shape[0] * d_c)
         elif name in ("V", "U"):  # one d_c -> 1 map per label
@@ -624,8 +622,6 @@ def description_batch(params: ModelParams, desc_ids_list, golds) -> DescriptionB
     cfg = params.config
     if cfg.kind != "mvc-rlda" or cfg.lambda_ <= 0.0:
         return None
-    if desc_ids_list is None:
-        raise ValueError("the mvc-rlda regularizer requires encoded label descriptions")
     labels = np.unique(np.concatenate(golds))
     return DescriptionBatch(params, desc_ids_list, labels) if len(labels) else None
 
@@ -650,12 +646,13 @@ def loss_mvc_lda(y: np.ndarray, gold: np.ndarray) -> float:
 # Backward
 # ---------------------------------------------------------------------------
 
-def backward(samples, params: ModelParams, desc_ids_list=None) -> tuple[float, GradientSet]:
+def backward(samples, params: ModelParams, desc_ids_list) -> tuple[float, GradientSet]:
     """Summed loss and analytic gradients of a batch for every trainable tensor.
 
     `samples` are the batch's (token_ids, length, gold ids, masks) tuples; each
-    sample's dropout masks are fixed for its forward/backward pair. For
-    mvc-rlda, `desc_ids_list` holds the encoded description of every label.
+    sample's dropout masks are fixed for its forward/backward pair.
+    `desc_ids_list` holds the encoded description of every label, which
+    only mvc-rlda reads.
 
     The parameters are fixed within the batch, so the kernels are stacked
     once and the descriptions of every gold label are encoded once. The
@@ -777,7 +774,7 @@ def save_checkpoint(path, params: ModelParams, vocab_checksum: str) -> None:
 
 def _tensor_shapes(cfg: ModelConfig, vocab_size: int, n_labels: int) -> dict[str, tuple]:
     """The one list of the model's tensors: each name and its shape under
-    `cfg`, in the order `ModelParams.arrays` holds them, `init_params` draws
+    `cfg`, in the order `ModelParams.arrays` holds them, `init_params` fills
     them and the checkpoint stores them."""
     d_e, d_c = cfg.embed_dim, cfg.n_filters
     shapes = {"W_e": (vocab_size, d_e)}

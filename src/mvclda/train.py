@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import MIN_DOC_FREQ, EncodedDocument, gold_cells
+from .corpus import EncodedDocument, gold_cells
 from .metrics import binarize, micro_f1
 from .model import GradientSet, ModelParams, backward, make_dropout_masks, predict_matrix
 
@@ -37,7 +37,7 @@ class TrainConfig:
     patience: int = 10
     max_epochs: int = 100
     dropout: float = 0.2
-    min_doc_freq: int = MIN_DOC_FREQ  # the vocabulary floor
+    min_doc_freq: int = 3  # the vocabulary floor
     seed: int = 0
 
     def __post_init__(self):

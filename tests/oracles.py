@@ -510,6 +510,13 @@ def fd_gradcheck(params, loss_fn, grads, step=1e-5, rtol=1e-4, max_per_tensor=No
     return worst
 
 
+def random_table(rng, vocab_size, embed_dim):
+    """A random W_e for `model.init_params`, uniform in [-0.5, 0.5) /
+    embed_dim: the first draw from `rng`, which then draws the other
+    tensors."""
+    return (rng.random((vocab_size, embed_dim)) - 0.5) / embed_dim
+
+
 def word_table(token_docs):
     """Each token list as an int32 array of ids in a word table, a dict
     that gains each unseen word at the next id; returns (arrays, table)."""

@@ -24,6 +24,7 @@ from oracles import (
     fd_gradcheck,
     grid_pr_auc,
     hand_pearson,
+    random_table,
     reference_loss,
     word_table,
 )
@@ -53,7 +54,8 @@ def test_criterion_01_gradient_correctness():
             kind=kind, kernel_sizes=(1, 3, 5, 7), n_filters=6, embed_dim=8,
             lambda_=0.01 if kind == "mvc-rlda" else 0.0,
         )
-        params = model.init_params(cfg, 50, 5, np.random.default_rng(11), dtype=np.float64)
+        rng = np.random.default_rng(11)
+        params = model.init_params(cfg, 50, 5, rng, random_table(rng, 50, 8), dtype=np.float64)
         desc_arg = desc if kind == "mvc-rlda" else None
 
         def loss_fn():
@@ -77,9 +79,10 @@ def test_criterion_02_equation_fidelity():
     # one document on the live path: embedded rows [1, 2, 3], a kernel-1
     # channel [1] and a kernel-3 channel [0.5, 0.5, 0.5], one label with
     # V = [2], K = 1, d = 0, and length 5000
+    rng = np.random.default_rng(2)
     params = model.init_params(
         model.ModelConfig(kernel_sizes=(1, 3), n_filters=1, embed_dim=1),
-        3, 1, np.random.default_rng(2), dtype=np.float64,
+        3, 1, rng, random_table(rng, 3, 1), dtype=np.float64,
     )
     params["W_e"][:, 0] = [1.0, 2.0, 3.0]
     params.conv[0][:] = 1.0
@@ -99,10 +102,11 @@ def test_criterion_02_equation_fidelity():
     ok &= abs(model.loss_mvc_lda(np.array([0.5]), np.array([1.0])) - math.log(2)) < 1e-12
     # the regularized loss backward returns reduces exactly to the base
     # loss when gold is empty
+    rng = np.random.default_rng(2)
     params = model.init_params(
         model.ModelConfig(kind="mvc-rlda", kernel_sizes=(1, 3), n_filters=4,
                           embed_dim=5, lambda_=0.7),
-        20, 3, np.random.default_rng(2), dtype=np.float64,
+        20, 3, rng, random_table(rng, 20, 5), dtype=np.float64,
     )
     desc = [np.array([1, 2]), np.array([3, 4]), np.array([5])]
     ids, g = np.array([6, 7, 8, 9]), np.zeros(3)
@@ -158,15 +162,16 @@ LEARN_CFG = corpus.SynthConfig(
 
 def encode(raws, vocab, labels):
     """`corpus.encode_corpus` of raw documents: their tokens and gold ids."""
+    golds, dropped = zip(*(corpus.encode_gold(d, labels) for d in raws))
     return corpus.encode_corpus(*word_table([corpus.preprocess_text(d.text) for d in raws]),
-                                corpus.encode_gold(raws, labels), vocab)
+                                (list(golds), sum(dropped)), vocab)
 
 
 @pytest.fixture(scope="module")
 def learn_corpus():
     synth = corpus.generate_synthetic_corpus(LEARN_CFG)
     token_docs = [corpus.preprocess_text(d.text) for d in synth.train]
-    vocab = corpus.build_vocabulary(*word_table(token_docs))
+    vocab = corpus.build_vocabulary(*word_table(token_docs), 3)
     train_docs, _ = encode(synth.train, vocab, synth.labels)
     dev_docs, _ = encode(synth.dev, vocab, synth.labels)
     test_docs, _ = encode(synth.test, vocab, synth.labels)
@@ -228,7 +233,7 @@ def test_criterion_05_regularization_helps_rare_codes():
     )
     synth = corpus.generate_synthetic_corpus(cfg)
     token_docs = [corpus.preprocess_text(d.text) for d in synth.train]
-    vocab = corpus.build_vocabulary(*word_table(token_docs))
+    vocab = corpus.build_vocabulary(*word_table(token_docs), 3)
     train_docs, _ = encode(synth.train, vocab, synth.labels)
     dev_docs, _ = encode(synth.dev, vocab, synth.labels)
     test_docs, _ = encode(synth.test, vocab, synth.labels)

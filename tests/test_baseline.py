@@ -66,7 +66,7 @@ class TestTfidf:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
-            baseline.fit_tfidf([], {})
+            baseline.fit_tfidf([], {}, baseline.TfidfConfig())
 
     def test_min_doc_freq_floor_drops_rare_terms(self):
         docs = [["b", "a"], ["b", "a"], ["b"], ["z"]]
@@ -99,7 +99,8 @@ class TestSparseRows:
     def test_rows_are_the_nonzeros_of_the_dense_form(self):
         train, _, test = tricky_token_corpus(0)
         notes, words = word_table(train + test)
-        cols, vals, dim = baseline.fit_tfidf(notes, words).transform(notes)
+        feat = baseline.fit_tfidf(notes, words, baseline.TfidfConfig())
+        cols, vals, dim = feat.transform(notes)
         ref_cols, ref_vals, ref_dim = rows_of(baseline.to_dense((cols, vals, dim)))
         assert dim == ref_dim and len(cols) == len(notes)
         for c, v, ref_c, ref_v in zip(cols, vals, ref_cols, ref_vals):
@@ -114,7 +115,7 @@ class TestSparseRows:
         docs = [terms[20 * i:20 * i + 20] + [terms[k] for k in rng.integers(0, n_terms, 10)]
                 for i in range(n)]
         notes, words = word_table(docs)
-        feat = baseline.fit_tfidf(notes, words)
+        feat = baseline.fit_tfidf(notes, words, baseline.TfidfConfig())
         gold = cells(rng.random((n, 3)) < 0.3)
         tracemalloc.start()
         try:

@@ -1,6 +1,8 @@
-"""The summary step of `tools/bench_pairs.py` on synthetic run records."""
+"""The summary step of `tools/bench_pairs.py` on synthetic run records,
+and its preparation of the two sides."""
 
 import importlib.util
+import shutil
 import sys
 from pathlib import Path
 
@@ -156,3 +158,19 @@ def test_probe_scale_is_each_sides_median_of_scaled_over_raw():
     assert scales["long"]["rev"] == {"rate": 2.5, "time": 1.0, "f1": 1.0}  # 2.5 of 2, 2.5, 4
     assert scales["long"]["tree"] == {"rate": 1.125, "time": 1.0, "f1": 1.0}  # of 1.25, 1
     assert scales["desk"] == {"tree": {"rate": 1.0, "time": 0.5}}
+
+
+def test_both_sides_are_prepared_alike_outside_the_repo(tmp_path, monkeypatch):
+    # the revision's `git archive`, here of the working tree's own source
+    monkeypatch.setattr(bench_pairs, "extract_src",
+                        lambda rev, dest: shutil.copytree(ROOT / "src", dest / "src"))
+    roots = bench_pairs.prepare_sides(tmp_path, "HEAD")
+
+    def layout(root):
+        return sorted(str(p.relative_to(root)) for p in root.rglob("*")
+                      if "__pycache__" not in p.parts)
+
+    assert roots == {"rev": tmp_path / "rev", "tree": tmp_path / "tree"}
+    assert all(ROOT not in (root, *root.parents) for root in roots.values())
+    assert layout(roots["rev"]) == layout(roots["tree"])
+    assert {"src/mvclda/cli.py", "bench/run.py"} <= set(layout(roots["tree"]))

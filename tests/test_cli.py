@@ -214,14 +214,15 @@ class TestConfigKeys:
     def test_parsing(self):
         values = cli.parse_kv_config(
             "kernel_sizes = 1, 3,\nlambda = 0.5\nuse_length = No\n"
-            "lambda_candidates = 0.1,,0.2\nn_filters = 7\n", cli.HYPERBAND_KEYS)
+            "lambda_candidates = 0.1,,0.2\nn_filters = 7\n", cli.HYPERBAND_KEYS, "hb.cfg")
         assert values == {"kernel_sizes": (1, 3), "lambda": 0.5, "use_length": False,
                           "lambda_candidates": (0.1, 0.2), "n_filters": 7}
-        assert cli.parse_kv_config("use_length = YES", cli.TRAIN_KEYS) == {"use_length": True}
+        assert cli.parse_kv_config("use_length = YES", cli.TRAIN_KEYS, "train.cfg") == {
+            "use_length": True}
         assert type(values["n_filters"]) is int and type(values["lambda"]) is float
         for line in ("use_length = maybe", "n_filters = 2.5", "kernel_sizes = 1,x"):
-            with pytest.raises(corpus.DataFormatError, match="bad value"):
-                cli.parse_kv_config(line, cli.TRAIN_KEYS)
+            with pytest.raises(corpus.DataFormatError, match="train.cfg:1: bad value"):
+                cli.parse_kv_config(line, cli.TRAIN_KEYS, "train.cfg")
 
 
 class TestSynth:
@@ -314,7 +315,7 @@ class TestTrain:
         extra = []
         if pretrained:
             # a table for the vocabulary of no token, which holds the oov id only
-            vocab = corpus.build_vocabulary([np.zeros(0, np.int32) for _ in lines], {})
+            vocab = corpus.build_vocabulary([np.zeros(0, np.int32) for _ in lines], {}, 3)
             checksum = hashlib.sha256(corpus.vocabulary_bytes(vocab)).hexdigest()
             emb = tmp_path / "embeddings.bin"
             embed.save_embeddings(emb, np.full((vocab.size, 8), 0.1), checksum)
@@ -959,6 +960,24 @@ class TestBaselineCmd:
         assert message.format(test=test) in capsys.readouterr().err
         assert not out.exists()
 
+    def test_cyclic_hierarchy_exits_2_before_any_split_is_read(self, corpus_dir, tmp_path,
+                                                               monkeypatch, capsys):
+        def no_read(path):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr(cli.corpus, "read_corpus_jsonl", no_read)
+        hierarchy, out = tmp_path / "hierarchy.tsv", tmp_path / "out"
+        code = next(iter(corpus.read_descriptions_tsv(corpus_dir / "descriptions.tsv")))
+        corpus.write_pairs_tsv(hierarchy, [(code, "X"), ("X", code)])
+        assert run([
+            "baseline", "--train", str(corpus_dir / "train.jsonl"),
+            "--test", str(corpus_dir / "test.jsonl"),
+            "--labels", str(corpus_dir / "descriptions.tsv"), "--hierarchy", str(hierarchy),
+            "--seed", "4", "--out", str(out),
+        ]) == cli.EXIT_DATA
+        assert "hierarchy contains a cycle through" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_max_features_below_one_is_data_error(self, value, corpus_dir, tmp_path, capsys):
         # -1 once sliced off the last term, 0 fitted a featureless model
@@ -1035,6 +1054,19 @@ class TestHyperbandCmd:
         assert not (again / "embeddings.bin").exists()
         manifest = json.loads((again / "manifest.json").read_text())
         assert manifest["inputs"]["embeddings"]["path"] == str(emb)
+
+    def test_r_past_a_float_exits_2_before_any_split_is_read(self, corpus_dir, hb_cfg, tmp_path,
+                                                             monkeypatch, capsys):
+        # the schedule once came after the search: an OverflowError
+        # traceback, with vocab.tsv and embeddings.bin already in --out
+        def no_read(path):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr(cli.corpus, "read_corpus_jsonl", no_read)
+        huge, out = "1" + "0" * 400, tmp_path / "hb"
+        assert self._run(corpus_dir, hb_cfg, out, "--R", huge) == cli.EXIT_DATA  # the last --R
+        assert f"R {huge} with eta 3" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_lda_warns_about_lambda_keys(self, corpus_dir, hb_cfg, tmp_path, capsys):
         # the mvc-lda search space has no lambda, whatever the config says
@@ -1574,7 +1606,8 @@ class TestCommandFront:
     @pytest.mark.parametrize("command", ["train", "hyperband"])
     def test_non_finite_embeddings_exit_2_leaving_nothing(self, corpus_dir, train_cfg_path,
                                                           trained_dir, tmp_path, capsys, command):
-        table = embed.load_embeddings(trained_dir / "embeddings.bin").copy()
+        table = embed.load_embeddings(trained_dir / "embeddings.bin",
+                                      embed.sha256_file(trained_dir / "vocab.tsv")).copy()
         table[1, 2] = np.nan
         emb, out = tmp_path / "embeddings.bin", tmp_path / "out"
         embed.save_embeddings(emb, table, embed.sha256_file(trained_dir / "vocab.tsv"))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mvclda import embed, model
-from oracles import per_center_cbow, per_center_cbow_loss
+from oracles import per_center_cbow, per_center_cbow_loss, random_table
 
 
 def _toy_corpus(seed=0, vocab_size=30, n_docs=25, doc_len=18):
@@ -226,7 +226,8 @@ class TestEmbedLookup:
     def test_out_of_range_rejected(self):
         # document ids come from outside the model, so forward checks them
         cfg = model.ModelConfig(kernel_sizes=(1,), n_filters=2, embed_dim=3)
-        params = model.init_params(cfg, 4, 1, np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        params = model.init_params(cfg, 4, 1, rng, random_table(rng, 4, 3))
         with pytest.raises(ValueError):
             model.forward([4], 1, params)
         with pytest.raises(ValueError):

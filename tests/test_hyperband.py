@@ -23,6 +23,12 @@ class TestBracketSchedule:
         with pytest.raises(ValueError):
             hb.bracket_schedule(27, 1)
 
+    def test_counts_past_a_float_are_a_value_error(self):
+        # ceil((s_max + 1) / (s + 1) * eta**s) converts eta**s to a float
+        huge = 10**400
+        with pytest.raises(ValueError, match=f"R {huge} with eta 3"):
+            hb.bracket_schedule(huge, 3)
+
 
 def scoring_stub():
     """Deterministic runs: the score after each epoch improves with epochs

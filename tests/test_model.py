@@ -19,6 +19,7 @@ from oracles import (
     multi_view_max,
     multi_view_max_backward,
     per_label_regularizer,
+    random_table,
     reference_loss,
     two_branch_sigmoid,
 )
@@ -38,7 +39,9 @@ def small_params(kind="mvc-lda", seed=0, vocab=20, labels=3, d_e=5, d_c=4,
     cfg = model.ModelConfig(
         kind=kind, kernel_sizes=kernels, n_filters=d_c, embed_dim=d_e, **cfg_kwargs
     )
-    return model.init_params(cfg, vocab, labels, np.random.default_rng(seed), dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    return model.init_params(cfg, vocab, labels, rng, random_table(rng, vocab, d_e),
+                             dtype=np.float64)
 
 
 def params_over(X, weights, labels=1):
@@ -359,7 +362,8 @@ class TestMemoryPerToken:
     def test_backward(self):
         gold = np.array([0, 2])
         growth = self.growth_per_token(
-            lambda params, ids, masks: model.backward([(ids, len(ids), gold, masks)], params))
+            lambda params, ids, masks: model.backward([(ids, len(ids), gold, masks)], params,
+                                                      None))
         assert growth < 8 * self.D_E
 
     def test_predict_matrix(self):
@@ -381,7 +385,7 @@ class TestMemoryPerToken:
             masks = model.make_dropout_masks(rng, len(ids), self.LABELS, self.D_C, 0.2)
 
             def step():
-                _, grads = model.backward([(ids, len(ids), gold, masks)], params)
+                _, grads = model.backward([(ids, len(ids), gold, masks)], params, None)
                 train.adam_step(params, grads, state, train.TrainConfig())
 
             peaks.append(self.peak(step))
@@ -412,7 +416,7 @@ class TestTables:
 
     def test_every_table_is_one_buffer_in_table_order(self, tmp_path):
         rng = np.random.default_rng(60)
-        params = model.init_params(self.CFG, 40, 3, rng)
+        params = model.init_params(self.CFG, 40, 3, rng, random_table(rng, 40, 5))
         shapes = model._tensor_shapes(self.CFG, 40, 3)
         path = tmp_path / "ckpt"
         model.save_checkpoint(path, params, vocab_checksum="x")
@@ -432,7 +436,8 @@ class TestTables:
         assert grads.flat.size - grads["W_e"].size == params.flat.size - params["W_e"].size
 
     def test_copies_are_independent_buffers(self):
-        params = model.init_params(self.CFG, 40, 3, np.random.default_rng(61))
+        rng = np.random.default_rng(61)
+        params = model.init_params(self.CFG, 40, 3, rng, random_table(rng, 40, 5))
         copy = params.copy()
         assert not np.shares_memory(copy.flat, params.flat)
         before = copy.flat.copy()
@@ -441,7 +446,7 @@ class TestTables:
 
     def test_check_finite_names_a_compact_w_e(self):
         rng = np.random.default_rng(62)
-        params = model.init_params(self.CFG, 40, 3, rng)
+        params = model.init_params(self.CFG, 40, 3, rng, random_table(rng, 40, 5))
         _, grads = model.backward([(rng.integers(0, 40, 9), 9, np.array([1]), None)], params,
                                   [rng.integers(0, 40, 3) for _ in range(3)])
         grads.check_finite()
@@ -451,7 +456,8 @@ class TestTables:
             grads.check_finite()
 
     def test_gradient_buffer_acts_on_its_one_buffer(self):
-        params = model.init_params(self.CFG, 40, 3, np.random.default_rng(63))
+        rng = np.random.default_rng(63)
+        params = model.init_params(self.CFG, 40, 3, rng, random_table(rng, 40, 5))
         rows = np.array([0, 5, 39])
         grads = model.GradientSet.zeros_like(params, rows)
         assert grads.flat.dtype == params.dtype and grads["W_e"].shape == (3, 5)
@@ -586,7 +592,8 @@ class TestForward:
         # transients, where the unchunked per-channel convolution reached
         # 139 MB
         rng = np.random.default_rng(32)
-        params = model.init_params(model.ModelConfig(), 500, 48, rng)
+        cfg = model.ModelConfig()
+        params = model.init_params(cfg, 500, 48, rng, random_table(rng, 500, cfg.embed_dim))
         ids = rng.integers(0, 500, 20_000)
         tracemalloc.start()
         try:
@@ -610,7 +617,7 @@ class TestForward:
                                                          (np.float32, np.float64), (True, False)):
             cfg = model.ModelConfig(kind=kind, kernel_sizes=(2, 4, 6), n_filters=4, embed_dim=5,
                                     use_length=use_length)
-            params = model.init_params(cfg, 20, 512, rng, dtype=dtype)
+            params = model.init_params(cfg, 20, 512, rng, random_table(rng, 20, 5), dtype=dtype)
             for name in ("b", "K", "d"):
                 params[name][...] = rng.normal(size=512)
             scores = model.predict_matrix(params, docs)
@@ -652,7 +659,7 @@ class TestForward:
         # forward pass checks them
         for ids in ([99], [-2]):
             with pytest.raises(ValueError, match="out of range"):
-                model.backward([(ids, 1, np.zeros(0, np.int64), None)], small_params())
+                model.backward([(ids, 1, np.zeros(0, np.int64), None)], small_params(), None)
 
     def test_non_finite_output_raises(self):
         params = small_params(seed=9)
@@ -718,7 +725,7 @@ def per_label_reference(samples, params, desc):
     the regularizer from the per-gold-label oracle, the rest from `backward`
     at lambda = 0."""
     bare = dataclasses.replace(params, config=dataclasses.replace(params.config, lambda_=0.0))
-    loss, grads = model.backward(batch_of(samples), bare)
+    loss, grads = model.backward(batch_of(samples), bare, None)
     dense = dense_gradients(grads, params)
     for _, gold, _ in samples:
         loss += per_label_regularizer(gold, params, desc, dense)
@@ -921,7 +928,7 @@ class TestBackward:
         # exactly the gold row 1, 0, 1, so the BCE gradient vanishes
         # identically
         params["b"][:] = [200.0, -200.0, 200.0]
-        _, grads = model.backward([([1, 2, 3], 3, np.array([0, 2]), None)], params)
+        _, grads = model.backward([([1, 2, 3], 3, np.array([0, 2]), None)], params, None)
         for name, arr in grads.data.items():
             assert np.allclose(arr, 0.0, atol=1e-15), name
 
@@ -935,7 +942,7 @@ class TestBackward:
         rng = np.random.default_rng(64)
         cfg = model.ModelConfig(kind=kind, kernel_sizes=(2, 4, 6), n_filters=4, embed_dim=5,
                                 lambda_=0.0)
-        params = model.init_params(cfg, 20, 3, rng, dtype=dtype)
+        params = model.init_params(cfg, 20, 3, rng, random_table(rng, 20, 5), dtype=dtype)
         params["K"][:] = rng.normal(size=3)  # a length feature that depends on the length
         gold = np.array([0, 2])
         g = np.zeros(3)
@@ -943,19 +950,19 @@ class TestBackward:
         for n, length in ((9, 9), (9, 40), (0, 7)):
             ids = rng.integers(0, 20, n)
             for masks in (None, model.make_dropout_masks(rng, n, 3, 4, 0.3)):
-                loss, _ = model.backward([(ids, length, gold, masks)], params)
+                loss, _ = model.backward([(ids, length, gold, masks)], params, None)
                 assert loss == model.loss_mvc_lda(model.forward(ids, length, params, masks), g)
 
     def test_cross_channel_max_routes_to_lowest_tied_channel(self):
         params = small_params(seed=22, kernels=(1, 1))
         params.conv[1][:] = params.conv[0]  # exact tie at every position
-        _, grads = model.backward([([1, 2, 3, 4], 4, np.array([0, 2]), None)], params)
+        _, grads = model.backward([([1, 2, 3, 4], 4, np.array([0, 2]), None)], params, None)
         assert np.allclose(grads["conv1"], 0.0)
         assert not np.allclose(grads["conv0"], 0.0)
 
     def test_bce_path_active_for_negative_labels(self):
         params = small_params(seed=23)
-        _, grads = model.backward([([1, 2, 3], 3, np.zeros(0, np.int64), None)], params)
+        _, grads = model.backward([([1, 2, 3], 3, np.zeros(0, np.int64), None)], params, None)
         assert not np.allclose(grads["U"], 0.0)
 
     @pytest.mark.parametrize("kernels", [(1, 3), (2, 4, 6, 8)])
@@ -1044,7 +1051,8 @@ class TestCheckpoint:
         # the payload is read once, into the buffer the table views; copying
         # it into a second buffer would peak at twice the table's bytes
         cfg = model.ModelConfig(kind="mvc-rlda", kernel_sizes=(2, 4), n_filters=8, embed_dim=16)
-        params = model.init_params(cfg, 20_000, 50, np.random.default_rng(29))
+        rng = np.random.default_rng(29)
+        params = model.init_params(cfg, 20_000, 50, rng, random_table(rng, 20_000, 16))
         path = tmp_path / "ckpt"
         model.save_checkpoint(path, params, vocab_checksum="x")
         tracemalloc.start()
@@ -1158,8 +1166,9 @@ class TestFloat32:
         """Float32 parameters from `init_params`' default, the float64 set of
         the same values, descriptions, and a batch of three samples with
         dropout: a short note, one spanning two row chunks, and an empty one."""
-        rng = np.random.default_rng(seed)
-        p32 = model.init_params(self.CFG, self.VOCAB, self.J, np.random.default_rng(seed))
+        rng, init_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        p32 = model.init_params(self.CFG, self.VOCAB, self.J, init_rng,
+                                random_table(init_rng, self.VOCAB, self.CFG.embed_dim))
         p64 = model.ModelParams(self.CFG, self.VOCAB, self.J, p32.flat.astype(np.float64))
         desc = [rng.integers(0, self.VOCAB, int(rng.integers(2, 5))) for _ in range(self.J)]
         samples = []
@@ -1171,9 +1180,12 @@ class TestFloat32:
         return p32, p64, desc, samples
 
     def test_init_params_casts_the_float64_draws(self):
-        p32 = model.init_params(self.CFG, self.VOCAB, self.J, np.random.default_rng(3))
-        p64 = model.init_params(self.CFG, self.VOCAB, self.J, np.random.default_rng(3),
-                                dtype=np.float64)
+        rng32, rng64 = np.random.default_rng(3), np.random.default_rng(3)
+        d_e = self.CFG.embed_dim
+        p32 = model.init_params(self.CFG, self.VOCAB, self.J, rng32,
+                                random_table(rng32, self.VOCAB, d_e))
+        p64 = model.init_params(self.CFG, self.VOCAB, self.J, rng64,
+                                random_table(rng64, self.VOCAB, d_e), dtype=np.float64)
         assert p32.dtype == np.float32 and p64.dtype == np.float64
         for (name, a), (_, b) in zip(p32.tensors(), p64.tensors()):
             assert a.dtype == np.float32, name

@@ -19,6 +19,12 @@ guards:
   attribute) somewhere in `src/mvclda/` outside its own `def`. Only the
   package reaches a private helper, so one it never names is reached by
   tests alone.
+
+A third guard asks the same of parameter defaults: each defaulted
+parameter of a function the package calls is left out by at least one of
+those calls. A default that every call overrides is a second value beside
+the one the commands pass, and the path it keeps (a random table, an
+unchecked load) is taken by tests alone.
 """
 
 import ast
@@ -123,14 +129,20 @@ def test_public_functions_are_reachable(module, called):
     assert unused == []
 
 
-def _private(tree: ast.Module) -> list[ast.FunctionDef]:
-    """Each single-underscore (not dunder) top-level function and method."""
+def _functions(tree: ast.Module) -> list[tuple[ast.ClassDef | None, ast.FunctionDef]]:
+    """(class or None, def) for each top-level function and method."""
     defs = []
     for node in tree.body:
-        items = node.body if isinstance(node, ast.ClassDef) else [node]
-        defs += [item for item in items if isinstance(item, ast.FunctionDef)
-                 and item.name.startswith("_") and not item.name.startswith("__")]
+        owner = node if isinstance(node, ast.ClassDef) else None
+        defs += [(owner, item) for item in (node.body if owner else [node])
+                 if isinstance(item, ast.FunctionDef)]
     return defs
+
+
+def _private(tree: ast.Module) -> list[ast.FunctionDef]:
+    """Each single-underscore (not dunder) top-level function and method."""
+    return [func for _, func in _functions(tree)
+            if func.name.startswith("_") and not func.name.startswith("__")]
 
 
 def _references(node: ast.AST) -> Counter:
@@ -149,3 +161,50 @@ def test_private_functions_are_referenced_in_the_package():
     unreferenced = [f"{module}:{node.name}" for module, node in private
                     if references[node.name] == _references(node)[node.name]]
     assert unreferenced == []
+
+
+def _calls(trees) -> dict[str, list[ast.Call]]:
+    """Every call in `trees` by the name it calls, a bare name or an
+    attribute."""
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _defaulted(owner: ast.ClassDef | None, func: ast.FunctionDef) -> list[tuple[str, int | None]]:
+    """(name, position among a call's positional arguments) of each
+    defaulted parameter of `func`; None for a keyword-only one. A method's
+    receiver (its first parameter) takes no position."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    receiver = owner is not None
+    first = len(positional) - len(args.defaults)
+    return ([(a.arg, i - receiver) for i, a in enumerate(positional) if i >= first]
+            + [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None])
+
+
+def _supplies(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether `call` passes the parameter `name`: by keyword, by a `**`
+    splat, or at `position` by a positional argument or a `*` splat."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    return position is not None and (
+        len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_parameter_defaults_are_used_in_the_package():
+    trees = {module: ast.parse((ROOT / "src" / "mvclda" / module).read_text(encoding="utf-8"))
+             for module in GUARDED}
+    calls = _calls(trees.values())
+    overridden = []
+    for module, tree in trees.items():
+        for owner, func in _functions(tree):
+            for name, position in _defaulted(owner, func) if func.name in calls else ():
+                if all(_supplies(call, name, position) for call in calls[func.name]):
+                    where = f"{owner.name}.{func.name}" if owner else func.name
+                    overridden.append(f"{module}:{where}({name})")
+    assert overridden == []

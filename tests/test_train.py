@@ -8,7 +8,7 @@ import pytest
 from mvclda import cli, model, train
 from mvclda.corpus import EncodedDocument
 
-from oracles import inplace_adam_step
+from oracles import inplace_adam_step, random_table
 from test_cli import corpus_dir, train_cfg_path  # noqa: F401 (fixtures)
 
 
@@ -30,7 +30,8 @@ def tiny_params(kind="mvc-lda", seed=0, n_labels=5, vocab=30, dtype=np.float32, 
         kind=kind, kernel_sizes=(1, 3), n_filters=6, embed_dim=8,
         lambda_=0.01 if kind == "mvc-rlda" else 0.0, **kwargs,
     )
-    return model.init_params(cfg, vocab, n_labels, np.random.default_rng(seed), dtype=dtype)
+    rng = np.random.default_rng(seed)
+    return model.init_params(cfg, vocab, n_labels, rng, random_table(rng, vocab, 8), dtype=dtype)
 
 
 def tiny_descriptions(rng, n_labels=5, vocab=30):

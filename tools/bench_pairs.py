@@ -3,13 +3,15 @@
     python tools/bench_pairs.py <rev> --pr 24 --pairs long=10,mimic=5,desk=5 [--seed 1]
         [--traced 5]
 
-Extracts `git archive <rev> src` into a temporary directory and copies the
-working tree's `bench/` beside it, so both trees run the same benchmark
-on their own source. Then, in one session and one process at a time, it
-runs `bench/run.py --workload w --seed s --trace 0` once with each tree
-per pair, the revision first in even pairs and the working tree first in
-odd ones; the workloads take turns, one pair each, until each has its
-pairs. From each run it keeps the result line (the last line of standard
+Prepares both sides alike under one temporary directory (`prepare_sides`):
+`rev` holds `git archive <rev> src`, `tree` a copy of the working tree's
+`src/`, and each a copy of the working tree's `bench/`. So both run the
+same benchmark on their own source, from paths of the same shape, and
+neither writes into the checkout. Then, in one session and one process
+at a time, it runs `bench/run.py --workload w --seed s --trace 0` once
+with each tree per pair, the revision first in even pairs and the
+working tree first in odd ones; the workloads take turns, one pair
+each, until each has its pairs. From each run it keeps the result line (the last line of standard
 output) and the `unscaled_metrics` of that tree's own
 `.bench_runs/<w>-seed<s>-trace0.json`. With `--traced N` it then runs
 `--trace 1` N times per side for each of those workloads, in the same
@@ -57,6 +59,24 @@ def _pair_counts(text: str) -> dict[str, int]:
     if any(n < 1 for n in counts.values()):
         raise argparse.ArgumentTypeError("every workload needs at least one pair")
     return counts
+
+
+_CACHES = shutil.ignore_patterns("__pycache__")
+
+
+def prepare_sides(tmp: Path, rev: str) -> dict[str, Path]:
+    """`tmp/rev` and `tmp/tree`, laid out alike: each its own `src/` (the
+    revision's `git archive`, or a copy of the working tree's) and a copy
+    of the working tree's `bench/`."""
+    roots = {"rev": tmp / "rev", "tree": tmp / "tree"}
+    for side, root in roots.items():
+        root.mkdir()
+        if side == "rev":
+            extract_src(rev, root)
+        else:
+            shutil.copytree(REPO / "src", root / "src", ignore=_CACHES)
+        shutil.copytree(REPO / "bench", root / "bench", ignore=_CACHES)
+    return roots
 
 
 def run_bench(root: Path, workload: str, seed: int, trace: int = 0) -> dict:
@@ -217,11 +237,7 @@ def main(argv: list[str]) -> int:
                              capture_output=True, text=True, check=True).stdout.strip()
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        rev_root = Path(tmp)
-        extract_src(rev_sha, rev_root)
-        shutil.copytree(REPO / "bench", rev_root / "bench",
-                        ignore=shutil.ignore_patterns("__pycache__"))
-        roots = {"rev": rev_root, "tree": REPO}
+        roots = prepare_sides(Path(tmp), rev_sha)
         for workload, pair, side, trace in schedule(args.pairs, args.traced):
             run = run_bench(roots[side], workload, args.seed, trace)
             runs.append({"workload": workload, "pair": pair, "side": side, "trace": trace,
