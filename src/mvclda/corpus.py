@@ -283,13 +283,36 @@ def _word_table(n: int) -> np.ndarray:
     return words[1:].astype(object)
 
 
+def _draw_codes(rng: np.random.Generator, cdf: np.ndarray, marginals: np.ndarray,
+                size: int) -> np.ndarray:
+    """`size` distinct codes drawn as `rng.choice(len(marginals), size,
+    replace=False, p=marginals)` draws them, from the same uniforms, and
+    returned sorted; `cdf` is the marginals' cumulative sum over its last
+    element. Each uniform picks the code whose CDF step it falls in; while
+    codes are missing, one uniform per missing code is mapped through the
+    CDF of the marginals with the codes found so far zeroed. Every marginal
+    is positive and `size` at most the number of codes, as `SynthConfig`
+    ensures; `choice` checks both again on each call."""
+    codes = np.unique(cdf.searchsorted(rng.random(size), side="right"))
+    while len(codes) < size:
+        rest = marginals.copy()
+        rest[codes] = 0
+        rest_cdf = np.cumsum(rest)
+        rest_cdf /= rest_cdf[-1]
+        codes = np.union1d(codes, rest_cdf.searchsorted(rng.random(size - len(codes)),
+                                                        side="right"))
+    return codes
+
+
 def generate_synthetic_corpus(cfg: SynthConfig) -> SyntheticCorpus:
     """Generate a deterministic labeled corpus with planted evidence.
 
     Every code gets a unique evidence phrase; a document positive for a code
     contains that phrase verbatim. Code marginals follow a Zipf law, and the
     number of positive codes per document rises stochastically with document
-    length (`coupling` controls the strength).
+    length (`coupling` controls the strength). A document's codes are drawn
+    exactly as `Generator.choice` without replacement draws them, from one
+    CDF of the marginals per corpus.
 
     The background words come first in one word table, then each code's
     phrase as a range of it; a note is one array of indices into the table.
@@ -321,6 +344,8 @@ def generate_synthetic_corpus(cfg: SynthConfig) -> SyntheticCorpus:
     }
 
     marginals = _zipf_marginals(cfg.n_codes, cfg.zipf_exponent)
+    cdf = np.cumsum(marginals)
+    cdf /= cdf[-1]
 
     # global cardinality cap chosen so any sampled code set always fits
     card_cap = max(1, min(cfg.n_codes, cfg.doc_len_min // cfg.evidence_len_max))
@@ -333,7 +358,7 @@ def generate_synthetic_corpus(cfg: SynthConfig) -> SyntheticCorpus:
             t = 0.0
         mix = cfg.coupling * t + (1.0 - cfg.coupling) * rng.random()
         n_pos = 1 + int(math.floor(mix * (card_cap - 1) + 1e-12))
-        chosen = np.sort(rng.choice(cfg.n_codes, size=n_pos, replace=False, p=marginals))
+        chosen = _draw_codes(rng, cdf, marginals, n_pos)
         # the units: each chosen code's phrase, then one-word background units
         n_background = length - int(lengths[chosen].sum())
         unit_starts = np.concatenate(
@@ -370,12 +395,16 @@ def write_json(path, obj) -> None:
         fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
+# what `json.dumps(row, ensure_ascii=False, sort_keys=True)` builds anew per call
+_JSONL_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+
+
 def write_jsonl(path, rows) -> None:
     """One sorted-key JSON object per line, non-ASCII text kept as is: the
     writer of every JSON-lines file (corpora, training histories, trial logs)."""
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
+            fh.write(_JSONL_ENCODER.encode(row) + "\n")
 
 
 def write_corpus_jsonl(path, docs: list[RawDocument]) -> None:

@@ -391,8 +391,11 @@ class TestSyntheticCorpus:
         dict(coupling=0.0, n_train=20, n_dev=2, n_test=2),
         dict(coupling=1.0, n_train=20, n_dev=2, n_test=2),
         dict(n_codes=30, background_vocab=21000, n_train=20, n_dev=2, n_test=2),
+        dict(n_codes=12, zipf_exponent=3.0, evidence_len_max=2, doc_len_min=24,
+             n_train=40, n_dev=4, n_test=4),
     ], ids=["desk", "mimic", "long", "one-code", "fixed-length", "one-background-word",
-            "zipf-0", "zipf-2.5", "coupling-0", "coupling-1", "five-syllables"])
+            "zipf-0", "zipf-2.5", "coupling-0", "coupling-1", "five-syllables",
+            "redraw-rounds"])
     def test_equals_the_per_word_generator(self, shape):
         cfg = corpus.SynthConfig(**shape, seed=7)
         new, old = corpus.generate_synthetic_corpus(cfg), per_word_synthetic_corpus(cfg)
@@ -407,6 +410,23 @@ class TestSyntheticCorpus:
         assert all(type(w) is str for p in new.evidence_phrases.values() for w in p)
         if cfg.background_vocab > 12 ** 4:
             assert any(len(w) == 10 for d in new.train for w in d.text.split())
+
+    # up to every code of a steep Zipf law, so a draw takes several rounds
+    @pytest.mark.parametrize("n_codes", [1, 2, 3, 7, 20, 48, 200, 1000])
+    def test_code_draw_equals_generator_choice(self, n_codes):
+        for exponent in (0.0, 0.5, 1.0, 1.5, 3.0):
+            marginals = corpus._zipf_marginals(n_codes, exponent)
+            cdf = np.cumsum(marginals)
+            cdf /= cdf[-1]
+            for size in sorted({s for s in (1, 2, 3, n_codes // 2, n_codes)
+                                if 1 <= s <= n_codes}):
+                for seed in range(25):
+                    ours, numpy_s = np.random.default_rng(seed), np.random.default_rng(seed)
+                    codes = corpus._draw_codes(ours, cdf, marginals, size)
+                    want = np.sort(numpy_s.choice(n_codes, size, replace=False, p=marginals))
+                    assert codes.dtype == want.dtype and codes.tolist() == want.tolist()
+                    # the generator is left where `choice` leaves it
+                    assert ours.random() == numpy_s.random()
 
     # each side of a change in the number of syllables
     @pytest.mark.parametrize("n", [1, 11, 12, 13, 143, 144, 145, 1727, 1728, 20735, 20737])
