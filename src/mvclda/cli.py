@@ -16,7 +16,6 @@ import hashlib
 import itertools
 import os
 import sys
-import types
 import typing
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -50,14 +49,11 @@ def _parse_bool(text: str) -> bool:
 
 def _parser(tp):
     """The config-value parser for a field of type `tp`: `bool` takes the
-    words above, `tuple[int, ...]` and `tuple[float, ...]` (optionally
-    `| None`) take comma lists with blank items skipped, `int` and `float`
-    parse as themselves."""
+    words above, `tuple[int, ...]` and `tuple[float, ...]` take comma lists
+    with blank items skipped, `int` and `float` parse as themselves."""
     if typing.get_origin(tp) is tuple:
         item = typing.get_args(tp)[0]
         return lambda text: tuple(item(p) for p in text.split(",") if p.strip())
-    if typing.get_origin(tp) is types.UnionType:
-        return _parser(next(a for a in typing.get_args(tp) if a is not type(None)))
     return _parse_bool if tp is bool else tp
 
 
@@ -339,7 +335,7 @@ def cmd_synth(args) -> int:
     # descriptions keep the label-space order; the maps are written sorted
     labels = synth.labels
     for name, pairs in (("descriptions", zip(labels.codes, map(" ".join, labels.descriptions))),
-                        ("hierarchy", sorted((labels.parents or {}).items())),
+                        ("hierarchy", sorted(labels.parents.items())),
                         ("groups", sorted(synth.groups.items()))):
         artifacts[name] = out_dir / f"{name}.tsv"
         corpus.write_pairs_tsv(artifacts[name], pairs)
@@ -421,9 +417,9 @@ def cmd_evaluate(args) -> int:
 def cmd_hyperband(args) -> int:
     schedule = [{"s": s, "n": n, "r": r} for s, n, r in hb.bracket_schedule(args.R, args.eta)]
     values = load_config(args.config, HYPERBAND_KEYS)
-    # an mvc-lda model has no lambda to search
-    no_lambda = {"lambda_candidates": None} if args.model == "mvc-lda" else {}
-    space = _build(hb.SearchSpace, values, **no_lambda)
+    # an mvc-lda model has no lambda to search, so its candidates are not read
+    space = _build(hb.SearchSpace, {k: v for k, v in values.items()
+                                    if args.model == "mvc-rlda" or k != "lambda_candidates"})
     run, _ = _read_and_check(args, values)
     # the largest model the search can draw, built and dropped before any
     # trial; every trial starts from its W_e, the table in the model's dtype
@@ -433,25 +429,25 @@ def cmd_hyperband(args) -> int:
     # every trial is a prefix of its config's run: R epochs, never stopped early
     train_cfg = replace(run.train_cfg, max_epochs=args.R)
 
-    def start(trial_cfg: hb.TrialConfig):
-        lambda_ = run.model_cfg.lambda_ if trial_cfg.lambda_ is None else trial_cfg.lambda_
-        params0 = _init_params(run, replace(run.model_cfg, kernel_sizes=trial_cfg.kernel_sizes,
-                                            n_filters=trial_cfg.n_filters, lambda_=lambda_), table)
+    def start(model_cfg: model.ModelConfig):
+        params0 = _init_params(run, model_cfg, table)
         return (stats.dev_micro_f1 for stats, _ in train_mod.epochs(
             params0, run.train_docs, run.dev_docs, run.desc_ids, train_cfg))
 
-    best_cfg, best_score, log = hb.hyperband_search(space, start, args.R, args.eta, args.seed)
+    best_cfg, best_score, log = hb.hyperband_search(space, run.model_cfg, start, args.R, args.eta,
+                                                    args.seed)
     trials_path = run.out_dir / "trials.jsonl"
-    corpus.write_jsonl(trials_path, (dict(asdict(t), config=t.config.to_json_obj()) for t in log))
+    corpus.write_jsonl(trials_path, (dict(asdict(t), config=hb.config_json(t.config))
+                                     for t in log))
     run.artifacts["trials"] = trials_path
     best_path = run.out_dir / "best_config.json"
     corpus.write_json(best_path, {
         "R": args.R, "eta": args.eta, "schedule": schedule,
-        "best_config": best_cfg.to_json_obj(), "best_dev_micro_f1": best_score,
+        "best_config": hb.config_json(best_cfg), "best_dev_micro_f1": best_score,
     })
     run.artifacts["best_config"] = best_path
     _write_manifest(run.out_dir, args, dict(run.values, R=args.R, eta=args.eta), run.artifacts)
-    print(f"best dev micro F1 {best_score:.5f} with {best_cfg.to_json_obj()}")
+    print(f"best dev micro F1 {best_score:.5f} with {hb.config_json(best_cfg)}")
     return EXIT_OK
 
 
@@ -539,9 +535,9 @@ def cmd_baseline(args) -> int:
     X_test = baseline.to_dense(featurizer.transform(test.notes))  # for the one scoring GEMM
     train_cells = corpus.gold_cells(train.gold)
     if args.hierarchy:
-        parents = labels.parents or {}
-        ovr = baseline.train_hierarchical(train_rows, train_cells, labels.codes, parents, svm_cfg)
-        pred = baseline.predict_hierarchical(ovr, X_test, labels.codes, parents)
+        ovr = baseline.train_hierarchical(train_rows, train_cells, labels.codes, labels.parents,
+                                          svm_cfg)
+        pred = baseline.predict_hierarchical(ovr, X_test, labels.codes, labels.parents)
     else:
         ovr = baseline.train_flat(train_rows, train_cells, labels.codes, svm_cfg)
         pred = baseline.predict_flat(ovr, X_test)

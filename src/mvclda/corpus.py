@@ -100,13 +100,14 @@ def build_vocabulary(notes: list[np.ndarray], words: dict[str, int],
 class LabelSpace:
     """Code/index map plus per-code descriptions and optional hierarchy.
 
-    `parents` maps a code to its parent node name; parent names need not be
-    codes of the label space themselves (internal taxonomy nodes).
+    `parents` maps a code to its parent node name, and is empty without a
+    hierarchy; parent names need not be codes of the label space themselves
+    (internal taxonomy nodes).
     """
 
     codes: list[str]
     descriptions: list[list[str]]
-    parents: dict[str, str] | None = None
+    parents: dict[str, str] = field(default_factory=dict)
     code_to_index: dict[str, int] = field(init=False)
 
     def __post_init__(self):
@@ -116,8 +117,7 @@ class LabelSpace:
         for code, desc in zip(self.codes, self.descriptions):
             if not desc:
                 raise ValueError(f"empty description for code {code!r}")
-        if self.parents is not None:
-            _check_acyclic(self.parents)
+        _check_acyclic(self.parents)
 
     @property
     def n_labels(self) -> int:
@@ -144,7 +144,7 @@ def make_label_space(descriptions: dict[str, str], parents: dict[str, str] | Non
     return LabelSpace(
         codes=codes,
         descriptions=[preprocess_text(descriptions[c]) for c in codes],
-        parents=dict(parents) if parents else None,
+        parents=dict(parents or {}),
     )
 
 

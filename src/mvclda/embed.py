@@ -21,7 +21,6 @@ independent V x dim arrays.
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,13 +63,10 @@ class CbowConfig:
 
 
 def _noise_cumulative(docs, vocab_size: int) -> np.ndarray:
-    # one bincount per group of notes whose running id count ends in one V-long
-    # block: the cost grows with tokens + V, and a group copies < V + one note's ids
-    docs = [ids for ids in docs if len(ids)]
-    blocks = np.cumsum([len(ids) for ids in docs]) // vocab_size
+    # adds in place: no copy of the corpus; a bincount per note would cost V each
     counts = np.zeros(vocab_size, dtype=np.float64)
-    for _, group in itertools.groupby(zip(blocks.tolist(), docs), key=lambda pair: pair[0]):
-        counts += np.bincount(np.concatenate([ids for _, ids in group]), minlength=vocab_size)
+    for ids in docs:
+        np.add.at(counts, ids, 1.0)
     weights = counts ** 0.75
     total = weights.sum()
     if total == 0.0:

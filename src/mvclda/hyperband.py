@@ -1,5 +1,5 @@
-"""Hyperband search over kernel sizes, filter count, and regularization
-weight, maximizing dev micro F1.
+"""Hyperband search over a base `model.ModelConfig`'s kernel sizes, filter
+count and, for mvc-rlda, regularization weight, maximizing dev micro F1.
 
 The resource is training epochs (R per trial at most); each bracket runs
 successive halving with pruning factor eta. A trial's score is the best dev
@@ -17,9 +17,11 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .model import ModelConfig
 
 LAMBDA_CANDIDATES = (0.001, 0.0001, 0.0005, 0.0007, 0.01)
 
@@ -33,31 +35,17 @@ class SearchSpace:
     s0_max: int = 8
     dc_min: int = 30
     dc_max: int = 100
-    lambda_candidates: tuple[float, ...] | None = LAMBDA_CANDIDATES
+    lambda_candidates: tuple[float, ...] = LAMBDA_CANDIDATES
 
     def __post_init__(self):
         if self.s0_min < 1 or self.s0_min > self.s0_max:
             raise ValueError("invalid kernel size range")
         if self.dc_min < 1 or self.dc_min > self.dc_max:
             raise ValueError("invalid filter count range")
-        if self.lambda_candidates is not None and len(self.lambda_candidates) == 0:
+        if len(self.lambda_candidates) == 0:
             raise ValueError("empty regularization candidate set")
-        if not all(math.isfinite(lam) and lam >= 0 for lam in self.lambda_candidates or ()):
+        if not all(math.isfinite(lam) and lam >= 0 for lam in self.lambda_candidates):
             raise ValueError("lambda_candidates must be finite and >= 0")
-
-
-@dataclass(frozen=True)
-class TrialConfig:
-    kernel_sizes: tuple[int, ...]
-    n_filters: int
-    lambda_: float | None = None
-
-    def to_json_obj(self) -> dict:
-        return {
-            "kernel_sizes": list(self.kernel_sizes),
-            "n_filters": self.n_filters,
-            "lambda": self.lambda_,
-        }
 
 
 def kernel_sizes(s0: int) -> tuple[int, ...]:
@@ -65,13 +53,25 @@ def kernel_sizes(s0: int) -> tuple[int, ...]:
     return (s0, s0 + 2, s0 + 4, s0 + 6)
 
 
-def sample_config(space: SearchSpace, rng) -> TrialConfig:
+def sample_config(space: SearchSpace, base: ModelConfig, rng) -> ModelConfig:
+    """`base` with s0 (so its kernel sizes), d_c and, for mvc-rlda, a lambda
+    candidate drawn from `space` in that order; mvc-lda, which has no
+    regularizer, keeps the base's lambda."""
     s0 = int(rng.integers(space.s0_min, space.s0_max + 1))
     d_c = int(rng.integers(space.dc_min, space.dc_max + 1))
-    lam = None
-    if space.lambda_candidates is not None:
+    lam = base.lambda_
+    if base.kind == "mvc-rlda":
         lam = float(space.lambda_candidates[int(rng.integers(len(space.lambda_candidates)))])
-    return TrialConfig(kernel_sizes=kernel_sizes(s0), n_filters=d_c, lambda_=lam)
+    return replace(base, kernel_sizes=kernel_sizes(s0), n_filters=d_c, lambda_=lam)
+
+
+def config_json(cfg: ModelConfig) -> dict:
+    """A trial's searched fields as logged; `lambda` is null for mvc-lda."""
+    return {
+        "kernel_sizes": list(cfg.kernel_sizes),
+        "n_filters": cfg.n_filters,
+        "lambda": cfg.lambda_ if cfg.kind == "mvc-rlda" else None,
+    }
 
 
 def bracket_schedule(R: int, eta: int) -> list[tuple[int, int, int]]:
@@ -99,7 +99,7 @@ class Trial:
     bracket: int
     rung: int
     trial: int
-    config: TrialConfig
+    config: ModelConfig
     epochs: int
     dev_micro_f1: float
 
@@ -110,11 +110,11 @@ class _Runs:
 
     def __init__(self, start):
         self.start = start
-        self.scores: dict[TrialConfig, list[float]] = {}
-        self.live: dict[TrialConfig, Iterator[float]] = {}
-        self.diverged: set[TrialConfig] = set()  # its scores end where its run raised
+        self.scores: dict[ModelConfig, list[float]] = {}
+        self.live: dict[ModelConfig, Iterator[float]] = {}
+        self.diverged: set[ModelConfig] = set()  # its scores end where its run raised
 
-    def score(self, config: TrialConfig, epochs: int, where: str) -> float:
+    def score(self, config: ModelConfig, epochs: int, where: str) -> float:
         """Best of the first `epochs` scores of `config`'s run, training it
         only as far as needed; 0.0 when the run diverges before then."""
         done = self.scores.setdefault(config, [])
@@ -137,9 +137,10 @@ class _Runs:
 
 
 def hyperband_search(
-    space: SearchSpace, start, R: int, eta: int, seed: int
-) -> tuple[TrialConfig, float, list[Trial]]:
-    """Run all brackets; `start(config)` must return that config's training
+    space: SearchSpace, base: ModelConfig, start, R: int, eta: int, seed: int
+) -> tuple[ModelConfig, float, list[Trial]]:
+    """Run all brackets over configs sampled from `space` around `base`
+    (`sample_config`); `start(config)` must return that config's training
     run, an iterator of the dev micro F1 after each epoch (at least R), the
     same on every call. A trial whose run raises FloatingPointError (a
     non-finite loss, output or gradient, or a float overflow, invalid
@@ -155,11 +156,11 @@ def hyperband_search(
     log: list[Trial] = []
     best: Trial | None = None
     for s, n, r in bracket_schedule(R, eta):
-        configs = [sample_config(space, rng) for _ in range(n)]
+        configs = [sample_config(space, base, rng) for _ in range(n)]
         for i in range(s + 1):
             epochs = r * eta**i
             keep = len(configs) // eta if i < s else 0
-            top: list[tuple[float, int, TrialConfig]] = []  # the rung's running top-`keep`
+            top: list[tuple[float, int, ModelConfig]] = []  # the rung's running top-`keep`
             for t, config in enumerate(configs):
                 score = runs.score(config, epochs, f"bracket {s} rung {i} trial {t}")
                 trial = Trial(

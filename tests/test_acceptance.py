@@ -371,7 +371,8 @@ def test_criterion_07_hyperband_schedule():
     def evaluate(config):
         return (config.n_filters / 1000.0 + epochs / 100.0 for epochs in itertools.count(1))
 
-    _, _, log = hb.hyperband_search(hb.SearchSpace(), evaluate, R=27, eta=3, seed=7)
+    _, _, log = hb.hyperband_search(hb.SearchSpace(), model.ModelConfig(kind="mvc-rlda"),
+                                    evaluate, R=27, eta=3, seed=7)
     populations = {}
     for t in log:
         populations.setdefault((t.bracket, t.rung), 0)

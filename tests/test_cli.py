@@ -1079,6 +1079,14 @@ class TestHyperbandCmd:
         best = json.loads((tmp_path / "hb" / "best_config.json").read_text())
         assert best["best_config"]["lambda"] is None
 
+    def test_lda_never_reads_lambda_candidates(self, corpus_dir, hb_cfg, tmp_path, capsys):
+        # a candidate mvc-rlda refuses goes unchecked, as it goes unused
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(hb_cfg.read_text() + "lambda_candidates = -0.5\n")
+        assert self._run(corpus_dir, cfg, tmp_path / "hb") == 0
+        assert "ignores the lambda_candidates config key" in capsys.readouterr().err
+        assert all(t["config"]["lambda"] is None for t in self._trials(tmp_path / "hb"))
+
     def test_size_probe_is_not_held_during_the_search(self, corpus_dir, hb_cfg, tmp_path,
                                                       monkeypatch):
         # the largest model the space holds is built before --out to be

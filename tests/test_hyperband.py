@@ -6,7 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from mvclda import hyperband as hb
+from mvclda import hyperband as hb, model
+
+# the base every search samples around: mvc-rlda, so lambda is drawn too
+RLDA = model.ModelConfig(kind="mvc-rlda")
 
 
 class TestBracketSchedule:
@@ -47,7 +50,8 @@ def scoring_stub():
 class TestHyperbandSearch:
     def test_rung_populations_and_epochs(self):
         evaluate, calls = scoring_stub()
-        _best, _score, log = hb.hyperband_search(hb.SearchSpace(), evaluate, R=27, eta=3, seed=0)
+        _best, _score, log = hb.hyperband_search(hb.SearchSpace(), RLDA, evaluate, R=27, eta=3,
+                                                 seed=0)
         per_rung = collections.Counter((t.bracket, t.rung) for t in log)
         assert per_rung == {
             (3, 0): 27, (3, 1): 9, (3, 2): 3, (3, 3): 1,
@@ -63,7 +67,7 @@ class TestHyperbandSearch:
 
     def test_budget_per_bracket_bounded(self):
         evaluate, _ = scoring_stub()
-        _, _, log = hb.hyperband_search(hb.SearchSpace(), evaluate, R=27, eta=3, seed=1)
+        _, _, log = hb.hyperband_search(hb.SearchSpace(), RLDA, evaluate, R=27, eta=3, seed=1)
         budget = collections.Counter()
         for t in log:
             budget[t.bracket] += t.epochs
@@ -76,7 +80,7 @@ class TestHyperbandSearch:
             # every config ties; survivors must be the earliest trials
             return itertools.repeat(0.5)
 
-        _, _, log = hb.hyperband_search(hb.SearchSpace(), evaluate, R=9, eta=3, seed=2)
+        _, _, log = hb.hyperband_search(hb.SearchSpace(), RLDA, evaluate, R=9, eta=3, seed=2)
         bracket2 = [t for t in log if t.bracket == 2]
         rung0 = [t for t in bracket2 if t.rung == 0]
         rung1 = [t for t in bracket2 if t.rung == 1]
@@ -87,7 +91,7 @@ class TestHyperbandSearch:
     def test_best_is_max_over_log(self):
         evaluate, _ = scoring_stub()
         best_cfg, best_score, log = hb.hyperband_search(
-            hb.SearchSpace(), evaluate, R=9, eta=3, seed=3
+            hb.SearchSpace(), RLDA, evaluate, R=9, eta=3, seed=3
         )
         assert best_score == max(t.dev_micro_f1 for t in log)
         winners = [t for t in log if t.dev_micro_f1 == best_score]
@@ -96,21 +100,21 @@ class TestHyperbandSearch:
     def test_reproducible_trial_log(self):
         evaluate_a, _ = scoring_stub()
         evaluate_b, _ = scoring_stub()
-        _, _, log_a = hb.hyperband_search(hb.SearchSpace(), evaluate_a, R=9, eta=3, seed=4)
-        _, _, log_b = hb.hyperband_search(hb.SearchSpace(), evaluate_b, R=9, eta=3, seed=4)
+        _, _, log_a = hb.hyperband_search(hb.SearchSpace(), RLDA, evaluate_a, R=9, eta=3, seed=4)
+        _, _, log_b = hb.hyperband_search(hb.SearchSpace(), RLDA, evaluate_b, R=9, eta=3, seed=4)
         assert log_a == log_b
 
     def test_log_ordered_by_bracket_rung_trial(self):
         evaluate, _ = scoring_stub()
-        _, _, log = hb.hyperband_search(hb.SearchSpace(), evaluate, R=9, eta=3, seed=5)
+        _, _, log = hb.hyperband_search(hb.SearchSpace(), RLDA, evaluate, R=9, eta=3, seed=5)
         keys = [(-t.bracket, t.rung, t.trial) for t in log]
         assert keys == sorted(keys)
 
     def test_empty_space_rejected(self):
         with pytest.raises(ValueError):
             hb.hyperband_search(
-                hb.SearchSpace(lambda_candidates=()), lambda c: itertools.repeat(0.0), R=3, eta=3,
-                seed=6
+                hb.SearchSpace(lambda_candidates=()), RLDA, lambda c: itertools.repeat(0.0), R=3,
+                eta=3, seed=6
             )
 
 
@@ -150,7 +154,7 @@ class TestRunReuse:
         restarted = 0
         for seed in range(8):
             events = []
-            _, _, log = hb.hyperband_search(space, self.counting_start(events), R=9, eta=3,
+            _, _, log = hb.hyperband_search(space, RLDA, self.counting_start(events), R=9, eta=3,
                                             seed=seed)
             for t in log:
                 assert t.dev_micro_f1 == max(self.wavy(t.config, e)
@@ -169,7 +173,7 @@ class TestRunReuse:
         # no config repeats at this seed, so only continuing saves epochs:
         # 357 epoch-units where training every trial from scratch costs 423
         start, calls = scoring_stub()
-        _, _, log = hb.hyperband_search(hb.SearchSpace(), start, R=27, eta=3, seed=0)
+        _, _, log = hb.hyperband_search(hb.SearchSpace(), RLDA, start, R=27, eta=3, seed=0)
         first_rungs = [t.config for t in log if t.rung == 0]
         assert len(set(first_rungs)) == len(first_rungs) == 49
         assert sum(t.epochs for t in log) == 423
@@ -178,7 +182,8 @@ class TestRunReuse:
     def test_a_single_config_trains_once(self):
         space = hb.SearchSpace(s0_min=3, s0_max=3, dc_min=9, dc_max=9, lambda_candidates=(0.01,))
         events = []
-        _, _, log = hb.hyperband_search(space, self.counting_start(events), R=27, eta=3, seed=0)
+        _, _, log = hb.hyperband_search(space, RLDA, self.counting_start(events), R=27, eta=3,
+                                        seed=0)
         assert len(log) == 69
         assert sum(1 for e in events if e[0] == "epoch") == 27
         assert [e[0] for e in events].count("start") == 1
@@ -189,7 +194,8 @@ class TestRunReuse:
         # promoted runs of a later rung are at most that many
         monkeypatch.setattr(hb, "bracket_schedule", lambda R, eta: [(s, n, r)])
         events = []
-        hb.hyperband_search(hb.SearchSpace(), self.counting_start(events), R=27, eta=3, seed=s)
+        hb.hyperband_search(hb.SearchSpace(), RLDA, self.counting_start(events), R=27, eta=3,
+                            seed=s)
         peak = max(e[2] for e in events if e[0] == "epoch")
         assert peak <= n // 3 + 1
         if s:
@@ -200,7 +206,7 @@ class TestRunReuse:
                                lambda_candidates=(0.001, 0.002))
         events = []
         start = self.counting_start(events, diverge_at=(0.002, 4))
-        _, _, log = hb.hyperband_search(space, start, R=9, eta=3, seed=3)
+        _, _, log = hb.hyperband_search(space, RLDA, start, R=9, eta=3, seed=3)
         err = capsys.readouterr().err
         bad = [t for t in log if t.config.lambda_ == 0.002]
         assert any(t.epochs < 4 for t in bad) and any(t.epochs >= 4 for t in bad)
@@ -219,20 +225,21 @@ class TestSampleConfig:
         space = hb.SearchSpace(s0_min=4, s0_max=4, dc_min=50, dc_max=50, lambda_candidates=(0.01,))
         rng = np.random.default_rng(7)
         for _ in range(5):
-            cfg = hb.sample_config(space, rng)
-            assert cfg == hb.TrialConfig((4, 6, 8, 10), 50, 0.01)
+            cfg = hb.sample_config(space, RLDA, rng)
+            assert cfg == dataclasses.replace(RLDA, kernel_sizes=(4, 6, 8, 10), n_filters=50,
+                                              lambda_=0.01)
 
     def test_seeded_reproducible(self):
         space = hb.SearchSpace()
-        a = [hb.sample_config(space, np.random.default_rng(8)) for _ in range(10)]
-        b = [hb.sample_config(space, np.random.default_rng(8)) for _ in range(10)]
+        a = [hb.sample_config(space, RLDA, np.random.default_rng(8)) for _ in range(10)]
+        b = [hb.sample_config(space, RLDA, np.random.default_rng(8)) for _ in range(10)]
         assert a == b
 
     def test_structure_and_ranges(self):
         space = hb.SearchSpace()
         rng = np.random.default_rng(9)
         for _ in range(200):
-            cfg = hb.sample_config(space, rng)
+            cfg = hb.sample_config(space, RLDA, rng)
             s0, s1, s2, s3 = cfg.kernel_sizes
             assert (s1 - s0, s2 - s1, s3 - s2) == (2, 2, 2)
             assert 2 <= s0 <= 8
@@ -242,22 +249,35 @@ class TestSampleConfig:
     def test_thousand_samples_cover_all_lambdas(self):
         space = hb.SearchSpace()
         rng = np.random.default_rng(10)
-        seen = {hb.sample_config(space, rng).lambda_ for _ in range(1000)}
+        seen = {hb.sample_config(space, RLDA, rng).lambda_ for _ in range(1000)}
         assert seen == set(hb.LAMBDA_CANDIDATES)
 
-    def test_lambda_free_space(self):
-        space = hb.SearchSpace(lambda_candidates=None)
-        cfg = hb.sample_config(space, np.random.default_rng(11))
-        assert cfg.lambda_ is None
+    # an mvc-rlda base draws s0, d_c and a lambda index; an mvc-lda base,
+    # which has no regularizer, draws the first two and keeps its lambda
+    @pytest.mark.parametrize("kind", ["mvc-rlda", "mvc-lda"])
+    def test_draws_in_order_and_carries_the_base(self, kind):
+        base = model.ModelConfig(kind=kind, embed_dim=12, lambda_=0.003, use_length=False)
+        space = hb.SearchSpace(s0_min=2, s0_max=5, dc_min=4, dc_max=9,
+                               lambda_candidates=(0.1, 0.2, 0.3))
+        rng, same = np.random.default_rng(11), np.random.default_rng(11)
+        cfg = hb.sample_config(space, base, rng)
+        s0, d_c = int(same.integers(2, 6)), int(same.integers(4, 10))
+        lam = space.lambda_candidates[int(same.integers(3))] if kind == "mvc-rlda" else 0.003
+        assert rng.random() == same.random()
+        assert cfg == dataclasses.replace(base, kernel_sizes=hb.kernel_sizes(s0), n_filters=d_c,
+                                          lambda_=lam)
+        assert (cfg.kind, cfg.embed_dim, cfg.use_length) == (kind, 12, False)
+        assert hb.config_json(cfg) == {"kernel_sizes": list(hb.kernel_sizes(s0)), "n_filters": d_c,
+                                       "lambda": lam if kind == "mvc-rlda" else None}
 
 
 class TestTrialLog:
     def test_jsonl_fields(self):
-        # a trials.jsonl line is a Trial's fields, its config as to_json_obj()
+        # a trials.jsonl line is a Trial's fields, its config as config_json()
         evaluate, _ = scoring_stub()
-        _, _, log = hb.hyperband_search(hb.SearchSpace(), evaluate, R=3, eta=3, seed=12)
+        _, _, log = hb.hyperband_search(hb.SearchSpace(), RLDA, evaluate, R=3, eta=3, seed=12)
         assert set(dataclasses.asdict(log[0])) == {
             "bracket", "rung", "trial", "config", "epochs", "dev_micro_f1"}
-        assert log[0].config.to_json_obj() == {
+        assert hb.config_json(log[0].config) == {
             "kernel_sizes": list(log[0].config.kernel_sizes),
             "n_filters": log[0].config.n_filters, "lambda": log[0].config.lambda_}

@@ -11,7 +11,8 @@ checked to be shorter than `max_epochs`), and mvc-rlda at dropout 0, so
 training runs without dropout masks; evaluate the first two models (the
 first with `--groups` and `--train-counts`) and the dropout-0 one; flat
 and hierarchical baselines, and a flat one with `--config`; hyperband at
-R=3, eta=3, once pretraining and once on the first train run's
+R=3, eta=3: mvc-rlda once pretraining and once on the first train run's
+`--embeddings`, and mvc-lda, which searches no lambda, on the same
 `--embeddings`; ablate mvc-rlda with every component on `--test`, and
 mvc-lda with regularization, extra_notes and regularization again on the
 dev split; then a second synth with a few thousand background words
@@ -184,6 +185,9 @@ FLOW = [
     ["hyperband", "--model", "mvc-rlda", *DATA, "--dev", "data/dev.jsonl",
      "--config", "cfg/hyperband.cfg", "--embeddings", "rlda/embeddings.bin",
      "--R", "3", "--eta", "3", "--seed", "42", "--out", "hb_emb"],
+    ["hyperband", "--model", "mvc-lda", *DATA, "--dev", "data/dev.jsonl",
+     "--config", "cfg/hyperband.cfg", "--embeddings", "rlda/embeddings.bin",
+     "--R", "3", "--eta", "3", "--seed", "42", "--out", "hb_lda"],
     ["ablate", "--model", "mvc-rlda", *TRAIN, "--test", "data/test.jsonl",
      "--components", "all", "--out", "abl"],
     # mvc-lda has no regularizer to remove, and the name repeats: a result
