@@ -314,8 +314,8 @@ def generate_synthetic_corpus(cfg: SynthConfig) -> SyntheticCorpus:
     exactly as `Generator.choice` without replacement draws them, from one
     CDF of the marginals per corpus.
 
-    The background words come first in one word table, then each code's
-    phrase as a range of it; a note is one array of indices into the table.
+    Each code's phrase as one text, then each background word, form a table
+    of units; a note is its units' texts joined in the drawn order.
     """
     rng = np.random.default_rng(cfg.seed)
     code_names = [f"{100 + j}.{j % 10}" for j in range(cfg.n_codes)]
@@ -326,11 +326,12 @@ def generate_synthetic_corpus(cfg: SynthConfig) -> SyntheticCorpus:
         fillers.append((_DESC_FILLERS[int(rng.integers(len(_DESC_FILLERS)))],
                         _DESC_FILLERS[int(rng.integers(len(_DESC_FILLERS)))]))
     lengths = np.array(lengths, dtype=np.int64)
-    starts = cfg.background_vocab + np.cumsum(lengths) - lengths  # of each code's phrase
     words = _word_table(cfg.background_vocab + int(lengths.sum()))
-    phrases = [words[s:s + n].tolist() for s, n in zip(starts.tolist(), lengths.tolist())]
+    background, *phrases = np.split(words, cfg.background_vocab + np.cumsum(lengths) - lengths)
+    phrases = [p.tolist() for p in phrases]
     descriptions = {code: " ".join([a, *phrase[:2], b])
                     for code, phrase, (a, b) in zip(code_names, phrases, fillers)}
+    units = np.concatenate([np.array([" ".join(p) for p in phrases], dtype=object), background])
 
     # forest over the codes: the first ~sqrt(n) codes are roots
     n_roots = max(1, int(math.isqrt(cfg.n_codes)))
@@ -352,26 +353,18 @@ def generate_synthetic_corpus(cfg: SynthConfig) -> SyntheticCorpus:
 
     def make_doc(split: str, i: int) -> RawDocument:
         length = int(rng.integers(cfg.doc_len_min, cfg.doc_len_max + 1))
-        if cfg.doc_len_max > cfg.doc_len_min:
-            t = (length - cfg.doc_len_min) / (cfg.doc_len_max - cfg.doc_len_min)
-        else:
-            t = 0.0
+        t = (length - cfg.doc_len_min) / max(1, cfg.doc_len_max - cfg.doc_len_min)
         mix = cfg.coupling * t + (1.0 - cfg.coupling) * rng.random()
         n_pos = 1 + int(math.floor(mix * (card_cap - 1) + 1e-12))
         chosen = _draw_codes(rng, cdf, marginals, n_pos)
         # the units: each chosen code's phrase, then one-word background units
         n_background = length - int(lengths[chosen].sum())
-        unit_starts = np.concatenate(
-            [starts[chosen], rng.integers(0, cfg.background_vocab, n_background)])
-        unit_lengths = np.concatenate([lengths[chosen], np.ones(n_background, np.int64)])
-        order = rng.permutation(len(unit_starts))
-        unit_starts, unit_lengths = unit_starts[order], unit_lengths[order]
-        # token p of a unit placed at position c is word start + (p - c)
-        placed = np.cumsum(unit_lengths) - unit_lengths
-        idx = np.arange(length) + np.repeat(unit_starts - placed, unit_lengths)
+        ids = np.concatenate(
+            [chosen, cfg.n_codes + rng.integers(0, cfg.background_vocab, n_background)])
+        order = rng.permutation(len(ids))
         return RawDocument(
             doc_id=f"{split}-{i:05d}",
-            text=" ".join(words[idx].tolist()),
+            text=" ".join(units[ids[order]].tolist()),
             codes={code_names[j] for j in chosen.tolist()},
         )
 
@@ -493,7 +486,11 @@ def read_groups_tsv(path) -> dict[str, str]:
 
 
 def read_counts_tsv(path) -> dict[str, int]:
-    return _read_pairs(path, "code<TAB>count", int)
+    def count(raw: str) -> int:
+        if (n := int(raw)) < 0:
+            raise ValueError("a count is at least 0")
+        return n
+    return _read_pairs(path, "code<TAB>count", count)
 
 
 # A tensor's stored dtype: little-endian float32 for a float32 array, named

@@ -84,7 +84,8 @@ included): its table is laid out for len(rows) word ids, not V, so W_e's
 gradient is len(rows) x d_e, and every tensor after it lines up with the
 parameters'. Each finished block of input gradients adds into it at its
 ids' positions among those rows, in the order a dense buffer would take
-the same additions. Only this module knows the layout.
+the same additions. Only this module knows the layout, but for one fact
+`train.adam_step` relies on: `_tensor_shapes` lists W_e first.
 
 Gradients are analytic and exact for this fixed architecture (the max
 operations route their full subgradient to the lowest-index winner); no
@@ -153,7 +154,9 @@ class ModelConfig:
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
         ks = tuple(self.kernel_sizes)
-        if not ks or any(s < 1 for s in ks):
+        if not ks:
+            raise ValueError("kernel_sizes lists no size")
+        if any(s < 1 for s in ks):
             raise ValueError("kernel sizes must be positive")
         if list(ks) != sorted(ks):
             raise ValueError("kernel sizes must be ascending")

@@ -86,19 +86,19 @@ def adam_step(params: ModelParams, grads: GradientSet, state: AdamState, cfg: Tr
     updated.
 
     The gradients are one table over W_e's rows `grads.rows` (see
-    GradientSet). W_e comes first: it is walked in blocks of whole rows,
-    ADAM_BLOCK elements or fewer (one row at least), from its first row
-    on; a block's gradient is a zeroed block with the touched rows
-    scattered in, so an untouched row gets the update for g = 0: its
-    moments decay and it still moves. Then the rest of `grads.flat`,
-    which lines up with the rest of the parameters' and each moment's
-    buffer, is walked in one pass, in blocks of ADAM_BLOCK elements. Every
-    element takes the operations m = b1*m + (1-b1)*g,
-    v = b2*v + (1-b2)*g*g, arr -= lr * (m/bc1) / (sqrt(v/bc2) + eps) in
-    that order, whatever its block, and a block's gradient is spent once
-    `v` is updated, so it serves as scratch beside one transient; both are
-    in the parameters' dtype. Afterwards the gradients after W_e are
-    spent; W_e's is left as it was."""
+    GradientSet). W_e comes first, as long as `model._tensor_shapes` lists
+    it first in every table: it is walked in blocks of whole rows,
+    ADAM_BLOCK elements or fewer (one row at least), from its first row on;
+    a block's gradient is a zeroed block with the touched rows scattered in,
+    so an untouched row gets the update for g = 0: its moments decay and it
+    still moves. Then the rest of `grads.flat`, which lines up with the rest
+    of the parameters' and each moment's buffer, is walked in one pass, in
+    blocks of ADAM_BLOCK elements. Every element takes the operations
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+    arr -= lr * (m/bc1) / (sqrt(v/bc2) + eps) in that order, whatever its
+    block, and a block's gradient is spent once `v` is updated, so it serves
+    as scratch beside one transient; both are in the parameters' dtype.
+    Afterwards the gradients after W_e are spent; W_e's is left as it was."""
     grads.check_finite()
     state.t += 1
     bc1 = 1.0 - BETA1 ** state.t

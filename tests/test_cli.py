@@ -1381,6 +1381,7 @@ class TestCommandFront:
     # written, and a CbowConfig key even when --embeddings replaces CBOW
     @pytest.mark.parametrize("command, line, message, embeddings", [
         ("train", "n_filters = 0", "filter count and embedding dim must be positive", False),
+        ("train", "kernel_sizes = ,", "kernel_sizes lists no size", False),
         ("train", "patience = 0", "patience must be >= 1", False),
         ("train", "min_doc_freq = 0", "min_doc_freq must be >= 1, not 0", False),
         ("train", "cbow_window = 0", "window must be >= 1", False),
@@ -1390,9 +1391,9 @@ class TestCommandFront:
         ("baseline", "max_features = 0", "max_features must be >= 1", False),
         ("baseline", "min_doc_freq = 0", "min_doc_freq must be >= 1, not 0", False),
         ("synth", "n_codes = 0", "all synthetic corpus counts must be positive", False),
-    ], ids=["ModelConfig", "TrainConfig", "TrainConfig-min_doc_freq", "CbowConfig",
-            "CbowConfig-embeddings", "SearchSpace", "SvmConfig", "TfidfConfig-max_features",
-            "TfidfConfig-min_doc_freq", "SynthConfig"])
+    ], ids=["ModelConfig", "ModelConfig-kernel_sizes", "TrainConfig", "TrainConfig-min_doc_freq",
+            "CbowConfig", "CbowConfig-embeddings", "SearchSpace", "SvmConfig",
+            "TfidfConfig-max_features", "TfidfConfig-min_doc_freq", "SynthConfig"])
     def test_bad_config_key_exits_2_leaving_nothing(self, corpus_dir, trained_dir, tmp_path,
                                                     capsys, command, line, message, embeddings):
         base = {"synth": SYNTH_CFG, "baseline": ""}.get(command, TRAIN_CFG)

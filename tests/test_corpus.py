@@ -535,6 +535,10 @@ class TestFileFormats:
         cp.write_text("A\tnot-a-number\n")
         with pytest.raises(corpus.DataFormatError, match=":1:"):
             corpus.read_counts_tsv(cp)
+        # a negative count once loaded, and the binned F1 dropped its label
+        cp.write_text("A\t4\n100.0\t-5\n")
+        with pytest.raises(corpus.DataFormatError, match=re.escape(f"{cp}:2: bad count '-5'")):
+            corpus.read_counts_tsv(cp)
 
     @pytest.mark.parametrize("reader", [
         corpus.read_descriptions_tsv, corpus.read_hierarchy_tsv,
